@@ -22,8 +22,6 @@ from .geometry import (
     TriangleRegion,
     common_point,
     gap,
-    gap_member,
-    gap_member_raw,
     lower_line,
     missing_points,
     nearest_int,
@@ -50,7 +48,6 @@ from .kspace import (
     GapReport,
     KSpaceApproximation,
     admissible_map,
-    admissible_set,
     analyze_point,
     figure_dataset,
     realizable_set,

@@ -95,7 +95,7 @@ def _config(args, command: str, **extra) -> dict:
     # byte-identical wherever they are written
     cfg = {"command": command}
     for key in ("sigma", "n", "h", "r", "order", "sig", "catalog", "max_order",
-                "budget", "threads", "format", "group"):
+                "budget", "format", "group"):
         if hasattr(args, key) and getattr(args, key) is not None:
             cfg[key.replace("_", "")] = getattr(args, key)
     cfg.update(extra)
@@ -144,9 +144,7 @@ def cmd_gaps(args) -> int:
 
 def cmd_verify_gap(args) -> int:
     catalog = _resolve_catalog(args)
-    report = kspace.verify_gap(
-        args.sigma, args.n, catalog, args.budget, threads=args.threads
-    )
+    report = kspace.verify_gap(args.sigma, args.n, catalog, args.budget)
     payload = {"config": _config(args, "verify-gap"), "report": report.to_json()}
     _emit(args, payload)
     if report.conclusion == "refuted":
@@ -168,13 +166,7 @@ def cmd_missing(args) -> int:
 
 def cmd_kspace(args) -> int:
     catalog = _resolve_catalog(args)
-    approx = kspace.realizable_set(
-        args.sigma,
-        catalog,
-        args.max_order,
-        args.budget,
-        threads=args.threads,
-    )
+    approx = kspace.realizable_set(args.sigma, catalog, args.max_order, args.budget)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -239,13 +231,7 @@ def cmd_genvec(args) -> int:
 
 def cmd_plot(args) -> int:
     catalog = _resolve_catalog(args) if args.with_realized else None
-    dataset = kspace.figure_dataset(
-        args.sigma,
-        catalog,
-        args.max_order,
-        args.budget,
-        threads=args.threads,
-    )
+    dataset = kspace.figure_dataset(args.sigma, catalog, args.max_order, args.budget)
     note = f"config: sigma={args.sigma} realized={bool(catalog)} max-order={args.max_order}"
     document = svg.render_figure(dataset, note)
     _emit(args, document)
@@ -263,10 +249,19 @@ def cmd_plot(args) -> int:
 # parser
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, *, catalog: bool = False) -> None:
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                    help="search budget in candidate tuples")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for point sweeps")
     p.add_argument("--out", type=str, default=None, help="write output to this path")
     if catalog:
         p.add_argument("--catalog", type=str, default=None,

@@ -20,10 +20,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .groups import GroupTable, build_cyclic, build_generalized_quaternion
-from .rh import OrbifoldSignature, SearchVerdict, SkeletalSignature, rh_genus, rh_holds
+from .rh import (
+    OrbifoldSignature,
+    SearchVerdict,
+    SkeletalSignature,
+    period_multisets,
+    rh_holds,
+)
 
 DEFAULT_BUDGET = 10**8
 
@@ -134,38 +139,6 @@ def search(
             if group.generates(elements):
                 pairs = tuple((a_tuple[2 * i], a_tuple[2 * i + 1]) for i in range(h))
                 return SearchVerdict.exists(GeneratingVector(pairs, elements[2 * h :]))
-    return SearchVerdict.not_exists()
-
-
-def naive_search(group: GroupTable, sig: OrbifoldSignature) -> SearchVerdict:
-    """Unpruned oracle: enumerate every tuple in G^(2h+r) and test all conditions.
-
-    Exponentially slower than ``search``; exists so the pruned search can be
-    checked against it on small groups.
-    """
-    h, periods = sig.h, sig.periods
-    r = len(periods)
-    n = group.order
-    mul = group.mul
-    orders = group.element_orders
-    for tup in itertools.product(range(n), repeat=2 * h + r):
-        ok = True
-        for j in range(r):
-            if orders[tup[2 * h + j]] != periods[j]:
-                ok = False
-                break
-        if not ok:
-            continue
-        prod = 0
-        for i in range(h):
-            prod = mul(prod, group.commutator(tup[2 * i], tup[2 * i + 1]))
-        for j in range(r):
-            prod = mul(prod, tup[2 * h + j])
-        if prod != 0:
-            continue
-        if group.generates(tup):
-            pairs = tuple((tup[2 * i], tup[2 * i + 1]) for i in range(h))
-            return SearchVerdict.exists(GeneratingVector(pairs, tup[2 * h :]))
     return SearchVerdict.not_exists()
 
 
@@ -313,41 +286,6 @@ class RealizabilityReport:
         }
 
 
-def feasible_period_multisets(
-    sigma: int, h: int, r: int, order: int, allowed: list[int]
-) -> Iterator[tuple[int, ...]]:
-    """All non-decreasing period lists over ``allowed`` satisfying Riemann-Hurwitz."""
-    target = 2 * (h - 1) + r - Fraction(2 * (sigma - 1), order)
-    if r == 0:
-        if target == 0:
-            yield ()
-        return
-    if target <= 0 or not allowed:
-        return
-    allowed = sorted(allowed)
-
-    def walk(start: int, slots: int, t: Fraction) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            if t.numerator == 1:
-                m = t.denominator
-                if m >= allowed[start] and m in allowed:
-                    yield (m,)
-            return
-        if t < slots * Fraction(1, allowed[-1]):
-            return
-        for i in range(start, len(allowed)):
-            m = allowed[i]
-            rec = Fraction(1, m)
-            if rec * slots < t:
-                break
-            if rec >= t:
-                continue
-            for rest in walk(i, slots - 1, t - rec):
-                yield (m,) + rest
-
-    yield from walk(0, r, target)
-
-
 def realizable(
     group: GroupTable,
     sigma: int,
@@ -363,7 +301,7 @@ def realizable(
     """
     h, r = SkeletalSignature(*skel)
     element_orders = sorted({k for k in group.element_orders if k >= 2})
-    multisets = list(feasible_period_multisets(sigma, h, r, group.order, element_orders))
+    multisets = list(period_multisets(sigma, h, r, group.order, element_orders))
     if not multisets:
         return RealizabilityReport(
             SearchVerdict.not_exists(),
@@ -391,7 +329,10 @@ def realizable(
     saw_unknown = False
     for periods in multisets:
         sig = OrbifoldSignature(h, periods)
-        assert rh_holds(sigma, group.order, sig)
+        if not rh_holds(sigma, group.order, sig):
+            raise AssertionError(
+                f"period list {sig} of {group.name} breaks Riemann-Hurwitz at genus {sigma}"
+            )
         verdict = search(group, sig, budget)
         if verdict.is_exists:
             witness = Witness(group.name, group.spec, sig, verdict.witness)

@@ -14,24 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .groups import _is_prime
 from .rh import SkeletalSignature
 
 Coord = Union[int, Fraction]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 @dataclass(frozen=True)
@@ -338,14 +324,6 @@ def gap(sigma: int, order: int) -> GapRegion:
     if not (lo.contains(corner) and up.contains(corner)):
         raise AssertionError(f"gap corner {corner} must lie on both boundary lines")
     return GapRegion(sigma, n, span, lo, up, corner, exception)
-
-
-def gap_member(region: GapRegion, point: RationalPoint) -> bool:
-    return region.member(point)
-
-
-def gap_member_raw(region: GapRegion, point: RationalPoint) -> bool:
-    return region.member_raw(point)
 
 
 def nearest_int(x: Coord) -> int:

@@ -521,21 +521,23 @@ class CatalogManifest:
     entries: tuple[CatalogEntry, ...]
     base_dir: Path | None = None
 
+    def _build(self, e: CatalogEntry) -> GroupTable:
+        g = build_from_spec(e.spec, base_dir=self.base_dir, name=e.label)
+        if g.order != e.order:
+            raise GroupTableError(
+                f"catalog entry {e.label}: spec order {g.order} != declared {e.order}"
+            )
+        return g
+
     def groups(self, *, max_order: int | None = None) -> list[GroupTable]:
-        out = []
-        for e in self.entries:
-            if max_order is not None and e.order > max_order:
-                continue
-            g = build_from_spec(e.spec, base_dir=self.base_dir, name=e.label)
-            if g.order != e.order:
-                raise GroupTableError(
-                    f"catalog entry {e.label}: spec order {g.order} != declared {e.order}"
-                )
-            out.append(g)
-        return out
+        return [
+            self._build(e)
+            for e in self.entries
+            if max_order is None or e.order <= max_order
+        ]
 
     def groups_of_order(self, order: int) -> list[GroupTable]:
-        return [g for g in self.groups(max_order=order) if g.order == order]
+        return [self._build(e) for e in self.entries if e.order == order]
 
     def complete_orders(self) -> set[int]:
         by_order: dict[int, list[bool]] = {}
@@ -547,13 +549,14 @@ class CatalogManifest:
         return order in self.complete_orders()
 
 
-def load_catalog(directory: Path | str) -> CatalogManifest:
-    """Load ``manifest.json`` from a catalog directory."""
-    directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    data = json.loads(manifest_path.read_text(encoding="utf-8"))
+def _parse_manifest(text: str, source: str) -> tuple[CatalogEntry, ...]:
+    """Catalog entries of a ``manifest.json`` text, sorted by (order, label)."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise CayleyFormatError(f"{source}: manifest is not valid JSON ({exc})") from exc
     if not isinstance(data, list):
-        raise CayleyFormatError(f"{manifest_path}: manifest must be a JSON list")
+        raise CayleyFormatError(f"{source}: manifest must be a JSON list")
     entries = []
     for item in data:
         try:
@@ -566,32 +569,25 @@ def load_catalog(directory: Path | str) -> CatalogManifest:
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise CayleyFormatError(f"{manifest_path}: bad entry {item!r}") from exc
-    entries.sort(key=lambda e: (e.order, e.label))
-    return CatalogManifest(entries=tuple(entries), base_dir=directory)
+            raise CayleyFormatError(f"{source}: bad entry {item!r}") from exc
+    return tuple(sorted(entries, key=lambda e: (e.order, e.label)))
+
+
+def load_catalog(directory: Path | str) -> CatalogManifest:
+    """Load ``manifest.json`` from a catalog directory."""
+    directory = Path(directory)
+    manifest_path = directory / "manifest.json"
+    text = manifest_path.read_text(encoding="utf-8")
+    return CatalogManifest(_parse_manifest(text, str(manifest_path)), base_dir=directory)
 
 
 def bundled_catalog() -> CatalogManifest:
     """The catalog shipped with the package: complete through order 15."""
     from importlib.resources import files
 
-    root = files("skelsig").joinpath("data/catalog")
-    data = json.loads(root.joinpath("manifest.json").read_text(encoding="utf-8"))
-    entries = tuple(
-        sorted(
-            (
-                CatalogEntry(
-                    order=int(i["order"]),
-                    spec=str(i["spec"]),
-                    label=str(i["label"]),
-                    complete=bool(i["complete"]),
-                )
-                for i in data
-            ),
-            key=lambda e: (e.order, e.label),
-        )
-    )
-    return CatalogManifest(entries=entries, base_dir=None)
+    manifest = files("skelsig").joinpath("data/catalog/manifest.json")
+    text = manifest.read_text(encoding="utf-8")
+    return CatalogManifest(_parse_manifest(text, "bundled catalog manifest"), base_dir=None)
 
 
 def _is_prime(n: int) -> bool:

@@ -8,9 +8,8 @@ that distinction explicit: equality is never asserted, coverage is recorded.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import geometry
 from .genvec import (
@@ -36,14 +35,6 @@ from .rh import (
 )
 
 
-def _map_ordered(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Deterministic map: results in input order regardless of thread count."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # admissible region
 
@@ -52,8 +43,6 @@ def admissible_map(
     sigma: int,
     h_max: int | None = None,
     r_max: int | None = None,
-    *,
-    threads: int = 1,
 ) -> dict[SkeletalSignature, tuple[int, ...]]:
     """Every RH-feasible lattice point in the box, with its full list of feasible orders.
 
@@ -69,31 +58,14 @@ def admissible_map(
         r_max = 2 * sigma + 2
     cap = 84 * (sigma - 1)
 
-    def orders_for(n: int) -> list[tuple[SkeletalSignature, int]]:
-        hits = []
-        tri = triangle(sigma, n)
-        for pt in tri.integer_points():
+    found: dict[SkeletalSignature, list[int]] = {}
+    for n in range(2, cap + 1):
+        for pt in triangle(sigma, n).integer_points():
             if pt.h > h_max or pt.r > r_max:
                 continue
             if period_feasible(sigma, pt, n).is_exists:
-                hits.append((pt, n))
-        return hits
-
-    found: dict[SkeletalSignature, list[int]] = {}
-    for chunk in _map_ordered(orders_for, range(2, cap + 1), threads):
-        for pt, n in chunk:
-            found.setdefault(pt, []).append(n)
+                found.setdefault(pt, []).append(n)
     return {pt: tuple(ns) for pt, ns in sorted(found.items())}
-
-
-def admissible_set(
-    sigma: int,
-    h_max: int | None = None,
-    r_max: int | None = None,
-    *,
-    threads: int = 1,
-) -> frozenset[SkeletalSignature]:
-    return frozenset(admissible_map(sigma, h_max, r_max, threads=threads))
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +133,13 @@ def realizable_set(
     *,
     h_max: int | None = None,
     r_max: int | None = None,
-    threads: int = 1,
 ) -> KSpaceApproximation:
     """Witness map over catalog groups at every admissible point.
 
     The result is a certified subset of the true space; the scope records how
     far catalog completeness lets it claim more.
     """
-    feas = admissible_map(sigma, h_max, r_max, threads=threads)
+    feas = admissible_map(sigma, h_max, r_max)
     if isinstance(catalog, CatalogManifest):
         groups = catalog.groups(max_order=max_order)
         complete = tuple(
@@ -180,22 +151,18 @@ def realizable_set(
     groups = sorted(groups, key=lambda g: (g.order, g.name))
     points = sorted(feas)
 
-    def attempt(pt: SkeletalSignature):
+    realized: dict[SkeletalSignature, Witness] = {}
+    unknown_pts: list[SkeletalSignature] = []
+    for pt in points:
         unknown = False
         for g in groups:
             report = realizable(g, sigma, pt, budget)
             if report.verdict.is_exists:
-                return pt, report.witness, False
+                realized[pt] = report.witness
+                break
             if report.verdict.is_unknown:
                 unknown = True
-        return pt, None, unknown
-
-    realized: dict[SkeletalSignature, Witness] = {}
-    unknown_pts: list[SkeletalSignature] = []
-    for pt, witness, unknown in _map_ordered(attempt, points, threads):
-        if witness is not None:
-            realized[pt] = witness
-        elif unknown:
+        if unknown and pt not in realized:
             unknown_pts.append(pt)
     covered = sum(
         1 for pt, orders in feas.items() if all(n in complete for n in orders)
@@ -358,8 +325,6 @@ def verify_gap(
     order: int,
     catalog: CatalogManifest | None = None,
     budget: int = DEFAULT_BUDGET,
-    *,
-    threads: int = 1,
 ) -> GapReport:
     """Check that every non-exception lattice point of the gap is RH-infeasible.
 
@@ -379,7 +344,7 @@ def verify_gap(
             analysis = analyze_point(sigma, pt, catalog, budget)
         return PointReport(pt, on_exc, verdict, analysis)
 
-    points = tuple(_map_ordered(judge, region.integer_points_raw(), threads))
+    points = tuple(judge(pt) for pt in region.integer_points_raw())
     bad = [p for p in points if not p.on_exception_line and not p.rh.is_not_exists]
     has_partial = any(p.analysis is not None and p.analysis.status == "partial" for p in points)
     conclusion = "verified" if not bad else "refuted"
@@ -654,7 +619,6 @@ def figure_dataset(
     *,
     h_max: int | None = None,
     r_max: int | None = None,
-    threads: int = 1,
 ) -> FigureDataset:
     """Point statuses plus the named line bundle for the genus-sigma plane.
 
@@ -673,7 +637,6 @@ def figure_dataset(
         ("cyclic-5", p_group_line(sigma, 5, 1)),
     )
     gaps = (gap(sigma, 3), gap(sigma, 4))
-    feas = admissible_map(sigma, h_max, r_max, threads=threads)
     realized: dict[SkeletalSignature, Witness] = {}
     scope = None
     if catalog is not None:
@@ -684,10 +647,12 @@ def figure_dataset(
             budget,
             h_max=h_max,
             r_max=r_max,
-            threads=threads,
         )
+        feas = approx.feasible_orders_by_point
         realized = approx.realized
         scope = approx.scope
+    else:
+        feas = admissible_map(sigma, h_max, r_max)
     status: dict[SkeletalSignature, str] = {}
     for pt in feas:
         status[pt] = "realized" if pt in realized else "admissible"

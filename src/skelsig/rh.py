@@ -1,13 +1,15 @@
 """Exact Riemann-Hurwitz arithmetic and Diophantine feasibility for skeletal signatures.
 
-Everything here is computed over ``fractions.Fraction``; no operation ever
-constructs a float.  A group of order N acting on a surface of genus sigma >= 2
-with signature (h; n_1,...,n_r) satisfies
+No operation ever constructs a float.  A group of order N acting on a surface
+of genus sigma >= 2 with signature (h; n_1,...,n_r) satisfies
 
     sigma - 1 = N * (h - 1 + r/2 - (1/2) * sum(1/n_j)).
 
-Feasibility searches over period lists are exhaustive within provable bounds,
-so a negative answer is a certificate, not a timeout.
+Genera are computed over ``fractions.Fraction``.  Every period divides N, so
+feasibility is an integer question: with d_j = N/n_j, the point (h, r) is
+feasible at order N exactly when T = N(2h - 2 + r) - 2(sigma - 1) is a sum of
+r proper divisors d_j of N.  The searches over period lists are exhaustive
+within provable bounds, so a negative answer is a certificate, not a timeout.
 """
 
 from __future__ import annotations
@@ -130,80 +132,75 @@ def rh_holds(sigma: int, order: int, sig: OrbifoldSignature) -> bool:
     return rh_genus(order, sig) == sigma
 
 
-def allowed_periods(order: int, *, periods_divide_order: bool = True) -> list[int]:
-    """Candidate branching periods for a group of this order, ascending.
+def allowed_periods(order: int) -> list[int]:
+    """Candidate branching periods for a group of this order: its divisors >= 2, ascending.
 
-    The default restricts to divisors of the order: element orders divide the
-    group order, so this keeps feasibility a true superset of realizability
-    while collapsing prime orders to a single period.  ``periods_divide_order=
-    False`` gives the loose box [2, order].
+    Element orders divide the group order, so this keeps feasibility a true
+    superset of realizability while collapsing prime orders to a single period.
     """
     _check_order(order)
-    if not periods_divide_order:
-        return list(range(2, order + 1))
     return [d for d in range(2, order + 1) if order % d == 0]
 
 
-def _multiset_walk(
-    target: Fraction, slots: int, allowed: list[int], start: int
-) -> list[int] | None:
-    """First non-decreasing period list (lexicographic) whose reciprocals sum to target."""
-    if slots == 0:
-        return [] if target == 0 else None
-    if slots == 1:
-        # target must be exactly 1/n for an allowed n >= allowed[start]
-        if target.numerator != 1:
-            return None
-        n = target.denominator
-        if n < allowed[start] or n > allowed[-1]:
-            return None
-        # membership in the tail of the ascending allowed list
-        return [n] if n in allowed else None
-    lo = slots * Fraction(1, allowed[-1])
-    if target < lo:
-        return None
-    for i in range(start, len(allowed)):
-        n = allowed[i]
-        rec = Fraction(1, n)
-        if rec * slots < target:
-            break  # larger periods only shrink the achievable sum
-        if rec >= target:
-            continue  # remaining slots need a strictly positive share
-        rest = _multiset_walk(target - rec, slots - 1, allowed, i)
-        if rest is not None:
-            return [n] + rest
-    return None
+def period_multisets(
+    sigma: int, h: int, r: int, order: int, allowed: Iterable[int]
+) -> Iterator[tuple[int, ...]]:
+    """Every non-decreasing period list over ``allowed`` satisfying Riemann-Hurwitz, lexicographically.
+
+    Each period must divide ``order``.  With d_j = N/n_j the formula becomes
+    T = N(2h - 2 + r) - 2(sigma - 1) = d_1 + ... + d_r, so the walk is a
+    branch-and-bound over integer parts, largest part (smallest period)
+    first: a part too small to fill the remaining slots ends the loop, a part
+    that leaves nothing for the other slots is skipped, and the last slot
+    must equal a part exactly.  r = 0 yields () exactly when T = 0.
+    """
+    allowed = sorted(set(allowed))
+    if any(n < 2 or order % n for n in allowed):
+        raise ValueError(f"periods must be divisors >= 2 of the order {order}, got {allowed}")
+    total = order * (2 * h - 2 + r) - 2 * (sigma - 1)
+    if r == 0:
+        if total == 0:
+            yield ()
+        return
+    if total <= 0 or not allowed:
+        return
+    parts = [order // n for n in allowed]  # descending, as the periods ascend
+    part_set = set(parts)
+
+    def walk(start: int, slots: int, t: int) -> Iterator[tuple[int, ...]]:
+        if slots == 1:
+            # t never exceeds parts[start], so the list stays non-decreasing: r = 1
+            # starts at the largest part, and the slot before took d with 2d >= d + t
+            if t in part_set:
+                yield (order // t,)
+            return
+        if t < slots * parts[-1]:
+            return
+        for i in range(start, len(parts)):
+            d = parts[i]
+            if d * slots < t:
+                break  # later parts are smaller still
+            if d >= t:
+                continue  # the remaining slots need a positive share
+            for rest in walk(i, slots - 1, t - d):
+                yield (allowed[i],) + rest
+
+    yield from walk(0, r, total)
 
 
-def period_feasible(
-    sigma: int,
-    skel: SkeletalSignature,
-    order: int,
-    *,
-    periods_divide_order: bool = True,
-) -> SearchVerdict:
+def period_feasible(sigma: int, skel: SkeletalSignature, order: int) -> SearchVerdict:
     """Search for a period list making (h; n_1..n_r) satisfy Riemann-Hurwitz at this order.
 
-    Enumerates non-decreasing lists only (canonical multiset order) with
-    branch-and-bound pruning on the reciprocal sum, so ``not_exists`` certifies
-    that no multiset in the allowed box works.
+    Returns the lexicographically first non-decreasing list over the divisors
+    of the order; ``not_exists`` certifies that no multiset of divisors works.
     """
     _check_genus(sigma)
     _check_order(order)
     h, r = _check_skeletal(skel)
-    # required value of sum(1/n_j), from sigma-1 = N(h-1+r/2-(1/2)sum)
-    target = 2 * (h - 1) + r - Fraction(2 * (sigma - 1), order)
-    if r == 0:
-        return SearchVerdict.exists(()) if target == 0 else SearchVerdict.not_exists()
-    if target <= 0:
+    first = next(period_multisets(sigma, h, r, order, allowed_periods(order)), None)
+    if first is None:
         return SearchVerdict.not_exists()
-    allowed = allowed_periods(order, periods_divide_order=periods_divide_order)
-    if not allowed:
-        return SearchVerdict.not_exists()
-    found = _multiset_walk(target, r, allowed, 0)
-    if found is None:
-        return SearchVerdict.not_exists()
-    return SearchVerdict.exists(tuple(found))
+    return SearchVerdict.exists(first)
 
 
 def order_bound(sigma: int, skel: SkeletalSignature) -> int:
@@ -228,34 +225,22 @@ def order_bound(sigma: int, skel: SkeletalSignature) -> int:
 
 
 def feasible_orders(
-    sigma: int,
-    skel: SkeletalSignature,
-    *,
-    periods_divide_order: bool = True,
+    sigma: int, skel: SkeletalSignature
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """All (order, canonical periods) pairs feasible at this point, ascending in order."""
     bound = order_bound(sigma, skel)
     for order in range(2, bound + 1):
-        verdict = period_feasible(
-            sigma, skel, order, periods_divide_order=periods_divide_order
-        )
+        verdict = period_feasible(sigma, skel, order)
         if verdict.is_exists:
             yield order, verdict.witness
 
 
-def rh_admissible(
-    sigma: int,
-    skel: SkeletalSignature,
-    *,
-    periods_divide_order: bool = True,
-) -> SearchVerdict:
+def rh_admissible(sigma: int, skel: SkeletalSignature) -> SearchVerdict:
     """Smallest-order Riemann-Hurwitz witness for a skeletal signature, or a certified no.
 
     ``not_exists`` means no order up to the provable bound admits any period
     list, so the point lies outside the admissible region entirely.
     """
-    for order, periods in feasible_orders(
-        sigma, skel, periods_divide_order=periods_divide_order
-    ):
+    for order, periods in feasible_orders(sigma, skel):
         return SearchVerdict.exists((order, periods))
     return SearchVerdict.not_exists()

@@ -1,0 +1,81 @@
+"""Slow reference implementations that the library's fast paths are checked against.
+
+``naive_search`` tests every tuple of G^(2h+r) against all three
+generating-vector conditions, with no pruning.  ``fraction_period_multisets``
+is the branch-and-bound over exact reciprocal sums that
+``skelsig.rh.period_multisets`` does over integers; unlike the integer walk it
+accepts periods that do not divide the order, such as the loose box
+``range(2, order + 1)``.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from typing import Iterator
+
+from skelsig.genvec import GeneratingVector
+from skelsig.groups import GroupTable
+from skelsig.rh import OrbifoldSignature, SearchVerdict
+
+
+def naive_search(group: GroupTable, sig: OrbifoldSignature) -> SearchVerdict:
+    """First generating vector in ascending index order over all of G^(2h+r), or not-exists."""
+    h, periods = sig.h, sig.periods
+    r = len(periods)
+    mul = group.mul
+    orders = group.element_orders
+    for tup in itertools.product(range(group.order), repeat=2 * h + r):
+        ok = True
+        for j in range(r):
+            if orders[tup[2 * h + j]] != periods[j]:
+                ok = False
+                break
+        if not ok:
+            continue
+        prod = 0
+        for i in range(h):
+            prod = mul(prod, group.commutator(tup[2 * i], tup[2 * i + 1]))
+        for j in range(r):
+            prod = mul(prod, tup[2 * h + j])
+        if prod != 0:
+            continue
+        if group.generates(tup):
+            pairs = tuple((tup[2 * i], tup[2 * i + 1]) for i in range(h))
+            return SearchVerdict.exists(GeneratingVector(pairs, tup[2 * h :]))
+    return SearchVerdict.not_exists()
+
+
+def fraction_period_multisets(
+    sigma: int, h: int, r: int, order: int, allowed: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """All non-decreasing period lists over ``allowed`` whose reciprocals sum as Riemann-Hurwitz needs."""
+    target = 2 * (h - 1) + r - Fraction(2 * (sigma - 1), order)
+    if r == 0:
+        if target == 0:
+            yield ()
+        return
+    if target <= 0 or not allowed:
+        return
+    allowed = sorted(allowed)
+
+    def walk(start: int, slots: int, t: Fraction) -> Iterator[tuple[int, ...]]:
+        if slots == 1:
+            if t.numerator == 1:
+                m = t.denominator
+                if m >= allowed[start] and m in allowed:
+                    yield (m,)
+            return
+        if t < slots * Fraction(1, allowed[-1]):
+            return
+        for i in range(start, len(allowed)):
+            m = allowed[i]
+            rec = Fraction(1, m)
+            if rec * slots < t:
+                break
+            if rec >= t:
+                continue
+            for rest in walk(i, slots - 1, t - rec):
+                yield (m,) + rest
+
+    yield from walk(0, r, target)

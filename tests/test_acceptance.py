@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from skelsig.genvec import quaternion_vector, search, naive_search, verify
+from oracles import naive_search
+from skelsig.genvec import quaternion_vector, search, verify
 from skelsig.geometry import (
     RationalPoint,
     gap,
@@ -25,6 +26,7 @@ from skelsig.kspace import analyze_point, realizable_set, sporadic_analysis
 from skelsig.rh import (
     OrbifoldSignature,
     SkeletalSignature,
+    period_multisets,
     rh_admissible,
     rh_genus,
     rh_holds,
@@ -195,8 +197,6 @@ def test_criterion_09_search_oracle_equivalence(catalog):
     t0 = time.time()
     failures = []
     checked = 0
-    from skelsig.genvec import feasible_period_multisets
-
     for group in catalog.groups(max_order=10):
         n = group.order
         element_orders = sorted({k for k in group.element_orders if k >= 2})
@@ -206,7 +206,7 @@ def test_criterion_09_search_oracle_equivalence(catalog):
                 # branch terms contribute at least 1/4 each
                 r_cap = max(0, int(4 * (Fraction(sigma - 1, n) - (h - 1)))) if n > 1 else 0
                 for r in range(0, r_cap + 1):
-                    for periods in feasible_period_multisets(sigma, h, r, n, element_orders):
+                    for periods in period_multisets(sigma, h, r, n, element_orders):
                         sig = OrbifoldSignature(h, periods)
                         assert rh_genus(n, sig) == sigma
                         checked += 1

@@ -70,6 +70,29 @@ class TestExitCodes:
     def test_domain_error_is_usage(self, capsys):
         assert main(["missing", "--sigma", "5", "--h", "2"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rh", "--order", "8", "--sig", "(2;2)"],
+            ["gaps", "--sigma", "48", "--n", "3"],
+            ["verify-gap", "--sigma", "48", "--n", "4"],
+            ["missing", "--sigma", "48", "--h", "3"],
+            ["kspace", "--sigma", "2"],
+            ["sporadic", "--h", "2", "--primes", "3"],
+            ["genvec", "--group", "cyclic:4", "--sig", "(1;2)"],
+            ["plot", "--sigma", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_budget_is_usage(self, capsys, argv):
+        assert main([*argv, "--budget", "-1"]) == EXIT_USAGE
+        assert "--budget" in capsys.readouterr().err
+
+    def test_malformed_catalog_manifest_is_usage(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text('[{"order": 2, "spec": "cyclic:2"}]')
+        assert main(["kspace", "--sigma", "2", "--catalog", str(tmp_path)]) == EXIT_USAGE
+        assert "bad entry" in capsys.readouterr().err
+
     def test_verify_gap_verified(self, tmp_path):
         code, text = run(tmp_path, "verify-gap", "--sigma", "48", "--n", "4")
         assert code == EXIT_OK

@@ -1,14 +1,19 @@
 """Generating vectors: verification oracle, search vs naive enumeration, witnesses."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from oracles import fraction_period_multisets, naive_search
 from skelsig.genvec import (
     GeneratingVector,
     all_groups_unbranched_condition,
     check_vector,
     commutator_products,
-    feasible_period_multisets,
-    naive_search,
     quaternion_vector,
     realizable,
     search,
@@ -21,7 +26,7 @@ from skelsig.groups import (
     build_elementary_abelian,
     build_generalized_quaternion,
 )
-from skelsig.rh import OrbifoldSignature, SkeletalSignature, rh_genus
+from skelsig.rh import OrbifoldSignature, SkeletalSignature, period_multisets, rh_genus, rh_holds
 
 Sig = OrbifoldSignature
 S = SkeletalSignature
@@ -169,18 +174,54 @@ class TestRealizable:
 
     def test_feasible_multisets_complete(self):
         # independent cross-check against direct filtering
-        import itertools
-
-        from skelsig.rh import rh_holds
-
         allowed = [2, 3, 6]
-        got = set(feasible_period_multisets(7, 1, 3, 6, allowed))
+        got = set(period_multisets(7, 1, 3, 6, allowed))
         expected = {
             ms
             for ms in itertools.combinations_with_replacement(allowed, 3)
             if rh_holds(7, 6, Sig(1, ms))
         }
         assert got == expected == {(2, 3, 6), (3, 3, 3)}
+
+    def test_period_lists_match_fraction_oracle_on_catalog(self, catalog_groups):
+        # the lists realizable tries, over every catalog group's element orders
+        nonempty = 0
+        for g in catalog_groups:
+            element_orders = sorted({k for k in g.element_orders if k >= 2})
+            for sigma in range(2, 12):
+                for h in range(0, 4):
+                    for r in range(0, 7):
+                        got = list(period_multisets(sigma, h, r, g.order, element_orders))
+                        expected = list(
+                            fraction_period_multisets(sigma, h, r, g.order, element_orders)
+                        )
+                        assert got == expected, (g.name, sigma, h, r)
+                        nonempty += bool(got)
+        assert nonempty > 100
+
+    def test_rh_check_fires_under_optimize(self):
+        # a period list that breaks Riemann-Hurwitz must stop realizable even
+        # when Python runs with -O, which strips bare asserts
+        script = (
+            "import sys\n"
+            "import skelsig.genvec as genvec\n"
+            "from skelsig.groups import build_cyclic\n"
+            "print('optimize', sys.flags.optimize)\n"
+            "genvec.period_multisets = lambda *args: iter([(2, 2, 2, 2)])\n"
+            "try:\n"
+            "    genvec.realizable(build_cyclic(2), 2, (0, 6))\n"
+            "except AssertionError as exc:\n"
+            "    print('stopped:', exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        optimize, stopped = out.splitlines()
+        assert optimize == "optimize 1"
+        assert stopped.startswith("stopped:") and "Riemann-Hurwitz" in stopped
 
 
 class TestUnbranched:

@@ -12,8 +12,6 @@ from skelsig.geometry import (
     RationalPoint,
     common_point,
     gap,
-    gap_member,
-    gap_member_raw,
     intersect,
     lower_line,
     missing_points,
@@ -137,10 +135,10 @@ class TestGap:
 
     def test_membership_examples(self):
         g46 = gap(48, 4)
-        assert gap_member(g46, P(3, 24))
-        assert not gap_member(g46, P(8, 6))
-        assert gap_member_raw(g46, P(8, 6))
-        assert not gap_member(gap(48, 3), P(1, 47))  # the corner itself
+        assert g46.member(P(3, 24))
+        assert not g46.member(P(8, 6))
+        assert g46.member_raw(P(8, 6))
+        assert not gap(48, 3).member(P(1, 47))  # the corner itself
 
     def test_integer_points_48_3(self):
         region = gap(48, 3)
@@ -216,9 +214,9 @@ class TestMissingPoints:
         # membership therefore fails and the constructor refuses.
         region = gap(8, 4)
         candidate = P(2, 1)
-        assert gap_member_raw(region, candidate)
+        assert region.member_raw(candidate)
         assert region.exception_line.contains(candidate)
-        assert not gap_member(region, candidate)
+        assert not region.member(candidate)
         v = rh_admissible(8, S(2, 1))
         assert v.is_exists and v.witness == (5, (5,))
         with pytest.raises(AssertionError):

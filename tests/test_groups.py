@@ -1,6 +1,7 @@
 """Group tables: constructors, validation, file round-trips, catalog integrity."""
 
 import itertools
+import json
 
 import pytest
 
@@ -20,6 +21,7 @@ from skelsig.groups import (
     build_from_spec,
     build_generalized_quaternion,
     direct_product,
+    load_catalog,
     load_cayley_file,
     parse_cycles,
     quaternion_word,
@@ -292,3 +294,41 @@ class TestCatalog:
     def test_bundled_q8_statistics(self, catalog_groups):
         q8 = next(g for g in catalog_groups if g.name == "Q8")
         assert q8.order_statistics() == ((1, 1), (2, 1), (4, 6))
+
+
+class TestLoadCatalog:
+    def write_manifest(self, directory, entries):
+        (directory / "manifest.json").write_text(json.dumps(entries), encoding="utf-8")
+
+    def test_directory_with_cayley_file_entry(self, tmp_path):
+        save_cayley_file(build_dihedral(3), tmp_path / "s3.cayley")
+        self.write_manifest(tmp_path, [
+            {"order": 6, "spec": "file:s3.cayley", "label": "S3", "complete": False},
+            {"order": 2, "spec": "cyclic:2", "label": "C2", "complete": True},
+        ])
+        catalog = load_catalog(tmp_path)
+        assert [(e.order, e.label) for e in catalog.entries] == [(2, "C2"), (6, "S3")]
+        assert catalog.is_complete_at(2) and not catalog.is_complete_at(6)
+        (s3,) = catalog.groups_of_order(6)
+        assert s3.name == "S3" and s3.spec == "file:s3.cayley"
+        assert s3.table == build_dihedral(3).table and not s3.is_abelian
+        assert [g.name for g in catalog.groups()] == ["C2", "S3"]
+
+    def test_groups_of_order_builds_only_that_order(self, tmp_path):
+        # the order-2 entry names a missing file; asking for order 4 never reads it
+        self.write_manifest(tmp_path, [
+            {"order": 2, "spec": "file:absent.cayley", "label": "C2", "complete": True},
+            {"order": 4, "spec": "cyclic:4", "label": "C4", "complete": False},
+        ])
+        catalog = load_catalog(tmp_path)
+        assert [g.name for g in catalog.groups_of_order(4)] == ["C4"]
+        with pytest.raises(OSError):
+            catalog.groups_of_order(2)
+
+    @pytest.mark.parametrize(
+        "text", ['{"order": 2}', '[{"order": 2, "spec": "cyclic:2"}]', '[{"order": "two"', "[3]"]
+    )
+    def test_malformed_manifest_rejected(self, tmp_path, text):
+        (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
+        with pytest.raises(CayleyFormatError):
+            load_catalog(tmp_path)

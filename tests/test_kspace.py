@@ -1,12 +1,14 @@
 """Admissible sets, realized subsets, gap reports, sporadic analysis, figure data."""
 
+from pathlib import Path
+
 import pytest
 
+from skelsig import kspace
 from skelsig.geometry import gap, p_group_line, triangle, RationalPoint
 from skelsig.groups import build_cyclic, build_elementary_abelian
 from skelsig.kspace import (
     admissible_map,
-    admissible_set,
     analyze_point,
     figure_dataset,
     realizable_set,
@@ -16,11 +18,12 @@ from skelsig.kspace import (
 from skelsig.rh import SkeletalSignature, rh_admissible
 
 S = SkeletalSignature
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestAdmissible:
     def test_genus_48_markers(self):
-        adm = admissible_set(48)
+        adm = admissible_map(48)
         assert S(8, 6) in adm
         assert S(3, 40) not in adm
         # RH arithmetic alone admits a few r = 1 points; excluding them
@@ -28,7 +31,7 @@ class TestAdmissible:
         assert S(10, 1) in adm
 
     def test_genus_2_contains_hyperelliptic(self):
-        assert S(0, 6) in admissible_set(2)
+        assert S(0, 6) in admissible_map(2)
 
     def test_agrees_with_per_point_sweep(self):
         for sigma in (2, 5, 9):
@@ -50,9 +53,6 @@ class TestAdmissible:
         for pt, orders in feas.items():
             for n in orders:
                 assert triangle(11, n).member(RationalPoint(pt.h, pt.r))
-
-    def test_threads_do_not_change_result(self):
-        assert admissible_map(15) == admissible_map(15, threads=4)
 
 
 class TestRealizableSet:
@@ -220,6 +220,23 @@ class TestFigureDataset:
         assert by_point[S(8, 6)] == "exception-realized"
         assert by_point[S(10, 1)] == "exception-excluded"
         assert by_point[S(3, 40)] == "gap"
+
+    def test_with_catalog_sweeps_orders_once(self, catalog, monkeypatch):
+        calls = []
+        sweep = kspace.admissible_map
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(kspace, "admissible_map", counted)
+        ds = figure_dataset(11, catalog)
+        assert len(calls) == 1
+        # the rows `plot --sigma 11 --with-realized --csv-sidecar` wrote when
+        # the figure swept every order twice
+        golden = (GOLDEN / "plot_11_realized.csv").read_text(encoding="utf-8").splitlines()
+        rows = [f"{h},{r},{status}" for h, r, status in ds.to_csv_rows()]
+        assert ["h,r,status", *rows] == golden
 
     def test_degenerate_genus_2(self):
         ds = figure_dataset(2)

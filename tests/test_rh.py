@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fraction_period_multisets
+from skelsig.geometry import triangle
 from skelsig.rh import (
     HyperbolicityError,
     OrbifoldSignature,
@@ -15,6 +17,7 @@ from skelsig.rh import (
     feasible_orders,
     order_bound,
     period_feasible,
+    period_multisets,
     rh_admissible,
     rh_genus,
     rh_holds,
@@ -65,14 +68,17 @@ class TestRhHolds:
             rh_holds(1, 2, OrbifoldSignature(1, ()))
 
 
-def brute_force_period_search(sigma, skel, order, divisors_only=True):
-    """Independent oracle: filter all non-decreasing tuples from the allowed box."""
-    h, r = skel
-    allowed = allowed_periods(order, periods_divide_order=divisors_only)
-    for periods in itertools.combinations_with_replacement(allowed, r):
-        if rh_genus(order, OrbifoldSignature(h, periods)) == sigma:
-            return periods
-    return None
+def brute_force_period_lists(sigma, h, r, order, allowed):
+    """Independent oracle: every non-decreasing tuple over ``allowed`` that Riemann-Hurwitz accepts.
+
+    ``combinations_with_replacement`` over an ascending list yields the
+    tuples in lexicographic order.
+    """
+    return [
+        periods
+        for periods in itertools.combinations_with_replacement(sorted(allowed), r)
+        if rh_genus(order, OrbifoldSignature(h, periods)) == sigma
+    ]
 
 
 class TestPeriodFeasible:
@@ -93,37 +99,33 @@ class TestPeriodFeasible:
         assert v.is_exists
         assert list(v.witness) == sorted(v.witness)
 
-    @pytest.mark.parametrize("divisors_only", [True, False])
-    def test_matches_brute_force_oracle(self, divisors_only):
+    def test_matches_brute_force_oracle(self):
+        # the witness is the lexicographically first list, not just any list
         for sigma in range(2, 12):
             for order in range(2, 9):
                 for h in range(0, 4):
                     for r in range(0, 6):
-                        got = period_feasible(
-                            sigma, S(h, r), order, periods_divide_order=divisors_only
+                        got = period_feasible(sigma, S(h, r), order)
+                        lists = brute_force_period_lists(
+                            sigma, h, r, order, allowed_periods(order)
                         )
-                        expected = brute_force_period_search(
-                            sigma, S(h, r), order, divisors_only
-                        )
-                        assert got.is_exists == (expected is not None), (
-                            sigma, order, h, r, divisors_only,
-                        )
-                        if got.is_exists:
-                            assert rh_holds(
-                                sigma, order, OrbifoldSignature(h, got.witness)
+                        if lists:
+                            assert got.is_exists and got.witness == lists[0], (
+                                sigma, order, h, r,
                             )
+                        else:
+                            assert got.is_not_exists, (sigma, order, h, r)
 
     def test_divisor_box_subset_of_loose_box(self):
         for sigma in range(2, 20):
             for order in range(2, 13):
+                loose_box = list(range(2, order + 1))
                 for h in range(0, 3):
                     for r in range(0, 5):
                         tight = period_feasible(sigma, S(h, r), order)
                         if tight.is_exists:
-                            loose = period_feasible(
-                                sigma, S(h, r), order, periods_divide_order=False
-                            )
-                            assert loose.is_exists
+                            loose = fraction_period_multisets(sigma, h, r, order, loose_box)
+                            assert next(loose, None) is not None
 
     @given(
         sigma=st.integers(2, 30),
@@ -139,6 +141,48 @@ class TestPeriodFeasible:
             assert rh_holds(sigma, order, sig)
             assert len(v.witness) == r
             assert all(2 <= n <= order and order % n == 0 for n in v.witness)
+
+
+class TestPeriodMultisets:
+    def test_matches_brute_force_enumeration(self):
+        # all lists, in order, over the divisors of N, over the divisors
+        # short of N itself (a non-cyclic group's element orders), and over
+        # nothing (the trivial group); order 1 is the trivial group
+        seen_r0 = seen_empty = seen_several = 0
+        for order in range(1, 13):
+            divisors = [d for d in range(2, order + 1) if order % d == 0]
+            for allowed in (divisors, divisors[:-1], []):
+                for sigma in range(2, 9):
+                    for h in range(0, 4):
+                        for r in range(0, 6):
+                            got = list(period_multisets(sigma, h, r, order, allowed))
+                            expected = brute_force_period_lists(sigma, h, r, order, allowed)
+                            assert got == expected, (sigma, h, r, order, allowed)
+                            seen_r0 += r == 0 and got == [()]
+                            seen_empty += not allowed and got == [()]
+                            seen_several += len(got) > 1
+        assert seen_r0 and seen_empty and seen_several
+
+    def test_first_list_matches_fraction_oracle_genus_11(self):
+        sigma = 11
+        found = 0
+        for order in range(2, 84 * (sigma - 1) + 1):
+            allowed = allowed_periods(order)
+            for pt in triangle(sigma, order).integer_points():
+                got = next(period_multisets(sigma, pt.h, pt.r, order, allowed), None)
+                expected = next(
+                    fraction_period_multisets(sigma, pt.h, pt.r, order, allowed), None
+                )
+                assert got == expected, (order, pt)
+                found += got is not None
+        assert found > 100
+
+    def test_unsorted_and_repeated_periods(self):
+        assert list(period_multisets(7, 1, 3, 6, [6, 2, 3, 2])) == [(2, 3, 6), (3, 3, 3)]
+
+    def test_rejects_period_not_dividing_order(self):
+        with pytest.raises(ValueError):
+            next(period_multisets(7, 1, 3, 6, [2, 4]))
 
 
 class TestOrderBound:

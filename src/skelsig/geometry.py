@@ -171,12 +171,17 @@ class TriangleRegion:
         return self.lower.r_at(point.h) <= point.r <= self.upper.r_at(point.h)
 
     def integer_points(self) -> list[SkeletalSignature]:
-        """Lattice points with h, r >= 0, in lexicographic order."""
+        """Lattice points with h, r >= 0, in lexicographic order.
+
+        The r range at each h is floor and ceil of (c - a*h)/b taken by integer
+        division on the line coefficients.
+        """
+        lo, up = self.lower, self.upper
         out: list[SkeletalSignature] = []
         for h in range(0, math.floor(self.apex.h) + 1):
-            lo = self.lower.r_at(h)
-            hi = self.upper.r_at(h)
-            for r in range(max(math.ceil(lo), 0), math.floor(hi) + 1):
+            r_lo = -((lo.a * h - lo.c) // lo.b)
+            r_hi = (up.c - up.a * h) // up.b
+            for r in range(max(r_lo, 0), r_hi + 1):
                 out.append(SkeletalSignature(h, r))
         return out
 
@@ -195,8 +200,9 @@ def triangle(sigma: int, order: int) -> TriangleRegion:
     _check(sigma, order)
     lo = lower_line(sigma, order)
     up = upper_line(sigma, order)
-    apex = RationalPoint(1 + Fraction(sigma - 1, order), 0)
-    if not (lo.contains(apex) and up.contains(apex)):
+    apex = RationalPoint(Fraction(order + sigma - 1, order), 0)
+    # the apex (N + sigma - 1)/N, r = 0 lies on a*h + b*r = c iff a*(N + sigma - 1) == c*N
+    if not all(line.a * (order + sigma - 1) == line.c * order for line in (lo, up)):
         raise AssertionError(f"apex {apex} must lie on both triangle lines")
     return TriangleRegion(sigma, order, lo, up, apex)
 
@@ -341,12 +347,13 @@ def nearest_int(x: Coord) -> int:
 def missing_points(sigma: int, h: int) -> list[SkeletalSignature]:
     """Lattice points at quotient genus 2 or 3 that fall in the order-4/6 gap.
 
-    h == 2 needs sigma >= 7 and yields one point, (2, [2 sigma/3 - 4]);
-    h == 3 needs sigma >= 18 and yields (3, [2 sigma/3 - 7]) and
-    (3, [2 sigma/3 - 8]), plus (3, [2 sigma/3 - 6]) when sigma = 2 mod 3.
-    Every returned point is asserted to pass strict gap membership (exception
-    line included); genus 8 is a genuine counterexample at h == 2, where the
-    candidate (2, 1) lands exactly on the order-5 cyclic line.
+    h == 2 needs sigma >= 7 and sigma != 8, and yields one point,
+    (2, [2 sigma/3 - 4]); h == 3 needs sigma >= 18 and yields
+    (3, [2 sigma/3 - 7]) and (3, [2 sigma/3 - 8]), plus (3, [2 sigma/3 - 6])
+    when sigma = 2 mod 3.  Every returned point passes strict gap membership
+    (exception line included).  Genus 8 is a genuine counterexample at
+    h == 2: the candidate (2, 1) lands exactly on the order-5 cyclic line, so
+    it raises ``ValueError``, as does any candidate that fails membership.
     """
     if h == 2:
         if sigma < 7:
@@ -364,12 +371,19 @@ def missing_points(sigma: int, h: int) -> list[SkeletalSignature]:
     points = [
         SkeletalSignature(h, nearest_int(Fraction(2 * sigma, 3) + k)) for k in offsets
     ]
+    exc = region.exception_line
     for s in points:
         p = RationalPoint(s.h, s.r)
         if not region.member(p):
-            raise AssertionError(
-                f"candidate {s} at genus {sigma} is not strictly inside the "
-                f"order-4/6 gap off the exception line"
+            where = (
+                f"on the order-{region.lower_index + 1} cyclic line {exc}, "
+                f"where the gap guarantee does not hold"
+                if exc is not None and exc.contains(p)
+                else "outside the order-4/6 gap"
+            )
+            raise ValueError(
+                f"h == {h} has no missing point at genus {sigma}: "
+                f"the candidate {tuple(s)} lies {where}"
             )
     return points
 

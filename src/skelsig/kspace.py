@@ -28,8 +28,9 @@ from .rh import (
     OrbifoldSignature,
     SearchVerdict,
     SkeletalSignature,
+    allowed_periods,
     feasible_orders,
-    period_feasible,
+    period_multisets,
     rh_admissible,
     rh_genus,
 )
@@ -60,10 +61,11 @@ def admissible_map(
 
     found: dict[SkeletalSignature, list[int]] = {}
     for n in range(2, cap + 1):
+        allowed = allowed_periods(n)
         for pt in triangle(sigma, n).integer_points():
             if pt.h > h_max or pt.r > r_max:
                 continue
-            if period_feasible(sigma, pt, n).is_exists:
+            if next(period_multisets(sigma, pt.h, pt.r, n, allowed), None) is not None:
                 found.setdefault(pt, []).append(n)
     return {pt: tuple(ns) for pt, ns in sorted(found.items())}
 

@@ -14,6 +14,7 @@ within provable bounds, so a negative answer is a certificate, not a timeout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, NamedTuple
@@ -139,7 +140,9 @@ def allowed_periods(order: int) -> list[int]:
     superset of realizability while collapsing prime orders to a single period.
     """
     _check_order(order)
-    return [d for d in range(2, order + 1) if order % d == 0]
+    small = [d for d in range(1, math.isqrt(order) + 1) if order % d == 0]
+    large = [order // d for d in reversed(small) if d * d != order]
+    return small[1:] + large
 
 
 def period_multisets(
@@ -227,9 +230,27 @@ def order_bound(sigma: int, skel: SkeletalSignature) -> int:
 def feasible_orders(
     sigma: int, skel: SkeletalSignature
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """All (order, canonical periods) pairs feasible at this point, ascending in order."""
+    """All (order, canonical periods) pairs feasible at this point, ascending in order.
+
+    Only the orders whose closed feasibility triangle holds the point are
+    searched.  Every part d_j = N/n_j lies in [1, N/2], so a period list
+    exists at order N only if r <= T <= rN/2 with T = N(2h - 2 + r) - 2(sigma - 1):
+    T >= r is the lower line and T <= rN/2 the upper line.  Solved for N,
+    that is (2(sigma - 1) + r)/(2h - 2 + r) <= N <= 4(sigma - 1)/(4h - 4 + r)
+    when the divisors are positive.  Outside that range no r parts in
+    [1, N/2] sum to T, so skipping those orders drops no solution and an empty
+    sweep still certifies ``not-exists`` at every order up to ``order_bound``.
+    """
     bound = order_bound(sigma, skel)
-    for order in range(2, bound + 1):
+    h, r = _check_skeletal(skel)
+    slope = 2 * h - 2 + r
+    if slope <= 0:
+        return  # T <= -2(sigma - 1) < 0 at every order; order_bound rejects all such points
+    lo = max(2, -(-(2 * (sigma - 1) + r) // slope))
+    hi = bound
+    if 4 * h - 4 + r > 0:
+        hi = min(hi, 4 * (sigma - 1) // (4 * h - 4 + r))
+    for order in range(lo, hi + 1):
         verdict = period_feasible(sigma, skel, order)
         if verdict.is_exists:
             yield order, verdict.witness

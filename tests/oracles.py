@@ -5,18 +5,29 @@ generating-vector conditions, with no pruning.  ``fraction_period_multisets``
 is the branch-and-bound over exact reciprocal sums that
 ``skelsig.rh.period_multisets`` does over integers; unlike the integer walk it
 accepts periods that do not divide the order, such as the loose box
-``range(2, order + 1)``.
+``range(2, order + 1)``.  ``trial_division_allowed_periods``,
+``full_range_feasible_orders`` and ``fraction_triangle_points`` are the
+straightforward forms of the divisor list, the per-point order sweep and the
+triangle lattice enumeration that the library computes with integer shortcuts.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator
 
 from skelsig.genvec import GeneratingVector
+from skelsig.geometry import TriangleRegion
 from skelsig.groups import GroupTable
-from skelsig.rh import OrbifoldSignature, SearchVerdict
+from skelsig.rh import (
+    OrbifoldSignature,
+    SearchVerdict,
+    SkeletalSignature,
+    order_bound,
+    period_feasible,
+)
 
 
 def naive_search(group: GroupTable, sig: OrbifoldSignature) -> SearchVerdict:
@@ -79,3 +90,29 @@ def fraction_period_multisets(
                 yield (m,) + rest
 
     yield from walk(0, r, target)
+
+
+def trial_division_allowed_periods(order: int) -> list[int]:
+    """Divisors >= 2 of the order, ascending, by trying every candidate up to the order."""
+    return [d for d in range(2, order + 1) if order % d == 0]
+
+
+def full_range_feasible_orders(
+    sigma: int, skel: SkeletalSignature
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(order, first period list) for every feasible order, trying each of 2..order_bound."""
+    for order in range(2, order_bound(sigma, skel) + 1):
+        verdict = period_feasible(sigma, skel, order)
+        if verdict.is_exists:
+            yield order, verdict.witness
+
+
+def fraction_triangle_points(region: TriangleRegion) -> list[SkeletalSignature]:
+    """Lattice points with h, r >= 0 of a triangle, with each r range bounded by exact rationals."""
+    out: list[SkeletalSignature] = []
+    for h in range(0, math.floor(region.apex.h) + 1):
+        lo = region.lower.r_at(h)
+        hi = region.upper.r_at(h)
+        for r in range(max(math.ceil(lo), 0), math.floor(hi) + 1):
+            out.append(SkeletalSignature(h, r))
+    return out

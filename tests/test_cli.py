@@ -1,6 +1,9 @@
 """CLI behavior: exit codes, parse diagnostics, schemas, golden files."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -69,6 +72,19 @@ class TestExitCodes:
 
     def test_domain_error_is_usage(self, capsys):
         assert main(["missing", "--sigma", "5", "--h", "2"]) == EXIT_USAGE
+
+    def test_missing_genus_8_h2_is_usage_without_traceback(self):
+        # (2, 1) lies on the order-5 cyclic line at genus 8, so there is no missing point
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "skelsig.cli", "missing", "--sigma", "8", "--h", "2"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert "(2, 1)" in proc.stderr and "order-5 cyclic line" in proc.stderr
 
     @pytest.mark.parametrize(
         "argv",

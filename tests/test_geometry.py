@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fraction_triangle_points
 from skelsig.geometry import (
     GapRegion,
     RationalLine,
@@ -93,6 +94,14 @@ class TestTriangle:
         assert pts == sorted(pts)
         for pt in pts:
             assert triangle(6, 3).member(P(pt.h, pt.r))
+
+    def test_integer_points_match_fraction_oracle(self):
+        # integer floor/ceil on the line coefficients against exact rational bounds,
+        # at every order up to the h = 0 cap
+        for sigma in range(2, 26):
+            for order in range(2, 84 * (sigma - 1) + 1):
+                tri = triangle(sigma, order)
+                assert tri.integer_points() == fraction_triangle_points(tri), (sigma, order)
 
 
 class TestGap:
@@ -211,7 +220,8 @@ class TestMissingPoints:
         # At genus 8 the h = 2 candidate is (2, 1), which sits between the
         # gap boundaries but exactly on the order-5 cyclic line, and is in
         # fact RH-feasible there via the signature (2; 5).  Strict gap
-        # membership therefore fails and the constructor refuses.
+        # membership therefore fails and the constructor refuses with a
+        # usage-level error naming the point and the line.
         region = gap(8, 4)
         candidate = P(2, 1)
         assert region.member_raw(candidate)
@@ -219,7 +229,7 @@ class TestMissingPoints:
         assert not region.member(candidate)
         v = rh_admissible(8, S(2, 1))
         assert v.is_exists and v.witness == (5, (5,))
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match=r"\(2, 1\) lies on the order-5 cyclic line 5h \+ 2r = 12"):
             missing_points(8, 2)
 
 

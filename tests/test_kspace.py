@@ -1,10 +1,11 @@
 """Admissible sets, realized subsets, gap reports, sporadic analysis, figure data."""
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from skelsig import kspace
+from skelsig import kspace, rh
 from skelsig.geometry import gap, p_group_line, triangle, RationalPoint
 from skelsig.groups import build_cyclic, build_elementary_abelian
 from skelsig.kspace import (
@@ -47,6 +48,21 @@ class TestAdmissible:
                 assert direct.is_exists == (pt in feas), (sigma, pt)
                 if direct.is_exists:
                     assert direct.witness[0] == feas[pt][0]
+
+    def test_divisors_computed_once_per_order(self, monkeypatch):
+        # a count guard, not a timing gate: the divisor list is per order, not per point
+        expected = admissible_map(11)
+        calls = Counter()
+        divisors = rh.allowed_periods
+
+        def counted(order):
+            calls[order] += 1
+            return divisors(order)
+
+        monkeypatch.setattr(rh, "allowed_periods", counted)
+        monkeypatch.setattr(kspace, "allowed_periods", counted)
+        assert admissible_map(11) == expected
+        assert calls and max(calls.values()) == 1
 
     def test_every_feasible_order_lands_in_its_triangle(self):
         feas = admissible_map(11)

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_period_multisets
-from skelsig.geometry import triangle
+from oracles import (
+    fraction_period_multisets,
+    full_range_feasible_orders,
+    trial_division_allowed_periods,
+)
+from skelsig import rh
+from skelsig.geometry import RationalPoint, gap, triangle
 from skelsig.rh import (
     HyperbolicityError,
     OrbifoldSignature,
@@ -79,6 +84,13 @@ def brute_force_period_lists(sigma, h, r, order, allowed):
         for periods in itertools.combinations_with_replacement(sorted(allowed), r)
         if rh_genus(order, OrbifoldSignature(h, periods)) == sigma
     ]
+
+
+class TestAllowedPeriods:
+    def test_matches_trial_division(self):
+        # 5040, 7560 and 8316 = 84 * 99 are highly composite or the h = 0 cap at genus 100
+        for order in itertools.chain(range(2, 3001), (5040, 7560, 8316)):
+            assert allowed_periods(order) == trial_division_allowed_periods(order), order
 
 
 class TestPeriodFeasible:
@@ -236,6 +248,52 @@ class TestRhAdmissible:
                     assert direct.is_exists == bool(swept)
                     if swept:
                         assert direct.witness[0] == swept[0]
+
+    def test_feasible_orders_match_full_range_sweep_on_the_plane(self):
+        for sigma in range(2, 13):
+            for h in range(0, sigma + 2):
+                for r in range(0, 2 * sigma + 3):
+                    if (h, r) in ((0, 0), (0, 1), (0, 2), (1, 0)):
+                        with pytest.raises(HyperbolicityError):
+                            list(feasible_orders(sigma, S(h, r)))
+                        continue
+                    got = list(feasible_orders(sigma, S(h, r)))
+                    assert got == list(full_range_feasible_orders(sigma, S(h, r))), (sigma, h, r)
+
+    def test_feasible_orders_match_full_range_sweep_on_gap_points(self):
+        seen = 0
+        for sigma in range(9, 41):
+            for n in (3, 4):
+                for pt in gap(sigma, n).integer_points_raw():
+                    got = list(feasible_orders(sigma, pt))
+                    assert got == list(full_range_feasible_orders(sigma, pt)), (sigma, n, pt)
+                    seen += 1
+        assert seen > 1000
+
+    def test_gap_points_sweep_only_the_orders_whose_triangle_holds_them(self, monkeypatch):
+        # a count guard, not a timing gate: each order outside the point's triangle
+        # interval must cost no walk, so most gap points make no walk at all
+        calls = []
+        walk = rh.period_multisets
+
+        def counted(sigma, h, r, order, allowed):
+            calls.append(order)
+            return walk(sigma, h, r, order, allowed)
+
+        monkeypatch.setattr(rh, "period_multisets", counted)
+        region = gap(48, 4)
+        silent = 0
+        for pt in region.integer_points():
+            calls.clear()
+            assert rh_admissible(48, pt).is_not_exists
+            holding = [
+                n
+                for n in range(2, order_bound(48, pt) + 1)
+                if triangle(48, n).member(RationalPoint(pt.h, pt.r))
+            ]
+            assert calls == holding, pt
+            silent += not calls
+        assert silent > 20
 
     def test_feasible_orders_ascending(self):
         orders = [n for n, _ in feasible_orders(20, S(1, 2))]

@@ -6,10 +6,10 @@ summary and the exception-line story on the order-5 cyclic line.
 """
 
 import argparse
-import csv
 import time
 from pathlib import Path
 
+from skelsig.cli import parse_budget, points_csv
 from skelsig.groups import bundled_catalog
 from skelsig.kspace import figure_dataset, verify_gap
 from skelsig.svg import render_figure
@@ -21,7 +21,7 @@ def main() -> None:
     ap.add_argument("--outdir", type=Path, default=Path("out_genus48"))
     ap.add_argument("--with-realized", action="store_true",
                     help="run the catalog witness search (slower)")
-    ap.add_argument("--budget", type=int, default=200_000)
+    ap.add_argument("--budget", type=parse_budget, default=200_000)
     args = ap.parse_args()
 
     args.outdir.mkdir(parents=True, exist_ok=True)
@@ -37,10 +37,7 @@ def main() -> None:
     svg_path = args.outdir / "plot.svg"
     svg_path.write_text(render_figure(dataset, f"genus {args.sigma}"), encoding="utf-8")
     csv_path = args.outdir / "points.csv"
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "r", "status"])
-        writer.writerows(dataset.to_csv_rows())
+    csv_path.write_text(points_csv(dataset.to_csv_rows()), encoding="utf-8")
     counts: dict[str, int] = {}
     for _, status in dataset.points:
         counts[status] = counts.get(status, 0) + 1

@@ -16,6 +16,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from . import kspace, svg
 from .genvec import DEFAULT_BUDGET, search
@@ -79,6 +80,15 @@ def _resolve_catalog(args) -> CatalogManifest:
     if path:
         return load_catalog(Path(path))
     return bundled_catalog()
+
+
+def points_csv(rows: Iterable[tuple[int, int, str]]) -> str:
+    """CSV text of (h, r, status) rows under an ``h,r,status`` header."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["h", "r", "status"])
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _emit(args, payload: dict | str) -> None:
@@ -168,12 +178,11 @@ def cmd_kspace(args) -> int:
     catalog = _resolve_catalog(args)
     approx = kspace.realizable_set(args.sigma, catalog, args.max_order, args.budget)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["h", "r", "status"])
-        for pt in sorted(approx.admissible):
-            writer.writerow([pt.h, pt.r, "realized" if pt in approx.realized else "admissible"])
-        _emit(args, buf.getvalue())
+        rows = (
+            (pt.h, pt.r, "realized" if pt in approx.realized else "admissible")
+            for pt in sorted(approx.admissible)
+        )
+        _emit(args, points_csv(rows))
     else:
         payload = {
             "config": _config(args, "kspace"),
@@ -236,12 +245,7 @@ def cmd_plot(args) -> int:
     document = svg.render_figure(dataset, note)
     _emit(args, document)
     if args.csv_sidecar:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["h", "r", "status"])
-        for row in dataset.to_csv_rows():
-            writer.writerow(row)
-        Path(args.csv_sidecar).write_text(buf.getvalue(), encoding="utf-8")
+        Path(args.csv_sidecar).write_text(points_csv(dataset.to_csv_rows()), encoding="utf-8")
     return EXIT_OK
 
 
@@ -249,7 +253,7 @@ def cmd_plot(args) -> int:
 # parser
 
 
-def _budget(text: str) -> int:
+def parse_budget(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -260,7 +264,7 @@ def _budget(text: str) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, *, catalog: bool = False) -> None:
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET,
                    help="search budget in candidate tuples")
     p.add_argument("--out", type=str, default=None, help="write output to this path")
     if catalog:

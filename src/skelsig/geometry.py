@@ -1,10 +1,11 @@
 """Exact loci in the (h, r)-plane: bounding lines, triangles, gaps, missing points.
 
 Coordinates are quotient genus h (horizontal) and branch-point count r
-(vertical).  All geometry is exact over Fractions: lines are integer-coefficient
-equations ``a*h + b*r = c`` in lowest terms, region membership is decided by
-exact sign checks.  Triangles are closed, gaps are open; the asymmetry is
-deliberate and load-bearing.
+(vertical).  Lines are integer-coefficient equations ``a*h + b*r = c``, and the
+lattice points of triangles and gaps are enumerated by integer floor and ceil
+division on those coefficients; Fractions carry the rational apexes and corners
+that JSON and SVG report, and the point-membership tests.  Triangles are
+closed, gaps are open; the asymmetry is deliberate and load-bearing.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .groups import _is_prime
 from .rh import SkeletalSignature
@@ -30,15 +31,6 @@ class RationalPoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "h", Fraction(self.h))
         object.__setattr__(self, "r", Fraction(self.r))
-
-    @property
-    def is_integral(self) -> bool:
-        return self.h.denominator == 1 and self.r.denominator == 1
-
-    def as_skeletal(self) -> SkeletalSignature:
-        if not self.is_integral:
-            raise ValueError(f"point {self} is not a lattice point")
-        return SkeletalSignature(int(self.h), int(self.r))
 
     def __str__(self) -> str:
         return f"({self.h}, {self.r})"
@@ -105,10 +97,18 @@ def intersect(first: RationalLine, second: RationalLine) -> RationalPoint:
     return RationalPoint(h, r)
 
 
+def _lower_coeffs(sigma: int, order: int) -> tuple[int, int, int]:
+    return 2 * order, order - 1, 2 * (sigma - 1) + 2 * order
+
+
+def _upper_coeffs(sigma: int, order: int) -> tuple[int, int, int]:
+    return 4 * order, order, 4 * (order + sigma - 1)
+
+
 def lower_line(sigma: int, order: int) -> RationalLine:
     """Lower bounding line of the order-N feasibility triangle: (N-1)r + 2Nh = 2(sigma-1) + 2N."""
     _check(sigma, order)
-    return RationalLine(2 * order, order - 1, 2 * (sigma - 1) + 2 * order)
+    return RationalLine(*_lower_coeffs(sigma, order))
 
 
 def upper_line(sigma: int, order: int) -> RationalLine:
@@ -117,7 +117,7 @@ def upper_line(sigma: int, order: int) -> RationalLine:
     Its slope in (h, r)-coordinates is -4 for every order.
     """
     _check(sigma, order)
-    return RationalLine(4 * order, order, 4 * (order + sigma - 1))
+    return RationalLine(*_upper_coeffs(sigma, order))
 
 
 def p_group_line(sigma: int, p: int, power: int) -> RationalLine:
@@ -171,19 +171,8 @@ class TriangleRegion:
         return self.lower.r_at(point.h) <= point.r <= self.upper.r_at(point.h)
 
     def integer_points(self) -> list[SkeletalSignature]:
-        """Lattice points with h, r >= 0, in lexicographic order.
-
-        The r range at each h is floor and ceil of (c - a*h)/b taken by integer
-        division on the line coefficients.
-        """
-        lo, up = self.lower, self.upper
-        out: list[SkeletalSignature] = []
-        for h in range(0, math.floor(self.apex.h) + 1):
-            r_lo = -((lo.a * h - lo.c) // lo.b)
-            r_hi = (up.c - up.a * h) // up.b
-            for r in range(max(r_lo, 0), r_hi + 1):
-                out.append(SkeletalSignature(h, r))
-        return out
+        """Lattice points with h, r >= 0, in lexicographic order."""
+        return triangle_points(self.sigma, self.order)
 
     def to_json(self) -> dict:
         return {
@@ -194,6 +183,23 @@ class TriangleRegion:
             "upper": self.upper.to_json(),
             "apex": _point_json(self.apex),
         }
+
+
+def triangle_points(sigma: int, order: int) -> list[SkeletalSignature]:
+    """Lattice points with h, r >= 0 of the closed order-N triangle, in lexicographic order.
+
+    At each h up to the apex, r runs from the ceil of the lower line's
+    (c - a*h)/b to the floor of the upper line's, both by integer division.
+    """
+    _check(sigma, order)
+    la, lb, lc = _lower_coeffs(sigma, order)
+    ua, ub, uc = _upper_coeffs(sigma, order)
+    out: list[SkeletalSignature] = []
+    for h in range((order + sigma - 1) // order + 1):
+        r_lo = max(-((la * h - lc) // lb), 0)
+        r_hi = (uc - ua * h) // ub
+        out.extend(SkeletalSignature(h, r) for r in range(r_lo, r_hi + 1))
+    return out
 
 
 def triangle(sigma: int, order: int) -> TriangleRegion:
@@ -244,42 +250,35 @@ class GapRegion:
             return False
         return True
 
+    def on_exception_line(self, point: SkeletalSignature) -> bool:
+        """Whether a lattice point satisfies a*h + b*r == c on the exception line."""
+        e = self.exception_line
+        return e is not None and e.a * point.h + e.b * point.r == e.c
+
     def integer_points_raw(self) -> list[SkeletalSignature]:
-        """Lattice points with h, r >= 0 strictly inside the strip, lexicographic."""
+        """Lattice points with h, r >= 0 strictly inside the strip, lexicographic.
+
+        At each h right of the corner, r runs from floor(bottom) + 1 to
+        ceil(top) - 1 by integer division on the boundary coefficients.
+        """
+        ta, tb, tc = self.boundary_lower.a, self.boundary_lower.b, self.boundary_lower.c
+        ba, bb, bc = self.boundary_upper.a, self.boundary_upper.b, self.boundary_upper.c
         out: list[SkeletalSignature] = []
         h = math.floor(self.corner.h) + 1
-        while True:
-            top = self.boundary_lower.r_at(h)
-            if top <= 0:
-                break
-            bottom = self.boundary_upper.r_at(h)
-            r_lo = max(math.floor(bottom) + 1, 0)
-            r_hi = math.ceil(top) - 1
-            for r in range(r_lo, r_hi + 1):
-                p = RationalPoint(h, r)
-                if self.member_raw(p):
-                    out.append(SkeletalSignature(h, r))
+        while tc - ta * h > 0:
+            r_lo = max((bc - ba * h) // bb + 1, 0)
+            r_hi = -((ta * h - tc) // tb) - 1
+            out.extend(SkeletalSignature(h, r) for r in range(r_lo, r_hi + 1))
             h += 1
         return out
 
     def integer_points(self) -> list[SkeletalSignature]:
         """Raw lattice points with exception-line points removed."""
-        return [
-            s
-            for s in self.integer_points_raw()
-            if self.exception_line is None
-            or not self.exception_line.contains(RationalPoint(s.h, s.r))
-        ]
+        return [s for s in self.integer_points_raw() if not self.on_exception_line(s)]
 
     def exception_points(self) -> list[SkeletalSignature]:
         """Lattice points of the strip lying on the exception line."""
-        if self.exception_line is None:
-            return []
-        return [
-            s
-            for s in self.integer_points_raw()
-            if self.exception_line.contains(RationalPoint(s.h, s.r))
-        ]
+        return [s for s in self.integer_points_raw() if self.on_exception_line(s)]
 
     def to_json(self) -> dict:
         return {
@@ -371,14 +370,12 @@ def missing_points(sigma: int, h: int) -> list[SkeletalSignature]:
     points = [
         SkeletalSignature(h, nearest_int(Fraction(2 * sigma, 3) + k)) for k in offsets
     ]
-    exc = region.exception_line
     for s in points:
-        p = RationalPoint(s.h, s.r)
-        if not region.member(p):
+        if not region.member(RationalPoint(s.h, s.r)):
             where = (
-                f"on the order-{region.lower_index + 1} cyclic line {exc}, "
+                f"on the order-{region.lower_index + 1} cyclic line {region.exception_line}, "
                 f"where the gap guarantee does not hold"
-                if exc is not None and exc.contains(p)
+                if region.on_exception_line(s)
                 else "outside the order-4/6 gap"
             )
             raise ValueError(

@@ -22,7 +22,7 @@ from .genvec import (
     search,
     verify,
 )
-from .geometry import GapRegion, RationalPoint, gap, p_group_line, triangle
+from .geometry import GapRegion, gap, p_group_line, triangle_points
 from .groups import CatalogManifest, GroupTable, _is_prime, build_cyclic
 from .rh import (
     OrbifoldSignature,
@@ -62,7 +62,7 @@ def admissible_map(
     found: dict[SkeletalSignature, list[int]] = {}
     for n in range(2, cap + 1):
         allowed = allowed_periods(n)
-        for pt in triangle(sigma, n).integer_points():
+        for pt in triangle_points(sigma, n):
             if pt.h > h_max or pt.r > r_max:
                 continue
             if next(period_multisets(sigma, pt.h, pt.r, n, allowed), None) is not None:
@@ -336,10 +336,9 @@ def verify_gap(
     has no Riemann-Hurwitz solution at any order.
     """
     region = gap(sigma, order)
-    exc = region.exception_line
 
     def judge(pt: SkeletalSignature) -> PointReport:
-        on_exc = exc is not None and exc.contains(RationalPoint(pt.h, pt.r))
+        on_exc = region.on_exception_line(pt)
         verdict = rh_admissible(sigma, pt)
         analysis = None
         if on_exc:

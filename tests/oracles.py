@@ -6,9 +6,10 @@ is the branch-and-bound over exact reciprocal sums that
 ``skelsig.rh.period_multisets`` does over integers; unlike the integer walk it
 accepts periods that do not divide the order, such as the loose box
 ``range(2, order + 1)``.  ``trial_division_allowed_periods``,
-``full_range_feasible_orders`` and ``fraction_triangle_points`` are the
-straightforward forms of the divisor list, the per-point order sweep and the
-triangle lattice enumeration that the library computes with integer shortcuts.
+``full_range_feasible_orders``, ``fraction_triangle_points`` and
+``fraction_gap_points`` are the straightforward forms of the divisor list, the
+per-point order sweep and the triangle and gap lattice enumerations that the
+library computes with integer shortcuts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from skelsig.genvec import GeneratingVector
-from skelsig.geometry import TriangleRegion
+from skelsig.geometry import GapRegion, RationalPoint, TriangleRegion
 from skelsig.groups import GroupTable
 from skelsig.rh import (
     OrbifoldSignature,
@@ -115,4 +116,24 @@ def fraction_triangle_points(region: TriangleRegion) -> list[SkeletalSignature]:
         hi = region.upper.r_at(h)
         for r in range(max(math.ceil(lo), 0), math.floor(hi) + 1):
             out.append(SkeletalSignature(h, r))
+    return out
+
+
+def fraction_gap_points(region: GapRegion) -> list[SkeletalSignature]:
+    """Lattice points with h, r >= 0 strictly inside a gap strip, each re-tested with ``member_raw``.
+
+    Steps h right of the corner while the top boundary is above r = 0, bounding
+    r at each h by exact rationals.
+    """
+    out: list[SkeletalSignature] = []
+    h = math.floor(region.corner.h) + 1
+    while True:
+        top = region.boundary_lower.r_at(h)
+        if top <= 0:
+            break
+        bottom = region.boundary_upper.r_at(h)
+        for r in range(max(math.floor(bottom) + 1, 0), math.ceil(top)):
+            if region.member_raw(RationalPoint(h, r)):
+                out.append(SkeletalSignature(h, r))
+        h += 1
     return out

@@ -23,6 +23,7 @@ from skelsig.cli import (
 from skelsig.rh import OrbifoldSignature
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(tmp_path, *argv):
@@ -190,9 +191,43 @@ class TestGoldenFiles:
         assert lines[0] == "h,r,status"
         assert all(line.count(",") == 2 for line in lines[1:])
 
+    def test_csv_sidecar_bytes(self, tmp_path):
+        sidecar = tmp_path / "points.csv"
+        code, _ = run(
+            tmp_path, "plot", "--sigma", "11", "--with-realized", "--csv-sidecar", str(sidecar)
+        )
+        assert code == EXIT_OK
+        assert sidecar.read_bytes() == (GOLDEN / "plot_11_realized.csv").read_bytes()
+
     def test_kspace_csv_format(self, tmp_path):
         code, text = run(tmp_path, "kspace", "--sigma", "2", "--format", "csv")
         assert code == EXIT_OK
         lines = text.strip().splitlines()
         assert lines[0] == "h,r,status"
         assert "0,6,realized" in lines
+
+
+class TestGenus48Script:
+    @staticmethod
+    def run_script(tmp_path, *argv):
+        src = str(ROOT / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "genus48_figure.py"), *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+
+    def test_negative_budget_is_usage(self, tmp_path):
+        proc = self.run_script(tmp_path, "--budget", "-1", "--outdir", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert "--budget" in proc.stderr and "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_matches_plot_sidecar(self, tmp_path):
+        proc = self.run_script(tmp_path, "--sigma", "11", "--outdir", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        sidecar = tmp_path / "sidecar.csv"
+        code, _ = run(tmp_path, "plot", "--sigma", "11", "--csv-sidecar", str(sidecar))
+        assert code == EXIT_OK
+        assert (tmp_path / "out" / "points.csv").read_bytes() == sidecar.read_bytes()

@@ -1,12 +1,13 @@
 """Lines, triangles, gaps, and missing-point formulas in the (h, r)-plane."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_triangle_points
+from oracles import fraction_gap_points, fraction_triangle_points
 from skelsig.geometry import (
     GapRegion,
     RationalLine,
@@ -162,6 +163,46 @@ class TestGap:
         assert region.exception_points() == [S(8, 6), S(10, 1)]
         filtered = region.integer_points()
         assert S(8, 6) not in filtered and S(10, 1) not in filtered
+
+    def test_integer_enumeration_matches_fraction_oracle(self):
+        # integer strip bounds against the exact rational walk with its member_raw
+        # re-test; the exception split against RationalLine.contains
+        seen = 0
+        for sigma in range(2, 81):
+            for order in range(3, 21):
+                region = gap(sigma, order)
+                raw = fraction_gap_points(region)
+                exc = region.exception_line
+                on_line = [s for s in raw if exc is not None and exc.contains(P(s.h, s.r))]
+                assert region.integer_points_raw() == raw, (sigma, order)
+                assert region.exception_points() == on_line, (sigma, order)
+                assert region.integer_points() == [s for s in raw if s not in on_line], (sigma, order)
+                seen += len(raw)
+        assert seen > 1000
+
+    def test_integer_points_raw_builds_no_rational_point(self, monkeypatch):
+        # a count guard, not a timing gate: the strip is walked on integer coefficients
+        region = gap(48, 4)
+        expected = fraction_gap_points(region)
+        calls = Counter()
+        point_init, member_raw = RationalPoint.__init__, GapRegion.member_raw
+
+        def counted_init(self, *args, **kwargs):
+            calls["RationalPoint"] += 1
+            point_init(self, *args, **kwargs)
+
+        def counted_member_raw(self, point):
+            calls["member_raw"] += 1
+            return member_raw(self, point)
+
+        monkeypatch.setattr(RationalPoint, "__init__", counted_init)
+        monkeypatch.setattr(GapRegion, "member_raw", counted_member_raw)
+        assert region.integer_points_raw() == expected
+        assert region.integer_points() and region.exception_points()
+        assert calls == Counter()
+        # the counters are live
+        assert region.member(P(3, 24))
+        assert calls == Counter({"RationalPoint": 1, "member_raw": 1})
 
 
 class TestNearestInt:

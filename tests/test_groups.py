@@ -190,21 +190,28 @@ class TestValidation:
         with pytest.raises(BadEntryError):
             GroupTable.from_table("bad", [[0, 1], [1]])
 
-    def test_non_associative(self):
-        # a Latin square with identity that is not a group (order-5 loop)
-        rows = [
+    @pytest.mark.parametrize("k", [1, 3, 13])
+    def test_non_associative(self, k):
+        # a Latin square with identity that is not a group (order-5 loop), times C_k,
+        # with (x, y) packed as x * k + y: orders 5, 15 and 65
+        loop = [
             [0, 1, 2, 3, 4],
             [1, 0, 3, 4, 2],
             [2, 4, 0, 1, 3],
             [3, 2, 4, 0, 1],
             [4, 3, 1, 2, 0],
         ]
+        rows = [
+            [loop[x1][x2] * k + (y1 + y2) % k for x2 in range(5) for y2 in range(k)]
+            for x1 in range(5)
+            for y1 in range(k)
+        ]
         with pytest.raises(NonAssociativeError):
-            GroupTable.from_table("loop5", rows)
+            GroupTable.from_table(f"loop5xC{k}", rows)
 
     def test_lights_test_agrees_with_cubic(self):
-        # order above the cubic cutoff exercises the generator-based check
-        g = build_generalized_quaternion(17)  # order 68 > 64
+        # the generator-based check accepts a group that the cubic check confirms
+        g = build_generalized_quaternion(17)
         assert g.order == 68
         assert full_cubic_associativity(g)
 

@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 
 from skelsig import kspace, rh
-from skelsig.geometry import gap, p_group_line, triangle, RationalPoint
+from skelsig.geometry import (
+    RationalLine,
+    RationalPoint,
+    TriangleRegion,
+    gap,
+    p_group_line,
+    triangle,
+)
 from skelsig.groups import build_cyclic, build_elementary_abelian
 from skelsig.kspace import (
     admissible_map,
@@ -63,6 +70,24 @@ class TestAdmissible:
         monkeypatch.setattr(kspace, "allowed_periods", counted)
         assert admissible_map(11) == expected
         assert calls and max(calls.values()) == 1
+
+    def test_builds_no_triangle_region_or_line(self, monkeypatch):
+        # a count guard, not a timing gate: each order's triangle is enumerated
+        # from its integer coefficients, with no region, line or point built
+        expected = admissible_map(11)
+        made = Counter()
+        for cls in (TriangleRegion, RationalLine, RationalPoint):
+
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                made[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        assert admissible_map(11) == expected
+        assert made == Counter()
+        # the counters are live
+        triangle(11, 3)
+        assert made["TriangleRegion"] == 1 and made["RationalLine"] == 2
 
     def test_every_feasible_order_lands_in_its_triangle(self):
         feas = admissible_map(11)

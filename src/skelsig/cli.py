@@ -203,6 +203,8 @@ def cmd_kspace(args) -> int:
 def cmd_sporadic(args) -> int:
     catalog = _resolve_catalog(args)
     primes = [int(tok) for tok in args.primes.split(",") if tok.strip()]
+    if not primes:
+        raise ValueError(f"--primes needs at least one odd prime, got {args.primes!r}")
     witness_n = [int(tok) for tok in args.witness_n.split(",") if tok.strip()] if args.witness_n else []
     report = kspace.sporadic_analysis(args.h, primes, witness_n, catalog, args.budget)
     payload = {"config": _config(args, "sporadic"), "report": report.to_json()}
@@ -253,14 +255,21 @@ def cmd_plot(args) -> int:
 # parser
 
 
-def parse_budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+parse_budget = _int_at_least(0)
+parse_max_order = _int_at_least(1)
 
 
 def _add_common(p: argparse.ArgumentParser, *, catalog: bool = False) -> None:
@@ -307,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kspace", help="admissible set and catalog-realized subset")
     p.add_argument("--sigma", type=int, required=True)
-    p.add_argument("--max-order", type=int, default=15)
+    p.add_argument("--max-order", type=parse_max_order, default=15)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p, catalog=True)
     p.set_defaults(fn=cmd_kspace)
@@ -329,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", help="deterministic SVG of the (h, r)-plane")
     p.add_argument("--sigma", type=int, required=True)
-    p.add_argument("--max-order", type=int, default=15)
+    p.add_argument("--max-order", type=parse_max_order, default=15)
     p.add_argument("--with-realized", action="store_true",
                    help="run catalog search and mark realized points")
     p.add_argument("--csv-sidecar", type=str, default=None,

@@ -40,31 +40,22 @@ from .rh import (
 # admissible region
 
 
-def admissible_map(
-    sigma: int,
-    h_max: int | None = None,
-    r_max: int | None = None,
-) -> dict[SkeletalSignature, tuple[int, ...]]:
-    """Every RH-feasible lattice point in the box, with its full list of feasible orders.
+def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
+    """Every RH-feasible lattice point with its full list of feasible orders.
 
     Sweeps orders from 2 up to the h = 0 cap and enumerates each order's
     triangle, so the union equals the per-point order sweep without quadratic
-    cost.  Defaults: h up to sigma + 1, r up to 2*sigma + 2.
+    cost.  The box is fixed at h <= sigma + 1, r <= 2*sigma + 2, and every
+    triangle lies inside it: h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
     """
     if sigma < 2:
         raise ValueError(f"genus must be >= 2, got {sigma}")
-    if h_max is None:
-        h_max = sigma + 1
-    if r_max is None:
-        r_max = 2 * sigma + 2
     cap = 84 * (sigma - 1)
 
     found: dict[SkeletalSignature, list[int]] = {}
     for n in range(2, cap + 1):
         allowed = allowed_periods(n)
         for pt in triangle_points(sigma, n):
-            if pt.h > h_max or pt.r > r_max:
-                continue
             if next(period_multisets(sigma, pt.h, pt.r, n, allowed), None) is not None:
                 found.setdefault(pt, []).append(n)
     return {pt: tuple(ns) for pt, ns in sorted(found.items())}
@@ -117,7 +108,6 @@ class KSpaceApproximation:
     """Two-sided bracket on the space of skeletal signatures at one genus."""
 
     sigma: int
-    admissible: frozenset[SkeletalSignature]
     feasible_orders_by_point: dict[SkeletalSignature, tuple[int, ...]]
     realized: dict[SkeletalSignature, Witness]
     scope: SearchScope
@@ -126,58 +116,86 @@ class KSpaceApproximation:
         if not set(self.realized) <= self.admissible:
             raise AssertionError("realized points must be admissible")
 
+    @property
+    def admissible(self) -> frozenset[SkeletalSignature]:
+        return frozenset(self.feasible_orders_by_point)
+
+
+def groups_covering(order: int, catalog: CatalogManifest | None) -> list[GroupTable] | None:
+    """Every group of this order up to isomorphism, or None when coverage is not certified.
+
+    Coverage is a catalog order flagged complete, or a prime order, whose one
+    isomorphism class is the cyclic group.
+    """
+    if catalog is not None and catalog.is_complete_at(order):
+        return catalog.groups_of_order(order)
+    if _is_prime(order):
+        return [build_cyclic(order)]
+    return None
+
+
+def _realize_any(
+    groups: Iterable[GroupTable], sigma: int, skel: SkeletalSignature, budget: int
+) -> tuple[Witness | None, bool, list[ExclusionReason]]:
+    """Run ``realizable`` over the groups in turn until one yields a witness.
+
+    Returns the first witness (or None), whether any search hit the budget
+    before it, and the exclusion reasons of the groups settled as not-exists.
+    """
+    unknown = False
+    reasons: list[ExclusionReason] = []
+    for g in groups:
+        report = realizable(g, sigma, skel, budget)
+        if report.verdict.is_exists:
+            return report.witness, unknown, reasons
+        if report.verdict.is_unknown:
+            unknown = True
+        else:
+            reasons.extend(report.exclusion_reasons)
+    return None, unknown, reasons
+
 
 def realizable_set(
     sigma: int,
     catalog: CatalogManifest | Iterable[GroupTable],
     max_order: int,
     budget: int = DEFAULT_BUDGET,
-    *,
-    h_max: int | None = None,
-    r_max: int | None = None,
 ) -> KSpaceApproximation:
     """Witness map over catalog groups at every admissible point.
 
-    The result is a certified subset of the true space; the scope records how
-    far catalog completeness lets it claim more.
+    Each point is searched only with the groups whose order is feasible
+    there; a group of any other order has no period list and could only be
+    excluded by arithmetic.  The result is a certified subset of the true
+    space; the scope records how far catalog completeness lets it claim more.
     """
-    feas = admissible_map(sigma, h_max, r_max)
+    feas = admissible_map(sigma)
     if isinstance(catalog, CatalogManifest):
         groups = catalog.groups(max_order=max_order)
-        complete = tuple(
-            sorted(o for o in range(2, max_order + 1) if catalog.is_complete_at(o))
-        )
+        complete = tuple(sorted(o for o in catalog.complete_orders() if 2 <= o <= max_order))
     else:
         groups = [g for g in catalog if g.order <= max_order]
         complete = ()
     groups = sorted(groups, key=lambda g: (g.order, g.name))
-    points = sorted(feas)
 
     realized: dict[SkeletalSignature, Witness] = {}
     unknown_pts: list[SkeletalSignature] = []
-    for pt in points:
-        unknown = False
-        for g in groups:
-            report = realizable(g, sigma, pt, budget)
-            if report.verdict.is_exists:
-                realized[pt] = report.witness
-                break
-            if report.verdict.is_unknown:
-                unknown = True
-        if unknown and pt not in realized:
+    for pt, orders in feas.items():  # admissible_map yields points in sorted order
+        here = [g for g in groups if g.order in orders]
+        witness, unknown, _ = _realize_any(here, sigma, pt, budget)
+        if witness is not None:
+            realized[pt] = witness
+        elif unknown:
             unknown_pts.append(pt)
-    covered = sum(
-        1 for pt, orders in feas.items() if all(n in complete for n in orders)
-    )
+    covered = sum(1 for orders in feas.values() if all(n in complete for n in orders))
     scope = SearchScope(
         max_order=max_order,
         budget=budget,
         complete_orders=complete,
-        total_points=len(points),
+        total_points=len(feas),
         fully_covered_points=covered,
         unknown_points=tuple(unknown_pts),
     )
-    return KSpaceApproximation(sigma, frozenset(feas), feas, realized, scope)
+    return KSpaceApproximation(sigma, feas, realized, scope)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +255,8 @@ def analyze_point(
     witness: Witness | None = None
     all_closed = True
     for order, periods in feasible:
-        closed = False
-        if skel.r == 1 and periods == (order,):
+        closed = skel.r == 1 and periods == (order,)
+        if closed:
             reasons.append(
                 ExclusionReason(
                     "cyclic-forced",
@@ -246,34 +264,14 @@ def analyze_point(
                     f"forcing a cyclic (hence abelian) group, impossible with one branch point",
                 )
             )
-            closed = True
-        if catalog is not None and catalog.is_complete_at(order):
-            covered = True
-            group_list = catalog.groups_of_order(order)
-        elif _is_prime(order):
-            # a prime order has a unique isomorphism class, no catalog needed
-            covered = True
-            group_list = [build_cyclic(order)]
-        else:
-            covered = False
-            group_list = []
-        if covered:
-            order_closed = True
-            for g in group_list:
-                report = realizable(g, sigma, skel, budget)
-                if report.verdict.is_exists:
-                    witness = report.witness
-                    order_closed = False
-                    break
-                if report.verdict.is_unknown:
-                    order_closed = False
-                else:
-                    reasons.extend(report.exclusion_reasons)
+        group_list = groups_covering(order, catalog)
+        if group_list is not None:
+            witness, unknown, excluded = _realize_any(group_list, sigma, skel, budget)
+            reasons.extend(excluded)
             if witness is not None:
                 break
-            closed = closed or order_closed
-        if not closed:
-            all_closed = False
+            closed = closed or not unknown
+        all_closed = all_closed and closed
     if witness is not None:
         return PointAnalysis(skel, "realized", feasible, tuple(reasons), witness)
     if all_closed:
@@ -443,7 +441,8 @@ def _close_order_2n(
     product of order n.  A surviving candidate falls back to the full search.
     """
     order = 2 * n
-    if catalog is None or not catalog.is_complete_at(order):
+    group_list = groups_covering(order, catalog)
+    if group_list is None:
         return (
             "catalog-incomplete",
             f"need all groups of order {order}, catalog coverage incomplete there",
@@ -451,7 +450,7 @@ def _close_order_2n(
             None,
         )
     details = []
-    for g in catalog.groups_of_order(order):
+    for g in group_list:
         if g.is_abelian:
             details.append(f"{g.name}: abelian-r1")
             continue
@@ -615,11 +614,8 @@ class FigureDataset:
 def figure_dataset(
     sigma: int,
     catalog: CatalogManifest | None = None,
-    max_order: int | None = None,
+    max_order: int = 15,
     budget: int = DEFAULT_BUDGET,
-    *,
-    h_max: int | None = None,
-    r_max: int | None = None,
 ) -> FigureDataset:
     """Point statuses plus the named line bundle for the genus-sigma plane.
 
@@ -638,25 +634,12 @@ def figure_dataset(
         ("cyclic-5", p_group_line(sigma, 5, 1)),
     )
     gaps = (gap(sigma, 3), gap(sigma, 4))
-    realized: dict[SkeletalSignature, Witness] = {}
-    scope = None
     if catalog is not None:
-        approx = realizable_set(
-            sigma,
-            catalog,
-            max_order if max_order is not None else 15,
-            budget,
-            h_max=h_max,
-            r_max=r_max,
-        )
-        feas = approx.feasible_orders_by_point
-        realized = approx.realized
-        scope = approx.scope
+        approx = realizable_set(sigma, catalog, max_order, budget)
+        feas, realized, scope = approx.feasible_orders_by_point, approx.realized, approx.scope
     else:
-        feas = admissible_map(sigma, h_max, r_max)
-    status: dict[SkeletalSignature, str] = {}
-    for pt in feas:
-        status[pt] = "realized" if pt in realized else "admissible"
+        feas, realized, scope = admissible_map(sigma), {}, None
+    status = {pt: "realized" if pt in realized else "admissible" for pt in feas}
     for region in gaps:
         for pt in region.integer_points():
             status.setdefault(pt, "gap")

@@ -9,7 +9,9 @@ accepts periods that do not divide the order, such as the loose box
 ``full_range_feasible_orders``, ``fraction_triangle_points`` and
 ``fraction_gap_points`` are the straightforward forms of the divisor list, the
 per-point order sweep and the triangle and gap lattice enumerations that the
-library computes with integer shortcuts.
+library computes with integer shortcuts.  ``all_groups_realizable_set`` tries
+every catalog group at every admissible point, where the library tries only
+the groups whose order is feasible there.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from skelsig.genvec import GeneratingVector
+from skelsig.genvec import GeneratingVector, realizable
 from skelsig.geometry import GapRegion, RationalPoint, TriangleRegion
-from skelsig.groups import GroupTable
+from skelsig.groups import CatalogManifest, GroupTable
+from skelsig.kspace import KSpaceApproximation, SearchScope, admissible_map
 from skelsig.rh import (
     OrbifoldSignature,
     SearchVerdict,
@@ -137,3 +140,36 @@ def fraction_gap_points(region: GapRegion) -> list[SkeletalSignature]:
                 out.append(SkeletalSignature(h, r))
         h += 1
     return out
+
+
+def all_groups_realizable_set(
+    sigma: int, catalog: CatalogManifest, max_order: int, budget: int
+) -> KSpaceApproximation:
+    """The catalog witness map, searching every group of order <= max_order at every point."""
+    feas = admissible_map(sigma)
+    groups = sorted(catalog.groups(max_order=max_order), key=lambda g: (g.order, g.name))
+    complete = tuple(sorted(o for o in range(2, max_order + 1) if catalog.is_complete_at(o)))
+    realized = {}
+    unknown_pts = []
+    for pt in sorted(feas):
+        unknown = False
+        for g in groups:
+            report = realizable(g, sigma, pt, budget)
+            if report.verdict.is_exists:
+                realized[pt] = report.witness
+                break
+            if report.verdict.is_unknown:
+                unknown = True
+        if unknown and pt not in realized:
+            unknown_pts.append(pt)
+    scope = SearchScope(
+        max_order=max_order,
+        budget=budget,
+        complete_orders=complete,
+        total_points=len(feas),
+        fully_covered_points=sum(
+            1 for orders in feas.values() if all(n in complete for n in orders)
+        ),
+        unknown_points=tuple(unknown_pts),
+    )
+    return KSpaceApproximation(sigma, feas, realized, scope)

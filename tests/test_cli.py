@@ -105,6 +105,25 @@ class TestExitCodes:
         assert main([*argv, "--budget", "-1"]) == EXIT_USAGE
         assert "--budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["kspace", "--sigma", "5"], ["plot", "--sigma", "5", "--with-realized"]],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("value", ["-3", "0", "x"])
+    def test_bad_max_order_is_usage(self, capsys, argv, value):
+        assert main([*argv, "--max-order", value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-order" in captured.err
+
+    @pytest.mark.parametrize("primes", ["", ",,", " , "])
+    def test_empty_primes_is_usage(self, capsys, primes):
+        assert main(["sporadic", "--h", "2", "--primes", primes]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--primes" in captured.err
+
     def test_malformed_catalog_manifest_is_usage(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text('[{"order": 2, "spec": "cyclic:2"}]')
         assert main(["kspace", "--sigma", "2", "--catalog", str(tmp_path)]) == EXIT_USAGE
@@ -122,7 +141,7 @@ class TestExitCodes:
         code, _ = run(tmp_path, "genvec", "--group", "cyclic:4", "--sig", "(1;2)")
         assert code == EXIT_REFUTED
         code, _ = run(
-            tmp_path, "genvec", "--group", "dihedral:6", "--sig", "(2;2)", "--budget", "3"
+            tmp_path, "genvec", "--group", "quaternion:2", "--sig", "(2;2)", "--budget", "3"
         )
         assert code == EXIT_PARTIAL
 
@@ -207,27 +226,45 @@ class TestGoldenFiles:
         assert "0,6,realized" in lines
 
 
-class TestGenus48Script:
-    @staticmethod
-    def run_script(tmp_path, *argv):
-        src = str(ROOT / "src")
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        return subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "genus48_figure.py"), *argv],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
-        )
+def run_script(cwd, script, *argv):
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *argv],
+        capture_output=True, text=True, env=env, cwd=cwd,
+    )
 
+
+class TestGenus48Script:
     def test_negative_budget_is_usage(self, tmp_path):
-        proc = self.run_script(tmp_path, "--budget", "-1", "--outdir", str(tmp_path / "out"))
+        proc = run_script(
+            tmp_path, "genus48_figure.py", "--budget", "-1", "--outdir", str(tmp_path / "out")
+        )
         assert proc.returncode == EXIT_USAGE
         assert proc.stdout == ""
         assert "--budget" in proc.stderr and "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_csv_matches_plot_sidecar(self, tmp_path):
-        proc = self.run_script(tmp_path, "--sigma", "11", "--outdir", str(tmp_path / "out"))
+        proc = run_script(
+            tmp_path, "genus48_figure.py", "--sigma", "11", "--outdir", str(tmp_path / "out")
+        )
         assert proc.returncode == EXIT_OK, proc.stderr
         sidecar = tmp_path / "sidecar.csv"
         code, _ = run(tmp_path, "plot", "--sigma", "11", "--csv-sidecar", str(sidecar))
         assert code == EXIT_OK
         assert (tmp_path / "out" / "points.csv").read_bytes() == sidecar.read_bytes()
+
+
+class TestSurveyScripts:
+    def test_gap_survey(self, tmp_path):
+        proc = run_script(tmp_path, "gap_survey.py", "--sigma-min", "9", "--sigma-max", "12")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "all verified" in proc.stdout
+
+    def test_sporadic_survey(self, tmp_path):
+        proc = run_script(
+            tmp_path, "sporadic_survey.py", "--h", "2", "--primes", "3", "5", "--witness-n", "2"
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "complete: True" in proc.stdout

@@ -86,9 +86,10 @@ class TestSearch:
                     assert verify(g, v.witness, sig)
 
     def test_budget_yields_unknown(self):
-        g = build_dihedral(6)
-        v = search(g, Sig(2, (2,)), budget=3)
-        assert v.is_unknown
+        # Q8 realizes (2; 2), so only the budget stops the search short
+        g = build_generalized_quaternion(2)
+        assert search(g, Sig(2, (2,)), budget=3).is_unknown
+        assert search(g, Sig(2, (2,))).is_exists
 
     def test_no_elements_of_required_order(self):
         assert search(build_cyclic(4), Sig(0, (3, 3, 3))).is_not_exists

@@ -13,6 +13,7 @@ from skelsig.geometry import (
     gap,
     p_group_line,
     triangle,
+    triangle_points,
 )
 from skelsig.groups import build_cyclic, build_elementary_abelian
 from skelsig.kspace import (
@@ -24,6 +25,8 @@ from skelsig.kspace import (
     verify_gap,
 )
 from skelsig.rh import SkeletalSignature, rh_admissible
+
+from oracles import all_groups_realizable_set
 
 S = SkeletalSignature
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,6 +43,13 @@ class TestAdmissible:
 
     def test_genus_2_contains_hyperelliptic(self):
         assert S(0, 6) in admissible_map(2)
+
+    def test_every_triangle_lies_in_the_fixed_box(self):
+        # admissible_map applies no box filter: h <= sigma + 1, r <= 2*sigma + 2 holds by itself
+        for sigma in range(2, 41):
+            for n in range(2, 84 * (sigma - 1) + 1):
+                for pt in triangle_points(sigma, n):
+                    assert pt.h <= sigma + 1 and pt.r <= 2 * sigma + 2, (sigma, n, pt)
 
     def test_agrees_with_per_point_sweep(self):
         for sigma in (2, 5, 9):
@@ -131,6 +141,40 @@ class TestRealizableSet:
         assert 0 < approx.scope.fully_covered_points <= approx.scope.total_points
         assert "lower bound" in approx.scope.describe()
 
+    def test_matches_all_groups_oracle(self, catalog):
+        # genus 12 leaves (2, 1) unknown at this budget, so the unknown path is compared too
+        unknown_seen = False
+        for sigma in range(2, 15):
+            approx = realizable_set(sigma, catalog, 15, 2000)
+            ref = all_groups_realizable_set(sigma, catalog, 15, 2000)
+            assert approx.realized == ref.realized, sigma
+            assert approx.scope == ref.scope, sigma
+            assert approx.admissible == ref.admissible, sigma
+            unknown_seen = unknown_seen or bool(approx.scope.unknown_points)
+        assert unknown_seen
+
+    def test_searches_only_groups_of_feasible_orders(self, catalog, monkeypatch):
+        calls = []
+        original = kspace.realizable
+
+        def counted(group, sigma, skel, budget):
+            calls.append((group.name, skel))
+            return original(group, sigma, skel, budget)
+
+        monkeypatch.setattr(kspace, "realizable", counted)
+        approx = realizable_set(11, catalog, 15)
+        # per point: the groups at its feasible orders, in (order, name) order, up to the witness
+        groups = sorted(catalog.groups(max_order=15), key=lambda g: (g.order, g.name))
+        expected = []
+        for pt, orders in admissible_map(11).items():
+            for g in groups:
+                if g.order in orders:
+                    expected.append((g.name, pt))
+                    if pt in approx.realized and approx.realized[pt].group_name == g.name:
+                        break
+        assert calls == expected
+        assert len(calls) == 55
+
 
 class TestVerifyGap:
     def test_genus_48_order_3(self, catalog):
@@ -190,6 +234,14 @@ class TestAnalyzePoint:
         analysis = analyze_point(48, S(2, 1), catalog)
         assert analysis.status == "partial"
         assert any(n == 32 for n, _ in analysis.feasible)
+
+    def test_budget_hit_gives_partial_not_excluded(self, catalog):
+        # (2, 1) at genus 12 is feasible only at order 8, where the searches
+        # in D4 and Q8 run out of a small budget and finish at a large one
+        assert analyze_point(12, S(2, 1), catalog, 2000).status == "partial"
+        analysis = analyze_point(12, S(2, 1), catalog, 10**6)
+        assert analysis.status == "excluded"
+        assert [r.rule for r in analysis.reasons].count("exhausted-search") == 2
 
 
 class TestSporadic:

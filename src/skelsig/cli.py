@@ -202,11 +202,7 @@ def cmd_kspace(args) -> int:
 
 def cmd_sporadic(args) -> int:
     catalog = _resolve_catalog(args)
-    primes = [int(tok) for tok in args.primes.split(",") if tok.strip()]
-    if not primes:
-        raise ValueError(f"--primes needs at least one odd prime, got {args.primes!r}")
-    witness_n = [int(tok) for tok in args.witness_n.split(",") if tok.strip()] if args.witness_n else []
-    report = kspace.sporadic_analysis(args.h, primes, witness_n, catalog, args.budget)
+    report = kspace.sporadic_analysis(args.h, args.primes, args.witness_n, catalog, args.budget)
     payload = {"config": _config(args, "sporadic"), "report": report.to_json()}
     _emit(args, payload)
     if any(g.verdict == "refuted" for g in report.nonexistence):
@@ -272,9 +268,21 @@ parse_budget = _int_at_least(0)
 parse_max_order = _int_at_least(1)
 
 
-def _add_common(p: argparse.ArgumentParser, *, catalog: bool = False) -> None:
-    p.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET,
-                   help="search budget in candidate tuples")
+def parse_int_list(text: str) -> list[int]:
+    """Comma-separated integers, at least one; blank items are skipped."""
+    try:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
+
+
+def _add_common(p: argparse.ArgumentParser, *, budget: bool = False, catalog: bool = False) -> None:
+    if budget:
+        p.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET,
+                       help="search budget in candidate tuples")
     p.add_argument("--out", type=str, default=None, help="write output to this path")
     if catalog:
         p.add_argument("--catalog", type=str, default=None,
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-gap", help="certify gap emptiness, with exception-line analysis")
     p.add_argument("--sigma", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="lower triangle order of the gap")
-    _add_common(p, catalog=True)
+    _add_common(p, budget=True, catalog=True)
     p.set_defaults(fn=cmd_verify_gap)
 
     p = sub.add_parser("missing", help="persistently-missing points at quotient genus 2 or 3")
@@ -318,22 +326,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=int, required=True)
     p.add_argument("--max-order", type=parse_max_order, default=15)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p, catalog=True)
+    _add_common(p, budget=True, catalog=True)
     p.set_defaults(fn=cmd_kspace)
 
     p = sub.add_parser("sporadic", help="r = 1 sporadic-point analysis: exclusions and witnesses")
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--primes", type=str, required=True, help="comma-separated odd primes")
-    p.add_argument("--witness-n", dest="witness_n", type=str, default="",
+    p.add_argument("--primes", type=parse_int_list, required=True,
+                   help="comma-separated odd primes")
+    p.add_argument("--witness-n", dest="witness_n", type=parse_int_list, default=[],
                    help="comma-separated quaternion parameters for existence witnesses")
-    _add_common(p, catalog=True)
+    _add_common(p, budget=True, catalog=True)
     p.set_defaults(fn=cmd_sporadic)
 
     p = sub.add_parser("genvec", help="search one group for a generating vector")
     p.add_argument("--group", type=str, required=True,
                    help="group spec, e.g. quaternion:2 or cyclic:5")
     p.add_argument("--sig", type=str, required=True)
-    _add_common(p)
+    _add_common(p, budget=True)
     p.set_defaults(fn=cmd_genvec)
 
     p = sub.add_parser("plot", help="deterministic SVG of the (h, r)-plane")
@@ -343,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run catalog search and mark realized points")
     p.add_argument("--csv-sidecar", type=str, default=None,
                    help="also write the point dataset as CSV to this path")
-    _add_common(p, catalog=True)
+    _add_common(p, budget=True, catalog=True)
     p.set_defaults(fn=cmd_plot)
 
     return parser

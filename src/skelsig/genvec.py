@@ -13,6 +13,13 @@ with the commutator convention [a, b] = a^-1 b^-1 a b fixed once here and in
 three sound prunes (candidate c_j restricted by order, the last c forced by
 condition (3), and an abelian shortcut for r = 1); no symmetry reduction is
 applied, so a negative verdict is a certificate.
+
+``realizable`` names the rule behind each negative verdict: ``arithmetic`` (no
+period list over the group's element orders satisfies Riemann-Hurwitz),
+``abelian-r1`` and ``commutator-r1`` (the one r = 1 rule: condition (3) makes
+c_1 the inverse of a product of h commutators, and no element of a feasible
+period's order is one; in an abelian group that product is always e), or
+``exhausted-search``.  ``kspace`` adds ``cyclic-forced``.
 """
 
 from __future__ import annotations
@@ -261,7 +268,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class ExclusionReason:
-    rule: str  # arithmetic | abelian-r1 | cyclic-forced | exhausted-search
+    rule: str  # arithmetic | abelian-r1 | commutator-r1 | cyclic-forced | exhausted-search
     scope: str
 
     def to_json(self) -> dict:
@@ -303,29 +310,26 @@ def realizable(
     element_orders = sorted({k for k in group.element_orders if k >= 2})
     multisets = list(period_multisets(sigma, h, r, group.order, element_orders))
     if not multisets:
-        return RealizabilityReport(
-            SearchVerdict.not_exists(),
-            None,
-            (
-                ExclusionReason(
-                    "arithmetic",
-                    f"no period multiset over element orders of {group.name} "
-                    f"satisfies Riemann-Hurwitz at genus {sigma}",
-                ),
-            ),
+        return _excluded(
+            "arithmetic",
+            f"no period multiset over element orders of {group.name} "
+            f"satisfies Riemann-Hurwitz at genus {sigma}",
         )
-    if group.is_abelian and r == 1:
-        return RealizabilityReport(
-            SearchVerdict.not_exists(),
-            None,
-            (
-                ExclusionReason(
+    if r == 1:
+        # condition (3) makes c_1 the inverse of a product of h commutators
+        pool_orders = {group.element_orders[k] for k in commutator_products(group, h)}
+        if not any(periods[0] in pool_orders for periods in multisets):
+            if group.is_abelian:
+                return _excluded(
                     "abelian-r1",
                     f"{group.name} is abelian and a single branch entry of order >= 2 "
                     f"cannot be a product of commutators",
-                ),
-            ),
-        )
+                )
+            return _excluded(
+                "commutator-r1",
+                f"no element of order {' or '.join(str(m[0]) for m in multisets)} in "
+                f"{group.name} is a product of {h} commutators, as a single branch entry must be",
+            )
     saw_unknown = False
     for periods in multisets:
         sig = OrbifoldSignature(h, periods)
@@ -341,31 +345,28 @@ def realizable(
             saw_unknown = True
     if saw_unknown:
         return RealizabilityReport(SearchVerdict.unknown(), None, ())
-    return RealizabilityReport(
-        SearchVerdict.not_exists(),
-        None,
-        (
-            ExclusionReason(
-                "exhausted-search",
-                f"all {len(multisets)} feasible signatures for {group.name} "
-                f"searched exhaustively",
-            ),
-        ),
+    return _excluded(
+        "exhausted-search",
+        f"all {len(multisets)} feasible signatures for {group.name} searched exhaustively",
     )
+
+
+def _excluded(rule: str, scope: str) -> RealizabilityReport:
+    return RealizabilityReport(SearchVerdict.not_exists(), None, (ExclusionReason(rule, scope),))
 
 
 def commutator_products(group: GroupTable, h: int) -> frozenset[int]:
     """Values of [a_1,b_1]...[a_h,b_h] over all choices; closed under inverse.
 
-    Padding with [e, e] makes the sets nested in h, so this is a sound filter:
-    any (h; n)-vector's c_1 must be the inverse of such a product, hence lie in
-    this set.
+    Padding with [e, e] makes the sets nested in h, so the products stop
+    growing once one more factor adds nothing; h = 0 gives {e}.  Any
+    (h; n)-vector's c_1 is the inverse of such a product, hence lies in this set.
     """
     single = {group.commutator(a, b) for a in group.elements() for b in group.elements()}
-    current = frozenset(single)
-    for _ in range(h - 1):
-        nxt = {group.mul(x, y) for x in current for y in single}
+    current = frozenset({group.identity})
+    for _ in range(h):
+        nxt = frozenset(group.mul(x, y) for x in current for y in single)
         if nxt == current:
             break
-        current = frozenset(nxt)
+        current = nxt
     return current

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 
@@ -44,7 +45,10 @@ class SpecParseError(ValueError):
 
 
 class ClosureCapError(ValueError):
-    """Permutation closure exceeded the configured element cap."""
+    """Permutation closure exceeded ``PERM_CLOSURE_CAP`` elements."""
+
+
+PERM_CLOSURE_CAP = 360  # largest group a ``perm:`` spec may close to
 
 
 @dataclass(frozen=True)
@@ -336,13 +340,12 @@ def build_from_permutations(
     generators: list[tuple[int, ...] | str],
     *,
     name: str | None = None,
-    cap: int = 360,
     spec: str | None = None,
 ) -> GroupTable:
     """Close a generator set under composition and tabulate the resulting group.
 
     Composition convention is (p*q)(i) = p(q(i)).  Elements are sorted so the
-    identity lands at index 0.  Raises ClosureCapError past ``cap`` elements.
+    identity lands at index 0.  Raises ClosureCapError past PERM_CLOSURE_CAP.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
@@ -361,10 +364,8 @@ def build_from_permutations(
             for p in perms:
                 comp = tuple(p[q[i]] for i in range(degree))
                 if comp not in seen:
-                    if len(seen) >= cap:
-                        raise ClosureCapError(
-                            f"closure exceeded cap of {cap} elements"
-                        )
+                    if len(seen) >= PERM_CLOSURE_CAP:
+                        raise ClosureCapError(f"closure exceeded {PERM_CLOSURE_CAP} elements")
                     seen.add(comp)
                     nxt.append(comp)
         frontier = nxt
@@ -494,19 +495,25 @@ class CatalogManifest:
 
     ``complete`` flags are data, not computation: orders where the entry set is
     asserted complete up to isomorphism.  Exhaustive nonexistence claims must
-    consult ``complete_orders`` and refuse to certify past it.
+    consult ``complete_orders`` and refuse to certify past it.  Each entry's
+    table is built on first use and kept for the life of the manifest.
     """
 
     entries: tuple[CatalogEntry, ...]
     base_dir: Path | None = None
+    _tables: dict[CatalogEntry, GroupTable] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def _build(self, e: CatalogEntry) -> GroupTable:
-        g = build_from_spec(e.spec, base_dir=self.base_dir, name=e.label)
-        if g.order != e.order:
-            raise GroupTableError(
-                f"catalog entry {e.label}: spec order {g.order} != declared {e.order}"
-            )
-        return g
+        if e not in self._tables:
+            g = build_from_spec(e.spec, base_dir=self.base_dir, name=e.label)
+            if g.order != e.order:
+                raise GroupTableError(
+                    f"catalog entry {e.label}: spec order {g.order} != declared {e.order}"
+                )
+            self._tables[e] = g
+        return self._tables[e]
 
     def groups(self, *, max_order: int | None = None) -> list[GroupTable]:
         return [
@@ -518,14 +525,15 @@ class CatalogManifest:
     def groups_of_order(self, order: int) -> list[GroupTable]:
         return [self._build(e) for e in self.entries if e.order == order]
 
-    def complete_orders(self) -> set[int]:
+    @cached_property
+    def complete_orders(self) -> frozenset[int]:
         by_order: dict[int, list[bool]] = {}
         for e in self.entries:
             by_order.setdefault(e.order, []).append(e.complete)
-        return {k for k, flags in by_order.items() if all(flags)}
+        return frozenset(k for k, flags in by_order.items() if all(flags))
 
     def is_complete_at(self, order: int) -> bool:
-        return order in self.complete_orders()
+        return order in self.complete_orders
 
 
 def _parse_manifest(text: str, source: str) -> tuple[CatalogEntry, ...]:

@@ -16,16 +16,13 @@ from .genvec import (
     DEFAULT_BUDGET,
     ExclusionReason,
     Witness,
-    commutator_products,
     quaternion_vector,
     realizable,
-    search,
     verify,
 )
 from .geometry import GapRegion, gap, p_group_line, triangle_points
 from .groups import CatalogManifest, GroupTable, _is_prime, build_cyclic
 from .rh import (
-    OrbifoldSignature,
     SearchVerdict,
     SkeletalSignature,
     allowed_periods,
@@ -136,23 +133,24 @@ def groups_covering(order: int, catalog: CatalogManifest | None) -> list[GroupTa
 
 def _realize_any(
     groups: Iterable[GroupTable], sigma: int, skel: SkeletalSignature, budget: int
-) -> tuple[Witness | None, bool, list[ExclusionReason]]:
+) -> tuple[Witness | None, str | None, list[tuple[str, ExclusionReason]]]:
     """Run ``realizable`` over the groups in turn until one yields a witness.
 
-    Returns the first witness (or None), whether any search hit the budget
-    before it, and the exclusion reasons of the groups settled as not-exists.
+    Returns the first witness (or None), the name of the first group whose
+    search hit the budget before it (or None), and each exclusion reason of
+    the groups settled as not-exists, paired with the group's name.
     """
-    unknown = False
-    reasons: list[ExclusionReason] = []
+    budget_hit = None
+    excluded: list[tuple[str, ExclusionReason]] = []
     for g in groups:
         report = realizable(g, sigma, skel, budget)
         if report.verdict.is_exists:
-            return report.witness, unknown, reasons
+            return report.witness, budget_hit, excluded
         if report.verdict.is_unknown:
-            unknown = True
+            budget_hit = budget_hit or g.name
         else:
-            reasons.extend(report.exclusion_reasons)
-    return None, unknown, reasons
+            excluded.extend((g.name, reason) for reason in report.exclusion_reasons)
+    return None, budget_hit, excluded
 
 
 def realizable_set(
@@ -171,7 +169,7 @@ def realizable_set(
     feas = admissible_map(sigma)
     if isinstance(catalog, CatalogManifest):
         groups = catalog.groups(max_order=max_order)
-        complete = tuple(sorted(o for o in catalog.complete_orders() if 2 <= o <= max_order))
+        complete = tuple(sorted(o for o in catalog.complete_orders if 2 <= o <= max_order))
     else:
         groups = [g for g in catalog if g.order <= max_order]
         complete = ()
@@ -181,10 +179,10 @@ def realizable_set(
     unknown_pts: list[SkeletalSignature] = []
     for pt, orders in feas.items():  # admissible_map yields points in sorted order
         here = [g for g in groups if g.order in orders]
-        witness, unknown, _ = _realize_any(here, sigma, pt, budget)
+        witness, budget_hit, _ = _realize_any(here, sigma, pt, budget)
         if witness is not None:
             realized[pt] = witness
-        elif unknown:
+        elif budget_hit is not None:
             unknown_pts.append(pt)
     covered = sum(1 for orders in feas.values() if all(n in complete for n in orders))
     scope = SearchScope(
@@ -266,11 +264,11 @@ def analyze_point(
             )
         group_list = groups_covering(order, catalog)
         if group_list is not None:
-            witness, unknown, excluded = _realize_any(group_list, sigma, skel, budget)
-            reasons.extend(excluded)
+            witness, budget_hit, excluded = _realize_any(group_list, sigma, skel, budget)
+            reasons.extend(reason for _, reason in excluded)
             if witness is not None:
                 break
-            closed = closed or not unknown
+            closed = closed or budget_hit is None
         all_closed = all_closed and closed
     if witness is not None:
         return PointAnalysis(skel, "realized", feasible, tuple(reasons), witness)
@@ -431,15 +429,18 @@ class SporadicReport:
         }
 
 
-def _close_order_2n(
-    h: int, n: int, catalog: CatalogManifest | None, budget: int
-) -> tuple[str, str, bool, Witness | None]:
-    """Settle the |G| = 2n case by exhausting the catalog groups of that order.
+# How an exclusion rule reads in a |G| = 2n case detail; the others read as their name.
+# At order 2n the only period list for (h, 1) at genus n(2h-1) is (n,).
+_ORDER_2N_DETAIL = {
+    "arithmetic": "no element of order {n}",
+    "commutator-r1": "no order-{n} element is an {h}-fold commutator product",
+}
 
-    Per group, cheap sound filters run first: abelian groups fail the single
-    branch entry outright, and any candidate c_1 must be an h-fold commutator
-    product of order n.  A surviving candidate falls back to the full search.
-    """
+
+def _close_order_2n(
+    sigma: int, h: int, n: int, catalog: CatalogManifest | None, budget: int
+) -> tuple[str, str, bool, Witness | None]:
+    """Settle the |G| = 2n case: ``realizable`` over every group of that order."""
     order = 2 * n
     group_list = groups_covering(order, catalog)
     if group_list is None:
@@ -449,26 +450,15 @@ def _close_order_2n(
             False,
             None,
         )
-    details = []
-    for g in group_list:
-        if g.is_abelian:
-            details.append(f"{g.name}: abelian-r1")
-            continue
-        order_n = [x for x in g.elements() if g.element_orders[x] == n]
-        if not order_n:
-            details.append(f"{g.name}: no element of order {n}")
-            continue
-        pool = commutator_products(g, h)
-        if not any(g.inverse[c] in pool for c in order_n):
-            details.append(f"{g.name}: no order-{n} element is an {h}-fold commutator product")
-            continue
-        verdict = search(g, OrbifoldSignature(h, (n,)), budget)
-        if verdict.is_exists:
-            witness = Witness(g.name, g.spec, OrbifoldSignature(h, (n,)), verdict.witness)
-            return ("search-witness", f"{g.name}: vector found", False, witness)
-        if verdict.is_unknown:
-            return ("budget-exhausted", f"{g.name}: search budget exhausted", False, None)
-        details.append(f"{g.name}: exhausted-search")
+    witness, budget_hit, excluded = _realize_any(group_list, sigma, SkeletalSignature(h, 1), budget)
+    if witness is not None:
+        return ("search-witness", f"{witness.group_name}: vector found", False, witness)
+    if budget_hit is not None:
+        return ("budget-exhausted", f"{budget_hit}: search budget exhausted", False, None)
+    details = (
+        f"{name}: " + _ORDER_2N_DETAIL.get(reason.rule, reason.rule).format(n=n, h=h)
+        for name, reason in excluded
+    )
     return ("catalog-search", "; ".join(details), True, None)
 
 
@@ -484,8 +474,9 @@ def sporadic_analysis(
     Nonexistence: at genus p + 1 (p an odd prime), any group realizing (h, 1)
     with branch period n makes n(2h-1) - 1 divide 2p, leaving four divisor
     cases; two force h = 1, the 2p case forces a cyclic group, and the p case
-    pins |G| = 2n, settled by exhaustive catalog search.  Existence: the
-    generalized quaternion family provides (h, 1) at genus 2n(2(h-1)+1) - 1.
+    pins |G| = 2n, settled by ``realizable`` over every group of that order.
+    Existence: the generalized quaternion family provides (h, 1) at genus
+    2n(2(h-1)+1) - 1.
     """
     if h < 2:
         raise ValueError(f"quotient genus must be > 1, got {h}")
@@ -494,68 +485,24 @@ def sporadic_analysis(
         if p < 3 or not _is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         sigma = p + 1
-        cases: list[CaseRecord] = []
         # d = 1 and d = 2: n(2h-1) = d+1 <= 3 has no n >= 2 once h >= 2
-        for d in (1, 2):
-            cases.append(
-                CaseRecord(
-                    divisor=str(d),
-                    n=None,
-                    group_order=None,
-                    rule="forces-h1",
-                    detail=f"n(2h-1) = {d + 1} requires h = 1, contradicting h = {h}",
-                    closed=True,
-                )
-            )
-        # d = p: |G| = 2n with n = (p+1)/(2h-1)
-        if (p + 1) % (2 * h - 1) == 0 and (n_mid := (p + 1) // (2 * h - 1)) >= 2:
-            rule, detail, closed, witness = _close_order_2n(h, n_mid, catalog, budget)
-            cases.append(
-                CaseRecord(
-                    divisor="p",
-                    n=n_mid,
-                    group_order=2 * n_mid,
-                    rule=rule,
-                    detail=detail,
-                    closed=closed,
-                    witness=witness,
-                )
-            )
-        else:
-            cases.append(
-                CaseRecord(
-                    divisor="p",
-                    n=None,
-                    group_order=None,
-                    rule="arithmetic",
-                    detail=f"(p+1)/(2h-1) = {p + 1}/{2 * h - 1} is not an integer >= 2",
-                    closed=True,
-                )
-            )
-        # d = 2p: |G| = n, which must contain an element of its own order
-        if (2 * p + 1) % (2 * h - 1) == 0 and (n_last := (2 * p + 1) // (2 * h - 1)) >= 2:
-            cases.append(
-                CaseRecord(
-                    divisor="2p",
-                    n=n_last,
-                    group_order=n_last,
-                    rule="cyclic-forced",
-                    detail=f"|G| = {n_last} with an element of order {n_last} is cyclic, "
-                    f"hence abelian, impossible with one branch point",
-                    closed=True,
-                )
-            )
-        else:
-            cases.append(
-                CaseRecord(
-                    divisor="2p",
-                    n=None,
-                    group_order=None,
-                    rule="arithmetic",
-                    detail=f"(2p+1)/(2h-1) = {2 * p + 1}/{2 * h - 1} is not an integer >= 2",
-                    closed=True,
-                )
-            )
+        cases = [
+            CaseRecord(str(d), None, None, "forces-h1",
+                       f"n(2h-1) = {d + 1} requires h = 1, contradicting h = {h}", True)
+            for d in (1, 2)
+        ]
+        for divisor, d in (("p", p), ("2p", 2 * p)):
+            n, rest = divmod(d + 1, 2 * h - 1)
+            if rest or n < 2:
+                detail = f"({divisor}+1)/(2h-1) = {d + 1}/{2 * h - 1} is not an integer >= 2"
+                cases.append(CaseRecord(divisor, None, None, "arithmetic", detail, True))
+            elif divisor == "p":  # |G| = 2n
+                rule, detail, closed, witness = _close_order_2n(sigma, h, n, catalog, budget)
+                cases.append(CaseRecord(divisor, n, 2 * n, rule, detail, closed, witness))
+            else:  # |G| = n, which must contain an element of its own order
+                detail = (f"|G| = {n} with an element of order {n} is cyclic, "
+                          f"hence abelian, impossible with one branch point")
+                cases.append(CaseRecord(divisor, n, n, "cyclic-forced", detail, True))
         if any(c.witness is not None for c in cases):
             verdict = "refuted"
         elif all(c.closed for c in cases):

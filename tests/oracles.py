@@ -11,7 +11,9 @@ accepts periods that do not divide the order, such as the loose box
 per-point order sweep and the triangle and gap lattice enumerations that the
 library computes with integer shortcuts.  ``all_groups_realizable_set`` tries
 every catalog group at every admissible point, where the library tries only
-the groups whose order is feasible there.
+the groups whose order is feasible there.  ``close_order_2n`` settles the
+sporadic |G| = 2n case with its own group loop and filters, where the library
+runs ``realizable`` over the same groups.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from skelsig.genvec import GeneratingVector, realizable
+from skelsig.genvec import GeneratingVector, Witness, commutator_products, realizable, search
 from skelsig.geometry import GapRegion, RationalPoint, TriangleRegion
 from skelsig.groups import CatalogManifest, GroupTable
-from skelsig.kspace import KSpaceApproximation, SearchScope, admissible_map
+from skelsig.kspace import KSpaceApproximation, SearchScope, admissible_map, groups_covering
 from skelsig.rh import (
     OrbifoldSignature,
     SearchVerdict,
@@ -173,3 +175,44 @@ def all_groups_realizable_set(
         unknown_points=tuple(unknown_pts),
     )
     return KSpaceApproximation(sigma, feas, realized, scope)
+
+
+def close_order_2n(
+    h: int, n: int, catalog: CatalogManifest | None, budget: int
+) -> tuple[str, str, bool, Witness | None]:
+    """(rule, detail, closed, witness) of the |G| = 2n sporadic case, one group at a time.
+
+    Per group: abelian groups fail the single branch entry outright, a group
+    with no element of order n has no period list, and any candidate c_1 must
+    be an h-fold commutator product of order n.  A surviving group is searched.
+    """
+    order = 2 * n
+    group_list = groups_covering(order, catalog)
+    if group_list is None:
+        return (
+            "catalog-incomplete",
+            f"need all groups of order {order}, catalog coverage incomplete there",
+            False,
+            None,
+        )
+    details = []
+    for g in group_list:
+        if g.is_abelian:
+            details.append(f"{g.name}: abelian-r1")
+            continue
+        order_n = [x for x in g.elements() if g.element_orders[x] == n]
+        if not order_n:
+            details.append(f"{g.name}: no element of order {n}")
+            continue
+        pool = commutator_products(g, h)
+        if not any(g.inverse[c] in pool for c in order_n):
+            details.append(f"{g.name}: no order-{n} element is an {h}-fold commutator product")
+            continue
+        verdict = search(g, OrbifoldSignature(h, (n,)), budget)
+        if verdict.is_exists:
+            witness = Witness(g.name, g.spec, OrbifoldSignature(h, (n,)), verdict.witness)
+            return ("search-witness", f"{g.name}: vector found", False, witness)
+        if verdict.is_unknown:
+            return ("budget-exhausted", f"{g.name}: search budget exhausted", False, None)
+        details.append(f"{g.name}: exhausted-search")
+    return ("catalog-search", "; ".join(details), True, None)

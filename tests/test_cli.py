@@ -17,7 +17,9 @@ from skelsig.cli import (
     EXIT_REFUTED,
     EXIT_USAGE,
     SignatureParseError,
+    build_parser,
     main,
+    parse_int_list,
     parse_signature,
 )
 from skelsig.rh import OrbifoldSignature
@@ -90,10 +92,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["rh", "--order", "8", "--sig", "(2;2)"],
-            ["gaps", "--sigma", "48", "--n", "3"],
             ["verify-gap", "--sigma", "48", "--n", "4"],
-            ["missing", "--sigma", "48", "--h", "3"],
             ["kspace", "--sigma", "2"],
             ["sporadic", "--h", "2", "--primes", "3"],
             ["genvec", "--group", "cyclic:4", "--sig", "(1;2)"],
@@ -104,6 +103,21 @@ class TestExitCodes:
     def test_negative_budget_is_usage(self, capsys, argv):
         assert main([*argv, "--budget", "-1"]) == EXIT_USAGE
         assert "--budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rh", "--order", "8", "--sig", "(2;2)"],
+            ["gaps", "--sigma", "48", "--n", "3"],
+            ["missing", "--sigma", "48", "--h", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_budget_is_not_an_option_without_search(self, capsys, argv):
+        assert main([*argv, "--budget", "5"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --budget 5" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -122,7 +136,27 @@ class TestExitCodes:
         assert main(["sporadic", "--h", "2", "--primes", primes]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "--primes" in captured.err
+        assert "error: argument --primes: expected comma-separated integers" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag,argv",
+        [
+            ("--primes", ["--primes", "3,x"]),
+            ("--witness-n", ["--primes", "3", "--witness-n", "2,y"]),
+            ("--witness-n", ["--primes", "3", "--witness-n", ","]),
+        ],
+    )
+    def test_non_integer_list_is_usage(self, capsys, flag, argv):
+        assert main(["sporadic", "--h", "2", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: expected comma-separated integers" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_int_list_skips_blank_items(self):
+        assert parse_int_list(" 3, 5,,7 ,") == [3, 5, 7]
+        args = build_parser().parse_args(["sporadic", "--h", "2", "--primes", "3,5"])
+        assert (args.primes, args.witness_n) == ([3, 5], [])
 
     def test_malformed_catalog_manifest_is_usage(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text('[{"order": 2, "spec": "cyclic:2"}]')

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -168,6 +169,38 @@ class TestRealizable:
                     rep = realizable(g, int(sigma), S(h, 1))
                     assert rep.verdict.is_not_exists
 
+    def test_r1_rule_names(self):
+        rep = realizable(build_cyclic(5), 8, S(2, 1))
+        assert [r.to_json() for r in rep.exclusion_reasons] == [{
+            "rule": "abelian-r1",
+            "scope": "C5 is abelian and a single branch entry of order >= 2 "
+            "cannot be a product of commutators",
+        }]
+        rep = realizable(build_generalized_quaternion(2), 12, S(2, 1))
+        assert [r.to_json() for r in rep.exclusion_reasons] == [{
+            "rule": "commutator-r1",
+            "scope": "no element of order 4 in Q8 is a product of 2 commutators, "
+            "as a single branch entry must be",
+        }]
+
+    def test_r1_rule_agrees_with_naive_search(self, catalog_groups):
+        # wherever the r = 1 rule closes a group, no vector exists at all
+        fired = Counter()
+        for g in catalog_groups:
+            if g.order > 12:
+                continue
+            for h in (1, 2):
+                for n in sorted({k for k in g.element_orders if k >= 2}):
+                    sigma = rh_genus(g.order, Sig(h, (n,)))
+                    if sigma.denominator != 1 or sigma < 2:
+                        continue
+                    rep = realizable(g, int(sigma), S(h, 1), 0)
+                    rules = {r.rule for r in rep.exclusion_reasons}
+                    if rules & {"abelian-r1", "commutator-r1"}:
+                        fired.update(rules)
+                        assert naive_search(g, Sig(h, (n,))).is_not_exists, (g.name, h, n)
+        assert fired["abelian-r1"] and fired["commutator-r1"]
+
     def test_arithmetic_reason(self):
         rep = realizable(build_cyclic(2), 48, S(10, 1))
         assert rep.verdict.is_not_exists
@@ -249,6 +282,9 @@ class TestUnbranched:
 class TestCommutatorProducts:
     def test_abelian_collapses_to_identity(self):
         assert commutator_products(build_cyclic(6), 3) == frozenset({0})
+
+    def test_no_commutators_is_identity(self):
+        assert commutator_products(build_generalized_quaternion(2), 0) == frozenset({0})
 
     def test_q8_derived_subgroup(self):
         q8 = build_generalized_quaternion(2)

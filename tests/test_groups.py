@@ -149,8 +149,9 @@ class TestPermutations:
         assert g.order_statistics() == ((1, 1), (2, 3), (3, 8))
 
     def test_cap(self):
+        # S6 has 720 > PERM_CLOSURE_CAP elements
         with pytest.raises(ClosureCapError):
-            build_from_permutations(6, ["(1 2)", "(1 2 3 4 5 6)"], cap=100)
+            build_from_permutations(6, ["(1 2)", "(1 2 3 4 5 6)"])
 
 
 class TestPredicates:
@@ -283,7 +284,7 @@ class TestCatalog:
             assert len([e for e in catalog.entries if e.order == order]) == count
 
     def test_completeness_flags(self, catalog):
-        assert catalog.complete_orders() == set(range(1, 16))
+        assert catalog.complete_orders == set(range(1, 16))
         assert catalog.is_complete_at(12)
         assert not catalog.is_complete_at(16)
         assert not catalog.is_complete_at(17)  # no entries at 17, so no coverage claim

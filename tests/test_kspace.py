@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from skelsig import kspace, rh
+from skelsig import genvec, groups, kspace, rh
+from skelsig.genvec import DEFAULT_BUDGET, RealizabilityReport
 from skelsig.geometry import (
     RationalLine,
     RationalPoint,
@@ -15,7 +16,7 @@ from skelsig.geometry import (
     triangle,
     triangle_points,
 )
-from skelsig.groups import build_cyclic, build_elementary_abelian
+from skelsig.groups import build_cyclic, build_elementary_abelian, bundled_catalog
 from skelsig.kspace import (
     admissible_map,
     analyze_point,
@@ -24,9 +25,9 @@ from skelsig.kspace import (
     sporadic_analysis,
     verify_gap,
 )
-from skelsig.rh import SkeletalSignature, rh_admissible
+from skelsig.rh import SearchVerdict, SkeletalSignature, rh_admissible
 
-from oracles import all_groups_realizable_set
+from oracles import all_groups_realizable_set, close_order_2n
 
 S = SkeletalSignature
 GOLDEN = Path(__file__).parent / "golden"
@@ -142,9 +143,9 @@ class TestRealizableSet:
         assert "lower bound" in approx.scope.describe()
 
     def test_matches_all_groups_oracle(self, catalog):
-        # genus 12 leaves (2, 1) unknown at this budget, so the unknown path is compared too
+        # genus 17 leaves (2, 2) unknown at this budget, so the unknown path is compared too
         unknown_seen = False
-        for sigma in range(2, 15):
+        for sigma in range(2, 18):
             approx = realizable_set(sigma, catalog, 15, 2000)
             ref = all_groups_realizable_set(sigma, catalog, 15, 2000)
             assert approx.realized == ref.realized, sigma
@@ -236,12 +237,22 @@ class TestAnalyzePoint:
         assert any(n == 32 for n, _ in analysis.feasible)
 
     def test_budget_hit_gives_partial_not_excluded(self, catalog):
-        # (2, 1) at genus 12 is feasible only at order 8, where the searches
-        # in D4 and Q8 run out of a small budget and finish at a large one
-        assert analyze_point(12, S(2, 1), catalog, 2000).status == "partial"
-        analysis = analyze_point(12, S(2, 1), catalog, 10**6)
+        # (2, 2) at genus 17 is feasible only at order 9, where the search in
+        # C9 with (2; 3, 9) runs out of a small budget and finishes at a large one
+        assert analyze_point(17, S(2, 2), catalog, 2000).status == "partial"
+        analysis = analyze_point(17, S(2, 2), catalog, 10**5)
         assert analysis.status == "excluded"
-        assert [r.rule for r in analysis.reasons].count("exhausted-search") == 2
+        assert [r.rule for r in analysis.reasons] == ["arithmetic", "exhausted-search"]
+
+    def test_r1_rule_closes_non_abelian_groups(self, catalog):
+        # (2, 1) at genus 12 is feasible only at order 8, with period 4: C2^3 has
+        # no element of order 4, and in D4 and Q8 every element of order 4 lies
+        # outside the commutator products {e, x^2}; no search runs at budget 0
+        analysis = analyze_point(12, S(2, 1), catalog, 0)
+        assert analysis.status == "excluded"
+        assert [r.rule for r in analysis.reasons] == [
+            "arithmetic", "abelian-r1", "abelian-r1", "commutator-r1", "commutator-r1",
+        ]
 
 
 class TestSporadic:
@@ -285,6 +296,61 @@ class TestSporadic:
         (genus_report,) = report.nonexistence
         assert genus_report.verdict == "partial"
         assert not report.complete
+
+    def test_order_2n_case_matches_oracle(self, catalog):
+        primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+        by_catalog = 0
+        for h in range(2, 6):
+            report = sporadic_analysis(h, primes, [], catalog)
+            for genus_report in report.nonexistence:
+                case = next(c for c in genus_report.cases if c.divisor == "p")
+                if case.n is None:
+                    assert genus_report.verdict == "not-exists"
+                    continue
+                rule, _, closed, witness = close_order_2n(h, case.n, catalog, DEFAULT_BUDGET)
+                assert (case.rule, case.closed, case.witness) == (rule, closed, witness)
+                expected = "refuted" if witness else "not-exists" if closed else "partial"
+                assert genus_report.verdict == expected, (h, genus_report.p)
+                by_catalog += rule == "catalog-search"
+        assert by_catalog == 8
+
+    def test_order_2n_case_makes_no_direct_search(self, catalog, monkeypatch):
+        assert not hasattr(kspace, "search") and not hasattr(kspace, "commutator_products")
+        inside = []
+        realized = []
+        searches = []
+        original_realizable, original_search = kspace.realizable, genvec.search
+
+        def counted_realizable(group, *args):
+            realized.append(group.name)
+            inside.append(group.name)
+            try:
+                return original_realizable(group, *args)
+            finally:
+                inside.pop()
+
+        def counted_search(group, *args):
+            searches.append(bool(inside))
+            return original_search(group, *args)
+
+        monkeypatch.setattr(kspace, "realizable", counted_realizable)
+        monkeypatch.setattr(genvec, "search", counted_search)
+        sporadic_analysis(2, [5, 11, 17], [], catalog)
+        assert realized == [
+            "C2xC2", "C4",
+            "C2^3", "C4xC2", "C8", "D4", "Q8",
+            "A4", "C12", "C2xC6", "D6", "Dic3",
+        ]
+        assert all(searches)
+
+    def test_order_2n_budget_hit_names_the_group(self, catalog, monkeypatch):
+        unknown = RealizabilityReport(SearchVerdict.unknown(), None, ())
+        monkeypatch.setattr(kspace, "realizable", lambda *args: unknown)
+        report = sporadic_analysis(2, [5], [], catalog)
+        case = next(c for c in report.nonexistence[0].cases if c.divisor == "p")
+        assert (case.rule, case.detail, case.closed) == (
+            "budget-exhausted", "C2xC2: search budget exhausted", False,
+        )
 
     def test_validation(self, catalog):
         with pytest.raises(ValueError):
@@ -330,6 +396,23 @@ class TestFigureDataset:
         golden = (GOLDEN / "plot_11_realized.csv").read_text(encoding="utf-8").splitlines()
         rows = [f"{h},{r},{status}" for h, r, status in ds.to_csv_rows()]
         assert ["h,r,status", *rows] == golden
+
+    def test_with_catalog_builds_each_table_once(self, monkeypatch):
+        # a count guard: catalog entries are built with their label as name,
+        # product factors without one
+        built = Counter()
+        build = groups.build_from_spec
+
+        def counted(spec, **kwargs):
+            built[kwargs.get("name")] += 1
+            return build(spec, **kwargs)
+
+        monkeypatch.setattr(groups, "build_from_spec", counted)
+        catalog = bundled_catalog()
+        figure_dataset(48, catalog, max_order=15, budget=2000)
+        built.pop(None, None)
+        assert set(built) == {e.label for e in catalog.entries if e.order <= 15}
+        assert max(built.values()) == 1
 
     def test_degenerate_genus_2(self):
         ds = figure_dataset(2)

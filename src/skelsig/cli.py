@@ -14,13 +14,12 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
 from . import kspace, svg
 from .genvec import DEFAULT_BUDGET, search
-from .geometry import gap, missing_points
+from .geometry import frac_json, gap, missing_points
 from .groups import CatalogManifest, bundled_catalog, build_from_spec, load_catalog
 from .rh import OrbifoldSignature, rh_genus, rh_holds
 
@@ -34,7 +33,7 @@ CATALOG_ENV = "SKELSIG_CATALOG"
 
 class SignatureParseError(ValueError):
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at position {position}")
+        super().__init__(f"bad signature literal: {message} at position {position}")
         self.position = position
 
 
@@ -71,10 +70,6 @@ def parse_signature(text: str) -> OrbifoldSignature:
         raise SignatureParseError(str(exc), 1) from exc
 
 
-def _frac_json(x: Fraction) -> dict:
-    return {"frac": f"{x.numerator}/{x.denominator}", "dec": float(x)}
-
-
 def _resolve_catalog(args) -> CatalogManifest:
     path = getattr(args, "catalog", None) or os.environ.get(CATALOG_ENV)
     if path:
@@ -104,8 +99,8 @@ def _config(args, command: str, **extra) -> dict:
     # the output path is deliberately not echoed: results must be
     # byte-identical wherever they are written
     cfg = {"command": command}
-    for key in ("sigma", "n", "h", "r", "order", "sig", "catalog", "max_order",
-                "budget", "format", "group"):
+    for key in ("sigma", "n", "h", "primes", "witness_n", "order", "sig", "catalog",
+                "max_order", "budget", "format", "group"):
         if hasattr(args, key) and getattr(args, key) is not None:
             cfg[key.replace("_", "")] = getattr(args, key)
     cfg.update(extra)
@@ -117,15 +112,11 @@ def _config(args, command: str, **extra) -> dict:
 
 
 def cmd_rh(args) -> int:
-    try:
-        sig = parse_signature(args.sig)
-    except SignatureParseError as exc:
-        print(f"error: bad signature literal: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    sig = parse_signature(args.sig)
     genus = rh_genus(args.order, sig)
     payload = {
         "config": _config(args, "rh"),
-        "genus": _frac_json(genus),
+        "genus": frac_json(genus),
         "integral": genus.denominator == 1,
     }
     if args.sigma is not None:
@@ -214,11 +205,7 @@ def cmd_sporadic(args) -> int:
 
 def cmd_genvec(args) -> int:
     group = build_from_spec(args.group)
-    try:
-        sig = parse_signature(args.sig)
-    except SignatureParseError as exc:
-        print(f"error: bad signature literal: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    sig = parse_signature(args.sig)
     verdict = search(group, sig, args.budget)
     payload = {
         "config": _config(args, "genvec"),

@@ -285,13 +285,6 @@ class RealizabilityReport:
         if self.verdict.is_not_exists and not self.exclusion_reasons:
             raise AssertionError("a nonexistence report must carry at least one reason")
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict.status,
-            "witness": None if self.witness is None else self.witness.to_json(),
-            "exclusionReasons": [e.to_json() for e in self.exclusion_reasons],
-        }
-
 
 def realizable(
     group: GroupTable,

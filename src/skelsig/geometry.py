@@ -21,6 +21,11 @@ from .rh import SkeletalSignature
 Coord = Union[int, Fraction]
 
 
+def frac_json(x: Fraction) -> dict:
+    """A rational in JSON: the exact fraction plus a decimal approximation."""
+    return {"frac": f"{x.numerator}/{x.denominator}", "dec": float(x)}
+
+
 @dataclass(frozen=True)
 class RationalPoint:
     """Exact point; integrality is a queryable predicate, never an assumption."""
@@ -34,6 +39,9 @@ class RationalPoint:
 
     def __str__(self) -> str:
         return f"({self.h}, {self.r})"
+
+    def to_json(self) -> dict:
+        return {"h": frac_json(self.h), "r": frac_json(self.r)}
 
 
 @dataclass(frozen=True)
@@ -181,7 +189,7 @@ class TriangleRegion:
             "N": self.order,
             "lower": self.lower.to_json(),
             "upper": self.upper.to_json(),
-            "apex": _point_json(self.apex),
+            "apex": self.apex.to_json(),
         }
 
 
@@ -289,7 +297,7 @@ class GapRegion:
             "upperIndex": self.upper_index,
             "boundaryLower": self.boundary_lower.to_json(),
             "boundaryUpper": self.boundary_upper.to_json(),
-            "corner": _point_json(self.corner),
+            "corner": self.corner.to_json(),
             "exceptionLine": None
             if self.exception_line is None
             else self.exception_line.to_json(),
@@ -384,9 +392,3 @@ def missing_points(sigma: int, h: int) -> list[SkeletalSignature]:
             )
     return points
 
-
-def _point_json(p: RationalPoint) -> dict:
-    return {
-        "h": {"frac": f"{p.h.numerator}/{p.h.denominator}", "dec": float(p.h)},
-        "r": {"frac": f"{p.r.numerator}/{p.r.denominator}", "dec": float(p.r)},
-    }

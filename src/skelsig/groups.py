@@ -536,6 +536,9 @@ class CatalogManifest:
         return order in self.complete_orders
 
 
+_ENTRY_FIELDS = {"order": int, "spec": str, "label": str, "complete": bool}
+
+
 def _parse_manifest(text: str, source: str) -> tuple[CatalogEntry, ...]:
     """Catalog entries of a ``manifest.json`` text, sorted by (order, label)."""
     try:
@@ -546,17 +549,12 @@ def _parse_manifest(text: str, source: str) -> tuple[CatalogEntry, ...]:
         raise CayleyFormatError(f"{source}: manifest must be a JSON list")
     entries = []
     for item in data:
-        try:
-            entries.append(
-                CatalogEntry(
-                    order=int(item["order"]),
-                    spec=str(item["spec"]),
-                    label=str(item["label"]),
-                    complete=bool(item["complete"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CayleyFormatError(f"{source}: bad entry {item!r}") from exc
+        # exact types: "complete": "false" must not read as true, nor 8.9 or true as an order
+        if not isinstance(item, dict) or any(
+            type(item.get(name)) is not kind for name, kind in _ENTRY_FIELDS.items()
+        ):
+            raise CayleyFormatError(f"{source}: bad entry {item!r}")
+        entries.append(CatalogEntry(**{name: item[name] for name in _ENTRY_FIELDS}))
     return tuple(sorted(entries, key=lambda e: (e.order, e.label)))
 
 

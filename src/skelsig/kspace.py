@@ -538,24 +538,11 @@ class FigureDataset:
     sigma: int
     lines: tuple[tuple[str, geometry.RationalLine], ...]
     gaps: tuple[GapRegion, ...]
-    guide_r: int
     points: tuple[tuple[SkeletalSignature, str], ...]
     scope: SearchScope | None
 
     def to_csv_rows(self) -> list[tuple[int, int, str]]:
         return [(pt.h, pt.r, status) for pt, status in self.points]
-
-    def to_json(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "lines": {name: line.to_json() for name, line in self.lines},
-            "gaps": [g.to_json() for g in self.gaps],
-            "guideR": self.guide_r,
-            "points": [
-                {"h": pt.h, "r": pt.r, "status": status} for pt, status in self.points
-            ],
-            "scope": None if self.scope is None else self.scope.to_json(),
-        }
 
 
 def figure_dataset(
@@ -598,4 +585,4 @@ def figure_dataset(
                 elif analysis.status == "excluded":
                     status[pt] = "exception-excluded"
     points = tuple((pt, status[pt]) for pt in sorted(status))
-    return FigureDataset(sigma, lines, gaps, 1, points, scope)
+    return FigureDataset(sigma, lines, gaps, points, scope)

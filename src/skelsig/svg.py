@@ -97,7 +97,7 @@ def _clip_line(line, h_max: Fraction, r_max: Fraction):
     return uniq[0], uniq[-1]
 
 
-def render_figure(dataset: FigureDataset, config_note: str = "") -> str:
+def render_figure(dataset: FigureDataset, config_note: str) -> str:
     """Render a figure dataset to a standalone SVG document string."""
     sigma = dataset.sigma
     h_max = Fraction(sigma, 2) + 2
@@ -107,8 +107,7 @@ def render_figure(dataset: FigureDataset, config_note: str = "") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
         f'height="{_fmt(HEIGHT)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">'
     )
-    if config_note:
-        cv.add(f"<!-- {config_note} -->")
+    cv.add(f"<!-- {config_note} -->")
     cv.add(f'<rect x="0" y="0" width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" fill="#ffffff" />')
 
     # gap shading: triangle corner -> foot of each boundary line on r = 0
@@ -126,8 +125,7 @@ def render_figure(dataset: FigureDataset, config_note: str = "") -> str:
             cv.line(seg[0], seg[1], PALETTE[name])
 
     # r = 1 guide
-    cv.line((Fraction(0), Fraction(dataset.guide_r)), (h_max, Fraction(dataset.guide_r)),
-            "#999999", width=0.8, dash="5,4")
+    cv.line((Fraction(0), Fraction(1)), (h_max, Fraction(1)), "#999999", width=0.8, dash="5,4")
 
     for pt, status in dataset.points:
         if pt.h <= h_max and pt.r <= r_max:

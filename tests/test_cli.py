@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from importlib.resources import files
@@ -25,7 +26,8 @@ from skelsig.cli import (
 from skelsig.rh import OrbifoldSignature
 
 GOLDEN = Path(__file__).parent / "golden"
-ROOT = Path(__file__).resolve().parents[1]
+README = Path(__file__).resolve().parents[1] / "README.md"
+BAD_SIG_ERROR = "error: bad signature literal: expected integer period, got 'x' at position 3\n"
 
 
 def run(tmp_path, *argv):
@@ -65,9 +67,12 @@ class TestExitCodes:
         assert payload["genus"]["frac"] == "11/1" and payload["holds"] is True
 
     def test_rh_parse_error(self, capsys):
-        code = main(["rh", "--order", "8", "--sig", "(2;x)"])
-        assert code == EXIT_USAGE
-        assert "position" in capsys.readouterr().err
+        assert main(["rh", "--order", "8", "--sig", "(2;x)"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", BAD_SIG_ERROR)
+
+    def test_genvec_parse_error(self, capsys):
+        assert main(["genvec", "--group", "quaternion:2", "--sig", "(2;x)"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", BAD_SIG_ERROR)
 
     def test_usage_error(self):
         assert main(["rh", "--badflag"]) == EXIT_USAGE
@@ -159,9 +164,15 @@ class TestExitCodes:
         assert (args.primes, args.witness_n) == ([3, 5], [])
 
     def test_malformed_catalog_manifest_is_usage(self, tmp_path, capsys):
-        (tmp_path / "manifest.json").write_text('[{"order": 2, "spec": "cyclic:2"}]')
-        assert main(["kspace", "--sigma", "2", "--catalog", str(tmp_path)]) == EXIT_USAGE
-        assert "bad entry" in capsys.readouterr().err
+        for entry in [
+            '{"order": 2, "spec": "cyclic:2"}',
+            '{"order": 2, "spec": "cyclic:2", "label": "C2", "complete": "false"}',
+        ]:
+            (tmp_path / "manifest.json").write_text(f"[{entry}]")
+            assert main(["kspace", "--sigma", "2", "--catalog", str(tmp_path)]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "bad entry" in captured.err
 
     def test_verify_gap_verified(self, tmp_path):
         code, text = run(tmp_path, "verify-gap", "--sigma", "48", "--n", "4")
@@ -208,6 +219,12 @@ class TestSchemas:
         _, text = run(tmp_path, "missing", "--sigma", "48", "--h", "3")
         cfg = json.loads(text)["config"]
         assert cfg["command"] == "missing" and cfg["sigma"] == 48 and cfg["h"] == 3
+        echoes = []
+        for argv in (["--primes", "3"], ["--primes", "5", "--witness-n", "2"]):
+            _, text = run(tmp_path, "sporadic", "--h", "2", *argv)
+            cfg = json.loads(text)["config"]
+            echoes.append((cfg["command"], cfg["h"], cfg["primes"], cfg["witnessn"]))
+        assert echoes == [("sporadic", 2, [3], []), ("sporadic", 2, [5], [2])]
 
 
 class TestGoldenFiles:
@@ -260,45 +277,14 @@ class TestGoldenFiles:
         assert "0,6,realized" in lines
 
 
-def run_script(cwd, script, *argv):
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *argv],
-        capture_output=True, text=True, env=env, cwd=cwd,
-    )
-
-
-class TestGenus48Script:
-    def test_negative_budget_is_usage(self, tmp_path):
-        proc = run_script(
-            tmp_path, "genus48_figure.py", "--budget", "-1", "--outdir", str(tmp_path / "out")
-        )
-        assert proc.returncode == EXIT_USAGE
-        assert proc.stdout == ""
-        assert "--budget" in proc.stderr and "Traceback" not in proc.stderr
-        assert list(tmp_path.iterdir()) == []
-
-    def test_csv_matches_plot_sidecar(self, tmp_path):
-        proc = run_script(
-            tmp_path, "genus48_figure.py", "--sigma", "11", "--outdir", str(tmp_path / "out")
-        )
-        assert proc.returncode == EXIT_OK, proc.stderr
-        sidecar = tmp_path / "sidecar.csv"
-        code, _ = run(tmp_path, "plot", "--sigma", "11", "--csv-sidecar", str(sidecar))
-        assert code == EXIT_OK
-        assert (tmp_path / "out" / "points.csv").read_bytes() == sidecar.read_bytes()
-
-
-class TestSurveyScripts:
-    def test_gap_survey(self, tmp_path):
-        proc = run_script(tmp_path, "gap_survey.py", "--sigma-min", "9", "--sigma-max", "12")
-        assert proc.returncode == EXIT_OK, proc.stderr
-        assert "all verified" in proc.stdout
-
-    def test_sporadic_survey(self, tmp_path):
-        proc = run_script(
-            tmp_path, "sporadic_survey.py", "--h", "2", "--primes", "3", "5", "--witness-n", "2"
-        )
-        assert proc.returncode == EXIT_OK, proc.stderr
-        assert "complete: True" in proc.stdout
+class TestReadme:
+    def test_reproduction_commands_parse(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("## Reproducing the paper's runs\n", 1)[1].split("\n## ", 1)[0]
+        commands = [
+            shlex.split(line) for line in section.splitlines()
+            if line.lstrip().startswith("skelsig ")
+        ]
+        assert len(commands) == 4
+        for argv in commands:
+            assert build_parser().parse_args(argv[1:]).subcommand == argv[1]

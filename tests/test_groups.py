@@ -340,3 +340,21 @@ class TestLoadCatalog:
         (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
         with pytest.raises(CayleyFormatError):
             load_catalog(tmp_path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("complete", "false"),
+            ("complete", 0),
+            ("order", 8.9),
+            ("order", True),
+            ("order", "8"),
+            ("spec", 8),
+            ("label", None),
+        ],
+    )
+    def test_field_types_are_exact(self, tmp_path, field, value):
+        entry = {"order": 8, "spec": "cyclic:8", "label": "C8", "complete": False, field: value}
+        self.write_manifest(tmp_path, [entry])
+        with pytest.raises(CayleyFormatError, match="bad entry"):
+            load_catalog(tmp_path)

@@ -9,17 +9,21 @@ Riemann-Hurwitz formula holds and G has an (h; n_1..n_r)-generating vector
   (3) [a_1,b_1]...[a_h,b_h] c_1...c_r = identity,
 
 with the commutator convention [a, b] = a^-1 b^-1 a b fixed once here and in
-``GroupTable.commutator``.  The search is a plain exhaustive enumeration with
-three sound prunes (candidate c_j restricted by order, the last c forced by
-condition (3), and an abelian shortcut for r = 1); no symmetry reduction is
-applied, so a negative verdict is a certificate.
+``GroupTable.commutator``.  The search first asks whether condition (3) can
+hold at all with generation ignored (``product_reachable``: some product of
+branch entries of the right orders is the inverse of a product of h
+commutators), then runs a plain exhaustive enumeration with two sound prunes
+(candidate c_j restricted by order, the last c forced by condition (3)); no
+symmetry reduction is applied, so a negative verdict is a certificate.
 
 ``realizable`` names the rule behind each negative verdict: ``arithmetic`` (no
 period list over the group's element orders satisfies Riemann-Hurwitz),
-``abelian-r1`` and ``commutator-r1`` (the one r = 1 rule: condition (3) makes
-c_1 the inverse of a product of h commutators, and no element of a feasible
-period's order is one; in an abelian group that product is always e), or
-``exhausted-search``.  ``kspace`` adds ``cyclic-forced``.
+``abelian-r1`` and ``commutator-r1`` (``product_reachable`` fails for every
+feasible period list with r = 1: c_1 would be the inverse of a product of h
+commutators, and no element of its order is one; in an abelian group that
+product is always e), ``product-unreachable`` (the same test fails for every
+feasible period list with r >= 2), or ``exhausted-search``.  ``kspace`` adds
+``cyclic-forced``.
 """
 
 from __future__ import annotations
@@ -101,22 +105,17 @@ def search(
 ) -> SearchVerdict:
     """Exhaustive generating-vector search; first witness in ascending index order.
 
-    ``not_exists`` is only returned when the pruned space was fully enumerated;
-    exceeding ``budget`` (counted in candidate tuples examined) yields
-    ``unknown``.  Verdicts are deterministic.
+    ``not_exists`` is only returned when ``product_reachable`` rules the
+    signature out, which needs no enumeration, or when the pruned space was
+    fully enumerated; exceeding ``budget`` (counted in candidate tuples
+    examined) yields ``unknown``.  Verdicts are deterministic.
     """
     h, periods = sig.h, sig.periods
     r = len(periods)
     n = group.order
-    if group.is_abelian and r == 1:
-        # condition (3) forces c_1 = e in an abelian group, but c_1 needs order >= 2
+    if not product_reachable(group, h, periods):
         return SearchVerdict.not_exists()
-    candidates: list[list[int]] = []
-    for p in periods:
-        cand = [g for g in group.elements() if group.element_orders[g] == p]
-        if not cand:
-            return SearchVerdict.not_exists()
-        candidates.append(cand)
+    candidates = [[g for g in group.elements() if group.element_orders[g] == p] for p in periods]
     free_c = candidates[:-1] if r else []
     last_period = periods[-1] if r else None
     mul = group.mul
@@ -268,7 +267,9 @@ class Witness:
 
 @dataclass(frozen=True)
 class ExclusionReason:
-    rule: str  # arithmetic | abelian-r1 | commutator-r1 | cyclic-forced | exhausted-search
+    # arithmetic | abelian-r1 | commutator-r1 | product-unreachable | cyclic-forced
+    # | exhausted-search
+    rule: str
     scope: str
 
     def to_json(self) -> dict:
@@ -308,21 +309,24 @@ def realizable(
             f"no period multiset over element orders of {group.name} "
             f"satisfies Riemann-Hurwitz at genus {sigma}",
         )
-    if r == 1:
-        # condition (3) makes c_1 the inverse of a product of h commutators
-        pool_orders = {group.element_orders[k] for k in commutator_products(group, h)}
-        if not any(periods[0] in pool_orders for periods in multisets):
-            if group.is_abelian:
-                return _excluded(
-                    "abelian-r1",
-                    f"{group.name} is abelian and a single branch entry of order >= 2 "
-                    f"cannot be a product of commutators",
-                )
+    if not any(product_reachable(group, h, periods) for periods in multisets):
+        if r == 1 and group.is_abelian:
+            return _excluded(
+                "abelian-r1",
+                f"{group.name} is abelian and a single branch entry of order >= 2 "
+                f"cannot be a product of commutators",
+            )
+        if r == 1:
             return _excluded(
                 "commutator-r1",
                 f"no element of order {' or '.join(str(m[0]) for m in multisets)} in "
                 f"{group.name} is a product of {h} commutators, as a single branch entry must be",
             )
+        return _excluded(
+            "product-unreachable",
+            f"no branch entries of orders {' or '.join(str(m) for m in multisets)} in "
+            f"{group.name} multiply to the inverse of a product of {h} commutators",
+        )
     saw_unknown = False
     for periods in multisets:
         sig = OrbifoldSignature(h, periods)
@@ -346,6 +350,21 @@ def realizable(
 
 def _excluded(rule: str, scope: str) -> RealizabilityReport:
     return RealizabilityReport(SearchVerdict.not_exists(), None, (ExclusionReason(rule, scope),))
+
+
+def product_reachable(group: GroupTable, h: int, periods: tuple[int, ...]) -> bool:
+    """Whether some c_1...c_r with ord(c_j) = n_j is the inverse of a product of h commutators.
+
+    This is condition (3) with generation ignored, so ``False`` certifies that
+    no (h; n_1..n_r)-generating vector exists.  The branch products are built
+    one entry at a time as a set; the commutator products are closed under
+    inverse, so the test is an intersection.
+    """
+    reach = {group.identity}
+    for p in periods:
+        cand = [g for g in group.elements() if group.element_orders[g] == p]
+        reach = {group.mul(x, c) for x in reach for c in cand}
+    return not reach.isdisjoint(commutator_products(group, h))
 
 
 def commutator_products(group: GroupTable, h: int) -> frozenset[int]:

@@ -190,6 +190,13 @@ class TestExitCodes:
         )
         assert code == EXIT_PARTIAL
 
+    def test_kspace_48_leaves_no_point_unknown(self, tmp_path):
+        # (5, 2) is closed by the product filter on C10 (h = 5, 10^10 a-tuples)
+        # without a tuple walk, so this budget leaves nothing open
+        code, text = run(tmp_path, "kspace", "--sigma", "48", "--budget", "200000")
+        assert code == EXIT_OK
+        assert json.loads(text)["scope"]["unknownPoints"] == []
+
     def test_sporadic_partial_without_catalog_is_not_silent(self, tmp_path):
         # order-4 coverage comes from the bundled catalog; with it the run is complete
         code, text = run(tmp_path, "sporadic", "--h", "2", "--primes", "5", "--witness-n", "2")

@@ -143,16 +143,18 @@ class TestRealizableSet:
         assert "lower bound" in approx.scope.describe()
 
     def test_matches_all_groups_oracle(self, catalog):
-        # genus 17 leaves (2, 2) unknown at this budget, so the unknown path is compared too
+        # genus 7 leaves (1, 1) unknown at this budget, so the unknown path is compared too
         unknown_seen = False
         for sigma in range(2, 18):
-            approx = realizable_set(sigma, catalog, 15, 2000)
-            ref = all_groups_realizable_set(sigma, catalog, 15, 2000)
+            approx = realizable_set(sigma, catalog, 15, 20)
+            ref = all_groups_realizable_set(sigma, catalog, 15, 20)
             assert approx.realized == ref.realized, sigma
             assert approx.scope == ref.scope, sigma
             assert approx.admissible == ref.admissible, sigma
             unknown_seen = unknown_seen or bool(approx.scope.unknown_points)
         assert unknown_seen
+        assert realizable_set(7, catalog, 15, 20).scope.unknown_points == (S(1, 1),)
+        assert realizable_set(7, catalog, 15).realized[S(1, 1)].group_name == "D7"
 
     def test_searches_only_groups_of_feasible_orders(self, catalog, monkeypatch):
         calls = []
@@ -237,12 +239,31 @@ class TestAnalyzePoint:
         assert any(n == 32 for n, _ in analysis.feasible)
 
     def test_budget_hit_gives_partial_not_excluded(self, catalog):
-        # (2, 2) at genus 17 is feasible only at order 9, where the search in
-        # C9 with (2; 3, 9) runs out of a small budget and finishes at a large one
-        assert analyze_point(17, S(2, 2), catalog, 2000).status == "partial"
-        analysis = analyze_point(17, S(2, 2), catalog, 10**5)
+        # (2, 1) at genus 11: the r = 1 rule leaves D4 and Q8 to search; both
+        # run out of a small budget, and D4 finds its vector at a large one
+        assert analyze_point(11, S(2, 1), catalog, 10).status == "partial"
+        analysis = analyze_point(11, S(2, 1), catalog, 10**6)
+        assert analysis.status == "realized"
+        assert analysis.witness.group_name == "D4"
+
+    def test_product_filter_excludes_without_search(self, catalog):
+        # (2, 2) at genus 17 is feasible only at order 9: C3^2 has no period
+        # list, and C9 is abelian, so branch entries of orders 3 and 9 cannot
+        # multiply to e; no search runs at budget 0
+        analysis = analyze_point(17, S(2, 2), catalog, 0)
         assert analysis.status == "excluded"
-        assert [r.rule for r in analysis.reasons] == ["arithmetic", "exhausted-search"]
+        assert [r.to_json() for r in analysis.reasons] == [
+            {
+                "rule": "arithmetic",
+                "scope": "no period multiset over element orders of C3^2 "
+                "satisfies Riemann-Hurwitz at genus 17",
+            },
+            {
+                "rule": "product-unreachable",
+                "scope": "no branch entries of orders (3, 9) in C9 multiply to the "
+                "inverse of a product of 2 commutators",
+            },
+        ]
 
     def test_r1_rule_closes_non_abelian_groups(self, catalog):
         # (2, 1) at genus 12 is feasible only at order 8, with period 4: C2^3 has

@@ -27,7 +27,7 @@ from .rh import (
     SkeletalSignature,
     allowed_periods,
     feasible_orders,
-    period_multisets,
+    part_sum_levels,
     rh_admissible,
     rh_genus,
 )
@@ -40,10 +40,17 @@ from .rh import (
 def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
     """Every RH-feasible lattice point with its full list of feasible orders.
 
-    Sweeps orders from 2 up to the h = 0 cap and enumerates each order's
-    triangle, so the union equals the per-point order sweep without quadratic
-    cost.  The box is fixed at h <= sigma + 1, r <= 2*sigma + 2, and every
-    triangle lies inside it: h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
+    Sweeps orders from 2 up to the h = 0 cap and decides each order's whole
+    triangle at once, so the union equals the per-point order sweep without
+    quadratic cost.  With the parts d = N/n over the periods n of the order,
+    a point is feasible at N exactly when T = N(2h - 2 + r) - 2(sigma - 1) is
+    a sum of r parts, that is when bit T of the level bitset S_r of
+    ``part_sum_levels`` is set.  That is the test the period-list walk makes,
+    without listing a period.  Triangle points have T >= r >= 0, so the
+    levels are cut at the largest T, which is never negative, and built up
+    to the largest r.  The box is fixed at h <= sigma + 1, r <= 2*sigma + 2,
+    and every triangle lies inside it: h <= (sigma-1)/N + 1 and
+    r <= 4(sigma-1)/N + 4.
     """
     if sigma < 2:
         raise ValueError(f"genus must be >= 2, got {sigma}")
@@ -51,9 +58,14 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
 
     found: dict[SkeletalSignature, list[int]] = {}
     for n in range(2, cap + 1):
-        allowed = allowed_periods(n)
-        for pt in triangle_points(sigma, n):
-            if next(period_multisets(sigma, pt.h, pt.r, n, allowed), None) is not None:
+        points = triangle_points(sigma, n)
+        if not points:
+            continue
+        totals = [n * (2 * pt.h - 2 + pt.r) - 2 * (sigma - 1) for pt in points]
+        parts = [n // p for p in allowed_periods(n)]
+        levels = part_sum_levels(parts, max(pt.r for pt in points), max(totals))
+        for pt, t in zip(points, totals):
+            if levels[pt.r] >> t & 1:
                 found.setdefault(pt, []).append(n)
     return {pt: tuple(ns) for pt, ns in sorted(found.items())}
 

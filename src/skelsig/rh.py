@@ -8,8 +8,13 @@ of genus sigma >= 2 with signature (h; n_1,...,n_r) satisfies
 Genera are computed over ``fractions.Fraction``.  Every period divides N, so
 feasibility is an integer question: with d_j = N/n_j, the point (h, r) is
 feasible at order N exactly when T = N(2h - 2 + r) - 2(sigma - 1) is a sum of
-r proper divisors d_j of N.  The searches over period lists are exhaustive
-within provable bounds, so a negative answer is a certificate, not a timeout.
+r proper divisors d_j of N.  Two exact procedures answer it.
+``period_multisets`` lists every period list, by a branch-and-bound over the
+parts d_j.  ``part_sum_levels`` answers only yes or no, for every point of an
+order at once: bit t of the level bitset S_k is set exactly when t is a sum of
+k parts, so (h, r) is feasible exactly when bit T of S_r is set.  The searches
+are exhaustive within provable bounds, so a negative answer is a certificate,
+not a timeout.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 
 class HyperbolicityError(ValueError):
@@ -153,9 +158,11 @@ def period_multisets(
     Each period must divide ``order``.  With d_j = N/n_j the formula becomes
     T = N(2h - 2 + r) - 2(sigma - 1) = d_1 + ... + d_r, so the walk is a
     branch-and-bound over integer parts, largest part (smallest period)
-    first: a part too small to fill the remaining slots ends the loop, a part
+    first: a part too small to fill the open slots ends the slot, a part
     that leaves nothing for the other slots is skipped, and the last slot
-    must equal a part exactly.  r = 0 yields () exactly when T = 0.
+    must equal a part exactly.  r = 0 yields () exactly when T = 0.  The walk
+    keeps its path as a stack of part indices, so r may exceed Python's
+    recursion limit.
     """
     allowed = sorted(set(allowed))
     if any(n < 2 or order % n for n in allowed):
@@ -168,27 +175,50 @@ def period_multisets(
     if total <= 0 or not allowed:
         return
     parts = [order // n for n in allowed]  # descending, as the periods ascend
-    part_set = set(parts)
-
-    def walk(start: int, slots: int, t: int) -> Iterator[tuple[int, ...]]:
+    index = {d: i for i, d in enumerate(parts)}
+    smallest = parts[-1]
+    chosen: list[int] = []  # part indices of the filled slots, non-decreasing
+    t, i = total, 0  # what the open slots must sum to; the next part index for the first
+    while True:
+        slots = r - len(chosen)
         if slots == 1:
-            # t never exceeds parts[start], so the list stays non-decreasing: r = 1
+            # t never exceeds the part before it, so the list stays non-decreasing: r = 1
             # starts at the largest part, and the slot before took d with 2d >= d + t
-            if t in part_set:
-                yield (order // t,)
+            if t in index:
+                yield tuple(allowed[j] for j in chosen) + (allowed[index[t]],)
+        elif t >= slots * smallest:  # else even the smallest parts overshoot t
+            while i < len(parts) and parts[i] >= t:
+                i += 1  # the slots after this one need a positive share
+            # a part with d * slots < t ends the slot: the parts after it are smaller still
+            if i < len(parts) and parts[i] * slots >= t:
+                chosen.append(i)
+                t -= parts[i]
+                continue
+        if not chosen:
             return
-        if t < slots * parts[-1]:
-            return
-        for i in range(start, len(parts)):
-            d = parts[i]
-            if d * slots < t:
-                break  # later parts are smaller still
-            if d >= t:
-                continue  # the remaining slots need a positive share
-            for rest in walk(i, slots - 1, t - d):
-                yield (allowed[i],) + rest
+        i = chosen.pop()  # reopen the slot before at its next part
+        t += parts[i]
+        i += 1
 
-    yield from walk(0, r, total)
+
+def part_sum_levels(parts: Sequence[int], count: int, top: int) -> list[int]:
+    """Bitsets S_0..S_count of the sums of k parts, each cut to the bits 0..top.
+
+    Bit t of S_k is set exactly when t = d_1 + ... + d_k with every d_j in
+    ``parts``, repeats allowed: S_0 = 1 holds the empty sum, and S_k is the
+    OR over the parts d of S_(k-1) << d.  The parts are positive, so a sum
+    only grows as parts are added, and dropping the bits above ``top`` from
+    S_(k-1) loses no sum of S_k at or below ``top``.  For a triangle point
+    T >= r >= 0, so a caller's ``top``, the largest T, is never negative.
+    """
+    mask = (1 << (top + 1)) - 1
+    levels = [1]
+    for _ in range(count):
+        prev, cur = levels[-1], 0
+        for d in parts:
+            cur |= prev << d
+        levels.append(cur & mask)
+    return levels
 
 
 def period_feasible(sigma: int, skel: SkeletalSignature, order: int) -> SearchVerdict:

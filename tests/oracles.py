@@ -9,11 +9,13 @@ accepts periods that do not divide the order, such as the loose box
 ``full_range_feasible_orders``, ``fraction_triangle_points`` and
 ``fraction_gap_points`` are the straightforward forms of the divisor list, the
 per-point order sweep and the triangle and gap lattice enumerations that the
-library computes with integer shortcuts.  ``all_groups_realizable_set`` tries
-every catalog group at every admissible point, where the library tries only
-the groups whose order is feasible there.  ``close_order_2n`` settles the
-sporadic |G| = 2n case with its own group loop and filters, where the library
-runs ``realizable`` over the same groups.
+library computes with integer shortcuts.  ``walk_admissible_map`` asks the
+period-list walk for a first list at every point of every order's triangle,
+where the library tests one bit of a level bitset.
+``all_groups_realizable_set`` tries every catalog group at every admissible
+point, where the library tries only the groups whose order is feasible there.
+``close_order_2n`` settles the sporadic |G| = 2n case with its own group loop
+and filters, where the library runs ``realizable`` over the same groups.
 """
 
 from __future__ import annotations
@@ -24,15 +26,17 @@ from fractions import Fraction
 from typing import Iterator
 
 from skelsig.genvec import GeneratingVector, Witness, commutator_products, realizable, search
-from skelsig.geometry import GapRegion, RationalPoint, TriangleRegion
+from skelsig.geometry import GapRegion, RationalPoint, TriangleRegion, triangle_points
 from skelsig.groups import CatalogManifest, GroupTable
 from skelsig.kspace import KSpaceApproximation, SearchScope, admissible_map, groups_covering
 from skelsig.rh import (
     OrbifoldSignature,
     SearchVerdict,
     SkeletalSignature,
+    allowed_periods,
     order_bound,
     period_feasible,
+    period_multisets,
 )
 
 
@@ -111,6 +115,21 @@ def full_range_feasible_orders(
         verdict = period_feasible(sigma, skel, order)
         if verdict.is_exists:
             yield order, verdict.witness
+
+
+def walk_admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
+    """Every RH-feasible lattice point with its feasible orders, by the period-list walk.
+
+    Sweeps orders 2..84(sigma - 1) and, at each point of each order's
+    triangle, asks ``period_multisets`` for a first period list.
+    """
+    found: dict[SkeletalSignature, list[int]] = {}
+    for n in range(2, 84 * (sigma - 1) + 1):
+        allowed = allowed_periods(n)
+        for pt in triangle_points(sigma, n):
+            if next(period_multisets(sigma, pt.h, pt.r, n, allowed), None) is not None:
+                found.setdefault(pt, []).append(n)
+    return {pt: tuple(ns) for pt, ns in sorted(found.items())}
 
 
 def fraction_triangle_points(region: TriangleRegion) -> list[SkeletalSignature]:

@@ -182,6 +182,12 @@ class TestRealizable:
         assert rep.verdict.is_exists
         assert rep.witness.signature.periods == (5,) * 6
 
+    def test_branch_count_beyond_recursion_limit(self):
+        # 1002 branch points of period 2: deeper than Python's default recursion limit
+        rep = realizable(build_cyclic(2), 500, S(0, 1002))
+        assert rep.verdict.is_exists
+        assert rep.witness.signature.periods == (2,) * 1002
+
     def test_c5_exception_excluded(self):
         rep = realizable(build_cyclic(5), 48, S(10, 1))
         assert rep.verdict.is_not_exists

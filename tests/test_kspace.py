@@ -27,7 +27,7 @@ from skelsig.kspace import (
 )
 from skelsig.rh import SearchVerdict, SkeletalSignature, rh_admissible
 
-from oracles import all_groups_realizable_set, close_order_2n
+from oracles import all_groups_realizable_set, close_order_2n, walk_admissible_map
 
 S = SkeletalSignature
 GOLDEN = Path(__file__).parent / "golden"
@@ -81,6 +81,29 @@ class TestAdmissible:
         monkeypatch.setattr(kspace, "allowed_periods", counted)
         assert admissible_map(11) == expected
         assert calls and max(calls.values()) == 1
+
+    def test_matches_walk_oracle(self):
+        # the level bitsets against the period-list walk they replace, order list by order list
+        for sigma in [*range(2, 31), 100]:
+            assert admissible_map(sigma) == walk_admissible_map(sigma), sigma
+
+    def test_makes_no_period_multisets_call(self, monkeypatch):
+        # a count guard, not a timing gate: existence needs no period list
+        expected = admissible_map(11)
+        calls = []
+        walk = rh.period_multisets
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(rh, "period_multisets", counted)
+        monkeypatch.setattr(kspace, "period_multisets", counted, raising=False)
+        assert admissible_map(11) == expected
+        assert calls == []
+        # the counter is live
+        rh_admissible(11, S(2, 1))
+        assert calls
 
     def test_builds_no_triangle_region_or_line(self, monkeypatch):
         # a count guard, not a timing gate: each order's triangle is enumerated

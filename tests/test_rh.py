@@ -13,7 +13,7 @@ from oracles import (
     trial_division_allowed_periods,
 )
 from skelsig import rh
-from skelsig.geometry import RationalPoint, gap, triangle
+from skelsig.geometry import RationalPoint, gap, triangle, triangle_points
 from skelsig.rh import (
     HyperbolicityError,
     OrbifoldSignature,
@@ -21,6 +21,7 @@ from skelsig.rh import (
     allowed_periods,
     feasible_orders,
     order_bound,
+    part_sum_levels,
     period_feasible,
     period_multisets,
     rh_admissible,
@@ -195,6 +196,42 @@ class TestPeriodMultisets:
     def test_rejects_period_not_dividing_order(self):
         with pytest.raises(ValueError):
             next(period_multisets(7, 1, 3, 6, [2, 4]))
+
+    def test_branch_count_beyond_recursion_limit(self):
+        # the order-2 point (0, 2*sigma + 2) has 1002 branch points at genus 500
+        assert list(period_multisets(500, 0, 1002, 2, [2])) == [(2,) * 1002]
+        assert list(period_multisets(500, 0, 1001, 2, [2])) == []
+
+
+class TestPartSumLevels:
+    def test_matches_brute_force_sums(self):
+        for parts in ([1], [3, 1], [6, 3, 2, 1], [4, 2], [5]):
+            for count in range(0, 5):
+                for top in (0, 3, 9, 20):
+                    levels = part_sum_levels(parts, count, top)
+                    assert len(levels) == count + 1
+                    for k, level in enumerate(levels):
+                        sums = {sum(c) for c in itertools.combinations_with_replacement(parts, k)}
+                        bits = {t for t in range(level.bit_length()) if level >> t & 1}
+                        assert bits == {t for t in sums if t <= top}, (parts, count, top, k)
+
+    def test_genus_500_orders_2_and_3(self):
+        # both orders are prime, so the only part is 1 and T must equal r
+        sigma = 500
+        for order in (2, 3):
+            points = triangle_points(sigma, order)
+            totals = [order * (2 * pt.h - 2 + pt.r) - 2 * (sigma - 1) for pt in points]
+            parts = [order // n for n in allowed_periods(order)]
+            assert parts == [1]
+            levels = part_sum_levels(parts, max(pt.r for pt in points), max(totals))
+            feasible = set()
+            for pt, t in zip(points, totals):
+                bit = bool(levels[pt.r] >> t & 1)
+                assert bit == (t == pt.r), (order, pt)
+                assert bit == (next(period_multisets(sigma, *pt, order, [order]), None) is not None)
+                if bit:
+                    feasible.add(pt)
+            assert (S(0, 1002) in feasible) == (order == 2)
 
 
 class TestOrderBound:

@@ -16,14 +16,15 @@ commutators), then runs a plain exhaustive enumeration with two sound prunes
 (candidate c_j restricted by order, the last c forced by condition (3)); no
 symmetry reduction is applied, so a negative verdict is a certificate.
 
-``realizable`` names the rule behind each negative verdict: ``arithmetic`` (no
-period list over the group's element orders satisfies Riemann-Hurwitz),
+``realizable`` walks the group's period lists once, in walk order, checks
+each against the exact integer Riemann-Hurwitz identity, searches it, and stops
+at the first witness.  Only then does it name the rule behind a negative
+verdict: ``arithmetic`` (no period list over the group's element orders),
 ``abelian-r1`` and ``commutator-r1`` (``product_reachable`` fails for every
 feasible period list with r = 1: c_1 would be the inverse of a product of h
 commutators, and no element of its order is one; in an abelian group that
-product is always e), ``product-unreachable`` (the same test fails for every
-feasible period list with r >= 2), or ``exhausted-search``.  ``kspace`` adds
-``cyclic-forced``.
+product is always e), ``product-unreachable`` (the same for r >= 2), or
+``exhausted-search``.  ``kspace`` adds ``cyclic-forced``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .rh import (
     SearchVerdict,
     SkeletalSignature,
     period_multisets,
-    rh_holds,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -295,20 +295,38 @@ def realizable(
 ) -> RealizabilityReport:
     """Decide whether this group realizes the skeletal signature at this genus.
 
-    Enumerates period multisets drawn from the group's element orders that
-    satisfy Riemann-Hurwitz, then searches each for a generating vector.
-    Exists dominates; not-exists requires every branch exhausted; otherwise
-    unknown.
+    One pass over the period lists in walk order: each must satisfy
+    sum N/n_j = N(2h - 2 + r) - 2(sigma - 1) with every n_j dividing N, is then
+    searched, and the first witness wins.  After the pass: no list is
+    ``arithmetic``, any search over budget gives unknown, a product filter that
+    fails on every list gives an r = 1 or product rule, else ``exhausted-search``.
     """
     h, r = SkeletalSignature(*skel)
+    n = group.order
     element_orders = sorted({k for k in group.element_orders if k >= 2})
-    multisets = list(period_multisets(sigma, h, r, group.order, element_orders))
+    total = n * (2 * h - 2 + r) - 2 * (sigma - 1)
+    multisets: list[tuple[int, ...]] = []
+    saw_unknown = False
+    for periods in period_multisets(sigma, h, r, n, element_orders):
+        multisets.append(periods)
+        sig = OrbifoldSignature(h, periods)
+        if len(periods) != r or any(n % p for p in periods) or sum(n // p for p in periods) != total:
+            raise AssertionError(
+                f"period list {sig} of {group.name} breaks Riemann-Hurwitz at genus {sigma}"
+            )
+        verdict = search(group, sig, budget)
+        if verdict.is_exists:
+            witness = Witness(group.name, group.spec, sig, verdict.witness)
+            return RealizabilityReport(SearchVerdict.exists(witness), witness, ())
+        saw_unknown |= verdict.is_unknown
     if not multisets:
         return _excluded(
             "arithmetic",
             f"no period multiset over element orders of {group.name} "
             f"satisfies Riemann-Hurwitz at genus {sigma}",
         )
+    if saw_unknown:
+        return RealizabilityReport(SearchVerdict.unknown(), None, ())
     if not any(product_reachable(group, h, periods) for periods in multisets):
         if r == 1 and group.is_abelian:
             return _excluded(
@@ -327,21 +345,6 @@ def realizable(
             f"no branch entries of orders {' or '.join(str(m) for m in multisets)} in "
             f"{group.name} multiply to the inverse of a product of {h} commutators",
         )
-    saw_unknown = False
-    for periods in multisets:
-        sig = OrbifoldSignature(h, periods)
-        if not rh_holds(sigma, group.order, sig):
-            raise AssertionError(
-                f"period list {sig} of {group.name} breaks Riemann-Hurwitz at genus {sigma}"
-            )
-        verdict = search(group, sig, budget)
-        if verdict.is_exists:
-            witness = Witness(group.name, group.spec, sig, verdict.witness)
-            return RealizabilityReport(SearchVerdict.exists(witness), witness, ())
-        if verdict.is_unknown:
-            saw_unknown = True
-    if saw_unknown:
-        return RealizabilityReport(SearchVerdict.unknown(), None, ())
     return _excluded(
         "exhausted-search",
         f"all {len(multisets)} feasible signatures for {group.name} searched exhaustively",

@@ -16,6 +16,10 @@ where the library tests one bit of a level bitset.
 point, where the library tries only the groups whose order is feasible there.
 ``close_order_2n`` settles the sporadic |G| = 2n case with its own group loop
 and filters, where the library runs ``realizable`` over the same groups.
+``eager_realizable`` lists every period list, runs the product filter over all
+of them, and only then checks each with ``Fraction`` Riemann-Hurwitz and
+searches it, where the library does all of that in one pass that stops at the
+first witness.
 """
 
 from __future__ import annotations
@@ -25,7 +29,16 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from skelsig.genvec import GeneratingVector, Witness, commutator_products, realizable, search
+from skelsig.genvec import (
+    ExclusionReason,
+    GeneratingVector,
+    RealizabilityReport,
+    Witness,
+    commutator_products,
+    product_reachable,
+    realizable,
+    search,
+)
 from skelsig.geometry import GapRegion, RationalPoint, TriangleRegion, triangle_points
 from skelsig.groups import CatalogManifest, GroupTable
 from skelsig.kspace import KSpaceApproximation, SearchScope, admissible_map, groups_covering
@@ -37,6 +50,7 @@ from skelsig.rh import (
     order_bound,
     period_feasible,
     period_multisets,
+    rh_holds,
 )
 
 
@@ -235,3 +249,59 @@ def close_order_2n(
             return ("budget-exhausted", f"{g.name}: search budget exhausted", False, None)
         details.append(f"{g.name}: exhausted-search")
     return ("catalog-search", "; ".join(details), True, None)
+
+
+def eager_realizable(
+    group: GroupTable, sigma: int, skel: SkeletalSignature, budget: int
+) -> RealizabilityReport:
+    """``realizable`` in three passes: list every period list, filter them all, then search each."""
+    h, r = SkeletalSignature(*skel)
+
+    def excluded(rule: str, scope: str) -> RealizabilityReport:
+        return RealizabilityReport(SearchVerdict.not_exists(), None, (ExclusionReason(rule, scope),))
+
+    element_orders = sorted({k for k in group.element_orders if k >= 2})
+    multisets = list(period_multisets(sigma, h, r, group.order, element_orders))
+    if not multisets:
+        return excluded(
+            "arithmetic",
+            f"no period multiset over element orders of {group.name} "
+            f"satisfies Riemann-Hurwitz at genus {sigma}",
+        )
+    if not any(product_reachable(group, h, periods) for periods in multisets):
+        if r == 1 and group.is_abelian:
+            return excluded(
+                "abelian-r1",
+                f"{group.name} is abelian and a single branch entry of order >= 2 "
+                f"cannot be a product of commutators",
+            )
+        if r == 1:
+            return excluded(
+                "commutator-r1",
+                f"no element of order {' or '.join(str(m[0]) for m in multisets)} in "
+                f"{group.name} is a product of {h} commutators, as a single branch entry must be",
+            )
+        return excluded(
+            "product-unreachable",
+            f"no branch entries of orders {' or '.join(str(m) for m in multisets)} in "
+            f"{group.name} multiply to the inverse of a product of {h} commutators",
+        )
+    saw_unknown = False
+    for periods in multisets:
+        sig = OrbifoldSignature(h, periods)
+        if not rh_holds(sigma, group.order, sig):
+            raise AssertionError(
+                f"period list {sig} of {group.name} breaks Riemann-Hurwitz at genus {sigma}"
+            )
+        verdict = search(group, sig, budget)
+        if verdict.is_exists:
+            witness = Witness(group.name, group.spec, sig, verdict.witness)
+            return RealizabilityReport(SearchVerdict.exists(witness), witness, ())
+        if verdict.is_unknown:
+            saw_unknown = True
+    if saw_unknown:
+        return RealizabilityReport(SearchVerdict.unknown(), None, ())
+    return excluded(
+        "exhausted-search",
+        f"all {len(multisets)} feasible signatures for {group.name} searched exhaustively",
+    )

@@ -292,6 +292,6 @@ class TestReadme:
             shlex.split(line) for line in section.splitlines()
             if line.lstrip().startswith("skelsig ")
         ]
-        assert len(commands) == 5
+        assert len(commands) == 6
         for argv in commands:
             assert build_parser().parse_args(argv[1:]).subcommand == argv[1]

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import fraction_period_multisets, naive_search
+from oracles import eager_realizable, fraction_period_multisets, naive_search
+from skelsig import genvec
 from skelsig.genvec import (
     GeneratingVector,
     all_groups_unbranched_condition,
@@ -28,6 +29,7 @@ from skelsig.groups import (
     build_elementary_abelian,
     build_generalized_quaternion,
 )
+from skelsig.kspace import admissible_map
 from skelsig.rh import OrbifoldSignature, SkeletalSignature, period_multisets, rh_genus, rh_holds
 
 Sig = OrbifoldSignature
@@ -265,7 +267,67 @@ class TestRealizable:
                         nonempty += bool(got)
         assert nonempty > 100
 
-    def test_rh_check_fires_under_optimize(self):
+    def test_matches_eager_oracle_on_catalog(self, catalog_groups):
+        # verdict, witness and reasons agree with the three-pass form at every
+        # admissible point whose feasible orders include the group's order
+        rules = Counter()
+        for sigma in range(2, 31):
+            for pt, orders in admissible_map(sigma).items():
+                for g in catalog_groups:
+                    if g.order not in orders:
+                        continue
+                    got = realizable(g, sigma, pt, 2000)
+                    expected = eager_realizable(g, sigma, pt, 2000)
+                    key = (g.name, sigma, pt)
+                    assert got.verdict.status == expected.verdict.status, key
+                    assert (got.witness and got.witness.to_json()) == (
+                        expected.witness and expected.witness.to_json()
+                    ), key
+                    assert [r.to_json() for r in got.exclusion_reasons] == [
+                        r.to_json() for r in expected.exclusion_reasons
+                    ], key
+                    rules.update(r.rule for r in got.exclusion_reasons)
+                    if got.verdict.is_unknown:
+                        rules["unknown"] += 1
+        assert set(rules) == {
+            "arithmetic", "product-unreachable", "exhausted-search", "abelian-r1",
+            "commutator-r1", "unknown",
+        }
+
+    def test_stops_at_first_witness(self, monkeypatch):
+        # Q12 at genus 6, (0, 4): (2, 3, 6, 6) is unreachable and (2, 4, 4, 6)
+        # holds the witness, so the walk is drawn from twice and filtered twice
+        drawn = calls = 0
+        walk, reachable = genvec.period_multisets, genvec.product_reachable
+
+        def counted_walk(*args):
+            nonlocal drawn
+            for periods in walk(*args):
+                drawn += 1
+                yield periods
+
+        def counted_reachable(*args):
+            nonlocal calls
+            calls += 1
+            return reachable(*args)
+
+        monkeypatch.setattr(genvec, "period_multisets", counted_walk)
+        monkeypatch.setattr(genvec, "product_reachable", counted_reachable)
+        rep = realizable(build_generalized_quaternion(3), 6, S(0, 4))
+        assert rep.witness.signature == Sig(0, (2, 4, 4, 6))
+        assert (drawn, calls) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "group, sigma, point, periods",
+        [
+            ("build_cyclic(2)", 2, (0, 6), (2, 2, 2, 2)),
+            # four periods of 4: sum 6 // 4 = 4 = T, yet 4 does not divide 6
+            # and the product filter alone would close the point
+            ("build_cyclic(6)", 5, (0, 4), (4, 4, 4, 4)),
+        ],
+        ids=["c2", "c6-non-divisor"],
+    )
+    def test_rh_check_fires_under_optimize(self, group, sigma, point, periods):
         # a period list that breaks Riemann-Hurwitz must stop realizable even
         # when Python runs with -O, which strips bare asserts
         script = (
@@ -273,9 +335,9 @@ class TestRealizable:
             "import skelsig.genvec as genvec\n"
             "from skelsig.groups import build_cyclic\n"
             "print('optimize', sys.flags.optimize)\n"
-            "genvec.period_multisets = lambda *args: iter([(2, 2, 2, 2)])\n"
+            f"genvec.period_multisets = lambda *args: iter([{periods}])\n"
             "try:\n"
-            "    genvec.realizable(build_cyclic(2), 2, (0, 6))\n"
+            f"    genvec.realizable({group}, {sigma}, {point})\n"
             "except AssertionError as exc:\n"
             "    print('stopped:', exc)\n"
         )

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -52,7 +53,7 @@ def parse_signature(text: str) -> OrbifoldSignature:
     body = s[1:-1]
     head, semi, tail = body.partition(";")
     head = head.strip()
-    if not head.lstrip("-").isdigit():
+    if not re.fullmatch(r"-?[0-9]+", head):
         fail(f"expected integer quotient genus, got {head!r}", 1)
     h = int(head)
     periods: list[int] = []
@@ -60,7 +61,7 @@ def parse_signature(text: str) -> OrbifoldSignature:
         offset = 2 + len(body.partition(";")[0])
         for piece in tail.split(","):
             tok = piece.strip()
-            if not tok.lstrip("-").isdigit():
+            if not re.fullmatch(r"-?[0-9]+", tok):
                 fail(f"expected integer period, got {tok!r}", offset)
             periods.append(int(tok))
             offset += len(piece) + 1

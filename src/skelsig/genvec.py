@@ -9,22 +9,23 @@ Riemann-Hurwitz formula holds and G has an (h; n_1..n_r)-generating vector
   (3) [a_1,b_1]...[a_h,b_h] c_1...c_r = identity,
 
 with the commutator convention [a, b] = a^-1 b^-1 a b fixed once here and in
-``GroupTable.commutator``.  The search first asks whether condition (3) can
+``GroupTable.commutator``.  ``search`` first asks whether condition (3) can
 hold at all with generation ignored (``product_reachable``: some product of
 branch entries of the right orders is the inverse of a product of h
-commutators), then runs a plain exhaustive enumeration with two sound prunes
-(candidate c_j restricted by order, the last c forced by condition (3)); no
-symmetry reduction is applied, so a negative verdict is a certificate.
+commutators), then walks the tuples with two sound prunes (candidate c_j
+restricted by order, the last c forced by condition (3)); no symmetry
+reduction is applied, so a negative verdict is a certificate.
 
 ``realizable`` walks the group's period lists once, in walk order, checks
-each against the exact integer Riemann-Hurwitz identity, searches it, and stops
-at the first witness.  Only then does it name the rule behind a negative
-verdict: ``arithmetic`` (no period list over the group's element orders),
-``abelian-r1`` and ``commutator-r1`` (``product_reachable`` fails for every
-feasible period list with r = 1: c_1 would be the inverse of a product of h
-commutators, and no element of its order is one; in an abelian group that
-product is always e), ``product-unreachable`` (the same for r >= 2), or
-``exhausted-search``.  ``kspace`` adds ``cyclic-forced``.
+each against the exact integer Riemann-Hurwitz identity, runs the product
+filter on it once, walks the tuples of the lists it lets through, and stops at
+the first witness.  Only then does it name the rule behind a negative verdict:
+``arithmetic`` (no period list over the group's element orders),
+``abelian-r1`` and ``commutator-r1`` (the filter let no list with r = 1
+through: c_1 would be the inverse of a product of h commutators, and no
+element of its order is one; in an abelian group that product is always e),
+``product-unreachable`` (the same for r >= 2), or ``exhausted-search``.
+``kspace`` adds ``cyclic-forced``.
 """
 
 from __future__ import annotations
@@ -106,23 +107,25 @@ def search(
     """Exhaustive generating-vector search; first witness in ascending index order.
 
     ``not_exists`` is only returned when ``product_reachable`` rules the
-    signature out, which needs no enumeration, or when the pruned space was
-    fully enumerated; exceeding ``budget`` (counted in candidate tuples
-    examined) yields ``unknown``.  Verdicts are deterministic.
+    signature out, which needs no enumeration, or when ``_walk_tuples``
+    enumerated the pruned space in full; exceeding ``budget`` (counted in
+    candidate tuples examined) yields ``unknown``.  Verdicts are deterministic.
     """
-    h, periods = sig.h, sig.periods
-    r = len(periods)
-    n = group.order
-    if not product_reachable(group, h, periods):
+    if not product_reachable(group, sig.h, sig.periods):
         return SearchVerdict.not_exists()
-    candidates = [[g for g in group.elements() if group.element_orders[g] == p] for p in periods]
-    free_c = candidates[:-1] if r else []
-    last_period = periods[-1] if r else None
+    return _walk_tuples(group, sig, budget)
+
+
+def _walk_tuples(group: GroupTable, sig: OrbifoldSignature, budget: int) -> SearchVerdict:
+    """The tuple walk behind ``search``, for a period list the product filter let through."""
+    h, periods = sig.h, sig.periods
+    free_c = [group.elements_by_order[p] for p in periods[:-1]]
+    last_period = periods[-1] if periods else None
     mul = group.mul
     orders = group.element_orders
     inv = group.inverse
     examined = 0
-    for a_tuple in itertools.product(range(n), repeat=2 * h):
+    for a_tuple in itertools.product(group.elements(), repeat=2 * h):
         comm_prod = 0
         for i in range(h):
             comm_prod = mul(comm_prod, group.commutator(a_tuple[2 * i], a_tuple[2 * i + 1]))
@@ -130,7 +133,7 @@ def search(
             examined += 1
             if examined > budget:
                 return SearchVerdict.unknown()
-            if r:
+            if periods:
                 prod = comm_prod
                 for c in c_prefix:
                     prod = mul(prod, c)
@@ -296,17 +299,18 @@ def realizable(
     """Decide whether this group realizes the skeletal signature at this genus.
 
     One pass over the period lists in walk order: each must satisfy
-    sum N/n_j = N(2h - 2 + r) - 2(sigma - 1) with every n_j dividing N, is then
-    searched, and the first witness wins.  After the pass: no list is
-    ``arithmetic``, any search over budget gives unknown, a product filter that
-    fails on every list gives an r = 1 or product rule, else ``exhausted-search``.
+    sum N/n_j = N(2h - 2 + r) - 2(sigma - 1) with every n_j dividing N, then
+    meets ``product_reachable`` once, and only the lists it lets through are
+    walked; the first witness wins.  After the pass: no list is ``arithmetic``,
+    any walk over budget gives unknown, no list let through gives an r = 1 or
+    product rule, else ``exhausted-search``.
     """
     h, r = SkeletalSignature(*skel)
     n = group.order
-    element_orders = sorted({k for k in group.element_orders if k >= 2})
+    element_orders = sorted(k for k in group.elements_by_order if k >= 2)
     total = n * (2 * h - 2 + r) - 2 * (sigma - 1)
     multisets: list[tuple[int, ...]] = []
-    saw_unknown = False
+    saw_reachable = saw_unknown = False
     for periods in period_multisets(sigma, h, r, n, element_orders):
         multisets.append(periods)
         sig = OrbifoldSignature(h, periods)
@@ -314,7 +318,10 @@ def realizable(
             raise AssertionError(
                 f"period list {sig} of {group.name} breaks Riemann-Hurwitz at genus {sigma}"
             )
-        verdict = search(group, sig, budget)
+        if not product_reachable(group, h, periods):
+            continue
+        saw_reachable = True
+        verdict = _walk_tuples(group, sig, budget)
         if verdict.is_exists:
             witness = Witness(group.name, group.spec, sig, verdict.witness)
             return RealizabilityReport(SearchVerdict.exists(witness), witness, ())
@@ -327,7 +334,7 @@ def realizable(
         )
     if saw_unknown:
         return RealizabilityReport(SearchVerdict.unknown(), None, ())
-    if not any(product_reachable(group, h, periods) for periods in multisets):
+    if not saw_reachable:
         if r == 1 and group.is_abelian:
             return _excluded(
                 "abelian-r1",
@@ -360,28 +367,12 @@ def product_reachable(group: GroupTable, h: int, periods: tuple[int, ...]) -> bo
 
     This is condition (3) with generation ignored, so ``False`` certifies that
     no (h; n_1..n_r)-generating vector exists.  The branch products are built
-    one entry at a time as a set; the commutator products are closed under
+    one entry at a time as a set from ``GroupTable.elements_by_order``; the
+    commutator products (``GroupTable.commutator_products``) are closed under
     inverse, so the test is an intersection.
     """
     reach = {group.identity}
     for p in periods:
-        cand = [g for g in group.elements() if group.element_orders[g] == p]
+        cand = group.elements_by_order.get(p, ())
         reach = {group.mul(x, c) for x in reach for c in cand}
-    return not reach.isdisjoint(commutator_products(group, h))
-
-
-def commutator_products(group: GroupTable, h: int) -> frozenset[int]:
-    """Values of [a_1,b_1]...[a_h,b_h] over all choices; closed under inverse.
-
-    Padding with [e, e] makes the sets nested in h, so the products stop
-    growing once one more factor adds nothing; h = 0 gives {e}.  Any
-    (h; n)-vector's c_1 is the inverse of such a product, hence lies in this set.
-    """
-    single = {group.commutator(a, b) for a in group.elements() for b in group.elements()}
-    current = frozenset({group.identity})
-    for _ in range(h):
-        nxt = frozenset(group.mul(x, y) for x in current for y in single)
-        if nxt == current:
-            break
-        current = nxt
-    return current
+    return not reach.isdisjoint(group.commutator_products(h))

@@ -93,16 +93,39 @@ class GroupTable:
         t = self.table
         return t[t[self.inverse[a]][self.inverse[b]]][t[a][b]]
 
+    @cached_property
+    def elements_by_order(self) -> dict[int, tuple[int, ...]]:
+        """Each element order mapped to the ascending elements of that order."""
+        by_order: dict[int, list[int]] = {}
+        for g, k in enumerate(self.element_orders):
+            by_order.setdefault(k, []).append(g)
+        return {k: tuple(gs) for k, gs in by_order.items()}
+
+    @cached_property
+    def _commutator_levels(self) -> tuple[frozenset[int], ...]:
+        single = {self.commutator(a, b) for a in self.elements() for b in self.elements()}
+        levels = [frozenset({0})]
+        while len(levels) < 2 or levels[-1] != levels[-2]:
+            levels.append(frozenset(self.table[x][y] for x in levels[-1] for y in single))
+        return tuple(levels)
+
+    def commutator_products(self, h: int) -> frozenset[int]:
+        """Values of [a_1,b_1]...[a_h,b_h] over all choices; closed under inverse.
+
+        Padding with [e, e] nests the levels in h; they are built once, until one more
+        factor adds nothing (h = 0 gives {e}).  An (h; n)-vector's c_1 lies in this set.
+        """
+        return self._commutator_levels[min(h, len(self._commutator_levels) - 1)]
+
     def subgroup_closure(self, subset: tuple[int, ...] | list[int]) -> frozenset[int]:
         """Elements of the subgroup generated by ``subset``."""
         seen = {0}
         frontier = [0]
-        gens = [g for g in subset]
         while frontier:
             nxt = []
             for x in frontier:
                 row = self.table[x]
-                for g in gens:
+                for g in subset:
                     y = row[g]
                     if y not in seen:
                         seen.add(y)
@@ -115,10 +138,7 @@ class GroupTable:
 
     def order_statistics(self) -> tuple[tuple[int, int], ...]:
         """Sorted (element order, multiplicity) pairs: a cheap isomorphism fingerprint."""
-        counts: dict[int, int] = {}
-        for k in self.element_orders:
-            counts[k] = counts.get(k, 0) + 1
-        return tuple(sorted(counts.items()))
+        return tuple(sorted((k, len(gs)) for k, gs in self.elements_by_order.items()))
 
     @classmethod
     def from_table(
@@ -144,9 +164,7 @@ class GroupTable:
                 raise NotLatinSquareError(f"column {i} is not a permutation: not a group table")
         _check_associative(rows)
         table = tuple(tuple(row) for row in rows)
-        inverse = []
-        for i in range(n):
-            inverse.append(rows[i].index(0))
+        inverse = [rows[i].index(0) for i in range(n)]
         orders = []
         for i in range(n):
             x, k = i, 1

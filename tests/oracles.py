@@ -19,7 +19,10 @@ and filters, where the library runs ``realizable`` over the same groups.
 ``eager_realizable`` lists every period list, runs the product filter over all
 of them, and only then checks each with ``Fraction`` Riemann-Hurwitz and
 searches it, where the library does all of that in one pass that stops at the
-first witness.
+first witness.  ``naive_product_reachable`` and ``naive_commutator_products``
+rebuild the candidates of each period and the commutator products on every
+call, where the library reads both from tables kept on the group; the two
+oracles above use these, not the library's filter.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from skelsig.genvec import (
     GeneratingVector,
     RealizabilityReport,
     Witness,
-    commutator_products,
-    product_reachable,
     realizable,
     search,
 )
@@ -79,6 +80,27 @@ def naive_search(group: GroupTable, sig: OrbifoldSignature) -> SearchVerdict:
             pairs = tuple((tup[2 * i], tup[2 * i + 1]) for i in range(h))
             return SearchVerdict.exists(GeneratingVector(pairs, tup[2 * h :]))
     return SearchVerdict.not_exists()
+
+
+def naive_commutator_products(group: GroupTable, h: int) -> frozenset[int]:
+    """Products of h commutators, closed one factor at a time from all |G|^2 commutators."""
+    single = {group.commutator(a, b) for a in group.elements() for b in group.elements()}
+    current = frozenset({group.identity})
+    for _ in range(h):
+        nxt = frozenset(group.mul(x, y) for x in current for y in single)
+        if nxt == current:
+            break
+        current = nxt
+    return current
+
+
+def naive_product_reachable(group: GroupTable, h: int, periods: tuple[int, ...]) -> bool:
+    """Whether some c_1...c_r with ord(c_j) = n_j is the inverse of a product of h commutators."""
+    reach = {group.identity}
+    for p in periods:
+        cand = [g for g in group.elements() if group.element_orders[g] == p]
+        reach = {group.mul(x, c) for x in reach for c in cand}
+    return not reach.isdisjoint(naive_commutator_products(group, h))
 
 
 def fraction_period_multisets(
@@ -237,7 +259,7 @@ def close_order_2n(
         if not order_n:
             details.append(f"{g.name}: no element of order {n}")
             continue
-        pool = commutator_products(g, h)
+        pool = naive_commutator_products(g, h)
         if not any(g.inverse[c] in pool for c in order_n):
             details.append(f"{g.name}: no order-{n} element is an {h}-fold commutator product")
             continue
@@ -268,7 +290,7 @@ def eager_realizable(
             f"no period multiset over element orders of {group.name} "
             f"satisfies Riemann-Hurwitz at genus {sigma}",
         )
-    if not any(product_reachable(group, h, periods) for periods in multisets):
+    if not any(naive_product_reachable(group, h, periods) for periods in multisets):
         if r == 1 and group.is_abelian:
             return excluded(
                 "abelian-r1",

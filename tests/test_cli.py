@@ -52,7 +52,10 @@ class TestSignatureParsing:
         assert parse_signature("(9)") == OrbifoldSignature(9, ())
         assert parse_signature(" ( 3 ; 2 , 4 ) ") == OrbifoldSignature(3, (2, 4))
 
-    @pytest.mark.parametrize("bad", ["", "2;2", "(2;2", "(x;2)", "(2;a)", "(2;2,,3)", "(0;1)"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "2;2", "(2;2", "(x;2)", "(2;a)", "(2;2,,3)", "(0;1)", "(--3;2)", "(1;2,--2)", "(2;²)"],
+    )
     def test_errors_carry_position(self, bad):
         with pytest.raises(SignatureParseError) as exc:
             parse_signature(bad)

@@ -9,13 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from oracles import eager_realizable, fraction_period_multisets, naive_search
+from oracles import (
+    eager_realizable,
+    fraction_period_multisets,
+    naive_product_reachable,
+    naive_search,
+)
 from skelsig import genvec
 from skelsig.genvec import (
     GeneratingVector,
     all_groups_unbranched_condition,
     check_vector,
-    commutator_products,
     product_reachable,
     quaternion_vector,
     realizable,
@@ -34,6 +38,26 @@ from skelsig.rh import OrbifoldSignature, SkeletalSignature, period_multisets, r
 
 Sig = OrbifoldSignature
 S = SkeletalSignature
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Period lists drawn from the walk and ``product_reachable`` calls made inside genvec."""
+    counts = Counter()
+    walk, reachable = genvec.period_multisets, genvec.product_reachable
+
+    def counted_walk(*args):
+        for periods in walk(*args):
+            counts["drawn"] += 1
+            yield periods
+
+    def counted_reachable(*args):
+        counts["calls"] += 1
+        return reachable(*args)
+
+    monkeypatch.setattr(genvec, "period_multisets", counted_walk)
+    monkeypatch.setattr(genvec, "product_reachable", counted_reachable)
+    return counts
 
 
 class TestVerify:
@@ -294,28 +318,27 @@ class TestRealizable:
             "commutator-r1", "unknown",
         }
 
-    def test_stops_at_first_witness(self, monkeypatch):
+    def test_stops_at_first_witness(self, counted):
         # Q12 at genus 6, (0, 4): (2, 3, 6, 6) is unreachable and (2, 4, 4, 6)
         # holds the witness, so the walk is drawn from twice and filtered twice
-        drawn = calls = 0
-        walk, reachable = genvec.period_multisets, genvec.product_reachable
-
-        def counted_walk(*args):
-            nonlocal drawn
-            for periods in walk(*args):
-                drawn += 1
-                yield periods
-
-        def counted_reachable(*args):
-            nonlocal calls
-            calls += 1
-            return reachable(*args)
-
-        monkeypatch.setattr(genvec, "period_multisets", counted_walk)
-        monkeypatch.setattr(genvec, "product_reachable", counted_reachable)
         rep = realizable(build_generalized_quaternion(3), 6, S(0, 4))
         assert rep.witness.signature == Sig(0, (2, 4, 4, 6))
-        assert (drawn, calls) == (2, 2)
+        assert (counted["drawn"], counted["calls"]) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "group, sigma, point, lists, rule",
+        [
+            # one list, (2, 10), which the filter rules out
+            (build_cyclic(10), 48, S(5, 2), 1, "product-unreachable"),
+            # five lists, three of them reachable and walked in full
+            (build_cyclic(12), 5, S(0, 4), 5, "exhausted-search"),
+        ],
+        ids=["c10-unreachable", "c12-exhausted"],
+    )
+    def test_negative_verdict_filters_each_list_once(self, counted, group, sigma, point, lists, rule):
+        rep = realizable(group, sigma, point)
+        assert [r.rule for r in rep.exclusion_reasons] == [rule]
+        assert (counted["drawn"], counted["calls"]) == (lists, lists)
 
     @pytest.mark.parametrize(
         "group, sigma, point, periods",
@@ -373,23 +396,39 @@ class TestUnbranched:
                     assert all_groups_unbranched_condition(sigma, p)
 
 
+class TestProductReachable:
+    def test_matches_naive_oracle_on_catalog(self, catalog_groups):
+        # every non-decreasing period tuple of length <= 3 over each group's
+        # element orders, plus one order no element has, at h = 0, 1, 2
+        ruled_out = 0
+        for g in catalog_groups:
+            orders = sorted(set(g.element_orders)) + [g.order + 1]
+            for h in range(3):
+                for r in range(4):
+                    for periods in itertools.combinations_with_replacement(orders, r):
+                        expected = naive_product_reachable(g, h, periods)
+                        assert product_reachable(g, h, periods) == expected, (g.name, h, periods)
+                        ruled_out += not expected
+        assert ruled_out > 1000
+
+
 class TestCommutatorProducts:
     def test_abelian_collapses_to_identity(self):
-        assert commutator_products(build_cyclic(6), 3) == frozenset({0})
+        assert build_cyclic(6).commutator_products(3) == frozenset({0})
 
     def test_no_commutators_is_identity(self):
-        assert commutator_products(build_generalized_quaternion(2), 0) == frozenset({0})
+        assert build_generalized_quaternion(2).commutator_products(0) == frozenset({0})
 
     def test_q8_derived_subgroup(self):
         q8 = build_generalized_quaternion(2)
         # [Q8, Q8] = {e, x^2}; already closed at one commutator
-        assert commutator_products(q8, 1) == frozenset({0, 2})
-        assert commutator_products(q8, 4) == frozenset({0, 2})
+        assert q8.commutator_products(1) == frozenset({0, 2})
+        assert q8.commutator_products(4) == frozenset({0, 2})
 
     def test_filter_is_sound_for_search(self):
         # if no order-n element is a product of h commutators, search agrees
         g = build_dihedral(6)
-        pool = commutator_products(g, 2)
+        pool = g.commutator_products(2)
         has_order_6_candidate = any(
             g.element_orders[c] == 6 and g.inverse[c] in pool for c in g.elements()
         )

@@ -1,10 +1,12 @@
 """Group tables: constructors, validation, file round-trips, catalog integrity."""
 
+import dataclasses
 import itertools
 import json
 
 import pytest
 
+from oracles import naive_commutator_products
 from skelsig.groups import (
     BadEntryError,
     CayleyFormatError,
@@ -39,6 +41,20 @@ def full_cubic_associativity(g: GroupTable) -> bool:
         for b in g.elements()
         for c in g.elements()
     )
+
+
+def constructed_groups() -> list[GroupTable]:
+    """One group of each constructor family, the spec language included."""
+    return [
+        build_cyclic(1),
+        build_cyclic(7),
+        build_elementary_abelian(2, 3),
+        direct_product(build_cyclic(2), build_cyclic(4)),
+        build_dihedral(6),
+        build_generalized_quaternion(3),
+        build_from_permutations(4, ["(1 2 3)", "(2 3 4)"]),
+        build_from_spec("perm:3:(1 2);(1 2 3)", name="S3"),
+    ]
 
 
 class TestConstructors:
@@ -111,19 +127,35 @@ class TestConstructors:
         assert quaternion_word(2, 5) == "x*y"
 
     def test_all_constructor_outputs_pass_full_validator(self):
-        groups = [
-            build_cyclic(1),
-            build_cyclic(7),
-            build_elementary_abelian(2, 3),
-            build_dihedral(6),
-            build_generalized_quaternion(3),
-            build_from_permutations(4, ["(1 2 3)", "(2 3 4)"]),
-        ]
-        for g in groups:
+        for g in constructed_groups():
             # re-validate from scratch and cross-check associativity cubically
             rebuilt = GroupTable.from_table(g.name, [list(r) for r in g.table])
             assert rebuilt.element_orders == g.element_orders
             assert full_cubic_associativity(g)
+
+
+class TestTables:
+    def test_elements_by_order(self, catalog_groups):
+        for g in catalog_groups + constructed_groups():
+            assert sorted(g.elements_by_order) == sorted(set(g.element_orders)), g.name
+            for k, elements in g.elements_by_order.items():
+                assert list(elements) == [x for x in range(g.order) if g.element_orders[x] == k]
+
+    def test_commutator_products_match_oracle(self, catalog_groups):
+        for g in catalog_groups + constructed_groups():
+            for h in range(5):
+                assert g.commutator_products(h) == naive_commutator_products(g, h), (g.name, h)
+
+    def test_renamed_copy_has_same_tables(self, catalog_groups):
+        # build_from_spec(..., name=) renames with dataclasses.replace; the copy
+        # must derive the same tables, whether or not the original built its own
+        for g in catalog_groups + constructed_groups():
+            before = dataclasses.replace(g, name=g.name + "'")
+            products = [g.commutator_products(h) for h in range(5)]
+            after = dataclasses.replace(g, name=g.name + "''")
+            for copy in (before, after):
+                assert copy.elements_by_order == g.elements_by_order, g.name
+                assert [copy.commutator_products(h) for h in range(5)] == products, g.name
 
 
 class TestPermutations:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .groups import _is_prime
 from .rh import SkeletalSignature
@@ -152,9 +152,13 @@ def common_point(sigma: int) -> RationalPoint:
     return RationalPoint(sigma, 2 - 2 * sigma)
 
 
-def _check(sigma: int, order: int) -> None:
+def _check_genus(sigma: int) -> None:
     if sigma < 2:
         raise ValueError(f"genus must be >= 2, got {sigma}")
+
+
+def _check(sigma: int, order: int) -> None:
+    _check_genus(sigma)
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
 
@@ -193,21 +197,30 @@ class TriangleRegion:
         }
 
 
-def triangle_points(sigma: int, order: int) -> list[SkeletalSignature]:
-    """Lattice points with h, r >= 0 of the closed order-N triangle, in lexicographic order.
+def triangle_rows(sigma: int, order: int) -> Iterator[tuple[int, int, int]]:
+    """Rows (h, r_lo, r_hi) of the closed order-N triangle's lattice points with h, r >= 0.
 
-    At each h up to the apex, r runs from the ceil of the lower line's
-    (c - a*h)/b to the floor of the upper line's, both by integer division.
+    At each h up to the apex, r runs from r_lo, the ceil of the lower line's
+    (c - a*h)/b, to r_hi, the floor of the upper line's, both by integer
+    division; rows with no lattice point are skipped, and h ascends.
     """
     _check(sigma, order)
     la, lb, lc = _lower_coeffs(sigma, order)
     ua, ub, uc = _upper_coeffs(sigma, order)
-    out: list[SkeletalSignature] = []
     for h in range((order + sigma - 1) // order + 1):
         r_lo = max(-((la * h - lc) // lb), 0)
         r_hi = (uc - ua * h) // ub
-        out.extend(SkeletalSignature(h, r) for r in range(r_lo, r_hi + 1))
-    return out
+        if r_lo <= r_hi:
+            yield h, r_lo, r_hi
+
+
+def triangle_points(sigma: int, order: int) -> list[SkeletalSignature]:
+    """Lattice points with h, r >= 0 of the closed order-N triangle, in lexicographic order."""
+    return [
+        SkeletalSignature(h, r)
+        for h, r_lo, r_hi in triangle_rows(sigma, order)
+        for r in range(r_lo, r_hi + 1)
+    ]
 
 
 def triangle(sigma: int, order: int) -> TriangleRegion:
@@ -313,7 +326,7 @@ def gap(sigma: int, order: int) -> GapRegion:
     line as its exception.  Below N = 3 the order-2 triangle is degenerate and
     no gap is defined.
     """
-    _check(sigma, order)
+    _check_genus(sigma)
     if order < 3:
         raise ValueError(f"gaps are defined for order >= 3, got {order}")
     n = order

@@ -20,13 +20,13 @@ from .genvec import (
     realizable,
     verify,
 )
-from .geometry import GapRegion, gap, p_group_line, triangle_points
+from .geometry import GapRegion, gap, p_group_line, triangle_rows
 from .groups import CatalogManifest, GroupTable, _is_prime, build_cyclic
 from .rh import (
     SearchVerdict,
     SkeletalSignature,
-    allowed_periods,
     feasible_orders,
+    order_parts,
     part_sum_levels,
     rh_admissible,
     rh_genus,
@@ -42,32 +42,47 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
 
     Sweeps orders from 2 up to the h = 0 cap and decides each order's whole
     triangle at once, so the union equals the per-point order sweep without
-    quadratic cost.  With the parts d = N/n over the periods n of the order,
-    a point is feasible at N exactly when T = N(2h - 2 + r) - 2(sigma - 1) is
-    a sum of r parts, that is when bit T of the level bitset S_r of
-    ``part_sum_levels`` is set.  That is the test the period-list walk makes,
-    without listing a period.  Triangle points have T >= r >= 0, so the
-    levels are cut at the largest T, which is never negative, and built up
-    to the largest r.  The box is fixed at h <= sigma + 1, r <= 2*sigma + 2,
-    and every triangle lies inside it: h <= (sigma-1)/N + 1 and
-    r <= 4(sigma-1)/N + 4.
+    quadratic cost.  Each order N comes with its parts d = N/n over its
+    periods n from ``order_parts``, one divisor sieve over the whole sweep.
+    A point is feasible at N exactly when T = N(2h - 2 + r) - 2(sigma - 1) is
+    a sum of r parts.  With m the largest r of the triangle (at least 1),
+    ``part_sum_levels`` builds S_0..S_(m-1): a point with r < m is decided by
+    bit T of S_r, and a point with r = m by bit T - d of S_(m-1) for each
+    part d <= T, so the widest level is never built.  That is the test the
+    period-list walk makes, without listing a period.  Triangle points have
+    T >= r >= 0, so the levels are cut at the largest T, which is never
+    negative.  The triangle is walked row by row from ``triangle_rows``, T
+    growing by N with r, and a ``SkeletalSignature`` is built only for a
+    feasible point.  The box is fixed at
+    h <= sigma + 1, r <= 2*sigma + 2, and every triangle lies inside it:
+    h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
     """
     if sigma < 2:
         raise ValueError(f"genus must be >= 2, got {sigma}")
-    cap = 84 * (sigma - 1)
+    cap, shift = 84 * (sigma - 1), 2 * (sigma - 1)
 
-    found: dict[SkeletalSignature, list[int]] = {}
-    for n in range(2, cap + 1):
-        points = triangle_points(sigma, n)
-        if not points:
+    found: dict[tuple[int, int], list[int]] = {}
+    for n, parts in order_parts(cap):
+        rows = list(triangle_rows(sigma, n))
+        if not rows:
             continue
-        totals = [n * (2 * pt.h - 2 + pt.r) - 2 * (sigma - 1) for pt in points]
-        parts = [n // p for p in allowed_periods(n)]
-        levels = part_sum_levels(parts, max(pt.r for pt in points), max(totals))
-        for pt, t in zip(points, totals):
-            if levels[pt.r] >> t & 1:
-                found.setdefault(pt, []).append(n)
-    return {pt: tuple(ns) for pt, ns in sorted(found.items())}
+        # r_hi = 4(1 - h) + floor(4(sigma - 1)/N), so 2h + r_hi falls as h grows:
+        # the first row holds both the largest r and the largest T
+        h, _, r_hi = rows[0]
+        widest = max(1, r_hi)
+        levels = part_sum_levels(parts, widest - 1, n * (2 * h - 2 + r_hi) - shift)
+        below = levels[-1]
+        for h, r_lo, r_hi in rows:
+            t = n * (2 * h - 2 + r_lo) - shift
+            for r in range(r_lo, r_hi + 1):
+                if (
+                    levels[r] >> t & 1
+                    if r < widest
+                    else any(below >> (t - d) & 1 for d in parts if d <= t)
+                ):
+                    found.setdefault((h, r), []).append(n)
+                t += n
+    return {SkeletalSignature(*pt): tuple(ns) for pt, ns in sorted(found.items())}
 
 
 # ---------------------------------------------------------------------------

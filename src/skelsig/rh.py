@@ -12,9 +12,11 @@ r proper divisors d_j of N.  Two exact procedures answer it.
 ``period_multisets`` lists every period list, by a branch-and-bound over the
 parts d_j.  ``part_sum_levels`` answers only yes or no, for every point of an
 order at once: bit t of the level bitset S_k is set exactly when t is a sum of
-k parts, so (h, r) is feasible exactly when bit T of S_r is set.  The searches
-are exhaustive within provable bounds, so a negative answer is a certificate,
-not a timeout.
+k parts, so (h, r) is feasible exactly when bit T of S_r is set, or, one level
+lower, when bit T - d of S_(r-1) is set for some part d <= T.  A sweep over
+every order takes each order's parts from ``order_parts``, one divisor sieve,
+in place of trial division per order.  The searches are exhaustive within
+provable bounds, so a negative answer is a certificate, not a timeout.
 """
 
 from __future__ import annotations
@@ -148,6 +150,26 @@ def allowed_periods(order: int) -> list[int]:
     small = [d for d in range(1, math.isqrt(order) + 1) if order % d == 0]
     large = [order // d for d in reversed(small) if d * d != order]
     return small[1:] + large
+
+
+def order_parts(top: int) -> Iterator[tuple[int, list[int]]]:
+    """Each order N in 2..top, ascending, with its parts: the divisors d <= N/2 of N, descending.
+
+    The parts are N/n over ``allowed_periods(N)``, found by an incremental
+    sieve in place of trial division: each d waits in a dict at its next
+    multiple and moves on by d when that multiple is reached, and N itself
+    first waits at 2N.  A d whose next multiple passes ``top`` is dropped, so
+    at most top/2 divisors are held at once.  A divisor d joins the list of
+    m while m - d is swept, so larger divisors join first and each list comes
+    out descending.
+    """
+    waiting: dict[int, list[int]] = {2: [1]}
+    for n in range(2, top + 1):
+        parts = waiting.pop(n)
+        yield n, parts
+        for d in (n, *parts):
+            if n + d <= top:
+                waiting.setdefault(n + d, []).append(d)
 
 
 def period_multisets(

@@ -84,6 +84,12 @@ class TestExitCodes:
     def test_domain_error_is_usage(self, capsys):
         assert main(["missing", "--sigma", "5", "--h", "2"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["gaps", "verify-gap"])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_gap_order_below_three_is_usage(self, command, n, capsys):
+        assert main([command, "--sigma", "48", "--n", str(n)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: gaps are defined for order >= 3, got {n}\n")
+
     def test_missing_genus_8_h2_is_usage_without_traceback(self):
         # (2, 1) lies on the order-5 cyclic line at genus 8, so there is no missing point
         src = str(Path(__file__).resolve().parents[1] / "src")

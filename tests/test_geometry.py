@@ -20,6 +20,7 @@ from skelsig.geometry import (
     nearest_int,
     p_group_line,
     triangle,
+    triangle_rows,
     upper_line,
 )
 from skelsig.rh import SkeletalSignature, rh_admissible
@@ -98,11 +99,19 @@ class TestTriangle:
 
     def test_integer_points_match_fraction_oracle(self):
         # integer floor/ceil on the line coefficients against exact rational bounds,
-        # at every order up to the h = 0 cap
+        # at every order up to the h = 0 cap, as points and as rows
         for sigma in range(2, 26):
             for order in range(2, 84 * (sigma - 1) + 1):
                 tri = triangle(sigma, order)
-                assert tri.integer_points() == fraction_triangle_points(tri), (sigma, order)
+                expected = fraction_triangle_points(tri)
+                assert tri.integer_points() == expected, (sigma, order)
+                rows = list(triangle_rows(sigma, order))
+                assert [S(h, r) for h, lo, hi in rows for r in range(lo, hi + 1)] == expected
+                assert all(lo <= hi for _, lo, hi in rows), (sigma, order)
+                # admissible_map sizes each order's levels from the first row alone
+                if rows:
+                    assert rows[0][2] == max(pt.r for pt in expected), (sigma, order)
+                    assert 2 * rows[0][0] + rows[0][2] == max(2 * pt.h + pt.r for pt in expected)
 
 
 class TestGap:
@@ -124,8 +133,9 @@ class TestGap:
         assert gap(20, 6).span == "skip"  # middle order 7 is prime
 
     def test_rejects_small_order(self):
-        with pytest.raises(ValueError):
-            gap(48, 2)
+        for order in (-1, 0, 1, 2):
+            with pytest.raises(ValueError, match=f"^gaps are defined for order >= 3, got {order}$"):
+                gap(48, order)
 
     def test_corner_on_both_lines_vs_independent_solve(self):
         for sigma in (7, 11, 20, 48, 60):

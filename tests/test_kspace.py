@@ -68,19 +68,33 @@ class TestAdmissible:
                     assert direct.witness[0] == feas[pt][0]
 
     def test_divisors_computed_once_per_order(self, monkeypatch):
-        # a count guard, not a timing gate: the divisor list is per order, not per point
+        # a count guard, not a timing gate: every order's divisors come from the one
+        # sieve, which the sweep reads once per order, in ascending order
         expected = admissible_map(11)
-        calls = Counter()
+        calls = []
         divisors = rh.allowed_periods
 
         def counted(order):
-            calls[order] += 1
+            calls.append(order)
             return divisors(order)
 
+        swept = []
+        sieve = kspace.order_parts
+
+        def recorded(top):
+            for n, parts in sieve(top):
+                swept.append(n)
+                yield n, parts
+
         monkeypatch.setattr(rh, "allowed_periods", counted)
-        monkeypatch.setattr(kspace, "allowed_periods", counted)
+        monkeypatch.setattr(kspace, "allowed_periods", counted, raising=False)
+        monkeypatch.setattr(kspace, "order_parts", recorded)
         assert admissible_map(11) == expected
-        assert calls and max(calls.values()) == 1
+        assert calls == []
+        assert swept == list(range(2, 84 * 10 + 1))
+        # the counter is live
+        rh_admissible(11, S(2, 1))
+        assert calls
 
     def test_matches_walk_oracle(self):
         # the level bitsets against the period-list walk they replace, order list by order list

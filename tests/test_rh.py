@@ -21,6 +21,7 @@ from skelsig.rh import (
     allowed_periods,
     feasible_orders,
     order_bound,
+    order_parts,
     part_sum_levels,
     period_feasible,
     period_multisets,
@@ -92,6 +93,19 @@ class TestAllowedPeriods:
         # 5040, 7560 and 8316 = 84 * 99 are highly composite or the h = 0 cap at genus 100
         for order in itertools.chain(range(2, 3001), (5040, 7560, 8316)):
             assert allowed_periods(order) == trial_division_allowed_periods(order), order
+
+
+class TestOrderParts:
+    @pytest.mark.parametrize("top", [2, 3, 8316])
+    def test_matches_trial_division(self, top):
+        # 8316 = 84 * 99 is the h = 0 cap at genus 100: every order of that sweep
+        assert list(order_parts(top)) == [
+            (n, [n // p for p in trial_division_allowed_periods(n)]) for n in range(2, top + 1)
+        ]
+
+    @pytest.mark.parametrize("top", [-1, 0, 1])
+    def test_empty_below_two(self, top):
+        assert list(order_parts(top)) == []
 
 
 class TestPeriodFeasible:

@@ -60,7 +60,6 @@ from .rh import (
     SearchVerdict,
     SkeletalSignature,
     order_bound,
-    period_feasible,
     rh_admissible,
     rh_genus,
     rh_holds,

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -28,8 +28,6 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_PARTIAL = 3
-
-CATALOG_ENV = "SKELSIG_CATALOG"
 
 
 class SignatureParseError(ValueError):
@@ -72,10 +70,7 @@ def parse_signature(text: str) -> OrbifoldSignature:
 
 
 def _resolve_catalog(args) -> CatalogManifest:
-    path = getattr(args, "catalog", None) or os.environ.get(CATALOG_ENV)
-    if path:
-        return load_catalog(Path(path))
-    return bundled_catalog()
+    return load_catalog(args.catalog) if args.catalog else bundled_catalog()
 
 
 def points_csv(rows: Iterable[tuple[int, int, str]]) -> str:
@@ -274,9 +269,10 @@ def _add_common(p: argparse.ArgumentParser, *, budget: bool = False, catalog: bo
     p.add_argument("--out", type=str, default=None, help="write output to this path")
     if catalog:
         p.add_argument("--catalog", type=str, default=None,
-                       help=f"catalog directory (default: ${CATALOG_ENV} or bundled)")
+                       help="catalog directory (default: the bundled catalog)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skelsig",
@@ -321,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--primes", type=parse_int_list, required=True,
                    help="comma-separated odd primes")
-    p.add_argument("--witness-n", dest="witness_n", type=parse_int_list, default=[],
+    p.add_argument("--witness-n", dest="witness_n", type=parse_int_list, default=(),
                    help="comma-separated quaternion parameters for existence witnesses")
     _add_common(p, budget=True, catalog=True)
     p.set_defaults(fn=cmd_sporadic)

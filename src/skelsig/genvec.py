@@ -39,6 +39,8 @@ from .rh import (
     OrbifoldSignature,
     SearchVerdict,
     SkeletalSignature,
+    _check_genus,
+    _check_order,
     period_multisets,
 )
 
@@ -182,10 +184,8 @@ def unbranched_cyclic(
     The vector puts a generator in a_1 and identities elsewhere; all
     commutators vanish, so the product condition is trivial.
     """
-    if sigma < 2:
-        raise ValueError(f"genus must be >= 2, got {sigma}")
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    _check_genus(sigma)
+    _check_order(order)
     if (sigma - 1) % order != 0:
         return None
     h = (sigma - 1) // order + 1
@@ -204,10 +204,8 @@ def all_groups_unbranched_condition(sigma: int, order: int) -> bool:
     prime power dividing N (generating sets of such groups have at most n + 1
     elements).  Predicate only; no search.
     """
-    if sigma < 2:
-        raise ValueError(f"genus must be >= 2, got {sigma}")
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    _check_genus(sigma)
+    _check_order(order)
     n = _max_prime_exponent(order)
     return Fraction(sigma - 1, order) + 1 >= n + 1
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from .groups import _is_prime
-from .rh import SkeletalSignature
+from .rh import SkeletalSignature, _check_genus, _check_order
 
 Coord = Union[int, Fraction]
 
@@ -135,8 +135,7 @@ def p_group_line(sigma: int, p: int, power: int) -> RationalLine:
     so every branching period equals p and the feasibility triangle collapses:
     2 p^power h + (p-1) p^(power-1) r = 2 p^power - 2 + 2 sigma.
     """
-    if sigma < 2:
-        raise ValueError(f"genus must be >= 2, got {sigma}")
+    _check_genus(sigma)
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if power < 1:
@@ -147,20 +146,13 @@ def p_group_line(sigma: int, p: int, power: int) -> RationalLine:
 
 def common_point(sigma: int) -> RationalPoint:
     """The point (sigma, 2 - 2*sigma) shared by every lower line as the order varies."""
-    if sigma < 2:
-        raise ValueError(f"genus must be >= 2, got {sigma}")
+    _check_genus(sigma)
     return RationalPoint(sigma, 2 - 2 * sigma)
-
-
-def _check_genus(sigma: int) -> None:
-    if sigma < 2:
-        raise ValueError(f"genus must be >= 2, got {sigma}")
 
 
 def _check(sigma: int, order: int) -> None:
     _check_genus(sigma)
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    _check_order(order)
 
 
 @dataclass(frozen=True)

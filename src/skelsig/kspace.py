@@ -25,6 +25,7 @@ from .groups import CatalogManifest, GroupTable, _is_prime, build_cyclic
 from .rh import (
     SearchVerdict,
     SkeletalSignature,
+    _check_genus,
     feasible_orders,
     order_parts,
     part_sum_levels,
@@ -57,8 +58,7 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
     h <= sigma + 1, r <= 2*sigma + 2, and every triangle lies inside it:
     h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
     """
-    if sigma < 2:
-        raise ValueError(f"genus must be >= 2, got {sigma}")
+    _check_genus(sigma)
     cap, shift = 84 * (sigma - 1), 2 * (sigma - 1)
 
     found: dict[tuple[int, int], list[int]] = {}
@@ -361,12 +361,13 @@ def verify_gap(
     region = gap(sigma, order)
 
     def judge(pt: SkeletalSignature) -> PointReport:
-        on_exc = region.on_exception_line(pt)
-        verdict = rh_admissible(sigma, pt)
-        analysis = None
-        if on_exc:
-            analysis = analyze_point(sigma, pt, catalog, budget)
-        return PointReport(pt, on_exc, verdict, analysis)
+        if not region.on_exception_line(pt):
+            return PointReport(pt, False, rh_admissible(sigma, pt), None)
+        # the analysis sweeps the point's orders; its first feasible order is the rh witness
+        analysis = analyze_point(sigma, pt, catalog, budget)
+        feasible = analysis.feasible
+        verdict = SearchVerdict.exists(feasible[0]) if feasible else SearchVerdict.not_exists()
+        return PointReport(pt, True, verdict, analysis)
 
     points = tuple(judge(pt) for pt in region.integer_points_raw())
     bad = [p for p in points if not p.on_exception_line and not p.rh.is_not_exists]

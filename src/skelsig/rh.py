@@ -22,7 +22,7 @@ provable bounds, so a negative answer is a certificate, not a timeout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
@@ -243,21 +243,6 @@ def part_sum_levels(parts: Sequence[int], count: int, top: int) -> list[int]:
     return levels
 
 
-def period_feasible(sigma: int, skel: SkeletalSignature, order: int) -> SearchVerdict:
-    """Search for a period list making (h; n_1..n_r) satisfy Riemann-Hurwitz at this order.
-
-    Returns the lexicographically first non-decreasing list over the divisors
-    of the order; ``not_exists`` certifies that no multiset of divisors works.
-    """
-    _check_genus(sigma)
-    _check_order(order)
-    h, r = _check_skeletal(skel)
-    first = next(period_multisets(sigma, h, r, order, allowed_periods(order)), None)
-    if first is None:
-        return SearchVerdict.not_exists()
-    return SearchVerdict.exists(first)
-
-
 def order_bound(sigma: int, skel: SkeletalSignature) -> int:
     """Provable cap on group orders admitting a feasible period list at this point.
 
@@ -284,9 +269,11 @@ def feasible_orders(
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """All (order, canonical periods) pairs feasible at this point, ascending in order.
 
-    Only the orders whose closed feasibility triangle holds the point are
-    searched.  Every part d_j = N/n_j lies in [1, N/2], so a period list
-    exists at order N only if r <= T <= rN/2 with T = N(2h - 2 + r) - 2(sigma - 1):
+    The canonical periods are the first list ``period_multisets`` yields over
+    the order's divisors, the lexicographically first.  Only the orders
+    whose closed feasibility triangle holds the point are searched.  Every
+    part d_j = N/n_j lies in [1, N/2], so a period list exists at order N
+    only if r <= T <= rN/2 with T = N(2h - 2 + r) - 2(sigma - 1):
     T >= r is the lower line and T <= rN/2 the upper line.  Solved for N,
     that is (2(sigma - 1) + r)/(2h - 2 + r) <= N <= 4(sigma - 1)/(4h - 4 + r)
     when the divisors are positive.  Outside that range no r parts in
@@ -303,9 +290,9 @@ def feasible_orders(
     if 4 * h - 4 + r > 0:
         hi = min(hi, 4 * (sigma - 1) // (4 * h - 4 + r))
     for order in range(lo, hi + 1):
-        verdict = period_feasible(sigma, skel, order)
-        if verdict.is_exists:
-            yield order, verdict.witness
+        first = next(period_multisets(sigma, h, r, order, allowed_periods(order)), None)
+        if first is not None:
+            yield order, first
 
 
 def rh_admissible(sigma: int, skel: SkeletalSignature) -> SearchVerdict:

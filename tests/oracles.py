@@ -49,7 +49,6 @@ from skelsig.rh import (
     SkeletalSignature,
     allowed_periods,
     order_bound,
-    period_feasible,
     period_multisets,
     rh_holds,
 )
@@ -146,11 +145,16 @@ def trial_division_allowed_periods(order: int) -> list[int]:
 def full_range_feasible_orders(
     sigma: int, skel: SkeletalSignature
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(order, first period list) for every feasible order, trying each of 2..order_bound."""
+    """(order, first period list) for every feasible order, trying each of 2..order_bound.
+
+    The periods at each order come from trial division, not ``allowed_periods``.
+    """
+    h, r = skel
     for order in range(2, order_bound(sigma, skel) + 1):
-        verdict = period_feasible(sigma, skel, order)
-        if verdict.is_exists:
-            yield order, verdict.witness
+        allowed = trial_division_allowed_periods(order)
+        first = next(period_multisets(sigma, h, r, order, allowed), None)
+        if first is not None:
+            yield order, first
 
 
 def walk_admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:

@@ -170,7 +170,17 @@ class TestExitCodes:
     def test_int_list_skips_blank_items(self):
         assert parse_int_list(" 3, 5,,7 ,") == [3, 5, 7]
         args = build_parser().parse_args(["sporadic", "--h", "2", "--primes", "3,5"])
-        assert (args.primes, args.witness_n) == ([3, 5], [])
+        assert (args.primes, args.witness_n) == ([3, 5], ())
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_catalog_comes_only_from_the_flag(self, tmp_path, monkeypatch):
+        # a catalog directory in the environment is neither read nor an error
+        monkeypatch.setenv("SKELSIG_CATALOG", str(tmp_path / "missing"))
+        code, text = run(tmp_path, "kspace", "--sigma", "2")
+        assert code == EXIT_OK
+        assert text == (GOLDEN / "kspace_2.json").read_text(encoding="utf-8")
 
     def test_malformed_catalog_manifest_is_usage(self, tmp_path, capsys):
         for entry in [

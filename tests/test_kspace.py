@@ -246,6 +246,43 @@ class TestVerifyGap:
         with pytest.raises(ValueError):
             verify_gap(48, 2, catalog)
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_genus_48_every_gap_verified(self, catalog, n):
+        assert verify_gap(48, n, catalog).conclusion == "verified"
+
+    def test_sweeps_each_gap_point_once(self, catalog, monkeypatch):
+        # a count guard: an exception point takes its rh verdict from its analysis
+        calls = []
+        sweep = rh.feasible_orders
+
+        def counted(sigma, skel):
+            calls.append(skel)
+            return sweep(sigma, skel)
+
+        monkeypatch.setattr(rh, "feasible_orders", counted)
+        monkeypatch.setattr(kspace, "feasible_orders", counted)
+        report = verify_gap(48, 4, catalog)
+        assert sorted(calls) == sorted(gap(48, 4).integer_points_raw())
+        by_point = {p.point: p for p in report.points}
+        assert by_point[S(8, 6)].rh == rh_admissible(48, S(8, 6))
+        assert by_point[S(10, 1)].rh == rh_admissible(48, S(10, 1))
+
+    def test_gap_atlas_matches_admissible_map(self):
+        # gap n's points have h >= 2 (its corner lies at h >= 1) and lie left of the
+        # apex h = 1 + (sigma - 1)/n of its lower line, so n >= sigma - 1 leaves none
+        points = on_lines = 0
+        for sigma in range(9, 41):
+            adm = admissible_map(sigma)
+            assert not gap(sigma, sigma - 1).integer_points_raw()
+            for n in range(3, sigma - 1):
+                region = gap(sigma, n)
+                for pt in region.integer_points_raw():
+                    on_line = region.on_exception_line(pt)
+                    assert (pt in adm) == on_line, (sigma, n, pt)
+                    points += 1
+                    on_lines += on_line
+        assert (points, on_lines) == (1457, 60)
+
 
 class TestAnalyzePoint:
     def test_point_with_no_orders(self, catalog):

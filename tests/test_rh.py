@@ -23,7 +23,6 @@ from skelsig.rh import (
     order_bound,
     order_parts,
     part_sum_levels,
-    period_feasible,
     period_multisets,
     rh_admissible,
     rh_genus,
@@ -108,23 +107,26 @@ class TestOrderParts:
         assert list(order_parts(top)) == []
 
 
+def first_list(sigma, h, r, order):
+    """The first period list of the walk over the order's divisors, or None."""
+    return next(period_multisets(sigma, h, r, order, allowed_periods(order)), None)
+
+
 class TestPeriodFeasible:
     def test_figure_point(self):
-        v = period_feasible(48, S(8, 6), 5)
-        assert v.is_exists and v.witness == (5,) * 6
+        assert first_list(48, 8, 6, 5) == (5,) * 6
 
     def test_impossible_point(self):
-        assert period_feasible(4, S(2, 1), 2).is_not_exists
+        assert first_list(4, 2, 1, 2) is None
 
     def test_hyperelliptic(self):
-        v = period_feasible(2, S(0, 6), 2)
-        assert v.is_exists and v.witness == (2,) * 6
+        assert first_list(2, 0, 6, 2) == (2,) * 6
 
     def test_canonical_order(self):
         # reciprocals of five divisors of 12 summing to 1, e.g. 1/2+1/4+3*(1/12)
-        v = period_feasible(13, S(0, 5), 12)
-        assert v.is_exists
-        assert list(v.witness) == sorted(v.witness)
+        first = first_list(13, 0, 5, 12)
+        assert first is not None
+        assert list(first) == sorted(first)
 
     def test_matches_brute_force_oracle(self):
         # the witness is the lexicographically first list, not just any list
@@ -132,16 +134,11 @@ class TestPeriodFeasible:
             for order in range(2, 9):
                 for h in range(0, 4):
                     for r in range(0, 6):
-                        got = period_feasible(sigma, S(h, r), order)
+                        got = first_list(sigma, h, r, order)
                         lists = brute_force_period_lists(
                             sigma, h, r, order, allowed_periods(order)
                         )
-                        if lists:
-                            assert got.is_exists and got.witness == lists[0], (
-                                sigma, order, h, r,
-                            )
-                        else:
-                            assert got.is_not_exists, (sigma, order, h, r)
+                        assert got == (lists[0] if lists else None), (sigma, order, h, r)
 
     def test_divisor_box_subset_of_loose_box(self):
         for sigma in range(2, 20):
@@ -149,8 +146,7 @@ class TestPeriodFeasible:
                 loose_box = list(range(2, order + 1))
                 for h in range(0, 3):
                     for r in range(0, 5):
-                        tight = period_feasible(sigma, S(h, r), order)
-                        if tight.is_exists:
+                        if first_list(sigma, h, r, order) is not None:
                             loose = fraction_period_multisets(sigma, h, r, order, loose_box)
                             assert next(loose, None) is not None
 
@@ -162,12 +158,12 @@ class TestPeriodFeasible:
     )
     @settings(max_examples=200, deadline=None)
     def test_round_trip_exactness(self, sigma, order, h, r):
-        v = period_feasible(sigma, S(h, r), order)
-        if v.is_exists:
-            sig = OrbifoldSignature(h, v.witness)
+        first = first_list(sigma, h, r, order)
+        if first is not None:
+            sig = OrbifoldSignature(h, first)
             assert rh_holds(sigma, order, sig)
-            assert len(v.witness) == r
-            assert all(2 <= n <= order and order % n == 0 for n in v.witness)
+            assert len(first) == r
+            assert all(2 <= n <= order and order % n == 0 for n in first)
 
 
 class TestPeriodMultisets:
@@ -268,7 +264,7 @@ class TestOrderBound:
                         continue
                     bound = order_bound(sigma, S(h, r))
                     for order in range(bound + 1, bound + 30):
-                        assert period_feasible(sigma, S(h, r), order).is_not_exists
+                        assert first_list(sigma, h, r, order) is None
 
 
 class TestRhAdmissible:
@@ -294,7 +290,7 @@ class TestRhAdmissible:
                     swept = [
                         order
                         for order in range(2, order_bound(sigma, S(h, r)) + 1)
-                        if period_feasible(sigma, S(h, r), order).is_exists
+                        if first_list(sigma, h, r, order) is not None
                     ]
                     assert direct.is_exists == bool(swept)
                     if swept:

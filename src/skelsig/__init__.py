@@ -8,7 +8,6 @@ from .genvec import (
     GeneratingVector,
     RealizabilityReport,
     Witness,
-    all_groups_unbranched_condition,
     quaternion_vector,
     realizable,
     search,

@@ -82,9 +82,51 @@ def points_csv(rows: Iterable[tuple[int, int, str]]) -> str:
     return buf.getvalue()
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _indented_json(o, pad: str = "\n") -> str:
+    """JSON text of a plain tree, exactly what ``json.dumps`` writes with ``indent=2``.
+
+    One call per container, which joins its children with a comma, ``pad``
+    (a newline and the indent of the line ``o`` starts on) and two more
+    spaces; empty containers are ``[]`` and ``{}``.  Strings, keys included,
+    go through the C escaper ``json.dumps`` uses by default.  The tree holds
+    only ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``,
+    ``float``, ``bool`` and ``None``, matched by exact type; anything else
+    raises ``TypeError``.
+    """
+    t = type(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_indented_json(v, inner) for v in o]) + pad + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _indented_json(v, inner) for k, v in o.items()]
+        ) + pad + "}"
+    if t is str:
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is float:
+        return json.dumps(o)  # NaN and +-Infinity as json.dumps writes them
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit(args, payload: dict | str) -> None:
     out = getattr(args, "out", None)
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
+    text = payload if isinstance(payload, str) else _indented_json(payload) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:

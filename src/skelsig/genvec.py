@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .groups import GroupTable, build_cyclic, build_generalized_quaternion
 from .rh import (
@@ -41,7 +40,7 @@ from .rh import (
     SkeletalSignature,
     _check_genus,
     _check_order,
-    period_multisets,
+    _period_lists,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -197,36 +196,6 @@ def unbranched_cyclic(
     return group, sig, vec
 
 
-def all_groups_unbranched_condition(sigma: int, order: int) -> bool:
-    """Sufficient condition for ((sigma-1)/N + 1, 0) to be a skeletal signature of every order-N group.
-
-    Evaluates (sigma-1)/N + 1 >= n + 1 where n is the largest exponent of any
-    prime power dividing N (generating sets of such groups have at most n + 1
-    elements).  Predicate only; no search.
-    """
-    _check_genus(sigma)
-    _check_order(order)
-    n = _max_prime_exponent(order)
-    return Fraction(sigma - 1, order) + 1 >= n + 1
-
-
-def _max_prime_exponent(n: int) -> int:
-    best = 0
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            best = max(best, k)
-        p += 1
-    if m > 1:
-        best = max(best, 1)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # realizability of a skeletal signature by one concrete group
 
@@ -305,11 +274,12 @@ def realizable(
     """
     h, r = SkeletalSignature(*skel)
     n = group.order
+    # element orders divide n, so they are the walk's trusted ascending divisor list
     element_orders = sorted(k for k in group.elements_by_order if k >= 2)
     total = n * (2 * h - 2 + r) - 2 * (sigma - 1)
     multisets: list[tuple[int, ...]] = []
     saw_reachable = saw_unknown = False
-    for periods in period_multisets(sigma, h, r, n, element_orders):
+    for periods in _period_lists(sigma, h, r, n, element_orders):
         multisets.append(periods)
         sig = OrbifoldSignature(h, periods)
         if len(periods) != r or any(n % p for p in periods) or sum(n // p for p in periods) != total:

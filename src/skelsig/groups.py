@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 
@@ -577,15 +577,23 @@ def _parse_manifest(text: str, source: str) -> tuple[CatalogEntry, ...]:
 
 
 def load_catalog(directory: Path | str) -> CatalogManifest:
-    """Load ``manifest.json`` from a catalog directory."""
+    """Load ``manifest.json`` from a catalog directory, as a fresh manifest on every call.
+
+    The directory is the caller's and may change between calls, so nothing is kept.
+    """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     text = manifest_path.read_text(encoding="utf-8")
     return CatalogManifest(_parse_manifest(text, str(manifest_path)), base_dir=directory)
 
 
+@cache
 def bundled_catalog() -> CatalogManifest:
-    """The catalog shipped with the package: complete through order 15."""
+    """The catalog shipped with the package: complete through order 15.
+
+    One manifest per process: the package data does not change while it
+    runs, so every caller shares the parsed entries and each table once built.
+    """
     from importlib.resources import files
 
     manifest = files("skelsig").joinpath("data/catalog/manifest.json")

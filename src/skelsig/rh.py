@@ -184,11 +184,20 @@ def period_multisets(
     that leaves nothing for the other slots is skipped, and the last slot
     must equal a part exactly.  r = 0 yields () exactly when T = 0.  The walk
     keeps its path as a stack of part indices, so r may exceed Python's
-    recursion limit.
+    recursion limit.  ``allowed`` is sorted and checked here, once per call;
+    callers that already hold an ascending list of distinct divisors walk it
+    with ``_period_lists``.
     """
     allowed = sorted(set(allowed))
     if any(n < 2 or order % n for n in allowed):
         raise ValueError(f"periods must be divisors >= 2 of the order {order}, got {allowed}")
+    return _period_lists(sigma, h, r, order, allowed)
+
+
+def _period_lists(
+    sigma: int, h: int, r: int, order: int, allowed: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """The walk of ``period_multisets``, over distinct divisors >= 2 of ``order``, ascending."""
     total = order * (2 * h - 2 + r) - 2 * (sigma - 1)
     if r == 0:
         if total == 0:
@@ -290,7 +299,7 @@ def feasible_orders(
     if 4 * h - 4 + r > 0:
         hi = min(hi, 4 * (sigma - 1) // (4 * h - 4 + r))
     for order in range(lo, hi + 1):
-        first = next(period_multisets(sigma, h, r, order, allowed_periods(order)), None)
+        first = next(_period_lists(sigma, h, r, order, allowed_periods(order)), None)
         if first is not None:
             yield order, first
 

@@ -23,6 +23,8 @@ first witness.  ``naive_product_reachable`` and ``naive_commutator_products``
 rebuild the candidates of each period and the commutator products on every
 call, where the library reads both from tables kept on the group; the two
 oracles above use these, not the library's filter.
+``all_groups_unbranched_condition`` is a predicate no command reaches, kept
+here with its tests rather than in the library.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from skelsig.rh import (
     OrbifoldSignature,
     SearchVerdict,
     SkeletalSignature,
+    _check_genus,
+    _check_order,
     allowed_periods,
     order_bound,
     period_multisets,
@@ -331,3 +335,33 @@ def eager_realizable(
         "exhausted-search",
         f"all {len(multisets)} feasible signatures for {group.name} searched exhaustively",
     )
+
+
+def all_groups_unbranched_condition(sigma: int, order: int) -> bool:
+    """Sufficient condition for ((sigma-1)/N + 1, 0) to be a skeletal signature of every order-N group.
+
+    Evaluates (sigma-1)/N + 1 >= n + 1 where n is the largest exponent of any
+    prime power dividing N (generating sets of such groups have at most n + 1
+    elements).  Predicate only; no search.
+    """
+    _check_genus(sigma)
+    _check_order(order)
+    n = _max_prime_exponent(order)
+    return Fraction(sigma - 1, order) + 1 >= n + 1
+
+
+def _max_prime_exponent(n: int) -> int:
+    best = 0
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            best = max(best, k)
+        p += 1
+    if m > 1:
+        best = max(best, 1)
+    return best

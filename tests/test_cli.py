@@ -5,19 +5,24 @@ import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from skelsig import groups
 from skelsig.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_REFUTED,
     EXIT_USAGE,
     SignatureParseError,
+    _indented_json,
     build_parser,
     main,
     parse_int_list,
@@ -175,6 +180,21 @@ class TestExitCodes:
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
+    def test_bundled_catalog_tables_built_once_per_process(self, tmp_path, monkeypatch):
+        # a count guard: a second command reuses the first one's manifest and tables
+        built = Counter()
+        build = groups.build_from_spec
+
+        def counted(spec, **kwargs):
+            built[kwargs.get("name")] += 1
+            return build(spec, **kwargs)
+
+        monkeypatch.setattr(groups, "build_from_spec", counted)
+        groups.bundled_catalog.cache_clear()
+        texts = [run(tmp_path, "verify-gap", "--sigma", "48", "--n", "4")[1] for _ in range(2)]
+        assert texts == [(GOLDEN / "verify_gap_48.json").read_text(encoding="utf-8")] * 2
+        assert built and max(built.values()) == 1
+
     def test_catalog_comes_only_from_the_flag(self, tmp_path, monkeypatch):
         # a catalog directory in the environment is neither read nor an error
         monkeypatch.setenv("SKELSIG_CATALOG", str(tmp_path / "missing"))
@@ -301,6 +321,43 @@ class TestGoldenFiles:
         lines = text.strip().splitlines()
         assert lines[0] == "h,r,status"
         assert "0,6,realized" in lines
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**40, -(10**40), -1])
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300])
+    | st.text()
+    | st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\n\t", "é ☃ 𝄞"])
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+class TestIndentedJson:
+    @given(JSON_TREES)
+    @example([[], {}, (), [[]], {"a": {}}, {"a": [[], {"b": ()}]}])
+    @example({"nan": float("nan"), "inf": [float("inf"), float("-inf")], "z": -0.0})
+    def test_matches_json_dumps(self, value):
+        assert _indented_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+    def test_rewrites_golden_bytes(self, path):
+        raw = path.read_bytes()
+        assert (_indented_json(json.loads(raw)) + "\n").encode("utf-8") == raw
+
+    @pytest.mark.parametrize("value", [{1: "a"}, {None: 1}, [{"ok": {(1, 2): 3}}], {1.5}, b"x"])
+    def test_rejects_what_is_not_a_plain_tree(self, value):
+        with pytest.raises(TypeError):
+            _indented_json(value)
 
 
 class TestReadme:

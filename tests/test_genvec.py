@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    all_groups_unbranched_condition,
     eager_realizable,
     fraction_period_multisets,
     naive_product_reachable,
@@ -18,7 +19,6 @@ from oracles import (
 from skelsig import genvec
 from skelsig.genvec import (
     GeneratingVector,
-    all_groups_unbranched_condition,
     check_vector,
     product_reachable,
     quaternion_vector,
@@ -44,7 +44,7 @@ S = SkeletalSignature
 def counted(monkeypatch):
     """Period lists drawn from the walk and ``product_reachable`` calls made inside genvec."""
     counts = Counter()
-    walk, reachable = genvec.period_multisets, genvec.product_reachable
+    walk, reachable = genvec._period_lists, genvec.product_reachable
 
     def counted_walk(*args):
         for periods in walk(*args):
@@ -55,7 +55,7 @@ def counted(monkeypatch):
         counts["calls"] += 1
         return reachable(*args)
 
-    monkeypatch.setattr(genvec, "period_multisets", counted_walk)
+    monkeypatch.setattr(genvec, "_period_lists", counted_walk)
     monkeypatch.setattr(genvec, "product_reachable", counted_reachable)
     return counts
 
@@ -358,7 +358,7 @@ class TestRealizable:
             "import skelsig.genvec as genvec\n"
             "from skelsig.groups import build_cyclic\n"
             "print('optimize', sys.flags.optimize)\n"
-            f"genvec.period_multisets = lambda *args: iter([{periods}])\n"
+            f"genvec._period_lists = lambda *args: iter([{periods}])\n"
             "try:\n"
             f"    genvec.realizable({group}, {sigma}, {point})\n"
             "except AssertionError as exc:\n"

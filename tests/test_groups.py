@@ -22,6 +22,7 @@ from skelsig.groups import (
     build_from_permutations,
     build_from_spec,
     build_generalized_quaternion,
+    bundled_catalog,
     direct_product,
     load_catalog,
     load_cayley_file,
@@ -331,6 +332,9 @@ class TestCatalog:
             stats = [g.order_statistics() for g in catalog_groups if g.order == order]
             assert len(stats) == len(set(stats)), f"order {order} fingerprints collide"
 
+    def test_bundled_catalog_is_shared(self):
+        assert bundled_catalog() is bundled_catalog()
+
     def test_bundled_q8_statistics(self, catalog_groups):
         q8 = next(g for g in catalog_groups if g.name == "Q8")
         assert q8.order_statistics() == ((1, 1), (2, 1), (4, 6))
@@ -353,6 +357,17 @@ class TestLoadCatalog:
         assert s3.name == "S3" and s3.spec == "file:s3.cayley"
         assert s3.table == build_dihedral(3).table and not s3.is_abelian
         assert [g.name for g in catalog.groups()] == ["C2", "S3"]
+
+    def test_each_load_reads_the_directory_again(self, tmp_path):
+        self.write_manifest(tmp_path, [
+            {"order": 2, "spec": "cyclic:2", "label": "C2", "complete": True},
+        ])
+        first = load_catalog(tmp_path)
+        self.write_manifest(tmp_path, [
+            {"order": 3, "spec": "cyclic:3", "label": "C3", "complete": True},
+        ])
+        assert [e.label for e in first.entries] == ["C2"]
+        assert [e.label for e in load_catalog(tmp_path).entries] == ["C3"]
 
     def test_groups_of_order_builds_only_that_order(self, tmp_path):
         # the order-2 entry names a missing file; asking for order 4 never reads it

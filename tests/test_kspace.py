@@ -16,7 +16,12 @@ from skelsig.geometry import (
     triangle,
     triangle_points,
 )
-from skelsig.groups import build_cyclic, build_elementary_abelian, bundled_catalog
+from skelsig.groups import (
+    CatalogManifest,
+    build_cyclic,
+    build_elementary_abelian,
+    bundled_catalog,
+)
 from skelsig.kspace import (
     admissible_map,
     analyze_point,
@@ -105,14 +110,16 @@ class TestAdmissible:
         # a count guard, not a timing gate: existence needs no period list
         expected = admissible_map(11)
         calls = []
-        walk = rh.period_multisets
+        walk = rh._period_lists
 
         def counted(*args):
             calls.append(args)
             return walk(*args)
 
-        monkeypatch.setattr(rh, "period_multisets", counted)
+        # period_multisets walks through rh._period_lists, so this counts both
+        monkeypatch.setattr(rh, "_period_lists", counted)
         monkeypatch.setattr(kspace, "period_multisets", counted, raising=False)
+        monkeypatch.setattr(kspace, "_period_lists", counted, raising=False)
         assert admissible_map(11) == expected
         assert calls == []
         # the counter is live
@@ -503,7 +510,8 @@ class TestFigureDataset:
             return build(spec, **kwargs)
 
         monkeypatch.setattr(groups, "build_from_spec", counted)
-        catalog = bundled_catalog()
+        # a fresh manifest: the shared bundled one may hold tables other tests built
+        catalog = CatalogManifest(bundled_catalog().entries)
         figure_dataset(48, catalog, max_order=15, budget=2000)
         built.pop(None, None)
         assert set(built) == {e.label for e in catalog.entries if e.order <= 15}

@@ -200,6 +200,25 @@ class TestPeriodMultisets:
                 found += got is not None
         assert found > 100
 
+    def test_trusted_walk_matches_checked_entry(self):
+        # the walk that feasible_orders and realizable call on their own sorted
+        # divisor lists, against the entry that sorts, dedupes and checks, fed
+        # the same divisors reversed and repeated, and against the Fraction walk
+        seen = 0
+        for sigma in range(2, 31):
+            for order in range(2, 25):
+                divisors = allowed_periods(order)
+                for allowed in (divisors, divisors[:-1]):
+                    for h in range(0, 4):
+                        for r in range(0, 7):
+                            got = list(rh._period_lists(sigma, h, r, order, allowed))
+                            scrambled = allowed[::-1] + allowed
+                            assert got == list(period_multisets(sigma, h, r, order, scrambled))
+                            expected = list(fraction_period_multisets(sigma, h, r, order, allowed))
+                            assert got == expected, (sigma, h, r, order, allowed)
+                            seen += len(got)
+        assert seen > 1000
+
     def test_unsorted_and_repeated_periods(self):
         assert list(period_multisets(7, 1, 3, 6, [6, 2, 3, 2])) == [(2, 3, 6), (3, 3, 3)]
 
@@ -321,13 +340,13 @@ class TestRhAdmissible:
         # a count guard, not a timing gate: each order outside the point's triangle
         # interval must cost no walk, so most gap points make no walk at all
         calls = []
-        walk = rh.period_multisets
+        walk = rh._period_lists
 
         def counted(sigma, h, r, order, allowed):
             calls.append(order)
             return walk(sigma, h, r, order, allowed)
 
-        monkeypatch.setattr(rh, "period_multisets", counted)
+        monkeypatch.setattr(rh, "_period_lists", counted)
         region = gap(48, 4)
         silent = 0
         for pt in region.integer_points():

@@ -95,16 +95,6 @@ class RationalLine:
         return {"kind": "line", "coefficients": [self.a, self.b, self.c], "equation": str(self)}
 
 
-def intersect(first: RationalLine, second: RationalLine) -> RationalPoint:
-    """Exact intersection of two non-parallel lines (2x2 rational solve)."""
-    det = first.a * second.b - second.a * first.b
-    if det == 0:
-        raise ValueError(f"lines {first} and {second} are parallel")
-    h = Fraction(first.c * second.b - second.c * first.b, det)
-    r = Fraction(first.a * second.c - second.a * first.c, det)
-    return RationalPoint(h, r)
-
-
 def _lower_coeffs(sigma: int, order: int) -> tuple[int, int, int]:
     return 2 * order, order - 1, 2 * (sigma - 1) + 2 * order
 

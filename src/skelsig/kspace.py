@@ -27,6 +27,7 @@ from .rh import (
     SkeletalSignature,
     _check_genus,
     feasible_orders,
+    hurwitz_range_orders,
     order_parts,
     part_sum_levels,
     rh_admissible,
@@ -41,10 +42,13 @@ from .rh import (
 def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
     """Every RH-feasible lattice point with its full list of feasible orders.
 
-    Sweeps orders from 2 up to the h = 0 cap and decides each order's whole
+    Sweeps orders from 2 up to 12(sigma - 1) and decides each order's whole
     triangle at once, so the union equals the per-point order sweep without
-    quadratic cost.  Each order N comes with its parts d = N/n over its
-    periods n from ``order_parts``, one divisor sieve over the whole sweep.
+    quadratic cost.  Above 12(sigma - 1) only (0, 3) is feasible, and its
+    orders there, up to the h = 0 cap 84(sigma - 1), come in closed form from
+    ``hurwitz_range_orders``, which carries both proofs.  Each swept order N
+    comes with its parts d = N/n over its periods n from ``order_parts``, one
+    divisor sieve over the whole sweep.
     A point is feasible at N exactly when T = N(2h - 2 + r) - 2(sigma - 1) is
     a sum of r parts.  With m the largest r of the triangle (at least 1),
     ``part_sum_levels`` builds S_0..S_(m-1): a point with r < m is decided by
@@ -59,10 +63,10 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
     h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
     """
     _check_genus(sigma)
-    cap, shift = 84 * (sigma - 1), 2 * (sigma - 1)
+    shift = 2 * (sigma - 1)
 
     found: dict[tuple[int, int], list[int]] = {}
-    for n, parts in order_parts(cap):
+    for n, parts in order_parts(12 * (sigma - 1)):
         rows = list(triangle_rows(sigma, n))
         if not rows:
             continue
@@ -82,6 +86,7 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
                 ):
                     found.setdefault((h, r), []).append(n)
                 t += n
+    found.setdefault((0, 3), []).extend(hurwitz_range_orders(sigma))
     return {SkeletalSignature(*pt): tuple(ns) for pt, ns in sorted(found.items())}
 
 

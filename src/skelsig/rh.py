@@ -8,14 +8,17 @@ of genus sigma >= 2 with signature (h; n_1,...,n_r) satisfies
 Genera are computed over ``fractions.Fraction``.  Every period divides N, so
 feasibility is an integer question: with d_j = N/n_j, the point (h, r) is
 feasible at order N exactly when T = N(2h - 2 + r) - 2(sigma - 1) is a sum of
-r proper divisors d_j of N.  Two exact procedures answer it.
-``period_multisets`` lists every period list, by a branch-and-bound over the
+r proper divisors d_j of N.  Three exact procedures answer it.
+``_period_lists`` lists every period list, by a branch-and-bound over the
 parts d_j.  ``part_sum_levels`` answers only yes or no, for every point of an
 order at once: bit t of the level bitset S_k is set exactly when t is a sum of
 k parts, so (h, r) is feasible exactly when bit T of S_r is set, or, one level
 lower, when bit T - d of S_(r-1) is set for some part d <= T.  A sweep over
-every order takes each order's parts from ``order_parts``, one divisor sieve,
-in place of trial division per order.  The searches are exhaustive within
+orders takes each order's parts from ``order_parts``, one divisor sieve, in
+place of trial division per order.  Such a sweep need only run to
+12(sigma - 1): above it only (0, 3) is feasible, and
+``hurwitz_range_orders`` finds its orders there in closed form, from the
+divisors of at most six numbers.  The searches are exhaustive within
 provable bounds, so a negative answer is a certificate, not a timeout.
 """
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 
 class HyperbolicityError(ValueError):
@@ -172,32 +175,61 @@ def order_parts(top: int) -> Iterator[tuple[int, list[int]]]:
                 waiting.setdefault(n + d, []).append(d)
 
 
-def period_multisets(
-    sigma: int, h: int, r: int, order: int, allowed: Iterable[int]
-) -> Iterator[tuple[int, ...]]:
-    """Every non-decreasing period list over ``allowed`` satisfying Riemann-Hurwitz, lexicographically.
+def hurwitz_range_orders(sigma: int) -> list[int]:
+    """Orders N with 12(sigma - 1) < N <= 84(sigma - 1) at which (0, 3) is feasible, ascending.
 
-    Each period must divide ``order``.  With d_j = N/n_j the formula becomes
-    T = N(2h - 2 + r) - 2(sigma - 1) = d_1 + ... + d_r, so the walk is a
-    branch-and-bound over integer parts, largest part (smallest period)
-    first: a part too small to fill the open slots ends the slot, a part
-    that leaves nothing for the other slots is skipped, and the last slot
-    must equal a part exactly.  r = 0 yields () exactly when T = 0.  The walk
-    keeps its path as a stack of part indices, so r may exceed Python's
-    recursion limit.  ``allowed`` is sorted and checked here, once per call;
-    callers that already hold an ascending list of distinct divisors walk it
-    with ``_period_lists``.
+    No other point is feasible there.  A period list at order N gives
+    N * mu = 2(sigma - 1) with mu = 2h - 2 + sum(1 - 1/n_j), so N > 12(sigma - 1)
+    means mu < 1/6.  Every term 1 - 1/n_j is at least 1/2.  So h >= 2 gives
+    mu >= 2, h = 1 needs r >= 1 and gives mu >= 1/2, and h = 0 with r >= 5
+    gives mu >= 1/2.  h = 0 with r <= 2, or h = 1 with r = 0, gives mu <= 0.
+    h = 0 with r = 4 gives mu = 2 - sum(1/n_j) > 0, so the periods are not
+    all 2, and mu >= 2 - (3/2 + 1/3) = 1/6, which (0; 2, 2, 2, 3) attains.
+    That leaves (0, 3).
+
+    The orders of (0, 3) follow in closed form.  Take periods a <= b <= c.
+    The parts sum to T = N - 2(sigma - 1) > 5N/6, so 1/a + 1/b + 1/c > 5/6:
+    3/a > 5/6 gives a in {2, 3}, and 2/b > 5/6 - 1/a >= 1/3 gives b <= 5.
+    Multiplying 2(sigma - 1) = N(1 - 1/a - 1/b - 1/c) by abc gives
+    e * (N/c) = 2ab(sigma - 1) with k = ab - a - b and e = ck - ab.  Here
+    e > 0 since sigma >= 2, so k > 0 too, which drops a = b = 2.  N/c is an
+    integer, so e divides 2ab(sigma - 1).  Each divisor e then fixes
+    c = (e + ab)/k and N = c * 2ab(sigma - 1)/e, kept when c is an integer
+    >= b, a and b divide N, and N is in range; c divides N by construction.
+    Conversely a kept N satisfies the identity, so (a, b, c) is a period list
+    at N.  Only the divisors of the at most six numbers 2ab(sigma - 1) are
+    computed, never those of an order.
     """
-    allowed = sorted(set(allowed))
-    if any(n < 2 or order % n for n in allowed):
-        raise ValueError(f"periods must be divisors >= 2 of the order {order}, got {allowed}")
-    return _period_lists(sigma, h, r, order, allowed)
+    _check_genus(sigma)
+    lo, hi = 12 * (sigma - 1), 84 * (sigma - 1)
+    found: set[int] = set()
+    for a in (2, 3):
+        for b in range(a, 6):
+            k, m = a * b - a - b, 2 * a * b * (sigma - 1)
+            if k <= 0:
+                continue
+            for e in (1, *allowed_periods(m)):
+                c, rest = divmod(e + a * b, k)
+                n = c * (m // e)
+                if not rest and c >= b and n % a == 0 and n % b == 0 and lo < n <= hi:
+                    found.add(n)
+    return sorted(found)
 
 
 def _period_lists(
     sigma: int, h: int, r: int, order: int, allowed: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
-    """The walk of ``period_multisets``, over distinct divisors >= 2 of ``order``, ascending."""
+    """Every non-decreasing period list over ``allowed`` satisfying Riemann-Hurwitz, lexicographically.
+
+    ``allowed`` holds distinct divisors >= 2 of ``order``, ascending.  With
+    d_j = N/n_j the formula becomes T = N(2h - 2 + r) - 2(sigma - 1) =
+    d_1 + ... + d_r, so the walk is a branch-and-bound over integer parts,
+    largest part (smallest period) first: a part too small to fill the open
+    slots ends the slot, a part that leaves nothing for the other slots is
+    skipped, and the last slot must equal a part exactly.  r = 0 yields ()
+    exactly when T = 0.  The walk keeps its path as a stack of part indices,
+    so r may exceed Python's recursion limit.
+    """
     total = order * (2 * h - 2 + r) - 2 * (sigma - 1)
     if r == 0:
         if total == 0:
@@ -278,7 +310,7 @@ def feasible_orders(
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """All (order, canonical periods) pairs feasible at this point, ascending in order.
 
-    The canonical periods are the first list ``period_multisets`` yields over
+    The canonical periods are the first list ``_period_lists`` yields over
     the order's divisors, the lexicographically first.  Only the orders
     whose closed feasibility triangle holds the point are searched.  Every
     part d_j = N/n_j lies in [1, N/2], so a period list exists at order N

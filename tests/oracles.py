@@ -1,9 +1,11 @@
 """Slow reference implementations that the library's fast paths are checked against.
 
 ``naive_search`` tests every tuple of G^(2h+r) against all three
-generating-vector conditions, with no pruning.  ``fraction_period_multisets``
-is the branch-and-bound over exact reciprocal sums that
-``skelsig.rh.period_multisets`` does over integers; unlike the integer walk it
+generating-vector conditions, with no pruning.  ``period_multisets`` is the
+library's integer period-list walk behind a sort and a check of its period
+box, so a test may pass any iterable of divisors.
+``fraction_period_multisets`` is the branch-and-bound over exact reciprocal
+sums that the integer walk does over parts; unlike the integer walk it
 accepts periods that do not divide the order, such as the loose box
 ``range(2, order + 1)``.  ``trial_division_allowed_periods``,
 ``full_range_feasible_orders``, ``fraction_triangle_points`` and
@@ -11,7 +13,11 @@ accepts periods that do not divide the order, such as the loose box
 per-point order sweep and the triangle and gap lattice enumerations that the
 library computes with integer shortcuts.  ``walk_admissible_map`` asks the
 period-list walk for a first list at every point of every order's triangle,
-where the library tests one bit of a level bitset.
+where the library tests one bit of a level bitset.  ``walk_hurwitz_range_orders``
+asks the same walk about (0, 3) at every order above 12(sigma - 1), where
+the library solves for those orders in closed form.  ``intersect`` solves
+two lines as a 2x2 rational system, where the library writes each gap
+corner from its formula.
 ``all_groups_realizable_set`` tries every catalog group at every admissible
 point, where the library tries only the groups whose order is feasible there.
 ``close_order_2n`` settles the sporadic |G| = 2n case with its own group loop
@@ -32,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from skelsig.genvec import (
     ExclusionReason,
@@ -42,7 +48,13 @@ from skelsig.genvec import (
     realizable,
     search,
 )
-from skelsig.geometry import GapRegion, RationalPoint, TriangleRegion, triangle_points
+from skelsig.geometry import (
+    GapRegion,
+    RationalLine,
+    RationalPoint,
+    TriangleRegion,
+    triangle_points,
+)
 from skelsig.groups import CatalogManifest, GroupTable
 from skelsig.kspace import KSpaceApproximation, SearchScope, admissible_map, groups_covering
 from skelsig.rh import (
@@ -51,9 +63,9 @@ from skelsig.rh import (
     SkeletalSignature,
     _check_genus,
     _check_order,
+    _period_lists,
     allowed_periods,
     order_bound,
-    period_multisets,
     rh_holds,
 )
 
@@ -104,6 +116,20 @@ def naive_product_reachable(group: GroupTable, h: int, periods: tuple[int, ...])
         cand = [g for g in group.elements() if group.element_orders[g] == p]
         reach = {group.mul(x, c) for x in reach for c in cand}
     return not reach.isdisjoint(naive_commutator_products(group, h))
+
+
+def period_multisets(
+    sigma: int, h: int, r: int, order: int, allowed: Iterable[int]
+) -> Iterator[tuple[int, ...]]:
+    """``skelsig.rh._period_lists`` over ``allowed`` sorted, deduplicated and checked once.
+
+    Every period must be a divisor >= 2 of ``order``; any other raises
+    ``ValueError`` before the walk starts.
+    """
+    allowed = sorted(set(allowed))
+    if any(n < 2 or order % n for n in allowed):
+        raise ValueError(f"periods must be divisors >= 2 of the order {order}, got {allowed}")
+    return _period_lists(sigma, h, r, order, allowed)
 
 
 def fraction_period_multisets(
@@ -174,6 +200,29 @@ def walk_admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
             if next(period_multisets(sigma, pt.h, pt.r, n, allowed), None) is not None:
                 found.setdefault(pt, []).append(n)
     return {pt: tuple(ns) for pt, ns in sorted(found.items())}
+
+
+def walk_hurwitz_range_orders(sigma: int) -> list[int]:
+    """Orders N with 12(sigma - 1) < N <= 84(sigma - 1) at which (0, 3) has a period list.
+
+    Asks the period-list walk about (0, 3) over ``allowed_periods(N)`` at every
+    such order.
+    """
+    return [
+        n
+        for n in range(12 * (sigma - 1) + 1, 84 * (sigma - 1) + 1)
+        if next(_period_lists(sigma, 0, 3, n, allowed_periods(n)), None) is not None
+    ]
+
+
+def intersect(first: RationalLine, second: RationalLine) -> RationalPoint:
+    """Exact intersection of two non-parallel lines (2x2 rational solve)."""
+    det = first.a * second.b - second.a * first.b
+    if det == 0:
+        raise ValueError(f"lines {first} and {second} are parallel")
+    h = Fraction(first.c * second.b - second.c * first.b, det)
+    r = Fraction(first.a * second.c - second.a * first.c, det)
+    return RationalPoint(h, r)
 
 
 def fraction_triangle_points(region: TriangleRegion) -> list[SkeletalSignature]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import naive_search
+from oracles import naive_search, period_multisets
 from skelsig.genvec import quaternion_vector, search, verify
 from skelsig.geometry import (
     RationalPoint,
@@ -26,7 +26,6 @@ from skelsig.kspace import analyze_point, realizable_set, sporadic_analysis
 from skelsig.rh import (
     OrbifoldSignature,
     SkeletalSignature,
-    period_multisets,
     rh_admissible,
     rh_genus,
     rh_holds,

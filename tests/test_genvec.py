@@ -15,6 +15,7 @@ from oracles import (
     fraction_period_multisets,
     naive_product_reachable,
     naive_search,
+    period_multisets,
 )
 from skelsig import genvec
 from skelsig.genvec import (
@@ -34,7 +35,7 @@ from skelsig.groups import (
     build_generalized_quaternion,
 )
 from skelsig.kspace import admissible_map
-from skelsig.rh import OrbifoldSignature, SkeletalSignature, period_multisets, rh_genus, rh_holds
+from skelsig.rh import OrbifoldSignature, SkeletalSignature, rh_genus, rh_holds
 
 Sig = OrbifoldSignature
 S = SkeletalSignature

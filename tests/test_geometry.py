@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_gap_points, fraction_triangle_points
+from oracles import fraction_gap_points, fraction_triangle_points, intersect
 from skelsig.geometry import (
     GapRegion,
     RationalLine,
     RationalPoint,
     common_point,
     gap,
-    intersect,
     lower_line,
     missing_points,
     nearest_int,

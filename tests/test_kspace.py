@@ -32,7 +32,12 @@ from skelsig.kspace import (
 )
 from skelsig.rh import SearchVerdict, SkeletalSignature, rh_admissible
 
-from oracles import all_groups_realizable_set, close_order_2n, walk_admissible_map
+from oracles import (
+    all_groups_realizable_set,
+    close_order_2n,
+    walk_admissible_map,
+    walk_hurwitz_range_orders,
+)
 
 S = SkeletalSignature
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,8 +78,10 @@ class TestAdmissible:
                     assert direct.witness[0] == feas[pt][0]
 
     def test_divisors_computed_once_per_order(self, monkeypatch):
-        # a count guard, not a timing gate: every order's divisors come from the one
-        # sieve, which the sweep reads once per order, in ascending order
+        # a count guard, not a timing gate: the sweep stops at 12(sigma - 1) and reads
+        # every order's divisors from the one sieve, once per order, in ascending order;
+        # the Hurwitz range above it asks for the divisors of the six numbers 2ab(sigma - 1)
+        # and of no order
         expected = admissible_map(11)
         calls = []
         divisors = rh.allowed_periods
@@ -95,9 +102,11 @@ class TestAdmissible:
         monkeypatch.setattr(kspace, "allowed_periods", counted, raising=False)
         monkeypatch.setattr(kspace, "order_parts", recorded)
         assert admissible_map(11) == expected
-        assert calls == []
-        assert swept == list(range(2, 84 * 10 + 1))
+        assert swept == list(range(2, 12 * 10 + 1))
+        pairs = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)]
+        assert calls == [2 * a * b * 10 for a, b in pairs]
         # the counter is live
+        calls.clear()
         rh_admissible(11, S(2, 1))
         assert calls
 
@@ -105,6 +114,21 @@ class TestAdmissible:
         # the level bitsets against the period-list walk they replace, order list by order list
         for sigma in [*range(2, 31), 100]:
             assert admissible_map(sigma) == walk_admissible_map(sigma), sigma
+
+    def test_hurwitz_range_orders_match_walk(self):
+        # the closed form against the period-list walk of (0, 3) at every order
+        # in (12(sigma - 1), 84(sigma - 1)]
+        for sigma in [*range(2, 61), 100, 499]:
+            got = rh.hurwitz_range_orders(sigma)
+            assert got == walk_hurwitz_range_orders(sigma), sigma
+            assert got[-1] == 84 * (sigma - 1)  # (0; 2, 3, 7) at Hurwitz's bound
+
+    def test_only_0_3_is_feasible_above_12_sigma_minus_1(self):
+        # the walk oracle, not the closed form, finds no other point in the Hurwitz range
+        for sigma in range(2, 31):
+            for pt, orders in walk_admissible_map(sigma).items():
+                if pt != S(0, 3):
+                    assert max(orders) <= 12 * (sigma - 1), (sigma, pt, orders)
 
     def test_makes_no_period_multisets_call(self, monkeypatch):
         # a count guard, not a timing gate: existence needs no period list
@@ -116,9 +140,8 @@ class TestAdmissible:
             calls.append(args)
             return walk(*args)
 
-        # period_multisets walks through rh._period_lists, so this counts both
+        # the walk counted as rh holds it and under any name kspace might import it by
         monkeypatch.setattr(rh, "_period_lists", counted)
-        monkeypatch.setattr(kspace, "period_multisets", counted, raising=False)
         monkeypatch.setattr(kspace, "_period_lists", counted, raising=False)
         assert admissible_map(11) == expected
         assert calls == []

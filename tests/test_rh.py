@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     fraction_period_multisets,
     full_range_feasible_orders,
+    period_multisets,
     trial_division_allowed_periods,
 )
 from skelsig import rh
@@ -23,7 +24,6 @@ from skelsig.rh import (
     order_bound,
     order_parts,
     part_sum_levels,
-    period_multisets,
     rh_admissible,
     rh_genus,
     rh_holds,

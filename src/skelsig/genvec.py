@@ -64,42 +64,27 @@ class GeneratingVector:
         return {"aPairs": [list(p) for p in self.a_pairs], "c": list(self.c_list)}
 
 
-@dataclass(frozen=True)
-class VectorCheck:
-    """Per-condition diagnostics for a candidate vector."""
+def verify(group: GroupTable, vec: GeneratingVector, sig: OrbifoldSignature) -> bool:
+    """Whether ``vec`` is an (h; n_1..n_r)-generating vector of ``group`` for ``sig``.
 
-    generates: bool
-    orders_ok: tuple[bool, ...]
-    product_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.generates and all(self.orders_ok) and self.product_ok
-
-
-def check_vector(group: GroupTable, vec: GeneratingVector, sig: OrbifoldSignature) -> VectorCheck:
+    A vector of the wrong shape raises ``ValueError``.  Otherwise the checks
+    run cheapest first and stop at the first failure: the orders (2), the
+    product (3), then generation (1).
+    """
     if len(vec.a_pairs) != sig.h or len(vec.c_list) != sig.r:
         raise ValueError(
             f"vector shape ({len(vec.a_pairs)} pairs, {len(vec.c_list)} branch entries) "
             f"does not match signature {sig}"
         )
-    orders_ok = tuple(
-        group.element_order(c) == n for c, n in zip(vec.c_list, sig.periods)
-    )
+    orders = group.element_orders
+    if any(orders[c] != n for c, n in zip(vec.c_list, sig.periods)):
+        return False
     prod = group.identity
     for a, b in vec.a_pairs:
         prod = group.mul(prod, group.commutator(a, b))
     for c in vec.c_list:
         prod = group.mul(prod, c)
-    return VectorCheck(
-        generates=group.generates(vec.flatten()),
-        orders_ok=orders_ok,
-        product_ok=prod == group.identity,
-    )
-
-
-def verify(group: GroupTable, vec: GeneratingVector, sig: OrbifoldSignature) -> bool:
-    return check_vector(group, vec, sig).ok
+    return prod == group.identity and group.generates(vec.flatten())
 
 
 def search(
@@ -248,8 +233,9 @@ class ExclusionReason:
 
 @dataclass(frozen=True)
 class RealizabilityReport:
+    """A verdict, whose witness on ``exists`` is a ``Witness``, and the rules behind a no."""
+
     verdict: SearchVerdict
-    witness: Witness | None
     exclusion_reasons: tuple[ExclusionReason, ...]
 
     def __post_init__(self) -> None:
@@ -292,7 +278,7 @@ def realizable(
         verdict = _walk_tuples(group, sig, budget)
         if verdict.is_exists:
             witness = Witness(group.name, group.spec, sig, verdict.witness)
-            return RealizabilityReport(SearchVerdict.exists(witness), witness, ())
+            return RealizabilityReport(SearchVerdict.exists(witness), ())
         saw_unknown |= verdict.is_unknown
     if not multisets:
         return _excluded(
@@ -301,7 +287,7 @@ def realizable(
             f"satisfies Riemann-Hurwitz at genus {sigma}",
         )
     if saw_unknown:
-        return RealizabilityReport(SearchVerdict.unknown(), None, ())
+        return RealizabilityReport(SearchVerdict.unknown(), ())
     if not saw_reachable:
         if r == 1 and group.is_abelian:
             return _excluded(
@@ -327,7 +313,7 @@ def realizable(
 
 
 def _excluded(rule: str, scope: str) -> RealizabilityReport:
-    return RealizabilityReport(SearchVerdict.not_exists(), None, (ExclusionReason(rule, scope),))
+    return RealizabilityReport(SearchVerdict.not_exists(), (ExclusionReason(rule, scope),))
 
 
 def product_reachable(group: GroupTable, h: int, periods: tuple[int, ...]) -> bool:

@@ -3,9 +3,9 @@
 Coordinates are quotient genus h (horizontal) and branch-point count r
 (vertical).  Lines are integer-coefficient equations ``a*h + b*r = c``, and the
 lattice points of triangles and gaps are enumerated by integer floor and ceil
-division on those coefficients; Fractions carry the rational apexes and corners
-that JSON and SVG report, and the point-membership tests.  Triangles are
-closed, gaps are open; the asymmetry is deliberate and load-bearing.
+division on those coefficients; Fractions carry the rational gap corners that
+JSON and SVG report, and the point-membership tests.  Triangles are closed,
+gaps are open; the asymmetry is deliberate and load-bearing.
 """
 
 from __future__ import annotations
@@ -134,55 +134,15 @@ def p_group_line(sigma: int, p: int, power: int) -> RationalLine:
     return RationalLine(2 * pn, (p - 1) * pn // p, 2 * pn - 2 + 2 * sigma)
 
 
-def common_point(sigma: int) -> RationalPoint:
-    """The point (sigma, 2 - 2*sigma) shared by every lower line as the order varies."""
-    _check_genus(sigma)
-    return RationalPoint(sigma, 2 - 2 * sigma)
-
-
 def _check(sigma: int, order: int) -> None:
     _check_genus(sigma)
     _check_order(order)
 
 
-@dataclass(frozen=True)
-class TriangleRegion:
-    """Closed region between the lower and upper lines for one group order.
-
-    For order 2 the two lines coincide and the triangle degenerates to a
-    segment; membership then means lying on that line.
-    """
-
-    sigma: int
-    order: int
-    lower: RationalLine
-    upper: RationalLine
-    apex: RationalPoint
-
-    def member(self, point: RationalPoint) -> bool:
-        if point.h < 0 or point.h > self.apex.h or point.r < 0:
-            return False
-        return self.lower.r_at(point.h) <= point.r <= self.upper.r_at(point.h)
-
-    def integer_points(self) -> list[SkeletalSignature]:
-        """Lattice points with h, r >= 0, in lexicographic order."""
-        return triangle_points(self.sigma, self.order)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "triangle",
-            "sigma": self.sigma,
-            "N": self.order,
-            "lower": self.lower.to_json(),
-            "upper": self.upper.to_json(),
-            "apex": self.apex.to_json(),
-        }
-
-
 def triangle_rows(sigma: int, order: int) -> Iterator[tuple[int, int, int]]:
     """Rows (h, r_lo, r_hi) of the closed order-N triangle's lattice points with h, r >= 0.
 
-    At each h up to the apex, r runs from r_lo, the ceil of the lower line's
+    At each h up to the apex h = (N + sigma - 1)/N, r runs from r_lo, the ceil of the lower line's
     (c - a*h)/b, to r_hi, the floor of the upper line's, both by integer
     division; rows with no lattice point are skipped, and h ascends.
     """
@@ -194,26 +154,6 @@ def triangle_rows(sigma: int, order: int) -> Iterator[tuple[int, int, int]]:
         r_hi = (uc - ua * h) // ub
         if r_lo <= r_hi:
             yield h, r_lo, r_hi
-
-
-def triangle_points(sigma: int, order: int) -> list[SkeletalSignature]:
-    """Lattice points with h, r >= 0 of the closed order-N triangle, in lexicographic order."""
-    return [
-        SkeletalSignature(h, r)
-        for h, r_lo, r_hi in triangle_rows(sigma, order)
-        for r in range(r_lo, r_hi + 1)
-    ]
-
-
-def triangle(sigma: int, order: int) -> TriangleRegion:
-    _check(sigma, order)
-    lo = lower_line(sigma, order)
-    up = upper_line(sigma, order)
-    apex = RationalPoint(Fraction(order + sigma - 1, order), 0)
-    # the apex (N + sigma - 1)/N, r = 0 lies on a*h + b*r = c iff a*(N + sigma - 1) == c*N
-    if not all(line.a * (order + sigma - 1) == line.c * order for line in (lo, up)):
-        raise AssertionError(f"apex {apex} must lie on both triangle lines")
-    return TriangleRegion(sigma, order, lo, up, apex)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from pathlib import Path
+from typing import Sequence
 
 
 class GroupTableError(ValueError):
@@ -70,23 +71,12 @@ class GroupTable:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def element_order(self, a: int) -> int:
-        return self.element_orders[a]
-
     @property
     def identity(self) -> int:
         return 0
 
     def elements(self) -> range:
         return range(self.order)
-
-    @property
-    def is_cyclic(self) -> bool:
-        """True iff some element's order equals the group order."""
-        return self.order in self.element_orders
 
     def commutator(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b (fixed convention shared with all verifiers)."""
@@ -119,26 +109,10 @@ class GroupTable:
 
     def subgroup_closure(self, subset: tuple[int, ...] | list[int]) -> frozenset[int]:
         """Elements of the subgroup generated by ``subset``."""
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                row = self.table[x]
-                for g in subset:
-                    y = row[g]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(_closure(self.table, subset))
 
     def generates(self, subset: tuple[int, ...] | list[int]) -> bool:
         return len(self.subgroup_closure(subset)) == self.order
-
-    def order_statistics(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (element order, multiplicity) pairs: a cheap isomorphism fingerprint."""
-        return tuple(sorted((k, len(gs)) for k, gs in self.elements_by_order.items()))
 
     @classmethod
     def from_table(
@@ -184,29 +158,39 @@ class GroupTable:
         )
 
 
+def _closure(rows: Sequence[Sequence[int]], gens: Sequence[int]) -> set[int]:
+    """What the identity 0 reaches by right multiplication by ``gens``, breadth first.
+
+    In a group table this is the subgroup the generators generate.
+    """
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            row = rows[x]
+            for g in gens:
+                y = row[g]
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def _check_associative(rows: list[list[int]]) -> None:
     """Light's test: (a*g)*b == a*(g*b) for every g of a generating set implies associativity.
 
     The g passing the test are closed under products, so they cover what the
-    generators reach; the cost is (number of generators) * n^2.
+    generators reach; the cost is (number of generators) * n^2.  Each new
+    generator is the smallest element the ones before it do not reach.
     """
     n = len(rows)
     gens: list[int] = []
     reach = {0}
     while len(reach) < n:
-        g = min(set(range(n)) - reach)
-        gens.append(g)
-        reach.add(g)
-        frontier = list(reach)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in gens:
-                    z = rows[x][y]
-                    if z not in reach:
-                        reach.add(z)
-                        nxt.append(z)
-            frontier = nxt
+        gens.append(min(set(range(n)) - reach))
+        reach = _closure(rows, gens)
     for g in gens:
         rg = rows[g]
         for a in range(n):
@@ -457,16 +441,12 @@ def build_from_spec(spec: str, *, base_dir: Path | None = None, name: str | None
 # Cayley file format
 
 
-def save_cayley_file(group: GroupTable, path: Path | str) -> None:
-    """Write the text format: ``order N`` line, optional ``name`` line, N table rows."""
-    lines = [f"order {group.order}", f"name {group.name}"]
-    for row in group.table:
-        lines.append(" ".join(str(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def load_cayley_file(path: Path | str) -> GroupTable:
-    """Read and fully validate a Cayley table file (see ``save_cayley_file``)."""
+    """Read and fully validate a Cayley table file.
+
+    The text format: an ``order N`` line, an optional ``name`` line, then N
+    rows of N integers; blank lines and ``#`` comments are skipped.
+    """
     path = Path(path)
     raw = [
         ln.strip()

@@ -177,7 +177,7 @@ def _realize_any(
     for g in groups:
         report = realizable(g, sigma, skel, budget)
         if report.verdict.is_exists:
-            return report.witness, budget_hit, excluded
+            return report.verdict.witness, budget_hit, excluded
         if report.verdict.is_unknown:
             budget_hit = budget_hit or g.name
         else:

@@ -29,15 +29,24 @@ first witness.  ``naive_product_reachable`` and ``naive_commutator_products``
 rebuild the candidates of each period and the commutator products on every
 call, where the library reads both from tables kept on the group; the two
 oracles above use these, not the library's filter.
+``naive_associative`` tests the associative law on all n^3 triples, where
+the library's table validator runs Light's test over a generating set.
+``check_vector`` evaluates all three generating-vector conditions in full and
+reports each, where the library's ``verify`` stops at the first failure.
 ``all_groups_unbranched_condition`` is a predicate no command reaches, kept
-here with its tests rather than in the library.
+here with its tests rather than in the library, as are ``TriangleRegion``
+with ``triangle`` and ``triangle_points`` (the rational reference for
+``geometry.triangle_rows``), ``order_statistics`` (a fingerprint of a group)
+and ``save_cayley_file`` (the writer for the library's Cayley-file reader).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from skelsig.genvec import (
@@ -52,8 +61,10 @@ from skelsig.geometry import (
     GapRegion,
     RationalLine,
     RationalPoint,
-    TriangleRegion,
-    triangle_points,
+    _check,
+    lower_line,
+    triangle_rows,
+    upper_line,
 )
 from skelsig.groups import CatalogManifest, GroupTable
 from skelsig.kspace import KSpaceApproximation, SearchScope, admissible_map, groups_covering
@@ -215,6 +226,60 @@ def walk_hurwitz_range_orders(sigma: int) -> list[int]:
     ]
 
 
+@dataclass(frozen=True)
+class TriangleRegion:
+    """Closed region between the lower and upper lines for one group order.
+
+    For order 2 the two lines coincide and the triangle degenerates to a
+    segment; membership then means lying on that line.
+    """
+
+    sigma: int
+    order: int
+    lower: RationalLine
+    upper: RationalLine
+    apex: RationalPoint
+
+    def member(self, point: RationalPoint) -> bool:
+        if point.h < 0 or point.h > self.apex.h or point.r < 0:
+            return False
+        return self.lower.r_at(point.h) <= point.r <= self.upper.r_at(point.h)
+
+    def integer_points(self) -> list[SkeletalSignature]:
+        """Lattice points with h, r >= 0, in lexicographic order."""
+        return triangle_points(self.sigma, self.order)
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "triangle",
+            "sigma": self.sigma,
+            "N": self.order,
+            "lower": self.lower.to_json(),
+            "upper": self.upper.to_json(),
+            "apex": self.apex.to_json(),
+        }
+
+
+def triangle_points(sigma: int, order: int) -> list[SkeletalSignature]:
+    """Lattice points with h, r >= 0 of the closed order-N triangle, in lexicographic order."""
+    return [
+        SkeletalSignature(h, r)
+        for h, r_lo, r_hi in triangle_rows(sigma, order)
+        for r in range(r_lo, r_hi + 1)
+    ]
+
+
+def triangle(sigma: int, order: int) -> TriangleRegion:
+    _check(sigma, order)
+    lo = lower_line(sigma, order)
+    up = upper_line(sigma, order)
+    apex = RationalPoint(Fraction(order + sigma - 1, order), 0)
+    # the apex (N + sigma - 1)/N, r = 0 lies on a*h + b*r = c iff a*(N + sigma - 1) == c*N
+    if not all(line.a * (order + sigma - 1) == line.c * order for line in (lo, up)):
+        raise AssertionError(f"apex {apex} must lie on both triangle lines")
+    return TriangleRegion(sigma, order, lo, up, apex)
+
+
 def intersect(first: RationalLine, second: RationalLine) -> RationalPoint:
     """Exact intersection of two non-parallel lines (2x2 rational solve)."""
     det = first.a * second.b - second.a * first.b
@@ -270,7 +335,7 @@ def all_groups_realizable_set(
         for g in groups:
             report = realizable(g, sigma, pt, budget)
             if report.verdict.is_exists:
-                realized[pt] = report.witness
+                realized[pt] = report.verdict.witness
                 break
             if report.verdict.is_unknown:
                 unknown = True
@@ -337,7 +402,7 @@ def eager_realizable(
     h, r = SkeletalSignature(*skel)
 
     def excluded(rule: str, scope: str) -> RealizabilityReport:
-        return RealizabilityReport(SearchVerdict.not_exists(), None, (ExclusionReason(rule, scope),))
+        return RealizabilityReport(SearchVerdict.not_exists(), (ExclusionReason(rule, scope),))
 
     element_orders = sorted({k for k in group.element_orders if k >= 2})
     multisets = list(period_multisets(sigma, h, r, group.order, element_orders))
@@ -375,11 +440,11 @@ def eager_realizable(
         verdict = search(group, sig, budget)
         if verdict.is_exists:
             witness = Witness(group.name, group.spec, sig, verdict.witness)
-            return RealizabilityReport(SearchVerdict.exists(witness), witness, ())
+            return RealizabilityReport(SearchVerdict.exists(witness), ())
         if verdict.is_unknown:
             saw_unknown = True
     if saw_unknown:
-        return RealizabilityReport(SearchVerdict.unknown(), None, ())
+        return RealizabilityReport(SearchVerdict.unknown(), ())
     return excluded(
         "exhausted-search",
         f"all {len(multisets)} feasible signatures for {group.name} searched exhaustively",
@@ -414,3 +479,62 @@ def _max_prime_exponent(n: int) -> int:
     if m > 1:
         best = max(best, 1)
     return best
+
+
+@dataclass(frozen=True)
+class VectorCheck:
+    """Per-condition diagnostics for a candidate vector."""
+
+    generates: bool
+    orders_ok: tuple[bool, ...]
+    product_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.generates and all(self.orders_ok) and self.product_ok
+
+
+def check_vector(group: GroupTable, vec: GeneratingVector, sig: OrbifoldSignature) -> VectorCheck:
+    """All three generating-vector conditions, each evaluated in full."""
+    if len(vec.a_pairs) != sig.h or len(vec.c_list) != sig.r:
+        raise ValueError(
+            f"vector shape ({len(vec.a_pairs)} pairs, {len(vec.c_list)} branch entries) "
+            f"does not match signature {sig}"
+        )
+    orders_ok = tuple(
+        group.element_orders[c] == n for c, n in zip(vec.c_list, sig.periods)
+    )
+    prod = group.identity
+    for a, b in vec.a_pairs:
+        prod = group.mul(prod, group.commutator(a, b))
+    for c in vec.c_list:
+        prod = group.mul(prod, c)
+    return VectorCheck(
+        generates=group.generates(vec.flatten()),
+        orders_ok=orders_ok,
+        product_ok=prod == group.identity,
+    )
+
+
+def naive_associative(rows: list[list[int]]) -> bool:
+    """Whether (a*b)*c == a*(b*c) for every triple of elements of a square table."""
+    n = len(rows)
+    return all(
+        rows[rows[a][b]][c] == rows[a][rows[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def order_statistics(group: GroupTable) -> tuple[tuple[int, int], ...]:
+    """Sorted (element order, multiplicity) pairs: a cheap isomorphism fingerprint."""
+    return tuple(sorted((k, len(gs)) for k, gs in group.elements_by_order.items()))
+
+
+def save_cayley_file(group: GroupTable, path: Path | str) -> None:
+    """Write the text format: ``order N`` line, optional ``name`` line, N table rows."""
+    lines = [f"order {group.order}", f"name {group.name}"]
+    for row in group.table:
+        lines.append(" ".join(str(x) for x in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -18,7 +18,6 @@ from skelsig.geometry import (
     lower_line,
     nearest_int,
     p_group_line,
-    triangle,
     upper_line,
 )
 from skelsig.groups import build_elementary_abelian

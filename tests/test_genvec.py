@@ -8,9 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     all_groups_unbranched_condition,
+    check_vector,
     eager_realizable,
     fraction_period_multisets,
     naive_product_reachable,
@@ -20,7 +23,6 @@ from oracles import (
 from skelsig import genvec
 from skelsig.genvec import (
     GeneratingVector,
-    check_vector,
     product_reachable,
     quaternion_vector,
     realizable,
@@ -33,6 +35,7 @@ from skelsig.groups import (
     build_dihedral,
     build_elementary_abelian,
     build_generalized_quaternion,
+    bundled_catalog,
 )
 from skelsig.kspace import admissible_map
 from skelsig.rh import OrbifoldSignature, SkeletalSignature, rh_genus, rh_holds
@@ -61,6 +64,37 @@ def counted(monkeypatch):
     return counts
 
 
+@st.composite
+def vectors(draw):
+    """A catalog group of order <= 12, a vector of arbitrary elements with h <= 2 and r <= 3, a signature.
+
+    Half the time the last branch entry is chosen to satisfy condition (3),
+    each period is the entry's own order or any order in 2..12, and a quarter
+    of the signatures are drawn apart from the vector, so their shape may not
+    match it.
+    """
+    group = draw(st.sampled_from(bundled_catalog().groups(max_order=12)))
+    element = st.integers(0, group.order - 1)
+    h, r = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    pairs = tuple(draw(st.tuples(element, element)) for _ in range(h))
+    c_list = [draw(element) for _ in range(r)]
+    if c_list and draw(st.booleans()):
+        prod = 0
+        for a, b in pairs:
+            prod = group.mul(prod, group.commutator(a, b))
+        for c in c_list[:-1]:
+            prod = group.mul(prod, c)
+        c_list[-1] = group.inverse[prod]
+    periods = [
+        draw(st.sampled_from((max(2, group.element_orders[c]), draw(st.integers(2, 12)))))
+        for c in c_list
+    ]
+    if draw(st.integers(0, 3)) == 0:
+        h = draw(st.integers(0, 2))
+        periods = draw(st.lists(st.integers(2, 12), max_size=3))
+    return group, GeneratingVector(pairs, tuple(c_list)), Sig(h, tuple(periods))
+
+
 class TestVerify:
     def test_c2_two_branch_points(self):
         c2 = build_cyclic(2)
@@ -78,18 +112,32 @@ class TestVerify:
         vec = GeneratingVector(((1, 0),) + ((0, 0),) * 7, (1, 1, 1, 1, 2, 4))
         assert verify(c5, vec, Sig(8, (5,) * 6))
 
-    def test_diagnostics(self):
+    def test_wrong_order_and_broken_product(self):
+        # c_1 = 1 has order 4, not 2, and [1, 0] * 1 = 1 is not e; the entries generate C4
         c4 = build_cyclic(4)
-        # wrong order on c_1 and broken product
-        chk = check_vector(c4, GeneratingVector(((1, 0),), (1,)), Sig(1, (2,)))
-        assert not chk.orders_ok[0]
-        assert not chk.product_ok
-        assert chk.generates
+        assert not verify(c4, GeneratingVector(((1, 0),), (1,)), Sig(1, (2,)))
 
     def test_length_mismatch(self):
         c2 = build_cyclic(2)
         with pytest.raises(ValueError):
             verify(c2, GeneratingVector((), (1,)), Sig(0, (2, 2)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(vectors())
+    @example((build_generalized_quaternion(2), GeneratingVector(((1, 4), (0, 0)), (2,)), Sig(2, (2,))))
+    @example((build_cyclic(4), GeneratingVector(((1, 0),), (1,)), Sig(1, (2,))))
+    @example((build_cyclic(2), GeneratingVector((), (1,)), Sig(0, (2, 2))))
+    def test_matches_the_full_check(self, case):
+        # the early-exit verify agrees with all three conditions evaluated in full
+        group, vec, sig = case
+        try:
+            expected = check_vector(group, vec, sig).ok
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                verify(group, vec, sig)
+            assert str(got.value) == str(exc)
+        else:
+            assert verify(group, vec, sig) == expected
 
 
 class TestSearch:
@@ -194,7 +242,7 @@ class TestQuaternionVector:
 
     def test_branch_entry_order(self):
         group, sig, vec = quaternion_vector(3, 1)
-        assert group.element_order(vec.c_list[0]) == 3
+        assert group.element_orders[vec.c_list[0]] == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -207,13 +255,13 @@ class TestRealizable:
     def test_c5_figure_point(self):
         rep = realizable(build_cyclic(5), 48, S(8, 6))
         assert rep.verdict.is_exists
-        assert rep.witness.signature.periods == (5,) * 6
+        assert rep.verdict.witness.signature.periods == (5,) * 6
 
     def test_branch_count_beyond_recursion_limit(self):
         # 1002 branch points of period 2: deeper than Python's default recursion limit
         rep = realizable(build_cyclic(2), 500, S(0, 1002))
         assert rep.verdict.is_exists
-        assert rep.witness.signature.periods == (2,) * 1002
+        assert rep.verdict.witness.signature.periods == (2,) * 1002
 
     def test_c5_exception_excluded(self):
         rep = realizable(build_cyclic(5), 48, S(10, 1))
@@ -305,8 +353,9 @@ class TestRealizable:
                     expected = eager_realizable(g, sigma, pt, 2000)
                     key = (g.name, sigma, pt)
                     assert got.verdict.status == expected.verdict.status, key
-                    assert (got.witness and got.witness.to_json()) == (
-                        expected.witness and expected.witness.to_json()
+                    got_witness, expected_witness = got.verdict.witness, expected.verdict.witness
+                    assert (got_witness and got_witness.to_json()) == (
+                        expected_witness and expected_witness.to_json()
                     ), key
                     assert [r.to_json() for r in got.exclusion_reasons] == [
                         r.to_json() for r in expected.exclusion_reasons
@@ -323,7 +372,7 @@ class TestRealizable:
         # Q12 at genus 6, (0, 4): (2, 3, 6, 6) is unreachable and (2, 4, 4, 6)
         # holds the witness, so the walk is drawn from twice and filtered twice
         rep = realizable(build_generalized_quaternion(3), 6, S(0, 4))
-        assert rep.witness.signature == Sig(0, (2, 4, 4, 6))
+        assert rep.verdict.witness.signature == Sig(0, (2, 4, 4, 6))
         assert (counted["drawn"], counted["calls"]) == (2, 2)
 
     @pytest.mark.parametrize(

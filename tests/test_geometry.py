@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_gap_points, fraction_triangle_points, intersect
+from oracles import fraction_gap_points, fraction_triangle_points, intersect, triangle
 from skelsig.geometry import (
     GapRegion,
     RationalLine,
     RationalPoint,
-    common_point,
     gap,
     lower_line,
     missing_points,
     nearest_int,
     p_group_line,
-    triangle,
     triangle_rows,
     upper_line,
 )
@@ -63,12 +61,6 @@ class TestLines:
     def test_slopes(self, sigma, order):
         assert lower_line(sigma, order).slope == Fraction(-2 * order, order - 1)
         assert upper_line(sigma, order).slope == -4
-
-    def test_common_point_examples(self):
-        assert common_point(48) == P(48, -94)
-        assert common_point(2) == P(2, -2)
-        for order in range(2, 201):
-            assert lower_line(10, order).contains(P(10, -18))
 
 
 class TestTriangle:

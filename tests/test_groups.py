@@ -3,10 +3,16 @@
 import dataclasses
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
-from oracles import naive_commutator_products
+from oracles import (
+    naive_associative,
+    naive_commutator_products,
+    order_statistics,
+    save_cayley_file,
+)
 from skelsig.groups import (
     BadEntryError,
     CayleyFormatError,
@@ -28,7 +34,6 @@ from skelsig.groups import (
     load_cayley_file,
     parse_cycles,
     quaternion_word,
-    save_cayley_file,
 )
 
 # small-group counts per order, 1 through 15
@@ -42,6 +47,25 @@ def full_cubic_associativity(g: GroupTable) -> bool:
         for b in g.elements()
         for c in g.elements()
     )
+
+
+def reduced_latin_squares(n: int):
+    """Every n x n Latin square over 0..n-1 whose first row and first column are 0..n-1."""
+    rows = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k: int):
+        if k == len(cells):
+            yield [row[:] for row in rows]
+            return
+        i, j = cells[k]
+        used = set(rows[i][:j]) | {rows[x][j] for x in range(i)}
+        for v in range(n):
+            if v not in used:
+                rows[i][j] = v
+                yield from fill(k + 1)
+
+    yield from fill(0)
 
 
 def constructed_groups() -> list[GroupTable]:
@@ -62,58 +86,58 @@ class TestConstructors:
     def test_cyclic(self):
         c5 = build_cyclic(5)
         assert c5.order == 5
-        assert all(c5.element_order(x) == 5 for x in range(1, 5))
-        assert c5.is_abelian and c5.is_cyclic
+        assert all(c5.element_orders[x] == 5 for x in range(1, 5))
+        assert c5.is_abelian and c5.order in c5.element_orders
 
     def test_elementary_abelian(self):
         g = build_elementary_abelian(3, 2)
         assert g.order == 9
-        assert all(g.element_order(x) == 3 for x in range(1, 9))
-        assert not g.is_cyclic
+        assert all(g.element_orders[x] == 3 for x in range(1, 9))
+        assert g.order not in g.element_orders
 
     def test_direct_product_matches_elementary_abelian(self):
         a = direct_product(build_cyclic(2), build_cyclic(2))
         b = build_elementary_abelian(2, 2)
-        assert a.order_statistics() == b.order_statistics()
+        assert order_statistics(a) == order_statistics(b)
 
     def test_direct_product_rebracketing_invariant(self):
         c2, c3, c4 = build_cyclic(2), build_cyclic(3), build_cyclic(4)
         left = direct_product(direct_product(c2, c3), c4)
         right = direct_product(c2, direct_product(c3, c4))
-        assert left.order_statistics() == right.order_statistics()
+        assert order_statistics(left) == order_statistics(right)
 
     def test_dihedral(self):
         d4 = build_dihedral(4)
         assert d4.order == 8 and not d4.is_abelian
-        assert d4.order_statistics() == ((1, 1), (2, 5), (4, 2))
+        assert order_statistics(d4) == ((1, 1), (2, 5), (4, 2))
 
     def test_quaternion_q8(self):
         q8 = build_generalized_quaternion(2)
         assert q8.order == 8
-        assert q8.order_statistics() == ((1, 1), (2, 1), (4, 6))
+        assert order_statistics(q8) == ((1, 1), (2, 1), (4, 6))
         assert not q8.is_abelian
 
     def test_quaternion_structure(self):
         for n in (2, 3, 5):
             g = build_generalized_quaternion(n)
             x, y = 1, 2 * n
-            assert g.element_order(x) == 2 * n
-            assert g.element_order(y) == 4
-            assert g.element_order(g.mul(x, x)) == n
+            assert g.element_orders[x] == 2 * n
+            assert g.element_orders[y] == 4
+            assert g.element_orders[g.mul(x, x)] == n
             # y^2 = x^n
             xn = 0
             for _ in range(n):
                 xn = g.mul(xn, x)
             assert g.mul(y, y) == xn
             # y^-1 x y = x^-1
-            assert g.mul(g.mul(g.inv(y), x), y) == g.inv(x)
+            assert g.mul(g.mul(g.inverse[y], x), y) == g.inverse[x]
 
     def test_quaternion_commutator_convention(self):
         # [x, y] = x^-1 y^-1 x y = x^-2
         for n in (2, 3, 4):
             g = build_generalized_quaternion(n)
             x, y = 1, 2 * n
-            x2_inv = g.inv(g.mul(x, x))
+            x2_inv = g.inverse[g.mul(x, x)]
             assert g.commutator(x, y) == x2_inv
 
     def test_quaternion_rejects_small(self):
@@ -174,12 +198,12 @@ class TestPermutations:
 
     def test_cyclic_four(self):
         g = build_from_permutations(4, ["(1 2 3 4)"])
-        assert g.order == 4 and g.is_cyclic
+        assert g.order == 4 and 4 in g.element_orders
 
     def test_alternating_four(self):
         g = build_from_permutations(4, ["(1 2 3)", "(2 3 4)"])
         assert g.order == 12
-        assert g.order_statistics() == ((1, 1), (2, 3), (3, 8))
+        assert order_statistics(g) == ((1, 1), (2, 3), (3, 8))
 
     def test_cap(self):
         # S6 has 720 > PERM_CLOSURE_CAP elements
@@ -190,12 +214,11 @@ class TestPermutations:
 class TestPredicates:
     def test_q8_not_cyclic(self):
         q8 = build_generalized_quaternion(2)
-        assert not q8.is_abelian and not q8.is_cyclic
+        assert not q8.is_abelian and 8 not in q8.element_orders
 
     def test_cyclic_via_element_of_full_order(self):
         c7 = build_cyclic(7)
-        assert c7.is_cyclic
-        assert any(c7.element_order(g) == 7 for g in c7.elements())
+        assert 7 in c7.element_orders
 
     def test_subgroup_closure(self):
         d4 = build_dihedral(4)
@@ -243,6 +266,22 @@ class TestValidation:
         with pytest.raises(NonAssociativeError):
             GroupTable.from_table(f"loop5xC{k}", rows)
 
+    def test_every_small_reduced_latin_square_matches_the_cubic_check(self):
+        # Light's test over a generating set rejects a table exactly when some triple fails
+        squares, groups = Counter(), Counter()
+        for n in range(1, 6):
+            for rows in reduced_latin_squares(n):
+                squares[n] += 1
+                if naive_associative(rows):
+                    groups[n] += 1
+                    GroupTable.from_table("square", rows)
+                else:
+                    with pytest.raises(NonAssociativeError):
+                        GroupTable.from_table("square", rows)
+        assert [squares[n] for n in range(1, 6)] == [1, 1, 1, 4, 56]
+        # labelings of the groups with identity 0: C4 three, V4 one, C5 six
+        assert [groups[n] for n in range(1, 6)] == [1, 1, 1, 4, 6]
+
     def test_lights_test_agrees_with_cubic(self):
         # the generator-based check accepts a group that the cubic check confirms
         g = build_generalized_quaternion(17)
@@ -258,7 +297,7 @@ class TestCayleyFiles:
         loaded = load_cayley_file(path)
         assert loaded.table == q8.table
         assert loaded.name == "Q8"
-        assert loaded.order_statistics() == ((1, 1), (2, 1), (4, 6))
+        assert order_statistics(loaded) == ((1, 1), (2, 1), (4, 6))
 
     def test_order_one_allowed(self, tmp_path):
         path = tmp_path / "triv.cayley"
@@ -303,7 +342,7 @@ class TestSpecs:
     def test_file_spec(self, tmp_path):
         save_cayley_file(build_cyclic(4), tmp_path / "c4.cayley")
         g = build_from_spec("file:c4.cayley", base_dir=tmp_path)
-        assert g.order == 4 and g.is_cyclic
+        assert g.order == 4 and 4 in g.element_orders
 
     def test_bad_specs(self):
         for bad in ("nonsense:3", "cyclic:x", "product:cyclic:2", "perm:3:"):
@@ -329,7 +368,7 @@ class TestCatalog:
 
     def test_within_order_fingerprints_distinct(self, catalog_groups):
         for order in range(1, 16):
-            stats = [g.order_statistics() for g in catalog_groups if g.order == order]
+            stats = [order_statistics(g) for g in catalog_groups if g.order == order]
             assert len(stats) == len(set(stats)), f"order {order} fingerprints collide"
 
     def test_bundled_catalog_is_shared(self):
@@ -337,7 +376,7 @@ class TestCatalog:
 
     def test_bundled_q8_statistics(self, catalog_groups):
         q8 = next(g for g in catalog_groups if g.name == "Q8")
-        assert q8.order_statistics() == ((1, 1), (2, 1), (4, 6))
+        assert order_statistics(q8) == ((1, 1), (2, 1), (4, 6))
 
 
 class TestLoadCatalog:

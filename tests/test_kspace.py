@@ -7,15 +7,7 @@ import pytest
 
 from skelsig import genvec, groups, kspace, rh
 from skelsig.genvec import DEFAULT_BUDGET, RealizabilityReport
-from skelsig.geometry import (
-    RationalLine,
-    RationalPoint,
-    TriangleRegion,
-    gap,
-    p_group_line,
-    triangle,
-    triangle_points,
-)
+from skelsig.geometry import RationalLine, RationalPoint, gap, p_group_line
 from skelsig.groups import (
     CatalogManifest,
     build_cyclic,
@@ -33,8 +25,11 @@ from skelsig.kspace import (
 from skelsig.rh import SearchVerdict, SkeletalSignature, rh_admissible
 
 from oracles import (
+    TriangleRegion,
     all_groups_realizable_set,
     close_order_2n,
+    triangle,
+    triangle_points,
     walk_admissible_map,
     walk_hurwitz_range_orders,
 )
@@ -469,7 +464,7 @@ class TestSporadic:
         assert all(searches)
 
     def test_order_2n_budget_hit_names_the_group(self, catalog, monkeypatch):
-        unknown = RealizabilityReport(SearchVerdict.unknown(), None, ())
+        unknown = RealizabilityReport(SearchVerdict.unknown(), ())
         monkeypatch.setattr(kspace, "realizable", lambda *args: unknown)
         report = sporadic_analysis(2, [5], [], catalog)
         case = next(c for c in report.nonexistence[0].cases if c.divisor == "p")

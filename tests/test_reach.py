@@ -1,0 +1,82 @@
+"""Reach guard: every public definition in the library is named where the commands or criteria look.
+
+This is a name check, not a proof of use.  A definition passes when its name
+appears as an ``ast.Name``, an ``ast.Attribute`` or a ``from ... import`` name
+anywhere in the ``src/skelsig`` modules (``__init__.py`` aside, which holds
+only the version) or in ``tests/test_acceptance.py``, so a method whose
+name is shared with a live method or a local variable passes too.  What it
+catches is a public function, class, method or property that nothing in the
+library and no criterion mentions at all: such code belongs in
+``tests/oracles.py`` or nowhere.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "skelsig"
+
+
+def _script_targets() -> set[str]:
+    """Function names of the ``[project.scripts]`` entry points, read by regex (no tomllib on 3.10)."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n?)*)", text, re.M)
+    assert section, "pyproject.toml has no [project.scripts] table"
+    return set(re.findall(r'=\s*"[\w.]+:(\w+)"', section.group(1)))
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    """Public top-level functions and classes, and the public methods and properties of those classes."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            )
+    return found
+
+
+def _named(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_definition_is_named_by_the_library_or_a_criterion():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    sources = modules + [ROOT / "tests" / "test_acceptance.py"]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    named = set().union(*(_named(tree) for tree in trees.values()))
+    allowed = _script_targets()
+    assert allowed == {"console_main"}
+    unreached = [
+        f"{path.stem}.{qualname}"
+        for path, tree in trees.items()
+        if path in modules
+        for qualname in _public_definitions(tree)
+        if qualname.rpartition(".")[2] not in named | allowed
+    ]
+    assert unreached == []
+
+
+def test_package_namespace_holds_only_the_version():
+    body = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+    assert len(body) == 2
+    docstring, assignment = body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert isinstance(assignment, ast.Assign)
+    assert [t.id for t in assignment.targets] == ["__version__"]

@@ -12,9 +12,11 @@ from oracles import (
     full_range_feasible_orders,
     period_multisets,
     trial_division_allowed_periods,
+    triangle,
+    triangle_points,
 )
 from skelsig import rh
-from skelsig.geometry import RationalPoint, gap, triangle, triangle_points
+from skelsig.geometry import RationalPoint, gap
 from skelsig.rh import (
     HyperbolicityError,
     OrbifoldSignature,

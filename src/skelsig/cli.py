@@ -9,9 +9,7 @@ approximation; every run echoes its effective configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import re
 import sys
@@ -74,12 +72,11 @@ def _resolve_catalog(args) -> CatalogManifest:
 
 
 def points_csv(rows: Iterable[tuple[int, int, str]]) -> str:
-    """CSV text of (h, r, status) rows under an ``h,r,status`` header."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["h", "r", "status"])
-    writer.writerows(rows)
-    return buf.getvalue()
+    """CSV text of (h, r, status) rows under an ``h,r,status`` header.
+
+    Lines end in CRLF, as ``csv.writer`` ends them; no status needs quoting.
+    """
+    return "".join(["h,r,status\r\n", *(f"{h},{r},{status}\r\n" for h, r, status in rows)])
 
 
 _quote = json.encoder.encode_basestring_ascii

@@ -31,7 +31,7 @@ element of its order is one; in an abelian group that product is always e),
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import GroupTable, build_cyclic, build_generalized_quaternion
 from .rh import (
@@ -46,8 +46,7 @@ from .rh import (
 DEFAULT_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class GeneratingVector:
+class GeneratingVector(NamedTuple):
     """Element indices (a_i, b_i) pairs plus the branch entries c_j."""
 
     a_pairs: tuple[tuple[int, int], ...]
@@ -198,8 +197,7 @@ def vector_words(group_spec: str | None, vec: GeneratingVector) -> dict | None:
     }
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Serializable record of a found action."""
 
     group_name: str
@@ -220,8 +218,7 @@ class Witness:
         return out
 
 
-@dataclass(frozen=True)
-class ExclusionReason:
+class ExclusionReason(NamedTuple):
     # arithmetic | abelian-r1 | commutator-r1 | product-unreachable | cyclic-forced
     # | exhausted-search
     rule: str
@@ -231,16 +228,22 @@ class ExclusionReason:
         return {"rule": self.rule, "scope": self.scope}
 
 
-@dataclass(frozen=True)
-class RealizabilityReport:
-    """A verdict, whose witness on ``exists`` is a ``Witness``, and the rules behind a no."""
-
+class _RealizabilityReportFields(NamedTuple):
     verdict: SearchVerdict
     exclusion_reasons: tuple[ExclusionReason, ...]
 
-    def __post_init__(self) -> None:
-        if self.verdict.is_not_exists and not self.exclusion_reasons:
+
+class RealizabilityReport(_RealizabilityReportFields):
+    """A verdict, whose witness on ``exists`` is a ``Witness``, and the rules behind a no."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, verdict: SearchVerdict, exclusion_reasons: tuple[ExclusionReason, ...]
+    ) -> "RealizabilityReport":
+        if verdict.is_not_exists and not exclusion_reasons:
             raise AssertionError("a nonexistence report must carry at least one reason")
+        return super().__new__(cls, verdict, exclusion_reasons)
 
 
 def realizable(

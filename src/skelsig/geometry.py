@@ -11,9 +11,8 @@ gaps are open; the asymmetry is deliberate and load-bearing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .groups import _is_prime
 from .rh import SkeletalSignature, _check_genus, _check_order
@@ -26,16 +25,18 @@ def frac_json(x: Fraction) -> dict:
     return {"frac": f"{x.numerator}/{x.denominator}", "dec": float(x)}
 
 
-@dataclass(frozen=True)
-class RationalPoint:
-    """Exact point; integrality is a queryable predicate, never an assumption."""
-
+class _RationalPointFields(NamedTuple):
     h: Fraction
     r: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h", Fraction(self.h))
-        object.__setattr__(self, "r", Fraction(self.r))
+
+class RationalPoint(_RationalPointFields):
+    """Exact point; integrality is a queryable predicate, never an assumption."""
+
+    __slots__ = ()
+
+    def __new__(cls, h: Coord, r: Coord) -> "RationalPoint":
+        return super().__new__(cls, Fraction(h), Fraction(r))
 
     def __str__(self) -> str:
         return f"({self.h}, {self.r})"
@@ -44,19 +45,22 @@ class RationalPoint:
         return {"h": frac_json(self.h), "r": frac_json(self.r)}
 
 
-@dataclass(frozen=True)
-class RationalLine:
+class _RationalLineFields(NamedTuple):
+    a: int
+    b: int
+    c: int
+
+
+class RationalLine(_RationalLineFields):
     """Line a*h + b*r = c with integer coefficients, gcd 1, leading sign positive.
 
     Normalization makes equality of lines a plain field comparison.
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        a, b, c = int(self.a), int(self.b), int(self.c)
+    def __new__(cls, a: int, b: int, c: int) -> "RationalLine":
+        a, b, c = int(a), int(b), int(c)
         if (a, b) == (0, 0):
             raise ValueError("line needs a nonzero (a, b)")
         g = math.gcd(math.gcd(abs(a), abs(b)), abs(c))
@@ -65,9 +69,7 @@ class RationalLine:
         lead = a if a != 0 else b
         if lead < 0:
             a, b, c = -a, -b, -c
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        return super().__new__(cls, a, b, c)
 
     def evaluate(self, point: RationalPoint) -> Fraction:
         """a*h + b*r - c; sign tells which side of the line the point is on."""
@@ -156,8 +158,7 @@ def triangle_rows(sigma: int, order: int) -> Iterator[tuple[int, int, int]]:
             yield h, r_lo, r_hi
 
 
-@dataclass(frozen=True)
-class GapRegion:
+class GapRegion(NamedTuple):
     """Open region guaranteed free of skeletal signatures, up to a cyclic exception line.
 
     Bounded above (in r) by the lower line of the order-N triangle and below by

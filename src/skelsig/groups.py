@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class GroupTableError(ValueError):
@@ -52,14 +51,7 @@ class ClosureCapError(ValueError):
 PERM_CLOSURE_CAP = 360  # largest group a ``perm:`` spec may close to
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    """Immutable finite group: multiplication table, inverses, element orders.
-
-    ``spec`` records the constructor expression when one exists (used for
-    witness serialization and normal-form element words).
-    """
-
+class _GroupTableFields(NamedTuple):
     name: str
     order: int
     table: tuple[tuple[int, ...], ...]
@@ -67,6 +59,16 @@ class GroupTable:
     element_orders: tuple[int, ...]
     is_abelian: bool
     spec: str | None = None
+
+
+class GroupTable(_GroupTableFields):
+    """Immutable finite group: multiplication table, inverses, element orders.
+
+    ``spec`` records the constructor expression when one exists (used for
+    witness serialization and normal-form element words).  The class has no
+    ``__slots__``, so each instance keeps a ``__dict__`` for its cached tables;
+    a ``_replace`` copy starts without them.
+    """
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -243,7 +245,7 @@ def build_elementary_abelian(p: int, k: int) -> GroupTable:
     out = g
     for _ in range(k - 1):
         out = direct_product(out, g)
-    return replace(out, name=f"C{p}^{k}", spec=f"elab:{p}^{k}")
+    return out._replace(name=f"C{p}^{k}", spec=f"elab:{p}^{k}")
 
 
 def build_dihedral(n: int) -> GroupTable:
@@ -416,7 +418,7 @@ def build_from_spec(spec: str, *, base_dir: Path | None = None, name: str | None
             g = factors[0]
             for f in factors[1:]:
                 g = direct_product(g, f)
-            g = replace(g, spec=s)
+            g = g._replace(spec=s)
         elif head == "perm":
             deg_str, _, cycles = rest.partition(":")
             gens = [c for c in cycles.split(";") if c.strip()]
@@ -433,7 +435,7 @@ def build_from_spec(spec: str, *, base_dir: Path | None = None, name: str | None
             raise
         raise SpecParseError(f"bad parameters in spec {spec!r}: {exc}") from exc
     if name is not None:
-        g = replace(g, name=name, spec=g.spec or s)
+        g = g._replace(name=name, spec=g.spec or s)
     return g
 
 
@@ -479,15 +481,13 @@ def load_cayley_file(path: Path | str) -> GroupTable:
 # catalog
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     order: int
     spec: str
     label: str
     complete: bool
 
 
-@dataclass(frozen=True)
 class CatalogManifest:
     """Bundled classification data: specs per order plus completeness assertions.
 
@@ -497,11 +497,10 @@ class CatalogManifest:
     table is built on first use and kept for the life of the manifest.
     """
 
-    entries: tuple[CatalogEntry, ...]
-    base_dir: Path | None = None
-    _tables: dict[CatalogEntry, GroupTable] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, entries: tuple[CatalogEntry, ...], base_dir: Path | None = None) -> None:
+        self.entries = entries
+        self.base_dir = base_dir
+        self._tables: dict[CatalogEntry, GroupTable] = {}
 
     def _build(self, e: CatalogEntry) -> GroupTable:
         if e not in self._tables:

@@ -8,8 +8,7 @@ that distinction explicit: equality is never asserted, coverage is recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import geometry
 from .genvec import (
@@ -94,8 +93,7 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
 # realized subset
 
 
-@dataclass(frozen=True)
-class SearchScope:
+class SearchScope(NamedTuple):
     """Honest record of what the witness search actually covered."""
 
     max_order: int
@@ -132,18 +130,28 @@ class SearchScope:
         }
 
 
-@dataclass(frozen=True)
-class KSpaceApproximation:
-    """Two-sided bracket on the space of skeletal signatures at one genus."""
-
+class _KSpaceApproximationFields(NamedTuple):
     sigma: int
     feasible_orders_by_point: dict[SkeletalSignature, tuple[int, ...]]
     realized: dict[SkeletalSignature, Witness]
     scope: SearchScope
 
-    def __post_init__(self) -> None:
-        if not set(self.realized) <= self.admissible:
+
+class KSpaceApproximation(_KSpaceApproximationFields):
+    """Two-sided bracket on the space of skeletal signatures at one genus."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        sigma: int,
+        feasible_orders_by_point: dict[SkeletalSignature, tuple[int, ...]],
+        realized: dict[SkeletalSignature, Witness],
+        scope: SearchScope,
+    ) -> "KSpaceApproximation":
+        if not realized.keys() <= feasible_orders_by_point.keys():
             raise AssertionError("realized points must be admissible")
+        return super().__new__(cls, sigma, feasible_orders_by_point, realized, scope)
 
     @property
     def admissible(self) -> frozenset[SkeletalSignature]:
@@ -232,8 +240,7 @@ def realizable_set(
 # point-level exclusion machinery (r = 1 arguments and catalog sweeps)
 
 
-@dataclass(frozen=True)
-class PointAnalysis:
+class PointAnalysis(NamedTuple):
     """Realizability decision for one lattice point across all feasible orders."""
 
     point: SkeletalSignature
@@ -313,8 +320,7 @@ def analyze_point(
 # gap verification
 
 
-@dataclass(frozen=True)
-class PointReport:
+class PointReport(NamedTuple):
     point: SkeletalSignature
     on_exception_line: bool
     rh: SearchVerdict
@@ -334,8 +340,7 @@ class PointReport:
         }
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     region: GapRegion
     points: tuple[PointReport, ...]
     conclusion: str  # verified | refuted
@@ -385,8 +390,7 @@ def verify_gap(
 # sporadic points on the r = 1 line
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(NamedTuple):
     """One divisor case of the r = 1 nonexistence argument at genus p + 1."""
 
     divisor: str  # which divisor of 2p the quantity n(2h-1)-1 equals
@@ -409,8 +413,7 @@ class CaseRecord:
         }
 
 
-@dataclass(frozen=True)
-class SporadicGenusReport:
+class SporadicGenusReport(NamedTuple):
     p: int
     sigma: int
     cases: tuple[CaseRecord, ...]
@@ -425,8 +428,7 @@ class SporadicGenusReport:
         }
 
 
-@dataclass(frozen=True)
-class QuaternionWitnessRecord:
+class QuaternionWitnessRecord(NamedTuple):
     n: int
     genus: int
     witness: Witness
@@ -441,8 +443,7 @@ class QuaternionWitnessRecord:
         }
 
 
-@dataclass(frozen=True)
-class SporadicReport:
+class SporadicReport(NamedTuple):
     h: int
     nonexistence: tuple[SporadicGenusReport, ...]
     witnesses: tuple[QuaternionWitnessRecord, ...]
@@ -564,8 +565,7 @@ def sporadic_analysis(
 # figure dataset
 
 
-@dataclass(frozen=True)
-class FigureDataset:
+class FigureDataset(NamedTuple):
     """Everything needed to draw the (h, r)-plane for one genus."""
 
     sigma: int

@@ -25,9 +25,8 @@ provable bounds, so a negative answer is a certificate, not a timeout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 
 class HyperbolicityError(ValueError):
@@ -41,20 +40,24 @@ class SkeletalSignature(NamedTuple):
     r: int
 
 
-@dataclass(frozen=True)
-class OrbifoldSignature:
+class _OrbifoldSignatureFields(NamedTuple):
+    h: int
+    periods: tuple[int, ...]
+
+
+class OrbifoldSignature(_OrbifoldSignatureFields):
     """Quotient genus plus the ordered branching periods of an orbifold covering."""
 
-    h: int
-    periods: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "periods", tuple(int(n) for n in self.periods))
+    def __new__(cls, h: int, periods: Iterable[int] = ()) -> "OrbifoldSignature":
+        self = super().__new__(cls, h, tuple(int(n) for n in periods))
         if self.h < 0:
             raise ValueError(f"quotient genus must be >= 0, got {self.h}")
         for n in self.periods:
             if n < 2:
                 raise ValueError(f"branching periods must be >= 2, got {n}")
+        return self
 
     @property
     def r(self) -> int:
@@ -68,8 +71,7 @@ class OrbifoldSignature:
         return f"({self.h};{','.join(str(n) for n in self.periods)})"
 
 
-@dataclass(frozen=True)
-class SearchVerdict:
+class SearchVerdict(NamedTuple):
     """Outcome of an exhaustive search.
 
     ``not_exists`` is only ever produced after a provably complete enumeration;

@@ -28,7 +28,7 @@ from skelsig.cli import (
     parse_int_list,
     parse_signature,
 )
-from skelsig.rh import OrbifoldSignature
+from skelsig.rh import OrbifoldSignature, SearchVerdict
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -354,7 +354,12 @@ class TestIndentedJson:
         raw = path.read_bytes()
         assert (_indented_json(json.loads(raw)) + "\n").encode("utf-8") == raw
 
-    @pytest.mark.parametrize("value", [{1: "a"}, {None: 1}, [{"ok": {(1, 2): 3}}], {1.5}, b"x"])
+    # a NamedTuple record is a tuple subclass: exact-type matching keeps it
+    # from leaking into the output as a bare array
+    @pytest.mark.parametrize(
+        "value",
+        [{1: "a"}, {None: 1}, [{"ok": {(1, 2): 3}}], {1.5}, b"x", SearchVerdict.not_exists()],
+    )
     def test_rejects_what_is_not_a_plain_tree(self, value):
         with pytest.raises(TypeError):
             _indented_json(value)

@@ -186,17 +186,17 @@ class TestGap:
         region = gap(48, 4)
         expected = fraction_gap_points(region)
         calls = Counter()
-        point_init, member_raw = RationalPoint.__init__, GapRegion.member_raw
+        point_new, member_raw = RationalPoint.__new__, GapRegion.member_raw
 
-        def counted_init(self, *args, **kwargs):
+        def counted_new(cls, *args, **kwargs):
             calls["RationalPoint"] += 1
-            point_init(self, *args, **kwargs)
+            return point_new(cls, *args, **kwargs)
 
         def counted_member_raw(self, point):
             calls["member_raw"] += 1
             return member_raw(self, point)
 
-        monkeypatch.setattr(RationalPoint, "__init__", counted_init)
+        monkeypatch.setattr(RationalPoint, "__new__", counted_new)
         monkeypatch.setattr(GapRegion, "member_raw", counted_member_raw)
         assert region.integer_points_raw() == expected
         assert region.integer_points() and region.exception_points()

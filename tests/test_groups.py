@@ -1,6 +1,5 @@
 """Group tables: constructors, validation, file round-trips, catalog integrity."""
 
-import dataclasses
 import itertools
 import json
 from collections import Counter
@@ -172,12 +171,14 @@ class TestTables:
                 assert g.commutator_products(h) == naive_commutator_products(g, h), (g.name, h)
 
     def test_renamed_copy_has_same_tables(self, catalog_groups):
-        # build_from_spec(..., name=) renames with dataclasses.replace; the copy
-        # must derive the same tables, whether or not the original built its own
+        # build_from_spec(..., name=) renames with GroupTable._replace; the copy
+        # starts with no cached tables and must derive the same ones, whether or
+        # not the original built its own
         for g in catalog_groups + constructed_groups():
-            before = dataclasses.replace(g, name=g.name + "'")
+            before = g._replace(name=g.name + "'")
             products = [g.commutator_products(h) for h in range(5)]
-            after = dataclasses.replace(g, name=g.name + "''")
+            after = g._replace(name=g.name + "''")
+            assert type(after) is GroupTable and not vars(after), g.name
             for copy in (before, after):
                 assert copy.elements_by_order == g.elements_by_order, g.name
                 assert [copy.commutator_products(h) for h in range(5)] == products, g.name

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .groups import GroupTable, build_cyclic, build_generalized_quaternion
+from .groups import GroupTable, build_cyclic, build_generalized_quaternion, quaternion_word
 from .rh import (
     OrbifoldSignature,
     SearchVerdict,
@@ -188,8 +188,6 @@ def vector_words(group_spec: str | None, vec: GeneratingVector) -> dict | None:
     """Element words for the vector when the group has a usable normal form."""
     if not group_spec or not group_spec.startswith("quaternion:"):
         return None
-    from .groups import quaternion_word
-
     n = int(group_spec.partition(":")[2])
     return {
         "aPairs": [[quaternion_word(n, a), quaternion_word(n, b)] for a, b in vec.a_pairs],

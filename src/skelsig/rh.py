@@ -9,13 +9,14 @@ Genera are computed over ``fractions.Fraction``.  Every period divides N, so
 feasibility is an integer question: with d_j = N/n_j, the point (h, r) is
 feasible at order N exactly when T = N(2h - 2 + r) - 2(sigma - 1) is a sum of
 r proper divisors d_j of N.  Three exact procedures answer it.
-``_period_lists`` lists every period list, by a branch-and-bound over the
-parts d_j.  ``part_sum_levels`` answers only yes or no, for every point of an
-order at once: bit t of the level bitset S_k is set exactly when t is a sum of
-k parts, so (h, r) is feasible exactly when bit T of S_r is set, or, one level
-lower, when bit T - d of S_(r-1) is set for some part d <= T.  A sweep over
-orders takes each order's parts from ``order_parts``, one divisor sieve, in
-place of trial division per order.  Such a sweep need only run to
+``_period_lists`` lists every period list, choosing how many times each
+distinct part d_j appears, with each count bounded by what the smaller parts
+can still fill.  ``part_sum_levels`` answers only yes or no, for every point
+of an order at once: bit t of the level bitset S_k is set exactly when t is a
+sum of k parts, so (h, r) is feasible exactly when bit T of S_r is set, or,
+one level lower, when bit T - d of S_(r-1) is set for some part d <= T.  A
+sweep over orders takes each order's parts from ``order_parts``, one divisor
+sieve, in place of trial division per order.  Such a sweep need only run to
 12(sigma - 1): above it only (0, 3) is feasible, and
 ``hurwitz_range_orders`` finds its orders there in closed form, from the
 divisors of at most six numbers.  The searches are exhaustive within
@@ -225,45 +226,44 @@ def _period_lists(
 
     ``allowed`` holds distinct divisors >= 2 of ``order``, ascending.  With
     d_j = N/n_j the formula becomes T = N(2h - 2 + r) - 2(sigma - 1) =
-    d_1 + ... + d_r, so the walk is a branch-and-bound over integer parts,
-    largest part (smallest period) first: a part too small to fill the open
-    slots ends the slot, a part that leaves nothing for the other slots is
-    skipped, and the last slot must equal a part exactly.  r = 0 yields ()
-    exactly when T = 0.  The walk keeps its path as a stack of part indices,
-    so r may exceed Python's recursion limit.
+    d_1 + ... + d_r, and a non-decreasing list is fixed by how many times
+    each distinct part appears.  So the walk chooses one count per part,
+    largest part (smallest period) first and larger counts first, which is
+    lexicographic order; ``_count_lists`` bounds each count.  r = 0 yields
+    () exactly when T = 0.  The walk recurses once per distinct period,
+    never once per slot, so its depth is at most ``len(allowed)`` however
+    large r is.
     """
-    total = order * (2 * h - 2 + r) - 2 * (sigma - 1)
-    if r == 0:
-        if total == 0:
-            yield ()
+    if allowed or r == 0:
+        total = order * (2 * h - 2 + r) - 2 * (sigma - 1)
+        parts = [order // n for n in allowed]  # descending, as the periods ascend
+        yield from _count_lists(parts, allowed, 0, r, total, ())
+
+
+def _count_lists(
+    parts: list[int], periods: Sequence[int], i: int, slots: int, t: int, head: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """``head`` extended by every ``slots`` periods from ``periods[i:]`` whose parts sum to t.
+
+    The count c of the part d = parts[i] runs from high to low.  The slots
+    left after it take parts between the next part e and the smallest m, so
+    (slots - c) * m <= t - c * d <= (slots - c) * e bounds c on both sides.
+    The smallest part must fill every slot left exactly.
+    """
+    if slots == 0:
+        if t == 0:
+            yield head
         return
-    if total <= 0 or not allowed:
+    d, m = parts[i], parts[-1]
+    if d == m:
+        if d * slots == t:
+            yield head + (periods[i],) * slots
         return
-    parts = [order // n for n in allowed]  # descending, as the periods ascend
-    index = {d: i for i, d in enumerate(parts)}
-    smallest = parts[-1]
-    chosen: list[int] = []  # part indices of the filled slots, non-decreasing
-    t, i = total, 0  # what the open slots must sum to; the next part index for the first
-    while True:
-        slots = r - len(chosen)
-        if slots == 1:
-            # t never exceeds the part before it, so the list stays non-decreasing: r = 1
-            # starts at the largest part, and the slot before took d with 2d >= d + t
-            if t in index:
-                yield tuple(allowed[j] for j in chosen) + (allowed[index[t]],)
-        elif t >= slots * smallest:  # else even the smallest parts overshoot t
-            while i < len(parts) and parts[i] >= t:
-                i += 1  # the slots after this one need a positive share
-            # a part with d * slots < t ends the slot: the parts after it are smaller still
-            if i < len(parts) and parts[i] * slots >= t:
-                chosen.append(i)
-                t -= parts[i]
-                continue
-        if not chosen:
-            return
-        i = chosen.pop()  # reopen the slot before at its next part
-        t += parts[i]
-        i += 1
+    e = parts[i + 1]
+    low = max(0, -((slots * e - t) // (d - e)))
+    for c in range(min(slots, (t - slots * m) // (d - m)), low - 1, -1):
+        more = head + (periods[i],) * c
+        yield from _count_lists(parts, periods, i + 1, slots - c, t - c * d, more)
 
 
 def part_sum_levels(parts: Sequence[int], count: int, top: int) -> list[int]:

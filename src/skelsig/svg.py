@@ -37,6 +37,14 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
+def _ratio(x, m) -> float:
+    """x/m as a float for ints or Fractions, building no Fraction.
+
+    Integer true division rounds correctly, so this is float(Fraction(x) / m).
+    """
+    return x.numerator * m.denominator / (x.denominator * m.numerator)
+
+
 class _Canvas:
     def __init__(self, h_max: Fraction, r_max: Fraction):
         self.h_max = Fraction(h_max)
@@ -44,10 +52,10 @@ class _Canvas:
         self.parts: list[str] = []
 
     def sx(self, h) -> float:
-        return MARGIN + float(Fraction(h) / self.h_max) * (WIDTH - 2 * MARGIN)
+        return MARGIN + _ratio(h, self.h_max) * (WIDTH - 2 * MARGIN)
 
     def sy(self, r) -> float:
-        return HEIGHT - MARGIN - float(Fraction(r) / self.r_max) * (HEIGHT - 2 * MARGIN)
+        return HEIGHT - MARGIN - _ratio(r, self.r_max) * (HEIGHT - 2 * MARGIN)
 
     def add(self, element: str) -> None:
         self.parts.append(element)

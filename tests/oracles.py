@@ -3,7 +3,9 @@
 ``naive_search`` tests every tuple of G^(2h+r) against all three
 generating-vector conditions, with no pruning.  ``period_multisets`` is the
 library's integer period-list walk behind a sort and a check of its period
-box, so a test may pass any iterable of divisors.
+box, so a test may pass any iterable of divisors.  ``stack_period_lists`` is
+the slot-by-slot form of that walk, one part per slot with an explicit stack,
+where the library chooses one count per distinct part.
 ``fraction_period_multisets`` is the branch-and-bound over exact reciprocal
 sums that the integer walk does over parts; unlike the integer walk it
 accepts periods that do not divide the order, such as the loose box
@@ -47,7 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from skelsig.genvec import (
     ExclusionReason,
@@ -141,6 +143,54 @@ def period_multisets(
     if any(n < 2 or order % n for n in allowed):
         raise ValueError(f"periods must be divisors >= 2 of the order {order}, got {allowed}")
     return _period_lists(sigma, h, r, order, allowed)
+
+
+def stack_period_lists(
+    sigma: int, h: int, r: int, order: int, allowed: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Every non-decreasing period list over ``allowed`` satisfying Riemann-Hurwitz, lexicographically.
+
+    ``allowed`` holds distinct divisors >= 2 of ``order``, ascending.  With
+    d_j = N/n_j the formula becomes T = N(2h - 2 + r) - 2(sigma - 1) =
+    d_1 + ... + d_r, so the walk is a branch-and-bound over integer parts,
+    largest part (smallest period) first: a part too small to fill the open
+    slots ends the slot, a part that leaves nothing for the other slots is
+    skipped, and the last slot must equal a part exactly.  r = 0 yields ()
+    exactly when T = 0.  The walk keeps its path as a stack of part indices,
+    so r may exceed Python's recursion limit.
+    """
+    total = order * (2 * h - 2 + r) - 2 * (sigma - 1)
+    if r == 0:
+        if total == 0:
+            yield ()
+        return
+    if total <= 0 or not allowed:
+        return
+    parts = [order // n for n in allowed]  # descending, as the periods ascend
+    index = {d: i for i, d in enumerate(parts)}
+    smallest = parts[-1]
+    chosen: list[int] = []  # part indices of the filled slots, non-decreasing
+    t, i = total, 0  # what the open slots must sum to; the next part index for the first
+    while True:
+        slots = r - len(chosen)
+        if slots == 1:
+            # t never exceeds the part before it, so the list stays non-decreasing: r = 1
+            # starts at the largest part, and the slot before took d with 2d >= d + t
+            if t in index:
+                yield tuple(allowed[j] for j in chosen) + (allowed[index[t]],)
+        elif t >= slots * smallest:  # else even the smallest parts overshoot t
+            while i < len(parts) and parts[i] >= t:
+                i += 1  # the slots after this one need a positive share
+            # a part with d * slots < t ends the slot: the parts after it are smaller still
+            if i < len(parts) and parts[i] * slots >= t:
+                chosen.append(i)
+                t -= parts[i]
+                continue
+        if not chosen:
+            return
+        i = chosen.pop()  # reopen the slot before at its next part
+        t += parts[i]
+        i += 1
 
 
 def fraction_period_multisets(

@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from skelsig.cli import (
     parse_signature,
 )
 from skelsig.rh import OrbifoldSignature, SearchVerdict
+from skelsig.svg import _ratio
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -323,6 +326,17 @@ class TestGoldenFiles:
         assert "0,6,realized" in lines
 
 
+class TestSvgRatio:
+    @given(
+        st.integers(0, 10**6) | st.fractions(min_value=0, max_value=10**6),
+        st.integers(1, 10**6) | st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
+    )
+    @example(1, 3)
+    @example(Fraction(1, 3), Fraction(52))
+    def test_matches_fraction_division(self, x, m):
+        assert _ratio(x, m) == float(Fraction(x) / m)
+
+
 JSON_SCALARS = (
     st.none()
     | st.booleans()
@@ -369,10 +383,11 @@ class TestReadme:
     def test_reproduction_commands_parse(self):
         text = README.read_text(encoding="utf-8")
         section = text.split("## Reproducing the paper's runs\n", 1)[1].split("\n## ", 1)[0]
+        # a survey loop's shell variables stand for a sample genus
         commands = [
-            shlex.split(line) for line in section.splitlines()
+            shlex.split(re.sub(r"\$\w+", "48", line)) for line in section.splitlines()
             if line.lstrip().startswith("skelsig ")
         ]
-        assert len(commands) == 6
+        assert len(commands) == 8
         for argv in commands:
             assert build_parser().parse_args(argv[1:]).subcommand == argv[1]

@@ -11,12 +11,14 @@ from oracles import (
     fraction_period_multisets,
     full_range_feasible_orders,
     period_multisets,
+    stack_period_lists,
     trial_division_allowed_periods,
     triangle,
     triangle_points,
 )
 from skelsig import rh
 from skelsig.geometry import RationalPoint, gap
+from skelsig.kspace import admissible_map
 from skelsig.rh import (
     HyperbolicityError,
     OrbifoldSignature,
@@ -220,6 +222,33 @@ class TestPeriodMultisets:
                             assert got == expected, (sigma, h, r, order, allowed)
                             seen += len(got)
         assert seen > 1000
+
+    def test_count_walk_matches_stack_walk(self, catalog):
+        # the lists and their order, against the slot-by-slot walk the count walk replaced
+        def same(*args):
+            got = list(rh._period_lists(*args))
+            assert got == list(stack_period_lists(*args)), args
+            return len(got)
+
+        seen = 0
+        for sigma in range(2, 17):
+            for order in range(2, 41):
+                allowed = allowed_periods(order)
+                for h in range(0, sigma + 2):
+                    for r in range(0, 2 * sigma + 3):
+                        seen += same(sigma, h, r, order, allowed)
+        assert seen > 2000
+        groups = catalog.groups()
+        for sigma in (24, 48):
+            for pt, orders in admissible_map(sigma).items():
+                for g in groups:
+                    if g.order in orders:
+                        element_orders = sorted(k for k in g.elements_by_order if k >= 2)
+                        seen += same(sigma, pt.h, pt.r, g.order, element_orders)
+        assert seen > 4000
+        # 55440 has 119 divisors >= 2, so the walk goes 119 periods deep
+        args = (661, 0, 3, 55440, allowed_periods(55440))
+        assert list(rh._period_lists(*args)) == list(stack_period_lists(*args)) == [(2, 3, 7)]
 
     def test_unsorted_and_repeated_periods(self):
         assert list(period_multisets(7, 1, 3, 6, [6, 2, 3, 2])) == [(2, 3, 6), (3, 3, 3)]

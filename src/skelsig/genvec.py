@@ -78,12 +78,13 @@ def verify(group: GroupTable, vec: GeneratingVector, sig: OrbifoldSignature) -> 
     orders = group.element_orders
     if any(orders[c] != n for c, n in zip(vec.c_list, sig.periods)):
         return False
-    prod = group.identity
+    table = group.table
+    prod = 0
     for a, b in vec.a_pairs:
-        prod = group.mul(prod, group.commutator(a, b))
+        prod = table[prod][group.commutator(a, b)]
     for c in vec.c_list:
-        prod = group.mul(prod, c)
-    return prod == group.identity and group.generates(vec.flatten())
+        prod = table[prod][c]
+    return prod == 0 and group.generates(vec.flatten())
 
 
 def search(
@@ -106,14 +107,14 @@ def _walk_tuples(group: GroupTable, sig: OrbifoldSignature, budget: int) -> Sear
     h, periods = sig.h, sig.periods
     free_c = [group.elements_by_order[p] for p in periods[:-1]]
     last_period = periods[-1] if periods else None
-    mul = group.mul
+    table = group.table
     orders = group.element_orders
     inv = group.inverse
     examined = 0
-    for a_tuple in itertools.product(group.elements(), repeat=2 * h):
+    for a_tuple in itertools.product(range(group.order), repeat=2 * h):
         comm_prod = 0
         for i in range(h):
-            comm_prod = mul(comm_prod, group.commutator(a_tuple[2 * i], a_tuple[2 * i + 1]))
+            comm_prod = table[comm_prod][group.commutator(a_tuple[2 * i], a_tuple[2 * i + 1])]
         for c_prefix in itertools.product(*free_c):
             examined += 1
             if examined > budget:
@@ -121,7 +122,7 @@ def _walk_tuples(group: GroupTable, sig: OrbifoldSignature, budget: int) -> Sear
             if periods:
                 prod = comm_prod
                 for c in c_prefix:
-                    prod = mul(prod, c)
+                    prod = table[prod][c]
                 c_last = inv[prod]
                 if orders[c_last] != last_period:
                     continue
@@ -326,8 +327,9 @@ def product_reachable(group: GroupTable, h: int, periods: tuple[int, ...]) -> bo
     commutator products (``GroupTable.commutator_products``) are closed under
     inverse, so the test is an intersection.
     """
-    reach = {group.identity}
+    table = group.table
+    reach = {0}
     for p in periods:
         cand = group.elements_by_order.get(p, ())
-        reach = {group.mul(x, c) for x in reach for c in cand}
+        reach = {table[x][c] for x in reach for c in cand}
     return not reach.isdisjoint(group.commutator_products(h))

@@ -1,10 +1,13 @@
 """Finite groups as explicit multiplication tables, plus catalog ingestion.
 
 Groups are represented extensionally: a full order x order table of element
-indices with the identity at index 0.  Orders in scope are small (catalog goes
-to 15, constructors to a few hundred), so O(1) multiplication matters more
-than compactness.  Every table is fully validated on construction --
-ingesting a corrupt file must not silently poison a nonexistence proof.
+indices with the identity at index 0.  Callers multiply by indexing
+``table[x][y]``, take the identity as 0 and the elements as
+``range(order)``; ``GroupTable`` wraps none of these.  Orders in scope are
+small (catalog goes to 15, constructors to a few hundred), so O(1)
+multiplication matters more than compactness.  Every table is fully
+validated on construction -- ingesting a corrupt file must not silently
+poison a nonexistence proof.
 """
 
 from __future__ import annotations
@@ -70,16 +73,6 @@ class GroupTable(_GroupTableFields):
     a ``_replace`` copy starts without them.
     """
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def elements(self) -> range:
-        return range(self.order)
-
     def commutator(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b (fixed convention shared with all verifiers)."""
         t = self.table
@@ -95,7 +88,8 @@ class GroupTable(_GroupTableFields):
 
     @cached_property
     def _commutator_levels(self) -> tuple[frozenset[int], ...]:
-        single = {self.commutator(a, b) for a in self.elements() for b in self.elements()}
+        elements = range(self.order)
+        single = {self.commutator(a, b) for a in elements for b in elements}
         levels = [frozenset({0})]
         while len(levels) < 2 or levels[-1] != levels[-2]:
             levels.append(frozenset(self.table[x][y] for x in levels[-1] for y in single))
@@ -109,12 +103,8 @@ class GroupTable(_GroupTableFields):
         """
         return self._commutator_levels[min(h, len(self._commutator_levels) - 1)]
 
-    def subgroup_closure(self, subset: tuple[int, ...] | list[int]) -> frozenset[int]:
-        """Elements of the subgroup generated by ``subset``."""
-        return frozenset(_closure(self.table, subset))
-
     def generates(self, subset: tuple[int, ...] | list[int]) -> bool:
-        return len(self.subgroup_closure(subset)) == self.order
+        return len(_closure(self.table, subset)) == self.order
 
     @classmethod
     def from_table(
@@ -222,12 +212,12 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     nb = b.order
     n = a.order * nb
     rows = [[0] * n for _ in range(n)]
-    for x1 in a.elements():
-        for y1 in b.elements():
+    for x1 in range(a.order):
+        for y1 in range(nb):
             i = x1 * nb + y1
-            for x2 in a.elements():
+            for x2 in range(a.order):
                 row_a = a.table[x1]
-                for y2 in b.elements():
+                for y2 in range(nb):
                     rows[i][x2 * nb + y2] = row_a[x2] * nb + b.table[y1][y2]
     spec = None
     if a.spec and b.spec:
@@ -528,9 +518,6 @@ class CatalogManifest:
         for e in self.entries:
             by_order.setdefault(e.order, []).append(e.complete)
         return frozenset(k for k, flags in by_order.items() if all(flags))
-
-    def is_complete_at(self, order: int) -> bool:
-        return order in self.complete_orders
 
 
 _ENTRY_FIELDS = {"order": int, "spec": str, "label": str, "complete": bool}

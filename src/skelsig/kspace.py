@@ -49,17 +49,15 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
     comes with its parts d = N/n over its periods n from ``order_parts``, one
     divisor sieve over the whole sweep.
     A point is feasible at N exactly when T = N(2h - 2 + r) - 2(sigma - 1) is
-    a sum of r parts.  With m the largest r of the triangle (at least 1),
-    ``part_sum_levels`` builds S_0..S_(m-1): a point with r < m is decided by
-    bit T of S_r, and a point with r = m by bit T - d of S_(m-1) for each
-    part d <= T, so the widest level is never built.  That is the test the
-    period-list walk makes, without listing a period.  Triangle points have
-    T >= r >= 0, so the levels are cut at the largest T, which is never
-    negative.  The triangle is walked row by row from ``triangle_rows``, T
-    growing by N with r, and a ``SkeletalSignature`` is built only for a
-    feasible point.  The box is fixed at
-    h <= sigma + 1, r <= 2*sigma + 2, and every triangle lies inside it:
-    h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
+    a sum of r parts.  With m the largest r of the triangle,
+    ``part_sum_levels`` builds S_0..S_m, and each point is decided by one
+    bit, bit T of S_r.  That is the test the period-list walk makes, without
+    listing a period.  Triangle points have T >= r >= 0, so the levels are
+    cut at the largest T, which is never negative.  The triangle is walked
+    row by row from ``triangle_rows``, T growing by N with r, and a
+    ``SkeletalSignature`` is built only for a feasible point.  The box is
+    fixed at h <= sigma + 1, r <= 2*sigma + 2, and every triangle lies
+    inside it: h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
     """
     _check_genus(sigma)
     shift = 2 * (sigma - 1)
@@ -72,17 +70,11 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
         # r_hi = 4(1 - h) + floor(4(sigma - 1)/N), so 2h + r_hi falls as h grows:
         # the first row holds both the largest r and the largest T
         h, _, r_hi = rows[0]
-        widest = max(1, r_hi)
-        levels = part_sum_levels(parts, widest - 1, n * (2 * h - 2 + r_hi) - shift)
-        below = levels[-1]
+        levels = part_sum_levels(parts, r_hi, n * (2 * h - 2 + r_hi) - shift)
         for h, r_lo, r_hi in rows:
             t = n * (2 * h - 2 + r_lo) - shift
             for r in range(r_lo, r_hi + 1):
-                if (
-                    levels[r] >> t & 1
-                    if r < widest
-                    else any(below >> (t - d) & 1 for d in parts if d <= t)
-                ):
+                if levels[r] >> t & 1:
                     found.setdefault((h, r), []).append(n)
                 t += n
     found.setdefault((0, 3), []).extend(hurwitz_range_orders(sigma))
@@ -164,7 +156,7 @@ def groups_covering(order: int, catalog: CatalogManifest | None) -> list[GroupTa
     Coverage is a catalog order flagged complete, or a prime order, whose one
     isomorphism class is the cyclic group.
     """
-    if catalog is not None and catalog.is_complete_at(order):
+    if catalog is not None and order in catalog.complete_orders:
         return catalog.groups_of_order(order)
     if _is_prime(order):
         return [build_cyclic(order)]

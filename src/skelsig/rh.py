@@ -13,8 +13,7 @@ r proper divisors d_j of N.  Three exact procedures answer it.
 distinct part d_j appears, with each count bounded by what the smaller parts
 can still fill.  ``part_sum_levels`` answers only yes or no, for every point
 of an order at once: bit t of the level bitset S_k is set exactly when t is a
-sum of k parts, so (h, r) is feasible exactly when bit T of S_r is set, or,
-one level lower, when bit T - d of S_(r-1) is set for some part d <= T.  A
+sum of k parts, so (h, r) is feasible exactly when bit T of S_r is set.  A
 sweep over orders takes each order's parts from ``order_parts``, one divisor
 sieve, in place of trial division per order.  Such a sweep need only run to
 12(sigma - 1): above it only (0, 3) is feasible, and

@@ -17,7 +17,10 @@ library computes with integer shortcuts.  ``walk_admissible_map`` asks the
 period-list walk for a first list at every point of every order's triangle,
 where the library tests one bit of a level bitset.  ``walk_hurwitz_range_orders``
 asks the same walk about (0, 3) at every order above 12(sigma - 1), where
-the library solves for those orders in closed form.  ``intersect`` solves
+the library solves for those orders in closed form.  ``census`` sorts every
+point the admissible map leaves out into three places: above the order-3
+upper line, in a gap strip, or in the triangle of an order
+(``triangle_orders``) that admits no period list there.  ``intersect`` solves
 two lines as a 2x2 rational system, where the library writes each gap
 corner from its formula.
 ``all_groups_realizable_set`` tries every catalog group at every admissible
@@ -64,6 +67,7 @@ from skelsig.geometry import (
     RationalLine,
     RationalPoint,
     _check,
+    gap,
     lower_line,
     triangle_rows,
     upper_line,
@@ -87,7 +91,7 @@ def naive_search(group: GroupTable, sig: OrbifoldSignature) -> SearchVerdict:
     """First generating vector in ascending index order over all of G^(2h+r), or not-exists."""
     h, periods = sig.h, sig.periods
     r = len(periods)
-    mul = group.mul
+    table = group.table
     orders = group.element_orders
     for tup in itertools.product(range(group.order), repeat=2 * h + r):
         ok = True
@@ -99,9 +103,9 @@ def naive_search(group: GroupTable, sig: OrbifoldSignature) -> SearchVerdict:
             continue
         prod = 0
         for i in range(h):
-            prod = mul(prod, group.commutator(tup[2 * i], tup[2 * i + 1]))
+            prod = table[prod][group.commutator(tup[2 * i], tup[2 * i + 1])]
         for j in range(r):
-            prod = mul(prod, tup[2 * h + j])
+            prod = table[prod][tup[2 * h + j]]
         if prod != 0:
             continue
         if group.generates(tup):
@@ -112,10 +116,11 @@ def naive_search(group: GroupTable, sig: OrbifoldSignature) -> SearchVerdict:
 
 def naive_commutator_products(group: GroupTable, h: int) -> frozenset[int]:
     """Products of h commutators, closed one factor at a time from all |G|^2 commutators."""
-    single = {group.commutator(a, b) for a in group.elements() for b in group.elements()}
-    current = frozenset({group.identity})
+    elements = range(group.order)
+    single = {group.commutator(a, b) for a in elements for b in elements}
+    current = frozenset({0})
     for _ in range(h):
-        nxt = frozenset(group.mul(x, y) for x in current for y in single)
+        nxt = frozenset(group.table[x][y] for x in current for y in single)
         if nxt == current:
             break
         current = nxt
@@ -124,10 +129,10 @@ def naive_commutator_products(group: GroupTable, h: int) -> frozenset[int]:
 
 def naive_product_reachable(group: GroupTable, h: int, periods: tuple[int, ...]) -> bool:
     """Whether some c_1...c_r with ord(c_j) = n_j is the inverse of a product of h commutators."""
-    reach = {group.identity}
+    reach = {0}
     for p in periods:
-        cand = [g for g in group.elements() if group.element_orders[g] == p]
-        reach = {group.mul(x, c) for x in reach for c in cand}
+        cand = [g for g in range(group.order) if group.element_orders[g] == p]
+        reach = {group.table[x][c] for x in reach for c in cand}
     return not reach.isdisjoint(naive_commutator_products(group, h))
 
 
@@ -371,13 +376,65 @@ def fraction_gap_points(region: GapRegion) -> list[SkeletalSignature]:
     return out
 
 
+def triangle_orders(sigma: int, skel: SkeletalSignature) -> tuple[int, ...]:
+    """Orders N whose closed triangle r <= T <= rN/2 holds the point.
+
+    T = N(2h - 2 + r) - 2(sigma - 1), and the range is the closed form
+    ``feasible_orders`` searches, solved for N:
+    (2(sigma - 1) + r)/(2h - 2 + r) <= N <= 4(sigma - 1)/(4h - 4 + r), capped
+    by ``order_bound``.
+    """
+    h, r = skel
+    slope = 2 * h - 2 + r
+    if slope <= 0:
+        return ()
+    hi = order_bound(sigma, skel)
+    if 4 * h - 4 + r > 0:
+        hi = min(hi, 4 * (sigma - 1) // (4 * h - 4 + r))
+    return tuple(range(max(2, -(-(2 * (sigma - 1) + r) // slope)), hi + 1))
+
+
+def census(sigma: int) -> dict[SkeletalSignature, tuple[str, tuple[int, ...]] | None]:
+    """Every non-admissible point under the hyperelliptic line, mapped to where it lies.
+
+    The points are the lattice points with h, r >= 0 and 4h + r <= 2sigma + 2
+    that ``admissible_map`` leaves out, less the four non-hyperbolic points
+    (0, 0), (0, 1), (0, 2) and (1, 0).  Each takes the first class that holds
+    it: ("a", ()) strictly above the order-3 upper line 12h + 3r = 4(sigma + 2);
+    ("b", ns) among the raw lattice points of ``gap(sigma, n)`` for each n in
+    ns; ("c", orders) in the closed triangle of each order in
+    ``triangle_orders``.  A point in none of them maps to None.
+    """
+    admissible = admissible_map(sigma)
+    gaps: dict[SkeletalSignature, list[int]] = {}
+    # a gap strip's points have h >= 2 (its corner has h >= 1) and lie below its lower
+    # line, h < 1 + (sigma - 1)/n, so no n >= sigma - 1 has one
+    for n in range(3, sigma - 1):
+        for pt in gap(sigma, n).integer_points_raw():
+            gaps.setdefault(pt, []).append(n)
+    out: dict[SkeletalSignature, tuple[str, tuple[int, ...]] | None] = {}
+    for h in range((sigma + 1) // 2 + 1):
+        for r in range(2 * sigma + 3 - 4 * h):
+            pt = SkeletalSignature(h, r)
+            if pt in admissible or pt in ((0, 0), (0, 1), (0, 2), (1, 0)):
+                continue
+            if 12 * h + 3 * r > 4 * (sigma + 2):
+                out[pt] = ("a", ())
+            elif pt in gaps:
+                out[pt] = ("b", tuple(gaps[pt]))
+            else:
+                orders = triangle_orders(sigma, pt)
+                out[pt] = ("c", orders) if orders else None
+    return out
+
+
 def all_groups_realizable_set(
     sigma: int, catalog: CatalogManifest, max_order: int, budget: int
 ) -> KSpaceApproximation:
     """The catalog witness map, searching every group of order <= max_order at every point."""
     feas = admissible_map(sigma)
     groups = sorted(catalog.groups(max_order=max_order), key=lambda g: (g.order, g.name))
-    complete = tuple(sorted(o for o in range(2, max_order + 1) if catalog.is_complete_at(o)))
+    complete = tuple(sorted(o for o in range(2, max_order + 1) if o in catalog.complete_orders))
     realized = {}
     unknown_pts = []
     for pt in sorted(feas):
@@ -427,7 +484,7 @@ def close_order_2n(
         if g.is_abelian:
             details.append(f"{g.name}: abelian-r1")
             continue
-        order_n = [x for x in g.elements() if g.element_orders[x] == n]
+        order_n = [x for x in range(g.order) if g.element_orders[x] == n]
         if not order_n:
             details.append(f"{g.name}: no element of order {n}")
             continue
@@ -554,19 +611,19 @@ def check_vector(group: GroupTable, vec: GeneratingVector, sig: OrbifoldSignatur
     orders_ok = tuple(
         group.element_orders[c] == n for c, n in zip(vec.c_list, sig.periods)
     )
-    prod = group.identity
+    prod = 0
     for a, b in vec.a_pairs:
-        prod = group.mul(prod, group.commutator(a, b))
+        prod = group.table[prod][group.commutator(a, b)]
     for c in vec.c_list:
-        prod = group.mul(prod, c)
+        prod = group.table[prod][c]
     return VectorCheck(
         generates=group.generates(vec.flatten()),
         orders_ok=orders_ok,
-        product_ok=prod == group.identity,
+        product_ok=prod == 0,
     )
 
 
-def naive_associative(rows: list[list[int]]) -> bool:
+def naive_associative(rows: Sequence[Sequence[int]]) -> bool:
     """Whether (a*b)*c == a*(b*c) for every triple of elements of a square table."""
     n = len(rows)
     return all(

@@ -81,9 +81,9 @@ def vectors(draw):
     if c_list and draw(st.booleans()):
         prod = 0
         for a, b in pairs:
-            prod = group.mul(prod, group.commutator(a, b))
+            prod = group.table[prod][group.commutator(a, b)]
         for c in c_list[:-1]:
-            prod = group.mul(prod, c)
+            prod = group.table[prod][c]
         c_list[-1] = group.inverse[prod]
     periods = [
         draw(st.sampled_from((max(2, group.element_orders[c]), draw(st.integers(2, 12)))))
@@ -480,7 +480,7 @@ class TestCommutatorProducts:
         g = build_dihedral(6)
         pool = g.commutator_products(2)
         has_order_6_candidate = any(
-            g.element_orders[c] == 6 and g.inverse[c] in pool for c in g.elements()
+            g.element_orders[c] == 6 and g.inverse[c] in pool for c in range(g.order)
         )
         assert not has_order_6_candidate
         assert search(g, Sig(2, (6,))).is_not_exists

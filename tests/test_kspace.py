@@ -7,7 +7,7 @@ import pytest
 
 from skelsig import genvec, groups, kspace, rh
 from skelsig.genvec import DEFAULT_BUDGET, RealizabilityReport
-from skelsig.geometry import RationalLine, RationalPoint, gap, p_group_line
+from skelsig.geometry import RationalLine, RationalPoint, gap, lower_line, p_group_line
 from skelsig.groups import (
     CatalogManifest,
     build_cyclic,
@@ -27,6 +27,7 @@ from skelsig.rh import SearchVerdict, SkeletalSignature, rh_admissible
 from oracles import (
     TriangleRegion,
     all_groups_realizable_set,
+    census,
     close_order_2n,
     triangle,
     triangle_points,
@@ -170,6 +171,35 @@ class TestAdmissible:
         for pt, orders in feas.items():
             for n in orders:
                 assert triangle(11, n).member(RationalPoint(pt.h, pt.r))
+
+
+class TestCensus:
+    def test_every_non_admissible_point_is_classified(self):
+        # above the order-3 upper line, in a raw gap strip, or in the closed triangle of
+        # an order that admits no period list there: nothing else, at sigma 9..40
+        kinds: Counter = Counter()
+        low: Counter = Counter()
+        for sigma in range(9, 41):
+            lo = lower_line(sigma, 3)
+            for pt, where in census(sigma).items():
+                assert where is not None, (sigma, pt)
+                kind, orders = where
+                kinds[kind] += 1
+                assert (kind == "a") == (orders == ()), (sigma, pt, where)
+                if kind == "b":
+                    assert all(pt in gap(sigma, n).integer_points_raw() for n in orders)
+                if kind == "c":
+                    assert all(pt in triangle_points(sigma, n) for n in orders), (sigma, pt)
+                    assert all(
+                        pt not in triangle_points(sigma, n)
+                        for n in (orders[0] - 1, orders[-1] + 1)
+                        if n >= 2
+                    ), (sigma, pt)
+                    if lo.a * pt.h + lo.b * pt.r <= lo.c:
+                        low[min(pt.r, 3)] += 1
+        assert kinds == {"a": 6211, "b": 1313, "c": 1426}
+        # the holes on or under the order-3 lower line, by r = 1, 2 and r >= 3
+        assert low == {1: 5, 2: 5, 3: 2}
 
 
 class TestRealizableSet:

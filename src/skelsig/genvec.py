@@ -14,12 +14,19 @@ hold at all with generation ignored (``product_reachable``: some product of
 branch entries of the right orders is the inverse of a product of h
 commutators), then walks the tuples with two sound prunes (candidate c_j
 restricted by order, the last c forced by condition (3)); no symmetry
-reduction is applied, so a negative verdict is a certificate.
+reduction is applied, so a negative verdict is a certificate.  That filter
+is a statement about normal subsets: the elements of one order, their
+products and the products of h commutators are all unions of conjugacy
+classes, and products of normal subsets commute.  So it runs on class
+masks, one memoized step per distinct period, as in Breuer, *Characters
+and Automorphism Groups of Compact Riemann Surfaces* (2000).
 
-``realizable`` walks the group's period lists once, in walk order, checks
-each against the exact integer Riemann-Hurwitz identity, runs the product
-filter on it once, walks the tuples of the lists it lets through, and stops at
-the first witness.  Only then does it name the rule behind a negative verdict:
+``realizable`` walks the group's period lists once, in walk order, each as a
+count vector over the group's element orders: it checks each against the
+exact integer Riemann-Hurwitz identity, runs the product filter on its
+counts once, expands to a tuple and walks the tuples of only the lists the
+filter lets through, and stops at the first witness.  Only then does it name
+the rule behind a negative verdict:
 ``arithmetic`` (no period list over the group's element orders),
 ``abelian-r1`` and ``commutator-r1`` (the filter let no list with r = 1
 through: c_1 would be the inverse of a product of h commutators, and no
@@ -31,7 +38,7 @@ element of its order is one; in an abelian group that product is always e),
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .groups import GroupTable, build_cyclic, build_generalized_quaternion, quaternion_word
 from .rh import (
@@ -40,6 +47,7 @@ from .rh import (
     SkeletalSignature,
     _check_genus,
     _check_order,
+    _expand_counts,
     _period_lists,
 )
 
@@ -97,7 +105,7 @@ def search(
     enumerated the pruned space in full; exceeding ``budget`` (counted in
     candidate tuples examined) yields ``unknown``.  Verdicts are deterministic.
     """
-    if not product_reachable(group, sig.h, sig.periods):
+    if not product_reachable(group, sig.h, sig.periods, (1,) * sig.r):
         return SearchVerdict.not_exists()
     return _walk_tuples(group, sig, budget)
 
@@ -253,36 +261,39 @@ def realizable(
 ) -> RealizabilityReport:
     """Decide whether this group realizes the skeletal signature at this genus.
 
-    One pass over the period lists in walk order: each must satisfy
-    sum N/n_j = N(2h - 2 + r) - 2(sigma - 1) with every n_j dividing N, then
-    meets ``product_reachable`` once, and only the lists it lets through are
-    walked; the first witness wins.  After the pass: no list is ``arithmetic``,
-    any walk over budget gives unknown, no list let through gives an r = 1 or
-    product rule, else ``exhausted-search``.
+    One pass over the period lists in walk order, each a count vector over the
+    group's element orders n: its counts c_n must satisfy sum c_n = r and
+    sum c_n * N/n = N(2h - 2 + r) - 2(sigma - 1), then it meets
+    ``product_reachable`` once, and only the lists it lets through are
+    expanded and walked; the first witness wins.  After the pass: no list is
+    ``arithmetic``, any walk over budget gives unknown, no list let through
+    gives an r = 1 or product rule, else ``exhausted-search``.
     """
     h, r = SkeletalSignature(*skel)
     n = group.order
     # element orders divide n, so they are the walk's trusted ascending divisor list
     element_orders = sorted(k for k in group.elements_by_order if k >= 2)
+    parts = [n // k for k in element_orders]
     total = n * (2 * h - 2 + r) - 2 * (sigma - 1)
-    multisets: list[tuple[int, ...]] = []
+    count_lists: list[tuple[int, ...]] = []
     saw_reachable = saw_unknown = False
-    for periods in _period_lists(sigma, h, r, n, element_orders):
-        multisets.append(periods)
-        sig = OrbifoldSignature(h, periods)
-        if len(periods) != r or any(n % p for p in periods) or sum(n // p for p in periods) != total:
+    for counts in _period_lists(sigma, h, r, n, element_orders):
+        count_lists.append(counts)
+        if sum(counts) != r or sum(c * d for c, d in zip(counts, parts)) != total:
             raise AssertionError(
-                f"period list {sig} of {group.name} breaks Riemann-Hurwitz at genus {sigma}"
+                f"period list {OrbifoldSignature(h, _expand_counts(element_orders, counts))} "
+                f"of {group.name} breaks Riemann-Hurwitz at genus {sigma}"
             )
-        if not product_reachable(group, h, periods):
+        if not product_reachable(group, h, element_orders, counts):
             continue
         saw_reachable = True
+        sig = OrbifoldSignature(h, _expand_counts(element_orders, counts))
         verdict = _walk_tuples(group, sig, budget)
         if verdict.is_exists:
             witness = Witness(group.name, group.spec, sig, verdict.witness)
             return RealizabilityReport(SearchVerdict.exists(witness), ())
         saw_unknown |= verdict.is_unknown
-    if not multisets:
+    if not count_lists:
         return _excluded(
             "arithmetic",
             f"no period multiset over element orders of {group.name} "
@@ -291,6 +302,7 @@ def realizable(
     if saw_unknown:
         return RealizabilityReport(SearchVerdict.unknown(), ())
     if not saw_reachable:
+        multisets = [_expand_counts(element_orders, counts) for counts in count_lists]
         if r == 1 and group.is_abelian:
             return _excluded(
                 "abelian-r1",
@@ -310,7 +322,7 @@ def realizable(
         )
     return _excluded(
         "exhausted-search",
-        f"all {len(multisets)} feasible signatures for {group.name} searched exhaustively",
+        f"all {len(count_lists)} feasible signatures for {group.name} searched exhaustively",
     )
 
 
@@ -318,18 +330,25 @@ def _excluded(rule: str, scope: str) -> RealizabilityReport:
     return RealizabilityReport(SearchVerdict.not_exists(), (ExclusionReason(rule, scope),))
 
 
-def product_reachable(group: GroupTable, h: int, periods: tuple[int, ...]) -> bool:
-    """Whether some c_1...c_r with ord(c_j) = n_j is the inverse of a product of h commutators.
+def product_reachable(
+    group: GroupTable, h: int, periods: Sequence[int], counts: Sequence[int]
+) -> bool:
+    """Whether some c_1...c_r, ``counts[k]`` of them of order ``periods[k]``, is the inverse of
+    a product of h commutators.
 
     This is condition (3) with generation ignored, so ``False`` certifies that
-    no (h; n_1..n_r)-generating vector exists.  The branch products are built
-    one entry at a time as a set from ``GroupTable.elements_by_order``; the
-    commutator products (``GroupTable.commutator_products``) are closed under
-    inverse, so the test is an intersection.
+    no (h; n_1..n_r)-generating vector exists.  It is a statement about
+    normal subsets: E_n, the elements of order n, is a union of conjugacy
+    classes, and so is every product of such sets and every set of products
+    of h commutators (``GroupTable.commutator_mask``, closed under
+    inverse).  Products of normal subsets commute, so the branch products
+    depend only on how many entries have each period.  So the walk keeps
+    them as a mask over classes, takes E_n^c in one memoized step per
+    distinct period (``GroupTable.mask_product``), and ends in one AND with
+    the commutator level's mask.
     """
-    table = group.table
-    reach = {0}
-    for p in periods:
-        cand = group.elements_by_order.get(p, ())
-        reach = {table[x][c] for x in reach for c in cand}
-    return not reach.isdisjoint(group.commutator_products(h))
+    mask = 1  # the class of e
+    for n, c in zip(periods, counts):
+        if mask and c:
+            mask = group.mask_product(mask, n, c)
+    return bool(mask & group.commutator_mask(h))

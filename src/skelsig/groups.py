@@ -8,6 +8,14 @@ small (catalog goes to 15, constructors to a few hundred), so O(1)
 multiplication matters more than compactness.  Every table is fully
 validated on construction -- ingesting a corrupt file must not silently
 poison a nonexistence proof.
+
+Derived data is built lazily and kept on the group: the elements of each
+order, the levels of commutator products, and the conjugacy classes.  A
+normal subset -- a union of classes, such as the elements of one order or a
+level of commutator products -- is held as a bitmask over class ids, and
+``GroupTable.mask_product`` multiplies such a mask by a power of the
+elements of one order.  An abelian group's classes are its elements and its
+only commutator is e, so it skips both sweeps.
 """
 
 from __future__ import annotations
@@ -87,7 +95,31 @@ class GroupTable(_GroupTableFields):
         return {k: tuple(gs) for k, gs in by_order.items()}
 
     @cached_property
+    def class_of(self) -> Sequence[int]:
+        """The conjugacy class id of each element, numbered by the classes' least elements.
+
+        So the identity's class is 0, and each id first appears at its class's
+        least element.  An abelian group's classes are its single elements, so it
+        skips the conjugation sweep; otherwise each class is swept once, by every
+        conjugator.
+        """
+        n = self.order
+        if self.is_abelian:
+            return range(n)
+        t, inv = self.table, self.inverse
+        ids = [-1] * n
+        count = 0
+        for x in range(n):
+            if ids[x] < 0:
+                for g in range(n):
+                    ids[t[t[inv[g]][x]][g]] = count
+                count += 1
+        return tuple(ids)
+
+    @cached_property
     def _commutator_levels(self) -> tuple[frozenset[int], ...]:
+        if self.is_abelian:
+            return (frozenset({0}),)  # every commutator is e: no sweep over pairs
         elements = range(self.order)
         single = {self.commutator(a, b) for a in elements for b in elements}
         levels = [frozenset({0})]
@@ -95,13 +127,66 @@ class GroupTable(_GroupTableFields):
             levels.append(frozenset(self.table[x][y] for x in levels[-1] for y in single))
         return tuple(levels)
 
-    def commutator_products(self, h: int) -> frozenset[int]:
-        """Values of [a_1,b_1]...[a_h,b_h] over all choices; closed under inverse.
+    @cached_property
+    def _commutator_masks(self) -> tuple[int, ...]:
+        ids = self.class_of
+        return tuple(_class_mask({ids[x] for x in level}) for level in self._commutator_levels)
+
+    def commutator_mask(self, h: int) -> int:
+        """The class mask of the values of [a_1,b_1]...[a_h,b_h]; closed under inverse.
 
         Padding with [e, e] nests the levels in h; they are built once, until one more
-        factor adds nothing (h = 0 gives {e}).  An (h; n)-vector's c_1 lies in this set.
+        factor adds nothing (h = 0 gives {e}; an abelian group stops there at once).
+        A conjugate of a product of commutators is one, so each level is a union
+        of classes.  An (h; n)-vector's c_1 lies in this set.
         """
-        return self._commutator_levels[min(h, len(self._commutator_levels) - 1)]
+        return self._commutator_masks[min(h, len(self._commutator_masks) - 1)]
+
+    @cached_property
+    def _order_rows(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    @cached_property
+    def _orbits(self) -> dict[tuple[int, int], tuple[tuple[int, ...], int]]:
+        return {}
+
+    def mask_product(self, mask: int, n: int, count: int) -> int:
+        """The class mask of S * E_n^count, for S the normal subset of class mask ``mask``.
+
+        E_n, the elements of order n, is a normal subset: a union of classes.  A
+        product of normal subsets is one too, so S * E_n is the union over the
+        classes C_i of S of C_i * E_n, whose classes are the ones rep_i * E_n meets
+        (C_i * E_n is the union of the conjugates of rep_i * E_n).  These masks
+        form one row per order, built when a period first reaches that order.
+        The masks S, S * E_n, S * E_n^2, ... repeat from some step on, so each
+        (mask, n) keeps its orbit up to the first repeat, walked once per group,
+        and any count is read from it.
+        """
+        orbit = self._orbits.get((mask, n))
+        if orbit is None:
+            row = self._order_rows.get(n)
+            if row is None:
+                ids, t = self.class_of, self.table
+                elements = self.elements_by_order.get(n, ())
+                row = self._order_rows[n] = tuple(
+                    _class_mask({ids[t[x][c]] for c in elements}) for x in _least_of_each(ids)
+                )
+            seen = {mask: 0}  # each mask of the orbit, with its step
+            step = mask
+            while True:
+                m, step = step, 0
+                while m:
+                    low = m & -m
+                    step |= row[low.bit_length() - 1]
+                    m ^= low
+                if step in seen:
+                    break
+                seen[step] = len(seen)
+            orbit = self._orbits[mask, n] = (tuple(seen), seen[step])
+        path, start = orbit
+        if count < len(path):
+            return path[count]
+        return path[start + (count - start) % (len(path) - start)]
 
     def generates(self, subset: tuple[int, ...] | list[int]) -> bool:
         return len(_closure(self.table, subset)) == self.order
@@ -168,6 +253,23 @@ def _closure(rows: Sequence[Sequence[int]], gens: Sequence[int]) -> set[int]:
                     nxt.append(y)
         frontier = nxt
     return seen
+
+
+def _class_mask(ids: set[int]) -> int:
+    """The bitmask with bit k set for each class id k in ``ids``."""
+    mask = 0
+    for k in ids:
+        mask |= 1 << k
+    return mask
+
+
+def _least_of_each(ids: Sequence[int]) -> list[int]:
+    """The least element of each class, by class id, for ids numbered as ``class_of`` does."""
+    reps: list[int] = []
+    for x, k in enumerate(ids):
+        if k == len(reps):
+            reps.append(x)
+    return reps
 
 
 def _check_associative(rows: list[list[int]]) -> None:

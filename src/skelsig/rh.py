@@ -9,9 +9,10 @@ Genera are computed over ``fractions.Fraction``.  Every period divides N, so
 feasibility is an integer question: with d_j = N/n_j, the point (h, r) is
 feasible at order N exactly when T = N(2h - 2 + r) - 2(sigma - 1) is a sum of
 r proper divisors d_j of N.  Three exact procedures answer it.
-``_period_lists`` lists every period list, choosing how many times each
-distinct part d_j appears, with each count bounded by what the smaller parts
-can still fill.  ``part_sum_levels`` answers only yes or no, for every point
+``_period_lists`` lists every period list as a count vector, choosing how
+many times each distinct part d_j appears, with each count bounded by what
+the smaller parts can still fill; a list costs the number of distinct
+periods, not r.  ``part_sum_levels`` answers only yes or no, for every point
 of an order at once: bit t of the level bitset S_k is set exactly when t is a
 sum of k parts, so (h, r) is feasible exactly when bit T of S_r is set.  A
 sweep over orders takes each order's parts from ``order_parts``, one divisor
@@ -226,23 +227,25 @@ def _period_lists(
     ``allowed`` holds distinct divisors >= 2 of ``order``, ascending.  With
     d_j = N/n_j the formula becomes T = N(2h - 2 + r) - 2(sigma - 1) =
     d_1 + ... + d_r, and a non-decreasing list is fixed by how many times
-    each distinct part appears.  So the walk chooses one count per part,
-    largest part (smallest period) first and larger counts first, which is
-    lexicographic order; ``_count_lists`` bounds each count.  r = 0 yields
-    () exactly when T = 0.  The walk recurses once per distinct period,
-    never once per slot, so its depth is at most ``len(allowed)`` however
-    large r is.
+    each distinct part appears.  So each list is yielded as its count
+    vector, one count per entry of ``allowed``, summing to r
+    (``_expand_counts`` turns it into the list).  The walk chooses one count
+    per part, largest part (smallest period) first and larger counts first,
+    which is lexicographic order of the lists; ``_count_lists`` bounds each
+    count.  r = 0 yields the zero vector exactly when T = 0.  The walk
+    recurses once per distinct period, never once per slot, so its depth and
+    the cost of each list are at most ``len(allowed)`` however large r is.
     """
     if allowed or r == 0:
         total = order * (2 * h - 2 + r) - 2 * (sigma - 1)
         parts = [order // n for n in allowed]  # descending, as the periods ascend
-        yield from _count_lists(parts, allowed, 0, r, total, ())
+        yield from _count_lists(parts, 0, r, total, ())
 
 
 def _count_lists(
-    parts: list[int], periods: Sequence[int], i: int, slots: int, t: int, head: tuple[int, ...]
+    parts: list[int], i: int, slots: int, t: int, head: tuple[int, ...]
 ) -> Iterator[tuple[int, ...]]:
-    """``head`` extended by every ``slots`` periods from ``periods[i:]`` whose parts sum to t.
+    """``head`` extended by the counts of ``parts[i:]`` that fill ``slots`` slots summing to t.
 
     The count c of the part d = parts[i] runs from high to low.  The slots
     left after it take parts between the next part e and the smallest m, so
@@ -251,18 +254,25 @@ def _count_lists(
     """
     if slots == 0:
         if t == 0:
-            yield head
+            yield head + (0,) * (len(parts) - i)
         return
     d, m = parts[i], parts[-1]
     if d == m:
         if d * slots == t:
-            yield head + (periods[i],) * slots
+            yield head + (slots,)
         return
     e = parts[i + 1]
     low = max(0, -((slots * e - t) // (d - e)))
     for c in range(min(slots, (t - slots * m) // (d - m)), low - 1, -1):
-        more = head + (periods[i],) * c
-        yield from _count_lists(parts, periods, i + 1, slots - c, t - c * d, more)
+        yield from _count_lists(parts, i + 1, slots - c, t - c * d, head + (c,))
+
+
+def _expand_counts(allowed: Sequence[int], counts: Sequence[int]) -> tuple[int, ...]:
+    """The non-decreasing period list with ``counts[k]`` copies of ``allowed[k]``."""
+    periods: tuple[int, ...] = ()
+    for n, c in zip(allowed, counts):
+        periods += (n,) * c
+    return periods
 
 
 def part_sum_levels(parts: Sequence[int], count: int, top: int) -> list[int]:
@@ -332,9 +342,10 @@ def feasible_orders(
     if 4 * h - 4 + r > 0:
         hi = min(hi, 4 * (sigma - 1) // (4 * h - 4 + r))
     for order in range(lo, hi + 1):
-        first = next(_period_lists(sigma, h, r, order, allowed_periods(order)), None)
+        allowed = allowed_periods(order)
+        first = next(_period_lists(sigma, h, r, order, allowed), None)
         if first is not None:
-            yield order, first
+            yield order, _expand_counts(allowed, first)
 
 
 def rh_admissible(sigma: int, skel: SkeletalSignature) -> SearchVerdict:

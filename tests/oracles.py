@@ -31,13 +31,16 @@ and filters, where the library runs ``realizable`` over the same groups.
 of them, and only then checks each with ``Fraction`` Riemann-Hurwitz and
 searches it, where the library does all of that in one pass that stops at the
 first witness.  ``naive_product_reachable`` and ``naive_commutator_products``
-rebuild the candidates of each period and the commutator products on every
-call, where the library reads both from tables kept on the group; the two
-oracles above use these, not the library's filter.
+rebuild the candidates of each period and the commutator products as sets
+of elements on every call, where the library walks class masks kept on the
+group (``mask_elements`` reads a mask back as elements); the two oracles
+above use these, not the library's filter.
 ``naive_associative`` tests the associative law on all n^3 triples, where
 the library's table validator runs Light's test over a generating set.
 ``check_vector`` evaluates all three generating-vector conditions in full and
 reports each, where the library's ``verify`` stops at the first failure.
+``harvey_realizable`` decides a cyclic group by Harvey's arithmetic
+conditions on its period lists, where the library searches for a vector.
 ``all_groups_unbranched_condition`` is a predicate no command reaches, kept
 here with its tests rather than in the library, as are ``TriangleRegion``
 with ``triangle`` and ``triangle_points`` (the rational reference for
@@ -80,6 +83,7 @@ from skelsig.rh import (
     SkeletalSignature,
     _check_genus,
     _check_order,
+    _expand_counts,
     _period_lists,
     allowed_periods,
     order_bound,
@@ -127,6 +131,11 @@ def naive_commutator_products(group: GroupTable, h: int) -> frozenset[int]:
     return current
 
 
+def mask_elements(group: GroupTable, mask: int) -> frozenset[int]:
+    """The elements whose conjugacy class has its bit set in a class mask."""
+    return frozenset(x for x in range(group.order) if mask >> group.class_of[x] & 1)
+
+
 def naive_product_reachable(group: GroupTable, h: int, periods: tuple[int, ...]) -> bool:
     """Whether some c_1...c_r with ord(c_j) = n_j is the inverse of a product of h commutators."""
     reach = {0}
@@ -142,12 +151,13 @@ def period_multisets(
     """``skelsig.rh._period_lists`` over ``allowed`` sorted, deduplicated and checked once.
 
     Every period must be a divisor >= 2 of ``order``; any other raises
-    ``ValueError`` before the walk starts.
+    ``ValueError`` before the walk starts.  Each count vector is expanded to
+    its period list.
     """
     allowed = sorted(set(allowed))
     if any(n < 2 or order % n for n in allowed):
         raise ValueError(f"periods must be divisors >= 2 of the order {order}, got {allowed}")
-    return _period_lists(sigma, h, r, order, allowed)
+    return (_expand_counts(allowed, c) for c in _period_lists(sigma, h, r, order, allowed))
 
 
 def stack_period_lists(
@@ -556,6 +566,37 @@ def eager_realizable(
         "exhausted-search",
         f"all {len(multisets)} feasible signatures for {group.name} searched exhaustively",
     )
+
+
+def harvey_realizable(sigma: int, skel: SkeletalSignature, order: int) -> bool:
+    """Whether the cyclic group of this order acts at genus sigma with skeletal signature (h, r).
+
+    W. J. Harvey, "Cyclic groups of automorphisms of a compact Riemann
+    surface", Quart. J. Math. Oxford 17 (1966): C_N acts with signature
+    (h; m_1..m_r) exactly when Riemann-Hurwitz holds and, with
+    M = lcm(m_1..m_r),
+      (i) leaving out any one m_j keeps the lcm equal to M;
+      (ii) M divides N, and M = N when h = 0;
+      (iii) r != 1, and r >= 3 when h = 0;
+      (iv) when M is even, the number of m_j divisible by the largest power
+           of 2 dividing M is even.
+    (iv) is read with M, not N.  The period lists come from
+    ``fraction_period_multisets`` over the divisors found by trial division.
+    """
+    h, r = skel
+    for periods in fraction_period_multisets(
+        sigma, h, r, order, trial_division_allowed_periods(order)
+    ):
+        lcm = math.lcm(*periods)
+        if any(math.lcm(*periods[:j], *periods[j + 1 :]) != lcm for j in range(r)):
+            continue
+        if order % lcm or (h == 0 and lcm != order) or r == 1 or (h == 0 and r < 3):
+            continue
+        two = lcm & -lcm  # the largest power of 2 dividing M
+        if lcm % 2 == 0 and sum(m % two == 0 for m in periods) % 2:
+            continue
+        return True
+    return False
 
 
 def all_groups_unbranched_condition(sigma: int, order: int) -> bool:

@@ -16,6 +16,8 @@ from oracles import (
     check_vector,
     eager_realizable,
     fraction_period_multisets,
+    harvey_realizable,
+    mask_elements,
     naive_product_reachable,
     naive_search,
     period_multisets,
@@ -46,14 +48,14 @@ S = SkeletalSignature
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Period lists drawn from the walk and ``product_reachable`` calls made inside genvec."""
+    """Count vectors drawn from the walk and ``product_reachable`` calls made inside genvec."""
     counts = Counter()
     walk, reachable = genvec._period_lists, genvec.product_reachable
 
     def counted_walk(*args):
-        for periods in walk(*args):
+        for vector in walk(*args):
             counts["drawn"] += 1
-            yield periods
+            yield vector
 
     def counted_reachable(*args):
         counts["calls"] += 1
@@ -206,7 +208,7 @@ class TestSearch:
                         sig = Sig(h, periods)
                         expected = naive_search(g, sig)
                         assert search(g, sig) == expected, (g.name, str(sig))
-                        if not product_reachable(g, h, periods):
+                        if not product_reachable(g, h, periods, (1,) * r):
                             fired += 1
                             assert expected.is_not_exists, (g.name, str(sig))
         assert fired > 100
@@ -215,7 +217,7 @@ class TestSearch:
         # C10 is abelian, so c_1 c_2 = e forces equal periods; the certificate
         # walks none of the 10^10 a-tuples of h = 5
         assert search(build_cyclic(10), Sig(5, (2, 10)), budget=0).is_not_exists
-        assert not product_reachable(build_cyclic(10), 5, (2, 10))
+        assert not product_reachable(build_cyclic(10), 5, (2, 10), (1, 1))
 
     def test_determinism(self):
         g = build_dihedral(4)
@@ -391,24 +393,27 @@ class TestRealizable:
         assert (counted["drawn"], counted["calls"]) == (lists, lists)
 
     @pytest.mark.parametrize(
-        "group, sigma, point, periods",
+        "group, sigma, point, counts",
         [
-            ("build_cyclic(2)", 2, (0, 6), (2, 2, 2, 2)),
-            # four periods of 4: sum 6 // 4 = 4 = T, yet 4 does not divide 6
-            # and the product filter alone would close the point
-            ("build_cyclic(6)", 5, (0, 4), (4, 4, 4, 4)),
+            # four periods of 2: 4 branch points and parts 1 + 1 + 1 + 1, where
+            # r = 6 and T = 6
+            ("build_cyclic(2)", 2, (0, 6), (4,)),
+            # counts over the element orders (2, 3, 6), giving (2, 6): parts
+            # 3 + 1 = 4 = T, yet two branch points where r = 4, and the product
+            # filter alone would close the point
+            ("build_cyclic(6)", 5, (0, 4), (1, 0, 1)),
         ],
-        ids=["c2", "c6-non-divisor"],
+        ids=["c2", "c6-short-count"],
     )
-    def test_rh_check_fires_under_optimize(self, group, sigma, point, periods):
-        # a period list that breaks Riemann-Hurwitz must stop realizable even
+    def test_rh_check_fires_under_optimize(self, group, sigma, point, counts):
+        # a count vector that breaks Riemann-Hurwitz must stop realizable even
         # when Python runs with -O, which strips bare asserts
         script = (
             "import sys\n"
             "import skelsig.genvec as genvec\n"
             "from skelsig.groups import build_cyclic\n"
             "print('optimize', sys.flags.optimize)\n"
-            f"genvec._period_lists = lambda *args: iter([{periods}])\n"
+            f"genvec._period_lists = lambda *args: iter([{counts}])\n"
             "try:\n"
             f"    genvec.realizable({group}, {sigma}, {point})\n"
             "except AssertionError as exc:\n"
@@ -423,6 +428,26 @@ class TestRealizable:
         optimize, stopped = out.splitlines()
         assert optimize == "optimize 1"
         assert stopped.startswith("stopped:") and "Riemann-Hurwitz" in stopped
+
+    def test_cyclic_groups_match_harvey(self, catalog_groups):
+        # an oracle that shares no code with the search: Harvey's conditions on
+        # some period list, at every admissible point of genus 2..24 where the
+        # cyclic group's order is feasible
+        groups = [g for g in catalog_groups if g.spec.startswith("cyclic:")]
+        groups += [build_cyclic(p) for p in (17, 19, 23)]
+        seen = Counter()
+        for sigma in range(2, 25):
+            for pt, orders in admissible_map(sigma).items():
+                for g in groups:
+                    if g.order not in orders:
+                        continue
+                    verdict = realizable(g, sigma, pt).verdict
+                    assert not verdict.is_unknown, (g.name, sigma, pt)
+                    expected = harvey_realizable(sigma, pt, g.order)
+                    assert verdict.is_exists == expected, (g.name, sigma, pt)
+                    seen[g.order > 15, expected] += 1
+        # both verdicts occur, for catalog orders and for the primes above them
+        assert len(seen) == 4 and sum(seen.values()) > 1500, seen
 
 
 class TestUnbranched:
@@ -448,37 +473,40 @@ class TestUnbranched:
 
 class TestProductReachable:
     def test_matches_naive_oracle_on_catalog(self, catalog_groups):
-        # every non-decreasing period tuple of length <= 3 over each group's
-        # element orders, plus one order no element has, at h = 0, 1, 2
+        # every count vector of 0..6 entries over each group's element orders,
+        # plus one order no element has, at h = 0..3; one group's vectors share
+        # its memo, so the repeated steps of larger counts are read back from it
         ruled_out = 0
         for g in catalog_groups:
             orders = sorted(set(g.element_orders)) + [g.order + 1]
-            for h in range(3):
-                for r in range(4):
+            for h in range(4):
+                for r in range(7):
                     for periods in itertools.combinations_with_replacement(orders, r):
+                        counts = [periods.count(n) for n in orders]
                         expected = naive_product_reachable(g, h, periods)
-                        assert product_reachable(g, h, periods) == expected, (g.name, h, periods)
+                        got = product_reachable(g, h, orders, counts)
+                        assert got == expected, (g.name, h, counts)
                         ruled_out += not expected
-        assert ruled_out > 1000
+        assert ruled_out > 20000
 
 
 class TestCommutatorProducts:
     def test_abelian_collapses_to_identity(self):
-        assert build_cyclic(6).commutator_products(3) == frozenset({0})
+        assert build_cyclic(6).commutator_mask(3) == 1  # the class of e
 
     def test_no_commutators_is_identity(self):
-        assert build_generalized_quaternion(2).commutator_products(0) == frozenset({0})
+        assert build_generalized_quaternion(2).commutator_mask(0) == 1
 
     def test_q8_derived_subgroup(self):
         q8 = build_generalized_quaternion(2)
         # [Q8, Q8] = {e, x^2}; already closed at one commutator
-        assert q8.commutator_products(1) == frozenset({0, 2})
-        assert q8.commutator_products(4) == frozenset({0, 2})
+        assert mask_elements(q8, q8.commutator_mask(1)) == frozenset({0, 2})
+        assert q8.commutator_mask(4) == q8.commutator_mask(1)
 
     def test_filter_is_sound_for_search(self):
         # if no order-n element is a product of h commutators, search agrees
         g = build_dihedral(6)
-        pool = g.commutator_products(2)
+        pool = mask_elements(g, g.commutator_mask(2))
         has_order_6_candidate = any(
             g.element_orders[c] == 6 and g.inverse[c] in pool for c in range(g.order)
         )

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from oracles import (
+    mask_elements,
     naive_associative,
     naive_commutator_products,
     order_statistics,
@@ -161,7 +162,55 @@ class TestTables:
     def test_commutator_products_match_oracle(self, catalog_groups):
         for g in catalog_groups + constructed_groups():
             for h in range(5):
-                assert g.commutator_products(h) == naive_commutator_products(g, h), (g.name, h)
+                expected = naive_commutator_products(g, h)
+                assert mask_elements(g, g.commutator_mask(h)) == expected, (g.name, h)
+
+    def test_classes_are_the_conjugacy_classes(self, catalog_groups):
+        # against conjugation by every element, with ids first met in ascending
+        # order; every E_n and every commutator level is a union of classes
+        for g in catalog_groups + constructed_groups():
+            t, inv, ids = g.table, g.inverse, g.class_of
+            members: dict[int, set[int]] = {}
+            for x in range(g.order):
+                members.setdefault(ids[x], set()).add(x)
+            assert list(members) == list(range(len(members))), g.name
+            for x in range(g.order):
+                assert members[ids[x]] == {t[t[inv[a]][x]][a] for a in range(g.order)}, (g.name, x)
+            for subset in [*g.elements_by_order.values(), *g._commutator_levels]:
+                classes = {ids[x] for x in subset}
+                assert set(subset) == set().union(*(members[k] for k in classes)), g.name
+
+    def test_abelian_groups_compute_no_commutator(self, monkeypatch):
+        # a count guard, not a timing gate: an abelian group's commutator
+        # products are {e} at every h, with no sweep over pairs, and its
+        # classes are its elements, with no conjugation sweep
+        calls = []
+        commutator = GroupTable.commutator
+
+        def counted(self, a, b):
+            calls.append(self.name)
+            return commutator(self, a, b)
+
+        monkeypatch.setattr(GroupTable, "commutator", counted)
+        for g in (build_cyclic(12), build_elementary_abelian(2, 3),
+                  direct_product(build_cyclic(4), build_cyclic(2))):
+            assert g._commutator_levels == (frozenset({0}),)
+            assert [g.commutator_mask(h) for h in range(4)] == [1] * 4
+            assert g.class_of == range(g.order)
+        assert calls == []
+        # the counter is live
+        build_dihedral(3).commutator_mask(1)
+        assert calls
+
+    def test_mask_product_builds_only_the_orders_asked_for(self):
+        # D6 has elements of orders 2, 3 and 6; stepping by order 2 builds that row only,
+        # and a count read back from a repeating orbit equals the steps taken one by one
+        g = build_dihedral(6)
+        mask = 1
+        for count in range(1, 9):
+            mask = g.mask_product(mask, 2, 1)
+            assert g.mask_product(1, 2, count) == mask, count
+        assert set(g._order_rows) == {2}
 
     def test_renamed_copy_has_same_tables(self, catalog_groups):
         # build_from_spec(..., name=) renames with GroupTable._replace; the copy
@@ -169,12 +218,12 @@ class TestTables:
         # not the original built its own
         for g in catalog_groups + constructed_groups():
             before = g._replace(name=g.name + "'")
-            products = [g.commutator_products(h) for h in range(5)]
+            products = [g.commutator_mask(h) for h in range(5)]
             after = g._replace(name=g.name + "''")
             assert type(after) is GroupTable and not vars(after), g.name
             for copy in (before, after):
                 assert copy.elements_by_order == g.elements_by_order, g.name
-                assert [copy.commutator_products(h) for h in range(5)] == products, g.name
+                assert [copy.commutator_mask(h) for h in range(5)] == products, g.name
 
 
 class TestPermutations:

@@ -215,7 +215,10 @@ class TestPeriodMultisets:
                 for allowed in (divisors, divisors[:-1]):
                     for h in range(0, 4):
                         for r in range(0, 7):
-                            got = list(rh._period_lists(sigma, h, r, order, allowed))
+                            got = [
+                                rh._expand_counts(allowed, counts)
+                                for counts in rh._period_lists(sigma, h, r, order, allowed)
+                            ]
                             scrambled = allowed[::-1] + allowed
                             assert got == list(period_multisets(sigma, h, r, order, scrambled))
                             expected = list(fraction_period_multisets(sigma, h, r, order, allowed))
@@ -224,10 +227,17 @@ class TestPeriodMultisets:
         assert seen > 1000
 
     def test_count_walk_matches_stack_walk(self, catalog):
-        # the lists and their order, against the slot-by-slot walk the count walk replaced
-        def same(*args):
-            got = list(rh._period_lists(*args))
-            assert got == list(stack_period_lists(*args)), args
+        # the lists and their order, against the slot-by-slot walk the count walk
+        # replaced: each count vector has one count per allowed period, summing to r,
+        # and the vectors expand to the stack walk's lists in its order
+        def same(sigma, h, r, order, allowed):
+            got = []
+            for counts in rh._period_lists(sigma, h, r, order, allowed):
+                assert len(counts) == len(allowed) and sum(counts) == r, counts
+                got.append(rh._expand_counts(allowed, counts))
+            assert got == list(stack_period_lists(sigma, h, r, order, allowed)), (
+                sigma, h, r, order, allowed,
+            )
             return len(got)
 
         seen = 0
@@ -248,7 +258,7 @@ class TestPeriodMultisets:
         assert seen > 4000
         # 55440 has 119 divisors >= 2, so the walk goes 119 periods deep
         args = (661, 0, 3, 55440, allowed_periods(55440))
-        assert list(rh._period_lists(*args)) == list(stack_period_lists(*args)) == [(2, 3, 7)]
+        assert same(*args) == 1 and list(stack_period_lists(*args)) == [(2, 3, 7)]
 
     def test_unsorted_and_repeated_periods(self):
         assert list(period_multisets(7, 1, 3, 6, [6, 2, 3, 2])) == [(2, 3, 6), (3, 3, 3)]

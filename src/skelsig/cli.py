@@ -87,11 +87,15 @@ def _indented_json(o, pad: str = "\n") -> str:
 
     One call per container, which joins its children with a comma, ``pad``
     (a newline and the indent of the line ``o`` starts on) and two more
-    spaces; empty containers are ``[]`` and ``{}``.  Strings, keys included,
-    go through the C escaper ``json.dumps`` uses by default.  The tree holds
-    only ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``,
-    ``float``, ``bool`` and ``None``, matched by exact type; anything else
-    raises ``TypeError``.
+    spaces; empty containers are ``[]`` and ``{}``.  A list of nothing but
+    ``int`` (a witness's branch entries, thousands long) is written in one
+    join over ``int.__repr__``, with no call per entry; the first entry's
+    type is tested before the whole list's, so a list of records pays one
+    check.  Strings, keys included, go through the C escaper ``json.dumps``
+    uses by default.  The tree holds only ``dict`` with ``str`` keys,
+    ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool`` and ``None``,
+    matched by exact type (so a ``bool`` is never written as an ``int``);
+    anything else raises ``TypeError``.
     """
     t = type(o)
     if t is int:
@@ -100,6 +104,8 @@ def _indented_json(o, pad: str = "\n") -> str:
         if not o:
             return "[]"
         inner = pad + "  "
+        if type(o[0]) is int and set(map(type, o)) == {int}:
+            return "[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]"
         return "[" + inner + ("," + inner).join([_indented_json(v, inner) for v in o]) + pad + "]"
     if t is dict:
         if not o:

@@ -68,7 +68,7 @@ class GeneratingVector(NamedTuple):
         return tuple(flat)
 
     def to_json(self) -> dict:
-        return {"aPairs": [list(p) for p in self.a_pairs], "c": list(self.c_list)}
+        return {"aPairs": list(map(list, self.a_pairs)), "c": list(self.c_list)}
 
 
 def verify(group: GroupTable, vec: GeneratingVector, sig: OrbifoldSignature) -> bool:
@@ -113,7 +113,7 @@ def search(
 def _walk_tuples(group: GroupTable, sig: OrbifoldSignature, budget: int) -> SearchVerdict:
     """The tuple walk behind ``search``, for a period list the product filter let through."""
     h, periods = sig.h, sig.periods
-    free_c = [group.elements_by_order[p] for p in periods[:-1]]
+    free_c = list(map(group.elements_by_order.__getitem__, periods[:-1]))
     last_period = periods[-1] if periods else None
     table = group.table
     orders = group.element_orders
@@ -140,7 +140,7 @@ def _walk_tuples(group: GroupTable, sig: OrbifoldSignature, budget: int) -> Sear
                     continue
                 elements = a_tuple
             if group.generates(elements):
-                pairs = tuple((a_tuple[2 * i], a_tuple[2 * i + 1]) for i in range(h))
+                pairs = tuple(zip(a_tuple[0::2], a_tuple[1::2]))
                 return SearchVerdict.exists(GeneratingVector(pairs, elements[2 * h :]))
     return SearchVerdict.not_exists()
 

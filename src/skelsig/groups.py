@@ -24,7 +24,7 @@ import json
 import re
 from functools import cache, cached_property
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 
 class GroupTableError(ValueError):
@@ -189,7 +189,13 @@ class GroupTable(_GroupTableFields):
         return path[start + (count - start) % (len(path) - start)]
 
     def generates(self, subset: tuple[int, ...] | list[int]) -> bool:
-        return len(_closure(self.table, subset)) == self.order
+        """Whether the entries of ``subset`` generate the group.
+
+        Repeated entries add nothing to the subgroup, so the closure runs on
+        the distinct ones: a witness of r copies of one generator costs one
+        generator per element reached, not r.
+        """
+        return len(_closure(self.table, set(subset))) == self.order
 
     @classmethod
     def from_table(
@@ -235,10 +241,12 @@ class GroupTable(_GroupTableFields):
         )
 
 
-def _closure(rows: Sequence[Sequence[int]], gens: Sequence[int]) -> set[int]:
+def _closure(rows: Sequence[Sequence[int]], gens: Collection[int]) -> set[int]:
     """What the identity 0 reaches by right multiplication by ``gens``, breadth first.
 
-    In a group table this is the subgroup the generators generate.
+    In a group table this is the subgroup the generators generate.  Each
+    element reached is multiplied by every entry of ``gens``, so a caller
+    with repeated generators passes them de-duplicated.
     """
     seen = {0}
     frontier = [0]

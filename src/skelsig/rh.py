@@ -52,12 +52,12 @@ class OrbifoldSignature(_OrbifoldSignatureFields):
     __slots__ = ()
 
     def __new__(cls, h: int, periods: Iterable[int] = ()) -> "OrbifoldSignature":
-        self = super().__new__(cls, h, tuple(int(n) for n in periods))
+        self = super().__new__(cls, h, tuple(map(int, periods)))
         if self.h < 0:
             raise ValueError(f"quotient genus must be >= 0, got {self.h}")
-        for n in self.periods:
-            if n < 2:
-                raise ValueError(f"branching periods must be >= 2, got {n}")
+        if self.periods and min(self.periods) < 2:
+            bad = next(n for n in self.periods if n < 2)
+            raise ValueError(f"branching periods must be >= 2, got {bad}")
         return self
 
     @property

@@ -136,7 +136,8 @@ def render_figure(dataset: FigureDataset, config_note: str) -> str:
     cv.line((Fraction(0), Fraction(1)), (h_max, Fraction(1)), "#999999", width=0.8, dash="5,4")
 
     for pt, status in dataset.points:
-        if pt.h <= h_max and pt.r <= r_max:
+        # integer forms of pt.h <= h_max and pt.r <= r_max: no Fraction per point
+        if 2 * pt.h <= sigma + 4 and pt.r <= 2 * sigma + 2:
             radius = 3.0 if status in ("admissible", "gap") else 4.0
             if status == "gap":
                 continue  # certified-empty points are not drawn, only shaded

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, parse diagnostics, schemas, golden files."""
 
+import hashlib
 import json
 import os
 import re
@@ -297,6 +298,15 @@ class TestGoldenFiles:
         assert code == EXIT_OK
         assert text == (GOLDEN / name).read_text(encoding="utf-8"), f"{name} drifted"
 
+    def test_kspace_48_witnesses_pinned(self, tmp_path):
+        # the goldens hold witnesses only at genus 2 and 11; this pins every
+        # witness at genus 48 (404,674 bytes) by hash
+        code, text = run(tmp_path, "kspace", "--sigma", "48", "--budget", "200000")
+        assert code == EXIT_OK
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "4076abc584921659904e8b66b35c60f309de7bdd79b535a7405eb7ec58db5e31"
+        )
+
     def test_plot_deterministic_across_runs(self, tmp_path):
         _, first = run(tmp_path, "plot", "--sigma", "11")
         _, second = run(tmp_path, "plot", "--sigma", "11")
@@ -360,6 +370,14 @@ class TestIndentedJson:
     @given(JSON_TREES)
     @example([[], {}, (), [[]], {"a": {}}, {"a": [[], {"b": ()}]}])
     @example({"nan": float("nan"), "inf": [float("inf"), float("-inf")], "z": -0.0})
+    # the one-join path for all-int lists: a bool, None or str anywhere turns it off
+    @example([True, 1])
+    @example([1, True])
+    @example([1, None])
+    @example([1, "a"])
+    @example((2, 3))
+    @example([10**40, -1])
+    @example([[0, 0], [0, 0]])
     def test_matches_json_dumps(self, value):
         assert _indented_json(value) == json.dumps(value, indent=2)
 

@@ -5,6 +5,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     mask_elements,
@@ -13,6 +15,7 @@ from oracles import (
     order_statistics,
     save_cayley_file,
 )
+from skelsig import groups
 from skelsig.groups import (
     BadEntryError,
     CayleyFormatError,
@@ -269,6 +272,29 @@ class TestPredicates:
         assert len(_closure(d4.table, (rot,))) == 4
         assert d4.generates((1, 4))
         assert not d4.generates((2,))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_generates_on_repeated_entries(self, catalog_groups, data):
+        # generates closes over the distinct entries; the closure over the
+        # raw vector, repeats and all, must give the same answer
+        for group in catalog_groups:
+            pool = data.draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=3))
+            vec = tuple(data.draw(st.lists(st.sampled_from(pool), max_size=12)))
+            assert group.generates(vec) == (len(_closure(group.table, vec)) == group.order)
+
+    def test_generates_closes_over_distinct_entries(self, monkeypatch):
+        c2 = build_cyclic(2)
+        seen = []
+        closure = groups._closure
+
+        def counting(rows, gens):
+            seen.append(len(gens))
+            return closure(rows, gens)
+
+        monkeypatch.setattr(groups, "_closure", counting)
+        assert c2.generates((1,) * 1002)
+        assert seen == [1]
 
     def test_commutator_identity_cases(self):
         c6 = build_cyclic(6)

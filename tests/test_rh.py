@@ -65,6 +65,9 @@ class TestRhGenus:
             OrbifoldSignature(-1, ())
         with pytest.raises(ValueError):
             OrbifoldSignature(0, (1,))
+        # the first period below 2 is named, not the least
+        with pytest.raises(ValueError, match=r"^branching periods must be >= 2, got 1$"):
+            OrbifoldSignature(0, (3, 1, 0))
 
 
 class TestRhHolds:

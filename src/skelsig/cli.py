@@ -9,6 +9,7 @@ approximation; every run echoes its effective configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -37,20 +38,15 @@ class SignatureParseError(ValueError):
 def parse_signature(text: str) -> OrbifoldSignature:
     """Parse a signature literal "(h;n1,n2,...)"; empty period list allowed."""
     s = text.strip()
-    pos = 0
-
-    def fail(msg: str, at: int):
-        raise SignatureParseError(msg, at)
-
     if not s or s[0] != "(":
-        fail("expected '('", 0)
+        raise SignatureParseError("expected '('", 0)
     if not s.endswith(")"):
-        fail("expected ')'", len(s) - 1)
+        raise SignatureParseError("expected ')'", len(s) - 1)
     body = s[1:-1]
     head, semi, tail = body.partition(";")
     head = head.strip()
     if not re.fullmatch(r"-?[0-9]+", head):
-        fail(f"expected integer quotient genus, got {head!r}", 1)
+        raise SignatureParseError(f"expected integer quotient genus, got {head!r}", 1)
     h = int(head)
     periods: list[int] = []
     if semi and tail.strip():
@@ -58,7 +54,7 @@ def parse_signature(text: str) -> OrbifoldSignature:
         for piece in tail.split(","):
             tok = piece.strip()
             if not re.fullmatch(r"-?[0-9]+", tok):
-                fail(f"expected integer period, got {tok!r}", offset)
+                raise SignatureParseError(f"expected integer period, got {tok!r}", offset)
             periods.append(int(tok))
             offset += len(piece) + 1
     try:
@@ -80,60 +76,72 @@ def points_csv(rows: Iterable[tuple[int, int, str]]) -> str:
 
 
 _quote = json.encoder.encode_basestring_ascii
+_SCALARS = {int: int.__repr__, str: _quote, bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda o: "null", float: json.dumps}  # json.dumps: NaN, +-Infinity
 
 
-def _indented_json(o, pad: str = "\n") -> str:
-    """JSON text of a plain tree, exactly what ``json.dumps`` writes with ``indent=2``.
+def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
+    """Hand ``write`` exactly ``json.dumps(o, indent=2) + "\\n"``, 512 fragments at a time.
 
-    One call per container, which joins its children with a comma, ``pad``
-    (a newline and the indent of the line ``o`` starts on) and two more
-    spaces; empty containers are ``[]`` and ``{}``.  A list of nothing but
-    ``int`` (a witness's branch entries, thousands long) is written in one
-    join over ``int.__repr__``, with no call per entry; the first entry's
-    type is tested before the whole list's, so a list of records pays one
-    check.  Strings, keys included, go through the C escaper ``json.dumps``
-    uses by default.  The tree holds only ``dict`` with ``str`` keys,
-    ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool`` and ``None``,
-    matched by exact type (so a ``bool`` is never written as an ``int``);
-    anything else raises ``TypeError``.
+    One call per container (``pad``: a newline and the indent of its first line) writes
+    its scalars in its own loop and an all-``int`` list in one join.  Only ``dict`` with
+    ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool`` and ``None``
+    are written, by exact type (a ``bool`` is not an ``int``); anything else raises
+    ``TypeError``.  A failure part-way (that, or a full disk) leaves a truncated file.
     """
-    t = type(o)
-    if t is int:
-        return int.__repr__(o)
-    if t is list or t is tuple:
-        if not o:
-            return "[]"
-        inner = pad + "  "
+    top = parts is None
+    if top:
+        parts = []
+    t, inner = type(o), pad + "  "
+    comma = "," + inner
+    if t is dict and o:
+        sep = "{" + inner
+        for k, v in o.items():
+            scalar = _SCALARS.get(type(v))
+            if scalar:
+                parts.append(sep + _quote(k) + ": " + scalar(v))
+            else:
+                parts.append(sep + _quote(k) + ": ")
+                _write_json(v, write, parts, inner)
+            sep = comma
+            if len(parts) >= 512:
+                write("".join(parts))
+                parts.clear()
+        parts.append(pad + "}")
+    elif (t is list or t is tuple) and o:
         if type(o[0]) is int and set(map(type, o)) == {int}:
-            return "[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]"
-        return "[" + inner + ("," + inner).join([_indented_json(v, inner) for v in o]) + pad + "]"
-    if t is dict:
-        if not o:
-            return "{}"
-        inner = pad + "  "
-        return "{" + inner + ("," + inner).join(
-            [_quote(k) + ": " + _indented_json(v, inner) for k, v in o.items()]
-        ) + pad + "}"
-    if t is str:
-        return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if t is float:
-        return json.dumps(o)  # NaN and +-Infinity as json.dumps writes them
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+            parts.append("[" + inner + comma.join(map(int.__repr__, o)) + pad + "]")
+        else:
+            sep = "[" + inner
+            for v in o:
+                scalar = _SCALARS.get(type(v))
+                if scalar:
+                    parts.append(sep + scalar(v))
+                else:
+                    parts.append(sep)
+                    _write_json(v, write, parts, inner)
+                sep = comma
+                if len(parts) >= 512:
+                    write("".join(parts))
+                    parts.clear()
+            parts.append(pad + "]")
+    elif t in _SCALARS:
+        parts.append(_SCALARS[t](o))
+    elif t is dict or t is list or t is tuple:
+        parts.append("{}" if t is dict else "[]")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if top:
+        write("".join([*parts, "\n"]))
 
 
 def _emit(args, payload: dict | str) -> None:
     out = getattr(args, "out", None)
-    text = payload if isinstance(payload, str) else _indented_json(payload) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as f:
+        if isinstance(payload, str):
+            f.write(payload)
+        else:
+            _write_json(payload, f.write)
 
 
 def _config(args, command: str, **extra) -> dict:

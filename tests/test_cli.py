@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, parse diagnostics, schemas, golden files."""
 
+import gc
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from importlib.resources import files
@@ -18,14 +20,14 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from skelsig import groups
+from skelsig import cli, groups
 from skelsig.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_REFUTED,
     EXIT_USAGE,
     SignatureParseError,
-    _indented_json,
+    _write_json,
     build_parser,
     main,
     parse_int_list,
@@ -37,6 +39,8 @@ from skelsig.svg import _ratio
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
 BAD_SIG_ERROR = "error: bad signature literal: expected integer period, got 'x' at position 3\n"
+# sha256 of `kspace --sigma 48 --budget 200000` (404,674 bytes), wherever it is written
+KSPACE_48_SHA256 = "4076abc584921659904e8b66b35c60f309de7bdd79b535a7405eb7ec58db5e31"
 
 
 def run(tmp_path, *argv):
@@ -98,6 +102,12 @@ class TestExitCodes:
     def test_gap_order_below_three_is_usage(self, command, n, capsys):
         assert main([command, "--sigma", "48", "--n", str(n)]) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: gaps are defined for order >= 3, got {n}\n")
+
+    def test_failure_before_output_leaves_no_file(self, tmp_path, capsys):
+        # --out is opened only once the payload is built
+        out = tmp_path / "out.json"
+        assert main(["verify-gap", "--sigma", "48", "--n", "2", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_missing_genus_8_h2_is_usage_without_traceback(self):
         # (2, 1) lies on the order-5 cyclic line at genus 8, so there is no missing point
@@ -303,9 +313,12 @@ class TestGoldenFiles:
         # witness at genus 48 (404,674 bytes) by hash
         code, text = run(tmp_path, "kspace", "--sigma", "48", "--budget", "200000")
         assert code == EXIT_OK
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "4076abc584921659904e8b66b35c60f309de7bdd79b535a7405eb7ec58db5e31"
-        )
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == KSPACE_48_SHA256
+
+    def test_stdout_matches_out(self, capsys):
+        assert main(["kspace", "--sigma", "48", "--budget", "200000"]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == KSPACE_48_SHA256
 
     def test_plot_deterministic_across_runs(self, tmp_path):
         _, first = run(tmp_path, "plot", "--sigma", "11")
@@ -366,6 +379,12 @@ JSON_TREES = st.recursive(
 )
 
 
+def written(value) -> str:
+    chunks: list[str] = []
+    _write_json(value, chunks.append)
+    return "".join(chunks)
+
+
 class TestIndentedJson:
     @given(JSON_TREES)
     @example([[], {}, (), [[]], {"a": {}}, {"a": [[], {"b": ()}]}])
@@ -379,12 +398,24 @@ class TestIndentedJson:
     @example([10**40, -1])
     @example([[0, 0], [0, 0]])
     def test_matches_json_dumps(self, value):
-        assert _indented_json(value) == json.dumps(value, indent=2)
+        assert written(value) == json.dumps(value, indent=2) + "\n"
 
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
     def test_rewrites_golden_bytes(self, path):
         raw = path.read_bytes()
-        assert (_indented_json(json.loads(raw)) + "\n").encode("utf-8") == raw
+        assert written(json.loads(raw)).encode("utf-8") == raw
+
+    def test_chunk_boundaries(self):
+        # flushes land inside a list of scalars, a dict of scalars and nested records
+        value = {
+            "names": [f"n{i}" for i in range(1500)],
+            "flags": {f"k{i}": [None, i % 2 == 0, i / 7][i % 3] for i in range(1500)},
+            "records": [{"point": [i, -i], "words": ["a", (i, True)], "e": {}} for i in range(700)],
+        }
+        chunks: list[str] = []
+        _write_json(value, chunks.append)
+        assert len(chunks) > 5
+        assert "".join(chunks) == json.dumps(value, indent=2) + "\n"
 
     # a NamedTuple record is a tuple subclass: exact-type matching keeps it
     # from leaking into the output as a bare array
@@ -394,7 +425,33 @@ class TestIndentedJson:
     )
     def test_rejects_what_is_not_a_plain_tree(self, value):
         with pytest.raises(TypeError):
-            _indented_json(value)
+            written(value)
+
+    def test_memory_stays_bounded(self, monkeypatch):
+        # the genus-100 kspace document (2.39 MB of text) is never held whole
+        payloads = []
+        monkeypatch.setattr(cli, "_emit", lambda args, payload: payloads.append(payload))
+        assert main(["kspace", "--sigma", "100"]) == EXIT_OK
+        sizes: list[int] = []
+        tracemalloc.start()
+        try:
+            _write_json(payloads[0], lambda chunk: sizes.append(len(chunk)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(sizes) > 2_000_000
+        assert peak < 500_000
+
+    def test_leaves_no_reference_cycle(self):
+        # garbage left by each write would add up over a run of many commands
+        value = json.loads((GOLDEN / "kspace_11.json").read_bytes())
+        gc.disable()
+        try:
+            gc.collect()
+            _write_json(value, lambda chunk: None)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestReadme:

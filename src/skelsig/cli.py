@@ -217,20 +217,20 @@ def cmd_missing(args) -> int:
 def cmd_kspace(args) -> int:
     catalog = _resolve_catalog(args)
     approx = kspace.realizable_set(args.sigma, catalog, args.max_order, args.budget)
+    # both maps are keyed in sorted point order
     if args.format == "csv":
         rows = (
             (pt.h, pt.r, "realized" if pt in approx.realized else "admissible")
-            for pt in sorted(approx.admissible)
+            for pt in approx.feasible_orders_by_point
         )
         _emit(args, points_csv(rows))
     else:
         payload = {
             "config": _config(args, "kspace"),
             "sigma": approx.sigma,
-            "admissible": [list(p) for p in sorted(approx.admissible)],
+            "admissible": [list(p) for p in approx.feasible_orders_by_point],
             "realized": [
-                {"point": list(p), "witness": w.to_json()}
-                for p, w in sorted(approx.realized.items())
+                {"point": list(p), "witness": w.to_json()} for p, w in approx.realized.items()
             ],
             "scope": approx.scope.to_json(),
         }

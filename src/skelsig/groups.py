@@ -620,14 +620,19 @@ class CatalogManifest:
         ]
 
     def groups_of_order(self, order: int) -> list[GroupTable]:
-        return [self._build(e) for e in self.entries if e.order == order]
+        return [self._build(e) for e in self._by_order.get(order, ())]
+
+    @cached_property
+    def _by_order(self) -> dict[int, list[CatalogEntry]]:
+        """The entries of each order, sorted by label."""
+        by_order: dict[int, list[CatalogEntry]] = {}
+        for e in sorted(self.entries, key=lambda e: (e.order, e.label)):
+            by_order.setdefault(e.order, []).append(e)
+        return by_order
 
     @cached_property
     def complete_orders(self) -> frozenset[int]:
-        by_order: dict[int, list[bool]] = {}
-        for e in self.entries:
-            by_order.setdefault(e.order, []).append(e.complete)
-        return frozenset(k for k, flags in by_order.items() if all(flags))
+        return frozenset(n for n, es in self._by_order.items() if all(e.complete for e in es))
 
 
 _ENTRY_FIELDS = {"order": int, "spec": str, "label": str, "complete": bool}

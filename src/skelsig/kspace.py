@@ -2,12 +2,15 @@
 
 The admissible set (Riemann-Hurwitz feasibility over all group orders) is a
 superset of the true space of skeletal signatures; the realized map (witnessed
-by generating-vector search over a catalog) is a lower bound.  Reports keep
-that distinction explicit: equality is never asserted, coverage is recorded.
+by generating-vector search) is a lower bound.  Reports keep that distinction
+explicit: equality is never asserted, coverage is recorded.  Which groups are
+searched at an order, and whether they are all of its groups, is decided by
+``groups_covering`` alone, for every search and exclusion here.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from . import geometry
@@ -86,7 +89,12 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
 
 
 class SearchScope(NamedTuple):
-    """Honest record of what the witness search actually covered."""
+    """Honest record of what the witness search actually covered.
+
+    ``complete_orders`` echoes the catalog's complete orders in 2..max_order;
+    ``fully_covered_points`` counts the points whose feasible orders are all
+    covered by ``groups_covering`` up to ``max_order``, prime orders included.
+    """
 
     max_order: int
     budget: int
@@ -145,22 +153,21 @@ class KSpaceApproximation(_KSpaceApproximationFields):
             raise AssertionError("realized points must be admissible")
         return super().__new__(cls, sigma, feasible_orders_by_point, realized, scope)
 
-    @property
-    def admissible(self) -> frozenset[SkeletalSignature]:
-        return frozenset(self.feasible_orders_by_point)
 
+def groups_covering(order: int, catalog: CatalogManifest | None) -> tuple[list[GroupTable], bool]:
+    """The groups searched at this order, and whether they are all its groups.
 
-def groups_covering(order: int, catalog: CatalogManifest | None) -> list[GroupTable] | None:
-    """Every group of this order up to isomorphism, or None when coverage is not certified.
-
-    Coverage is a catalog order flagged complete, or a prime order, whose one
-    isomorphism class is the cyclic group.
+    The groups are the catalog's groups of the order; at a prime order the
+    catalog lacks, they are the cyclic group, the order's one isomorphism
+    class.  They are all its groups up to isomorphism when the catalog flags
+    the order complete, or when the order is prime.  This is the one coverage
+    rule: every search over a point's orders, and every claim that an order
+    is closed, goes through it.
     """
-    if catalog is not None and order in catalog.complete_orders:
-        return catalog.groups_of_order(order)
+    groups = [] if catalog is None else catalog.groups_of_order(order)
     if _is_prime(order):
-        return [build_cyclic(order)]
-    return None
+        return groups or [build_cyclic(order)], True
+    return groups, catalog is not None and order in catalog.complete_orders
 
 
 def _realize_any(
@@ -187,40 +194,41 @@ def _realize_any(
 
 def realizable_set(
     sigma: int,
-    catalog: CatalogManifest | Iterable[GroupTable],
+    catalog: CatalogManifest,
     max_order: int,
     budget: int = DEFAULT_BUDGET,
 ) -> KSpaceApproximation:
-    """Witness map over catalog groups at every admissible point.
+    """Witness map over the covering groups at every admissible point.
 
-    Each point is searched only with the groups whose order is feasible
-    there; a group of any other order has no period list and could only be
-    excluded by arithmetic.  The result is a certified subset of the true
-    space; the scope records how far catalog completeness lets it claim more.
+    Each point is searched with the ``groups_covering`` groups of each of its
+    feasible orders up to ``max_order``, in ascending order; a group of any
+    other order has no period list and could only be excluded by arithmetic.
+    A point is fully covered when each of its feasible orders is at most
+    ``max_order`` and covered completely.  The result is a certified subset
+    of the true space; the scope records how far coverage lets it claim more.
     """
     feas = admissible_map(sigma)
-    if isinstance(catalog, CatalogManifest):
-        groups = catalog.groups(max_order=max_order)
-        complete = tuple(sorted(o for o in catalog.complete_orders if 2 <= o <= max_order))
-    else:
-        groups = [g for g in catalog if g.order <= max_order]
-        complete = ()
-    groups = sorted(groups, key=lambda g: (g.order, g.name))
-
+    cover = {  # each searched order's coverage, looked up once
+        n: groups_covering(n, catalog)
+        for n in {n for orders in feas.values() for n in orders if n <= max_order}
+    }
     realized: dict[SkeletalSignature, Witness] = {}
     unknown_pts: list[SkeletalSignature] = []
-    for pt, orders in feas.items():  # admissible_map yields points in sorted order
-        here = [g for g in groups if g.order in orders]
-        witness, budget_hit, _ = _realize_any(here, sigma, pt, budget)
+    covered = 0
+    # admissible_map yields points in sorted order, each with its orders ascending
+    for pt, orders in feas.items():
+        here = [cover[n] for n in orders if n <= max_order]
+        groups = chain.from_iterable(found for found, _ in here)
+        witness, budget_hit, _ = _realize_any(groups, sigma, pt, budget)
         if witness is not None:
             realized[pt] = witness
         elif budget_hit is not None:
             unknown_pts.append(pt)
-    covered = sum(1 for orders in feas.values() if all(n in complete for n in orders))
+        covered += len(here) == len(orders) and all(complete for _, complete in here)
     scope = SearchScope(
         max_order=max_order,
         budget=budget,
-        complete_orders=complete,
+        complete_orders=tuple(sorted(o for o in catalog.complete_orders if 2 <= o <= max_order)),
         total_points=len(feas),
         fully_covered_points=covered,
         unknown_points=tuple(unknown_pts),
@@ -261,9 +269,10 @@ def analyze_point(
 
     Order-level rules close an order without group enumeration where possible:
     a single branch point whose period equals the group order forces a cyclic
-    group, which the abelian obstruction then excludes.  Remaining orders are
-    settled by exhaustive search over the catalog when its coverage is
-    complete there; otherwise the verdict is partial, never a false no.
+    group, which the abelian obstruction then excludes.  Every order's
+    ``groups_covering`` groups are searched; the search closes the order only
+    when they are all its groups and no budget was hit.  Otherwise the
+    verdict is partial, never a false no.
     """
     skel = SkeletalSignature(*skel)
     feasible = tuple(feasible_orders(sigma, skel))
@@ -293,13 +302,12 @@ def analyze_point(
                     f"forcing a cyclic (hence abelian) group, impossible with one branch point",
                 )
             )
-        group_list = groups_covering(order, catalog)
-        if group_list is not None:
-            witness, budget_hit, excluded = _realize_any(group_list, sigma, skel, budget)
-            reasons.extend(reason for _, reason in excluded)
-            if witness is not None:
-                break
-            closed = closed or budget_hit is None
+        group_list, complete = groups_covering(order, catalog)
+        witness, budget_hit, excluded = _realize_any(group_list, sigma, skel, budget)
+        reasons.extend(reason for _, reason in excluded)
+        if witness is not None:
+            break
+        closed = closed or (complete and budget_hit is None)
         all_closed = all_closed and closed
     if witness is not None:
         return PointAnalysis(skel, "realized", feasible, tuple(reasons), witness)
@@ -468,17 +476,17 @@ def _close_order_2n(
 ) -> tuple[str, str, bool, Witness | None]:
     """Settle the |G| = 2n case: ``realizable`` over every group of that order."""
     order = 2 * n
-    group_list = groups_covering(order, catalog)
-    if group_list is None:
+    group_list, complete = groups_covering(order, catalog)
+    witness, budget_hit, excluded = _realize_any(group_list, sigma, SkeletalSignature(h, 1), budget)
+    if witness is not None:
+        return ("search-witness", f"{witness.group_name}: vector found", False, witness)
+    if not complete:
         return (
             "catalog-incomplete",
             f"need all groups of order {order}, catalog coverage incomplete there",
             False,
             None,
         )
-    witness, budget_hit, excluded = _realize_any(group_list, sigma, SkeletalSignature(h, 1), budget)
-    if witness is not None:
-        return ("search-witness", f"{witness.group_name}: vector found", False, witness)
     if budget_hit is not None:
         return ("budget-exhausted", f"{budget_hit}: search budget exhausted", False, None)
     details = (

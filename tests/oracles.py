@@ -23,10 +23,11 @@ upper line, in a gap strip, or in the triangle of an order
 (``triangle_orders``) that admits no period list there.  ``intersect`` solves
 two lines as a 2x2 rational system, where the library writes each gap
 corner from its formula.
-``all_groups_realizable_set`` tries every catalog group at every admissible
-point, where the library tries only the groups whose order is feasible there.
-``close_order_2n`` settles the sporadic |G| = 2n case with its own group loop
-and filters, where the library runs ``realizable`` over the same groups.
+``all_groups_realizable_set`` tries every covering group of every order up to
+the cap at every admissible point, where the library tries only the groups
+whose order is feasible there.  ``close_order_2n`` settles the sporadic
+|G| = 2n case with its own group loop and filters, where the library runs
+``realizable`` over the same groups.
 ``eager_realizable`` lists every period list, runs the product filter over all
 of them, and only then checks each with ``Fraction`` Riemann-Hurwitz and
 searches it, where the library does all of that in one pass that stops at the
@@ -441,9 +442,14 @@ def census(sigma: int) -> dict[SkeletalSignature, tuple[str, tuple[int, ...]] | 
 def all_groups_realizable_set(
     sigma: int, catalog: CatalogManifest, max_order: int, budget: int
 ) -> KSpaceApproximation:
-    """The catalog witness map, searching every group of order <= max_order at every point."""
+    """The witness map, searching every covering group of order <= max_order at every point.
+
+    The groups are the catalog's of each order, plus the cyclic group of each
+    prime order the catalog lacks.
+    """
     feas = admissible_map(sigma)
-    groups = sorted(catalog.groups(max_order=max_order), key=lambda g: (g.order, g.name))
+    cover = {n: groups_covering(n, catalog) for n in range(1, max_order + 1)}
+    groups = [g for n in sorted(cover) for g in cover[n][0]]
     complete = tuple(sorted(o for o in range(2, max_order + 1) if o in catalog.complete_orders))
     realized = {}
     unknown_pts = []
@@ -464,7 +470,7 @@ def all_groups_realizable_set(
         complete_orders=complete,
         total_points=len(feas),
         fully_covered_points=sum(
-            1 for orders in feas.values() if all(n in complete for n in orders)
+            1 for orders in feas.values() if all(n in cover and cover[n][1] for n in orders)
         ),
         unknown_points=tuple(unknown_pts),
     )
@@ -481,15 +487,9 @@ def close_order_2n(
     be an h-fold commutator product of order n.  A surviving group is searched.
     """
     order = 2 * n
-    group_list = groups_covering(order, catalog)
-    if group_list is None:
-        return (
-            "catalog-incomplete",
-            f"need all groups of order {order}, catalog coverage incomplete there",
-            False,
-            None,
-        )
+    group_list, complete = groups_covering(order, catalog)
     details = []
+    budget_hit = None
     for g in group_list:
         if g.is_abelian:
             details.append(f"{g.name}: abelian-r1")
@@ -507,8 +507,18 @@ def close_order_2n(
             witness = Witness(g.name, g.spec, OrbifoldSignature(h, (n,)), verdict.witness)
             return ("search-witness", f"{g.name}: vector found", False, witness)
         if verdict.is_unknown:
-            return ("budget-exhausted", f"{g.name}: search budget exhausted", False, None)
+            budget_hit = budget_hit or g.name
+            continue
         details.append(f"{g.name}: exhausted-search")
+    if not complete:
+        return (
+            "catalog-incomplete",
+            f"need all groups of order {order}, catalog coverage incomplete there",
+            False,
+            None,
+        )
+    if budget_hit is not None:
+        return ("budget-exhausted", f"{budget_hit}: search budget exhausted", False, None)
     return ("catalog-search", "; ".join(details), True, None)
 
 

@@ -20,7 +20,7 @@ from skelsig.geometry import (
     p_group_line,
     upper_line,
 )
-from skelsig.groups import build_elementary_abelian
+from skelsig.groups import CatalogEntry, CatalogManifest
 from skelsig.kspace import analyze_point, realizable_set, sporadic_analysis
 from skelsig.rh import (
     OrbifoldSignature,
@@ -154,17 +154,23 @@ def test_criterion_06_sporadic_nonexistence(catalog):
 
 
 def test_criterion_07_elementary_abelian_on_line():
-    """Every elementary-abelian witness lies on its collapse line, p in {2,3,5}, k in {1,2}."""
+    """Every elementary-abelian witness lies on its collapse line: C_p^k, p in {2,3,5}, k in {1,2}.
+
+    Those C_p^k form a catalog with no order flagged complete; the coverage
+    rule adds C_p for each other prime p <= 25, elementary abelian with k = 1.
+    """
     t0 = time.time()
     failures = []
-    cases = [(p, k) for p in (2, 3, 5) for k in (1, 2)]
-    groups = {(p, k): build_elementary_abelian(p, k) for p, k in cases}
-    name_to_pk = {g.name: pk for pk, g in groups.items()}
+    catalog = CatalogManifest(tuple(
+        CatalogEntry(p**k, f"elab:{p}^{k}", f"C{p}^{k}", False) for p in (2, 3, 5) for k in (1, 2)
+    ))
     witnesses = 0
     for sigma in range(2, 16):
-        approx = realizable_set(sigma, list(groups.values()), max_order=25)
+        approx = realizable_set(sigma, catalog, max_order=25)
         for pt, witness in approx.realized.items():
-            p, k = name_to_pk[witness.group_name]
+            # elab:p^k for a catalog group, cyclic:p for an added one
+            p, _, k = witness.group_spec.partition(":")[2].partition("^")
+            p, k = int(p), int(k or 1)
             witnesses += 1
             if not p_group_line(sigma, p, k).contains(P(pt.h, pt.r)):
                 failures.append((sigma, tuple(pt), witness.group_name))

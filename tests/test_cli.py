@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from skelsig import cli, groups
+from skelsig import cli, genvec, groups
 from skelsig.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
@@ -35,6 +35,8 @@ from skelsig.cli import (
 )
 from skelsig.rh import OrbifoldSignature, SearchVerdict
 from skelsig.svg import _ratio
+
+from oracles import check_vector
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -314,6 +316,33 @@ class TestGoldenFiles:
         code, text = run(tmp_path, "kspace", "--sigma", "48", "--budget", "200000")
         assert code == EXIT_OK
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == KSPACE_48_SHA256
+
+    def test_kspace_48_max_order_100_counts(self, tmp_path):
+        # past the bundled catalog's order 15 only prime orders are covered, by C_p;
+        # counts, not a golden, since more groups above 15 may add witnesses
+        code, text = run(tmp_path, "kspace", "--sigma", "48", "--max-order", "100")
+        assert code == EXIT_OK
+        doc = json.loads(text)
+        scope = doc["scope"]
+        assert (len(doc["realized"]), scope["fullyCoveredPoints"], scope["totalPoints"]) == (
+            305, 290, 323,
+        )
+        assert scope["unknownPoints"] == []
+        # the echo lists the catalog's complete orders; covered primes are not listed
+        assert scope["completeOrders"] == list(range(2, 16))
+        above = []
+        for item in doc["realized"]:
+            w = item["witness"]
+            group = groups.build_from_spec(w["spec"])
+            if group.order <= 15:
+                continue
+            above.append(group.order)
+            sig = OrbifoldSignature(w["signature"]["h"], w["signature"]["periods"])
+            vec = genvec.GeneratingVector(
+                tuple(map(tuple, w["vector"]["aPairs"])), tuple(w["vector"]["c"])
+            )
+            assert genvec.verify(group, vec, sig) and check_vector(group, vec, sig).ok, w
+        assert len(above) == 3
 
     def test_stdout_matches_out(self, capsys):
         assert main(["kspace", "--sigma", "48", "--budget", "200000"]) == EXIT_OK

@@ -9,6 +9,7 @@ from skelsig import genvec, groups, kspace, rh
 from skelsig.genvec import DEFAULT_BUDGET, RealizabilityReport
 from skelsig.geometry import RationalLine, RationalPoint, gap, lower_line, p_group_line
 from skelsig.groups import (
+    CatalogEntry,
     CatalogManifest,
     build_cyclic,
     build_elementary_abelian,
@@ -18,6 +19,7 @@ from skelsig.kspace import (
     admissible_map,
     analyze_point,
     figure_dataset,
+    groups_covering,
     realizable_set,
     sporadic_analysis,
     verify_gap,
@@ -202,6 +204,54 @@ class TestCensus:
         assert low == {1: 5, 2: 5, 3: 2}
 
 
+def _prime(n):
+    return n > 1 and all(n % d for d in range(2, n))
+
+
+class TestGroupsCovering:
+    def test_bundled_catalog(self, catalog):
+        for order in range(1, 61):
+            found, complete = groups_covering(order, catalog)
+            names = [g.name for g in found]
+            if order <= 15:
+                assert names == [e.label for e in catalog.entries if e.order == order], order
+                assert complete, order
+            elif _prime(order):
+                assert (names, complete) == ([f"C{order}"], True), order
+                assert found[0].table == build_cyclic(order).table
+            else:
+                assert (names, complete) == ([], False), order
+
+    def test_without_catalog(self):
+        for order in range(1, 61):
+            found, complete = groups_covering(order, None)
+            expected = [f"C{order}"] if _prime(order) else []
+            assert ([g.name for g in found], complete) == (expected, _prime(order)), order
+
+    def test_custom_manifest(self):
+        # order 6 is incomplete, and the order-7 entry is searched under its own label
+        catalog = CatalogManifest((
+            CatalogEntry(7, "cyclic:7", "Z7", False),
+            CatalogEntry(6, "dihedral:3", "S3", False),
+            CatalogEntry(4, "cyclic:4", "C4", True),
+            CatalogEntry(4, "elab:2^2", "C2xC2", True),
+        ))
+        for order in range(1, 61):
+            found, complete = groups_covering(order, catalog)
+            names = [g.name for g in found]
+            if order == 4:
+                assert (names, complete) == (["C2xC2", "C4"], True)
+            elif order == 6:
+                assert (names, complete) == (["S3"], False)
+            elif order == 7:
+                assert (names, complete) == (["Z7"], True)
+                assert found[0].spec == "cyclic:7"
+            elif _prime(order):
+                assert (names, complete) == ([f"C{order}"], True), order
+            else:
+                assert (names, complete) == ([], False), order
+
+
 class TestRealizableSet:
     def test_small_genus_witnesses(self, catalog):
         approx = realizable_set(3, catalog, 4)
@@ -221,7 +271,7 @@ class TestRealizableSet:
     def test_realized_subset_of_admissible(self, catalog):
         for sigma in (2, 5, 11):
             approx = realizable_set(sigma, catalog, 15)
-            assert set(approx.realized) <= approx.admissible
+            assert approx.realized.keys() <= approx.feasible_orders_by_point.keys()
 
     def test_witness_order_lands_in_triangle(self, catalog):
         approx = realizable_set(5, catalog, 15)
@@ -233,21 +283,23 @@ class TestRealizableSet:
 
     def test_scope_reports_coverage(self, catalog):
         approx = realizable_set(11, catalog, 15)
-        assert approx.scope.total_points == len(approx.admissible)
+        assert approx.scope.total_points == len(approx.feasible_orders_by_point)
         assert 0 < approx.scope.fully_covered_points <= approx.scope.total_points
         assert "lower bound" in approx.scope.describe()
 
     def test_matches_all_groups_oracle(self, catalog):
-        # genus 7 leaves (1, 1) unknown at this budget, so the unknown path is compared too
-        unknown_seen = False
-        for sigma in range(2, 18):
-            approx = realizable_set(sigma, catalog, 15, 20)
-            ref = all_groups_realizable_set(sigma, catalog, 15, 20)
-            assert approx.realized == ref.realized, sigma
-            assert approx.scope == ref.scope, sigma
-            assert approx.admissible == ref.admissible, sigma
-            unknown_seen = unknown_seen or bool(approx.scope.unknown_points)
-        assert unknown_seen
+        # genus 7 leaves (1, 1) unknown at this budget, so the unknown path is compared too;
+        # above 15 the bundled catalog has no groups, and only the prime orders are searched
+        for max_order in (15, 40):
+            unknown_seen = False
+            for sigma in range(2, 18):
+                approx = realizable_set(sigma, catalog, max_order, 20)
+                ref = all_groups_realizable_set(sigma, catalog, max_order, 20)
+                assert approx.realized == ref.realized, (sigma, max_order)
+                assert approx.scope == ref.scope, (sigma, max_order)
+                assert approx.feasible_orders_by_point == ref.feasible_orders_by_point, sigma
+                unknown_seen = unknown_seen or bool(approx.scope.unknown_points)
+            assert unknown_seen, max_order
         assert realizable_set(7, catalog, 15, 20).scope.unknown_points == (S(1, 1),)
         assert realizable_set(7, catalog, 15).realized[S(1, 1)].group_name == "D7"
 
@@ -272,6 +324,14 @@ class TestRealizableSet:
                         break
         assert calls == expected
         assert len(calls) == 55
+
+    def test_maps_are_in_sorted_point_order(self, catalog):
+        # cmd_kspace writes both maps as they are, so its output relies on this order
+        for sigma, max_order in ((11, 15), (48, 15), (48, 100)):
+            approx = realizable_set(sigma, catalog, max_order, 2000)
+            for points in (list(approx.feasible_orders_by_point), list(approx.realized)):
+                assert points == sorted(points), (sigma, max_order)
+            assert approx.realized
 
 
 class TestVerifyGap:
@@ -370,6 +430,16 @@ class TestAnalyzePoint:
         assert analysis.status == "partial"
         assert any(n == 32 for n, _ in analysis.feasible)
 
+    def test_incomplete_order_is_searched_but_never_closed(self):
+        # (0, 5) at genus 2 is feasible only at order 4, flagged incomplete here:
+        # C2xC2 realizes it, and C4 alone leaves it partial, never excluded
+        def with_order_4(spec, label):
+            return CatalogManifest((CatalogEntry(4, spec, label, False),))
+
+        analysis = analyze_point(2, S(0, 5), with_order_4("elab:2^2", "C2xC2"))
+        assert (analysis.status, analysis.witness.group_name) == ("realized", "C2xC2")
+        assert analyze_point(2, S(0, 5), with_order_4("cyclic:4", "C4")).status == "partial"
+
     def test_budget_hit_gives_partial_not_excluded(self, catalog):
         # (2, 1) at genus 11: the r = 1 rule leaves D4 and Q8 to search; both
         # run out of a small budget, and D4 finds its vector at a large one
@@ -451,21 +521,25 @@ class TestSporadic:
         assert not report.complete
 
     def test_order_2n_case_matches_oracle(self, catalog):
+        # with every flag cleared, each order's groups are still searched, but no order
+        # 2n is closed
+        unflagged = CatalogManifest(tuple(e._replace(complete=False) for e in catalog.entries))
         primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
-        by_catalog = 0
-        for h in range(2, 6):
-            report = sporadic_analysis(h, primes, [], catalog)
-            for genus_report in report.nonexistence:
-                case = next(c for c in genus_report.cases if c.divisor == "p")
-                if case.n is None:
-                    assert genus_report.verdict == "not-exists"
-                    continue
-                rule, _, closed, witness = close_order_2n(h, case.n, catalog, DEFAULT_BUDGET)
-                assert (case.rule, case.closed, case.witness) == (rule, closed, witness)
-                expected = "refuted" if witness else "not-exists" if closed else "partial"
-                assert genus_report.verdict == expected, (h, genus_report.p)
-                by_catalog += rule == "catalog-search"
-        assert by_catalog == 8
+        for manifest, closed_by_catalog in ((catalog, 8), (unflagged, 0)):
+            by_catalog = 0
+            for h in range(2, 6):
+                report = sporadic_analysis(h, primes, [], manifest)
+                for genus_report in report.nonexistence:
+                    case = next(c for c in genus_report.cases if c.divisor == "p")
+                    if case.n is None:
+                        assert genus_report.verdict == "not-exists"
+                        continue
+                    rule, _, closed, witness = close_order_2n(h, case.n, manifest, DEFAULT_BUDGET)
+                    assert (case.rule, case.closed, case.witness) == (rule, closed, witness)
+                    expected = "refuted" if witness else "not-exists" if closed else "partial"
+                    assert genus_report.verdict == expected, (h, genus_report.p)
+                    by_catalog += rule == "catalog-search"
+            assert by_catalog == closed_by_catalog
 
     def test_order_2n_case_makes_no_direct_search(self, catalog, monkeypatch):
         assert not hasattr(kspace, "search") and not hasattr(kspace, "commutator_products")
@@ -565,7 +639,8 @@ class TestFigureDataset:
         catalog = CatalogManifest(bundled_catalog().entries)
         figure_dataset(48, catalog, max_order=15, budget=2000)
         built.pop(None, None)
-        assert set(built) == {e.label for e in catalog.entries if e.order <= 15}
+        # order 1 is never a feasible order, so C1 is never built
+        assert set(built) == {e.label for e in catalog.entries if 2 <= e.order <= 15}
         assert max(built.values()) == 1
 
     def test_degenerate_genus_2(self):

@@ -79,4 +79,6 @@ def test_validators_normalize():
     assert RationalLine(-6, -2, -100) == RationalLine(3, 1, 50) == (3, 1, 50)
     reason = ExclusionReason("arithmetic", "x")
     assert RealizabilityReport(SearchVerdict.not_exists(), (reason,)).exclusion_reasons == (reason,)
-    assert KSpaceApproximation(2, {S(0, 6): (2,)}, {}, _scope()).admissible == {S(0, 6)}
+    assert KSpaceApproximation(2, {S(0, 6): (2,)}, {}, _scope()).feasible_orders_by_point == {
+        S(0, 6): (2,)
+    }

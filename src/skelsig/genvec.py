@@ -272,8 +272,7 @@ def realizable(
     h, r = SkeletalSignature(*skel)
     n = group.order
     # element orders divide n, so they are the walk's trusted ascending divisor list
-    element_orders = sorted(k for k in group.elements_by_order if k >= 2)
-    parts = [n // k for k in element_orders]
+    element_orders, parts = group._periods
     total = n * (2 * h - 2 + r) - 2 * (sigma - 1)
     count_lists: list[tuple[int, ...]] = []
     saw_reachable = saw_unknown = False

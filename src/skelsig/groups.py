@@ -95,6 +95,12 @@ class GroupTable(_GroupTableFields):
         return {k: tuple(gs) for k, gs in by_order.items()}
 
     @cached_property
+    def _periods(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The element orders k >= 2, ascending, and their parts order // k, descending."""
+        periods = tuple(sorted(k for k in self.elements_by_order if k >= 2))
+        return periods, tuple(self.order // k for k in periods)
+
+    @cached_property
     def class_of(self) -> Sequence[int]:
         """The conjugacy class id of each element, numbered by the classes' least elements.
 
@@ -611,13 +617,6 @@ class CatalogManifest:
                 )
             self._tables[e] = g
         return self._tables[e]
-
-    def groups(self, *, max_order: int | None = None) -> list[GroupTable]:
-        return [
-            self._build(e)
-            for e in self.entries
-            if max_order is None or e.order <= max_order
-        ]
 
     def groups_of_order(self, order: int) -> list[GroupTable]:
         return [self._build(e) for e in self._by_order.get(order, ())]

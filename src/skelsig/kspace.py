@@ -28,11 +28,12 @@ from .rh import (
     SearchVerdict,
     SkeletalSignature,
     _check_genus,
+    _first_feasible,
+    _order_window,
     feasible_orders,
     hurwitz_range_orders,
     order_parts,
     part_sum_levels,
-    rh_admissible,
     rh_genus,
 )
 
@@ -327,9 +328,10 @@ class PointReport(NamedTuple):
     analysis: PointAnalysis | None
 
     def to_json(self) -> dict:
-        rh_json = {"status": self.rh.status}
-        if self.rh.is_exists:
-            order, periods = self.rh.witness
+        status, witness = self.rh
+        rh_json = {"status": status}
+        if witness is not None:
+            order, periods = witness
             rh_json["order"] = order
             rh_json["periods"] = list(periods)
         return {
@@ -369,21 +371,24 @@ def verify_gap(
     has no Riemann-Hurwitz solution at any order.
     """
     region = gap(sigma, order)
-
-    def judge(pt: SkeletalSignature) -> PointReport:
-        if not region.on_exception_line(pt):
-            return PointReport(pt, False, rh_admissible(sigma, pt), None)
+    on_line = region.on_exception_line
+    points: list[PointReport] = []
+    refuted = has_partial = False
+    # ``gap`` checked sigma, and raw points are int pairs with h >= 2: none is checked again
+    for pt in region.integer_points_raw():
+        if not on_line(pt):
+            h, r = pt
+            verdict = _first_feasible(sigma, h, r, _order_window(sigma, h, r))
+            refuted = refuted or verdict.is_exists
+            points.append(PointReport(pt, False, verdict, None))
+            continue
         # the analysis sweeps the point's orders; its first feasible order is the rh witness
         analysis = analyze_point(sigma, pt, catalog, budget)
         feasible = analysis.feasible
         verdict = SearchVerdict.exists(feasible[0]) if feasible else SearchVerdict.not_exists()
-        return PointReport(pt, True, verdict, analysis)
-
-    points = tuple(judge(pt) for pt in region.integer_points_raw())
-    bad = [p for p in points if not p.on_exception_line and not p.rh.is_not_exists]
-    has_partial = any(p.analysis is not None and p.analysis.status == "partial" for p in points)
-    conclusion = "verified" if not bad else "refuted"
-    return GapReport(region, points, conclusion, has_partial)
+        has_partial = has_partial or analysis.status == "partial"
+        points.append(PointReport(pt, True, verdict, analysis))
+    return GapReport(region, tuple(points), "refuted" if refuted else "verified", has_partial)
 
 
 # ---------------------------------------------------------------------------

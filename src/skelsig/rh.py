@@ -19,7 +19,10 @@ sweep over orders takes each order's parts from ``order_parts``, one divisor
 sieve, in place of trial division per order.  Such a sweep need only run to
 12(sigma - 1): above it only (0, 3) is feasible, and
 ``hurwitz_range_orders`` finds its orders there in closed form, from the
-divisors of at most six numbers.  The searches are exhaustive within
+divisors of at most six numbers.  A single point is searched only at the
+orders of its ``_order_window``, the one place where the triangle bounds
+r <= T <= rN/2 become an order range, and ``_first_feasible`` walks that
+window to the first period list.  The searches are exhaustive within
 provable bounds, so a negative answer is a certificate, not a timeout.
 """
 
@@ -119,13 +122,6 @@ def _check_genus(sigma: int) -> None:
 def _check_order(order: int) -> None:
     if order < 2:
         raise ValueError(f"group order must be >= 2, got {order}")
-
-
-def _check_skeletal(skel: SkeletalSignature) -> SkeletalSignature:
-    skel = SkeletalSignature(int(skel[0]), int(skel[1]))
-    if skel.h < 0 or skel.r < 0:
-        raise ValueError(f"skeletal signature entries must be >= 0, got {skel}")
-    return skel
 
 
 def rh_genus(order: int, sig: OrbifoldSignature) -> Fraction:
@@ -295,25 +291,66 @@ def part_sum_levels(parts: Sequence[int], count: int, top: int) -> list[int]:
     return levels
 
 
-def order_bound(sigma: int, skel: SkeletalSignature) -> int:
-    """Provable cap on group orders admitting a feasible period list at this point.
+def _check_point(sigma: int, skel: SkeletalSignature) -> SkeletalSignature:
+    """The point with int entries, after the genus, entry and hyperbolicity checks.
 
-    h >= 2: the genus-minus-one bound; h == 1: the quarter bracket of a single
-    period-2 branch point; h == 0: the classical 1/84 minimum of the hyperbolic
-    bracket.  Degenerate skeletal inputs where every signature forces genus <= 1
-    are rejected so "arithmetic says no" stays distinct from "malformed question".
+    Degenerate skeletal inputs where every signature forces genus <= 1 are
+    rejected so "arithmetic says no" stays distinct from "malformed question".
     """
     _check_genus(sigma)
-    h, r = _check_skeletal(skel)
-    if (h, r) in ((0, 0), (0, 1), (0, 2), (1, 0)):
+    skel = SkeletalSignature(int(skel[0]), int(skel[1]))
+    if skel.h < 0 or skel.r < 0:
+        raise ValueError(f"skeletal signature entries must be >= 0, got {skel}")
+    if skel in ((0, 0), (0, 1), (0, 2), (1, 0)):
         raise HyperbolicityError(
-            f"hyperbolicity violated: skeletal signature {(h, r)} admits no genus >= 2 action"
+            f"hyperbolicity violated: skeletal signature {tuple(skel)} admits no genus >= 2 action"
         )
-    if h >= 2:
-        return sigma - 1
-    if h == 1:
-        return 4 * (sigma - 1)
-    return 84 * (sigma - 1)
+    return skel
+
+
+def _order_window(sigma: int, h: int, r: int) -> range:
+    """The orders up to the provable cap whose closed triangle holds (h, r), ascending.
+
+    Every part d_j = N/n_j lies in [1, N/2], so a period list exists at
+    order N only if r <= T <= rN/2 with T = N(2h - 2 + r) - 2(sigma - 1):
+    T >= r is the lower line and T <= rN/2 the upper line.  Solved for N,
+    that is (2(sigma - 1) + r)/(2h - 2 + r) <= N <= 4(sigma - 1)/(4h - 4 + r)
+    when the divisors are positive.  A slope 2h - 2 + r <= 0 leaves
+    T <= -2(sigma - 1) < 0 at every order, so the window is empty; only the
+    points ``_check_point`` rejects have it.  The cap on orders admitting
+    any period list is sigma - 1 for h >= 2 (the genus-minus-one bound),
+    4(sigma - 1) for h == 1 (the quarter bracket of a single period-2 branch
+    point) and 84(sigma - 1) for h == 0 (the classical 1/84 minimum of the
+    hyperbolic bracket).  Where the upper line bounds N it lies within the
+    cap: 4(sigma - 1)/(4h - 4 + r) is at most sigma - 1 for h >= 2 and at
+    most 4(sigma - 1) for h <= 1.  So the cap bounds N only where the upper
+    line does not, at h = 0 with r = 3 or 4.  This is the one place where
+    the triangle bounds become an order range.
+    """
+    slope = 2 * h - 2 + r
+    if slope <= 0:
+        return range(0)
+    lo = max(2, -(-(2 * (sigma - 1) + r) // slope))
+    if 4 * h - 4 + r > 0:
+        return range(lo, 4 * (sigma - 1) // (4 * h - 4 + r) + 1)
+    return range(lo, 84 * (sigma - 1) + 1)
+
+
+_NOT_EXISTS = SearchVerdict.not_exists()
+
+
+def _first_feasible(sigma: int, h: int, r: int, orders: range) -> SearchVerdict:
+    """The first (order, canonical periods) witness over ``orders``, or the shared not-exists.
+
+    The canonical periods are the first list ``_period_lists`` yields over
+    the order's divisors, the lexicographically first.  The caller has
+    checked the point and takes ``orders`` from ``_order_window``.
+    """
+    for order in orders:
+        allowed = allowed_periods(order)
+        for counts in _period_lists(sigma, h, r, order, allowed):
+            return SearchVerdict.exists((order, _expand_counts(allowed, counts)))
+    return _NOT_EXISTS
 
 
 def feasible_orders(
@@ -321,31 +358,17 @@ def feasible_orders(
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """All (order, canonical periods) pairs feasible at this point, ascending in order.
 
-    The canonical periods are the first list ``_period_lists`` yields over
-    the order's divisors, the lexicographically first.  Only the orders
-    whose closed feasibility triangle holds the point are searched.  Every
-    part d_j = N/n_j lies in [1, N/2], so a period list exists at order N
-    only if r <= T <= rN/2 with T = N(2h - 2 + r) - 2(sigma - 1):
-    T >= r is the lower line and T <= rN/2 the upper line.  Solved for N,
-    that is (2(sigma - 1) + r)/(2h - 2 + r) <= N <= 4(sigma - 1)/(4h - 4 + r)
-    when the divisors are positive.  Outside that range no r parts in
-    [1, N/2] sum to T, so skipping those orders drops no solution and an empty
-    sweep still certifies ``not-exists`` at every order up to ``order_bound``.
+    The point is checked once; then ``_first_feasible`` walks the
+    ``_order_window``, resuming past each order it returns.  No order
+    outside the window has r parts in [1, N/2] summing to T, so skipping
+    those orders drops no solution and an empty sweep still certifies
+    ``not-exists`` at every order up to the cap.
     """
-    bound = order_bound(sigma, skel)
-    h, r = _check_skeletal(skel)
-    slope = 2 * h - 2 + r
-    if slope <= 0:
-        return  # T <= -2(sigma - 1) < 0 at every order; order_bound rejects all such points
-    lo = max(2, -(-(2 * (sigma - 1) + r) // slope))
-    hi = bound
-    if 4 * h - 4 + r > 0:
-        hi = min(hi, 4 * (sigma - 1) // (4 * h - 4 + r))
-    for order in range(lo, hi + 1):
-        allowed = allowed_periods(order)
-        first = next(_period_lists(sigma, h, r, order, allowed), None)
-        if first is not None:
-            yield order, _expand_counts(allowed, first)
+    h, r = _check_point(sigma, skel)
+    orders = _order_window(sigma, h, r)
+    while (found := _first_feasible(sigma, h, r, orders)).is_exists:
+        yield found.witness
+        orders = range(found.witness[0] + 1, orders.stop)
 
 
 def rh_admissible(sigma: int, skel: SkeletalSignature) -> SearchVerdict:
@@ -354,6 +377,5 @@ def rh_admissible(sigma: int, skel: SkeletalSignature) -> SearchVerdict:
     ``not_exists`` means no order up to the provable bound admits any period
     list, so the point lies outside the admissible region entirely.
     """
-    for order, periods in feasible_orders(sigma, skel):
-        return SearchVerdict.exists((order, periods))
-    return SearchVerdict.not_exists()
+    h, r = _check_point(sigma, skel)
+    return _first_feasible(sigma, h, r, _order_window(sigma, h, r))

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import manifest_groups
 from skelsig.groups import bundled_catalog
 
 
@@ -10,4 +11,4 @@ def catalog():
 
 @pytest.fixture(scope="session")
 def catalog_groups(catalog):
-    return catalog.groups(max_order=15)
+    return manifest_groups(catalog, max_order=15)

@@ -13,7 +13,9 @@ accepts periods that do not divide the order, such as the loose box
 ``full_range_feasible_orders``, ``fraction_triangle_points`` and
 ``fraction_gap_points`` are the straightforward forms of the divisor list, the
 per-point order sweep and the triangle and gap lattice enumerations that the
-library computes with integer shortcuts.  ``walk_admissible_map`` asks the
+library computes with integer shortcuts; ``full_range_feasible_orders``
+tries every order up to ``order_bound``, the per-point cap, where the
+library searches only the point's order window.  ``walk_admissible_map`` asks the
 period-list walk for a first list at every point of every order's triangle,
 where the library tests one bit of a level bitset.  ``walk_hurwitz_range_orders``
 asks the same walk about (0, 3) at every order above 12(sigma - 1), where
@@ -46,7 +48,8 @@ conditions on its period lists, where the library searches for a vector.
 here with its tests rather than in the library, as are ``TriangleRegion``
 with ``triangle`` and ``triangle_points`` (the rational reference for
 ``geometry.triangle_rows``), ``order_statistics`` (a fingerprint of a group)
-and ``save_cayley_file`` (the writer for the library's Cayley-file reader).
+``save_cayley_file`` (the writer for the library's Cayley-file reader) and
+``manifest_groups`` (every group of a manifest, up to an order cap).
 """
 
 from __future__ import annotations
@@ -84,10 +87,10 @@ from skelsig.rh import (
     SkeletalSignature,
     _check_genus,
     _check_order,
+    _check_point,
     _expand_counts,
     _period_lists,
     allowed_periods,
-    order_bound,
     rh_holds,
 )
 
@@ -249,6 +252,22 @@ def trial_division_allowed_periods(order: int) -> list[int]:
     return [d for d in range(2, order + 1) if order % d == 0]
 
 
+def order_bound(sigma: int, skel: SkeletalSignature) -> int:
+    """Provable cap on group orders admitting a feasible period list at a checked point.
+
+    h >= 2: the genus-minus-one bound; h == 1: the quarter bracket of a single
+    period-2 branch point; h == 0: the classical 1/84 minimum of the hyperbolic
+    bracket.  The point passes the library's own check first, so a
+    non-hyperbolic point raises as ``feasible_orders`` does.
+    """
+    h, _ = _check_point(sigma, skel)
+    if h >= 2:
+        return sigma - 1
+    if h == 1:
+        return 4 * (sigma - 1)
+    return 84 * (sigma - 1)
+
+
 def full_range_feasible_orders(
     sigma: int, skel: SkeletalSignature
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -387,11 +406,22 @@ def fraction_gap_points(region: GapRegion) -> list[SkeletalSignature]:
     return out
 
 
+def manifest_groups(catalog: CatalogManifest, max_order: int | None = None) -> list[GroupTable]:
+    """Every group of the manifest, by order and then label, up to ``max_order`` when given."""
+    orders = sorted({e.order for e in catalog.entries})
+    return [
+        g
+        for n in orders
+        if max_order is None or n <= max_order
+        for g in catalog.groups_of_order(n)
+    ]
+
+
 def triangle_orders(sigma: int, skel: SkeletalSignature) -> tuple[int, ...]:
     """Orders N whose closed triangle r <= T <= rN/2 holds the point.
 
-    T = N(2h - 2 + r) - 2(sigma - 1), and the range is the closed form
-    ``feasible_orders`` searches, solved for N:
+    T = N(2h - 2 + r) - 2(sigma - 1), and the range is the closed form of
+    ``rh._order_window``, solved for N:
     (2(sigma - 1) + r)/(2h - 2 + r) <= N <= 4(sigma - 1)/(4h - 4 + r), capped
     by ``order_bound``.
     """

@@ -43,6 +43,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 BAD_SIG_ERROR = "error: bad signature literal: expected integer period, got 'x' at position 3\n"
 # sha256 of `kspace --sigma 48 --budget 200000` (404,674 bytes), wherever it is written
 KSPACE_48_SHA256 = "4076abc584921659904e8b66b35c60f309de7bdd79b535a7405eb7ec58db5e31"
+# sha256 of the 128 `verify-gap --sigma s --n n` documents (1,793,265 bytes), s = 9..72
+# and n = 3, 4 in that order, one after another
+VERIFY_GAP_9_72_SHA256 = "a2fd8bddc41d6f2f63c9bcedc417c0a29d7f41817dfbadff9a00551a44a6be78"
 
 
 def run(tmp_path, *argv):
@@ -343,6 +346,17 @@ class TestGoldenFiles:
             )
             assert genvec.verify(group, vec, sig) and check_vector(group, vec, sig).ok, w
         assert len(above) == 3
+
+    def test_verify_gap_9_to_72_pinned(self, tmp_path):
+        # one golden holds verify-gap at genus 48, n = 4; this pins every gap
+        # point's verdict and analysis at n = 3, 4 over genus 9..72 by hash
+        digest = hashlib.sha256()
+        for sigma in range(9, 73):
+            for n in (3, 4):
+                code, text = run(tmp_path, "verify-gap", "--sigma", str(sigma), "--n", str(n))
+                assert code == EXIT_OK, (sigma, n)
+                digest.update(text.encode("utf-8"))
+        assert digest.hexdigest() == VERIFY_GAP_9_72_SHA256
 
     def test_stdout_matches_out(self, capsys):
         assert main(["kspace", "--sigma", "48", "--budget", "200000"]) == EXIT_OK

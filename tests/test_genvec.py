@@ -17,6 +17,7 @@ from oracles import (
     eager_realizable,
     fraction_period_multisets,
     harvey_realizable,
+    manifest_groups,
     mask_elements,
     naive_product_reachable,
     naive_search,
@@ -75,7 +76,7 @@ def vectors(draw):
     of the signatures are drawn apart from the vector, so their shape may not
     match it.
     """
-    group = draw(st.sampled_from(bundled_catalog().groups(max_order=12)))
+    group = draw(st.sampled_from(manifest_groups(bundled_catalog(), max_order=12)))
     element = st.integers(0, group.order - 1)
     h, r = draw(st.integers(0, 2)), draw(st.integers(0, 3))
     pairs = tuple(draw(st.tuples(element, element)) for _ in range(h))

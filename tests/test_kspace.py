@@ -31,6 +31,8 @@ from oracles import (
     all_groups_realizable_set,
     census,
     close_order_2n,
+    full_range_feasible_orders,
+    manifest_groups,
     triangle,
     triangle_points,
     walk_admissible_map,
@@ -277,7 +279,9 @@ class TestRealizableSet:
         approx = realizable_set(5, catalog, 15)
         for pt, witness in approx.realized.items():
             order = next(
-                g.order for g in catalog.groups(max_order=15) if g.name == witness.group_name
+                g.order
+                for g in manifest_groups(catalog, max_order=15)
+                if g.name == witness.group_name
             )
             assert triangle(5, order).member(RationalPoint(pt.h, pt.r))
 
@@ -314,7 +318,7 @@ class TestRealizableSet:
         monkeypatch.setattr(kspace, "realizable", counted)
         approx = realizable_set(11, catalog, 15)
         # per point: the groups at its feasible orders, in (order, name) order, up to the witness
-        groups = sorted(catalog.groups(max_order=15), key=lambda g: (g.order, g.name))
+        groups = sorted(manifest_groups(catalog, max_order=15), key=lambda g: (g.order, g.name))
         expected = []
         for pt, orders in admissible_map(11).items():
             for g in groups:
@@ -369,21 +373,77 @@ class TestVerifyGap:
         assert verify_gap(48, n, catalog).conclusion == "verified"
 
     def test_sweeps_each_gap_point_once(self, catalog, monkeypatch):
-        # a count guard: an exception point takes its rh verdict from its analysis
-        calls = []
-        sweep = rh.feasible_orders
+        # a count guard: an off-line point runs the order-window loop once, and
+        # only an exception point reaches feasible_orders, through its analysis,
+        # which also gives its rh verdict
+        loops, sweeps = [], []
+        loop, sweep = kspace._first_feasible, kspace.feasible_orders
 
-        def counted(sigma, skel):
-            calls.append(skel)
+        def counted_loop(sigma, h, r, orders):
+            loops.append(S(h, r))
+            return loop(sigma, h, r, orders)
+
+        def counted_sweep(sigma, skel):
+            sweeps.append(skel)
             return sweep(sigma, skel)
 
-        monkeypatch.setattr(rh, "feasible_orders", counted)
-        monkeypatch.setattr(kspace, "feasible_orders", counted)
+        monkeypatch.setattr(kspace, "_first_feasible", counted_loop)
+        monkeypatch.setattr(kspace, "feasible_orders", counted_sweep)
         report = verify_gap(48, 4, catalog)
-        assert sorted(calls) == sorted(gap(48, 4).integer_points_raw())
+        region = gap(48, 4)
+        assert loops == region.integer_points() and sweeps == region.exception_points()
+        assert len(loops) > 20 and len(sweeps) >= 1
         by_point = {p.point: p for p in report.points}
         assert by_point[S(8, 6)].rh == rh_admissible(48, S(8, 6))
         assert by_point[S(10, 1)].rh == rh_admissible(48, S(10, 1))
+
+    def test_a_feasible_off_line_point_refutes(self, catalog, monkeypatch):
+        # no gap point is feasible, so a planted witness stands in for one, mid-gap
+        off_line = gap(48, 4).integer_points()
+        planted = off_line[len(off_line) // 2]
+        loop = kspace._first_feasible
+
+        def planting(sigma, h, r, orders):
+            if S(h, r) == planted:
+                return SearchVerdict.exists((5, (5,) * r))
+            return loop(sigma, h, r, orders)
+
+        monkeypatch.setattr(kspace, "_first_feasible", planting)
+        report = verify_gap(48, 4, catalog)
+        assert report.conclusion == "refuted"
+        assert [p.point for p in report.points if p.rh.is_exists and not p.on_exception_line] == [
+            planted
+        ]
+
+    def test_a_partial_exception_point_marks_the_report(self, catalog, monkeypatch):
+        # the catalog settles both exception points, (8, 6) and then (10, 1); a
+        # planted partial analysis of the first stands in for one it cannot settle
+        analyze = kspace.analyze_point
+
+        def planting(sigma, skel, catalog, budget):
+            analysis = analyze(sigma, skel, catalog, budget)
+            return analysis._replace(status="partial") if skel == S(8, 6) else analysis
+
+        monkeypatch.setattr(kspace, "analyze_point", planting)
+        report = verify_gap(48, 4, catalog)
+        assert report.has_partial and report.conclusion == "verified"
+
+    def test_off_line_verdicts_match_full_range_sweep(self):
+        # the order-window loop against trying every order 2..order_bound with
+        # trial-division periods, at every gap point off the exception line
+        seen = 0
+        for sigma in range(9, 73):
+            for n in range(3, sigma - 1):
+                for p in verify_gap(sigma, n).points:
+                    if p.on_exception_line:
+                        continue
+                    first = next(full_range_feasible_orders(sigma, p.point), None)
+                    if first is None:
+                        assert p.rh.is_not_exists, (sigma, n, p.point)
+                    else:
+                        assert p.rh == SearchVerdict.exists(first), (sigma, n, p.point)
+                    seen += 1
+        assert seen == 9077
 
     def test_gap_atlas_matches_admissible_map(self):
         # gap n's points have h >= 2 (its corner lies at h >= 1) and lie left of the

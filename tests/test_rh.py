@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from oracles import (
     fraction_period_multisets,
     full_range_feasible_orders,
+    manifest_groups,
+    order_bound,
     period_multisets,
     stack_period_lists,
     trial_division_allowed_periods,
     triangle,
+    triangle_orders,
     triangle_points,
 )
 from skelsig import rh
@@ -25,7 +28,6 @@ from skelsig.rh import (
     SkeletalSignature,
     allowed_periods,
     feasible_orders,
-    order_bound,
     order_parts,
     part_sum_levels,
     rh_admissible,
@@ -251,7 +253,7 @@ class TestPeriodMultisets:
                     for r in range(0, 2 * sigma + 3):
                         seen += same(sigma, h, r, order, allowed)
         assert seen > 2000
-        groups = catalog.groups()
+        groups = manifest_groups(catalog)
         for sigma in (24, 48):
             for pt, orders in admissible_map(sigma).items():
                 for g in groups:
@@ -328,6 +330,45 @@ class TestOrderBound:
                     bound = order_bound(sigma, S(h, r))
                     for order in range(bound + 1, bound + 30):
                         assert first_list(sigma, h, r, order) is None
+
+    def test_every_raw_gap_point_passes(self):
+        # verify_gap runs the order-window loop on raw gap points without
+        # checking them again; this shows the check it skips would pass
+        seen = on_lines = 0
+        for sigma in range(3, 151):
+            for n in range(3, sigma + 1):
+                region = gap(sigma, n)
+                for pt in region.integer_points_raw():
+                    assert type(pt.h) is int and type(pt.r) is int, (sigma, n, pt)
+                    assert order_bound(sigma, pt) == sigma - 1, (sigma, n, pt)  # h >= 2
+                    seen += 1
+                    on_lines += region.on_exception_line(pt)
+        assert (seen, on_lines) == (88167, 814)
+
+
+class TestOrderWindow:
+    def test_matches_triangle_orders_on_the_box(self):
+        for sigma in range(2, 41):
+            for h in range(0, sigma + 2):
+                for r in range(0, 2 * sigma + 3):
+                    got = tuple(rh._order_window(sigma, h, r))
+                    assert got == triangle_orders(sigma, S(h, r)), (sigma, h, r)
+
+    def test_holds_the_orders_whose_triangle_holds_the_point(self):
+        # the definition, order by order: r <= T <= rN/2 up to order_bound
+        for sigma in range(2, 13):
+            for h in range(0, sigma + 2):
+                for r in range(0, 2 * sigma + 3):
+                    window = list(rh._order_window(sigma, h, r))
+                    if (h, r) in ((0, 0), (0, 1), (0, 2), (1, 0)):
+                        assert window == [], (sigma, h, r)
+                        continue
+                    holding = []
+                    for n in range(2, order_bound(sigma, S(h, r)) + 1):
+                        t = n * (2 * h - 2 + r) - 2 * (sigma - 1)
+                        if r <= t and 2 * t <= r * n:
+                            holding.append(n)
+                    assert window == holding, (sigma, h, r)
 
 
 class TestRhAdmissible:

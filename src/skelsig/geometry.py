@@ -257,21 +257,17 @@ def gap(sigma: int, order: int) -> GapRegion:
     if _is_prime(n + 1):
         span = "skip"
         up = upper_line(sigma, n + 2)
-        corner = RationalPoint(
-            Fraction(n * n - n + sigma * (n - 4), n * n - 4),
-            Fraction(8 * (sigma - 1), n * n - 4),
-        )
         exception = p_group_line(sigma, n + 1, 1)
     else:
         span = "next"
         up = upper_line(sigma, n + 1)
-        corner = RationalPoint(
-            Fraction((n - 1) ** 2 + sigma * (n - 3), (n - 2) * (n + 1)),
-            Fraction(4 * (sigma - 1), (n - 2) * (n + 1)),
-        )
         exception = None
-    if not (lo.contains(corner) and up.contains(corner)):
-        raise AssertionError(f"gap corner {corner} must lie on both boundary lines")
+    # the corner is where the two boundary lines meet (2x2 integer solve); the
+    # lower line's slope -2N/(N-1) is never the upper line's -4 once N >= 3
+    det = lo.a * up.b - up.a * lo.b
+    corner = RationalPoint(
+        Fraction(lo.c * up.b - up.c * lo.b, det), Fraction(lo.a * up.c - up.a * lo.c, det)
+    )
     return GapRegion(sigma, n, span, lo, up, corner, exception)
 
 

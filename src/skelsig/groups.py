@@ -449,7 +449,6 @@ def build_from_permutations(
     degree: int,
     generators: list[tuple[int, ...] | str],
     *,
-    name: str | None = None,
     spec: str | None = None,
 ) -> GroupTable:
     """Close a generator set under composition and tabulate the resulting group.
@@ -486,7 +485,7 @@ def build_from_permutations(
     for i, p in enumerate(elements):
         for j, q in enumerate(elements):
             rows[i][j] = index[tuple(p[q[k]] for k in range(degree))]
-    return GroupTable.from_table(name or f"perm{n}", rows, spec=spec)
+    return GroupTable.from_table(f"perm{n}", rows, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +598,7 @@ class CatalogManifest:
 
     ``complete`` flags are data, not computation: orders where the entry set is
     asserted complete up to isomorphism.  Exhaustive nonexistence claims must
-    consult ``complete_orders`` and refuse to certify past it.  Each entry's
+    go through ``covering`` and refuse to certify past it.  Each entry's
     table is built on first use and kept for the life of the manifest.
     """
 
@@ -618,8 +617,20 @@ class CatalogManifest:
             self._tables[e] = g
         return self._tables[e]
 
-    def groups_of_order(self, order: int) -> list[GroupTable]:
-        return [self._build(e) for e in self._by_order.get(order, ())]
+    def covering(self, order: int) -> tuple[list[GroupTable], bool]:
+        """The groups searched at this order, and whether they are all its groups.
+
+        The groups are the catalog's groups of the order; at a prime order the
+        catalog lacks, they are the cyclic group, the order's one isomorphism
+        class.  They are all its groups up to isomorphism when the catalog flags
+        the order complete, or when the order is prime.  This is the one coverage
+        rule: every search over a point's orders, and every claim that an order
+        is closed, goes through it.  Only the order's own entries are built.
+        """
+        groups = [self._build(e) for e in self._by_order.get(order, ())]
+        if _is_prime(order):
+            return groups or [build_cyclic(order)], True
+        return groups, order in self.complete_orders
 
     @cached_property
     def _by_order(self) -> dict[int, list[CatalogEntry]]:

@@ -5,7 +5,7 @@ superset of the true space of skeletal signatures; the realized map (witnessed
 by generating-vector search) is a lower bound.  Reports keep that distinction
 explicit: equality is never asserted, coverage is recorded.  Which groups are
 searched at an order, and whether they are all of its groups, is decided by
-``groups_covering`` alone, for every search and exclusion here.
+``CatalogManifest.covering`` alone, for every search and exclusion here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .genvec import (
     verify,
 )
 from .geometry import GapRegion, gap, p_group_line, triangle_rows
-from .groups import CatalogManifest, GroupTable, _is_prime, build_cyclic
+from .groups import CatalogManifest, GroupTable, _is_prime
 from .rh import (
     SearchVerdict,
     SkeletalSignature,
@@ -94,7 +94,7 @@ class SearchScope(NamedTuple):
 
     ``complete_orders`` echoes the catalog's complete orders in 2..max_order;
     ``fully_covered_points`` counts the points whose feasible orders are all
-    covered by ``groups_covering`` up to ``max_order``, prime orders included.
+    covered by ``CatalogManifest.covering`` up to ``max_order``, prime orders included.
     """
 
     max_order: int
@@ -155,22 +155,6 @@ class KSpaceApproximation(_KSpaceApproximationFields):
         return super().__new__(cls, sigma, feasible_orders_by_point, realized, scope)
 
 
-def groups_covering(order: int, catalog: CatalogManifest | None) -> tuple[list[GroupTable], bool]:
-    """The groups searched at this order, and whether they are all its groups.
-
-    The groups are the catalog's groups of the order; at a prime order the
-    catalog lacks, they are the cyclic group, the order's one isomorphism
-    class.  They are all its groups up to isomorphism when the catalog flags
-    the order complete, or when the order is prime.  This is the one coverage
-    rule: every search over a point's orders, and every claim that an order
-    is closed, goes through it.
-    """
-    groups = [] if catalog is None else catalog.groups_of_order(order)
-    if _is_prime(order):
-        return groups or [build_cyclic(order)], True
-    return groups, catalog is not None and order in catalog.complete_orders
-
-
 def _realize_any(
     groups: Iterable[GroupTable], sigma: int, skel: SkeletalSignature, budget: int
 ) -> tuple[Witness | None, str | None, list[tuple[str, ExclusionReason]]]:
@@ -201,7 +185,7 @@ def realizable_set(
 ) -> KSpaceApproximation:
     """Witness map over the covering groups at every admissible point.
 
-    Each point is searched with the ``groups_covering`` groups of each of its
+    Each point is searched with the ``catalog.covering`` groups of each of its
     feasible orders up to ``max_order``, in ascending order; a group of any
     other order has no period list and could only be excluded by arithmetic.
     A point is fully covered when each of its feasible orders is at most
@@ -210,7 +194,7 @@ def realizable_set(
     """
     feas = admissible_map(sigma)
     cover = {  # each searched order's coverage, looked up once
-        n: groups_covering(n, catalog)
+        n: catalog.covering(n)
         for n in {n for orders in feas.values() for n in orders if n <= max_order}
     }
     realized: dict[SkeletalSignature, Witness] = {}
@@ -263,7 +247,7 @@ class PointAnalysis(NamedTuple):
 def analyze_point(
     sigma: int,
     skel: SkeletalSignature,
-    catalog: CatalogManifest | None,
+    catalog: CatalogManifest,
     budget: int = DEFAULT_BUDGET,
 ) -> PointAnalysis:
     """Decide a lattice point by sweeping its RH-compatible orders.
@@ -271,7 +255,7 @@ def analyze_point(
     Order-level rules close an order without group enumeration where possible:
     a single branch point whose period equals the group order forces a cyclic
     group, which the abelian obstruction then excludes.  Every order's
-    ``groups_covering`` groups are searched; the search closes the order only
+    ``catalog.covering`` groups are searched; the search closes the order only
     when they are all its groups and no budget was hit.  Otherwise the
     verdict is partial, never a false no.
     """
@@ -303,7 +287,7 @@ def analyze_point(
                     f"forcing a cyclic (hence abelian) group, impossible with one branch point",
                 )
             )
-        group_list, complete = groups_covering(order, catalog)
+        group_list, complete = catalog.covering(order)
         witness, budget_hit, excluded = _realize_any(group_list, sigma, skel, budget)
         reasons.extend(reason for _, reason in excluded)
         if witness is not None:
@@ -360,7 +344,7 @@ class GapReport(NamedTuple):
 def verify_gap(
     sigma: int,
     order: int,
-    catalog: CatalogManifest | None = None,
+    catalog: CatalogManifest,
     budget: int = DEFAULT_BUDGET,
 ) -> GapReport:
     """Check that every non-exception lattice point of the gap is RH-infeasible.
@@ -477,11 +461,11 @@ _ORDER_2N_DETAIL = {
 
 
 def _close_order_2n(
-    sigma: int, h: int, n: int, catalog: CatalogManifest | None, budget: int
+    sigma: int, h: int, n: int, catalog: CatalogManifest, budget: int
 ) -> tuple[str, str, bool, Witness | None]:
     """Settle the |G| = 2n case: ``realizable`` over every group of that order."""
     order = 2 * n
-    group_list, complete = groups_covering(order, catalog)
+    group_list, complete = catalog.covering(order)
     witness, budget_hit, excluded = _realize_any(group_list, sigma, SkeletalSignature(h, 1), budget)
     if witness is not None:
         return ("search-witness", f"{witness.group_name}: vector found", False, witness)
@@ -505,7 +489,7 @@ def sporadic_analysis(
     h: int,
     p_list: Sequence[int],
     n_list: Sequence[int],
-    catalog: CatalogManifest | None,
+    catalog: CatalogManifest,
     budget: int = DEFAULT_BUDGET,
 ) -> SporadicReport:
     """Both directions of the r = 1 sporadic-point argument at quotient genus h > 1.
@@ -577,7 +561,6 @@ class FigureDataset(NamedTuple):
     lines: tuple[tuple[str, geometry.RationalLine], ...]
     gaps: tuple[GapRegion, ...]
     points: tuple[tuple[SkeletalSignature, str], ...]
-    scope: SearchScope | None
 
     def to_csv_rows(self) -> list[tuple[int, int, str]]:
         return [(pt.h, pt.r, status) for pt, status in self.points]
@@ -596,6 +579,8 @@ def figure_dataset(
     latter.  Statuses: realized / admissible for points of the feasible set,
     gap for certified-empty gap lattice points, exception-realized /
     exception-excluded for exception-line points settled by group search.
+    A ``catalog`` of None means: draw the plane without a search, so no point
+    is realized and no exception point is analyzed.
     """
     lines = (
         ("hyperelliptic", p_group_line(sigma, 2, 1)),
@@ -608,9 +593,9 @@ def figure_dataset(
     gaps = (gap(sigma, 3), gap(sigma, 4))
     if catalog is not None:
         approx = realizable_set(sigma, catalog, max_order, budget)
-        feas, realized, scope = approx.feasible_orders_by_point, approx.realized, approx.scope
+        feas, realized = approx.feasible_orders_by_point, approx.realized
     else:
-        feas, realized, scope = admissible_map(sigma), {}, None
+        feas, realized = admissible_map(sigma), {}
     status = {pt: "realized" if pt in realized else "admissible" for pt in feas}
     for region in gaps:
         for pt in region.integer_points():
@@ -623,4 +608,4 @@ def figure_dataset(
                 elif analysis.status == "excluded":
                     status[pt] = "exception-excluded"
     points = tuple((pt, status[pt]) for pt in sorted(status))
-    return FigureDataset(sigma, lines, gaps, points, scope)
+    return FigureDataset(sigma, lines, gaps, points)

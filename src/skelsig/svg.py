@@ -118,12 +118,12 @@ def render_figure(dataset: FigureDataset, config_note: str) -> str:
     cv.add(f"<!-- {config_note} -->")
     cv.add(f'<rect x="0" y="0" width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" fill="#ffffff" />')
 
-    # gap shading: triangle corner -> foot of each boundary line on r = 0
+    # gap shading: triangle corner -> foot of each boundary line on r = 0, at h = c/a
     for region, key in zip(dataset.gaps, ("gap-shade-34", "gap-shade-46")):
-        corner = (region.corner.h, region.corner.r)
-        lo_foot = (1 + Fraction(sigma - 1, region.lower_index), Fraction(0))
-        up_foot = (1 + Fraction(sigma - 1, region.upper_index), Fraction(0))
-        pts = [corner, up_foot, lo_foot]
+        pts = [(region.corner.h, region.corner.r)] + [
+            (Fraction(line.c, line.a), Fraction(0))
+            for line in (region.boundary_upper, region.boundary_lower)
+        ]
         if all(0 <= h <= h_max and 0 <= r <= r_max for h, r in pts):
             cv.polygon(pts, PALETTE[key])
 

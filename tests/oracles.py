@@ -80,7 +80,7 @@ from skelsig.geometry import (
     upper_line,
 )
 from skelsig.groups import CatalogManifest, GroupTable
-from skelsig.kspace import KSpaceApproximation, SearchScope, admissible_map, groups_covering
+from skelsig.kspace import KSpaceApproximation, SearchScope, admissible_map
 from skelsig.rh import (
     OrbifoldSignature,
     SearchVerdict,
@@ -413,7 +413,7 @@ def manifest_groups(catalog: CatalogManifest, max_order: int | None = None) -> l
         g
         for n in orders
         if max_order is None or n <= max_order
-        for g in catalog.groups_of_order(n)
+        for g in catalog.covering(n)[0]
     ]
 
 
@@ -478,7 +478,7 @@ def all_groups_realizable_set(
     prime order the catalog lacks.
     """
     feas = admissible_map(sigma)
-    cover = {n: groups_covering(n, catalog) for n in range(1, max_order + 1)}
+    cover = {n: catalog.covering(n) for n in range(1, max_order + 1)}
     groups = [g for n in sorted(cover) for g in cover[n][0]]
     complete = tuple(sorted(o for o in range(2, max_order + 1) if o in catalog.complete_orders))
     realized = {}
@@ -508,7 +508,7 @@ def all_groups_realizable_set(
 
 
 def close_order_2n(
-    h: int, n: int, catalog: CatalogManifest | None, budget: int
+    h: int, n: int, catalog: CatalogManifest, budget: int
 ) -> tuple[str, str, bool, Witness | None]:
     """(rule, detail, closed, witness) of the |G| = 2n sporadic case, one group at a time.
 
@@ -517,7 +517,7 @@ def close_order_2n(
     be an h-fold commutator product of order n.  A surviving group is searched.
     """
     order = 2 * n
-    group_list, complete = groups_covering(order, catalog)
+    group_list, complete = catalog.covering(order)
     details = []
     budget_hit = None
     for g in group_list:

@@ -136,13 +136,17 @@ class TestGap:
                 assert region.boundary_upper.contains(region.corner)
                 solved = intersect(region.boundary_lower, region.boundary_upper)
                 assert solved == region.corner
-                denom = (
-                    (order - 2) * (order + 1)
-                    if region.span == "next"
-                    else order * order - 4
-                )
-                scale = 4 if region.span == "next" else 8
-                assert region.corner.r == Fraction(scale * (sigma - 1), denom)
+                # the closed forms for each span, derived by hand
+                n = order
+                if region.span == "next":
+                    denom = (n - 2) * (n + 1)
+                    h = Fraction((n - 1) ** 2 + sigma * (n - 3), denom)
+                    r = Fraction(4 * (sigma - 1), denom)
+                else:
+                    denom = n * n - 4
+                    h = Fraction(n * n - n + sigma * (n - 4), denom)
+                    r = Fraction(8 * (sigma - 1), denom)
+                assert region.corner == RationalPoint(h, r)
 
     def test_membership_examples(self):
         g46 = gap(48, 4)

@@ -462,7 +462,8 @@ class TestLoadCatalog:
         catalog = load_catalog(tmp_path)
         assert [(e.order, e.label) for e in catalog.entries] == [(2, "C2"), (6, "S3")]
         assert 2 in catalog.complete_orders and 6 not in catalog.complete_orders
-        (s3,) = catalog.groups_of_order(6)
+        (s3,), complete = catalog.covering(6)
+        assert not complete
         assert s3.name == "S3" and s3.spec == "file:s3.cayley"
         assert s3.table == build_dihedral(3).table and not s3.is_abelian
         assert [g.name for g in manifest_groups(catalog)] == ["C2", "S3"]
@@ -485,9 +486,10 @@ class TestLoadCatalog:
             {"order": 4, "spec": "cyclic:4", "label": "C4", "complete": False},
         ])
         catalog = load_catalog(tmp_path)
-        assert [g.name for g in catalog.groups_of_order(4)] == ["C4"]
+        found, complete = catalog.covering(4)
+        assert ([g.name for g in found], complete) == (["C4"], False)
         with pytest.raises(OSError):
-            catalog.groups_of_order(2)
+            catalog.covering(2)
 
     @pytest.mark.parametrize(
         "text", ['{"order": 2}', '[{"order": 2, "spec": "cyclic:2"}]', '[{"order": "two"', "[3]"]

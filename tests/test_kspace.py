@@ -19,7 +19,6 @@ from skelsig.kspace import (
     admissible_map,
     analyze_point,
     figure_dataset,
-    groups_covering,
     realizable_set,
     sporadic_analysis,
     verify_gap,
@@ -213,7 +212,7 @@ def _prime(n):
 class TestGroupsCovering:
     def test_bundled_catalog(self, catalog):
         for order in range(1, 61):
-            found, complete = groups_covering(order, catalog)
+            found, complete = catalog.covering(order)
             names = [g.name for g in found]
             if order <= 15:
                 assert names == [e.label for e in catalog.entries if e.order == order], order
@@ -225,8 +224,9 @@ class TestGroupsCovering:
                 assert (names, complete) == ([], False), order
 
     def test_without_catalog(self):
+        # an empty manifest: only the prime-order rule covers an order
         for order in range(1, 61):
-            found, complete = groups_covering(order, None)
+            found, complete = CatalogManifest(()).covering(order)
             expected = [f"C{order}"] if _prime(order) else []
             assert ([g.name for g in found], complete) == (expected, _prime(order)), order
 
@@ -239,7 +239,7 @@ class TestGroupsCovering:
             CatalogEntry(4, "elab:2^2", "C2xC2", True),
         ))
         for order in range(1, 61):
-            found, complete = groups_covering(order, catalog)
+            found, complete = catalog.covering(order)
             names = [g.name for g in found]
             if order == 4:
                 assert (names, complete) == (["C2xC2", "C4"], True)
@@ -434,7 +434,7 @@ class TestVerifyGap:
         seen = 0
         for sigma in range(9, 73):
             for n in range(3, sigma - 1):
-                for p in verify_gap(sigma, n).points:
+                for p in verify_gap(sigma, n, CatalogManifest(())).points:
                     if p.on_exception_line:
                         continue
                     first = next(full_range_feasible_orders(sigma, p.point), None)
@@ -469,9 +469,9 @@ class TestAnalyzePoint:
         assert analysis.reasons[0].rule == "arithmetic"
 
     def test_prime_order_closed_without_catalog_entry(self):
-        # (10, 1) at genus 48 is feasible only at order 5; even with no
+        # (10, 1) at genus 48 is feasible only at order 5; even with an empty
         # catalog, primality pins the group to the cyclic one
-        analysis = analyze_point(48, S(10, 1), None)
+        analysis = analyze_point(48, S(10, 1), CatalogManifest(()))
         assert analysis.status == "excluded"
         assert {r.rule for r in analysis.reasons} == {"abelian-r1", "cyclic-forced"}
 
@@ -575,7 +575,7 @@ class TestSporadic:
 
     def test_incomplete_catalog_is_loud(self):
         # without catalog coverage the |G| = 2n case cannot be closed
-        report = sporadic_analysis(2, [5], [], None)
+        report = sporadic_analysis(2, [5], [], CatalogManifest(()))
         (genus_report,) = report.nonexistence
         assert genus_report.verdict == "partial"
         assert not report.complete

@@ -7,14 +7,18 @@ only the version) or in ``tests/test_acceptance.py``, so a method whose
 name is shared with a live method or a local variable passes too.  What it
 catches is a public function, class, method or property that nothing in the
 library and no criterion mentions at all: such code belongs in
-``tests/oracles.py`` or nowhere.
+``tests/oracles.py`` or nowhere.  In the same sources, every keyword-only
+parameter of a library function must be passed by name at some call of that
+function's name; one that never is only ever takes its default.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "skelsig"
@@ -44,6 +48,13 @@ def _public_definitions(tree: ast.Module) -> list[str]:
     return found
 
 
+def _parsed_sources() -> tuple[list[Path], dict[Path, ast.Module]]:
+    """The library modules, and the syntax trees of those modules and of the criteria."""
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    sources = modules + [ROOT / "tests" / "test_acceptance.py"]
+    return modules, {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+
+
 def _named(tree: ast.AST) -> set[str]:
     names = set()
     for node in ast.walk(tree):
@@ -57,9 +68,7 @@ def _named(tree: ast.AST) -> set[str]:
 
 
 def test_every_public_definition_is_named_by_the_library_or_a_criterion():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    sources = modules + [ROOT / "tests" / "test_acceptance.py"]
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    modules, trees = _parsed_sources()
     named = set().union(*(_named(tree) for tree in trees.values()))
     allowed = _script_targets()
     assert allowed == {"console_main"}
@@ -71,6 +80,32 @@ def test_every_public_definition_is_named_by_the_library_or_a_criterion():
         if qualname.rpartition(".")[2] not in named | allowed
     ]
     assert unreached == []
+
+
+def _keywords_passed(trees: Iterable[ast.AST]) -> dict[str, set[str]]:
+    """For each name called as ``f(...)`` or ``x.f(...)``, the keywords passed at those calls."""
+    passed: dict[str, set[str]] = {}
+    for node in chain.from_iterable(map(ast.walk, trees)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is not None:
+                passed.setdefault(name, set()).update(kw.arg for kw in node.keywords if kw.arg)
+    return passed
+
+
+def test_every_keyword_only_parameter_is_passed_by_name():
+    modules, trees = _parsed_sources()
+    passed = _keywords_passed(trees.values())
+    unpassed = [
+        f"{path.stem}.{node.name}({arg.arg}=)"
+        for path in modules
+        for node in ast.walk(trees[path])
+        if isinstance(node, ast.FunctionDef)
+        for arg in node.args.kwonlyargs
+        if arg.arg not in passed.get(node.name, ())
+    ]
+    assert unpassed == []
 
 
 def test_package_namespace_holds_only_the_version():

@@ -14,7 +14,6 @@ import functools
 import json
 import re
 import sys
-from pathlib import Path
 from typing import Iterable
 
 from . import kspace, svg
@@ -277,9 +276,12 @@ def cmd_plot(args) -> int:
     dataset = kspace.figure_dataset(args.sigma, catalog, args.max_order, args.budget)
     note = f"config: sigma={args.sigma} realized={bool(catalog)} max-order={args.max_order}"
     document = svg.render_figure(dataset, note)
-    _emit(args, document)
-    if args.csv_sidecar:
-        Path(args.csv_sidecar).write_text(points_csv(dataset.to_csv_rows()), encoding="utf-8")
+    # the sidecar is opened first, so an unwritable path fails before --out exists
+    sidecar = args.csv_sidecar
+    with open(sidecar, "w", encoding="utf-8") if sidecar else contextlib.nullcontext() as f:
+        _emit(args, document)
+        if f:
+            f.write(points_csv(dataset.to_csv_rows()))
     return EXIT_OK
 
 

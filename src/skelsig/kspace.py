@@ -35,6 +35,7 @@ from .rh import (
     order_parts,
     part_sum_levels,
     rh_genus,
+    two_part_sum,
 )
 
 
@@ -53,13 +54,17 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
     comes with its parts d = N/n over its periods n from ``order_parts``, one
     divisor sieve over the whole sweep.
     A point is feasible at N exactly when T = N(2h - 2 + r) - 2(sigma - 1) is
-    a sum of r parts.  With m the largest r of the triangle,
-    ``part_sum_levels`` builds S_0..S_m, and each point is decided by one
-    bit, bit T of S_r.  That is the test the period-list walk makes, without
-    listing a period.  Triangle points have T >= r >= 0, so the levels are
-    cut at the largest T, which is never negative.  The triangle is walked
-    row by row from ``triangle_rows``, T growing by N with r, and a
-    ``SkeletalSignature`` is built only for a feasible point.  The box is
+    a sum of r parts.  Above 4(sigma - 1) only (0, 3) and (0, 4) are
+    feasible, and ``two_part_sum``, which carries both proofs, decides each
+    by sums of two parts: (0, 4) when N is even and N - 2(sigma - 1) is one,
+    (0, 3) when T - d is one for one of the first four parts d.  Up to
+    4(sigma - 1), with m the largest r of the triangle, ``part_sum_levels``
+    builds S_0..S_m, and each point is decided by one bit, bit T of S_r.
+    That is the test the period-list walk makes, without listing a period.
+    Triangle points have T >= r >= 0, so the levels are cut at the largest
+    T, which is never negative.  The triangle is walked row by row from
+    ``triangle_rows``, T growing by N with r, and a ``SkeletalSignature`` is
+    built only for a feasible point.  The box is
     fixed at h <= sigma + 1, r <= 2*sigma + 2, and every triangle lies
     inside it: h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
     """
@@ -68,6 +73,13 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
 
     found: dict[tuple[int, int], list[int]] = {}
     for n, parts in order_parts(12 * (sigma - 1)):
+        if n > 2 * shift:
+            t = n - shift
+            if any(two_part_sum(n, parts, t - d) for d in parts[:4]):
+                found.setdefault((0, 3), []).append(n)
+            if n % 2 == 0 and two_part_sum(n, parts, t):
+                found.setdefault((0, 4), []).append(n)
+            continue
         rows = list(triangle_rows(sigma, n))
         if not rows:
             continue

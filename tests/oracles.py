@@ -17,7 +17,10 @@ library computes with integer shortcuts; ``full_range_feasible_orders``
 tries every order up to ``order_bound``, the per-point cap, where the
 library searches only the point's order window.  ``walk_admissible_map`` asks the
 period-list walk for a first list at every point of every order's triangle,
-where the library tests one bit of a level bitset.  ``walk_hurwitz_range_orders``
+where the library tests one bit of a level bitset.  ``bitset_admissible_map``
+tests that bit at every order up to 12(sigma - 1), where the library builds
+the levels only up to 4(sigma - 1) and decides (0, 3) and (0, 4) above it
+by one sum of two parts.  ``walk_hurwitz_range_orders``
 asks the same walk about (0, 3) at every order above 12(sigma - 1), where
 the library solves for those orders in closed form.  ``census`` sorts every
 point the admissible map leaves out into three places: above the order-3
@@ -91,6 +94,9 @@ from skelsig.rh import (
     _expand_counts,
     _period_lists,
     allowed_periods,
+    hurwitz_range_orders,
+    order_parts,
+    part_sum_levels,
     rh_holds,
 )
 
@@ -296,6 +302,33 @@ def walk_admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
             if next(period_multisets(sigma, pt.h, pt.r, n, allowed), None) is not None:
                 found.setdefault(pt, []).append(n)
     return {pt: tuple(ns) for pt, ns in sorted(found.items())}
+
+
+def bitset_admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
+    """Every RH-feasible lattice point with its feasible orders, by level bitsets at every order.
+
+    Builds ``part_sum_levels`` for each order's whole triangle up to
+    12(sigma - 1) and tests bit T of S_r at every point; above that, the
+    orders of (0, 3) come from ``hurwitz_range_orders``.
+    """
+    _check_genus(sigma)
+    shift = 2 * (sigma - 1)
+    found: dict[tuple[int, int], list[int]] = {}
+    for n, parts in order_parts(12 * (sigma - 1)):
+        rows = list(triangle_rows(sigma, n))
+        if not rows:
+            continue
+        # the first row holds both the largest r and the largest T
+        h, _, r_hi = rows[0]
+        levels = part_sum_levels(parts, r_hi, n * (2 * h - 2 + r_hi) - shift)
+        for h, r_lo, r_hi in rows:
+            t = n * (2 * h - 2 + r_lo) - shift
+            for r in range(r_lo, r_hi + 1):
+                if levels[r] >> t & 1:
+                    found.setdefault((h, r), []).append(n)
+                t += n
+    found.setdefault((0, 3), []).extend(hurwitz_range_orders(sigma))
+    return {SkeletalSignature(*pt): tuple(ns) for pt, ns in sorted(found.items())}
 
 
 def walk_hurwitz_range_orders(sigma: int) -> list[int]:

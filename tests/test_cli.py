@@ -114,6 +114,15 @@ class TestExitCodes:
         assert main(["verify-gap", "--sigma", "48", "--n", "2", "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    def test_unwritable_sidecar_leaves_no_out_file(self, tmp_path, capsys):
+        # the sidecar is opened before --out, so its failure comes first
+        out = tmp_path / "plane.svg"
+        sidecar = tmp_path / "missing" / "points.csv"
+        argv = ["plot", "--sigma", "2", "--out", str(out), "--csv-sidecar", str(sidecar)]
+        assert main(argv) == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_genus_8_h2_is_usage_without_traceback(self):
         # (2, 1) lies on the order-5 cyclic line at genus 8, so there is no missing point
         src = str(Path(__file__).resolve().parents[1] / "src")

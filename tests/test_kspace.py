@@ -28,10 +28,12 @@ from skelsig.rh import SearchVerdict, SkeletalSignature, rh_admissible
 from oracles import (
     TriangleRegion,
     all_groups_realizable_set,
+    bitset_admissible_map,
     census,
     close_order_2n,
     full_range_feasible_orders,
     manifest_groups,
+    period_multisets,
     triangle,
     triangle_points,
     walk_admissible_map,
@@ -78,9 +80,9 @@ class TestAdmissible:
 
     def test_divisors_computed_once_per_order(self, monkeypatch):
         # a count guard, not a timing gate: the sweep stops at 12(sigma - 1) and reads
-        # every order's divisors from the one sieve, once per order, in ascending order;
-        # the Hurwitz range above it asks for the divisors of the six numbers 2ab(sigma - 1)
-        # and of no order
+        # every order's divisors from the one sieve, once per order, in ascending order,
+        # though the level bitsets stop at 4(sigma - 1); the Hurwitz range above it asks
+        # for the divisors of the six numbers 2ab(sigma - 1) and of no order
         expected = admissible_map(11)
         calls = []
         divisors = rh.allowed_periods
@@ -109,6 +111,39 @@ class TestAdmissible:
         rh_admissible(11, S(2, 1))
         assert calls
 
+    def test_levels_stop_at_4_sigma_minus_1(self, monkeypatch):
+        # a count guard, not a timing gate: above 4(sigma - 1) = 40 no order's
+        # triangle rows or level bitsets are built
+        expected = admissible_map(11)
+        current, rows_at, levels_at = [0], [], []
+        sieve, rows, levels = kspace.order_parts, kspace.triangle_rows, kspace.part_sum_levels
+
+        def tracked(top):
+            for n, parts in sieve(top):
+                current[0] = n
+                yield n, parts
+
+        def counted_rows(sigma, n):
+            rows_at.append(n)
+            return rows(sigma, n)
+
+        def counted_levels(*args):
+            levels_at.append(current[0])
+            return levels(*args)
+
+        monkeypatch.setattr(kspace, "order_parts", tracked)
+        monkeypatch.setattr(kspace, "triangle_rows", counted_rows)
+        monkeypatch.setattr(kspace, "part_sum_levels", counted_levels)
+        assert admissible_map(11) == expected
+        assert rows_at == list(range(2, 41))
+        # the counter is live: every triangle from order 11 on is non-empty
+        assert levels_at == sorted(set(levels_at)) and levels_at[-30:] == list(range(11, 41))
+
+    def test_matches_bitset_oracle(self):
+        # the two-part sums above 4(sigma - 1) against the level bitsets at every order
+        for sigma in [*range(2, 151), 300, 500]:
+            assert admissible_map(sigma) == bitset_admissible_map(sigma), sigma
+
     def test_matches_walk_oracle(self):
         # the level bitsets against the period-list walk they replace, order list by order list
         for sigma in [*range(2, 31), 100]:
@@ -128,6 +163,23 @@ class TestAdmissible:
             for pt, orders in walk_admissible_map(sigma).items():
                 if pt != S(0, 3):
                     assert max(orders) <= 12 * (sigma - 1), (sigma, pt, orders)
+
+    def test_only_0_3_and_0_4_are_feasible_above_4_sigma_minus_1(self):
+        # the walk oracle, not the two-part sums, checks both lemmas of rh.two_part_sum
+        for sigma in range(2, 41):
+            cut = 4 * (sigma - 1)
+            for pt, orders in walk_admissible_map(sigma).items():
+                above = [n for n in orders if n > cut]
+                if pt not in (S(0, 3), S(0, 4)):
+                    assert not above, (sigma, pt, above)
+                for n in above:
+                    lists = list(period_multisets(sigma, pt.h, pt.r, n, rh.allowed_periods(n)))
+                    assert lists, (sigma, pt, n)
+                    for periods in lists:
+                        if pt == S(0, 4):
+                            assert periods[:2] == (2, 2), (sigma, n, periods)
+                        else:
+                            assert periods[0] <= 5, (sigma, n, periods)
 
     def test_makes_no_period_multisets_call(self, monkeypatch):
         # a count guard, not a timing gate: existence needs no period list

@@ -1,9 +1,11 @@
 """Command-line front end: queries, verification runs, and figure emission.
 
 Exit codes: 0 verified/success, 1 refuted/absent, 2 usage or parse errors,
-3 partial results (budget-limited or coverage-limited verdicts present).
+3 partial results (budget-limited or coverage-limited verdicts present),
+141 standard output closed by its reader (128 + SIGPIPE; nothing is printed).
 All numeric output carries the exact fraction (the contract) plus a decimal
-approximation; every run echoes its effective configuration.
+approximation; every run echoes its effective configuration.  A run builds
+the parser of the one subcommand it names, not all eight.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import re
 import sys
 from typing import Iterable
@@ -26,6 +29,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_PARTIAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 class SignatureParseError(ValueError):
@@ -327,84 +331,103 @@ def _add_common(p: argparse.ArgumentParser, *, budget: bool = False, catalog: bo
                        help="catalog directory (default: the bundled catalog)")
 
 
+SUBCOMMANDS = ("rh", "gaps", "verify-gap", "missing", "kspace", "sporadic", "genvec", "plot")
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The ``skelsig`` parser with every subcommand, or with ``subcommand`` alone.
+
+    A parser with one subcommand lists all of them as its choices' metavar, so
+    its usage line, printed with a top-level error, is the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="skelsig",
         description="Skeletal signatures of finite group actions: exact arithmetic, "
         "gap verification, generating-vector search, figures.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    metavar = None if subcommand is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
 
-    p = sub.add_parser("rh", help="evaluate the Riemann-Hurwitz genus of a signature")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--sig", type=str, required=True, help='signature literal "(h;n1,n2,...)"')
-    p.add_argument("--sigma", type=int, default=None, help="also test equality with this genus")
-    _add_common(p)
-    p.set_defaults(fn=cmd_rh)
+    def add(name: str, fn, help: str) -> argparse.ArgumentParser | None:
+        if subcommand not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("gaps", help="describe gap regions and their lattice points")
-    p.add_argument("--sigma", type=int, required=True)
-    p.add_argument("--n", type=int, nargs="+", required=True, help="lower triangle order(s)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_gaps)
+    if p := add("rh", cmd_rh, "evaluate the Riemann-Hurwitz genus of a signature"):
+        p.add_argument("--order", type=int, required=True)
+        p.add_argument("--sig", type=str, required=True, help='signature literal "(h;n1,n2,...)"')
+        p.add_argument("--sigma", type=int, default=None, help="also test equality with this genus")
+        _add_common(p)
 
-    p = sub.add_parser("verify-gap", help="certify gap emptiness, with exception-line analysis")
-    p.add_argument("--sigma", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="lower triangle order of the gap")
-    _add_common(p, budget=True, catalog=True)
-    p.set_defaults(fn=cmd_verify_gap)
+    if p := add("gaps", cmd_gaps, "describe gap regions and their lattice points"):
+        p.add_argument("--sigma", type=int, required=True)
+        p.add_argument("--n", type=int, nargs="+", required=True, help="lower triangle order(s)")
+        _add_common(p)
 
-    p = sub.add_parser("missing", help="persistently-missing points at quotient genus 2 or 3")
-    p.add_argument("--sigma", type=int, required=True)
-    p.add_argument("--h", type=int, required=True, choices=(2, 3))
-    _add_common(p)
-    p.set_defaults(fn=cmd_missing)
+    if p := add("verify-gap", cmd_verify_gap,
+                 "certify gap emptiness, with exception-line analysis"):
+        p.add_argument("--sigma", type=int, required=True)
+        p.add_argument("--n", type=int, required=True, help="lower triangle order of the gap")
+        _add_common(p, budget=True, catalog=True)
 
-    p = sub.add_parser("kspace", help="admissible set and catalog-realized subset")
-    p.add_argument("--sigma", type=int, required=True)
-    p.add_argument("--max-order", type=parse_max_order, default=15)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p, budget=True, catalog=True)
-    p.set_defaults(fn=cmd_kspace)
+    if p := add("missing", cmd_missing, "persistently-missing points at quotient genus 2 or 3"):
+        p.add_argument("--sigma", type=int, required=True)
+        p.add_argument("--h", type=int, required=True, choices=(2, 3))
+        _add_common(p)
 
-    p = sub.add_parser("sporadic", help="r = 1 sporadic-point analysis: exclusions and witnesses")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--primes", type=parse_int_list, required=True,
-                   help="comma-separated odd primes")
-    p.add_argument("--witness-n", dest="witness_n", type=parse_int_list, default=(),
-                   help="comma-separated quaternion parameters for existence witnesses")
-    _add_common(p, budget=True, catalog=True)
-    p.set_defaults(fn=cmd_sporadic)
+    if p := add("kspace", cmd_kspace, "admissible set and catalog-realized subset"):
+        p.add_argument("--sigma", type=int, required=True)
+        p.add_argument("--max-order", type=parse_max_order, default=15)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        _add_common(p, budget=True, catalog=True)
 
-    p = sub.add_parser("genvec", help="search one group for a generating vector")
-    p.add_argument("--group", type=str, required=True,
-                   help="group spec, e.g. quaternion:2 or cyclic:5")
-    p.add_argument("--sig", type=str, required=True)
-    _add_common(p, budget=True)
-    p.set_defaults(fn=cmd_genvec)
+    if p := add("sporadic", cmd_sporadic,
+                 "r = 1 sporadic-point analysis: exclusions and witnesses"):
+        p.add_argument("--h", type=int, required=True)
+        p.add_argument("--primes", type=parse_int_list, required=True,
+                       help="comma-separated odd primes")
+        p.add_argument("--witness-n", dest="witness_n", type=parse_int_list, default=(),
+                       help="comma-separated quaternion parameters for existence witnesses")
+        _add_common(p, budget=True, catalog=True)
 
-    p = sub.add_parser("plot", help="deterministic SVG of the (h, r)-plane")
-    p.add_argument("--sigma", type=int, required=True)
-    p.add_argument("--max-order", type=parse_max_order, default=15)
-    p.add_argument("--with-realized", action="store_true",
-                   help="run catalog search and mark realized points")
-    p.add_argument("--csv-sidecar", type=str, default=None,
-                   help="also write the point dataset as CSV to this path")
-    _add_common(p, budget=True, catalog=True)
-    p.set_defaults(fn=cmd_plot)
+    if p := add("genvec", cmd_genvec, "search one group for a generating vector"):
+        p.add_argument("--group", type=str, required=True,
+                       help="group spec, e.g. quaternion:2 or cyclic:5")
+        p.add_argument("--sig", type=str, required=True)
+        _add_common(p, budget=True)
+
+    if p := add("plot", cmd_plot, "deterministic SVG of the (h, r)-plane"):
+        p.add_argument("--sigma", type=int, required=True)
+        p.add_argument("--max-order", type=parse_max_order, default=15)
+        p.add_argument("--with-realized", action="store_true",
+                       help="run catalog search and mark realized points")
+        p.add_argument("--csv-sidecar", type=str, default=None,
+                       help="also write the point dataset as CSV to this path")
+        _add_common(p, budget=True, catalog=True)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # no arguments, -h or an unknown name get the full parser's help and errors
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed standard output: point it at devnull, so the flush
+        # at exit raises nothing, and exit as a SIGPIPE death would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

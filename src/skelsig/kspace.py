@@ -610,10 +610,10 @@ def figure_dataset(
         feas, realized = admissible_map(sigma), {}
     status = {pt: "realized" if pt in realized else "admissible" for pt in feas}
     for region in gaps:
-        for pt in region.integer_points():
-            status.setdefault(pt, "gap")
-        for pt in region.exception_points():
-            if catalog is not None:
+        for pt in region.integer_points_raw():
+            if not region.on_exception_line(pt):
+                status.setdefault(pt, "gap")
+            elif catalog is not None:
                 analysis = analyze_point(sigma, pt, catalog, budget)
                 if analysis.status == "realized":
                     status[pt] = "exception-realized"

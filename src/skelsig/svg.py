@@ -3,7 +3,8 @@
 No plotting dependency: identical inputs must produce byte-identical files,
 so every coordinate is formatted with fixed precision and elements are
 emitted in a fixed order (background, gap shading, lines, guide, points,
-axes, legend).
+axes, legend).  Points sit on the integer grid, so their coordinates are
+formatted once per grid column and row, not once per point.
 """
 
 from __future__ import annotations
@@ -72,12 +73,6 @@ class _Canvas:
         coords = " ".join(f"{_fmt(self.sx(h))},{_fmt(self.sy(r))}" for h, r in pts)
         self.add(f'<polygon points="{coords}" fill="{fill}" stroke="none" />')
 
-    def circle(self, h, r, color: str, radius: float = 3.0) -> None:
-        self.add(
-            f'<circle cx="{_fmt(self.sx(h))}" cy="{_fmt(self.sy(r))}" '
-            f'r="{_fmt(radius)}" fill="{color}" />'
-        )
-
     def text(self, x: float, y: float, content: str, size: int = 12, color: str = "#222222") -> None:
         self.add(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" '
@@ -135,13 +130,19 @@ def render_figure(dataset: FigureDataset, config_note: str) -> str:
     # r = 1 guide
     cv.line((Fraction(0), Fraction(1)), (h_max, Fraction(1)), "#999999", width=0.8, dash="5,4")
 
-    for pt, status in dataset.points:
-        # integer forms of pt.h <= h_max and pt.r <= r_max: no Fraction per point
-        if 2 * pt.h <= sigma + 4 and pt.r <= 2 * sigma + 2:
-            radius = 3.0 if status in ("admissible", "gap") else 4.0
-            if status == "gap":
-                continue  # certified-empty points are not drawn, only shaded
-            cv.circle(pt.h, pt.r, PALETTE[status], radius)
+    # points lie on the integer grid h, r >= 0, so each column's x, each row's y
+    # and each style's tail are formatted once; the box is h <= h_max, r <= r_max
+    h_top, r_top = (sigma + 4) // 2, 2 * sigma + 2
+    xs = [_fmt(cv.sx(h)) for h in range(h_top + 1)]
+    ys = [_fmt(cv.sy(r)) for r in range(r_top + 1)]
+    tails = {s: f'r="{_fmt(3.0 if s == "admissible" else 4.0)}" fill="{PALETTE[s]}" />'
+             for s in _POINT_STYLES}
+    cv.parts += [
+        f'<circle cx="{xs[h]}" cy="{ys[r]}" {tails[status]}'
+        for (h, r), status in dataset.points
+        # certified-empty points are not drawn, only shaded
+        if h <= h_top and r <= r_top and status != "gap"
+    ]
 
     # axes
     cv.line((Fraction(0), Fraction(0)), (h_max, Fraction(0)), "#000000", width=1.0)

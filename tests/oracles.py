@@ -53,6 +53,9 @@ with ``triangle`` and ``triangle_points`` (the rational reference for
 ``geometry.triangle_rows``), ``order_statistics`` (a fingerprint of a group)
 ``save_cayley_file`` (the writer for the library's Cayley-file reader) and
 ``manifest_groups`` (every group of a manifest, up to an order cap).
+``circle_render_figure`` draws a figure's points one circle at a time, each
+tested against the rational plot box and formatted from its own Fractions,
+where the library formats each grid column and row once.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ from skelsig.geometry import (
     triangle_rows,
     upper_line,
 )
+from skelsig import svg
 from skelsig.groups import CatalogManifest, GroupTable
-from skelsig.kspace import KSpaceApproximation, SearchScope, admissible_map
+from skelsig.kspace import FigureDataset, KSpaceApproximation, SearchScope, admissible_map
 from skelsig.rh import (
     OrbifoldSignature,
     SearchVerdict,
@@ -759,3 +763,24 @@ def save_cayley_file(group: GroupTable, path: Path | str) -> None:
     for row in group.table:
         lines.append(" ".join(str(x) for x in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def circle_render_figure(dataset: FigureDataset, config_note: str) -> str:
+    """``svg.render_figure`` with each point drawn by its own circle call."""
+    sigma = dataset.sigma
+    cv = svg._Canvas(Fraction(sigma, 2) + 2, Fraction(2 * sigma + 2))
+
+    def circle(h, r, color: str, radius: float) -> None:
+        cv.add(
+            f'<circle cx="{svg._fmt(cv.sx(h))}" cy="{svg._fmt(cv.sy(r))}" '
+            f'r="{svg._fmt(radius)}" fill="{color}" />'
+        )
+
+    for pt, status in dataset.points:
+        if pt.h <= cv.h_max and pt.r <= cv.r_max and status != "gap":
+            circle(pt.h, pt.r, svg.PALETTE[status], 3.0 if status == "admissible" else 4.0)
+    # the points go right after the r = 1 guide, the one dashed line
+    bare = svg.render_figure(dataset._replace(points=()), config_note)
+    head, guide, tail = bare.partition('stroke-dasharray="5,4" />\n')
+    assert guide and tail.count("stroke-dasharray") == 0
+    return head + guide + "".join(part + "\n" for part in cv.parts) + tail

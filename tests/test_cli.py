@@ -1,10 +1,12 @@
 """CLI behavior: exit codes, parse diagnostics, schemas, golden files."""
 
+import argparse
 import gc
 import hashlib
 import json
 import os
 import re
+import select
 import shlex
 import subprocess
 import sys
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from skelsig import cli, genvec, groups
+from skelsig import cli, genvec, groups, svg
 from skelsig.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
@@ -33,10 +35,11 @@ from skelsig.cli import (
     parse_int_list,
     parse_signature,
 )
+from skelsig.kspace import figure_dataset
 from skelsig.rh import OrbifoldSignature, SearchVerdict
-from skelsig.svg import _ratio
+from skelsig.svg import _POINT_STYLES, _ratio
 
-from oracles import check_vector
+from oracles import check_vector, circle_render_figure
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -46,6 +49,15 @@ KSPACE_48_SHA256 = "4076abc584921659904e8b66b35c60f309de7bdd79b535a7405eb7ec58db
 # sha256 of the 128 `verify-gap --sigma s --n n` documents (1,793,265 bytes), s = 9..72
 # and n = 3, 4 in that order, one after another
 VERIFY_GAP_9_72_SHA256 = "a2fd8bddc41d6f2f63c9bcedc417c0a29d7f41817dfbadff9a00551a44a6be78"
+# sha256 of `plot --sigma 48 --with-realized` (25,330 bytes): the goldens draw no realized point
+PLOT_48_REALIZED_SHA256 = "d4ecaae2c263f1d3b8a872c67fb321f46564385d3e95f4ed172341689984ad7a"
+# stdout, stderr and exit code of help and usage-error runs, 80 columns wide
+CLI_TEXTS = json.loads((GOLDEN / "cli_texts.json").read_text(encoding="utf-8"))
+SRC_ENV = {
+    **os.environ,
+    "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")
+    + os.pathsep + os.environ.get("PYTHONPATH", ""),
+}
 
 
 def run(tmp_path, *argv):
@@ -125,11 +137,9 @@ class TestExitCodes:
 
     def test_missing_genus_8_h2_is_usage_without_traceback(self):
         # (2, 1) lies on the order-5 cyclic line at genus 8, so there is no missing point
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.run(
             [sys.executable, "-m", "skelsig.cli", "missing", "--sigma", "8", "--h", "2"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=SRC_ENV,
         )
         assert proc.returncode == EXIT_USAGE
         assert proc.stdout == ""
@@ -207,6 +217,56 @@ class TestExitCodes:
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+    def test_restricted_parser_is_built_once(self):
+        assert build_parser("plot") is build_parser("plot")
+        assert build_parser("plot") is not build_parser()
+
+    @pytest.mark.parametrize("name", cli.SUBCOMMANDS)
+    def test_restricted_usage_is_the_full_usage(self, name):
+        # a top-level error prints this line; it names all eight subcommands in order
+        assert build_parser(name).format_usage() == build_parser().format_usage()
+
+    def test_a_run_builds_one_subparser(self, tmp_path, monkeypatch):
+        # a count guard: the full parser holds eight subparsers, a plot run needs one
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            added.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        build_parser.cache_clear()
+        try:
+            assert main(["plot", "--sigma", "2", "--out", str(tmp_path / "plane.svg")]) == EXIT_OK
+        finally:
+            build_parser.cache_clear()
+        assert added == ["plot"]
+
+    @pytest.mark.parametrize(
+        "case", CLI_TEXTS, ids=lambda case: "_".join(case["argv"]) or "no-arguments"
+    )
+    def test_help_and_usage_errors_pinned(self, case, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = main(list(case["argv"]))
+        assert (code, *capsys.readouterr()) == (case["code"], case["stdout"], case["stderr"])
+
+    def test_closed_stdout_exits_quietly(self):
+        # kspace at genus 100 writes about 2.4 MB; the reader leaves after one byte
+        argv = [sys.executable, "-m", "skelsig.cli", "kspace", "--sigma", "100"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                bufsize=0, env=SRC_ENV)
+        try:
+            assert select.select([proc.stdout], [], [], 60)[0], "no output within 60 s"
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stderr.close()
 
     def test_bundled_catalog_tables_built_once_per_process(self, tmp_path, monkeypatch):
         # a count guard: a second command reuses the first one's manifest and tables
@@ -372,6 +432,11 @@ class TestGoldenFiles:
         stdout = capsys.readouterr().out
         assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == KSPACE_48_SHA256
 
+    def test_plot_48_realized_pinned(self, tmp_path):
+        code, text = run(tmp_path, "plot", "--sigma", "48", "--with-realized")
+        assert code == EXIT_OK
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PLOT_48_REALIZED_SHA256
+
     def test_plot_deterministic_across_runs(self, tmp_path):
         _, first = run(tmp_path, "plot", "--sigma", "11")
         _, second = run(tmp_path, "plot", "--sigma", "11")
@@ -410,6 +475,22 @@ class TestSvgRatio:
     @example(Fraction(1, 3), Fraction(52))
     def test_matches_fraction_division(self, x, m):
         assert _ratio(x, m) == float(Fraction(x) / m)
+
+
+class TestSvgPoints:
+    @pytest.mark.parametrize("sigma", [*range(2, 61), 100, 500])
+    def test_matches_one_circle_per_point(self, sigma):
+        ds = figure_dataset(sigma)
+        note = f"config: sigma={sigma}"
+        assert svg.render_figure(ds, note) == circle_render_figure(ds, note)
+
+    def test_matches_one_circle_per_point_realized(self, catalog):
+        drawn = set()
+        for sigma in [*range(2, 25), 48]:
+            ds = figure_dataset(sigma, catalog)
+            assert svg.render_figure(ds, "") == circle_render_figure(ds, ""), sigma
+            drawn.update(status for _, status in ds.points)
+        assert drawn >= set(_POINT_STYLES)
 
 
 JSON_SCALARS = (

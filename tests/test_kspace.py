@@ -7,7 +7,14 @@ import pytest
 
 from skelsig import genvec, groups, kspace, rh
 from skelsig.genvec import DEFAULT_BUDGET, RealizabilityReport
-from skelsig.geometry import RationalLine, RationalPoint, gap, lower_line, p_group_line
+from skelsig.geometry import (
+    GapRegion,
+    RationalLine,
+    RationalPoint,
+    gap,
+    lower_line,
+    p_group_line,
+)
 from skelsig.groups import (
     CatalogEntry,
     CatalogManifest,
@@ -735,6 +742,28 @@ class TestFigureDataset:
         golden = (GOLDEN / "plot_11_realized.csv").read_text(encoding="utf-8").splitlines()
         rows = [f"{h},{r},{status}" for h, r, status in ds.to_csv_rows()]
         assert ["h,r,status", *rows] == golden
+
+    def test_with_catalog_walks_each_gap_once(self, catalog, monkeypatch):
+        # each gap's lattice points are enumerated once, and its exception
+        # points are analysed in their lattice order, region by region
+        walked, analysed = [], []
+        walk, analyze = GapRegion.integer_points_raw, kspace.analyze_point
+
+        def counted_walk(region):
+            walked.append(region.lower_index)
+            return walk(region)
+
+        def recorded(sigma, pt, *args):
+            analysed.append(pt)
+            return analyze(sigma, pt, *args)
+
+        monkeypatch.setattr(GapRegion, "integer_points_raw", counted_walk)
+        monkeypatch.setattr(kspace, "analyze_point", recorded)
+        ds = figure_dataset(48, catalog, max_order=15, budget=2000)
+        assert walked == [3, 4]
+        monkeypatch.undo()
+        assert analysed == [pt for region in ds.gaps for pt in region.exception_points()]
+        assert len(analysed) == 2
 
     def test_with_catalog_builds_each_table_once(self, monkeypatch):
         # a count guard: catalog entries are built with their label as name,

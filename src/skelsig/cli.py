@@ -23,6 +23,7 @@ from . import kspace, svg
 from .genvec import DEFAULT_BUDGET, search
 from .geometry import frac_json, gap, missing_points
 from .groups import CatalogManifest, bundled_catalog, build_from_spec, load_catalog
+from .kspace import JsonText
 from .rh import OrbifoldSignature, rh_genus, rh_holds
 
 EXIT_OK = 0
@@ -84,13 +85,15 @@ _SCALARS = {int: int.__repr__, str: _quote, bool: {True: "true", False: "false"}
 
 
 def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
-    """Hand ``write`` exactly ``json.dumps(o, indent=2) + "\\n"``, 512 fragments at a time.
+    """Hand ``write`` exactly ``json.dumps(o, indent=2) + "\\n"``, 256 fragments at a time.
 
     One call per container (``pad``: a newline and the indent of its first line) writes
     its scalars in its own loop and an all-``int`` list in one join.  Only ``dict`` with
-    ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool`` and ``None``
-    are written, by exact type (a ``bool`` is not an ``int``); anything else raises
-    ``TypeError``.  A failure part-way (that, or a full disk) leaves a truncated file.
+    ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool``, ``None`` and
+    ``kspace.JsonText`` are written, by exact type (a ``bool`` is not an ``int``, and no
+    other ``str`` subclass is text); anything else raises ``TypeError``.  ``JsonText`` is
+    JSON already rendered at the top level, written with each line break replaced by
+    ``pad``.  A failure part-way (that, or a full disk) leaves a truncated file.
     """
     top = parts is None
     if top:
@@ -107,7 +110,7 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
                 parts.append(sep + _quote(k) + ": ")
                 _write_json(v, write, parts, inner)
             sep = comma
-            if len(parts) >= 512:
+            if len(parts) >= 256:
                 write("".join(parts))
                 parts.clear()
         parts.append(pad + "}")
@@ -124,12 +127,14 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
                     parts.append(sep)
                     _write_json(v, write, parts, inner)
                 sep = comma
-                if len(parts) >= 512:
+                if len(parts) >= 256:
                     write("".join(parts))
                     parts.clear()
             parts.append(pad + "]")
     elif t in _SCALARS:
         parts.append(_SCALARS[t](o))
+    elif t is JsonText:
+        parts.append(o.replace("\n", pad))
     elif t is dict or t is list or t is tuple:
         parts.append("{}" if t is dict else "[]")
     else:

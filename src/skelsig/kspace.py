@@ -317,14 +317,35 @@ def analyze_point(
 # gap verification
 
 
+class JsonText(str):
+    """JSON text exactly as ``json.dumps(x, indent=2)`` writes ``x`` at the top level.
+
+    ``cli._write_json`` writes it at any depth by indenting every line break:
+    JSON text has raw newlines only in its layout, never inside a string.
+    """
+
+    __slots__ = ()
+
+
+# a certified off-line gap point: not on the exception line, no Riemann-Hurwitz
+# solution, no analysis; filled with % (h, r)
+_CERTIFIED_POINT = (
+    '{\n  "point": [\n    %d,\n    %d\n  ],\n  "onExceptionLine": false,\n'
+    '  "rh": {\n    "status": "not-exists"\n  },\n  "analysis": null\n}'
+)
+
+
 class PointReport(NamedTuple):
     point: SkeletalSignature
     on_exception_line: bool
     rh: SearchVerdict
     analysis: PointAnalysis | None
 
-    def to_json(self) -> dict:
+    def to_json(self) -> dict | JsonText:
         status, witness = self.rh
+        certified = status == SearchVerdict.NOT_EXISTS and self.analysis is None
+        if certified and not self.on_exception_line:
+            return JsonText(_CERTIFIED_POINT % self.point)
         rh_json = {"status": status}
         if witness is not None:
             order, periods = witness

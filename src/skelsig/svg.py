@@ -130,18 +130,18 @@ def render_figure(dataset: FigureDataset, config_note: str) -> str:
     # r = 1 guide
     cv.line((Fraction(0), Fraction(1)), (h_max, Fraction(1)), "#999999", width=0.8, dash="5,4")
 
-    # points lie on the integer grid h, r >= 0, so each column's x, each row's y
-    # and each style's tail are formatted once; the box is h <= h_max, r <= r_max
-    h_top, r_top = (sigma + 4) // 2, 2 * sigma + 2
-    xs = [_fmt(cv.sx(h)) for h in range(h_top + 1)]
-    ys = [_fmt(cv.sy(r)) for r in range(r_top + 1)]
+    # points lie on the integer grid inside the box, 0 <= h <= h_max and
+    # 0 <= r <= r_max, so each column's x, each row's y and each style's tail
+    # are formatted once
+    xs = [_fmt(cv.sx(h)) for h in range((sigma + 4) // 2 + 1)]
+    ys = [_fmt(cv.sy(r)) for r in range(2 * sigma + 3)]
     tails = {s: f'r="{_fmt(3.0 if s == "admissible" else 4.0)}" fill="{PALETTE[s]}" />'
              for s in _POINT_STYLES}
     cv.parts += [
         f'<circle cx="{xs[h]}" cy="{ys[r]}" {tails[status]}'
         for (h, r), status in dataset.points
         # certified-empty points are not drawn, only shaded
-        if h <= h_top and r <= r_top and status != "gap"
+        if status != "gap"
     ]
 
     # axes

@@ -56,6 +56,8 @@ with ``triangle`` and ``triangle_points`` (the rational reference for
 ``circle_render_figure`` draws a figure's points one circle at a time, each
 tested against the rational plot box and formatted from its own Fractions,
 where the library formats each grid column and row once.
+``point_report_json`` builds the dict form of every gap point's report,
+where the library writes a certified off-line point from one text template.
 """
 
 from __future__ import annotations
@@ -87,7 +89,13 @@ from skelsig.geometry import (
 )
 from skelsig import svg
 from skelsig.groups import CatalogManifest, GroupTable
-from skelsig.kspace import FigureDataset, KSpaceApproximation, SearchScope, admissible_map
+from skelsig.kspace import (
+    FigureDataset,
+    KSpaceApproximation,
+    PointReport,
+    SearchScope,
+    admissible_map,
+)
 from skelsig.rh import (
     OrbifoldSignature,
     SearchVerdict,
@@ -424,10 +432,11 @@ def fraction_triangle_points(region: TriangleRegion) -> list[SkeletalSignature]:
 
 
 def fraction_gap_points(region: GapRegion) -> list[SkeletalSignature]:
-    """Lattice points with h, r >= 0 strictly inside a gap strip, each re-tested with ``member_raw``.
+    """Lattice points with h, r >= 0 strictly inside a gap strip, by exact rational comparison.
 
-    Steps h right of the corner while the top boundary is above r = 0, bounding
-    r at each h by exact rationals.
+    Steps h right of the corner while the top boundary is above r = 0, and keeps
+    each r from floor(bottom) to ceil(top) that lies strictly between the two
+    boundaries, so a point on either boundary is tested and left out.
     """
     out: list[SkeletalSignature] = []
     h = math.floor(region.corner.h) + 1
@@ -436,8 +445,8 @@ def fraction_gap_points(region: GapRegion) -> list[SkeletalSignature]:
         if top <= 0:
             break
         bottom = region.boundary_upper.r_at(h)
-        for r in range(max(math.floor(bottom) + 1, 0), math.ceil(top)):
-            if region.member_raw(RationalPoint(h, r)):
+        for r in range(max(math.floor(bottom), 0), math.ceil(top) + 1):
+            if bottom < r < top:
                 out.append(SkeletalSignature(h, r))
         h += 1
     return out
@@ -784,3 +793,19 @@ def circle_render_figure(dataset: FigureDataset, config_note: str) -> str:
     head, guide, tail = bare.partition('stroke-dasharray="5,4" />\n')
     assert guide and tail.count("stroke-dasharray") == 0
     return head + guide + "".join(part + "\n" for part in cv.parts) + tail
+
+
+def point_report_json(report: PointReport) -> dict:
+    """``PointReport.to_json`` as a dict tree for every point, certified off-line ones included."""
+    status, witness = report.rh
+    rh_json = {"status": status}
+    if witness is not None:
+        order, periods = witness
+        rh_json["order"] = order
+        rh_json["periods"] = list(periods)
+    return {
+        "point": list(report.point),
+        "onExceptionLine": report.on_exception_line,
+        "rh": rh_json,
+        "analysis": None if report.analysis is None else report.analysis.to_json(),
+    }

@@ -35,11 +35,12 @@ from skelsig.cli import (
     parse_int_list,
     parse_signature,
 )
-from skelsig.kspace import figure_dataset
-from skelsig.rh import OrbifoldSignature, SearchVerdict
+from skelsig.geometry import gap
+from skelsig.kspace import JsonText, figure_dataset, verify_gap
+from skelsig.rh import OrbifoldSignature, SearchVerdict, SkeletalSignature
 from skelsig.svg import _POINT_STYLES, _ratio
 
-from oracles import check_vector, circle_render_figure
+from oracles import check_vector, circle_render_figure, point_report_json
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -518,6 +519,22 @@ def written(value) -> str:
     return "".join(chunks)
 
 
+def prerendered(tree, flags):
+    """``tree`` with each subtree, taken in preorder, replaced by its ``JsonText``
+    while the next of ``flags`` is true; once ``flags`` runs out nothing is."""
+    if next(flags, False):
+        return JsonText(json.dumps(tree, indent=2))
+    if type(tree) is dict:
+        return {k: prerendered(v, flags) for k, v in tree.items()}
+    if type(tree) in (list, tuple):
+        return type(tree)(prerendered(v, flags) for v in tree)
+    return tree
+
+
+class NotJsonText(str):
+    __slots__ = ()
+
+
 class TestIndentedJson:
     @given(JSON_TREES)
     @example([[], {}, (), [[]], {"a": {}}, {"a": [[], {"b": ()}]}])
@@ -532,6 +549,15 @@ class TestIndentedJson:
     @example([[0, 0], [0, 0]])
     def test_matches_json_dumps(self, value):
         assert written(value) == json.dumps(value, indent=2) + "\n"
+
+    @given(JSON_TREES, st.lists(st.booleans()))
+    @example({"a": [1, {"b": [2, "x\ny"]}]}, [True])
+    @example({"a": [1, {"b": [2, "x\ny"]}]}, [False, False, False, False, True])
+    @example({"a": [1, {"b": [2, "x\ny"]}]}, [False, False, True])
+    @example([{}, [], "line\nbreak", {"k": {"deep": [[[0]]]}}], [False, True, True, True, False])
+    def test_prerendered_subtrees_match_json_dumps(self, tree, flags):
+        value = prerendered(tree, iter(flags))
+        assert written(value) == json.dumps(tree, indent=2) + "\n"
 
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
     def test_rewrites_golden_bytes(self, path):
@@ -554,11 +580,37 @@ class TestIndentedJson:
     # from leaking into the output as a bare array
     @pytest.mark.parametrize(
         "value",
-        [{1: "a"}, {None: 1}, [{"ok": {(1, 2): 3}}], {1.5}, b"x", SearchVerdict.not_exists()],
+        [{1: "a"}, {None: 1}, [{"ok": {(1, 2): 3}}], {1.5}, b"x", SearchVerdict.not_exists(),
+         NotJsonText("1"), {"a": NotJsonText("1")}, [NotJsonText("[]")]],
     )
     def test_rejects_what_is_not_a_plain_tree(self, value):
         with pytest.raises(TypeError):
             written(value)
+
+    def test_gap_points_match_their_dict_form(self, catalog):
+        # each certified off-line point is written from a template, every
+        # other point from its dict; the oracle builds the dict for all of them
+        reports = [verify_gap(sigma, n, catalog) for sigma in range(9, 121) for n in (3, 4)]
+        # the refuting point and the partial point that test_kspace plants at genus 48
+        by_point = {p.point: p for p in verify_gap(48, 4, catalog).points}
+        off_line = gap(48, 4).integer_points()
+        mid = by_point[off_line[len(off_line) // 2]]
+        planted = mid._replace(rh=SearchVerdict.exists((5, (5,) * mid.point.r)))
+        line = by_point[SkeletalSignature(8, 6)]
+        partial = line._replace(analysis=line.analysis._replace(status="partial"))
+        # no run makes these: not-exists points with an analysis or on the line
+        odd = (mid._replace(analysis=line.analysis),
+               line._replace(rh=SearchVerdict.not_exists(), analysis=None))
+        templated = 0
+        for points in [*(r.points for r in reports), (planted, partial, *odd)]:
+            values = [p.to_json() for p in points]
+            expected = [point_report_json(p) for p in points]
+            assert written({"points": values}) == json.dumps({"points": expected}, indent=2) + "\n"
+            for p, value in zip(points, values):
+                certified = p.rh.is_not_exists and p.analysis is None and not p.on_exception_line
+                assert (type(value) is JsonText) == certified, p
+                templated += certified
+        assert templated == 37_226
 
     def test_memory_stays_bounded(self, monkeypatch):
         # the genus-100 kspace document (2.39 MB of text) is never held whole

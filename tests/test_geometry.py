@@ -154,6 +154,10 @@ class TestGap:
         assert not g46.member(P(8, 6))
         assert g46.member_raw(P(8, 6))
         assert not gap(48, 3).member(P(1, 47))  # the corner itself
+        # the gap is open: right of the corner, a point on the top boundary
+        # 8h + 3r = 102 or the bottom one 12h + 3r = 106 is not a member
+        assert not g46.member_raw(P(3, 26))
+        assert not g46.member_raw(P(2, Fraction(82, 3)))
 
     def test_integer_points_48_3(self):
         region = gap(48, 3)
@@ -170,8 +174,8 @@ class TestGap:
         assert S(8, 6) not in filtered and S(10, 1) not in filtered
 
     def test_integer_enumeration_matches_fraction_oracle(self):
-        # integer strip bounds against the exact rational walk with its member_raw
-        # re-test; the exception split against RationalLine.contains
+        # integer strip bounds against the exact rational walk with its own strict
+        # boundary tests; the exception split against RationalLine.contains
         seen = 0
         for sigma in range(2, 81):
             for order in range(3, 21):

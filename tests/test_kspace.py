@@ -784,6 +784,13 @@ class TestFigureDataset:
         assert set(built) == {e.label for e in catalog.entries if 2 <= e.order <= 15}
         assert max(built.values()) == 1
 
+    def test_every_point_lies_in_the_plot_box(self, catalog):
+        # svg.render_figure indexes its grid columns 0..(sigma + 4)//2 and rows
+        # 0..2*sigma + 2 by a point's h and r without a box test
+        for sigma, cat in [*((sigma, None) for sigma in range(2, 201)), (48, catalog)]:
+            for (h, r), _ in figure_dataset(sigma, cat).points:
+                assert 0 <= 2 * h <= sigma + 4 and 0 <= r <= 2 * sigma + 2, (sigma, h, r)
+
     def test_degenerate_genus_2(self):
         ds = figure_dataset(2)
         assert ds.sigma == 2

@@ -70,6 +70,9 @@ class TestRhGenus:
         # the first period below 2 is named, not the least
         with pytest.raises(ValueError, match=r"^branching periods must be >= 2, got 1$"):
             OrbifoldSignature(0, (3, 1, 0))
+        # a period of 2 before the bad one is valid and is not named
+        with pytest.raises(ValueError, match=r"^branching periods must be >= 2, got 1$"):
+            OrbifoldSignature(0, (2, 1))
 
 
 class TestRhHolds:

@@ -20,10 +20,9 @@ import sys
 from typing import Iterable
 
 from . import kspace, svg
-from .genvec import DEFAULT_BUDGET, search
+from .genvec import DEFAULT_BUDGET, JsonText, search
 from .geometry import frac_json, gap, missing_points
 from .groups import CatalogManifest, bundled_catalog, build_from_spec, load_catalog
-from .kspace import JsonText
 from .rh import OrbifoldSignature, rh_genus, rh_holds
 
 EXIT_OK = 0
@@ -90,10 +89,11 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
     One call per container (``pad``: a newline and the indent of its first line) writes
     its scalars in its own loop and an all-``int`` list in one join.  Only ``dict`` with
     ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool``, ``None`` and
-    ``kspace.JsonText`` are written, by exact type (a ``bool`` is not an ``int``, and no
+    ``genvec.JsonText`` are written, by exact type (a ``bool`` is not an ``int``, and no
     other ``str`` subclass is text); anything else raises ``TypeError``.  ``JsonText`` is
-    JSON already rendered at the top level, written with each line break replaced by
-    ``pad``.  A failure part-way (that, or a full disk) leaves a truncated file.
+    JSON already rendered at the top level, such as a whole witness, written as one
+    fragment with each line break replaced by ``pad``.  A failure part-way (that, or a
+    full disk) leaves a truncated file.
     """
     top = parts is None
     if top:

@@ -33,12 +33,20 @@ through: c_1 would be the inverse of a product of h commutators, and no
 element of its order is one; in an abelian group that product is always e),
 ``product-unreachable`` (the same for r >= 2), or ``exhausted-search``.
 ``kspace`` adds ``cyclic-forced``.
+
+A witness is written once, as ``JsonText``: the JSON text ``json.dumps``
+writes of it at the top level, from one template.  Its integer lists and
+its vector are written a run of equal entries at a time, by string
+repetition, so a witness with a million branch entries in a few runs costs
+a few string operations.  Every report that holds a witness embeds that
+text, and ``cli._write_json`` indents it to its depth.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+import json
+from typing import Callable, NamedTuple, Sequence
 
 from .groups import GroupTable, build_cyclic, build_generalized_quaternion, quaternion_word
 from .rh import (
@@ -54,6 +62,45 @@ from .rh import (
 DEFAULT_BUDGET = 10**8
 
 
+class JsonText(str):
+    """JSON text exactly as ``json.dumps(x, indent=2)`` writes ``x`` at the top level.
+
+    ``cli._write_json`` writes it at any depth by indenting every line break:
+    JSON text has raw newlines only in its layout, never inside a string.
+    """
+
+    __slots__ = ()
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _runs(values: Sequence, item: Callable[..., str], pad: str) -> str:
+    """The JSON array of ``values``, each item on a line after ``pad``.
+
+    Each run of equal values is rendered once by ``item`` and repeated.
+    """
+    if not values:
+        return "[]"
+    sep = "," + pad
+    runs = [(item(v) + sep) * len(list(g)) for v, g in itertools.groupby(values)]
+    runs[-1] = runs[-1][: -len(sep)]
+    return "".join(["[", pad, *runs, pad[:-2], "]"])
+
+
+def _vector_text(vec: GeneratingVector, item: Callable[[int], str], pad: str) -> str:
+    """``{"aPairs": ..., "c": ...}`` of ``vec`` with each element index written by ``item``,
+    its closing brace on a line after ``pad``."""
+    inner = pad + "  "
+    entries = inner + "  "
+    pair = "[" + entries + "  %s," + entries + "  %s" + entries + "]"
+    return "".join([
+        "{", inner, '"aPairs": ',
+        _runs(vec.a_pairs, lambda ab: pair % (item(ab[0]), item(ab[1])), entries),
+        ",", inner, '"c": ', _runs(vec.c_list, item, entries), pad, "}",
+    ])
+
+
 class GeneratingVector(NamedTuple):
     """Element indices (a_i, b_i) pairs plus the branch entries c_j."""
 
@@ -67,8 +114,8 @@ class GeneratingVector(NamedTuple):
         flat.extend(self.c_list)
         return tuple(flat)
 
-    def to_json(self) -> dict:
-        return {"aPairs": list(map(list, self.a_pairs)), "c": list(self.c_list)}
+    def to_json(self) -> JsonText:
+        return JsonText(_vector_text(self, str, "\n"))
 
 
 def verify(group: GroupTable, vec: GeneratingVector, sig: OrbifoldSignature) -> bool:
@@ -193,36 +240,42 @@ def unbranched_cyclic(
 # realizability of a skeletal signature by one concrete group
 
 
-def vector_words(group_spec: str | None, vec: GeneratingVector) -> dict | None:
-    """Element words for the vector when the group has a usable normal form."""
-    if not group_spec or not group_spec.startswith("quaternion:"):
-        return None
-    n = int(group_spec.partition(":")[2])
-    return {
-        "aPairs": [[quaternion_word(n, a), quaternion_word(n, b)] for a, b in vec.a_pairs],
-        "c": [quaternion_word(n, c) for c in vec.c_list],
-    }
+# a witness at the top level, filled with % (group, spec, h, periods, vector, words)
+_WITNESS = (
+    '{\n  "group": %s,\n  "spec": %s,\n  "signature": {\n    "h": %d,\n    "periods": %s\n  },'
+    '\n  "vector": %s%s\n}'
+)
 
 
 class Witness(NamedTuple):
-    """Serializable record of a found action."""
+    """Record of a found action, written as JSON text.
+
+    ``to_json`` fills one template; each integer list, and the vector's
+    ``aPairs``, is written run by run (``_runs``), so a run of equal entries
+    costs one string repetition.  A generalized quaternion group's witness
+    also carries its elements as normal-form words.
+    """
 
     group_name: str
     group_spec: str | None
     signature: OrbifoldSignature
     vector: GeneratingVector
 
-    def to_json(self) -> dict:
-        out = {
-            "group": self.group_name,
-            "spec": self.group_spec,
-            "signature": {"h": self.signature.h, "periods": list(self.signature.periods)},
-            "vector": self.vector.to_json(),
-        }
-        words = vector_words(self.group_spec, self.vector)
-        if words is not None:
-            out["words"] = words
-        return out
+    def to_json(self) -> JsonText:
+        spec, vec = self.group_spec, self.vector
+        words = ""
+        if spec and spec.startswith("quaternion:"):
+            n = int(spec.partition(":")[2])
+            text = _vector_text(vec, lambda i: _quote(quaternion_word(n, i)), "\n  ")
+            words = ',\n  "words": ' + text
+        return JsonText(_WITNESS % (
+            _quote(self.group_name),
+            "null" if spec is None else _quote(spec),
+            self.signature.h,
+            _runs(self.signature.periods, str, "\n      "),
+            _vector_text(vec, str, "\n  "),
+            words,
+        ))
 
 
 class ExclusionReason(NamedTuple):

@@ -684,10 +684,10 @@ def bundled_catalog() -> CatalogManifest:
 
     One manifest per process: the package data does not change while it
     runs, so every caller shares the parsed entries and each table once built.
+    The manifest is read as a plain file beside this module: ``importlib.resources``
+    would load ``zipfile`` and ``tempfile`` into every run that searches.
     """
-    from importlib.resources import files
-
-    manifest = files("skelsig").joinpath("data/catalog/manifest.json")
+    manifest = Path(__file__).with_name("data") / "catalog" / "manifest.json"
     text = manifest.read_text(encoding="utf-8")
     return CatalogManifest(_parse_manifest(text, "bundled catalog manifest"), base_dir=None)
 

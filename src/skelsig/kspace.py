@@ -17,6 +17,7 @@ from . import geometry
 from .genvec import (
     DEFAULT_BUDGET,
     ExclusionReason,
+    JsonText,
     Witness,
     quaternion_vector,
     realizable,
@@ -315,16 +316,6 @@ def analyze_point(
 
 # ---------------------------------------------------------------------------
 # gap verification
-
-
-class JsonText(str):
-    """JSON text exactly as ``json.dumps(x, indent=2)`` writes ``x`` at the top level.
-
-    ``cli._write_json`` writes it at any depth by indenting every line break:
-    JSON text has raw newlines only in its layout, never inside a string.
-    """
-
-    __slots__ = ()
 
 
 # a certified off-line gap point: not on the exception line, no Riemann-Hurwitz

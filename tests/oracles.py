@@ -58,6 +58,9 @@ tested against the rational plot box and formatted from its own Fractions,
 where the library formats each grid column and row once.
 ``point_report_json`` builds the dict form of every gap point's report,
 where the library writes a certified off-line point from one text template.
+``witness_json`` and ``vector_json`` build a witness and a generating vector
+as dict trees, quaternion words included, where the library renders each as
+JSON text from one template, a run of equal entries at a time.
 """
 
 from __future__ import annotations
@@ -88,10 +91,11 @@ from skelsig.geometry import (
     upper_line,
 )
 from skelsig import svg
-from skelsig.groups import CatalogManifest, GroupTable
+from skelsig.groups import CatalogManifest, GroupTable, quaternion_word
 from skelsig.kspace import (
     FigureDataset,
     KSpaceApproximation,
+    PointAnalysis,
     PointReport,
     SearchScope,
     admissible_map,
@@ -807,5 +811,34 @@ def point_report_json(report: PointReport) -> dict:
         "point": list(report.point),
         "onExceptionLine": report.on_exception_line,
         "rh": rh_json,
-        "analysis": None if report.analysis is None else report.analysis.to_json(),
+        "analysis": None if report.analysis is None else point_analysis_json(report.analysis),
     }
+
+
+def point_analysis_json(analysis: PointAnalysis) -> dict:
+    """``PointAnalysis.to_json`` with its witness as a dict tree."""
+    witness = analysis.witness
+    return {**analysis.to_json(), "witness": None if witness is None else witness_json(witness)}
+
+
+def vector_json(vec: GeneratingVector) -> dict:
+    """``GeneratingVector.to_json`` as a dict tree."""
+    return {"aPairs": list(map(list, vec.a_pairs)), "c": list(vec.c_list)}
+
+
+def witness_json(witness: Witness) -> dict:
+    """``Witness.to_json`` as a dict tree: a quaternion group's witness adds its words."""
+    out = {
+        "group": witness.group_name,
+        "spec": witness.group_spec,
+        "signature": {"h": witness.signature.h, "periods": list(witness.signature.periods)},
+        "vector": vector_json(witness.vector),
+    }
+    spec, vec = witness.group_spec, witness.vector
+    if spec and spec.startswith("quaternion:"):
+        n = int(spec.partition(":")[2])
+        out["words"] = {
+            "aPairs": [[quaternion_word(n, a), quaternion_word(n, b)] for a, b in vec.a_pairs],
+            "c": [quaternion_word(n, c) for c in vec.c_list],
+        }
+    return out

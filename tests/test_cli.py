@@ -36,17 +36,27 @@ from skelsig.cli import (
     parse_signature,
 )
 from skelsig.geometry import gap
-from skelsig.kspace import JsonText, figure_dataset, verify_gap
+from skelsig.genvec import GeneratingVector, JsonText, Witness
+from skelsig.groups import build_cyclic
+from skelsig.kspace import figure_dataset, realizable_set, sporadic_analysis, verify_gap
 from skelsig.rh import OrbifoldSignature, SearchVerdict, SkeletalSignature
 from skelsig.svg import _POINT_STYLES, _ratio
 
-from oracles import check_vector, circle_render_figure, point_report_json
+from oracles import (
+    check_vector,
+    circle_render_figure,
+    point_report_json,
+    vector_json,
+    witness_json,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
 BAD_SIG_ERROR = "error: bad signature literal: expected integer period, got 'x' at position 3\n"
 # sha256 of `kspace --sigma 48 --budget 200000` (404,674 bytes), wherever it is written
 KSPACE_48_SHA256 = "4076abc584921659904e8b66b35c60f309de7bdd79b535a7405eb7ec58db5e31"
+# sha256 of `kspace --sigma 150` (6,838,676 bytes): witnesses with long runs of equal entries
+KSPACE_150_SHA256 = "bec93ca518fd20ff9aced00b4471fb30a5fbafbc7a41cc3a7d9e0486499f89de"
 # sha256 of the 128 `verify-gap --sigma s --n n` documents (1,793,265 bytes), s = 9..72
 # and n = 3, 4 in that order, one after another
 VERIFY_GAP_9_72_SHA256 = "a2fd8bddc41d6f2f63c9bcedc417c0a29d7f41817dfbadff9a00551a44a6be78"
@@ -417,6 +427,11 @@ class TestGoldenFiles:
             assert genvec.verify(group, vec, sig) and check_vector(group, vec, sig).ok, w
         assert len(above) == 3
 
+    def test_kspace_150_pinned(self, tmp_path):
+        code, text = run(tmp_path, "kspace", "--sigma", "150")
+        assert code == EXIT_OK
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == KSPACE_150_SHA256
+
     def test_verify_gap_9_to_72_pinned(self, tmp_path):
         # one golden holds verify-gap at genus 48, n = 4; this pins every gap
         # point's verdict and analysis at n = 3, 4 over genus 9..72 by hash
@@ -533,6 +548,88 @@ def prerendered(tree, flags):
 
 class NotJsonText(str):
     __slots__ = ()
+
+
+def runs_of(values):
+    """Tuples of ``values`` in runs of one to four equal entries."""
+    return st.lists(st.tuples(values, st.integers(1, 4)), max_size=5).map(
+        lambda runs: tuple(v for v, k in runs for _ in range(k))
+    )
+
+
+ESCAPED_NAMES = st.text() | st.sampled_from(['"Q8"', "C\\2", "\x00\n\t", "é ☃ 𝄞", "%s %d"])
+WITNESSES = st.builds(
+    lambda name, spec, periods, pairs, c: Witness(
+        name, spec, OrbifoldSignature(len(pairs), periods), GeneratingVector(pairs, c)
+    ),
+    ESCAPED_NAMES,
+    st.none() | ESCAPED_NAMES | st.sampled_from(["", "quaternion:2", "quaternion:5", "cyclic:7"]),
+    runs_of(st.integers(2, 9)),
+    runs_of(st.tuples(st.integers(0, 12), st.integers(0, 12))),
+    runs_of(st.integers(0, 12)),
+)
+
+
+def assert_written_as_dict(witness: Witness) -> None:
+    text, vector = witness.to_json(), witness.vector.to_json()
+    assert type(text) is JsonText and type(vector) is JsonText
+    assert text == json.dumps(witness_json(witness), indent=2)
+    assert vector == json.dumps(vector_json(witness.vector), indent=2)
+
+
+class TestWitnessText:
+    """``Witness.to_json`` renders, by runs, the text ``json.dumps`` writes of its dict form."""
+
+    @pytest.mark.parametrize("max_order", [15, 40])
+    def test_realized_witnesses(self, catalog, max_order):
+        for sigma in [*range(2, 61), 150]:
+            for witness in realizable_set(sigma, catalog, max_order).realized.values():
+                assert_written_as_dict(witness)
+
+    def test_sporadic_witnesses_carry_words(self, catalog):
+        witnesses = []
+        for h in (2, 3, 4):
+            report = sporadic_analysis(h, [3, 5, 7, 11, 13, 17, 19], range(2, 9), catalog)
+            witnesses += [w.witness for w in report.witnesses]
+            witnesses += [c.witness for g in report.nonexistence for c in g.cases if c.witness]
+        assert len(witnesses) == 21
+        for witness in witnesses:
+            assert_written_as_dict(witness)
+            assert '"words"' in witness.to_json()
+
+    @given(WITNESSES)
+    @example(Witness("C1", None, OrbifoldSignature(0, ()), GeneratingVector((), ())))
+    @example(Witness("C5", "cyclic:5", OrbifoldSignature(0, (5, 5, 5)),
+                     GeneratingVector((), (1, 2, 2))))
+    @example(Witness('"\\', "quaternion:3", OrbifoldSignature(2, (3,)),
+                     GeneratingVector(((1, 6), (0, 0)), (2,))))
+    def test_hand_built_witnesses(self, witness):
+        assert_written_as_dict(witness)
+
+    def test_million_branch_entries(self):
+        # C2 acts with signature (0; 2, ..., 2), every c_j the generator, for any even r
+        group = build_cyclic(2)
+
+        def witness(r: int) -> Witness:
+            sig = OrbifoldSignature(0, (2,) * r)
+            return Witness(group.name, group.spec, sig, GeneratingVector((), (1,) * r))
+
+        short, huge = witness(1000), witness(10**6)
+        assert genvec.verify(group, short.vector, short.signature)
+        assert genvec.verify(group, huge.vector, huge.signature)
+        assert_written_as_dict(short)
+        sizes: list[int] = []
+        tracemalloc.start()
+        try:
+            text = huge.to_json()
+            _write_json({"witness": text}, lambda chunk: sizes.append(len(chunk)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the text, its copy indented to depth 1 and the final join: under three outputs
+        assert sum(sizes) > 20_000_000
+        assert peak < 3 * sum(sizes)
+        assert json.loads(text) == witness_json(huge)
 
 
 class TestIndentedJson:

@@ -31,6 +31,22 @@ def test_cli_import_loads_no_record_or_csv_machinery():
     assert out == "[]\n"
 
 
+def test_kspace_run_loads_no_resource_machinery():
+    # the bundled manifest is read with a plain open, not through importlib.resources
+    script = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import skelsig.cli\n"
+        "assert skelsig.cli.main(['kspace', '--sigma', '2', '--out', os.devnull]) == 0\n"
+        "print(sorted(m for m in ('importlib.resources', 'tempfile', 'zipfile')"
+        " if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
+
+
 def _scope():
     return SearchScope(15, 100, (2, 3), 1, 1, ())
 

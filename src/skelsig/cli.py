@@ -92,8 +92,8 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
     ``genvec.JsonText`` are written, by exact type (a ``bool`` is not an ``int``, and no
     other ``str`` subclass is text); anything else raises ``TypeError``.  ``JsonText`` is
     JSON already rendered at the top level, such as a whole witness, written as one
-    fragment with each line break replaced by ``pad``.  A failure part-way (that, or a
-    full disk) leaves a truncated file.
+    fragment with each line break replaced by ``pad``; one over 64 KiB is never joined.
+    A failure part-way (that, or a full disk) leaves a truncated file.
     """
     top = parts is None
     if top:
@@ -135,12 +135,17 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
         parts.append(_SCALARS[t](o))
     elif t is JsonText:
         parts.append(o.replace("\n", pad))
+        if len(o) > 1 << 16:
+            write("".join(parts[:-1]))
+            write(parts.pop())
+            parts.clear()
     elif t is dict or t is list or t is tuple:
         parts.append("{}" if t is dict else "[]")
     else:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
     if top:
-        write("".join([*parts, "\n"]))
+        write("".join(parts))
+        write("\n")
 
 
 def _emit(args, payload: dict | str) -> None:

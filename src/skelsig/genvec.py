@@ -24,9 +24,9 @@ and Automorphism Groups of Compact Riemann Surfaces* (2000).
 ``realizable`` walks the group's period lists once, in walk order, each as a
 count vector over the group's element orders: it checks each against the
 exact integer Riemann-Hurwitz identity, runs the product filter on its
-counts once, expands to a tuple and walks the tuples of only the lists the
-filter lets through, and stops at the first witness.  Only then does it name
-the rule behind a negative verdict:
+counts once, walks the tuples of only the lists the filter lets through,
+each still as its counts, and stops at the first witness.  Only then does it
+name the rule behind a negative verdict:
 ``arithmetic`` (no period list over the group's element orders),
 ``abelian-r1`` and ``commutator-r1`` (the filter let no list with r = 1
 through: c_1 would be the inverse of a product of h commutators, and no
@@ -34,28 +34,24 @@ element of its order is one; in an abelian group that product is always e),
 ``product-unreachable`` (the same for r >= 2), or ``exhausted-search``.
 ``kspace`` adds ``cyclic-forced``.
 
-A witness is written once, as ``JsonText``: the JSON text ``json.dumps``
-writes of it at the top level, from one template.  Its integer lists and
-its vector are written a run of equal entries at a time, by string
-repetition, so a witness with a million branch entries in a few runs costs
-a few string operations.  Every report that holds a witness embeds that
-text, and ``cli._write_json`` indents it to its depth.
+The tuple walk takes the periods as (period, count) runs; its first candidate,
+the witness at 266 of 302 points at genus 48, costs one power per run.  A
+``Witness`` keeps its lists as runs and is written once, as ``JsonText``: the
+text ``json.dumps`` writes of it at the top level, each list a run at a time
+by string repetition.  Reports embed it; ``cli._write_json`` indents it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .groups import GroupTable, build_cyclic, build_generalized_quaternion, quaternion_word
+from .groups import GroupTable, build_generalized_quaternion, quaternion_word
 from .rh import (
     OrbifoldSignature,
     SearchVerdict,
     SkeletalSignature,
-    _check_genus,
-    _check_order,
-    _expand_counts,
+    _expand_runs,
     _period_lists,
 )
 
@@ -75,29 +71,35 @@ class JsonText(str):
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _runs(values: Sequence, item: Callable[..., str], pad: str) -> str:
-    """The JSON array of ``values``, each item on a line after ``pad``.
+def _runs_of(runs: Iterable[tuple]) -> tuple:
+    """(value, count) ``runs`` with empty runs dropped and neighbours of equal value merged."""
+    out: list = []
+    for v, k in runs:
+        if out and out[-1][0] == v:
+            out[-1] = (v, out[-1][1] + k)
+        elif k:
+            out.append((v, k))
+    return tuple(out)
 
-    Each run of equal values is rendered once by ``item`` and repeated.
-    """
-    if not values:
+
+def _array(runs: Sequence[tuple], item: Callable[..., str], pad: str) -> str:
+    """The JSON array of ``runs``' entries, each on a line after ``pad``: a run once, repeated."""
+    if not runs:
         return "[]"
     sep = "," + pad
-    runs = [(item(v) + sep) * len(list(g)) for v, g in itertools.groupby(values)]
-    runs[-1] = runs[-1][: -len(sep)]
-    return "".join(["[", pad, *runs, pad[:-2], "]"])
+    texts = [(item(v) + sep) * k for v, k in runs]
+    texts[-1] = texts[-1][: -len(sep)]
+    return "".join(["[", pad, *texts, pad[:-2], "]"])
 
 
-def _vector_text(vec: GeneratingVector, item: Callable[[int], str], pad: str) -> str:
-    """``{"aPairs": ..., "c": ...}`` of ``vec`` with each element index written by ``item``,
-    its closing brace on a line after ``pad``."""
+def _vector_text(pairs: Sequence, entries: Sequence, item: Callable[[int], str], pad: str) -> str:
+    """``{"aPairs": ..., "c": ...}`` of two lists of runs, each element written by ``item``."""
     inner = pad + "  "
-    entries = inner + "  "
-    pair = "[" + entries + "  %s," + entries + "  %s" + entries + "]"
+    e = inner + "  "
+    pair = "[" + e + "  %s," + e + "  %s" + e + "]"
     return "".join([
-        "{", inner, '"aPairs": ',
-        _runs(vec.a_pairs, lambda ab: pair % (item(ab[0]), item(ab[1])), entries),
-        ",", inner, '"c": ', _runs(vec.c_list, item, entries), pad, "}",
+        "{", inner, '"aPairs": ', _array(pairs, lambda ab: pair % (item(ab[0]), item(ab[1])), e),
+        ",", inner, '"c": ', _array(entries, item, e), pad, "}",
     ])
 
 
@@ -107,15 +109,9 @@ class GeneratingVector(NamedTuple):
     a_pairs: tuple[tuple[int, int], ...]
     c_list: tuple[int, ...]
 
-    def flatten(self) -> tuple[int, ...]:
-        flat: list[int] = []
-        for a, b in self.a_pairs:
-            flat.extend((a, b))
-        flat.extend(self.c_list)
-        return tuple(flat)
-
     def to_json(self) -> JsonText:
-        return JsonText(_vector_text(self, str, "\n"))
+        pairs, entries = (_runs_of((v, 1) for v in vs) for vs in (self.a_pairs, self.c_list))
+        return JsonText(_vector_text(pairs, entries, str, "\n"))
 
 
 def verify(group: GroupTable, vec: GeneratingVector, sig: OrbifoldSignature) -> bool:
@@ -139,7 +135,7 @@ def verify(group: GroupTable, vec: GeneratingVector, sig: OrbifoldSignature) -> 
         prod = table[prod][group.commutator(a, b)]
     for c in vec.c_list:
         prod = table[prod][c]
-    return prod == 0 and group.generates(vec.flatten())
+    return prod == 0 and group.generates([x for ab in vec.a_pairs for x in ab] + [*vec.c_list])
 
 
 def search(
@@ -154,42 +150,62 @@ def search(
     """
     if not product_reachable(group, sig.h, sig.periods, (1,) * sig.r):
         return SearchVerdict.not_exists()
-    return _walk_tuples(group, sig, budget)
+    verdict = _walk_tuples(group, sig.h, ((n, 1) for n in sig.periods), budget)
+    return SearchVerdict.exists(verdict.witness.vector) if verdict.is_exists else verdict
 
 
-def _walk_tuples(group: GroupTable, sig: OrbifoldSignature, budget: int) -> SearchVerdict:
-    """The tuple walk behind ``search``, for a period list the product filter let through."""
-    h, periods = sig.h, sig.periods
-    free_c = list(map(group.elements_by_order.__getitem__, periods[:-1]))
-    last_period = periods[-1] if periods else None
-    table = group.table
-    orders = group.element_orders
-    inv = group.inverse
-    examined = 0
-    for a_tuple in itertools.product(range(group.order), repeat=2 * h):
-        comm_prod = 0
-        for i in range(h):
-            comm_prod = table[comm_prod][group.commutator(a_tuple[2 * i], a_tuple[2 * i + 1])]
-        for c_prefix in itertools.product(*free_c):
-            examined += 1
-            if examined > budget:
-                return SearchVerdict.unknown()
-            if periods:
-                prod = comm_prod
-                for c in c_prefix:
-                    prod = table[prod][c]
-                c_last = inv[prod]
-                if orders[c_last] != last_period:
-                    continue
-                elements = a_tuple + c_prefix + (c_last,)
-            else:
-                if comm_prod != 0:
-                    continue
-                elements = a_tuple
-            if group.generates(elements):
-                pairs = tuple(zip(a_tuple[0::2], a_tuple[1::2]))
-                return SearchVerdict.exists(GeneratingVector(pairs, elements[2 * h :]))
-    return SearchVerdict.not_exists()
+def _walk_tuples(group: GroupTable, h: int, runs: Iterable, budget: int) -> SearchVerdict:
+    """The tuple walk behind ``search`` and ``realizable``: the first ``Witness``, or none.
+
+    ``runs`` are (period, count), each period with elements of its order, as the
+    product filter ensures.  Candidates (a_1, b_1, ..., a_h, b_h, c_1, ..., c_(r-1))
+    come in lexicographic order, c_r forced by (3), each counted against ``budget``.
+    The first is the lex-first tuple: the first a-tuple is all e, and each free c_j
+    the least element x of its order n, so its product is one power x^(k mod n) per
+    run of k.  If it fails, an odometer goes on over h pair slots (choice i is the
+    pair divmod(i, |G|)) and r - 1 branch slots, keeping each prefix's product.
+    """
+    n, table, inv, orders = group.order, group.table, group.inverse, group.element_orders
+    runs = _runs_of(runs)
+    last = runs[-1][0] if runs else None
+    free = [(group.elements_by_order[p], k) for p, k in runs]
+    if runs:
+        free[-1] = (free[-1][0], free[-1][1] - 1)  # c_r is forced
+    prod, entries = 0, [(cs[0], k) for cs, k in free if k]
+    for x, k in entries:
+        for _ in range(k % orders[x]):
+            prod = table[prod][x]
+    pairs, slots, examined = (((0, 0), h),) if h else (), None, 0
+    while True:
+        examined += 1
+        if examined > budget:
+            return SearchVerdict.unknown()
+        c_last = inv[prod]
+        if orders[c_last] == last if runs else not prod:
+            if slots is not None:  # a later candidate, read off the odometer
+                pairs = _runs_of((divmod(i, n), 1) for i in choice[:h])
+                entries = [(cs[i], 1) for cs, i in zip(slots[h:], choice[h:])]
+            c = _runs_of(entries + [(c_last, 1)] * bool(runs))
+            if group.generates([x for ab, _ in pairs for x in ab] + [x for x, _ in c]):
+                return SearchVerdict.exists(Witness(group.name, group.spec, runs, pairs, c))
+        if slots is None:  # the first candidate failed: go on entry by entry
+            slots = [None] * h + [cs for cs, k in free for _ in range(k)]
+            sizes = [n * n] * h + [len(cs) for cs in slots[h:]]
+            choice, prefix = [0] * len(slots), [0] * (h + 1)
+            for cs in slots[h:]:
+                prefix.append(table[prefix[-1]][cs[0]])
+        j = len(slots) - 1
+        while j >= 0 and choice[j] == sizes[j] - 1:
+            choice[j] = 0
+            j -= 1
+        if j < 0:
+            return SearchVerdict.not_exists()
+        choice[j] += 1
+        for t in range(j, len(slots)):
+            cs = slots[t]
+            x = group.commutator(*divmod(choice[t], n)) if cs is None else cs[choice[t]]
+            prefix[t + 1] = table[prefix[t]][x]
+        prod = prefix[-1]
 
 
 def quaternion_vector(
@@ -215,27 +231,6 @@ def quaternion_vector(
     return group, sig, vec
 
 
-def unbranched_cyclic(
-    sigma: int, order: int
-) -> tuple[GroupTable, OrbifoldSignature, GeneratingVector] | None:
-    """Unbranched cyclic witness at ((sigma-1)/order + 1, 0), when the order divides sigma-1.
-
-    The vector puts a generator in a_1 and identities elsewhere; all
-    commutators vanish, so the product condition is trivial.
-    """
-    _check_genus(sigma)
-    _check_order(order)
-    if (sigma - 1) % order != 0:
-        return None
-    h = (sigma - 1) // order + 1
-    group = build_cyclic(order)
-    sig = OrbifoldSignature(h, ())
-    vec = GeneratingVector(((1, 0),) + ((0, 0),) * (h - 1), ())
-    if not verify(group, vec, sig):
-        raise AssertionError(f"unbranched cyclic vector failed for sigma={sigma}, N={order}")
-    return group, sig, vec
-
-
 # ---------------------------------------------------------------------------
 # realizability of a skeletal signature by one concrete group
 
@@ -248,34 +243,42 @@ _WITNESS = (
 
 
 class Witness(NamedTuple):
-    """Record of a found action, written as JSON text.
+    """A found action: its periods, (a, b) pairs and branch entries as (value, count) runs.
 
-    ``to_json`` fills one template; each integer list, and the vector's
-    ``aPairs``, is written run by run (``_runs``), so a run of equal entries
-    costs one string repetition.  A generalized quaternion group's witness
-    also carries its elements as normal-form words.
+    The pairs' counts sum to h.  ``signature`` and ``vector`` expand the runs, ``of``
+    builds them, and ``to_json`` fills one template, with a quaternion group's words.
     """
 
     group_name: str
     group_spec: str | None
-    signature: OrbifoldSignature
-    vector: GeneratingVector
+    periods: tuple[tuple[int, int], ...]
+    pairs: tuple[tuple[tuple[int, int], int], ...]
+    entries: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, name: str, spec: str | None, sig: OrbifoldSignature, vec: GeneratingVector):
+        runs = (_runs_of((v, 1) for v in vs) for vs in (sig.periods, vec.a_pairs, vec.c_list))
+        return cls(name, spec, *runs)
+
+    @property
+    def signature(self) -> OrbifoldSignature:
+        return OrbifoldSignature(sum(k for _, k in self.pairs), _expand_runs(self.periods))
+
+    @property
+    def vector(self) -> GeneratingVector:
+        return GeneratingVector(_expand_runs(self.pairs), _expand_runs(self.entries))
 
     def to_json(self) -> JsonText:
-        spec, vec = self.group_spec, self.vector
+        spec, pairs, entries = self.group_spec, self.pairs, self.entries
         words = ""
         if spec and spec.startswith("quaternion:"):
             n = int(spec.partition(":")[2])
-            text = _vector_text(vec, lambda i: _quote(quaternion_word(n, i)), "\n  ")
+            text = _vector_text(pairs, entries, lambda i: _quote(quaternion_word(n, i)), "\n  ")
             words = ',\n  "words": ' + text
         return JsonText(_WITNESS % (
-            _quote(self.group_name),
-            "null" if spec is None else _quote(spec),
-            self.signature.h,
-            _runs(self.signature.periods, str, "\n      "),
-            _vector_text(vec, str, "\n  "),
-            words,
-        ))
+            _quote(self.group_name), "null" if spec is None else _quote(spec),
+            sum(k for _, k in pairs), _array(self.periods, str, "\n      "),
+            _vector_text(pairs, entries, str, "\n  "), words))
 
 
 class ExclusionReason(NamedTuple):
@@ -318,7 +321,7 @@ def realizable(
     group's element orders n: its counts c_n must satisfy sum c_n = r and
     sum c_n * N/n = N(2h - 2 + r) - 2(sigma - 1), then it meets
     ``product_reachable`` once, and only the lists it lets through are
-    expanded and walked; the first witness wins.  After the pass: no list is
+    walked, each as its counts; the first witness wins.  After the pass: no list is
     ``arithmetic``, any walk over budget gives unknown, no list let through
     gives an r = 1 or product rule, else ``exhausted-search``.
     """
@@ -333,17 +336,15 @@ def realizable(
         count_lists.append(counts)
         if sum(counts) != r or sum(c * d for c, d in zip(counts, parts)) != total:
             raise AssertionError(
-                f"period list {OrbifoldSignature(h, _expand_counts(element_orders, counts))} "
+                f"period list {OrbifoldSignature(h, _expand_runs(zip(element_orders, counts)))} "
                 f"of {group.name} breaks Riemann-Hurwitz at genus {sigma}"
             )
         if not product_reachable(group, h, element_orders, counts):
             continue
         saw_reachable = True
-        sig = OrbifoldSignature(h, _expand_counts(element_orders, counts))
-        verdict = _walk_tuples(group, sig, budget)
+        verdict = _walk_tuples(group, h, zip(element_orders, counts), budget)
         if verdict.is_exists:
-            witness = Witness(group.name, group.spec, sig, verdict.witness)
-            return RealizabilityReport(SearchVerdict.exists(witness), ())
+            return RealizabilityReport(verdict, ())
         saw_unknown |= verdict.is_unknown
     if not count_lists:
         return _excluded(
@@ -354,7 +355,7 @@ def realizable(
     if saw_unknown:
         return RealizabilityReport(SearchVerdict.unknown(), ())
     if not saw_reachable:
-        multisets = [_expand_counts(element_orders, counts) for counts in count_lists]
+        multisets = [_expand_runs(zip(element_orders, counts)) for counts in count_lists]
         if r == 1 and group.is_abelian:
             return _excluded(
                 "abelian-r1",

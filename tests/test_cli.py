@@ -57,6 +57,8 @@ BAD_SIG_ERROR = "error: bad signature literal: expected integer period, got 'x' 
 KSPACE_48_SHA256 = "4076abc584921659904e8b66b35c60f309de7bdd79b535a7405eb7ec58db5e31"
 # sha256 of `kspace --sigma 150` (6,838,676 bytes): witnesses with long runs of equal entries
 KSPACE_150_SHA256 = "bec93ca518fd20ff9aced00b4471fb30a5fbafbc7a41cc3a7d9e0486499f89de"
+# sha256 of `kspace --sigma 300` (45,893,799 bytes): witnesses with r up to 602
+KSPACE_300_SHA256 = "fb15c5151ab70ae7be0f6fe6c2abeb3cdeab819ec3169f0e82324bfb4341b18b"
 # sha256 of the 128 `verify-gap --sigma s --n n` documents (1,793,265 bytes), s = 9..72
 # and n = 3, 4 in that order, one after another
 VERIFY_GAP_9_72_SHA256 = "a2fd8bddc41d6f2f63c9bcedc417c0a29d7f41817dfbadff9a00551a44a6be78"
@@ -432,6 +434,11 @@ class TestGoldenFiles:
         assert code == EXIT_OK
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == KSPACE_150_SHA256
 
+    def test_kspace_300_pinned(self, tmp_path):
+        code, text = run(tmp_path, "kspace", "--sigma", "300")
+        assert code == EXIT_OK
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == KSPACE_300_SHA256
+
     def test_verify_gap_9_to_72_pinned(self, tmp_path):
         # one golden holds verify-gap at genus 48, n = 4; this pins every gap
         # point's verdict and analysis at n = 3, 4 over genus 9..72 by hash
@@ -559,7 +566,7 @@ def runs_of(values):
 
 ESCAPED_NAMES = st.text() | st.sampled_from(['"Q8"', "C\\2", "\x00\n\t", "é ☃ 𝄞", "%s %d"])
 WITNESSES = st.builds(
-    lambda name, spec, periods, pairs, c: Witness(
+    lambda name, spec, periods, pairs, c: Witness.of(
         name, spec, OrbifoldSignature(len(pairs), periods), GeneratingVector(pairs, c)
     ),
     ESCAPED_NAMES,
@@ -598,11 +605,11 @@ class TestWitnessText:
             assert '"words"' in witness.to_json()
 
     @given(WITNESSES)
-    @example(Witness("C1", None, OrbifoldSignature(0, ()), GeneratingVector((), ())))
-    @example(Witness("C5", "cyclic:5", OrbifoldSignature(0, (5, 5, 5)),
-                     GeneratingVector((), (1, 2, 2))))
-    @example(Witness('"\\', "quaternion:3", OrbifoldSignature(2, (3,)),
-                     GeneratingVector(((1, 6), (0, 0)), (2,))))
+    @example(Witness.of("C1", None, OrbifoldSignature(0, ()), GeneratingVector((), ())))
+    @example(Witness.of("C5", "cyclic:5", OrbifoldSignature(0, (5, 5, 5)),
+                        GeneratingVector((), (1, 2, 2))))
+    @example(Witness.of('"\\', "quaternion:3", OrbifoldSignature(2, (3,)),
+                        GeneratingVector(((1, 6), (0, 0)), (2,))))
     def test_hand_built_witnesses(self, witness):
         assert_written_as_dict(witness)
 
@@ -612,7 +619,7 @@ class TestWitnessText:
 
         def witness(r: int) -> Witness:
             sig = OrbifoldSignature(0, (2,) * r)
-            return Witness(group.name, group.spec, sig, GeneratingVector((), (1,) * r))
+            return Witness.of(group.name, group.spec, sig, GeneratingVector((), (1,) * r))
 
         short, huge = witness(1000), witness(10**6)
         assert genvec.verify(group, short.vector, short.signature)
@@ -626,9 +633,10 @@ class TestWitnessText:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the text, its copy indented to depth 1 and the final join: under three outputs
+        # rendering, then the text and its copy indented to depth 1, written on its
+        # own and never joined: under two outputs
         assert sum(sizes) > 20_000_000
-        assert peak < 3 * sum(sizes)
+        assert peak < 2 * sum(sizes)
         assert json.loads(text) == witness_json(huge)
 
 
@@ -652,6 +660,8 @@ class TestIndentedJson:
     @example({"a": [1, {"b": [2, "x\ny"]}]}, [False, False, False, False, True])
     @example({"a": [1, {"b": [2, "x\ny"]}]}, [False, False, True])
     @example([{}, [], "line\nbreak", {"k": {"deep": [[[0]]]}}], [False, True, True, True, False])
+    # a text over 64 KiB is written apart from the fragments around it
+    @example({"a": [1, {"b": list(range(20000))}], "z": 2}, [False, False, False, False, True])
     def test_prerendered_subtrees_match_json_dumps(self, tree, flags):
         value = prerendered(tree, iter(flags))
         assert written(value) == json.dumps(tree, indent=2) + "\n"

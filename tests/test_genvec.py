@@ -5,6 +5,7 @@ import os
 from collections import Counter
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,15 +23,18 @@ from oracles import (
     naive_product_reachable,
     naive_search,
     period_multisets,
+    unbranched_cyclic,
+    walk_tuples,
 )
 from skelsig import genvec
 from skelsig.genvec import (
+    DEFAULT_BUDGET,
     GeneratingVector,
+    Witness,
     product_reachable,
     quaternion_vector,
     realizable,
     search,
-    unbranched_cyclic,
     verify,
 )
 from skelsig.groups import (
@@ -41,7 +45,14 @@ from skelsig.groups import (
     bundled_catalog,
 )
 from skelsig.kspace import admissible_map
-from skelsig.rh import OrbifoldSignature, SkeletalSignature, rh_genus, rh_holds
+from skelsig.rh import (
+    OrbifoldSignature,
+    SearchVerdict,
+    SkeletalSignature,
+    _period_lists,
+    rh_genus,
+    rh_holds,
+)
 
 Sig = OrbifoldSignature
 S = SkeletalSignature
@@ -449,6 +460,97 @@ class TestRealizable:
                     seen[g.order > 15, expected] += 1
         # both verdicts occur, for catalog orders and for the primes above them
         assert len(seen) == 4 and sum(seen.values()) > 1500, seen
+
+
+def runs_walk(group, sig, budget):
+    """The library walk on the runs of ``sig``'s periods, its witness expanded to a vector."""
+    verdict = genvec._walk_tuples(group, sig.h, ((n, 1) for n in sig.periods), budget)
+    return SearchVerdict.exists(verdict.witness.vector) if verdict.is_exists else verdict
+
+
+class TestRunsWalk:
+    """The walk over runs against the entry-by-entry oracle walk and the naive search."""
+
+    def test_realizable_lists_match_the_oracles(self, catalog_groups):
+        # every list the product filter lets through, at every point where the
+        # group's order is feasible, walked from its count vector as realizable does
+        seen = Counter()
+        for g in catalog_groups:
+            if g.order > 12:
+                continue
+            element_orders, _ = g._periods
+            for sigma in range(2, 41):
+                for pt, orders in admissible_map(sigma).items():
+                    if g.order not in orders:
+                        continue
+                    for counts in _period_lists(sigma, *pt, g.order, element_orders):
+                        if not product_reachable(g, pt.h, element_orders, counts):
+                            continue
+                        got = genvec._walk_tuples(g, pt.h, zip(element_orders, counts), 200)
+                        sig = Sig(pt.h, genvec._expand_runs(zip(element_orders, counts)))
+                        expected, examined = walk_tuples(g, sig, 200)
+                        key = (g.name, sigma, str(sig))
+                        assert got.status == expected.status, key
+                        if got.is_exists:
+                            assert got.witness == Witness.of(g.name, g.spec, sig, expected.witness)
+                            seen["first" if examined == 1 else "later"] += 1
+                        if g.order ** (2 * sig.h + sig.r) <= 20_000 and not got.is_unknown:
+                            assert got.status == naive_search(g, sig).status, key
+                            seen["naive"] += 1
+                        seen[got.status] += 1
+        assert all(seen[k] > 50 for k in ("first", "later", "naive", "not-exists", "unknown"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_unsorted_signatures_match_the_oracles(self, data):
+        group = data.draw(st.sampled_from(manifest_groups(bundled_catalog(), max_order=12)))
+        # mostly the group's element orders, unsorted; any order 2..12 now and then
+        element_orders = sorted({k for k in group.element_orders if k >= 2}) or [2]
+        period = st.sampled_from(element_orders) | st.integers(2, 12)
+        h = data.draw(st.integers(0, 1))
+        sig = Sig(h, data.draw(st.lists(period, max_size=5)))
+        got = search(group, sig, 300)
+        if naive_product_reachable(group, h, sig.periods):
+            expected, _ = walk_tuples(group, sig, 300)
+        else:
+            expected = SearchVerdict.not_exists()
+        assert got == expected
+        if group.order ** (2 * h + sig.r) <= 20_000 and not got.is_unknown:
+            assert got == naive_search(group, sig)
+
+    @pytest.mark.parametrize(
+        "group, sig",
+        [
+            # Q8 realizes (2; 2), but not with its first candidate, whose c_1 is e
+            (build_generalized_quaternion(2), Sig(2, (2,))),
+            # the first candidate: c = (6, 3, 1, 1, 1, 1, 11), one power per run
+            (build_cyclic(12), Sig(2, (2, 4, 12, 12, 12, 12, 12))),
+        ],
+        ids=["q8", "c12-first-candidate"],
+    )
+    def test_budgets_match_the_oracle(self, group, sig):
+        _, examined = walk_tuples(group, sig, DEFAULT_BUDGET)
+        for budget in (0, 1, 2, examined - 1, examined):
+            assert runs_walk(group, sig, budget) == walk_tuples(group, sig, budget)[0], budget
+        assert runs_walk(group, sig, examined).is_exists
+        assert runs_walk(group, sig, examined - 1).is_unknown
+
+    def test_million_branch_entries_cost_their_runs(self):
+        group = build_cyclic(2)
+        group.elements_by_order, group._periods  # build the cached tables before measuring
+        tracemalloc.start()
+        try:
+            report = realizable(group, 499_999, S(0, 1_000_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        witness = report.verdict.witness
+        assert peak < 1_000_000
+        assert witness.periods == ((2, 1_000_000),) and witness.entries == ((1, 1_000_000),)
+        expected, examined = walk_tuples(group, witness.signature, DEFAULT_BUDGET)
+        assert examined == 1
+        oracle = Witness.of(group.name, group.spec, witness.signature, expected.witness)
+        assert witness == oracle and witness.to_json() == oracle.to_json()
 
 
 class TestUnbranched:

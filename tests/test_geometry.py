@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_gap_points, fraction_triangle_points, intersect, triangle
+from oracles import (
+    fraction_gap_points,
+    fraction_triangle_points,
+    intersect,
+    rh_admissible,
+    triangle,
+)
 from skelsig.geometry import (
     GapRegion,
     RationalLine,
@@ -20,7 +26,7 @@ from skelsig.geometry import (
     triangle_rows,
     upper_line,
 )
-from skelsig.rh import SkeletalSignature, rh_admissible
+from skelsig.rh import SkeletalSignature
 
 S = SkeletalSignature
 P = RationalPoint

@@ -30,7 +30,7 @@ from skelsig.kspace import (
     sporadic_analysis,
     verify_gap,
 )
-from skelsig.rh import SearchVerdict, SkeletalSignature, rh_admissible
+from skelsig.rh import SearchVerdict, SkeletalSignature
 
 from oracles import (
     TriangleRegion,
@@ -41,6 +41,7 @@ from oracles import (
     full_range_feasible_orders,
     manifest_groups,
     period_multisets,
+    rh_admissible,
     triangle,
     triangle_points,
     walk_admissible_map,

@@ -32,13 +32,14 @@ def test_cli_import_loads_no_record_or_csv_machinery():
 
 
 def test_kspace_run_loads_no_resource_machinery():
-    # the bundled manifest is read with a plain open, not through importlib.resources
+    # the bundled manifest is read with a plain open of an os.path path, not through
+    # importlib.resources or pathlib
     script = (
         "import os, sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
         "import skelsig.cli\n"
         "assert skelsig.cli.main(['kspace', '--sigma', '2', '--out', os.devnull]) == 0\n"
-        "print(sorted(m for m in ('importlib.resources', 'tempfile', 'zipfile')"
+        "print(sorted(m for m in ('importlib.resources', 'tempfile', 'zipfile', 'pathlib')"
         " if m in sys.modules))\n"
     )
     out = subprocess.run(

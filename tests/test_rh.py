@@ -13,6 +13,7 @@ from oracles import (
     manifest_groups,
     order_bound,
     period_multisets,
+    rh_admissible,
     stack_period_lists,
     trial_division_allowed_periods,
     triangle,
@@ -30,7 +31,6 @@ from skelsig.rh import (
     feasible_orders,
     order_parts,
     part_sum_levels,
-    rh_admissible,
     rh_genus,
     rh_holds,
 )
@@ -224,7 +224,7 @@ class TestPeriodMultisets:
                     for h in range(0, 4):
                         for r in range(0, 7):
                             got = [
-                                rh._expand_counts(allowed, counts)
+                                rh._expand_runs(zip(allowed, counts))
                                 for counts in rh._period_lists(sigma, h, r, order, allowed)
                             ]
                             scrambled = allowed[::-1] + allowed
@@ -242,7 +242,7 @@ class TestPeriodMultisets:
             got = []
             for counts in rh._period_lists(sigma, h, r, order, allowed):
                 assert len(counts) == len(allowed) and sum(counts) == r, counts
-                got.append(rh._expand_counts(allowed, counts))
+                got.append(rh._expand_runs(zip(allowed, counts)))
             assert got == list(stack_period_lists(sigma, h, r, order, allowed)), (
                 sigma, h, r, order, allowed,
             )

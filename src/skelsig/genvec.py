@@ -32,7 +32,7 @@ name the rule behind a negative verdict:
 through: c_1 would be the inverse of a product of h commutators, and no
 element of its order is one; in an abelian group that product is always e),
 ``product-unreachable`` (the same for r >= 2), or ``exhausted-search``.
-``kspace`` adds ``cyclic-forced``.
+``kspace._decide`` adds the order-level rule ``cyclic-forced``.
 
 The tuple walk takes the periods as (period, count) runs; its first candidate,
 the witness at 266 of 302 points at genus 48, costs one power per run.  A

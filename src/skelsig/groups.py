@@ -601,8 +601,8 @@ class CatalogManifest:
 
     ``complete`` flags are data, not computation: orders where the entry set is
     asserted complete up to isomorphism.  Exhaustive nonexistence claims must
-    go through ``covering`` and refuse to certify past it.  Each entry's
-    table is built on first use and kept for the life of the manifest.
+    go through ``covering`` and refuse to certify past it.  Each order's
+    answer is built on first use and kept for the life of the manifest.
     """
 
     def __init__(
@@ -610,19 +610,17 @@ class CatalogManifest:
     ) -> None:
         self.entries = entries
         self.base_dir = base_dir
-        self._tables: dict[CatalogEntry, GroupTable] = {}
+        self._covering: dict[int, tuple[tuple[GroupTable, ...], bool]] = {}
 
     def _build(self, e: CatalogEntry) -> GroupTable:
-        if e not in self._tables:
-            g = build_from_spec(e.spec, base_dir=self.base_dir, name=e.label)
-            if g.order != e.order:
-                raise GroupTableError(
-                    f"catalog entry {e.label}: spec order {g.order} != declared {e.order}"
-                )
-            self._tables[e] = g
-        return self._tables[e]
+        g = build_from_spec(e.spec, base_dir=self.base_dir, name=e.label)
+        if g.order != e.order:
+            raise GroupTableError(
+                f"catalog entry {e.label}: spec order {g.order} != declared {e.order}"
+            )
+        return g
 
-    def covering(self, order: int) -> tuple[list[GroupTable], bool]:
+    def covering(self, order: int) -> tuple[tuple[GroupTable, ...], bool]:
         """The groups searched at this order, and whether they are all its groups.
 
         The groups are the catalog's groups of the order; at a prime order the
@@ -630,12 +628,17 @@ class CatalogManifest:
         class.  They are all its groups up to isomorphism when the catalog flags
         the order complete, or when the order is prime.  This is the one coverage
         rule: every search over a point's orders, and every claim that an order
-        is closed, goes through it.  Only the order's own entries are built.
+        is closed, goes through it.  Only the order's own entries are built, and
+        C_p only at a prime order; an answer is kept once its groups are built,
+        so a build that fails is tried again on the next call.
         """
-        groups = [self._build(e) for e in self._by_order.get(order, ())]
-        if _is_prime(order):
-            return groups or [build_cyclic(order)], True
-        return groups, order in self.complete_orders
+        if order not in self._covering:
+            groups = tuple(self._build(e) for e in self._by_order.get(order, ()))
+            prime = _is_prime(order)
+            if prime and not groups:
+                groups = (build_cyclic(order),)
+            self._covering[order] = groups, prime or order in self.complete_orders
+        return self._covering[order]
 
     @cached_property
     def _by_order(self) -> dict[int, list[CatalogEntry]]:

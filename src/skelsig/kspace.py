@@ -6,11 +6,13 @@ by generating-vector search) is a lower bound.  Reports keep that distinction
 explicit: equality is never asserted, coverage is recorded.  Which groups are
 searched at an order, and whether they are all of its groups, is decided by
 ``CatalogManifest.covering`` alone, for every search and exclusion here.
+Every point of ``kspace``, ``plot``, ``verify-gap`` and the |G| = 2n case of
+``sporadic`` is decided by one loop over its orders, ``_decide``: it is the
+one home of order-level rules such as ``cyclic-forced``.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from . import geometry
@@ -24,7 +26,7 @@ from .genvec import (
     verify,
 )
 from .geometry import GapRegion, gap, p_group_line, triangle_rows
-from .groups import CatalogManifest, GroupTable, _is_prime
+from .groups import CatalogManifest, _is_prime
 from .rh import (
     SearchVerdict,
     SkeletalSignature,
@@ -168,26 +170,56 @@ class KSpaceApproximation(_KSpaceApproximationFields):
         return super().__new__(cls, sigma, feasible_orders_by_point, realized, scope)
 
 
-def _realize_any(
-    groups: Iterable[GroupTable], sigma: int, skel: SkeletalSignature, budget: int
-) -> tuple[Witness | None, str | None, list[tuple[str, ExclusionReason]]]:
-    """Run ``realizable`` over the groups in turn until one yields a witness.
+def _decide(
+    sigma: int,
+    skel: SkeletalSignature,
+    orders: Iterable[int],
+    catalog: CatalogManifest,
+    budget: int,
+) -> tuple[Witness | None, str | None, list[tuple[str | None, ExclusionReason]], bool]:
+    """Search the point's orders in turn with their covering groups, to the first witness.
 
-    Returns the first witness (or None), the name of the first group whose
-    search hit the budget before it (or None), and each exclusion reason of
-    the groups settled as not-exists, paired with the group's name.
+    This is the one loop from orders to ``catalog.covering`` to ``realizable``,
+    and the one home of order-level rules.  Returns the first witness (or
+    None), the name of the first group whose search hit the budget before it
+    (or None), each exclusion reason paired with the name of its group (None
+    for an order-level rule), and whether every order searched was closed.
+    An order is closed when an order-level rule closes it, or when its
+    groups are all its groups and none hit the budget.
+
+    ``cyclic-forced``: with one branch point of period |G| = N, the branch
+    entry generates G, so G is cyclic, hence abelian; then the product of
+    commutators is e, and the entry must be e, not of order N.  For r = 1,
+    Riemann-Hurwitz 2(sigma - 1) = N(2h - 1) - N/n makes the single part
+    N/n equal T = N(2h - 1) - 2(sigma - 1), so at a feasible order the one
+    period list is (N,) exactly when T = 1.  The order's groups are searched
+    all the same, and their reasons kept.
     """
     budget_hit = None
-    excluded: list[tuple[str, ExclusionReason]] = []
-    for g in groups:
-        report = realizable(g, sigma, skel, budget)
-        if report.verdict.is_exists:
-            return report.verdict.witness, budget_hit, excluded
-        if report.verdict.is_unknown:
-            budget_hit = budget_hit or g.name
-        else:
-            excluded.extend((g.name, reason) for reason in report.exclusion_reasons)
-    return None, budget_hit, excluded
+    excluded: list[tuple[str | None, ExclusionReason]] = []
+    all_closed = True
+    for order in orders:
+        closed = skel.r == 1 and order * (2 * skel.h - 1) - 2 * (sigma - 1) == 1
+        if closed:
+            reason = ExclusionReason(
+                "cyclic-forced",
+                f"order {order}: the branch entry would have order {order} = |G|, "
+                f"forcing a cyclic (hence abelian) group, impossible with one branch point",
+            )
+            excluded.append((None, reason))
+        groups, complete = catalog.covering(order)
+        order_hit = None
+        for g in groups:
+            report = realizable(g, sigma, skel, budget)
+            if report.verdict.is_exists:
+                return report.verdict.witness, budget_hit or order_hit, excluded, False
+            if report.verdict.is_unknown:
+                order_hit = order_hit or g.name
+            else:
+                excluded.extend((g.name, reason) for reason in report.exclusion_reasons)
+        budget_hit = budget_hit or order_hit
+        all_closed = all_closed and (closed or (complete and order_hit is None))
+    return None, budget_hit, excluded, all_closed
 
 
 def realizable_set(
@@ -206,23 +238,18 @@ def realizable_set(
     of the true space; the scope records how far coverage lets it claim more.
     """
     feas = admissible_map(sigma)
-    cover = {  # each searched order's coverage, looked up once
-        n: catalog.covering(n)
-        for n in {n for orders in feas.values() for n in orders if n <= max_order}
-    }
     realized: dict[SkeletalSignature, Witness] = {}
     unknown_pts: list[SkeletalSignature] = []
     covered = 0
     # admissible_map yields points in sorted order, each with its orders ascending
     for pt, orders in feas.items():
-        here = [cover[n] for n in orders if n <= max_order]
-        groups = chain.from_iterable(found for found, _ in here)
-        witness, budget_hit, _ = _realize_any(groups, sigma, pt, budget)
+        searched = [n for n in orders if n <= max_order]
+        witness, budget_hit, _, _ = _decide(sigma, pt, searched, catalog, budget)
         if witness is not None:
             realized[pt] = witness
         elif budget_hit is not None:
             unknown_pts.append(pt)
-        covered += len(here) == len(orders) and all(complete for _, complete in here)
+        covered += len(searched) == len(orders) and all(catalog.covering(n)[1] for n in orders)
     scope = SearchScope(
         max_order=max_order,
         budget=budget,
@@ -263,55 +290,20 @@ def analyze_point(
     catalog: CatalogManifest,
     budget: int = DEFAULT_BUDGET,
 ) -> PointAnalysis:
-    """Decide a lattice point by sweeping its RH-compatible orders.
+    """Decide a lattice point by ``_decide`` over all its RH-compatible orders.
 
-    Order-level rules close an order without group enumeration where possible:
-    a single branch point whose period equals the group order forces a cyclic
-    group, which the abelian obstruction then excludes.  Every order's
-    ``catalog.covering`` groups are searched; the search closes the order only
-    when they are all its groups and no budget was hit.  Otherwise the
-    verdict is partial, never a false no.
+    Realized with the first witness; excluded when every order is closed,
+    by an order-level rule or by a search over all its groups that hit no
+    budget; otherwise partial, never a false no.
     """
     skel = SkeletalSignature(*skel)
     feasible = tuple(feasible_orders(sigma, skel))
-    reasons: list[ExclusionReason] = []
     if not feasible:
-        return PointAnalysis(
-            skel,
-            "excluded",
-            (),
-            (
-                ExclusionReason(
-                    "arithmetic",
-                    f"no order admits a period list for {tuple(skel)} at genus {sigma}",
-                ),
-            ),
-            None,
-        )
-    witness: Witness | None = None
-    all_closed = True
-    for order, periods in feasible:
-        closed = skel.r == 1 and periods == (order,)
-        if closed:
-            reasons.append(
-                ExclusionReason(
-                    "cyclic-forced",
-                    f"order {order}: the branch entry would have order {order} = |G|, "
-                    f"forcing a cyclic (hence abelian) group, impossible with one branch point",
-                )
-            )
-        group_list, complete = catalog.covering(order)
-        witness, budget_hit, excluded = _realize_any(group_list, sigma, skel, budget)
-        reasons.extend(reason for _, reason in excluded)
-        if witness is not None:
-            break
-        closed = closed or (complete and budget_hit is None)
-        all_closed = all_closed and closed
-    if witness is not None:
-        return PointAnalysis(skel, "realized", feasible, tuple(reasons), witness)
-    if all_closed:
-        return PointAnalysis(skel, "excluded", feasible, tuple(reasons), None)
-    return PointAnalysis(skel, "partial", feasible, tuple(reasons), None)
+        why = f"no order admits a period list for {tuple(skel)} at genus {sigma}"
+        return PointAnalysis(skel, "excluded", (), (ExclusionReason("arithmetic", why),), None)
+    witness, _, excluded, closed = _decide(sigma, skel, (n for n, _ in feasible), catalog, budget)
+    status = "realized" if witness is not None else "excluded" if closed else "partial"
+    return PointAnalysis(skel, status, feasible, tuple(reason for _, reason in excluded), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +479,14 @@ _ORDER_2N_DETAIL = {
 def _close_order_2n(
     sigma: int, h: int, n: int, catalog: CatalogManifest, budget: int
 ) -> tuple[str, str, bool, Witness | None]:
-    """Settle the |G| = 2n case: ``realizable`` over every group of that order."""
+    """Settle the |G| = 2n case: ``_decide`` at that one order."""
     order = 2 * n
-    group_list, complete = catalog.covering(order)
-    witness, budget_hit, excluded = _realize_any(group_list, sigma, SkeletalSignature(h, 1), budget)
+    witness, budget_hit, excluded, _ = _decide(
+        sigma, SkeletalSignature(h, 1), (order,), catalog, budget
+    )
     if witness is not None:
         return ("search-witness", f"{witness.group_name}: vector found", False, witness)
-    if not complete:
+    if not catalog.covering(order)[1]:
         return (
             "catalog-incomplete",
             f"need all groups of order {order}, catalog coverage incomplete there",
@@ -521,7 +514,7 @@ def sporadic_analysis(
     Nonexistence: at genus p + 1 (p an odd prime), any group realizing (h, 1)
     with branch period n makes n(2h-1) - 1 divide 2p, leaving four divisor
     cases; two force h = 1, the 2p case forces a cyclic group, and the p case
-    pins |G| = 2n, settled by ``realizable`` over every group of that order.
+    pins |G| = 2n, settled by ``_decide`` over every group of that order.
     Existence: the generalized quaternion family provides (h, 1) at genus
     2n(2(h-1)+1) - 1.
     """
@@ -603,6 +596,8 @@ def figure_dataset(
     latter.  Statuses: realized / admissible for points of the feasible set,
     gap for certified-empty gap lattice points, exception-realized /
     exception-excluded for exception-line points settled by group search.
+    ``max_order`` caps only the realized map: exception-line points are
+    analyzed at every feasible order, as ``verify-gap`` analyzes them.
     A ``catalog`` of None means: draw the plane without a search, so no point
     is realized and no exception point is analyzed.
     """

@@ -36,7 +36,10 @@ corner from its formula.
 the cap at every admissible point, where the library tries only the groups
 whose order is feasible there.  ``close_order_2n`` settles the sporadic
 |G| = 2n case with its own group loop and filters, where the library runs
-``realizable`` over the same groups.
+``realizable`` over the same groups.  ``order_loop_analysis`` decides a point
+with a group loop inside each order's loop, reading ``cyclic-forced`` off the
+period list, where the library runs every point through one decider that
+tests the single r = 1 part for 1.
 ``eager_realizable`` lists every period list, runs the product filter over all
 of them, and only then checks each with ``Fraction`` Riemann-Hurwitz and
 searches it, where the library does all of that in one pass that stops at the
@@ -117,6 +120,7 @@ from skelsig.rh import (
     _order_window,
     _period_lists,
     allowed_periods,
+    feasible_orders,
     hurwitz_range_orders,
     order_parts,
     part_sum_levels,
@@ -660,6 +664,48 @@ def close_order_2n(
     if budget_hit is not None:
         return ("budget-exhausted", f"{budget_hit}: search budget exhausted", False, None)
     return ("catalog-search", "; ".join(details), True, None)
+
+
+def order_loop_analysis(
+    sigma: int, skel: SkeletalSignature, catalog: CatalogManifest, budget: int
+) -> PointAnalysis:
+    """``analyze_point`` as one loop per order, each with its own group loop.
+
+    ``cyclic-forced`` is read off the order's period list, ``periods == (order,)``
+    at r = 1, where the library tests the single part T = N(2h - 1) - 2(sigma - 1)
+    for 1.
+    """
+    skel = SkeletalSignature(*skel)
+    feasible = tuple(feasible_orders(sigma, skel))
+    if not feasible:
+        why = f"no order admits a period list for {tuple(skel)} at genus {sigma}"
+        return PointAnalysis(skel, "excluded", (), (ExclusionReason("arithmetic", why),), None)
+    reasons = []
+    all_closed = True
+    for order, periods in feasible:
+        closed = skel.r == 1 and periods == (order,)
+        if closed:
+            reasons.append(
+                ExclusionReason(
+                    "cyclic-forced",
+                    f"order {order}: the branch entry would have order {order} = |G|, "
+                    f"forcing a cyclic (hence abelian) group, impossible with one branch point",
+                )
+            )
+        group_list, complete = catalog.covering(order)
+        budget_hit = False
+        for g in group_list:
+            report = realizable(g, sigma, skel, budget)
+            if report.verdict.is_exists:
+                witness = report.verdict.witness
+                return PointAnalysis(skel, "realized", feasible, tuple(reasons), witness)
+            if report.verdict.is_unknown:
+                budget_hit = True
+            else:
+                reasons.extend(report.exclusion_reasons)
+        all_closed = all_closed and (closed or (complete and not budget_hit))
+    status = "excluded" if all_closed else "partial"
+    return PointAnalysis(skel, status, feasible, tuple(reasons), None)
 
 
 def eager_realizable(

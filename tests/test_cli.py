@@ -38,7 +38,13 @@ from skelsig.cli import (
 from skelsig.geometry import gap
 from skelsig.genvec import GeneratingVector, JsonText, Witness
 from skelsig.groups import build_cyclic
-from skelsig.kspace import figure_dataset, realizable_set, sporadic_analysis, verify_gap
+from skelsig.kspace import (
+    admissible_map,
+    figure_dataset,
+    realizable_set,
+    sporadic_analysis,
+    verify_gap,
+)
 from skelsig.rh import OrbifoldSignature, SearchVerdict, SkeletalSignature
 from skelsig.svg import _POINT_STYLES, _ratio
 
@@ -480,6 +486,17 @@ class TestGoldenFiles:
         )
         assert code == EXIT_OK
         assert sidecar.read_bytes() == (GOLDEN / "plot_11_realized.csv").read_bytes()
+
+    def test_max_order_does_not_cap_exception_points(self, tmp_path):
+        # (8, 6) and (10, 1) lie on the order-5 exception line at genus 48 and are feasible
+        # only at order 5: past the cap of the realized map, they are decided all the same
+        assert admissible_map(48)[(8, 6)] == admissible_map(48)[(10, 1)] == (5,)
+        sidecar = tmp_path / "points.csv"
+        argv = ["--sigma", "48", "--with-realized", "--max-order", "3", "--csv-sidecar"]
+        code, _ = run(tmp_path, "plot", *argv, str(sidecar))
+        assert code == EXIT_OK
+        rows = sidecar.read_text(encoding="utf-8").splitlines()
+        assert "8,6,exception-realized" in rows and "10,1,exception-excluded" in rows
 
     def test_kspace_csv_format(self, tmp_path):
         code, text = run(tmp_path, "kspace", "--sigma", "2", "--format", "csv")

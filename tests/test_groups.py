@@ -488,8 +488,10 @@ class TestLoadCatalog:
         catalog = load_catalog(tmp_path)
         found, complete = catalog.covering(4)
         assert ([g.name for g in found], complete) == (["C4"], False)
-        with pytest.raises(OSError):
-            catalog.covering(2)
+        # a build that fails is not kept: the second call reads the file again
+        for _ in range(2):
+            with pytest.raises(OSError):
+                catalog.covering(2)
 
     @pytest.mark.parametrize(
         "text", ['{"order": 2}', '[{"order": 2, "spec": "cyclic:2"}]', '[{"order": "two"', "[3]"]

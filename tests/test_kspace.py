@@ -40,6 +40,7 @@ from oracles import (
     close_order_2n,
     full_range_feasible_orders,
     manifest_groups,
+    order_loop_analysis,
     period_multisets,
     rh_admissible,
     triangle,
@@ -313,6 +314,31 @@ class TestGroupsCovering:
             else:
                 assert (names, complete) == ([], False), order
 
+    def test_each_order_is_built_once_per_manifest(self, catalog, monkeypatch):
+        cyclic, specs = Counter(), Counter()
+        build_cyclic, build_from_spec = groups.build_cyclic, groups.build_from_spec
+
+        def counted_cyclic(n):
+            cyclic[n] += 1
+            return build_cyclic(n)
+
+        def counted_spec(spec, **kwargs):
+            if "name" in kwargs:  # a catalog entry; a product's factors have no name
+                specs[kwargs["name"]] += 1
+            return build_from_spec(spec, **kwargs)
+
+        monkeypatch.setattr(groups, "build_cyclic", counted_cyclic)
+        monkeypatch.setattr(groups, "build_from_spec", counted_spec)
+        manifests = [CatalogManifest(catalog.entries) for _ in range(2)]
+        for manifest in manifests:
+            for order in (12, 17, 16):
+                first = manifest.covering(order)
+                assert manifest.covering(order) is first and type(first[0]) is tuple
+        # each order-12 entry and C17 once per manifest; the uncatalogued order 16 builds nothing
+        assert specs == Counter({e.label: 2 for e in catalog.entries if e.order == 12})
+        assert cyclic[17] == 2 and 16 not in cyclic
+        assert manifests[0].covering(17)[0][0] is not manifests[1].covering(17)[0][0]
+
 
 class TestRealizableSet:
     def test_small_genus_witnesses(self, catalog):
@@ -356,7 +382,7 @@ class TestRealizableSet:
         # above 15 the bundled catalog has no groups, and only the prime orders are searched
         for max_order in (15, 40):
             unknown_seen = False
-            for sigma in range(2, 18):
+            for sigma in [*range(2, 61), 150]:
                 approx = realizable_set(sigma, catalog, max_order, 20)
                 ref = all_groups_realizable_set(sigma, catalog, max_order, 20)
                 assert approx.realized == ref.realized, (sigma, max_order)
@@ -597,6 +623,45 @@ class TestAnalyzePoint:
             "arithmetic", "abelian-r1", "abelian-r1", "commutator-r1", "commutator-r1",
         ]
 
+    def test_matches_order_loop_oracle(self, catalog):
+        # every admissible point and every gap exception point; budget 20 leaves some
+        # points partial that budget 2000 decides
+        seen = Counter()
+        for sigma in [*range(2, 61), 150]:
+            points = set(admissible_map(sigma))
+            for region in (gap(sigma, 3), gap(sigma, 4)):
+                points.update(filter(region.on_exception_line, region.integer_points_raw()))
+            for pt in sorted(points):
+                for budget in (20, 2000):
+                    analysis = analyze_point(sigma, pt, catalog, budget)
+                    expected = order_loop_analysis(sigma, pt, catalog, budget)
+                    assert analysis == expected, (sigma, pt, budget)
+                    seen.update({analysis.status, *(r.rule for r in analysis.reasons)})
+        assert all(seen[k] for k in ("realized", "excluded", "partial", "cyclic-forced"))
+
+    def test_cyclic_forced_is_the_r1_part_one(self):
+        # at r = 1 the one period list is (N,) exactly when T = N(2h - 1) - 2(sigma - 1) is 1;
+        # the decider names cyclic-forced at those orders alone, with no group to search
+        class NoGroups:
+            def covering(self, order):
+                return (), False
+
+        forced = 0
+        for sigma in range(2, 201):
+            for pt in admissible_map(sigma):
+                if pt.r != 1:
+                    continue
+                feasible = list(rh.feasible_orders(sigma, pt))
+                ones = [n for n, _ in feasible if n * (2 * pt.h - 1) - 2 * (sigma - 1) == 1]
+                assert ones == [n for n, periods in feasible if periods == (n,)], (sigma, pt)
+                _, _, excluded, closed = kspace._decide(
+                    sigma, pt, [n for n, _ in feasible], NoGroups(), 0
+                )
+                assert [r.scope.split(":")[0] for _, r in excluded] == [f"order {n}" for n in ones]
+                assert closed == (len(ones) == len(feasible))
+                forced += len(ones)
+        assert forced
+
 
 class TestSporadic:
     def test_pure_arithmetic_exclusion(self, catalog):
@@ -691,13 +756,21 @@ class TestSporadic:
         assert all(searches)
 
     def test_order_2n_budget_hit_names_the_group(self, catalog, monkeypatch):
+        # with the order's flag cleared as well, an incomplete order outranks the budget
         unknown = RealizabilityReport(SearchVerdict.unknown(), ())
         monkeypatch.setattr(kspace, "realizable", lambda *args: unknown)
-        report = sporadic_analysis(2, [5], [], catalog)
-        case = next(c for c in report.nonexistence[0].cases if c.divisor == "p")
-        assert (case.rule, case.detail, case.closed) == (
-            "budget-exhausted", "C2xC2: search budget exhausted", False,
-        )
+        unflagged = CatalogManifest(tuple(e._replace(complete=False) for e in catalog.entries))
+        for manifest, expected in (
+            (catalog, ("budget-exhausted", "C2xC2: search budget exhausted", False)),
+            (unflagged, (
+                "catalog-incomplete",
+                "need all groups of order 4, catalog coverage incomplete there",
+                False,
+            )),
+        ):
+            report = sporadic_analysis(2, [5], [], manifest)
+            case = next(c for c in report.nonexistence[0].cases if c.divisor == "p")
+            assert (case.rule, case.detail, case.closed) == expected
 
     def test_validation(self, catalog):
         with pytest.raises(ValueError):

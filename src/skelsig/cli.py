@@ -276,7 +276,7 @@ def cmd_genvec(args) -> int:
         "verdict": verdict.status,
     }
     if verdict.is_exists:
-        payload["witness"] = verdict.witness.to_json()
+        payload["witness"] = verdict.witness.vector_json()
     _emit(args, payload)
     if verdict.is_exists:
         return EXIT_OK
@@ -290,12 +290,22 @@ def cmd_plot(args) -> int:
     dataset = kspace.figure_dataset(args.sigma, catalog, args.max_order, args.budget)
     note = f"config: sigma={args.sigma} realized={bool(catalog)} max-order={args.max_order}"
     document = svg.render_figure(dataset, note)
-    # the sidecar is opened first, so an unwritable path fails before --out exists
     sidecar = args.csv_sidecar
-    with open(sidecar, "w", encoding="utf-8") if sidecar else contextlib.nullcontext() as f:
+    if not sidecar:
         _emit(args, document)
-        if f:
-            f.write(points_csv(dataset.to_csv_rows()))
+        return EXIT_OK
+    # the sidecar is opened first, so an unwritable path fails before --out exists, and
+    # opened to append, so a failed --out leaves it as it was (or absent, as it was)
+    created = not os.path.exists(sidecar)
+    with open(sidecar, "a", encoding="utf-8") as f:
+        try:
+            _emit(args, document)
+        except BaseException:
+            if created:
+                os.remove(sidecar)
+            raise
+        f.truncate(0)
+        f.write(points_csv(dataset.to_csv_rows()))
     return EXIT_OK
 
 

@@ -34,11 +34,13 @@ element of its order is one; in an abelian group that product is always e),
 ``product-unreachable`` (the same for r >= 2), or ``exhausted-search``.
 ``kspace._decide`` adds the order-level rule ``cyclic-forced``.
 
-The tuple walk takes the periods as (period, count) runs; its first candidate,
-the witness at 266 of 302 points at genus 48, costs one power per run.  A
-``Witness`` keeps its lists as runs and is written once, as ``JsonText``: the
-text ``json.dumps`` writes of it at the top level, each list a run at a time
-by string repetition.  Reports embed it; ``cli._write_json`` indents it.
+The filter and the tuple walk take the periods as (period, count) runs; the
+walk's first candidate, the witness at 266 of 302 points at genus 48, costs
+one power per run.  Its ``Witness`` is the one form of a generating vector
+here, its lists kept as runs: ``search`` returns it, ``verify`` checks it run
+by run, and it is written once, as ``JsonText``: the text ``json.dumps``
+writes of it at the top level, each list a run at a time by string
+repetition.  Reports embed it; ``cli._write_json`` indents it.
 """
 
 from __future__ import annotations
@@ -103,55 +105,100 @@ def _vector_text(pairs: Sequence, entries: Sequence, item: Callable[[int], str],
     ])
 
 
-class GeneratingVector(NamedTuple):
-    """Element indices (a_i, b_i) pairs plus the branch entries c_j."""
+# a witness at the top level, filled with % (group, spec, h, periods, vector, words)
+_WITNESS = (
+    '{\n  "group": %s,\n  "spec": %s,\n  "signature": {\n    "h": %d,\n    "periods": %s\n  },'
+    '\n  "vector": %s%s\n}'
+)
 
-    a_pairs: tuple[tuple[int, int], ...]
-    c_list: tuple[int, ...]
+
+class Witness(NamedTuple):
+    """A generating vector with its group and periods, each list as (value, count) runs.
+
+    The one form of a vector: the walk builds it, ``verify`` checks it and the
+    writers render it, each a run at a time.  Counts are positive and the pairs'
+    counts sum to h.  ``signature`` expands the periods; ``to_json`` fills one
+    template, with a quaternion group's words, and ``vector_json`` writes the
+    vector alone.
+    """
+
+    group_name: str
+    group_spec: str | None
+    periods: tuple[tuple[int, int], ...]
+    pairs: tuple[tuple[tuple[int, int], int], ...]
+    entries: tuple[tuple[int, int], ...]
+
+    @property
+    def signature(self) -> OrbifoldSignature:
+        return OrbifoldSignature(sum(k for _, k in self.pairs), _expand_runs(self.periods))
+
+    def vector_json(self) -> JsonText:
+        return JsonText(_vector_text(self.pairs, self.entries, str, "\n"))
 
     def to_json(self) -> JsonText:
-        pairs, entries = (_runs_of((v, 1) for v in vs) for vs in (self.a_pairs, self.c_list))
-        return JsonText(_vector_text(pairs, entries, str, "\n"))
+        spec, pairs, entries = self.group_spec, self.pairs, self.entries
+        words = ""
+        if spec and spec.startswith("quaternion:"):
+            n = int(spec.partition(":")[2])
+            text = _vector_text(pairs, entries, lambda i: _quote(quaternion_word(n, i)), "\n  ")
+            words = ',\n  "words": ' + text
+        return JsonText(_WITNESS % (
+            _quote(self.group_name), "null" if spec is None else _quote(spec),
+            sum(k for _, k in pairs), _array(self.periods, str, "\n      "),
+            _vector_text(pairs, entries, str, "\n  "), words))
 
 
-def verify(group: GroupTable, vec: GeneratingVector, sig: OrbifoldSignature) -> bool:
-    """Whether ``vec`` is an (h; n_1..n_r)-generating vector of ``group`` for ``sig``.
+def verify(group: GroupTable, witness: Witness) -> bool:
+    """Whether ``witness`` holds an (h; n_1..n_r)-generating vector of ``group``.
 
-    A vector of the wrong shape raises ``ValueError``.  Otherwise the checks
-    run cheapest first and stop at the first failure: the orders (2), the
-    product (3), then generation (1).
+    Branch entries that differ from the periods in number raise ``ValueError``.
+    Otherwise the checks run cheapest first, on the runs, and stop at the first
+    failure: the orders (2), over the period and entry runs side by side; the
+    product (3), a run of k equal factors x as x^k by repeated squaring; then
+    generation (1), by each run's elements once.
     """
-    if len(vec.a_pairs) != sig.h or len(vec.c_list) != sig.r:
+    periods, pairs, entries = witness.periods, witness.pairs, witness.entries
+    r = sum(k for _, k in entries)
+    if r != sum(k for _, k in periods):
         raise ValueError(
-            f"vector shape ({len(vec.a_pairs)} pairs, {len(vec.c_list)} branch entries) "
-            f"does not match signature {sig}"
+            f"vector shape ({sum(k for _, k in pairs)} pairs, {r} branch entries) "
+            f"does not match signature {witness.signature}"
         )
-    orders = group.element_orders
-    if any(orders[c] != n for c, n in zip(vec.c_list, sig.periods)):
-        return False
+    orders, runs, left = group.element_orders, iter(entries), 0
+    for n, k in periods:
+        while k:
+            if not left:
+                c, left = next(runs)
+            if orders[c] != n:
+                return False
+            step = min(k, left)
+            k, left = k - step, left - step
     table = group.table
     prod = 0
-    for a, b in vec.a_pairs:
-        prod = table[prod][group.commutator(a, b)]
-    for c in vec.c_list:
-        prod = table[prod][c]
-    return prod == 0 and group.generates([x for ab in vec.a_pairs for x in ab] + [*vec.c_list])
+    for x, k in [(group.commutator(a, b), k) for (a, b), k in pairs] + [*entries]:
+        while k:
+            if k & 1:
+                prod = table[prod][x]
+            x, k = table[x][x], k >> 1
+    return prod == 0 and group.generates(
+        [x for ab, _ in pairs for x in ab] + [c for c, _ in entries]
+    )
 
 
 def search(
     group: GroupTable, sig: OrbifoldSignature, budget: int = DEFAULT_BUDGET
 ) -> SearchVerdict:
-    """Exhaustive generating-vector search; first witness in ascending index order.
+    """Exhaustive generating-vector search; the first ``Witness`` in ascending index order.
 
     ``not_exists`` is only returned when ``product_reachable`` rules the
     signature out, which needs no enumeration, or when ``_walk_tuples``
     enumerated the pruned space in full; exceeding ``budget`` (counted in
     candidate tuples examined) yields ``unknown``.  Verdicts are deterministic.
     """
-    if not product_reachable(group, sig.h, sig.periods, (1,) * sig.r):
+    runs = _runs_of((n, 1) for n in sig.periods)
+    if not product_reachable(group, sig.h, runs):
         return SearchVerdict.not_exists()
-    verdict = _walk_tuples(group, sig.h, ((n, 1) for n in sig.periods), budget)
-    return SearchVerdict.exists(verdict.witness.vector) if verdict.is_exists else verdict
+    return _walk_tuples(group, sig.h, runs, budget)
 
 
 def _walk_tuples(group: GroupTable, h: int, runs: Iterable, budget: int) -> SearchVerdict:
@@ -208,10 +255,8 @@ def _walk_tuples(group: GroupTable, h: int, runs: Iterable, budget: int) -> Sear
         prod = prefix[-1]
 
 
-def quaternion_vector(
-    n: int, h: int
-) -> tuple[GroupTable, OrbifoldSignature, GeneratingVector]:
-    """Witness vector for the order-4n generalized quaternion group at quotient genus h.
+def quaternion_vector(n: int, h: int) -> tuple[GroupTable, Witness]:
+    """The order-4n generalized quaternion group and its witness at quotient genus h, verified.
 
     The vector is (x, y, e, ..., e, x^2): [x, y] = x^-2 under the fixed
     convention, x^2 has order n, and x, y generate, so it is an
@@ -224,61 +269,15 @@ def quaternion_vector(
         raise ValueError(f"quotient genus must be >= 1, got {h}")
     group = build_generalized_quaternion(n)
     x, y, x_sq = 1, 2 * n, 2
-    sig = OrbifoldSignature(h, (n,))
-    vec = GeneratingVector(((x, y),) + ((0, 0),) * (h - 1), (x_sq,))
-    if not verify(group, vec, sig):
+    pairs = _runs_of((((x, y), 1), ((0, 0), h - 1)))
+    witness = Witness(group.name, group.spec, ((n, 1),), pairs, ((x_sq, 1),))
+    if not verify(group, witness):
         raise AssertionError(f"quaternion vector failed verification for n={n}, h={h}")
-    return group, sig, vec
+    return group, witness
 
 
 # ---------------------------------------------------------------------------
 # realizability of a skeletal signature by one concrete group
-
-
-# a witness at the top level, filled with % (group, spec, h, periods, vector, words)
-_WITNESS = (
-    '{\n  "group": %s,\n  "spec": %s,\n  "signature": {\n    "h": %d,\n    "periods": %s\n  },'
-    '\n  "vector": %s%s\n}'
-)
-
-
-class Witness(NamedTuple):
-    """A found action: its periods, (a, b) pairs and branch entries as (value, count) runs.
-
-    The pairs' counts sum to h.  ``signature`` and ``vector`` expand the runs, ``of``
-    builds them, and ``to_json`` fills one template, with a quaternion group's words.
-    """
-
-    group_name: str
-    group_spec: str | None
-    periods: tuple[tuple[int, int], ...]
-    pairs: tuple[tuple[tuple[int, int], int], ...]
-    entries: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, name: str, spec: str | None, sig: OrbifoldSignature, vec: GeneratingVector):
-        runs = (_runs_of((v, 1) for v in vs) for vs in (sig.periods, vec.a_pairs, vec.c_list))
-        return cls(name, spec, *runs)
-
-    @property
-    def signature(self) -> OrbifoldSignature:
-        return OrbifoldSignature(sum(k for _, k in self.pairs), _expand_runs(self.periods))
-
-    @property
-    def vector(self) -> GeneratingVector:
-        return GeneratingVector(_expand_runs(self.pairs), _expand_runs(self.entries))
-
-    def to_json(self) -> JsonText:
-        spec, pairs, entries = self.group_spec, self.pairs, self.entries
-        words = ""
-        if spec and spec.startswith("quaternion:"):
-            n = int(spec.partition(":")[2])
-            text = _vector_text(pairs, entries, lambda i: _quote(quaternion_word(n, i)), "\n  ")
-            words = ',\n  "words": ' + text
-        return JsonText(_WITNESS % (
-            _quote(self.group_name), "null" if spec is None else _quote(spec),
-            sum(k for _, k in pairs), _array(self.periods, str, "\n      "),
-            _vector_text(pairs, entries, str, "\n  "), words))
 
 
 class ExclusionReason(NamedTuple):
@@ -339,7 +338,7 @@ def realizable(
                 f"period list {OrbifoldSignature(h, _expand_runs(zip(element_orders, counts)))} "
                 f"of {group.name} breaks Riemann-Hurwitz at genus {sigma}"
             )
-        if not product_reachable(group, h, element_orders, counts):
+        if not product_reachable(group, h, zip(element_orders, counts)):
             continue
         saw_reachable = True
         verdict = _walk_tuples(group, h, zip(element_orders, counts), budget)
@@ -383,11 +382,9 @@ def _excluded(rule: str, scope: str) -> RealizabilityReport:
     return RealizabilityReport(SearchVerdict.not_exists(), (ExclusionReason(rule, scope),))
 
 
-def product_reachable(
-    group: GroupTable, h: int, periods: Sequence[int], counts: Sequence[int]
-) -> bool:
-    """Whether some c_1...c_r, ``counts[k]`` of them of order ``periods[k]``, is the inverse of
-    a product of h commutators.
+def product_reachable(group: GroupTable, h: int, runs: Iterable[tuple[int, int]]) -> bool:
+    """Whether some c_1...c_r, taken from the (period, count) ``runs`` as ``_walk_tuples``
+    takes them, is the inverse of a product of h commutators.
 
     This is condition (3) with generation ignored, so ``False`` certifies that
     no (h; n_1..n_r)-generating vector exists.  It is a statement about
@@ -401,7 +398,7 @@ def product_reachable(
     the commutator level's mask.
     """
     mask = 1  # the class of e
-    for n, c in zip(periods, counts):
+    for n, c in runs:
         if mask and c:
             mask = group.mask_product(mask, n, c)
     return bool(mask & group.commutator_mask(h))

@@ -14,8 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
-from .groups import _is_prime
-from .rh import SkeletalSignature, _check_genus, _check_order
+from .rh import SkeletalSignature, _check_genus, _check_order, is_prime
 
 Coord = Union[int, Fraction]
 
@@ -128,7 +127,7 @@ def p_group_line(sigma: int, p: int, power: int) -> RationalLine:
     2 p^power h + (p-1) p^(power-1) r = 2 p^power - 2 + 2 sigma.
     """
     _check_genus(sigma)
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
@@ -254,7 +253,7 @@ def gap(sigma: int, order: int) -> GapRegion:
         raise ValueError(f"gaps are defined for order >= 3, got {order}")
     n = order
     lo = lower_line(sigma, n)
-    if _is_prime(n + 1):
+    if is_prime(n + 1):
         span = "skip"
         up = upper_line(sigma, n + 2)
         exception = p_group_line(sigma, n + 1, 1)

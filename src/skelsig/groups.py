@@ -26,6 +26,8 @@ import re
 from functools import cache, cached_property
 from typing import Collection, NamedTuple, Sequence
 
+from .rh import is_prime
+
 
 class GroupTableError(ValueError):
     """Base class for group-table validation failures."""
@@ -345,7 +347,7 @@ def build_elementary_abelian(p: int, k: int) -> GroupTable:
     """(C_p)^k: every non-identity element has order exactly p."""
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     g = build_cyclic(p)
     out = g
@@ -634,7 +636,7 @@ class CatalogManifest:
         """
         if order not in self._covering:
             groups = tuple(self._build(e) for e in self._by_order.get(order, ()))
-            prime = _is_prime(order)
+            prime = is_prime(order)
             if prime and not groups:
                 groups = (build_cyclic(order),)
             self._covering[order] = groups, prime or order in self.complete_orders
@@ -699,18 +701,3 @@ def bundled_catalog() -> CatalogManifest:
     with open(manifest, encoding="utf-8") as f:
         text = f.read()
     return CatalogManifest(_parse_manifest(text, "bundled catalog manifest"), base_dir=None)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True

@@ -23,10 +23,9 @@ from .genvec import (
     Witness,
     quaternion_vector,
     realizable,
-    verify,
 )
 from .geometry import GapRegion, gap, p_group_line, triangle_rows
-from .groups import CatalogManifest, _is_prime
+from .groups import CatalogManifest
 from .rh import (
     SearchVerdict,
     SkeletalSignature,
@@ -35,6 +34,7 @@ from .rh import (
     _order_window,
     feasible_orders,
     hurwitz_range_orders,
+    is_prime,
     order_parts,
     part_sum_levels,
     rh_genus,
@@ -522,7 +522,7 @@ def sporadic_analysis(
         raise ValueError(f"quotient genus must be > 1, got {h}")
     genus_reports = []
     for p in p_list:
-        if p < 3 or not _is_prime(p):
+        if p < 3 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         sigma = p + 1
         # d = 1 and d = 2: n(2h-1) = d+1 <= 3 has no n >= 2 once h >= 2
@@ -552,18 +552,10 @@ def sporadic_analysis(
         genus_reports.append(SporadicGenusReport(p, sigma, tuple(cases), verdict))
     witness_records = []
     for n in n_list:
-        group, sig, vec = quaternion_vector(n, h)
-        genus_fraction = rh_genus(group.order, sig)
+        group, witness = quaternion_vector(n, h)
         expected = 2 * n * (2 * (h - 1) + 1) - 1
-        ok = verify(group, vec, sig) and genus_fraction == expected
-        witness_records.append(
-            QuaternionWitnessRecord(
-                n=n,
-                genus=expected,
-                witness=Witness.of(group.name, group.spec, sig, vec),
-                verified=ok,
-            )
-        )
+        ok = rh_genus(group.order, witness.signature) == expected
+        witness_records.append(QuaternionWitnessRecord(n, expected, witness, ok))
     return SporadicReport(h, tuple(genus_reports), tuple(witness_records))
 
 

@@ -156,6 +156,11 @@ def allowed_periods(order: int) -> list[int]:
     return small[1:] + large
 
 
+def is_prime(n: int) -> bool:
+    """Whether ``n`` is prime: n >= 2, and its only divisor >= 2 is n."""
+    return n >= 2 and allowed_periods(n) == [n]
+
+
 def order_parts(top: int) -> Iterator[tuple[int, list[int]]]:
     """Each order N in 2..top, ascending, with its parts: the divisors d <= N/2 of N, descending.
 

@@ -50,8 +50,13 @@ group (``mask_elements`` reads a mask back as elements); the two oracles
 above use these, not the library's filter.
 ``naive_associative`` tests the associative law on all n^3 triples, where
 the library's table validator runs Light's test over a generating set.
-``check_vector`` evaluates all three generating-vector conditions in full and
-reports each, where the library's ``verify`` stops at the first failure.
+``GeneratingVector`` is a vector written out in full, r branch entries and h
+pairs, the form ``naive_search``, ``walk_tuples`` and ``check_vector`` use, where
+the library keeps only the run-length ``Witness``; ``witness_of`` and
+``witness_vector`` convert between the two, and ``expanded`` writes out a
+verdict's witness.  ``check_vector`` evaluates all three generating-vector
+conditions in full, entry by entry, and reports each, where the library's
+``verify`` checks a witness run by run and stops at the first failure.
 ``harvey_realizable`` decides a cyclic group by Harvey's arithmetic
 conditions on its period lists, where the library searches for a vector.
 ``all_groups_unbranched_condition`` is a predicate no command reaches, and
@@ -78,16 +83,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from skelsig.genvec import (
-    ExclusionReason,
-    GeneratingVector,
-    RealizabilityReport,
-    Witness,
-    realizable,
-    verify,
-)
+from skelsig.genvec import ExclusionReason, RealizabilityReport, Witness, realizable
 from skelsig.geometry import (
     GapRegion,
     RationalLine,
@@ -126,6 +124,34 @@ from skelsig.rh import (
     part_sum_levels,
     rh_holds,
 )
+
+
+class GeneratingVector(NamedTuple):
+    """A generating vector written out in full: the (a_i, b_i) pairs and the branch entries c_j."""
+
+    a_pairs: tuple[tuple[int, int], ...]
+    c_list: tuple[int, ...]
+
+
+def witness_of(
+    name: str, spec: str | None, sig: OrbifoldSignature, vec: GeneratingVector
+) -> Witness:
+    """The ``Witness`` of a written-out vector: each list as runs of equal neighbours."""
+    runs = (
+        tuple((v, len(list(group))) for v, group in itertools.groupby(values))
+        for values in (sig.periods, vec.a_pairs, vec.c_list)
+    )
+    return Witness(name, spec, *runs)
+
+
+def witness_vector(witness: Witness) -> GeneratingVector:
+    """A witness's vector written out in full."""
+    return GeneratingVector(_expand_runs(witness.pairs), _expand_runs(witness.entries))
+
+
+def expanded(verdict: SearchVerdict) -> SearchVerdict:
+    """A verdict with its witness, if any, written out as a ``GeneratingVector``."""
+    return SearchVerdict.exists(witness_vector(verdict.witness)) if verdict.is_exists else verdict
 
 
 def naive_search(group: GroupTable, sig: OrbifoldSignature) -> SearchVerdict:
@@ -648,7 +674,7 @@ def close_order_2n(
             continue
         verdict, _ = walk_tuples(g, OrbifoldSignature(h, (n,)), budget)
         if verdict.is_exists:
-            witness = Witness.of(g.name, g.spec, OrbifoldSignature(h, (n,)), verdict.witness)
+            witness = witness_of(g.name, g.spec, OrbifoldSignature(h, (n,)), verdict.witness)
             return ("search-witness", f"{g.name}: vector found", False, witness)
         if verdict.is_unknown:
             budget_hit = budget_hit or g.name
@@ -754,7 +780,7 @@ def eager_realizable(
             continue
         verdict, _ = walk_tuples(group, sig, budget)
         if verdict.is_exists:
-            witness = Witness.of(group.name, group.spec, sig, verdict.witness)
+            witness = witness_of(group.name, group.spec, sig, verdict.witness)
             return RealizabilityReport(SearchVerdict.exists(witness), ())
         if verdict.is_unknown:
             saw_unknown = True
@@ -813,7 +839,7 @@ def unbranched_cyclic(
     group = build_cyclic(order)
     sig = OrbifoldSignature(h, ())
     vec = GeneratingVector(((1, 0),) + ((0, 0),) * (h - 1), ())
-    if not verify(group, vec, sig):
+    if not check_vector(group, vec, sig).ok:
         raise AssertionError(f"unbranched cyclic vector failed for sigma={sigma}, N={order}")
     return group, sig, vec
 
@@ -951,7 +977,7 @@ def point_analysis_json(analysis: PointAnalysis) -> dict:
 
 
 def vector_json(vec: GeneratingVector) -> dict:
-    """``GeneratingVector.to_json`` as a dict tree."""
+    """``Witness.vector_json`` as a dict tree, from the vector written out."""
     return {"aPairs": list(map(list, vec.a_pairs)), "c": list(vec.c_list)}
 
 
@@ -961,9 +987,9 @@ def witness_json(witness: Witness) -> dict:
         "group": witness.group_name,
         "spec": witness.group_spec,
         "signature": {"h": witness.signature.h, "periods": list(witness.signature.periods)},
-        "vector": vector_json(witness.vector),
+        "vector": vector_json(witness_vector(witness)),
     }
-    spec, vec = witness.group_spec, witness.vector
+    spec, vec = witness.group_spec, witness_vector(witness)
     if spec and spec.startswith("quaternion:"):
         n = int(spec.partition(":")[2])
         out["words"] = {

@@ -109,7 +109,7 @@ def test_criterion_04_genus_48_exception_analysis(catalog):
     else:
         from skelsig.groups import build_cyclic
 
-        if not verify(build_cyclic(5), realized.witness.vector, realized.witness.signature):
+        if not verify(build_cyclic(5), realized.witness):
             failures.append(("(8,6)", "witness does not verify"))
     excluded = analyze_point(48, S(10, 1), catalog)
     if excluded.status != "excluded":
@@ -127,11 +127,11 @@ def test_criterion_05_quaternion_family():
     failures = []
     for n in range(2, 13):
         for h in range(1, 6):
-            group, sig, vec = quaternion_vector(n, h)
+            group, witness = quaternion_vector(n, h)
             expected = 2 * n * (2 * (h - 1) + 1) - 1
-            if not verify(group, vec, sig):
+            if not verify(group, witness):
                 failures.append((n, h, "vector"))
-            if rh_genus(group.order, sig) != expected:
+            if rh_genus(group.order, witness.signature) != expected:
                 failures.append((n, h, "genus"))
     report(5, "quaternion family witnesses for n in 2..12, h in 1..5", failures, t0)
 
@@ -229,7 +229,7 @@ def test_criterion_10_unbranched_points():
     """Unbranched cyclic witnesses at ((sigma-1)/N + 1, 0) for every divisor N of sigma-1."""
     t0 = time.time()
     failures = []
-    from oracles import unbranched_cyclic
+    from oracles import unbranched_cyclic, witness_of
 
     for sigma in range(2, 51):
         for order in range(2, sigma):
@@ -244,6 +244,6 @@ def test_criterion_10_unbranched_points():
                 failures.append((sigma, order, "wrong point"))
             if not rh_holds(sigma, order, sig):
                 failures.append((sigma, order, "rh"))
-            if not verify(group, vec, sig):
+            if not verify(group, witness_of(group.name, group.spec, sig, vec)):
                 failures.append((sigma, order, "vector"))
     report(10, "unbranched cyclic witnesses for genus 2..50", failures, t0)

@@ -36,7 +36,7 @@ from skelsig.cli import (
     parse_signature,
 )
 from skelsig.geometry import gap
-from skelsig.genvec import GeneratingVector, JsonText, Witness
+from skelsig.genvec import JsonText, Witness
 from skelsig.groups import build_cyclic
 from skelsig.kspace import (
     admissible_map,
@@ -49,11 +49,14 @@ from skelsig.rh import OrbifoldSignature, SearchVerdict, SkeletalSignature
 from skelsig.svg import _POINT_STYLES, _ratio
 
 from oracles import (
+    GeneratingVector,
     check_vector,
     circle_render_figure,
     point_report_json,
     vector_json,
     witness_json,
+    witness_of,
+    witness_vector,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -68,6 +71,26 @@ KSPACE_300_SHA256 = "fb15c5151ab70ae7be0f6fe6c2abeb3cdeab819ec3169f0e82324bfb434
 # sha256 of the 128 `verify-gap --sigma s --n n` documents (1,793,265 bytes), s = 9..72
 # and n = 3, 4 in that order, one after another
 VERIFY_GAP_9_72_SHA256 = "a2fd8bddc41d6f2f63c9bcedc417c0a29d7f41817dfbadff9a00551a44a6be78"
+# `genvec` runs pinned by one hash: exists (sorted, unsorted and repeated periods, a-pairs,
+# product groups), not-exists by the product filter and by a full walk, and unknown by budget
+GENVEC_CASES = [
+    ("quaternion:2", "(2;2)"),
+    ("quaternion:3", "(2;3)"),
+    ("cyclic:6", "(0;2,3,6)"),
+    ("cyclic:6", "(0;6,2,3)"),
+    ("cyclic:2", "(0;2,2,2,2,2,2)"),
+    ("dihedral:4", "(1;2,2)"),
+    ("product:cyclic:2,dihedral:3", "(0;2,2,2,6)"),
+    ("product:cyclic:2,quaternion:2", "(1;2,2)"),
+    ("cyclic:4", "(1;2)"),
+    ("elab:2^2", "(0;2,2)"),
+    ("quaternion:2", "(2;2)", "--budget", "3"),
+]
+# sha256 of the 11 `genvec` documents of GENVEC_CASES (4,230 bytes), one after another
+GENVEC_CASES_SHA256 = "476bf9381c35b2664e48f26f035e0b649d28ed9f1c0f84a8878c1cb7c83934f2"
+# sha256 of the 4 `sporadic --h H --primes 3,5,7,11,13,17,19 --witness-n 2,3,4,5,6`
+# documents (56,050 bytes), H = 2..5 in that order, one after another
+SPORADIC_2_5_SHA256 = "ef5797cccc74a5b206728d95436f273a2fef1be472fbd58c7e4f8df7ea0bc33f"
 # sha256 of `plot --sigma 48 --with-realized` (25,330 bytes): the goldens draw no realized point
 PLOT_48_REALIZED_SHA256 = "d4ecaae2c263f1d3b8a872c67fb321f46564385d3e95f4ed172341689984ad7a"
 # stdout, stderr and exit code of help and usage-error runs, 80 columns wide
@@ -153,6 +176,33 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("before", [None, "h,r,status\r\n2,0,admissible\r\n"],
+                             ids=["absent", "written"])
+    def test_unwritable_out_leaves_the_sidecar_as_it_was(self, tmp_path, capsys, before):
+        # the sidecar is written only once --out is open: a run that fails there
+        # neither creates it nor truncates what it held
+        out = tmp_path / "missing" / "plane.svg"
+        sidecar = tmp_path / "points.csv"
+        if before is not None:
+            sidecar.write_bytes(before.encode("utf-8"))
+        argv = ["plot", "--sigma", "2", "--out", str(out), "--csv-sidecar", str(sidecar)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        if before is None:
+            assert not sidecar.exists()
+        else:
+            assert sidecar.read_bytes() == before.encode("utf-8")
+
+    def test_sidecar_replaces_longer_text(self, tmp_path):
+        # a sidecar that held more text than the run writes ends with the run's rows
+        sidecar = tmp_path / "points.csv"
+        sidecar.write_text("x" * 100_000, encoding="utf-8")
+        argv = ["plot", "--sigma", "2", "--out", str(tmp_path / "plane.svg"),
+                "--csv-sidecar", str(sidecar)]
+        assert main(argv) == EXIT_OK
+        rows = figure_dataset(2).to_csv_rows()
+        assert sidecar.read_bytes() == cli.points_csv(rows).encode("utf-8")
 
     def test_missing_genus_8_h2_is_usage_without_traceback(self):
         # (2, 1) lies on the order-5 cyclic line at genus 8, so there is no missing point
@@ -429,10 +479,11 @@ class TestGoldenFiles:
                 continue
             above.append(group.order)
             sig = OrbifoldSignature(w["signature"]["h"], w["signature"]["periods"])
-            vec = genvec.GeneratingVector(
+            vec = GeneratingVector(
                 tuple(map(tuple, w["vector"]["aPairs"])), tuple(w["vector"]["c"])
             )
-            assert genvec.verify(group, vec, sig) and check_vector(group, vec, sig).ok, w
+            witness = witness_of(group.name, group.spec, sig, vec)
+            assert genvec.verify(group, witness) and check_vector(group, vec, sig).ok, w
         assert len(above) == 3
 
     def test_kspace_150_pinned(self, tmp_path):
@@ -455,6 +506,30 @@ class TestGoldenFiles:
                 assert code == EXIT_OK, (sigma, n)
                 digest.update(text.encode("utf-8"))
         assert digest.hexdigest() == VERIFY_GAP_9_72_SHA256
+
+    def test_genvec_cases_pinned(self, tmp_path):
+        # one golden holds a genvec witness, Q8's; this pins a witness, or its absence,
+        # for each kind of verdict and vector shape
+        digest, codes, size = hashlib.sha256(), [], 0
+        for group, sig, *extra in GENVEC_CASES:
+            code, text = run(tmp_path, "genvec", "--group", group, "--sig", sig, *extra)
+            codes.append(code)
+            size += len(text)
+            digest.update(text.encode("utf-8"))
+        assert codes == [EXIT_OK] * 8 + [EXIT_REFUTED] * 2 + [EXIT_PARTIAL]
+        assert size == 4230
+        assert digest.hexdigest() == GENVEC_CASES_SHA256
+
+    def test_sporadic_2_to_5_pinned(self, tmp_path):
+        # one golden holds sporadic at h = 2 with one quaternion witness; this pins
+        # five witnesses, with their words, and the |G| = 2n cases at h = 2..5
+        digest = hashlib.sha256()
+        for h in range(2, 6):
+            code, text = run(tmp_path, "sporadic", "--h", str(h), "--primes",
+                             "3,5,7,11,13,17,19", "--witness-n", "2,3,4,5,6")
+            assert code == EXIT_OK, h
+            digest.update(text.encode("utf-8"))
+        assert digest.hexdigest() == SPORADIC_2_5_SHA256
 
     def test_stdout_matches_out(self, capsys):
         assert main(["kspace", "--sigma", "48", "--budget", "200000"]) == EXIT_OK
@@ -583,7 +658,7 @@ def runs_of(values):
 
 ESCAPED_NAMES = st.text() | st.sampled_from(['"Q8"', "C\\2", "\x00\n\t", "é ☃ 𝄞", "%s %d"])
 WITNESSES = st.builds(
-    lambda name, spec, periods, pairs, c: Witness.of(
+    lambda name, spec, periods, pairs, c: witness_of(
         name, spec, OrbifoldSignature(len(pairs), periods), GeneratingVector(pairs, c)
     ),
     ESCAPED_NAMES,
@@ -595,10 +670,10 @@ WITNESSES = st.builds(
 
 
 def assert_written_as_dict(witness: Witness) -> None:
-    text, vector = witness.to_json(), witness.vector.to_json()
+    text, vector = witness.to_json(), witness.vector_json()
     assert type(text) is JsonText and type(vector) is JsonText
     assert text == json.dumps(witness_json(witness), indent=2)
-    assert vector == json.dumps(vector_json(witness.vector), indent=2)
+    assert vector == json.dumps(vector_json(witness_vector(witness)), indent=2)
 
 
 class TestWitnessText:
@@ -622,10 +697,10 @@ class TestWitnessText:
             assert '"words"' in witness.to_json()
 
     @given(WITNESSES)
-    @example(Witness.of("C1", None, OrbifoldSignature(0, ()), GeneratingVector((), ())))
-    @example(Witness.of("C5", "cyclic:5", OrbifoldSignature(0, (5, 5, 5)),
+    @example(witness_of("C1", None, OrbifoldSignature(0, ()), GeneratingVector((), ())))
+    @example(witness_of("C5", "cyclic:5", OrbifoldSignature(0, (5, 5, 5)),
                         GeneratingVector((), (1, 2, 2))))
-    @example(Witness.of('"\\', "quaternion:3", OrbifoldSignature(2, (3,)),
+    @example(witness_of('"\\', "quaternion:3", OrbifoldSignature(2, (3,)),
                         GeneratingVector(((1, 6), (0, 0)), (2,))))
     def test_hand_built_witnesses(self, witness):
         assert_written_as_dict(witness)
@@ -636,11 +711,10 @@ class TestWitnessText:
 
         def witness(r: int) -> Witness:
             sig = OrbifoldSignature(0, (2,) * r)
-            return Witness.of(group.name, group.spec, sig, GeneratingVector((), (1,) * r))
+            return witness_of(group.name, group.spec, sig, GeneratingVector((), (1,) * r))
 
         short, huge = witness(1000), witness(10**6)
-        assert genvec.verify(group, short.vector, short.signature)
-        assert genvec.verify(group, huge.vector, huge.signature)
+        assert genvec.verify(group, short) and genvec.verify(group, huge)
         assert_written_as_dict(short)
         sizes: list[int] = []
         tracemalloc.start()

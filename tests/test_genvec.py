@@ -1,5 +1,6 @@
 """Generating vectors: verification oracle, search vs naive enumeration, witnesses."""
 
+import functools
 import itertools
 import os
 from collections import Counter
@@ -13,9 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    GeneratingVector,
     all_groups_unbranched_condition,
     check_vector,
     eager_realizable,
+    expanded,
     fraction_period_multisets,
     harvey_realizable,
     manifest_groups,
@@ -25,11 +28,12 @@ from oracles import (
     period_multisets,
     unbranched_cyclic,
     walk_tuples,
+    witness_of,
+    witness_vector,
 )
 from skelsig import genvec
 from skelsig.genvec import (
     DEFAULT_BUDGET,
-    GeneratingVector,
     Witness,
     product_reachable,
     quaternion_vector,
@@ -41,10 +45,11 @@ from skelsig.groups import (
     build_cyclic,
     build_dihedral,
     build_elementary_abelian,
+    build_from_spec,
     build_generalized_quaternion,
     bundled_catalog,
 )
-from skelsig.kspace import admissible_map
+from skelsig.kspace import admissible_map, realizable_set, sporadic_analysis
 from skelsig.rh import (
     OrbifoldSignature,
     SearchVerdict,
@@ -84,8 +89,8 @@ def vectors(draw):
 
     Half the time the last branch entry is chosen to satisfy condition (3),
     each period is the entry's own order or any order in 2..12, and a quarter
-    of the signatures are drawn apart from the vector, so their shape may not
-    match it.
+    of the period lists are drawn apart from the vector, so their length may
+    not match it.  The signature's h is the vector's, as a witness's is.
     """
     group = draw(st.sampled_from(manifest_groups(bundled_catalog(), max_order=12)))
     element = st.integers(0, group.order - 1)
@@ -104,37 +109,43 @@ def vectors(draw):
         for c in c_list
     ]
     if draw(st.integers(0, 3)) == 0:
-        h = draw(st.integers(0, 2))
         periods = draw(st.lists(st.integers(2, 12), max_size=3))
     return group, GeneratingVector(pairs, tuple(c_list)), Sig(h, tuple(periods))
+
+
+def written(group, sig, pairs, c):
+    """The witness of a vector written out: ``sig``'s periods, the ``pairs`` and entries ``c``."""
+    return witness_of(group.name, group.spec, sig, GeneratingVector(pairs, c))
 
 
 class TestVerify:
     def test_c2_two_branch_points(self):
         c2 = build_cyclic(2)
-        assert verify(c2, GeneratingVector((), (1, 1)), Sig(0, (2, 2)))
+        assert verify(c2, written(c2, Sig(0, (2, 2)), (), (1, 1)))
 
     def test_q8_paper_vector(self):
         # (x, y, e, e, x^2): [x,y] = x^-2 cancels c_1 = x^2 exactly
         q8 = build_generalized_quaternion(2)
-        vec = GeneratingVector(((1, 4), (0, 0)), (2,))
-        assert verify(q8, vec, Sig(2, (2,)))
+        assert verify(q8, written(q8, Sig(2, (2,)), ((1, 4), (0, 0)), (2,)))
 
     def test_c5_exponent_family(self):
         c5 = build_cyclic(5)
         # c exponents (1,1,1,1,2,4) sum to 10 = 0 mod 5; any generating a-pair works
-        vec = GeneratingVector(((1, 0),) + ((0, 0),) * 7, (1, 1, 1, 1, 2, 4))
-        assert verify(c5, vec, Sig(8, (5,) * 6))
+        pairs = ((1, 0),) + ((0, 0),) * 7
+        assert verify(c5, written(c5, Sig(8, (5,) * 6), pairs, (1, 1, 1, 1, 2, 4)))
 
     def test_wrong_order_and_broken_product(self):
         # c_1 = 1 has order 4, not 2, and [1, 0] * 1 = 1 is not e; the entries generate C4
         c4 = build_cyclic(4)
-        assert not verify(c4, GeneratingVector(((1, 0),), (1,)), Sig(1, (2,)))
+        assert not verify(c4, written(c4, Sig(1, (2,)), ((1, 0),), (1,)))
 
     def test_length_mismatch(self):
         c2 = build_cyclic(2)
         with pytest.raises(ValueError):
-            verify(c2, GeneratingVector((), (1,)), Sig(0, (2, 2)))
+            verify(c2, written(c2, Sig(0, (2, 2)), (), (1,)))
+        # the counts differ, though each list holds one run
+        with pytest.raises(ValueError, match="does not match signature"):
+            verify(c2, Witness(c2.name, c2.spec, ((2, 3),), (), ((1, 2),)))
 
     @settings(max_examples=300, deadline=None)
     @given(vectors())
@@ -142,16 +153,120 @@ class TestVerify:
     @example((build_cyclic(4), GeneratingVector(((1, 0),), (1,)), Sig(1, (2,))))
     @example((build_cyclic(2), GeneratingVector((), (1,)), Sig(0, (2, 2))))
     def test_matches_the_full_check(self, case):
-        # the early-exit verify agrees with all three conditions evaluated in full
+        # the early-exit verify on runs agrees with all three conditions evaluated in full
         group, vec, sig = case
+        witness = witness_of(group.name, group.spec, sig, vec)
         try:
             expected = check_vector(group, vec, sig).ok
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                verify(group, vec, sig)
+                verify(group, witness)
             assert str(got.value) == str(exc)
         else:
-            assert verify(group, vec, sig) == expected
+            assert verify(group, witness) == expected
+
+
+@functools.cache
+def small_witnesses() -> list[tuple]:
+    """(group, witness) for every witness of ``realizable_set`` at genus 2..12, orders up to 12."""
+    catalog = bundled_catalog()
+    groups = {g.name: g for g in manifest_groups(catalog)}
+    return [
+        (groups[w.group_name], w)
+        for sigma in range(2, 13)
+        for w in realizable_set(sigma, catalog, 12).realized.values()
+    ]
+
+
+def swapped(group, witness, field: str, i: int, x: int):
+    """``witness`` with run ``i`` of its pairs (its a_i) or entries made ``x``, its count kept."""
+    runs = list(getattr(witness, field))
+    value, count = runs[i]
+    runs[i] = ((x, value[1]) if field == "pairs" else x, count)
+    return witness._replace(**{field: tuple(runs)})
+
+
+@st.composite
+def swapped_witnesses(draw):
+    """A witness of ``small_witnesses`` with one run's element swapped for any element."""
+    group, witness = draw(st.sampled_from(small_witnesses()))
+    field = draw(st.sampled_from([f for f in ("pairs", "entries") if getattr(witness, f)]))
+    i = draw(st.integers(0, len(getattr(witness, field)) - 1))
+    return group, swapped(group, witness, field, i, draw(st.integers(0, group.order - 1)))
+
+
+def first_failure(group, witness) -> str:
+    """The first of the three conditions, in ``verify``'s order, that the full check fails."""
+    check = check_vector(group, witness_vector(witness), witness.signature)
+    for name, ok in (("orders", all(check.orders_ok)), ("product", check.product_ok),
+                     ("generation", check.generates)):
+        if not ok:
+            return name
+    return "none"
+
+
+class TestVerifyRuns:
+    """``verify`` on a witness's runs against ``check_vector`` on its vector written out."""
+
+    @pytest.mark.parametrize("max_order", [15, 40])
+    def test_realized_witnesses(self, catalog, max_order):
+        # above order 15 the witnesses come from C_p, built on demand
+        groups = {g.name: g for g in manifest_groups(catalog)}
+        seen = 0
+        for sigma in [*range(2, 61), 150]:
+            for witness in realizable_set(sigma, catalog, max_order).realized.values():
+                group = groups.get(witness.group_name) or build_from_spec(witness.group_spec)
+                assert first_failure(group, witness) == "none", witness
+                assert verify(group, witness), witness
+                seen += 1
+        assert seen > 5000
+
+    def test_sporadic_witnesses(self, catalog):
+        witnesses = []
+        for h in (2, 3, 4):
+            report = sporadic_analysis(h, [3, 5, 7, 11, 13, 17, 19], range(2, 9), catalog)
+            witnesses += [w.witness for w in report.witnesses]
+            witnesses += [c.witness for g in report.nonexistence for c in g.cases if c.witness]
+        assert len(witnesses) == 21
+        for witness in witnesses:
+            group = build_from_spec(witness.group_spec)
+            assert first_failure(group, witness) == "none", witness
+            assert verify(group, witness), witness
+
+    @settings(max_examples=500, deadline=None)
+    @given(swapped_witnesses())
+    def test_swapped_runs(self, case):
+        group, witness = case
+        assert verify(group, witness) == (first_failure(group, witness) == "none")
+
+    def test_every_single_swap_at_small_genus(self):
+        # each check is the first to fail somewhere, so each is exercised on its own
+        failures = Counter()
+        for group, witness in small_witnesses():
+            for field in ("pairs", "entries"):
+                for i in range(len(getattr(witness, field))):
+                    for x in range(group.order):
+                        w = swapped(group, witness, field, i, x)
+                        failure = first_failure(group, w)
+                        assert verify(group, w) == (failure == "none"), w
+                        failures[failure] += 1
+        assert all(failures[k] > 20 for k in ("none", "orders", "product", "generation")), failures
+
+    def test_million_branch_entries_verify_by_their_runs(self):
+        # C2 acts with signature (0; 2, ..., 2) for an even number of branch points only
+        group = build_cyclic(2)
+        even = Witness(group.name, group.spec, ((2, 10**6),), (), ((1, 10**6),))
+        odd = Witness(group.name, group.spec, ((2, 10**6 - 1),), (), ((1, 10**6 - 1),))
+        verify(group, even)  # build the group's cached tables before measuring
+        tracemalloc.start()
+        try:
+            results = verify(group, even), verify(group, odd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert results == (True, False)
+        assert first_failure(group, odd) == "product"
+        assert peak < 1_000_000
 
 
 class TestSearch:
@@ -160,8 +275,8 @@ class TestSearch:
 
     def test_q8_exists(self):
         v = search(build_generalized_quaternion(2), Sig(2, (2,)))
-        assert v.is_exists
-        assert verify(build_generalized_quaternion(2), v.witness, Sig(2, (2,)))
+        assert v.is_exists and v.witness.signature == Sig(2, (2,))
+        assert verify(build_generalized_quaternion(2), v.witness)
 
     def test_c5_figure_point(self):
         v = search(build_cyclic(5), Sig(8, (5,) * 6))
@@ -174,7 +289,7 @@ class TestSearch:
             for sig in sigs:
                 v = search(g, sig)
                 if v.is_exists:
-                    assert verify(g, v.witness, sig)
+                    assert v.witness.signature == sig and verify(g, v.witness)
 
     def test_budget_yields_unknown(self):
         # Q8 realizes (2; 2), so only the budget stops the search short
@@ -219,8 +334,8 @@ class TestSearch:
                     for periods in itertools.combinations_with_replacement(element_orders, r):
                         sig = Sig(h, periods)
                         expected = naive_search(g, sig)
-                        assert search(g, sig) == expected, (g.name, str(sig))
-                        if not product_reachable(g, h, periods, (1,) * r):
+                        assert expanded(search(g, sig)) == expected, (g.name, str(sig))
+                        if not product_reachable(g, h, ((n, 1) for n in periods)):
                             fired += 1
                             assert expected.is_not_exists, (g.name, str(sig))
         assert fired > 100
@@ -229,7 +344,7 @@ class TestSearch:
         # C10 is abelian, so c_1 c_2 = e forces equal periods; the certificate
         # walks none of the 10^10 a-tuples of h = 5
         assert search(build_cyclic(10), Sig(5, (2, 10)), budget=0).is_not_exists
-        assert not product_reachable(build_cyclic(10), 5, (2, 10), (1, 1))
+        assert not product_reachable(build_cyclic(10), 5, ((2, 1), (10, 1)))
 
     def test_determinism(self):
         g = build_dihedral(4)
@@ -241,22 +356,23 @@ class TestQuaternionVector:
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("h", [1, 2, 3])
     def test_verifies_and_genus_formula(self, n, h):
-        group, sig, vec = quaternion_vector(n, h)
-        assert group.order == 4 * n
-        assert verify(group, vec, sig)
-        assert rh_genus(group.order, sig) == 2 * n * (2 * (h - 1) + 1) - 1
+        group, witness = quaternion_vector(n, h)
+        assert group.order == 4 * n and witness.signature == Sig(h, (n,))
+        assert verify(group, witness)
+        assert check_vector(group, witness_vector(witness), witness.signature).ok
+        assert rh_genus(group.order, witness.signature) == 2 * n * (2 * (h - 1) + 1) - 1
 
     def test_examples(self):
-        _, sig, _ = quaternion_vector(2, 2)
-        assert rh_genus(8, sig) == 11
-        _, sig, _ = quaternion_vector(3, 1)
-        assert rh_genus(12, sig) == 5
-        _, sig, _ = quaternion_vector(5, 4)
-        assert rh_genus(20, sig) == 69
+        _, witness = quaternion_vector(2, 2)
+        assert rh_genus(8, witness.signature) == 11
+        _, witness = quaternion_vector(3, 1)
+        assert rh_genus(12, witness.signature) == 5
+        _, witness = quaternion_vector(5, 4)
+        assert rh_genus(20, witness.signature) == 69
 
     def test_branch_entry_order(self):
-        group, sig, vec = quaternion_vector(3, 1)
-        assert group.element_orders[vec.c_list[0]] == 3
+        group, witness = quaternion_vector(3, 1)
+        assert [group.element_orders[c] for c, _ in witness.entries] == [3]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -464,8 +580,7 @@ class TestRealizable:
 
 def runs_walk(group, sig, budget):
     """The library walk on the runs of ``sig``'s periods, its witness expanded to a vector."""
-    verdict = genvec._walk_tuples(group, sig.h, ((n, 1) for n in sig.periods), budget)
-    return SearchVerdict.exists(verdict.witness.vector) if verdict.is_exists else verdict
+    return expanded(genvec._walk_tuples(group, sig.h, ((n, 1) for n in sig.periods), budget))
 
 
 class TestRunsWalk:
@@ -484,7 +599,7 @@ class TestRunsWalk:
                     if g.order not in orders:
                         continue
                     for counts in _period_lists(sigma, *pt, g.order, element_orders):
-                        if not product_reachable(g, pt.h, element_orders, counts):
+                        if not product_reachable(g, pt.h, zip(element_orders, counts)):
                             continue
                         got = genvec._walk_tuples(g, pt.h, zip(element_orders, counts), 200)
                         sig = Sig(pt.h, genvec._expand_runs(zip(element_orders, counts)))
@@ -492,7 +607,7 @@ class TestRunsWalk:
                         key = (g.name, sigma, str(sig))
                         assert got.status == expected.status, key
                         if got.is_exists:
-                            assert got.witness == Witness.of(g.name, g.spec, sig, expected.witness)
+                            assert got.witness == witness_of(g.name, g.spec, sig, expected.witness)
                             seen["first" if examined == 1 else "later"] += 1
                         if g.order ** (2 * sig.h + sig.r) <= 20_000 and not got.is_unknown:
                             assert got.status == naive_search(g, sig).status, key
@@ -509,7 +624,7 @@ class TestRunsWalk:
         period = st.sampled_from(element_orders) | st.integers(2, 12)
         h = data.draw(st.integers(0, 1))
         sig = Sig(h, data.draw(st.lists(period, max_size=5)))
-        got = search(group, sig, 300)
+        got = expanded(search(group, sig, 300))
         if naive_product_reachable(group, h, sig.periods):
             expected, _ = walk_tuples(group, sig, 300)
         else:
@@ -549,7 +664,7 @@ class TestRunsWalk:
         assert witness.periods == ((2, 1_000_000),) and witness.entries == ((1, 1_000_000),)
         expected, examined = walk_tuples(group, witness.signature, DEFAULT_BUDGET)
         assert examined == 1
-        oracle = Witness.of(group.name, group.spec, witness.signature, expected.witness)
+        oracle = witness_of(group.name, group.spec, witness.signature, expected.witness)
         assert witness == oracle and witness.to_json() == oracle.to_json()
 
 
@@ -557,7 +672,7 @@ class TestUnbranched:
     def test_examples(self):
         group, sig, vec = unbranched_cyclic(48, 47)
         assert sig.h == 2 and sig.r == 0
-        assert verify(group, vec, sig)
+        assert verify(group, witness_of(group.name, group.spec, sig, vec))
         group, sig, vec = unbranched_cyclic(49, 6)
         assert sig.h == 9
         assert unbranched_cyclic(48, 5) is None
@@ -587,7 +702,7 @@ class TestProductReachable:
                     for periods in itertools.combinations_with_replacement(orders, r):
                         counts = [periods.count(n) for n in orders]
                         expected = naive_product_reachable(g, h, periods)
-                        got = product_reachable(g, h, orders, counts)
+                        got = product_reachable(g, h, zip(orders, counts))
                         assert got == expected, (g.name, h, counts)
                         ruled_out += not expected
         assert ruled_out > 20000

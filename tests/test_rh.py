@@ -106,6 +106,28 @@ class TestAllowedPeriods:
             assert allowed_periods(order) == trial_division_allowed_periods(order), order
 
 
+class TestIsPrime:
+    def test_matches_a_sieve(self):
+        composite = set()
+        for d in range(2, 3001):
+            composite.update(range(2 * d, 3001, d))
+        for n in range(-3, 3001):
+            assert rh.is_prime(n) == (n >= 2 and n not in composite), n
+
+    def test_callers_keep_their_messages(self, catalog):
+        from skelsig.geometry import p_group_line
+        from skelsig.groups import build_elementary_abelian
+        from skelsig.kspace import sporadic_analysis
+
+        with pytest.raises(ValueError, match=r"^p must be prime, got 4$"):
+            p_group_line(48, 4, 1)
+        with pytest.raises(ValueError, match=r"^p must be prime, got 1$"):
+            build_elementary_abelian(1, 2)
+        for p in (2, 9, -7):
+            with pytest.raises(ValueError, match=rf"^p must be an odd prime, got {p}$"):
+                sporadic_analysis(2, [p], [], catalog)
+
+
 class TestOrderParts:
     @pytest.mark.parametrize("top", [2, 3, 8316])
     def test_matches_trial_division(self, top):

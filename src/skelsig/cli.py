@@ -448,7 +448,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
+        # OverflowError: a value too large for the decimal that JSON pairs with a fraction
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

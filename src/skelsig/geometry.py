@@ -270,18 +270,6 @@ def gap(sigma: int, order: int) -> GapRegion:
     return GapRegion(sigma, n, span, lo, up, corner, exception)
 
 
-def nearest_int(x: Coord) -> int:
-    """Nearest integer, with exact halves rounded away from zero.
-
-    The in-scope inputs 2*sigma/3 - k have fractional part in {0, 1/3, 2/3},
-    so the tie rule never fires there; it is fixed only for totality.
-    """
-    x = Fraction(x)
-    if x >= 0:
-        return math.floor(x + Fraction(1, 2))
-    return -math.floor(-x + Fraction(1, 2))
-
-
 def missing_points(sigma: int, h: int) -> list[SkeletalSignature]:
     """Lattice points at quotient genus 2 or 3 that fall in the order-4/6 gap.
 
@@ -306,9 +294,8 @@ def missing_points(sigma: int, h: int) -> list[SkeletalSignature]:
     else:
         raise ValueError(f"h must be 2 or 3, got {h}")
     region = gap(sigma, 4)
-    points = [
-        SkeletalSignature(h, nearest_int(Fraction(2 * sigma, 3) + k)) for k in offsets
-    ]
+    # 2 sigma/3 has fractional part 0, 1/3 or 2/3, so it rounds to (2 sigma + 1) // 3
+    points = [SkeletalSignature(h, (2 * sigma + 1) // 3 + k) for k in offsets]
     for s in points:
         if not region.member(RationalPoint(s.h, s.r)):
             where = (

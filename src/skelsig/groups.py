@@ -10,12 +10,12 @@ validated on construction -- ingesting a corrupt file must not silently
 poison a nonexistence proof.
 
 Derived data is built lazily and kept on the group: the elements of each
-order, the levels of commutator products, and the conjugacy classes.  A
-normal subset -- a union of classes, such as the elements of one order or a
-level of commutator products -- is held as a bitmask over class ids, and
+order, the conjugacy classes, and the products of normal subsets.  A normal
+subset -- a union of classes, such as the elements of one order or the set
+of commutators -- is held as a bitmask over class ids, and
 ``GroupTable.mask_product`` multiplies such a mask by a power of the
-elements of one order.  An abelian group's classes are its elements and its
-only commutator is e, so it skips both sweeps.
+elements of one order, or of the commutators.  An abelian group's classes
+are its elements and its only commutator is e, so it skips both sweeps.
 """
 
 from __future__ import annotations
@@ -124,34 +124,20 @@ class GroupTable(_GroupTableFields):
                 count += 1
         return tuple(ids)
 
-    @cached_property
-    def _commutator_levels(self) -> tuple[frozenset[int], ...]:
-        if self.is_abelian:
-            return (frozenset({0}),)  # every commutator is e: no sweep over pairs
-        elements = range(self.order)
-        single = {self.commutator(a, b) for a in elements for b in elements}
-        levels = [frozenset({0})]
-        while len(levels) < 2 or levels[-1] != levels[-2]:
-            levels.append(frozenset(self.table[x][y] for x in levels[-1] for y in single))
-        return tuple(levels)
-
-    @cached_property
-    def _commutator_masks(self) -> tuple[int, ...]:
-        ids = self.class_of
-        return tuple(_class_mask({ids[x] for x in level}) for level in self._commutator_levels)
-
     def commutator_mask(self, h: int) -> int:
         """The class mask of the values of [a_1,b_1]...[a_h,b_h]; closed under inverse.
 
-        Padding with [e, e] nests the levels in h; they are built once, until one more
-        factor adds nothing (h = 0 gives {e}; an abelian group stops there at once).
-        A conjugate of a product of commutators is one, so each level is a union
-        of classes.  An (h; n)-vector's c_1 lies in this set.
+        A conjugate of a commutator is one, so the set K of commutators is a
+        normal subset, and this is the mask of K^h, read from the orbit of {e}
+        under K that ``mask_product`` keeps for n = 0.  Since e is in K, the
+        orbit grows until one more factor adds nothing (h = 0 gives {e}; an
+        abelian group's only commutator is e, so it stops there with no sweep
+        over pairs).  An (h; n)-vector's c_1 lies in this set.
         """
-        return self._commutator_masks[min(h, len(self._commutator_masks) - 1)]
+        return 1 if self.is_abelian else self.mask_product(1, 0, h)
 
     @cached_property
-    def _order_rows(self) -> dict[int, tuple[int, ...]]:
+    def _rows(self) -> dict[int, tuple[int, ...]]:
         return {}
 
     @cached_property
@@ -161,23 +147,27 @@ class GroupTable(_GroupTableFields):
     def mask_product(self, mask: int, n: int, count: int) -> int:
         """The class mask of S * E_n^count, for S the normal subset of class mask ``mask``.
 
-        E_n, the elements of order n, is a normal subset: a union of classes.  A
-        product of normal subsets is one too, so S * E_n is the union over the
+        E_n, the elements of order n, is a normal subset: a union of classes;
+        n = 0, an order no element has, stands for K, the set of commutators.
+        A product of normal subsets is one too, so S * E_n is the union over the
         classes C_i of S of C_i * E_n, whose classes are the ones rep_i * E_n meets
         (C_i * E_n is the union of the conjugates of rep_i * E_n).  These masks
-        form one row per order, built when a period first reaches that order.
+        form one row per n, built when a product first reaches it.
         The masks S, S * E_n, S * E_n^2, ... repeat from some step on, so each
         (mask, n) keeps its orbit up to the first repeat, walked once per group,
         and any count is read from it.
         """
         orbit = self._orbits.get((mask, n))
         if orbit is None:
-            row = self._order_rows.get(n)
+            row = self._rows.get(n)
             if row is None:
-                ids, t = self.class_of, self.table
-                elements = self.elements_by_order.get(n, ())
-                row = self._order_rows[n] = tuple(
-                    _class_mask({ids[t[x][c]] for c in elements}) for x in _least_of_each(ids)
+                ids, t, elements = self.class_of, self.table, range(self.order)
+                subset = (
+                    self.elements_by_order.get(n, ()) if n
+                    else {self.commutator(a, b) for a in elements for b in elements}
+                )
+                row = self._rows[n] = tuple(
+                    _class_mask({ids[t[x][c]] for c in subset}) for x in _least_of_each(ids)
                 )
             seen = {mask: 0}  # each mask of the orbit, with its step
             step = mask
@@ -356,21 +346,24 @@ def build_elementary_abelian(p: int, k: int) -> GroupTable:
     return out._replace(name=f"C{p}^{k}", spec=f"elab:{p}^{k}")
 
 
+def _metacyclic_rows(m: int, s: int) -> list[list[int]]:
+    """Rows of <x, y | x^m, y^2 = x^s, y^-1 x y = x^-1>, with x^a y^b at index a + m*b.
+
+    y x = x^-1 y, so x^a1 y^b1 * x^a2 y^b2 = x^(a1 +/- a2 + s*b1*b2) y^(b1 + b2),
+    with - when b1 = 1.  Dihedral groups take s = 0, dicyclic ones m = 2s.
+    """
+    return [
+        [((a1 - a2 if b1 else a1 + a2) + s * b1 * b2) % m + m * (b1 ^ b2)
+         for b2 in range(2) for a2 in range(m)]
+        for b1 in range(2) for a1 in range(m)
+    ]
+
+
 def build_dihedral(n: int) -> GroupTable:
     """Dihedral group of order 2n; element r^a s^b indexed as a + n*b."""
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
-    order = 2 * n
-    rows = [[0] * order for _ in range(order)]
-    for a1 in range(n):
-        for b1 in range(2):
-            i = a1 + n * b1
-            for a2 in range(n):
-                for b2 in range(2):
-                    # s r = r^-1 s, so r^a1 s^b1 r^a2 s^b2 = r^(a1 +/- a2) s^(b1+b2)
-                    a = (a1 - a2) % n if b1 else (a1 + a2) % n
-                    rows[i][a2 + n * b2] = a + n * ((b1 + b2) % 2)
-    return GroupTable.from_table(f"D{n}", rows, spec=f"dihedral:{n}")
+    return GroupTable.from_table(f"D{n}", _metacyclic_rows(n, 0), spec=f"dihedral:{n}")
 
 
 def build_generalized_quaternion(n: int) -> GroupTable:
@@ -382,23 +375,7 @@ def build_generalized_quaternion(n: int) -> GroupTable:
     """
     if n < 2:
         raise ValueError(f"quaternion parameter must be >= 2, got {n}")
-    m = 2 * n
-    order = 4 * n
-    rows = [[0] * order for _ in range(order)]
-    for a1 in range(m):
-        for b1 in range(2):
-            i = a1 + m * b1
-            for a2 in range(m):
-                for b2 in range(2):
-                    if b1 == 0:
-                        a, b = (a1 + a2) % m, b2
-                    elif b2 == 0:
-                        a, b = (a1 - a2) % m, 1
-                    else:
-                        # y x^a2 y = x^(n - a2), from y^2 = x^n central
-                        a, b = (a1 - a2 + n) % m, 0
-                    rows[i][a2 + m * b2] = a + m * b
-    return GroupTable.from_table(f"Q{order}", rows, spec=f"quaternion:{n}")
+    return GroupTable.from_table(f"Q{4 * n}", _metacyclic_rows(2 * n, n), spec=f"quaternion:{n}")
 
 
 def quaternion_word(n: int, index: int) -> str:
@@ -448,24 +425,16 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
 
 
 def build_from_permutations(
-    degree: int,
-    generators: list[tuple[int, ...] | str],
-    *,
-    spec: str | None = None,
+    degree: int, generators: list[str], *, spec: str | None = None
 ) -> GroupTable:
-    """Close a generator set under composition and tabulate the resulting group.
+    """Close the cycle-notation generators under composition and tabulate the resulting group.
 
     Composition convention is (p*q)(i) = p(q(i)).  Elements are sorted so the
     identity lands at index 0.  Raises ClosureCapError past PERM_CLOSURE_CAP.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    perms: list[tuple[int, ...]] = []
-    for g in generators:
-        p = parse_cycles(g, degree) if isinstance(g, str) else tuple(g)
-        if sorted(p) != list(range(degree)):
-            raise SpecParseError(f"{g!r} is not a permutation of 0..{degree - 1}")
-        perms.append(p)
+    perms = [parse_cycles(g, degree) for g in generators]
     ident = tuple(range(degree))
     seen = {ident}
     frontier = [ident]

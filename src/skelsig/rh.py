@@ -164,21 +164,15 @@ def is_prime(n: int) -> bool:
 def order_parts(top: int) -> Iterator[tuple[int, list[int]]]:
     """Each order N in 2..top, ascending, with its parts: the divisors d <= N/2 of N, descending.
 
-    The parts are N/n over ``allowed_periods(N)``, found by an incremental
-    sieve in place of trial division: each d waits in a dict at its next
-    multiple and moves on by d when that multiple is reached, and N itself
-    first waits at 2N.  A d whose next multiple passes ``top`` is dropped, so
-    at most top/2 divisors are held at once.  A divisor d joins the list of
-    m while m - d is swept, so larger divisors join first and each list comes
-    out descending.
+    The parts are N/n over ``allowed_periods(N)``, found by one divisor sieve in
+    place of trial division: each d from top/2 down to 1 joins the list of each
+    of its multiples 2d, 3d, ... up to top, so each list comes out descending.
     """
-    waiting: dict[int, list[int]] = {2: [1]}
-    for n in range(2, top + 1):
-        parts = waiting.pop(n)
-        yield n, parts
-        for d in (n, *parts):
-            if n + d <= top:
-                waiting.setdefault(n + d, []).append(d)
+    parts: list[list[int]] = [[] for _ in range(top + 1)]
+    for d in range(top // 2, 0, -1):
+        for m in range(2 * d, top + 1, d):
+            parts[m].append(d)
+    return zip(range(2, top + 1), parts[2:])
 
 
 def hurwitz_range_orders(sigma: int) -> list[int]:

@@ -50,6 +50,11 @@ group (``mask_elements`` reads a mask back as elements); the two oracles
 above use these, not the library's filter.
 ``naive_associative`` tests the associative law on all n^3 triples, where
 the library's table validator runs Light's test over a generating set.
+``looped_dihedral_rows`` and ``looped_quaternion_rows`` fill the dihedral and
+dicyclic tables entry by entry, each with its own case split, where the
+library writes both from one presentation rule.  ``nearest_int`` rounds a
+rational to the nearest integer, the reference for ``missing_points``, which
+rounds 2 sigma/3 in integers.
 ``GeneratingVector`` is a vector written out in full, r branch entries and h
 pairs, the form ``naive_search``, ``walk_tuples`` and ``check_vector`` use, where
 the library keeps only the run-length ``Witness``; ``witness_of`` and
@@ -918,6 +923,50 @@ def naive_associative(rows: Sequence[Sequence[int]]) -> bool:
         for b in range(n)
         for c in range(n)
     )
+
+
+def looped_dihedral_rows(n: int) -> list[list[int]]:
+    """Rows of the dihedral group of order 2n, r^a s^b at a + n*b, entry by entry."""
+    order = 2 * n
+    rows = [[0] * order for _ in range(order)]
+    for a1 in range(n):
+        for b1 in range(2):
+            i = a1 + n * b1
+            for a2 in range(n):
+                for b2 in range(2):
+                    # s r = r^-1 s, so r^a1 s^b1 r^a2 s^b2 = r^(a1 +/- a2) s^(b1+b2)
+                    a = (a1 - a2) % n if b1 else (a1 + a2) % n
+                    rows[i][a2 + n * b2] = a + n * ((b1 + b2) % 2)
+    return rows
+
+
+def looped_quaternion_rows(n: int) -> list[list[int]]:
+    """Rows of the dicyclic group of order 4n, x^a y^b at a + 2n*b, case by case."""
+    m = 2 * n
+    order = 4 * n
+    rows = [[0] * order for _ in range(order)]
+    for a1 in range(m):
+        for b1 in range(2):
+            i = a1 + m * b1
+            for a2 in range(m):
+                for b2 in range(2):
+                    if b1 == 0:
+                        a, b = (a1 + a2) % m, b2
+                    elif b2 == 0:
+                        a, b = (a1 - a2) % m, 1
+                    else:
+                        # y x^a2 y = x^(n - a2), from y^2 = x^n central
+                        a, b = (a1 - a2 + n) % m, 0
+                    rows[i][a2 + m * b2] = a + m * b
+    return rows
+
+
+def nearest_int(x: int | Fraction) -> int:
+    """Nearest integer, with exact halves rounded away from zero."""
+    x = Fraction(x)
+    if x >= 0:
+        return math.floor(x + Fraction(1, 2))
+    return -math.floor(-x + Fraction(1, 2))
 
 
 def order_statistics(group: GroupTable) -> tuple[tuple[int, int], ...]:

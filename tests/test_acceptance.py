@@ -10,13 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import manifest_groups, naive_search, period_multisets, rh_admissible
+from oracles import (
+    manifest_groups,
+    naive_search,
+    nearest_int,
+    period_multisets,
+    rh_admissible,
+)
 from skelsig.genvec import quaternion_vector, search, verify
 from skelsig.geometry import (
     RationalPoint,
     gap,
     lower_line,
-    nearest_int,
     p_group_line,
     upper_line,
 )

@@ -68,6 +68,9 @@ KSPACE_48_SHA256 = "4076abc584921659904e8b66b35c60f309de7bdd79b535a7405eb7ec58db
 KSPACE_150_SHA256 = "bec93ca518fd20ff9aced00b4471fb30a5fbafbc7a41cc3a7d9e0486499f89de"
 # sha256 of `kspace --sigma 300` (45,893,799 bytes): witnesses with r up to 602
 KSPACE_300_SHA256 = "fb15c5151ab70ae7be0f6fe6c2abeb3cdeab819ec3169f0e82324bfb4341b18b"
+# sha256 of the 125 `kspace --sigma s` documents (157,000,793 bytes), s = 2..126:
+# every residue mod 3 below the first genus whose walk stalls, 127
+KSPACE_2_126_SHA256 = "67fc5d10028599ee9868912c9411f5fe2232a22e77a5b5542893b056c332f997"
 # sha256 of the 128 `verify-gap --sigma s --n n` documents (1,793,265 bytes), s = 9..72
 # and n = 3, 4 in that order, one after another
 VERIFY_GAP_9_72_SHA256 = "a2fd8bddc41d6f2f63c9bcedc417c0a29d7f41817dfbadff9a00551a44a6be78"
@@ -161,6 +164,18 @@ class TestExitCodes:
     def test_gap_order_below_three_is_usage(self, command, n, capsys):
         assert main([command, "--sigma", "48", "--n", str(n)]) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: gaps are defined for order >= 3, got {n}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["rh", "--order", str(10**400), "--sig", "(0;2,3,7)"],
+        ["gaps", "--sigma", str(10**400), "--n", "3"],
+    ])
+    def test_value_beyond_a_float_is_usage(self, argv, tmp_path, capsys):
+        # the decimal beside each exact fraction cannot hold it: one error line, no output
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: integer division result too large for a float\n")
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().out == "" and not out.exists()
 
     def test_failure_before_output_leaves_no_file(self, tmp_path, capsys):
         # --out is opened only once the payload is built
@@ -495,6 +510,18 @@ class TestGoldenFiles:
         code, text = run(tmp_path, "kspace", "--sigma", "300")
         assert code == EXIT_OK
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == KSPACE_300_SHA256
+
+    def test_kspace_2_to_126_pinned(self, tmp_path):
+        # the other kspace pins are at multiples of 3; this pins every genus up to 126
+        digest, size = hashlib.sha256(), 0
+        for sigma in range(2, 127):
+            code, text = run(tmp_path, "kspace", "--sigma", str(sigma))
+            assert code == EXIT_OK, sigma
+            data = text.encode("utf-8")
+            size += len(data)
+            digest.update(data)
+        assert size == 157_000_793
+        assert digest.hexdigest() == KSPACE_2_126_SHA256
 
     def test_verify_gap_9_to_72_pinned(self, tmp_path):
         # one golden holds verify-gap at genus 48, n = 4; this pins every gap

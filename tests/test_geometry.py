@@ -11,6 +11,7 @@ from oracles import (
     fraction_gap_points,
     fraction_triangle_points,
     intersect,
+    nearest_int,
     rh_admissible,
     triangle,
 )
@@ -21,7 +22,6 @@ from skelsig.geometry import (
     gap,
     lower_line,
     missing_points,
-    nearest_int,
     p_group_line,
     triangle_rows,
     upper_line,
@@ -271,6 +271,21 @@ class TestMissingPoints:
             region = gap(sigma, 4)
             for s in missing_points(sigma, 3):
                 assert region.member(P(s.h, s.r))
+
+    def test_integer_rounding_matches_nearest_int(self):
+        # the candidates round 2 sigma/3 in integers; nearest_int rounds the Fraction
+        for sigma in range(7, 20001):
+            h3_offsets = [-7, -8] + ([-6] if sigma % 3 == 2 else [])
+            for h, least, offsets in ((2, 7, [-4]), (3, 18, h3_offsets)):
+                if sigma < least:
+                    continue
+                expected = [S(h, nearest_int(Fraction(2 * sigma, 3) + k)) for k in offsets]
+                if (h, sigma) == (2, 8):
+                    with pytest.raises(ValueError, match=r"the candidate \(2, 1\) lies on"):
+                        missing_points(sigma, h)
+                    assert expected == [S(2, 1)]
+                    continue
+                assert missing_points(sigma, h) == expected, (sigma, h)
 
     def test_genus_8_candidate_collides_with_cyclic_line(self):
         # At genus 8 the h = 2 candidate is (2, 1), which sits between the

@@ -12,6 +12,8 @@ from oracles import (
     manifest_groups,
     mask_elements,
     naive_associative,
+    looped_dihedral_rows,
+    looped_quaternion_rows,
     naive_commutator_products,
     order_statistics,
     save_cayley_file,
@@ -137,6 +139,16 @@ class TestConstructors:
             x2_inv = g.inverse[g.table[x][x]]
             assert g.commutator(x, y) == x2_inv
 
+    def test_one_rule_matches_the_looped_tables(self):
+        # dihedral and dicyclic tables come from one presentation rule; each
+        # family's old entry-by-entry loop is the reference
+        for n in range(1, 61):
+            assert build_dihedral(n).table == tuple(map(tuple, looped_dihedral_rows(n))), n
+        for n in range(2, 61):
+            assert build_generalized_quaternion(n).table == tuple(
+                map(tuple, looped_quaternion_rows(n))
+            ), n
+
     def test_quaternion_rejects_small(self):
         with pytest.raises(ValueError):
             build_generalized_quaternion(1)
@@ -180,7 +192,8 @@ class TestTables:
             assert list(members) == list(range(len(members))), g.name
             for x in range(g.order):
                 assert members[ids[x]] == {t[t[inv[a]][x]][a] for a in range(g.order)}, (g.name, x)
-            for subset in [*g.elements_by_order.values(), *g._commutator_levels]:
+            for subset in [*g.elements_by_order.values(),
+                           *(mask_elements(g, g.commutator_mask(h)) for h in range(5))]:
                 classes = {ids[x] for x in subset}
                 assert set(subset) == set().union(*(members[k] for k in classes)), g.name
 
@@ -198,7 +211,7 @@ class TestTables:
         monkeypatch.setattr(GroupTable, "commutator", counted)
         for g in (build_cyclic(12), build_elementary_abelian(2, 3),
                   direct_product(build_cyclic(4), build_cyclic(2))):
-            assert g._commutator_levels == (frozenset({0}),)
+            assert all(mask_elements(g, g.commutator_mask(h)) == {0} for h in range(4))
             assert [g.commutator_mask(h) for h in range(4)] == [1] * 4
             assert g.class_of == range(g.order)
         assert calls == []
@@ -214,7 +227,7 @@ class TestTables:
         for count in range(1, 9):
             mask = g.mask_product(mask, 2, 1)
             assert g.mask_product(1, 2, count) == mask, count
-        assert set(g._order_rows) == {2}
+        assert set(g._rows) == {2}
 
     def test_renamed_copy_has_same_tables(self, catalog_groups):
         # build_from_spec(..., name=) renames with GroupTable._replace; the copy

@@ -195,25 +195,41 @@ class GapRegion(NamedTuple):
 
     def on_exception_line(self, point: SkeletalSignature) -> bool:
         """Whether a lattice point satisfies a*h + b*r == c on the exception line."""
+        return point.r == self.exception_r(point.h)
+
+    def exception_r(self, h: int) -> int | None:
+        """The r of the exception line at h when it is an integer, else None."""
         e = self.exception_line
-        return e is not None and e.a * point.h + e.b * point.r == e.c
+        if e is None:
+            return None
+        r, rest = divmod(e.c - e.a * h, e.b)
+        return None if rest else r
 
-    def integer_points_raw(self) -> list[SkeletalSignature]:
-        """Lattice points with h, r >= 0 strictly inside the strip, lexicographic.
+    def integer_rows_raw(self) -> Iterator[tuple[int, int, int]]:
+        """Rows (h, r_lo, r_hi) of the lattice points with h, r >= 0 strictly inside the strip.
 
-        At each h right of the corner, r runs from floor(bottom) + 1 to
-        ceil(top) - 1 by integer division on the boundary coefficients.
+        The one enumeration of the strip.  At each h right of the corner, r
+        runs from floor(bottom) + 1 to ceil(top) - 1 by integer division on
+        the boundary coefficients; rows with no lattice point are skipped,
+        and h ascends.
         """
         ta, tb, tc = self.boundary_lower.a, self.boundary_lower.b, self.boundary_lower.c
         ba, bb, bc = self.boundary_upper.a, self.boundary_upper.b, self.boundary_upper.c
-        out: list[SkeletalSignature] = []
         h = math.floor(self.corner.h) + 1
         while tc - ta * h > 0:
             r_lo = max((bc - ba * h) // bb + 1, 0)
             r_hi = -((ta * h - tc) // tb) - 1
-            out.extend(SkeletalSignature(h, r) for r in range(r_lo, r_hi + 1))
+            if r_lo <= r_hi:
+                yield h, r_lo, r_hi
             h += 1
-        return out
+
+    def integer_points_raw(self) -> list[SkeletalSignature]:
+        """Lattice points of ``integer_rows_raw``, lexicographic."""
+        return [
+            SkeletalSignature(h, r)
+            for h, r_lo, r_hi in self.integer_rows_raw()
+            for r in range(r_lo, r_hi + 1)
+        ]
 
     def integer_points(self) -> list[SkeletalSignature]:
         """Raw lattice points with exception-line points removed."""

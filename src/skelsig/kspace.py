@@ -311,11 +311,18 @@ def analyze_point(
 
 
 # a certified off-line gap point: not on the exception line, no Riemann-Hurwitz
-# solution, no analysis; filled with % (h, r)
-_CERTIFIED_POINT = (
-    '{\n  "point": [\n    %d,\n    %d\n  ],\n  "onExceptionLine": false,\n'
+# solution, no analysis; its text is the head filled with % h, then r, then the tail
+_CERTIFIED_HEAD = '{\n  "point": [\n    %d,\n    '
+_CERTIFIED_TAIL = (
+    '\n  ],\n  "onExceptionLine": false,\n'
     '  "rh": {\n    "status": "not-exists"\n  },\n  "analysis": null\n}'
 )
+
+
+def _certified_points(h: int, rs: range) -> list[JsonText]:
+    """The texts of the certified points (h, r) for r in ``rs``: the head filled in once."""
+    head, tail = _CERTIFIED_HEAD % h, _CERTIFIED_TAIL
+    return [JsonText(f"{head}{r}{tail}") for r in rs]
 
 
 class PointReport(NamedTuple):
@@ -324,11 +331,8 @@ class PointReport(NamedTuple):
     rh: SearchVerdict
     analysis: PointAnalysis | None
 
-    def to_json(self) -> dict | JsonText:
+    def to_json(self) -> dict:
         status, witness = self.rh
-        certified = status == SearchVerdict.NOT_EXISTS and self.analysis is None
-        if certified and not self.on_exception_line:
-            return JsonText(_CERTIFIED_POINT % self.point)
         rh_json = {"status": status}
         if witness is not None:
             order, periods = witness
@@ -343,15 +347,50 @@ class PointReport(NamedTuple):
 
 
 class GapReport(NamedTuple):
+    """A gap's certificate: its lattice rows, and a report for each point that needs one.
+
+    ``rows`` are the region's ``integer_rows_raw``.  ``reports`` hold, in
+    lattice order, every exception-line point and every off-line point with
+    a Riemann-Hurwitz solution; every other point of the rows is a certified
+    off-line point, with no solution and no analysis.
+    """
+
     region: GapRegion
-    points: tuple[PointReport, ...]
+    rows: tuple[tuple[int, int, int], ...]
+    reports: tuple[PointReport, ...]
     conclusion: str  # verified | refuted
     has_partial: bool
+
+    @property
+    def points(self) -> tuple[PointReport, ...]:
+        """A report for every lattice point of the rows, in lattice order."""
+        reported = {p.point: p for p in self.reports}
+        certified = SearchVerdict.not_exists()
+        return tuple(
+            reported.get((h, r)) or PointReport(SkeletalSignature(h, r), False, certified, None)
+            for h, r_lo, r_hi in self.rows
+            for r in range(r_lo, r_hi + 1)
+        )
+
+    def points_json(self) -> list[dict | JsonText]:
+        """The points' JSON in lattice order: the certified points of a row from one text
+        template (``_certified_points``), a reported point by ``PointReport.to_json``."""
+        out: list[dict | JsonText] = []
+        reports, i = self.reports, 0
+        for h, r_lo, r_hi in self.rows:
+            r = r_lo
+            while i < len(reports) and reports[i].point.h == h:
+                stop = reports[i].point.r
+                out += _certified_points(h, range(r, stop))
+                out.append(reports[i].to_json())
+                r, i = stop + 1, i + 1
+            out += _certified_points(h, range(r, r_hi + 1))
+        return out
 
     def to_json(self) -> dict:
         return {
             "gap": self.region.to_json(),
-            "points": [p.to_json() for p in self.points],
+            "points": self.points_json(),
             "conclusion": self.conclusion,
             "hasPartial": self.has_partial,
         }
@@ -365,30 +404,38 @@ def verify_gap(
 ) -> GapReport:
     """Check that every non-exception lattice point of the gap is RH-infeasible.
 
-    Exception-line points (present when the skipped middle order is prime) are
-    additionally analyzed for realizability, since the gap guarantee does not
-    apply to them.  The conclusion is verified iff every non-exception point
+    The gap is walked row by row.  Every off-line point runs the order-window
+    loop once; only one with a solution, which refutes the gap, gets a
+    ``PointReport``.  Exception-line points (present when the skipped middle
+    order is prime, at most one per row) are additionally analyzed for
+    realizability, since the gap guarantee does not apply to them, and each
+    gets a report.  The conclusion is verified iff every non-exception point
     has no Riemann-Hurwitz solution at any order.
     """
     region = gap(sigma, order)
-    on_line = region.on_exception_line
-    points: list[PointReport] = []
+    rows = tuple(region.integer_rows_raw())
+    reports: list[PointReport] = []
     refuted = has_partial = False
+    first, window = _first_feasible, _order_window
     # ``gap`` checked sigma, and raw points are int pairs with h >= 2: none is checked again
-    for pt in region.integer_points_raw():
-        if not on_line(pt):
-            h, r = pt
-            verdict = _first_feasible(sigma, h, r, _order_window(sigma, h, r))
-            refuted = refuted or verdict.is_exists
-            points.append(PointReport(pt, False, verdict, None))
-            continue
-        # the analysis sweeps the point's orders; its first feasible order is the rh witness
-        analysis = analyze_point(sigma, pt, catalog, budget)
-        feasible = analysis.feasible
-        verdict = SearchVerdict.exists(feasible[0]) if feasible else SearchVerdict.not_exists()
-        has_partial = has_partial or analysis.status == "partial"
-        points.append(PointReport(pt, True, verdict, analysis))
-    return GapReport(region, tuple(points), "refuted" if refuted else "verified", has_partial)
+    for h, r_lo, r_hi in rows:
+        line_r = region.exception_r(h)
+        for r in range(r_lo, r_hi + 1):
+            if r != line_r:
+                verdict = first(sigma, h, r, window(sigma, h, r))
+                if verdict.is_exists:
+                    refuted = True
+                    reports.append(PointReport(SkeletalSignature(h, r), False, verdict, None))
+                continue
+            # the analysis sweeps the point's orders; its first feasible order is the rh witness
+            pt = SkeletalSignature(h, r)
+            analysis = analyze_point(sigma, pt, catalog, budget)
+            feasible = analysis.feasible
+            verdict = SearchVerdict.exists(feasible[0]) if feasible else SearchVerdict.not_exists()
+            has_partial = has_partial or analysis.status == "partial"
+            reports.append(PointReport(pt, True, verdict, analysis))
+    conclusion = "refuted" if refuted else "verified"
+    return GapReport(region, rows, tuple(reports), conclusion, has_partial)
 
 
 # ---------------------------------------------------------------------------

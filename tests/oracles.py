@@ -74,8 +74,11 @@ with ``triangle`` and ``triangle_points`` (the rational reference for
 ``circle_render_figure`` draws a figure's points one circle at a time, each
 tested against the rational plot box and formatted from its own Fractions,
 where the library formats each grid column and row once.
-``point_report_json`` builds the dict form of every gap point's report,
-where the library writes a certified off-line point from one text template.
+``pointwise_verify_gap`` verifies a gap point by point, with a report for
+every lattice point, where the library walks the gap's rows and reports
+only the points that need it.  ``point_report_json`` builds the dict form
+of every point's report, where the library writes a certified off-line
+point from one text template, straight from its row.
 ``witness_json`` and ``vector_json`` build a witness and a generating vector
 as dict trees, quaternion words included, where the library renders each as
 JSON text from one template, a run of equal entries at a time.
@@ -90,7 +93,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from skelsig.genvec import ExclusionReason, RealizabilityReport, Witness, realizable
+from skelsig.genvec import (
+    DEFAULT_BUDGET,
+    ExclusionReason,
+    RealizabilityReport,
+    Witness,
+    realizable,
+)
 from skelsig.geometry import (
     GapRegion,
     RationalLine,
@@ -110,6 +119,7 @@ from skelsig.kspace import (
     PointReport,
     SearchScope,
     admissible_map,
+    analyze_point,
 )
 from skelsig.rh import (
     OrbifoldSignature,
@@ -1003,8 +1013,36 @@ def circle_render_figure(dataset: FigureDataset, config_note: str) -> str:
     return head + guide + "".join(part + "\n" for part in cv.parts) + tail
 
 
+def pointwise_verify_gap(
+    sigma: int, order: int, catalog: CatalogManifest, budget: int = DEFAULT_BUDGET
+) -> tuple[tuple[PointReport, ...], str, bool]:
+    """A gap verified point by point: every lattice point's report, the conclusion, and
+    whether an analysis was partial.
+
+    Each raw lattice point is tested against the exception line's equation;
+    an off-line point runs the order-window loop and an exception-line point
+    is analyzed, and each gets a ``PointReport``.
+    """
+    region = gap(sigma, order)
+    e = region.exception_line
+    points: list[PointReport] = []
+    refuted = has_partial = False
+    for pt in region.integer_points_raw():
+        if e is None or e.a * pt.h + e.b * pt.r != e.c:
+            verdict = _first_feasible(sigma, pt.h, pt.r, _order_window(sigma, pt.h, pt.r))
+            refuted = refuted or verdict.is_exists
+            points.append(PointReport(pt, False, verdict, None))
+            continue
+        analysis = analyze_point(sigma, pt, catalog, budget)
+        feasible = analysis.feasible
+        verdict = SearchVerdict.exists(feasible[0]) if feasible else SearchVerdict.not_exists()
+        has_partial = has_partial or analysis.status == "partial"
+        points.append(PointReport(pt, True, verdict, analysis))
+    return tuple(points), "refuted" if refuted else "verified", has_partial
+
+
 def point_report_json(report: PointReport) -> dict:
-    """``PointReport.to_json`` as a dict tree for every point, certified off-line ones included."""
+    """``PointReport.to_json`` as a dict tree, the witness of its analysis included."""
     status, witness = report.rh
     rh_json = {"status": status}
     if witness is not None:

@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from skelsig import cli, genvec, groups, svg
+from skelsig import cli, genvec, groups, kspace, svg
 from skelsig.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
@@ -48,11 +49,13 @@ from skelsig.kspace import (
 from skelsig.rh import OrbifoldSignature, SearchVerdict, SkeletalSignature
 from skelsig.svg import _POINT_STYLES, _ratio
 
+import oracles
 from oracles import (
     GeneratingVector,
     check_vector,
     circle_render_figure,
     point_report_json,
+    pointwise_verify_gap,
     vector_json,
     witness_json,
     witness_of,
@@ -74,6 +77,9 @@ KSPACE_2_126_SHA256 = "67fc5d10028599ee9868912c9411f5fe2232a22e77a5b5542893b056c
 # sha256 of the 128 `verify-gap --sigma s --n n` documents (1,793,265 bytes), s = 9..72
 # and n = 3, 4 in that order, one after another
 VERIFY_GAP_9_72_SHA256 = "a2fd8bddc41d6f2f63c9bcedc417c0a29d7f41817dfbadff9a00551a44a6be78"
+# sha256 of the 156 `verify-gap --sigma s --n n` documents (14,093,915 bytes), s = 73..150
+# and n = 3, 4 in that order, one after another
+VERIFY_GAP_73_150_SHA256 = "3388e2be86862b1932fe935d8af31f3917556592cf675c7e7007814e00e1d0a4"
 # `genvec` runs pinned by one hash: exists (sorted, unsorted and repeated periods, a-pairs,
 # product groups), not-exists by the product filter and by a full walk, and unknown by budget
 GENVEC_CASES = [
@@ -534,6 +540,19 @@ class TestGoldenFiles:
                 digest.update(text.encode("utf-8"))
         assert digest.hexdigest() == VERIFY_GAP_9_72_SHA256
 
+    def test_verify_gap_73_to_150_pinned(self, tmp_path):
+        # the genus-9..72 pin continued to genus 150
+        digest, size = hashlib.sha256(), 0
+        for sigma in range(73, 151):
+            for n in (3, 4):
+                code, text = run(tmp_path, "verify-gap", "--sigma", str(sigma), "--n", str(n))
+                assert code == EXIT_OK, (sigma, n)
+                data = text.encode("utf-8")
+                size += len(data)
+                digest.update(data)
+        assert size == 14_093_915
+        assert digest.hexdigest() == VERIFY_GAP_73_150_SHA256
+
     def test_genvec_cases_pinned(self, tmp_path):
         # one golden holds a genvec witness, Q8's; this pins a witness, or its absence,
         # for each kind of verdict and vector shape
@@ -676,6 +695,35 @@ class NotJsonText(str):
     __slots__ = ()
 
 
+class Run(NamedTuple):
+    """``length`` list items, each written as ``JsonText``: the k-th is k, or ``tree`` for odd k."""
+
+    length: int
+    tree: object
+
+
+RUN_LENGTHS = (1, 255, 256, 257, 600)
+# lists mixing runs of texts, around a join's 256 items, with dicts, lists and scalars
+TEXT_RUN_LISTS = st.lists(
+    st.builds(Run, st.sampled_from(RUN_LENGTHS), JSON_TREES) | JSON_TREES, max_size=5
+)
+
+
+def with_runs(pieces) -> tuple[list, list]:
+    """The list ``pieces`` describes, with its runs as ``JsonText`` and as trees."""
+    value, tree = [], []
+    for piece in pieces:
+        if type(piece) is not Run:
+            value.append(piece)
+            tree.append(piece)
+            continue
+        text = JsonText(json.dumps(piece.tree, indent=2))
+        for k in range(piece.length):
+            value.append(text if k % 2 else JsonText(str(k)))
+            tree.append(piece.tree if k % 2 else k)
+    return value, tree
+
+
 def runs_of(values):
     """Tuples of ``values`` in runs of one to four equal entries."""
     return st.lists(st.tuples(values, st.integers(1, 4)), max_size=5).map(
@@ -784,6 +832,28 @@ class TestIndentedJson:
         value = prerendered(tree, iter(flags))
         assert written(value) == json.dumps(tree, indent=2) + "\n"
 
+    @given(TEXT_RUN_LISTS, st.integers(0, 2))
+    @example([Run(256, {}), Run(1, [1]), "a", Run(600, None)], 0)
+    @example([{"x": 1}, Run(257, {"a": [1, "x\ny"]}), [], Run(255, 2.5)], 2)
+    # a text over 64 KiB stops its run's join, and is written apart from it
+    @example([Run(3, list(range(20000))), Run(1, 0)], 1)
+    def test_text_runs_match_json_dumps(self, pieces, depth):
+        value, tree = with_runs(pieces)
+        for _ in range(depth):
+            value, tree = {"a": [value, 1]}, {"a": [tree, 1]}
+        assert written(value) == json.dumps(tree, indent=2) + "\n"
+
+    def test_a_long_text_in_a_run_is_handed_on_alone(self):
+        # a text over 64 KiB among short ones is never copied into a join, and the
+        # run goes on past the 256 items of the chunk that held it
+        long = JsonText(json.dumps(list(range(20000)), indent=2))
+        tail = list(range(2, 400))
+        chunks: list[str] = []
+        _write_json({"a": [JsonText("1"), long, *map(JsonText, map(str, tail))]}, chunks.append)
+        assert long.replace("\n", "\n    ") in chunks
+        expected = {"a": [1, list(range(20000)), *tail]}
+        assert "".join(chunks) == json.dumps(expected, indent=2) + "\n"
+
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
     def test_rewrites_golden_bytes(self, path):
         raw = path.read_bytes()
@@ -813,8 +883,9 @@ class TestIndentedJson:
             written(value)
 
     def test_gap_points_match_their_dict_form(self, catalog):
-        # each certified off-line point is written from a template, every
-        # other point from its dict; the oracle builds the dict for all of them
+        # each certified off-line point is written from a template, straight from
+        # its row, every other point from its dict; the oracle builds the dict for
+        # all of them
         reports = [verify_gap(sigma, n, catalog) for sigma in range(9, 121) for n in (3, 4)]
         # the refuting point and the partial point that test_kspace plants at genus 48
         by_point = {p.point: p for p in verify_gap(48, 4, catalog).points}
@@ -827,8 +898,9 @@ class TestIndentedJson:
         odd = (mid._replace(analysis=line.analysis),
                line._replace(rh=SearchVerdict.not_exists(), analysis=None))
         templated = 0
-        for points in [*(r.points for r in reports), (planted, partial, *odd)]:
-            values = [p.to_json() for p in points]
+        cases = [(r.points, r.points_json()) for r in reports]
+        cases.append(((planted, partial, *odd), [p.to_json() for p in (planted, partial, *odd)]))
+        for points, values in cases:
             expected = [point_report_json(p) for p in points]
             assert written({"points": values}) == json.dumps({"points": expected}, indent=2) + "\n"
             for p, value in zip(points, values):
@@ -836,6 +908,56 @@ class TestIndentedJson:
                 assert (type(value) is JsonText) == certified, p
                 templated += certified
         assert templated == 37_226
+
+    def test_gap_rows_match_the_pointwise_loop(self, catalog):
+        # each gap walked by rows against the per-point loop: every point's report,
+        # and the bytes written against json.dumps of the loop's dict form
+        points_seen = reported = 0
+        for sigma in range(9, 121):
+            for n in range(3, 7):
+                report = verify_gap(sigma, n, catalog)
+                points, conclusion, has_partial = pointwise_verify_gap(sigma, n, catalog)
+                assert report.points == points, (sigma, n)
+                assert (report.conclusion, report.has_partial) == (conclusion, has_partial)
+                expected = {
+                    "gap": gap(sigma, n).to_json(),
+                    "points": [point_report_json(p) for p in points],
+                    "conclusion": conclusion,
+                    "hasPartial": has_partial,
+                }
+                text = written(report.to_json())
+                assert text == json.dumps(expected, indent=2) + "\n", (sigma, n)
+                points_seen += len(points)
+                reported += len(report.reports)
+        # the reports are the exception-line points: no gap point off the line is feasible
+        assert (points_seen, reported) == (42_467, 424)
+
+    def test_planted_gap_points_are_written_in_place(self, catalog, monkeypatch):
+        # refuting points planted at both ends of a row, mid-row and beside an
+        # exception point are reported, expanded and written where they lie
+        region = gap(48, 4)
+        rows = list(region.integer_rows_raw())
+        h, r_lo, r_hi = next(row for row in rows if row[2] - row[1] >= 3)
+        line_h = next(h for h, lo, hi in rows if lo < (region.exception_r(h) or -1) < hi)
+        line_r = region.exception_r(line_h)
+        planted = {(h, r_lo), (h, r_lo + 1), (h, r_hi), (line_h, line_r - 1),
+                   (line_h, line_r + 1), (rows[-1][0], rows[-1][2])}
+        for module in (kspace, oracles):
+            loop = module._first_feasible
+
+            def planting(sigma, h, r, orders, loop=loop):
+                if (h, r) in planted:
+                    return SearchVerdict.exists((5, (5,) * r))
+                return loop(sigma, h, r, orders)
+
+            monkeypatch.setattr(module, "_first_feasible", planting)
+        report = verify_gap(48, 4, catalog)
+        points, conclusion, has_partial = pointwise_verify_gap(48, 4, catalog)
+        assert report.conclusion == conclusion == "refuted"
+        assert report.points == points
+        assert {p.point for p in report.reports if not p.on_exception_line} == planted
+        expected = [point_report_json(p) for p in points]
+        assert written(report.points_json()) == json.dumps(expected, indent=2) + "\n"
 
     def test_memory_stays_bounded(self, monkeypatch):
         # the genus-100 kspace document (2.39 MB of text) is never held whole
@@ -851,6 +973,22 @@ class TestIndentedJson:
             tracemalloc.stop()
         assert sum(sizes) > 2_000_000
         assert peak < 500_000
+
+    def test_gap_memory_stays_bounded(self, monkeypatch):
+        # the genus-1000 order-4 gap document (27,639 points, 6.3 MB of text) is
+        # written 256 points at a time, never held whole
+        payloads = []
+        monkeypatch.setattr(cli, "_emit", lambda args, payload: payloads.append(payload))
+        assert main(["verify-gap", "--sigma", "1000", "--n", "4"]) == EXIT_OK
+        sizes: list[int] = []
+        tracemalloc.start()
+        try:
+            _write_json(payloads[0], lambda chunk: sizes.append(len(chunk)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(sizes) > 6_000_000
+        assert peak < 250_000
 
     def test_leaves_no_reference_cycle(self):
         # garbage left by each write would add up over a run of many commands

@@ -195,6 +195,22 @@ class TestGap:
                 seen += len(raw)
         assert seen > 1000
 
+    def test_rows_hold_the_points_row_by_row(self):
+        # one row per h that has a point, h ascending, each row's r a nonempty range;
+        # the exception line's integer r at each h against RationalLine.contains
+        for sigma in range(2, 81):
+            for order in range(3, 21):
+                region = gap(sigma, order)
+                raw = fraction_gap_points(region)
+                rows = list(region.integer_rows_raw())
+                assert [h for h, _, _ in rows] == sorted({s.h for s in raw}), (sigma, order)
+                assert all(lo <= hi for _, lo, hi in rows), (sigma, order)
+                exc = region.exception_line
+                for h, lo, hi in rows:
+                    on_line = [r for r in range(lo - 2, hi + 3) if exc and exc.contains(P(h, r))]
+                    assert on_line == [r for r in [region.exception_r(h)] if r is not None
+                                       and lo - 2 <= r <= hi + 2], (sigma, order, h)
+
     def test_integer_points_raw_builds_no_rational_point(self, monkeypatch):
         # a count guard, not a timing gate: the strip is walked on integer coefficients
         region = gap(48, 4)

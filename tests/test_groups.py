@@ -181,6 +181,19 @@ class TestTables:
                 expected = naive_commutator_products(g, h)
                 assert mask_elements(g, g.commutator_mask(h)) == expected, (g.name, h)
 
+    def test_commutator_products_grow_past_one_factor(self):
+        # below order 96 every group's commutators K form its derived subgroup, so
+        # K^h = K for h >= 1; this order-96 group has |K| = 29 and |K^2| = 32
+        g = build_from_spec(
+            "perm:12:(1 4 7)(2 6 11)(3 10 9)(5 12 8);(1 5 12)(2 3 11)(4 9 8)(6 10 7)"
+        )
+        assert g.order == 96
+        assert g.commutator_mask(1) != g.commutator_mask(2)
+        levels = [naive_commutator_products(g, h) for h in (1, 2, 3)]
+        assert [len(level) for level in levels] == [29, 32, 32]
+        for h, expected in zip((1, 2, 3), levels):
+            assert mask_elements(g, g.commutator_mask(h)) == expected, h
+
     def test_classes_are_the_conjugacy_classes(self, catalog_groups):
         # against conjugation by every element, with ids first met in ascending
         # order; every E_n and every commutator level is a union of classes

@@ -203,19 +203,23 @@ def cmd_rh(args) -> int:
 
 def cmd_gaps(args) -> int:
     regions = [gap(args.sigma, n) for n in args.n]
-    payload = {
-        "config": _config(args, "gaps"),
-        "gaps": [
-            {
-                **region.to_json(),
-                "integerPoints": [list(p) for p in region.integer_points()],
-                "integerPointsRaw": [list(p) for p in region.integer_points_raw()],
-                "exceptionPoints": [list(p) for p in region.exception_points()],
-            }
-            for region in regions
-        ],
-    }
-    _emit(args, payload)
+    gaps = []
+    for region in regions:
+        off_line, raw, on_line = [], [], []
+        # the region's JSON comes first: its decimals refuse a genus beyond a float
+        # before the walk starts
+        gaps.append({
+            **region.to_json(),
+            "integerPoints": off_line,
+            "integerPointsRaw": raw,
+            "exceptionPoints": on_line,
+        })
+        for h, r_lo, r_hi in region.integer_rows_raw():
+            line_r = region.exception_r(h)
+            for r in range(r_lo, r_hi + 1):
+                raw.append([h, r])
+                (on_line if r == line_r else off_line).append([h, r])
+    _emit(args, {"config": _config(args, "gaps"), "gaps": gaps})
     return EXIT_OK
 
 

@@ -3,9 +3,10 @@
 Coordinates are quotient genus h (horizontal) and branch-point count r
 (vertical).  Lines are integer-coefficient equations ``a*h + b*r = c``, and the
 lattice points of triangles and gaps are enumerated by integer floor and ceil
-division on those coefficients; Fractions carry the rational gap corners that
-JSON and SVG report, and the point-membership tests.  Triangles are closed,
-gaps are open; the asymmetry is deliberate and load-bearing.
+division on those coefficients, a row at a time, and a lattice point's gap
+membership is its row plus the integer exception test; Fractions carry only
+the rational gap corners and line ends that JSON and SVG report.  Triangles
+are closed, gaps are open; the asymmetry is deliberate and load-bearing.
 """
 
 from __future__ import annotations
@@ -69,25 +70,6 @@ class RationalLine(_RationalLineFields):
         if lead < 0:
             a, b, c = -a, -b, -c
         return super().__new__(cls, a, b, c)
-
-    def evaluate(self, point: RationalPoint) -> Fraction:
-        """a*h + b*r - c; sign tells which side of the line the point is on."""
-        return self.a * point.h + self.b * point.r - self.c
-
-    def contains(self, point: RationalPoint) -> bool:
-        return self.evaluate(point) == 0
-
-    def r_at(self, h: Coord) -> Fraction:
-        if self.b == 0:
-            raise ValueError("vertical line has no r value at fixed h")
-        return Fraction(self.c - self.a * Fraction(h), self.b)
-
-    @property
-    def slope(self) -> Fraction:
-        """dr/dh of the line (b must be nonzero)."""
-        if self.b == 0:
-            raise ValueError("vertical line has undefined slope in r per h")
-        return Fraction(-self.a, self.b)
 
     def __str__(self) -> str:
         return f"{self.a}h + {self.b}r = {self.c}"
@@ -165,6 +147,9 @@ class GapRegion(NamedTuple):
     prime), to the right of their intersection corner.  When the middle order
     N+1 is prime its triangle collapses to the order-(N+1) cyclic line, which
     crosses the region: points on it are exempt from the gap guarantee.
+
+    A lattice point (h, r) with r >= 0 is a member when it lies in the row
+    of ``integer_rows_raw`` at h and ``exception_r(h)`` is not r.
     """
 
     sigma: int
@@ -178,24 +163,6 @@ class GapRegion(NamedTuple):
     @property
     def upper_index(self) -> int:
         return self.lower_index + (1 if self.span == "next" else 2)
-
-    def member_raw(self, point: RationalPoint) -> bool:
-        """Strictly between the two boundary lines, strictly right of the corner."""
-        if point.h <= self.corner.h:
-            return False
-        return self.boundary_upper.r_at(point.h) < point.r < self.boundary_lower.r_at(point.h)
-
-    def member(self, point: RationalPoint) -> bool:
-        """Raw membership minus the exception line, where the gap guarantee fails."""
-        if not self.member_raw(point):
-            return False
-        if self.exception_line is not None and self.exception_line.contains(point):
-            return False
-        return True
-
-    def on_exception_line(self, point: SkeletalSignature) -> bool:
-        """Whether a lattice point satisfies a*h + b*r == c on the exception line."""
-        return point.r == self.exception_r(point.h)
 
     def exception_r(self, h: int) -> int | None:
         """The r of the exception line at h when it is an integer, else None."""
@@ -222,22 +189,6 @@ class GapRegion(NamedTuple):
             if r_lo <= r_hi:
                 yield h, r_lo, r_hi
             h += 1
-
-    def integer_points_raw(self) -> list[SkeletalSignature]:
-        """Lattice points of ``integer_rows_raw``, lexicographic."""
-        return [
-            SkeletalSignature(h, r)
-            for h, r_lo, r_hi in self.integer_rows_raw()
-            for r in range(r_lo, r_hi + 1)
-        ]
-
-    def integer_points(self) -> list[SkeletalSignature]:
-        """Raw lattice points with exception-line points removed."""
-        return [s for s in self.integer_points_raw() if not self.on_exception_line(s)]
-
-    def exception_points(self) -> list[SkeletalSignature]:
-        """Lattice points of the strip lying on the exception line."""
-        return [s for s in self.integer_points_raw() if self.on_exception_line(s)]
 
     def to_json(self) -> dict:
         return {
@@ -292,8 +243,8 @@ def missing_points(sigma: int, h: int) -> list[SkeletalSignature]:
     h == 2 needs sigma >= 7 and sigma != 8, and yields one point,
     (2, [2 sigma/3 - 4]); h == 3 needs sigma >= 18 and yields
     (3, [2 sigma/3 - 7]) and (3, [2 sigma/3 - 8]), plus (3, [2 sigma/3 - 6])
-    when sigma = 2 mod 3.  Every returned point passes strict gap membership
-    (exception line included).  Genus 8 is a genuine counterexample at
+    when sigma = 2 mod 3.  Every returned point lies in the strip's row at h
+    and off the exception line.  Genus 8 is a genuine counterexample at
     h == 2: the candidate (2, 1) lands exactly on the order-5 cyclic line, so
     it raises ``ValueError``, as does any candidate that fails membership.
     """
@@ -312,12 +263,20 @@ def missing_points(sigma: int, h: int) -> list[SkeletalSignature]:
     region = gap(sigma, 4)
     # 2 sigma/3 has fractional part 0, 1/3 or 2/3, so it rounds to (2 sigma + 1) // 3
     points = [SkeletalSignature(h, (2 * sigma + 1) // 3 + k) for k in offsets]
+    # the strip's r at h; the rows ascend in h, so the walk stops at h
+    strip = range(0)
+    for row_h, r_lo, r_hi in region.integer_rows_raw():
+        if row_h >= h:
+            if row_h == h:
+                strip = range(r_lo, r_hi + 1)
+            break
+    line_r = region.exception_r(h)
     for s in points:
-        if not region.member(RationalPoint(s.h, s.r)):
+        if s.r not in strip or s.r == line_r:
             where = (
                 f"on the order-{region.lower_index + 1} cyclic line {region.exception_line}, "
                 f"where the gap guarantee does not hold"
-                if region.on_exception_line(s)
+                if s.r == line_r
                 else "outside the order-4/6 gap"
             )
             raise ValueError(

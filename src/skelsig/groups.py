@@ -627,46 +627,40 @@ class CatalogManifest:
 _ENTRY_FIELDS = {"order": int, "spec": str, "label": str, "complete": bool}
 
 
-def _parse_manifest(text: str, source: str) -> tuple[CatalogEntry, ...]:
-    """Catalog entries of a ``manifest.json`` text, sorted by (order, label)."""
+def load_catalog(directory: str | os.PathLike) -> CatalogManifest:
+    """Load ``manifest.json`` from a catalog directory, as a fresh manifest on every call.
+
+    The directory is the caller's and may change between calls, so nothing is
+    kept.  The entries are sorted by (order, label).
+    """
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as f:
+        text = f.read()
     try:
         data = json.loads(text)
     except ValueError as exc:
-        raise CayleyFormatError(f"{source}: manifest is not valid JSON ({exc})") from exc
+        raise CayleyFormatError(f"{manifest_path}: manifest is not valid JSON ({exc})") from exc
     if not isinstance(data, list):
-        raise CayleyFormatError(f"{source}: manifest must be a JSON list")
+        raise CayleyFormatError(f"{manifest_path}: manifest must be a JSON list")
     entries = []
     for item in data:
         # exact types: "complete": "false" must not read as true, nor 8.9 or true as an order
         if not isinstance(item, dict) or any(
             type(item.get(name)) is not kind for name, kind in _ENTRY_FIELDS.items()
         ):
-            raise CayleyFormatError(f"{source}: bad entry {item!r}")
+            raise CayleyFormatError(f"{manifest_path}: bad entry {item!r}")
         entries.append(CatalogEntry(**{name: item[name] for name in _ENTRY_FIELDS}))
-    return tuple(sorted(entries, key=lambda e: (e.order, e.label)))
-
-
-def load_catalog(directory: str | os.PathLike) -> CatalogManifest:
-    """Load ``manifest.json`` from a catalog directory, as a fresh manifest on every call.
-
-    The directory is the caller's and may change between calls, so nothing is kept.
-    """
-    manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path, encoding="utf-8") as f:
-        text = f.read()
-    return CatalogManifest(_parse_manifest(text, manifest_path), base_dir=directory)
+    return CatalogManifest(tuple(sorted(entries, key=lambda e: (e.order, e.label))), directory)
 
 
 @cache
 def bundled_catalog() -> CatalogManifest:
     """The catalog shipped with the package: complete through order 15.
 
-    One manifest per process: the package data does not change while it
-    runs, so every caller shares the parsed entries and each table once built.
-    The manifest is read as a plain file beside this module: ``importlib.resources``
-    and ``pathlib`` would load ``zipfile`` or ``urllib.parse`` into every run that searches.
+    ``load_catalog`` of the package's ``data/catalog`` directory, once per
+    process: the package data does not change while it runs, so every caller
+    shares the parsed entries and each table once built.  The directory is
+    found as a plain path beside this module: ``importlib.resources`` and
+    ``pathlib`` would load ``zipfile`` or ``urllib.parse`` into every run that searches.
     """
-    manifest = os.path.join(os.path.dirname(__file__), "data", "catalog", "manifest.json")
-    with open(manifest, encoding="utf-8") as f:
-        text = f.read()
-    return CatalogManifest(_parse_manifest(text, "bundled catalog manifest"), base_dir=None)
+    return load_catalog(os.path.join(os.path.dirname(__file__), "data", "catalog"))

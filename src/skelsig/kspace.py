@@ -361,17 +361,6 @@ class GapReport(NamedTuple):
     conclusion: str  # verified | refuted
     has_partial: bool
 
-    @property
-    def points(self) -> tuple[PointReport, ...]:
-        """A report for every lattice point of the rows, in lattice order."""
-        reported = {p.point: p for p in self.reports}
-        certified = SearchVerdict.not_exists()
-        return tuple(
-            reported.get((h, r)) or PointReport(SkeletalSignature(h, r), False, certified, None)
-            for h, r_lo, r_hi in self.rows
-            for r in range(r_lo, r_hi + 1)
-        )
-
     def points_json(self) -> list[dict | JsonText]:
         """The points' JSON in lattice order: the certified points of a row from one text
         template (``_certified_points``), a reported point by ``PointReport.to_json``."""
@@ -656,14 +645,17 @@ def figure_dataset(
         feas, realized = admissible_map(sigma), {}
     status = {pt: "realized" if pt in realized else "admissible" for pt in feas}
     for region in gaps:
-        for pt in region.integer_points_raw():
-            if not region.on_exception_line(pt):
-                status.setdefault(pt, "gap")
-            elif catalog is not None:
-                analysis = analyze_point(sigma, pt, catalog, budget)
-                if analysis.status == "realized":
-                    status[pt] = "exception-realized"
-                elif analysis.status == "excluded":
-                    status[pt] = "exception-excluded"
+        for h, r_lo, r_hi in region.integer_rows_raw():
+            line_r = region.exception_r(h)
+            for r in range(r_lo, r_hi + 1):
+                pt = SkeletalSignature(h, r)
+                if r != line_r:
+                    status.setdefault(pt, "gap")
+                elif catalog is not None:
+                    analysis = analyze_point(sigma, pt, catalog, budget)
+                    if analysis.status == "realized":
+                        status[pt] = "exception-realized"
+                    elif analysis.status == "excluded":
+                        status[pt] = "exception-excluded"
     points = tuple((pt, status[pt]) for pt in sorted(status))
     return FigureDataset(sigma, lines, gaps, points)

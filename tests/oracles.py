@@ -31,7 +31,16 @@ point the admissible map leaves out into three places: above the order-3
 upper line, in a gap strip, or in the triangle of an order
 (``triangle_orders``) that admits no period list there.  ``intersect`` solves
 two lines as a 2x2 rational system, where the library writes each gap
-corner from its formula.
+corner from its formula.  ``r_at``, ``slope``, ``evaluate`` and ``contains``
+read a line in exact rationals, and ``member_raw`` and ``member`` test a
+point against a gap's corner, boundary lines and exception line in
+Fractions, where the library decides a lattice point by the gap's row at
+its h (``GapRegion.integer_rows_raw``) and the integer exception test
+(``GapRegion.exception_r``).  ``integer_points_raw``, ``integer_points`` and
+``exception_points`` write a gap's rows out as points (all of them, those
+off the exception line, those on it), and ``report_points`` writes a
+``GapReport`` out as a report for every point, for the tests that read
+points.
 ``all_groups_realizable_set`` tries every covering group of every order up to
 the cap at every admissible point, where the library tries only the groups
 whose order is feasible there.  ``close_order_2n`` settles the sporadic
@@ -74,9 +83,9 @@ with ``triangle`` and ``triangle_points`` (the rational reference for
 ``circle_render_figure`` draws a figure's points one circle at a time, each
 tested against the rational plot box and formatted from its own Fractions,
 where the library formats each grid column and row once.
-``pointwise_verify_gap`` verifies a gap point by point, with a report for
-every lattice point, where the library walks the gap's rows and reports
-only the points that need it.  ``point_report_json`` builds the dict form
+``pointwise_verify_gap`` verifies a gap point by point, over the points of
+``fraction_gap_points``, with a report for every lattice point, where the
+library walks the gap's rows and reports only the points that need it.  ``point_report_json`` builds the dict form
 of every point's report, where the library writes a certified off-line
 point from one text template, straight from its row.
 ``witness_json`` and ``vector_json`` build a witness and a generating vector
@@ -114,6 +123,7 @@ from skelsig import svg
 from skelsig.groups import CatalogManifest, GroupTable, build_cyclic, quaternion_word
 from skelsig.kspace import (
     FigureDataset,
+    GapReport,
     KSpaceApproximation,
     PointAnalysis,
     PointReport,
@@ -482,7 +492,7 @@ class TriangleRegion:
     def member(self, point: RationalPoint) -> bool:
         if point.h < 0 or point.h > self.apex.h or point.r < 0:
             return False
-        return self.lower.r_at(point.h) <= point.r <= self.upper.r_at(point.h)
+        return r_at(self.lower, point.h) <= point.r <= r_at(self.upper, point.h)
 
     def integer_points(self) -> list[SkeletalSignature]:
         """Lattice points with h, r >= 0, in lexicographic order."""
@@ -533,8 +543,8 @@ def fraction_triangle_points(region: TriangleRegion) -> list[SkeletalSignature]:
     """Lattice points with h, r >= 0 of a triangle, with each r range bounded by exact rationals."""
     out: list[SkeletalSignature] = []
     for h in range(0, math.floor(region.apex.h) + 1):
-        lo = region.lower.r_at(h)
-        hi = region.upper.r_at(h)
+        lo = r_at(region.lower, h)
+        hi = r_at(region.upper, h)
         for r in range(max(math.ceil(lo), 0), math.floor(hi) + 1):
             out.append(SkeletalSignature(h, r))
     return out
@@ -550,15 +560,73 @@ def fraction_gap_points(region: GapRegion) -> list[SkeletalSignature]:
     out: list[SkeletalSignature] = []
     h = math.floor(region.corner.h) + 1
     while True:
-        top = region.boundary_lower.r_at(h)
+        top = r_at(region.boundary_lower, h)
         if top <= 0:
             break
-        bottom = region.boundary_upper.r_at(h)
+        bottom = r_at(region.boundary_upper, h)
         for r in range(max(math.floor(bottom), 0), math.ceil(top) + 1):
             if bottom < r < top:
                 out.append(SkeletalSignature(h, r))
         h += 1
     return out
+
+
+def r_at(line: RationalLine, h: int | Fraction) -> Fraction:
+    """The r of a line at h, as an exact rational."""
+    if line.b == 0:
+        raise ValueError("vertical line has no r value at fixed h")
+    return Fraction(line.c - line.a * Fraction(h), line.b)
+
+
+def slope(line: RationalLine) -> Fraction:
+    """dr/dh of a line (b must be nonzero)."""
+    if line.b == 0:
+        raise ValueError("vertical line has undefined slope in r per h")
+    return Fraction(-line.a, line.b)
+
+
+def evaluate(line: RationalLine, point: RationalPoint) -> Fraction:
+    """a*h + b*r - c; its sign tells which side of the line the point is on."""
+    return line.a * point.h + line.b * point.r - line.c
+
+
+def contains(line: RationalLine, point: RationalPoint) -> bool:
+    return evaluate(line, point) == 0
+
+
+def member_raw(region: GapRegion, point: RationalPoint) -> bool:
+    """Strictly between the gap's two boundary lines, strictly right of its corner."""
+    if point.h <= region.corner.h:
+        return False
+    return r_at(region.boundary_upper, point.h) < point.r < r_at(region.boundary_lower, point.h)
+
+
+def member(region: GapRegion, point: RationalPoint) -> bool:
+    """Raw membership minus the exception line, where the gap guarantee fails."""
+    if not member_raw(region, point):
+        return False
+    if region.exception_line is not None and contains(region.exception_line, point):
+        return False
+    return True
+
+
+def integer_points_raw(region: GapRegion) -> list[SkeletalSignature]:
+    """The lattice points of the gap's ``integer_rows_raw``, lexicographic."""
+    return [
+        SkeletalSignature(h, r)
+        for h, r_lo, r_hi in region.integer_rows_raw()
+        for r in range(r_lo, r_hi + 1)
+    ]
+
+
+def integer_points(region: GapRegion) -> list[SkeletalSignature]:
+    """The raw lattice points off the exception line."""
+    return [s for s in integer_points_raw(region) if s.r != region.exception_r(s.h)]
+
+
+def exception_points(region: GapRegion) -> list[SkeletalSignature]:
+    """The raw lattice points on the exception line."""
+    return [s for s in integer_points_raw(region) if s.r == region.exception_r(s.h)]
 
 
 def manifest_groups(catalog: CatalogManifest, max_order: int | None = None) -> list[GroupTable]:
@@ -606,7 +674,7 @@ def census(sigma: int) -> dict[SkeletalSignature, tuple[str, tuple[int, ...]] | 
     # a gap strip's points have h >= 2 (its corner has h >= 1) and lie below its lower
     # line, h < 1 + (sigma - 1)/n, so no n >= sigma - 1 has one
     for n in range(3, sigma - 1):
-        for pt in gap(sigma, n).integer_points_raw():
+        for pt in integer_points_raw(gap(sigma, n)):
             gaps.setdefault(pt, []).append(n)
     out: dict[SkeletalSignature, tuple[str, tuple[int, ...]] | None] = {}
     for h in range((sigma + 1) // 2 + 1):
@@ -1019,15 +1087,15 @@ def pointwise_verify_gap(
     """A gap verified point by point: every lattice point's report, the conclusion, and
     whether an analysis was partial.
 
-    Each raw lattice point is tested against the exception line's equation;
-    an off-line point runs the order-window loop and an exception-line point
-    is analyzed, and each gets a ``PointReport``.
+    Each lattice point of ``fraction_gap_points`` is tested against the
+    exception line's equation; an off-line point runs the order-window loop
+    and an exception-line point is analyzed, and each gets a ``PointReport``.
     """
     region = gap(sigma, order)
     e = region.exception_line
     points: list[PointReport] = []
     refuted = has_partial = False
-    for pt in region.integer_points_raw():
+    for pt in fraction_gap_points(region):
         if e is None or e.a * pt.h + e.b * pt.r != e.c:
             verdict = _first_feasible(sigma, pt.h, pt.r, _order_window(sigma, pt.h, pt.r))
             refuted = refuted or verdict.is_exists
@@ -1039,6 +1107,18 @@ def pointwise_verify_gap(
         has_partial = has_partial or analysis.status == "partial"
         points.append(PointReport(pt, True, verdict, analysis))
     return tuple(points), "refuted" if refuted else "verified", has_partial
+
+
+def report_points(report: GapReport) -> tuple[PointReport, ...]:
+    """A report for every lattice point of a gap report's rows, in lattice order: each
+    certified off-line point, which the report holds only as part of a row, gets one."""
+    reported = {p.point: p for p in report.reports}
+    certified = SearchVerdict.not_exists()
+    return tuple(
+        reported.get((h, r)) or PointReport(SkeletalSignature(h, r), False, certified, None)
+        for h, r_lo, r_hi in report.rows
+        for r in range(r_lo, r_hi + 1)
+    )
 
 
 def point_report_json(report: PointReport) -> dict:

@@ -11,11 +11,16 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    contains,
+    exception_points,
+    integer_points_raw,
     manifest_groups,
+    member,
     naive_search,
     nearest_int,
     period_multisets,
     rh_admissible,
+    slope,
 )
 from skelsig.genvec import quaternion_vector, search, verify
 from skelsig.geometry import (
@@ -54,7 +59,7 @@ def test_criterion_01_gap_3_4_empty():
     for sigma in range(9, 61):
         region = gap(sigma, 3)
         assert region.exception_line is None
-        for pt in region.integer_points_raw():
+        for pt in integer_points_raw(region):
             if not rh_admissible(sigma, pt).is_not_exists:
                 failures.append((sigma, tuple(pt)))
     report(1, "order-3/4 gap emptiness for genus 9..60", failures, t0)
@@ -75,7 +80,7 @@ def test_criterion_02_h2_missing_point():
     for sigma in range(7, 121):
         pt = S(2, nearest_int(Fraction(2 * sigma, 3) - 4))
         region = gap(sigma, 4)
-        in_gap = region.member(P(pt.h, pt.r))
+        in_gap = member(region, P(pt.h, pt.r))
         excluded = rh_admissible(sigma, pt).is_not_exists
         if not (in_gap and excluded):
             failures.append((sigma, tuple(pt), f"in_gap={in_gap}", f"rh_excluded={excluded}"))
@@ -91,7 +96,7 @@ def test_criterion_03_h3_missing_points():
         region = gap(sigma, 4)
         for k in offsets:
             pt = S(3, nearest_int(Fraction(2 * sigma, 3) + k))
-            in_gap = region.member(P(pt.h, pt.r))
+            in_gap = member(region, P(pt.h, pt.r))
             excluded = rh_admissible(sigma, pt).is_not_exists
             if not (in_gap and excluded):
                 failures.append((sigma, tuple(pt)))
@@ -105,7 +110,7 @@ def test_criterion_04_genus_48_exception_analysis(catalog):
     t0 = time.time()
     failures = []
     region = gap(48, 4)
-    exc = region.exception_points()
+    exc = exception_points(region)
     if exc != [S(8, 6), S(10, 1)]:
         failures.append(("exception points", exc))
     realized = analyze_point(48, S(8, 6), catalog)
@@ -176,7 +181,7 @@ def test_criterion_07_elementary_abelian_on_line():
             p, _, k = witness.group_spec.partition(":")[2].partition("^")
             p, k = int(p), int(k or 1)
             witnesses += 1
-            if not p_group_line(sigma, p, k).contains(P(pt.h, pt.r)):
+            if not contains(p_group_line(sigma, p, k), P(pt.h, pt.r)):
                 failures.append((sigma, tuple(pt), witness.group_name))
     if witnesses == 0:
         failures.append(("no witnesses found at all",))
@@ -190,9 +195,9 @@ def test_criterion_08_line_geometry():
     for sigma in range(2, 51):
         shared = P(sigma, 2 - 2 * sigma)
         for order in range(2, 201):
-            if not lower_line(sigma, order).contains(shared):
+            if not contains(lower_line(sigma, order), shared):
                 failures.append(("common point", sigma, order))
-            if upper_line(sigma, order).slope != -4:
+            if slope(upper_line(sigma, order)) != -4:
                 failures.append(("slope", sigma, order))
         if lower_line(sigma, 2) != upper_line(sigma, 2):
             failures.append(("order-2 collapse", sigma))

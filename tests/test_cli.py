@@ -54,8 +54,10 @@ from oracles import (
     GeneratingVector,
     check_vector,
     circle_render_figure,
+    integer_points,
     point_report_json,
     pointwise_verify_gap,
+    report_points,
     vector_json,
     witness_json,
     witness_of,
@@ -888,8 +890,8 @@ class TestIndentedJson:
         # all of them
         reports = [verify_gap(sigma, n, catalog) for sigma in range(9, 121) for n in (3, 4)]
         # the refuting point and the partial point that test_kspace plants at genus 48
-        by_point = {p.point: p for p in verify_gap(48, 4, catalog).points}
-        off_line = gap(48, 4).integer_points()
+        by_point = {p.point: p for p in report_points(verify_gap(48, 4, catalog))}
+        off_line = integer_points(gap(48, 4))
         mid = by_point[off_line[len(off_line) // 2]]
         planted = mid._replace(rh=SearchVerdict.exists((5, (5,) * mid.point.r)))
         line = by_point[SkeletalSignature(8, 6)]
@@ -898,7 +900,7 @@ class TestIndentedJson:
         odd = (mid._replace(analysis=line.analysis),
                line._replace(rh=SearchVerdict.not_exists(), analysis=None))
         templated = 0
-        cases = [(r.points, r.points_json()) for r in reports]
+        cases = [(report_points(r), r.points_json()) for r in reports]
         cases.append(((planted, partial, *odd), [p.to_json() for p in (planted, partial, *odd)]))
         for points, values in cases:
             expected = [point_report_json(p) for p in points]
@@ -917,7 +919,7 @@ class TestIndentedJson:
             for n in range(3, 7):
                 report = verify_gap(sigma, n, catalog)
                 points, conclusion, has_partial = pointwise_verify_gap(sigma, n, catalog)
-                assert report.points == points, (sigma, n)
+                assert report_points(report) == points, (sigma, n)
                 assert (report.conclusion, report.has_partial) == (conclusion, has_partial)
                 expected = {
                     "gap": gap(sigma, n).to_json(),
@@ -954,7 +956,7 @@ class TestIndentedJson:
         report = verify_gap(48, 4, catalog)
         points, conclusion, has_partial = pointwise_verify_gap(48, 4, catalog)
         assert report.conclusion == conclusion == "refuted"
-        assert report.points == points
+        assert report_points(report) == points
         assert {p.point for p in report.reports if not p.on_exception_line} == planted
         expected = [point_report_json(p) for p in points]
         assert written(report.points_json()) == json.dumps(expected, indent=2) + "\n"

@@ -1,5 +1,6 @@
 """Lines, triangles, gaps, and missing-point formulas in the (h, r)-plane."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -8,15 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    contains,
+    evaluate,
+    exception_points,
     fraction_gap_points,
     fraction_triangle_points,
+    integer_points,
+    integer_points_raw,
     intersect,
+    member,
+    member_raw,
     nearest_int,
     rh_admissible,
+    slope,
     triangle,
 )
+from skelsig import cli
 from skelsig.geometry import (
-    GapRegion,
     RationalLine,
     RationalPoint,
     gap,
@@ -50,7 +59,7 @@ class TestLines:
     def test_p_group_line_examples(self):
         assert p_group_line(48, 2, 1) == RationalLine(4, 1, 98)
         assert p_group_line(48, 5, 1) == RationalLine(5, 2, 52)
-        assert p_group_line(48, 5, 1).contains(P(8, 6))
+        assert contains(p_group_line(48, 5, 1), P(8, 6))
 
     def test_p_group_line_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -65,15 +74,15 @@ class TestLines:
     @given(sigma=st.integers(2, 60), order=st.integers(2, 120))
     @settings(max_examples=150, deadline=None)
     def test_slopes(self, sigma, order):
-        assert lower_line(sigma, order).slope == Fraction(-2 * order, order - 1)
-        assert upper_line(sigma, order).slope == -4
+        assert slope(lower_line(sigma, order)) == Fraction(-2 * order, order - 1)
+        assert slope(upper_line(sigma, order)) == -4
 
 
 class TestTriangle:
     def test_apex(self):
         tri = triangle(48, 4)
         assert tri.apex == P(Fraction(51, 4), 0)
-        assert tri.lower.contains(tri.apex) and tri.upper.contains(tri.apex)
+        assert contains(tri.lower, tri.apex) and contains(tri.upper, tri.apex)
 
     def test_member_examples(self):
         assert not triangle(48, 4).member(P(8, 6))
@@ -138,8 +147,8 @@ class TestGap:
         for sigma in (7, 11, 20, 48, 60):
             for order in range(3, 12):
                 region = gap(sigma, order)
-                assert region.boundary_lower.contains(region.corner)
-                assert region.boundary_upper.contains(region.corner)
+                assert contains(region.boundary_lower, region.corner)
+                assert contains(region.boundary_upper, region.corner)
                 solved = intersect(region.boundary_lower, region.boundary_upper)
                 assert solved == region.corner
                 # the closed forms for each span, derived by hand
@@ -156,18 +165,18 @@ class TestGap:
 
     def test_membership_examples(self):
         g46 = gap(48, 4)
-        assert g46.member(P(3, 24))
-        assert not g46.member(P(8, 6))
-        assert g46.member_raw(P(8, 6))
-        assert not gap(48, 3).member(P(1, 47))  # the corner itself
+        assert member(g46, P(3, 24))
+        assert not member(g46, P(8, 6))
+        assert member_raw(g46, P(8, 6))
+        assert not member(gap(48, 3), P(1, 47))  # the corner itself
         # the gap is open: right of the corner, a point on the top boundary
         # 8h + 3r = 102 or the bottom one 12h + 3r = 106 is not a member
-        assert not g46.member_raw(P(3, 26))
-        assert not g46.member_raw(P(2, Fraction(82, 3)))
+        assert not member_raw(g46, P(3, 26))
+        assert not member_raw(g46, P(2, Fraction(82, 3)))
 
     def test_integer_points_48_3(self):
         region = gap(48, 3)
-        pts = region.integer_points()
+        pts = integer_points(region)
         assert S(3, 40) in pts
         assert [p for p in pts if p.h == 2] == []  # bounds 43 < r < 44
         assert [p for p in pts if p.h == 3] == [S(3, 40)]  # bounds 39 < r < 41
@@ -175,8 +184,8 @@ class TestGap:
 
     def test_exception_points_48(self):
         region = gap(48, 4)
-        assert region.exception_points() == [S(8, 6), S(10, 1)]
-        filtered = region.integer_points()
+        assert exception_points(region) == [S(8, 6), S(10, 1)]
+        filtered = integer_points(region)
         assert S(8, 6) not in filtered and S(10, 1) not in filtered
 
     def test_integer_enumeration_matches_fraction_oracle(self):
@@ -188,10 +197,10 @@ class TestGap:
                 region = gap(sigma, order)
                 raw = fraction_gap_points(region)
                 exc = region.exception_line
-                on_line = [s for s in raw if exc is not None and exc.contains(P(s.h, s.r))]
-                assert region.integer_points_raw() == raw, (sigma, order)
-                assert region.exception_points() == on_line, (sigma, order)
-                assert region.integer_points() == [s for s in raw if s not in on_line], (sigma, order)
+                on_line = [s for s in raw if exc is not None and contains(exc, P(s.h, s.r))]
+                assert integer_points_raw(region) == raw, (sigma, order)
+                assert exception_points(region) == on_line, (sigma, order)
+                assert integer_points(region) == [s for s in raw if s not in on_line], (sigma, order)
                 seen += len(raw)
         assert seen > 1000
 
@@ -207,33 +216,41 @@ class TestGap:
                 assert all(lo <= hi for _, lo, hi in rows), (sigma, order)
                 exc = region.exception_line
                 for h, lo, hi in rows:
-                    on_line = [r for r in range(lo - 2, hi + 3) if exc and exc.contains(P(h, r))]
+                    on_line = [r for r in range(lo - 2, hi + 3) if exc and contains(exc, P(h, r))]
                     assert on_line == [r for r in [region.exception_r(h)] if r is not None
                                        and lo - 2 <= r <= hi + 2], (sigma, order, h)
 
-    def test_integer_points_raw_builds_no_rational_point(self, monkeypatch):
-        # a count guard, not a timing gate: the strip is walked on integer coefficients
+    def test_integer_points_raw_builds_no_rational_point(self, monkeypatch, capsys):
+        # a count guard, not a timing gate: the strip is walked, and missing_points and
+        # `gaps` decide their points, on integer coefficients; the one RationalPoint a
+        # gap builds is its corner
         region = gap(48, 4)
         expected = fraction_gap_points(region)
         calls = Counter()
-        point_new, member_raw = RationalPoint.__new__, GapRegion.member_raw
+        point_new = RationalPoint.__new__
 
         def counted_new(cls, *args, **kwargs):
             calls["RationalPoint"] += 1
             return point_new(cls, *args, **kwargs)
 
-        def counted_member_raw(self, point):
-            calls["member_raw"] += 1
-            return member_raw(self, point)
-
         monkeypatch.setattr(RationalPoint, "__new__", counted_new)
-        monkeypatch.setattr(GapRegion, "member_raw", counted_member_raw)
-        assert region.integer_points_raw() == expected
-        assert region.integer_points() and region.exception_points()
+        assert integer_points_raw(region) == expected
+        assert integer_points(region) and exception_points(region)
         assert calls == Counter()
-        # the counters are live
-        assert region.member(P(3, 24))
-        assert calls == Counter({"RationalPoint": 1, "member_raw": 1})
+        regions = 0
+        for h, least in ((2, 7), (3, 18)):
+            for sigma in range(least, 2001):
+                if (sigma, h) == (8, 2):
+                    with pytest.raises(ValueError, match="cyclic line"):
+                        missing_points(sigma, h)
+                else:
+                    assert missing_points(sigma, h), (sigma, h)
+                regions += 1
+        assert calls == Counter({"RationalPoint": regions})
+        calls.clear()
+        assert cli.main(["gaps", "--sigma", "150", "--n", *map(str, range(3, 13))]) == 0
+        assert json.loads(capsys.readouterr().out)["gaps"][1]["exceptionPoints"]
+        assert calls == Counter({"RationalPoint": 10})
 
 
 class TestNearestInt:
@@ -282,11 +299,11 @@ class TestMissingPoints:
                 continue  # see test_genus_8_candidate_collides_with_cyclic_line
             region = gap(sigma, 4)
             for s in missing_points(sigma, 2):
-                assert region.member(P(s.h, s.r))
+                assert member(region, P(s.h, s.r))
         for sigma in range(18, 301):
             region = gap(sigma, 4)
             for s in missing_points(sigma, 3):
-                assert region.member(P(s.h, s.r))
+                assert member(region, P(s.h, s.r))
 
     def test_integer_rounding_matches_nearest_int(self):
         # the candidates round 2 sigma/3 in integers; nearest_int rounds the Fraction
@@ -311,9 +328,9 @@ class TestMissingPoints:
         # usage-level error naming the point and the line.
         region = gap(8, 4)
         candidate = P(2, 1)
-        assert region.member_raw(candidate)
-        assert region.exception_line.contains(candidate)
-        assert not region.member(candidate)
+        assert member_raw(region, candidate)
+        assert contains(region.exception_line, candidate)
+        assert not member(region, candidate)
         v = rh_admissible(8, S(2, 1))
         assert v.is_exists and v.witness == (5, (5,))
         with pytest.raises(ValueError, match=r"\(2, 1\) lies on the order-5 cyclic line 5h \+ 2r = 12"):
@@ -330,7 +347,7 @@ class TestOverlapOfTriangles:
                 for n in range(m + 1, 16):
                     line = lower_line(sigma, n)
                     for pt in pts:
-                        assert line.evaluate(P(pt.h, pt.r)) > 0, (sigma, m, n, pt)
+                        assert evaluate(line, P(pt.h, pt.r)) > 0, (sigma, m, n, pt)
 
     def test_larger_triangle_below_smaller_upper_line(self):
         for sigma in range(2, 31):
@@ -339,7 +356,7 @@ class TestOverlapOfTriangles:
                 for m in range(3, n):
                     line = upper_line(sigma, m)
                     for pt in pts:
-                        assert line.evaluate(P(pt.h, pt.r)) < 0, (sigma, m, n, pt)
+                        assert evaluate(line, P(pt.h, pt.r)) < 0, (sigma, m, n, pt)
 
 
 class TestSerialization:

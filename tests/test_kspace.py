@@ -38,10 +38,16 @@ from oracles import (
     bitset_admissible_map,
     census,
     close_order_2n,
+    contains,
+    exception_points,
+    fraction_gap_points,
     full_range_feasible_orders,
+    integer_points,
+    integer_points_raw,
     manifest_groups,
     order_loop_analysis,
     period_multisets,
+    report_points,
     rh_admissible,
     triangle,
     triangle_points,
@@ -251,7 +257,7 @@ class TestCensus:
                 kinds[kind] += 1
                 assert (kind == "a") == (orders == ()), (sigma, pt, where)
                 if kind == "b":
-                    assert all(pt in gap(sigma, n).integer_points_raw() for n in orders)
+                    assert all(pt in integer_points_raw(gap(sigma, n)) for n in orders)
                 if kind == "c":
                     assert all(pt in triangle_points(sigma, n) for n in orders), (sigma, pt)
                     assert all(
@@ -428,12 +434,12 @@ class TestVerifyGap:
     def test_genus_48_order_3(self, catalog):
         report = verify_gap(48, 3, catalog)
         assert report.conclusion == "verified"
-        assert S(3, 40) in {p.point for p in report.points if p.rh.is_not_exists}
+        assert S(3, 40) in {p.point for p in report_points(report) if p.rh.is_not_exists}
 
     def test_genus_48_order_4_exception_analysis(self, catalog):
         report = verify_gap(48, 4, catalog)
         assert report.conclusion == "verified"
-        by_point = {p.point: p for p in report.points}
+        by_point = {p.point: p for p in report_points(report)}
         exc = sorted(pt for pt, rep in by_point.items() if rep.on_exception_line)
         assert exc == [S(8, 6), S(10, 1)]
         realized = by_point[S(8, 6)].analysis
@@ -446,7 +452,7 @@ class TestVerifyGap:
     def test_genus_20_missing_points_appear(self, catalog):
         report = verify_gap(20, 4, catalog)
         assert report.conclusion == "verified"
-        not_exists = {p.point for p in report.points if p.rh.is_not_exists}
+        not_exists = {p.point for p in report_points(report) if p.rh.is_not_exists}
         for pt in (S(3, 6), S(3, 5), S(3, 7)):
             assert pt in not_exists
 
@@ -477,15 +483,15 @@ class TestVerifyGap:
         monkeypatch.setattr(kspace, "feasible_orders", counted_sweep)
         report = verify_gap(48, 4, catalog)
         region = gap(48, 4)
-        assert loops == region.integer_points() and sweeps == region.exception_points()
+        assert loops == integer_points(region) and sweeps == exception_points(region)
         assert len(loops) > 20 and len(sweeps) >= 1
-        by_point = {p.point: p for p in report.points}
+        by_point = {p.point: p for p in report_points(report)}
         assert by_point[S(8, 6)].rh == rh_admissible(48, S(8, 6))
         assert by_point[S(10, 1)].rh == rh_admissible(48, S(10, 1))
 
     def test_a_feasible_off_line_point_refutes(self, catalog, monkeypatch):
         # no gap point is feasible, so a planted witness stands in for one, mid-gap
-        off_line = gap(48, 4).integer_points()
+        off_line = integer_points(gap(48, 4))
         planted = off_line[len(off_line) // 2]
         loop = kspace._first_feasible
 
@@ -497,9 +503,9 @@ class TestVerifyGap:
         monkeypatch.setattr(kspace, "_first_feasible", planting)
         report = verify_gap(48, 4, catalog)
         assert report.conclusion == "refuted"
-        assert [p.point for p in report.points if p.rh.is_exists and not p.on_exception_line] == [
-            planted
-        ]
+        assert [
+            p.point for p in report_points(report) if p.rh.is_exists and not p.on_exception_line
+        ] == [planted]
 
     def test_a_partial_exception_point_marks_the_report(self, catalog, monkeypatch):
         # the catalog settles both exception points, (8, 6) and then (10, 1); a
@@ -520,7 +526,7 @@ class TestVerifyGap:
         seen = 0
         for sigma in range(9, 73):
             for n in range(3, sigma - 1):
-                for p in verify_gap(sigma, n, CatalogManifest(())).points:
+                for p in report_points(verify_gap(sigma, n, CatalogManifest(()))):
                     if p.on_exception_line:
                         continue
                     first = next(full_range_feasible_orders(sigma, p.point), None)
@@ -537,11 +543,11 @@ class TestVerifyGap:
         points = on_lines = 0
         for sigma in range(9, 41):
             adm = admissible_map(sigma)
-            assert not gap(sigma, sigma - 1).integer_points_raw()
+            assert not integer_points_raw(gap(sigma, sigma - 1))
             for n in range(3, sigma - 1):
                 region = gap(sigma, n)
-                for pt in region.integer_points_raw():
-                    on_line = region.on_exception_line(pt)
+                for pt in integer_points_raw(region):
+                    on_line = pt.r == region.exception_r(pt.h)
                     assert (pt in adm) == on_line, (sigma, n, pt)
                     points += 1
                     on_lines += on_line
@@ -630,7 +636,7 @@ class TestAnalyzePoint:
         for sigma in [*range(2, 61), 150]:
             points = set(admissible_map(sigma))
             for region in (gap(sigma, 3), gap(sigma, 4)):
-                points.update(filter(region.on_exception_line, region.integer_points_raw()))
+                points.update(exception_points(region))
             for pt in sorted(points):
                 for budget in (20, 2000):
                     analysis = analyze_point(sigma, pt, catalog, budget)
@@ -791,6 +797,29 @@ class TestFigureDataset:
         ds = figure_dataset(48)
         assert [g.lower_index for g in ds.gaps] == [3, 4]
 
+    def test_gap_statuses_match_the_fraction_walk(self):
+        # with no catalog, a point is drawn as gap exactly when the Fraction walk puts it
+        # off the exception line in the order-3/4 or order-4/6 strip and it is not
+        # admissible; a point on the exception line keeps its admissible status
+        drawn = on_lines = 0
+        for sigma in range(2, 121):
+            ds = figure_dataset(sigma)
+            adm = admissible_map(sigma)
+            off_line, on_line = set(), set()
+            for n in (3, 4):
+                region = gap(sigma, n)
+                exc = region.exception_line
+                for pt in fraction_gap_points(region):
+                    on = exc is not None and contains(exc, RationalPoint(pt.h, pt.r))
+                    (on_line if on else off_line).add(pt)
+            status = dict(ds.points)
+            gap_points = {pt for pt, s in status.items() if s == "gap"}
+            assert gap_points == off_line - adm.keys(), sigma
+            assert {status[pt] for pt in on_line} <= {"admissible"}, sigma
+            drawn += len(gap_points)
+            on_lines += len(on_line)
+        assert (drawn, on_lines) == (37_228, 322)
+
     def test_exception_statuses_with_catalog(self, catalog):
         # small budget: distant searches go unknown (left as admissible), the
         # exception-line analysis itself needs only a handful of tuples
@@ -818,10 +847,10 @@ class TestFigureDataset:
         assert ["h,r,status", *rows] == golden
 
     def test_with_catalog_walks_each_gap_once(self, catalog, monkeypatch):
-        # each gap's lattice points are enumerated once, and its exception
-        # points are analysed in their lattice order, region by region
+        # each gap's rows are walked once, and its exception points are
+        # analysed in their lattice order, region by region
         walked, analysed = [], []
-        walk, analyze = GapRegion.integer_points_raw, kspace.analyze_point
+        walk, analyze = GapRegion.integer_rows_raw, kspace.analyze_point
 
         def counted_walk(region):
             walked.append(region.lower_index)
@@ -831,12 +860,12 @@ class TestFigureDataset:
             analysed.append(pt)
             return analyze(sigma, pt, *args)
 
-        monkeypatch.setattr(GapRegion, "integer_points_raw", counted_walk)
+        monkeypatch.setattr(GapRegion, "integer_rows_raw", counted_walk)
         monkeypatch.setattr(kspace, "analyze_point", recorded)
         ds = figure_dataset(48, catalog, max_order=15, budget=2000)
         assert walked == [3, 4]
         monkeypatch.undo()
-        assert analysed == [pt for region in ds.gaps for pt in region.exception_points()]
+        assert analysed == [pt for region in ds.gaps for pt in exception_points(region)]
         assert len(analysed) == 2
 
     def test_with_catalog_builds_each_table_once(self, monkeypatch):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from oracles import (
     fraction_period_multisets,
     full_range_feasible_orders,
+    integer_points,
+    integer_points_raw,
     manifest_groups,
     order_bound,
     period_multisets,
@@ -363,11 +365,11 @@ class TestOrderBound:
         for sigma in range(3, 151):
             for n in range(3, sigma + 1):
                 region = gap(sigma, n)
-                for pt in region.integer_points_raw():
+                for pt in integer_points_raw(region):
                     assert type(pt.h) is int and type(pt.r) is int, (sigma, n, pt)
                     assert order_bound(sigma, pt) == sigma - 1, (sigma, n, pt)  # h >= 2
                     seen += 1
-                    on_lines += region.on_exception_line(pt)
+                    on_lines += pt.r == region.exception_r(pt.h)
         assert (seen, on_lines) == (88167, 814)
 
 
@@ -440,7 +442,7 @@ class TestRhAdmissible:
         seen = 0
         for sigma in range(9, 41):
             for n in (3, 4):
-                for pt in gap(sigma, n).integer_points_raw():
+                for pt in integer_points_raw(gap(sigma, n)):
                     got = list(feasible_orders(sigma, pt))
                     assert got == list(full_range_feasible_orders(sigma, pt)), (sigma, n, pt)
                     seen += 1
@@ -459,7 +461,7 @@ class TestRhAdmissible:
         monkeypatch.setattr(rh, "_period_lists", counted)
         region = gap(48, 4)
         silent = 0
-        for pt in region.integer_points():
+        for pt in integer_points(region):
             calls.clear()
             assert rh_admissible(48, pt).is_not_exists
             holding = [

@@ -17,11 +17,11 @@ import json
 import os
 import re
 import sys
-from itertools import chain, groupby, islice
+from itertools import groupby, islice
 from typing import Iterable
 
 from . import kspace, svg
-from .genvec import DEFAULT_BUDGET, JsonText, search
+from .genvec import DEFAULT_BUDGET, JsonText, Runs, search
 from .geometry import frac_json, gap, missing_points
 from .groups import CatalogManifest, bundled_catalog, build_from_spec, load_catalog
 from .rh import OrbifoldSignature, rh_genus, rh_holds
@@ -82,6 +82,7 @@ def points_csv(rows: Iterable[tuple[int, int, str]]) -> str:
 _quote = json.encoder.encode_basestring_ascii
 _SCALARS = {int: int.__repr__, str: _quote, bool: {True: "true", False: "false"}.__getitem__,
             type(None): lambda o: "null", float: json.dumps}  # json.dumps: NaN, +-Infinity
+_PIECE = 64 * 1024  # characters of a run's repetitions handed to ``write`` at once
 
 
 def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
@@ -89,14 +90,16 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
 
     One call per container (``pad``: a newline and the indent of its first line) writes
     its scalars in its own loop and an all-``int`` list in one join.  Only ``dict`` with
-    ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool``, ``None`` and
-    ``genvec.JsonText`` are written, by exact type (a ``bool`` is not an ``int``, and no
-    other ``str`` subclass is text); anything else raises ``TypeError``.  ``JsonText`` is
-    JSON already rendered at the top level, such as a whole witness, written as one
-    fragment with each line break replaced by ``pad``; one over 64 KiB is never joined.
-    A run of consecutive ``JsonText`` items in a list, such as a gap's certified points,
-    is joined 256 items at a time and indented by one ``str.replace`` per join, then
-    handed on at once.  A failure part-way (that, or a full disk) leaves a truncated file.
+    ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool``, ``None``,
+    ``genvec.Runs`` and ``genvec.JsonText`` are written, by exact type (a ``bool`` is not
+    an ``int``, and no other ``str`` or ``tuple`` subclass is JSON); anything else raises
+    ``TypeError``.  ``Runs``, such as a witness's lists, is the list of its runs expanded:
+    each run's value is rendered once, in memory, and written by repetition, handed on in
+    pieces of at most about 64 KiB.  ``JsonText`` is JSON already rendered at the top
+    level, written with each line break replaced by ``pad``; a run of consecutive
+    ``JsonText`` items in a list, such as a gap's certified points, is joined 256 items at
+    a time and indented by one ``str.replace`` per join, then handed on at once.  A
+    failure part-way (that, or a full disk) leaves a truncated file.
     """
     top = parts is None
     if top:
@@ -123,12 +126,8 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
         else:
             sep = "[" + inner
             for kind, group in groupby(o, type):
-                # a run of texts, 256 at a time, joined and indented at once; from a
-                # chunk holding a text over 64 KiB on, the run goes item by item
+                # a run of texts, 256 at a time, joined and indented at once
                 while kind is JsonText and (run := list(islice(group, 256))):
-                    if max(map(len, run)) > 1 << 16:
-                        group = chain(run, group)
-                        break
                     parts.append(sep + ",\n".join(run).replace("\n", inner))
                     sep = comma
                     write("".join(parts))
@@ -145,14 +144,36 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
                         write("".join(parts))
                         parts.clear()
             parts.append(pad + "]")
+    elif t is Runs:
+        sep = "[" + inner
+        for v, m in o:
+            scalar = _SCALARS.get(type(v))
+            if scalar:
+                text = scalar(v)
+            else:  # rendered into lists of its own, never handed to ``write``
+                held: list = []
+                rest: list = []
+                _write_json(v, held.append, rest, inner)
+                text = "".join(held + rest)
+            parts.append(sep + text)
+            sep, item = comma, comma + text
+            # the other m - 1 items, each full piece of at most 64 KiB handed on at once
+            per, m = _PIECE // len(item) or 1, m - 1
+            while m >= per:
+                parts.append(item * per)
+                write("".join(parts))
+                parts.clear()
+                m -= per
+            if m:
+                parts.append(item * m)
+            if len(parts) >= 256:
+                write("".join(parts))
+                parts.clear()
+        parts.append(pad + "]" if o else "[]")
     elif t in _SCALARS:
         parts.append(_SCALARS[t](o))
     elif t is JsonText:
         parts.append(o.replace("\n", pad))
-        if len(o) > 1 << 16:
-            write("".join(parts[:-1]))
-            write(parts.pop())
-            parts.clear()
     elif t is dict or t is list or t is tuple:
         parts.append("{}" if t is dict else "[]")
     else:

@@ -38,15 +38,14 @@ The filter and the tuple walk take the periods as (period, count) runs; the
 walk's first candidate, the witness at 266 of 302 points at genus 48, costs
 one power per run.  Its ``Witness`` is the one form of a generating vector
 here, its lists kept as runs: ``search`` returns it, ``verify`` checks it run
-by run, and it is written once, as ``JsonText``: the text ``json.dumps``
-writes of it at the top level, each list a run at a time by string
-repetition.  Reports embed it; ``cli._write_json`` indents it.
+by run, and ``to_json`` gives it as a dict tree whose lists are ``Runs``, the
+runs themselves.  Reports embed that tree; ``cli._write_json`` alone lays it
+out, each run's value rendered once and repeated.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .groups import GroupTable, build_generalized_quaternion, quaternion_word
 from .rh import (
@@ -64,13 +63,22 @@ class JsonText(str):
     """JSON text exactly as ``json.dumps(x, indent=2)`` writes ``x`` at the top level.
 
     ``cli._write_json`` writes it at any depth by indenting every line break:
-    JSON text has raw newlines only in its layout, never inside a string.
+    JSON text has raw newlines only in its layout, never inside a string.  The
+    library makes it only for a certified gap point, a text of under 200 bytes.
     """
 
     __slots__ = ()
 
 
-_quote = json.encoder.encode_basestring_ascii
+class Runs(tuple):
+    """A JSON list given as (value, count) runs: the list of each value repeated count times.
+
+    Counts are positive.  ``cli._write_json`` renders each run's value once and
+    writes it by repetition, so a list of a million equal entries is never held
+    expanded.
+    """
+
+    __slots__ = ()
 
 
 def _runs_of(runs: Iterable[tuple]) -> tuple:
@@ -84,42 +92,15 @@ def _runs_of(runs: Iterable[tuple]) -> tuple:
     return tuple(out)
 
 
-def _array(runs: Sequence[tuple], item: Callable[..., str], pad: str) -> str:
-    """The JSON array of ``runs``' entries, each on a line after ``pad``: a run once, repeated."""
-    if not runs:
-        return "[]"
-    sep = "," + pad
-    texts = [(item(v) + sep) * k for v, k in runs]
-    texts[-1] = texts[-1][: -len(sep)]
-    return "".join(["[", pad, *texts, pad[:-2], "]"])
-
-
-def _vector_text(pairs: Sequence, entries: Sequence, item: Callable[[int], str], pad: str) -> str:
-    """``{"aPairs": ..., "c": ...}`` of two lists of runs, each element written by ``item``."""
-    inner = pad + "  "
-    e = inner + "  "
-    pair = "[" + e + "  %s," + e + "  %s" + e + "]"
-    return "".join([
-        "{", inner, '"aPairs": ', _array(pairs, lambda ab: pair % (item(ab[0]), item(ab[1])), e),
-        ",", inner, '"c": ', _array(entries, item, e), pad, "}",
-    ])
-
-
-# a witness at the top level, filled with % (group, spec, h, periods, vector, words)
-_WITNESS = (
-    '{\n  "group": %s,\n  "spec": %s,\n  "signature": {\n    "h": %d,\n    "periods": %s\n  },'
-    '\n  "vector": %s%s\n}'
-)
-
-
 class Witness(NamedTuple):
     """A generating vector with its group and periods, each list as (value, count) runs.
 
     The one form of a vector: the walk builds it, ``verify`` checks it and the
-    writers render it, each a run at a time.  Counts are positive and the pairs'
-    counts sum to h.  ``signature`` expands the periods; ``to_json`` fills one
-    template, with a quaternion group's words, and ``vector_json`` writes the
-    vector alone.
+    writer lays it out, each a run at a time.  Counts are positive and the pairs'
+    counts sum to h.  ``signature`` expands the periods; ``to_json`` is the dict
+    tree of the whole witness, with a quaternion group's words, and
+    ``vector_json`` the vector alone, each of their lists the ``Runs`` it is kept
+    as (a pair is the tuple (a, b)).
     """
 
     group_name: str
@@ -132,20 +113,26 @@ class Witness(NamedTuple):
     def signature(self) -> OrbifoldSignature:
         return OrbifoldSignature(sum(k for _, k in self.pairs), _expand_runs(self.periods))
 
-    def vector_json(self) -> JsonText:
-        return JsonText(_vector_text(self.pairs, self.entries, str, "\n"))
+    def vector_json(self) -> dict:
+        return {"aPairs": Runs(self.pairs), "c": Runs(self.entries)}
 
-    def to_json(self) -> JsonText:
-        spec, pairs, entries = self.group_spec, self.pairs, self.entries
-        words = ""
+    def to_json(self) -> dict:
+        spec, pairs = self.group_spec, self.pairs
+        out = {
+            "group": self.group_name,
+            "spec": spec,
+            "signature": {"h": sum(k for _, k in pairs), "periods": Runs(self.periods)},
+            "vector": self.vector_json(),
+        }
         if spec and spec.startswith("quaternion:"):
             n = int(spec.partition(":")[2])
-            text = _vector_text(pairs, entries, lambda i: _quote(quaternion_word(n, i)), "\n  ")
-            words = ',\n  "words": ' + text
-        return JsonText(_WITNESS % (
-            _quote(self.group_name), "null" if spec is None else _quote(spec),
-            sum(k for _, k in pairs), _array(self.periods, str, "\n      "),
-            _vector_text(pairs, entries, str, "\n  "), words))
+            out["words"] = {
+                "aPairs": Runs(
+                    [((quaternion_word(n, a), quaternion_word(n, b)), k) for (a, b), k in pairs]
+                ),
+                "c": Runs([(quaternion_word(n, c), k) for c, k in self.entries]),
+            }
+        return out
 
 
 def verify(group: GroupTable, witness: Witness) -> bool:

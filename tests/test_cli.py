@@ -37,7 +37,7 @@ from skelsig.cli import (
     parse_signature,
 )
 from skelsig.geometry import gap
-from skelsig.genvec import JsonText, Witness
+from skelsig.genvec import JsonText, Runs, Witness
 from skelsig.groups import build_cyclic
 from skelsig.kspace import (
     admissible_map,
@@ -733,6 +733,33 @@ def runs_of(values):
     )
 
 
+def expanded(node):
+    """``node`` with every ``Runs`` in it expanded to the list it stands for."""
+    if type(node) is Runs:
+        return [expanded(v) for v, k in node for _ in range(k)]
+    if type(node) is dict:
+        return {k: expanded(v) for k, v in node.items()}
+    if type(node) in (list, tuple):
+        return [expanded(v) for v in node]
+    return node
+
+
+# ``Runs`` of scalars, trees and empty containers, themselves holding ``Runs``; a
+# scalar's count may pass the 13,107 items of ",\n  0" in one 64 KiB piece
+RUNS_TREES = st.recursive(
+    JSON_SCALARS | st.sampled_from([[], {}, (), Runs()]),
+    lambda children: st.lists(children)
+    | st.dictionaries(st.text(), children)
+    | st.lists(st.tuples(children, st.integers(1, 4)), max_size=3).map(Runs),
+    max_leaves=20,
+)
+RUNS_NODES = st.lists(
+    st.tuples(RUNS_TREES, st.integers(1, 4))
+    | st.tuples(JSON_SCALARS, st.sampled_from([13_106, 13_107, 13_108, 13_109])),
+    max_size=4,
+).map(Runs)
+
+
 ESCAPED_NAMES = st.text() | st.sampled_from(['"Q8"', "C\\2", "\x00\n\t", "é ☃ 𝄞", "%s %d"])
 WITNESSES = st.builds(
     lambda name, spec, periods, pairs, c: witness_of(
@@ -747,14 +774,14 @@ WITNESSES = st.builds(
 
 
 def assert_written_as_dict(witness: Witness) -> None:
-    text, vector = witness.to_json(), witness.vector_json()
-    assert type(text) is JsonText and type(vector) is JsonText
-    assert text == json.dumps(witness_json(witness), indent=2)
-    assert vector == json.dumps(vector_json(witness_vector(witness)), indent=2)
+    expected = json.dumps(witness_json(witness), indent=2) + "\n"
+    assert written(witness.to_json()) == expected
+    expected = json.dumps(vector_json(witness_vector(witness)), indent=2) + "\n"
+    assert written(witness.vector_json()) == expected
 
 
 class TestWitnessText:
-    """``Witness.to_json`` renders, by runs, the text ``json.dumps`` writes of its dict form."""
+    """``Witness.to_json``, its lists as runs, is written as ``json.dumps`` writes its dict form."""
 
     @pytest.mark.parametrize("max_order", [15, 40])
     def test_realized_witnesses(self, catalog, max_order):
@@ -771,7 +798,7 @@ class TestWitnessText:
         assert len(witnesses) == 21
         for witness in witnesses:
             assert_written_as_dict(witness)
-            assert '"words"' in witness.to_json()
+            assert "words" in witness.to_json()
 
     @given(WITNESSES)
     @example(witness_of("C1", None, OrbifoldSignature(0, ()), GeneratingVector((), ())))
@@ -782,7 +809,7 @@ class TestWitnessText:
     def test_hand_built_witnesses(self, witness):
         assert_written_as_dict(witness)
 
-    def test_million_branch_entries(self):
+    def test_million_branch_entries(self, tmp_path):
         # C2 acts with signature (0; 2, ..., 2), every c_j the generator, for any even r
         group = build_cyclic(2)
 
@@ -793,19 +820,34 @@ class TestWitnessText:
         short, huge = witness(1000), witness(10**6)
         assert genvec.verify(group, short) and genvec.verify(group, huge)
         assert_written_as_dict(short)
-        sizes: list[int] = []
+        out = tmp_path / "witness.json"
+        with open(out, "w", encoding="utf-8") as f:
+            tracemalloc.start()
+            try:
+                _write_json({"witness": huge.to_json()}, f.write)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # each run is repeated into pieces of about 64 KiB, handed on one at a time:
+        # the 22 MB document is never held, whole or in part
+        assert out.stat().st_size > 20_000_000
+        assert peak < 1_000_000
+        assert json.loads(out.read_bytes()) == {"witness": witness_json(huge)}
+
+    def test_kspace_run_memory_stays_bounded(self, catalog, tmp_path):
+        # the genus-150 document (6.8 MB, witnesses with long runs of equal entries),
+        # searched and written in one run, with the catalog's tables built beforehand:
+        # no witness is rendered to text before the writer lays it out
+        realizable_set(150, catalog, 15)
         tracemalloc.start()
         try:
-            text = huge.to_json()
-            _write_json({"witness": text}, lambda chunk: sizes.append(len(chunk)))
+            code = main(["kspace", "--sigma", "150", "--out", str(tmp_path / "k.json")])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # rendering, then the text and its copy indented to depth 1, written on its
-        # own and never joined: under two outputs
-        assert sum(sizes) > 20_000_000
-        assert peak < 2 * sum(sizes)
-        assert json.loads(text) == witness_json(huge)
+        assert code == EXIT_OK
+        assert (tmp_path / "k.json").stat().st_size > 6_000_000
+        assert peak < 6_000_000
 
 
 class TestIndentedJson:
@@ -828,7 +870,7 @@ class TestIndentedJson:
     @example({"a": [1, {"b": [2, "x\ny"]}]}, [False, False, False, False, True])
     @example({"a": [1, {"b": [2, "x\ny"]}]}, [False, False, True])
     @example([{}, [], "line\nbreak", {"k": {"deep": [[[0]]]}}], [False, True, True, True, False])
-    # a text over 64 KiB is written apart from the fragments around it
+    # a text of 180 KB indented at depth 3 among the fragments around it
     @example({"a": [1, {"b": list(range(20000))}], "z": 2}, [False, False, False, False, True])
     def test_prerendered_subtrees_match_json_dumps(self, tree, flags):
         value = prerendered(tree, iter(flags))
@@ -837,7 +879,7 @@ class TestIndentedJson:
     @given(TEXT_RUN_LISTS, st.integers(0, 2))
     @example([Run(256, {}), Run(1, [1]), "a", Run(600, None)], 0)
     @example([{"x": 1}, Run(257, {"a": [1, "x\ny"]}), [], Run(255, 2.5)], 2)
-    # a text over 64 KiB stops its run's join, and is written apart from it
+    # texts of 180 KB each in one join, indented at depth 2, then a short one
     @example([Run(3, list(range(20000))), Run(1, 0)], 1)
     def test_text_runs_match_json_dumps(self, pieces, depth):
         value, tree = with_runs(pieces)
@@ -845,16 +887,28 @@ class TestIndentedJson:
             value, tree = {"a": [value, 1]}, {"a": [tree, 1]}
         assert written(value) == json.dumps(tree, indent=2) + "\n"
 
-    def test_a_long_text_in_a_run_is_handed_on_alone(self):
-        # a text over 64 KiB among short ones is never copied into a join, and the
-        # run goes on past the 256 items of the chunk that held it
-        long = JsonText(json.dumps(list(range(20000)), indent=2))
-        tail = list(range(2, 400))
-        chunks: list[str] = []
-        _write_json({"a": [JsonText("1"), long, *map(JsonText, map(str, tail))]}, chunks.append)
-        assert long.replace("\n", "\n    ") in chunks
-        expected = {"a": [1, list(range(20000)), *tail]}
-        assert "".join(chunks) == json.dumps(expected, indent=2) + "\n"
+    @given(RUNS_NODES, st.integers(0, 2))
+    @example(Runs(), 0)
+    @example(Runs((([], 2), ({}, 1), ((), 3), (Runs(), 2))), 1)
+    # one past a piece of 13,107 items of ",\n  0", then a piece and two more
+    @example(Runs(((0, 13_108), (0, 13_109))), 0)
+    # a tree repeated past its piece of 1,638 items at depth 0
+    @example(Runs((({"a": [1, "x"]}, 3000), (None, 1))), 0)
+    @example(Runs(((Runs(((1, 2), ("b", 3))), 2), (Runs(((1, 1),)), 1))), 2)
+    def test_runs_match_json_dumps(self, node, depth):
+        value, tree = node, expanded(node)
+        for _ in range(depth):
+            value, tree = {"a": [value, 1]}, {"a": [tree, 1]}
+        assert written(value) == json.dumps(tree, indent=2) + "\n"
+
+    def test_a_long_run_is_handed_on_in_pieces(self):
+        # a run of a million ints goes to ``write`` in pieces of about 64 KiB, never whole
+        sizes: list[int] = []
+        value = {"c": Runs(((1, 10**6 - 1), (23, 1)))}
+        _write_json(value, lambda chunk: sizes.append(len(chunk)))
+        assert sum(sizes) == len(json.dumps({"c": [1] * (10**6 - 1) + [23]}, indent=2)) + 1
+        assert len(sizes) > 100
+        assert max(sizes) <= 64 * 1024 + 64
 
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
     def test_rewrites_golden_bytes(self, path):
@@ -992,16 +1046,21 @@ class TestIndentedJson:
         assert sum(sizes) > 6_000_000
         assert peak < 250_000
 
-    def test_leaves_no_reference_cycle(self):
-        # garbage left by each write would add up over a run of many commands
-        value = json.loads((GOLDEN / "kspace_11.json").read_bytes())
-        gc.disable()
-        try:
-            gc.collect()
-            _write_json(value, lambda chunk: None)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+    def test_leaves_no_reference_cycle(self, monkeypatch):
+        # garbage left by each write would add up over a run of many commands: a golden
+        # document, and a kspace payload whose witnesses are written from their runs
+        payloads = [json.loads((GOLDEN / "kspace_11.json").read_bytes())]
+        monkeypatch.setattr(cli, "_emit", lambda args, payload: payloads.append(payload))
+        assert main(["kspace", "--sigma", "11"]) == EXIT_OK
+        assert type(payloads[1]["realized"][0]["witness"]["vector"]["c"]) is Runs
+        for value in payloads:
+            gc.disable()
+            try:
+                gc.collect()
+                _write_json(value, lambda chunk: None)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
 
 class TestReadme:

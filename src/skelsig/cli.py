@@ -82,7 +82,6 @@ def points_csv(rows: Iterable[tuple[int, int, str]]) -> str:
 _quote = json.encoder.encode_basestring_ascii
 _SCALARS = {int: int.__repr__, str: _quote, bool: {True: "true", False: "false"}.__getitem__,
             type(None): lambda o: "null", float: json.dumps}  # json.dumps: NaN, +-Infinity
-_PIECE = 64 * 1024  # characters of a run's repetitions handed to ``write`` at once
 
 
 def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
@@ -92,14 +91,12 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
     its scalars in its own loop and an all-``int`` list in one join.  Only ``dict`` with
     ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool``, ``None``,
     ``genvec.Runs`` and ``genvec.JsonText`` are written, by exact type (a ``bool`` is not
-    an ``int``, and no other ``str`` or ``tuple`` subclass is JSON); anything else raises
-    ``TypeError``.  ``Runs``, such as a witness's lists, is the list of its runs expanded:
-    each run's value is rendered once, in memory, and written by repetition, handed on in
-    pieces of at most about 64 KiB.  ``JsonText`` is JSON already rendered at the top
-    level, written with each line break replaced by ``pad``; a run of consecutive
-    ``JsonText`` items in a list, such as a gap's certified points, is joined 256 items at
-    a time and indented by one ``str.replace`` per join, then handed on at once.  A
-    failure part-way (that, or a full disk) leaves a truncated file.
+    an ``int``, nor another ``str`` subclass text); anything else raises ``TypeError``.
+    A ``Runs`` is written a run at a time, its value rendered once and repeated in pieces
+    of at most 64 KiB.  A ``JsonText`` is indented by replacing each line break with
+    ``pad``; a run of them in a list, such as a gap's certified points, is joined 256 at
+    a time and indented by one ``str.replace`` per join.  A failure part-way (that, or a
+    full disk) leaves a truncated file.
     """
     top = parts is None
     if top:
@@ -150,21 +147,20 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
             scalar = _SCALARS.get(type(v))
             if scalar:
                 text = scalar(v)
-            else:  # rendered into lists of its own, never handed to ``write``
+            else:  # written whole into a list of its own, less the top level's "\n"
                 held: list = []
-                rest: list = []
-                _write_json(v, held.append, rest, inner)
-                text = "".join(held + rest)
+                _write_json(v, held.append, None, inner)
+                text = "".join(held[:-1])
             parts.append(sep + text)
-            sep, item = comma, comma + text
-            # the other m - 1 items, each full piece of at most 64 KiB handed on at once
-            per, m = _PIECE // len(item) or 1, m - 1
-            while m >= per:
-                parts.append(item * per)
-                write("".join(parts))
-                parts.clear()
-                m -= per
-            if m:
+            sep = comma
+            if m > 1:  # the other m - 1 items, each full 64 KiB piece handed on at once
+                item = comma + text
+                per, m = 64 * 1024 // len(item) or 1, m - 1
+                while m >= per:
+                    parts.append(item * per)
+                    write("".join(parts))
+                    parts.clear()
+                    m -= per
                 parts.append(item * m)
             if len(parts) >= 256:
                 write("".join(parts))

@@ -45,6 +45,7 @@ out, each run's value rendered once and repeated.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple
 
 from .groups import GroupTable, build_generalized_quaternion, quaternion_word
@@ -62,21 +63,15 @@ DEFAULT_BUDGET = 10**8
 class JsonText(str):
     """JSON text exactly as ``json.dumps(x, indent=2)`` writes ``x`` at the top level.
 
-    ``cli._write_json`` writes it at any depth by indenting every line break:
-    JSON text has raw newlines only in its layout, never inside a string.  The
-    library makes it only for a certified gap point, a text of under 200 bytes.
+    The library makes it only for a certified gap point, under 200 bytes.  ``cli._write_json``
+    indents it to any depth at its line breaks, which JSON text has only in its layout.
     """
 
     __slots__ = ()
 
 
 class Runs(tuple):
-    """A JSON list given as (value, count) runs: the list of each value repeated count times.
-
-    Counts are positive.  ``cli._write_json`` renders each run's value once and
-    writes it by repetition, so a list of a million equal entries is never held
-    expanded.
-    """
+    """A JSON list as (value, count) runs, counts positive; ``cli._write_json`` repeats each."""
 
     __slots__ = ()
 
@@ -97,10 +92,9 @@ class Witness(NamedTuple):
 
     The one form of a vector: the walk builds it, ``verify`` checks it and the
     writer lays it out, each a run at a time.  Counts are positive and the pairs'
-    counts sum to h.  ``signature`` expands the periods; ``to_json`` is the dict
-    tree of the whole witness, with a quaternion group's words, and
-    ``vector_json`` the vector alone, each of their lists the ``Runs`` it is kept
-    as (a pair is the tuple (a, b)).
+    counts sum to h.  ``signature`` expands the periods; ``to_json`` is the whole
+    witness as a dict tree, with a quaternion group's words, and ``vector_json``
+    the vector alone, each list in them the ``Runs`` it is kept as.
     """
 
     group_name: str
@@ -126,11 +120,10 @@ class Witness(NamedTuple):
         }
         if spec and spec.startswith("quaternion:"):
             n = int(spec.partition(":")[2])
+            word = functools.partial(quaternion_word, n)
             out["words"] = {
-                "aPairs": Runs(
-                    [((quaternion_word(n, a), quaternion_word(n, b)), k) for (a, b), k in pairs]
-                ),
-                "c": Runs([(quaternion_word(n, c), k) for c, k in self.entries]),
+                "aPairs": Runs([(tuple(map(word, ab)), k) for ab, k in pairs]),
+                "c": Runs([(word(c), k) for c, k in self.entries]),
             }
         return out
 

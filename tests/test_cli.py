@@ -890,9 +890,10 @@ class TestIndentedJson:
     @given(RUNS_NODES, st.integers(0, 2))
     @example(Runs(), 0)
     @example(Runs((([], 2), ({}, 1), ((), 3), (Runs(), 2))), 1)
-    # one past a piece of 13,107 items of ",\n  0", then a piece and two more
+    # a first item and exactly one 64 KiB piece of 13,107 items of ",\n  0", then
+    # a first item, one piece and one item more
     @example(Runs(((0, 13_108), (0, 13_109))), 0)
-    # a tree repeated past its piece of 1,638 items at depth 0
+    # a tree repeated past its piece of 1,456 items at depth 0
     @example(Runs((({"a": [1, "x"]}, 3000), (None, 1))), 0)
     @example(Runs(((Runs(((1, 2), ("b", 3))), 2), (Runs(((1, 1),)), 1))), 2)
     def test_runs_match_json_dumps(self, node, depth):

@@ -48,15 +48,14 @@ COMMANDS = [
 ]
 
 
-def start(src: Path, argv: list[str], out: Path) -> tuple[subprocess.Popen, object]:
+def start(src: Path, argv: list[str], out: Path) -> subprocess.Popen:
     """``skelsig argv`` run on the package in ``src``, its standard output going to ``out``."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    f = open(out, "wb")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "skelsig.cli", *argv],
-        stdout=f, stderr=subprocess.PIPE, env=env, cwd=out.parent,
-    )
-    return proc, f
+    with open(out, "wb") as f:  # the child holds its own copy of the descriptor
+        return subprocess.Popen(
+            [sys.executable, "-m", "skelsig.cli", *argv],
+            stdout=f, stderr=subprocess.PIPE, env=env, cwd=out.parent,
+        )
 
 
 def digest(path: Path) -> tuple[int, str]:
@@ -84,26 +83,19 @@ def first_difference(a: Path, b: Path) -> int:
 
 def compare(argv: list[str], trees: dict[str, Path], work: Path) -> list[str]:
     """The differences between the runs of ``argv`` under each of the two ``trees``."""
-    runs = {}
-    for i, (name, src) in enumerate(trees.items()):
-        out = work / f"{i}.out"
-        runs[name] = (*start(src, argv, out), out)
-    results = {}
-    for name, (proc, f, out) in runs.items():
-        _, err = proc.communicate()
-        f.close()
-        results[name] = (proc.returncode, err, digest(out), out)
-    (code_a, err_a, dig_a, out_a), (code_b, err_b, dig_b, out_b) = results.values()
-    a, b = results
+    (a, b), outs = trees, [work / "a.out", work / "b.out"]
+    procs = [start(src, argv, out) for src, out in zip(trees.values(), outs)]
+    (_, err_a), (_, err_b) = [proc.communicate() for proc in procs]
+    dig_a, dig_b = map(digest, outs)
     diffs = []
-    if code_a != code_b:
-        diffs.append(f"exit code: {a} {code_a}, {b} {code_b}")
+    if procs[0].returncode != procs[1].returncode:
+        diffs.append(f"exit code: {a} {procs[0].returncode}, {b} {procs[1].returncode}")
     if err_a != err_b:
         diffs.append(f"stderr: {a} {err_a!r}, {b} {err_b!r}")
     if dig_a != dig_b:
         diffs.append(
             f"stdout: {a} {dig_a[0]} bytes sha256 {dig_a[1][:16]}, {b} {dig_b[0]} bytes "
-            f"sha256 {dig_b[1][:16]}, first difference at byte {first_difference(out_a, out_b)}"
+            f"sha256 {dig_b[1][:16]}, first difference at byte {first_difference(*outs)}"
         )
     return diffs
 
@@ -119,7 +111,7 @@ def main(argv: list[str]) -> int:
         tree.mkdir()
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tree, filter="data")
-        trees = {rev: tree / "src", "worktree": ROOT / "src"}
+        trees = {rev: tree / "src", "this tree": ROOT / "src"}
         failed = 0
         for command in COMMANDS:
             diffs = compare(command, trees, tmp_path)

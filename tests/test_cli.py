@@ -828,8 +828,8 @@ class TestWitnessText:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # each run is repeated into pieces of about 64 KiB, handed on one at a time:
-        # the 22 MB document is never held, whole or in part
+        # the 22 MB document is never held: each run goes to the file a piece of
+        # about 64 KiB at a time
         assert out.stat().st_size > 20_000_000
         assert peak < 1_000_000
         assert json.loads(out.read_bytes()) == {"witness": witness_json(huge)}

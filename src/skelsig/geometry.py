@@ -122,21 +122,24 @@ def _check(sigma: int, order: int) -> None:
     _check_order(order)
 
 
-def triangle_rows(sigma: int, order: int) -> Iterator[tuple[int, int, int]]:
+def triangle_rows(sigma: int, order: int) -> list[tuple[int, int, int]]:
     """Rows (h, r_lo, r_hi) of the closed order-N triangle's lattice points with h, r >= 0.
 
     At each h up to the apex h = (N + sigma - 1)/N, r runs from r_lo, the ceil of the lower line's
     (c - a*h)/b, to r_hi, the floor of the upper line's, both by integer
-    division; rows with no lattice point are skipped, and h ascends.
+    division; rows with no lattice point are skipped, and h ascends.  Up to
+    the apex c - a*h = 2N(apex - h) >= 0 on the lower line, so r_lo >= 0
+    needs no clamp.  At a prime order the lower line is the cyclic line
+    ``p_group_line(sigma, N, 1)``, the order's only feasible locus.
     """
     _check(sigma, order)
     la, lb, lc = _lower_coeffs(sigma, order)
     ua, ub, uc = _upper_coeffs(sigma, order)
-    for h in range((order + sigma - 1) // order + 1):
-        r_lo = max(-((la * h - lc) // lb), 0)
-        r_hi = (uc - ua * h) // ub
-        if r_lo <= r_hi:
-            yield h, r_lo, r_hi
+    return [
+        (h, r_lo, r_hi)
+        for h in range((order + sigma - 1) // order + 1)
+        if (r_lo := -((la * h - lc) // lb)) <= (r_hi := (uc - ua * h) // ub)
+    ]
 
 
 class GapRegion(NamedTuple):

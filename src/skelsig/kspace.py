@@ -13,6 +13,7 @@ one home of order-level rules such as ``cyclic-forced``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterable, NamedTuple, Sequence
 
 from . import geometry
@@ -61,43 +62,68 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
     feasible, and ``two_part_sum``, which carries both proofs, decides each
     by sums of two parts: (0, 4) when N is even and N - 2(sigma - 1) is one,
     (0, 3) when T - d is one for one of the first four parts d.  Up to
-    4(sigma - 1), with m the largest r of the triangle, ``part_sum_levels``
-    builds S_0..S_m, and each point is decided by one bit, bit T of S_r.
-    That is the test the period-list walk makes, without listing a period.
-    Triangle points have T >= r >= 0, so the levels are cut at the largest
-    T, which is never negative.  The triangle is walked row by row from
-    ``triangle_rows``, T growing by N with r, and a ``SkeletalSignature`` is
-    built only for a feasible point.  The box is
-    fixed at h <= sigma + 1, r <= 2*sigma + 2, and every triangle lies
-    inside it: h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
+    4(sigma - 1) the triangle is walked row by row from ``triangle_rows``.
+    At a prime order the only part is 1, so a point is feasible exactly when
+    T = r, which is the order's cyclic line 2Nh + (N - 1)r = 2N - 2 + 2 sigma,
+    and each row gives its one candidate r by one ``divmod``.  At a composite
+    order, with m the largest r of the triangle, ``part_sum_levels`` builds
+    S_0..S_m, and each point is decided by one bit, bit T of S_r, T growing
+    by N with r.  That is the test the period-list walk makes, without
+    listing a period.  Triangle points have T >= r >= 0, so the levels are
+    cut at the largest T, which is never negative.
+    Each feasible order is appended to its point's list in one r -> orders
+    bucket per row h, in ascending order as the sweep runs; the result is then
+    read off row by row, h ascending and each row's r sorted, so its keys come
+    out in sorted order with one ``SkeletalSignature`` built per point and no
+    sort over all of them.  The box is fixed at h <= sigma + 1,
+    r <= 2*sigma + 2, and every triangle lies inside it:
+    h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
     """
     _check_genus(sigma)
     shift = 2 * (sigma - 1)
-
-    found: dict[tuple[int, int], list[int]] = {}
+    # one r -> orders bucket per row h of the box; orders arrive ascending
+    found = [defaultdict(list) for _ in range(sigma + 2)]
+    row_0 = found[0]
     for n, parts in order_parts(12 * (sigma - 1)):
         if n > 2 * shift:
             t = n - shift
-            if any(two_part_sum(n, parts, t - d) for d in parts[:4]):
-                found.setdefault((0, 3), []).append(n)
+            for d in parts[:4]:
+                if two_part_sum(n, parts, t - d):
+                    row_0[3].append(n)
+                    break
             if n % 2 == 0 and two_part_sum(n, parts, t):
-                found.setdefault((0, 4), []).append(n)
+                row_0[4].append(n)
             continue
-        rows = list(triangle_rows(sigma, n))
+        rows = triangle_rows(sigma, n)
         if not rows:
+            continue
+        if len(parts) == 1:
+            # T = r on the cyclic line a*h + b*r = c, the triangle's lower line, so a row
+            # holds at most one feasible point, at r_lo when the line meets the row
+            a, b, c = 2 * n, n - 1, 2 * n + shift
+            for h, _, _ in rows:
+                r, rest = divmod(c - a * h, b)
+                if not rest:
+                    found[h][r].append(n)
             continue
         # r_hi = 4(1 - h) + floor(4(sigma - 1)/N), so 2h + r_hi falls as h grows:
         # the first row holds both the largest r and the largest T
         h, _, r_hi = rows[0]
         levels = part_sum_levels(parts, r_hi, n * (2 * h - 2 + r_hi) - shift)
         for h, r_lo, r_hi in rows:
+            row = found[h]
             t = n * (2 * h - 2 + r_lo) - shift
             for r in range(r_lo, r_hi + 1):
                 if levels[r] >> t & 1:
-                    found.setdefault((h, r), []).append(n)
+                    row[r].append(n)
                 t += n
-    found.setdefault((0, 3), []).extend(hurwitz_range_orders(sigma))
-    return {SkeletalSignature(*pt): tuple(ns) for pt, ns in sorted(found.items())}
+    row_0[3].extend(hurwitz_range_orders(sigma))
+    key = SkeletalSignature._make
+    return {
+        key((h, r)): tuple(row[r])
+        for h, row in enumerate(found)
+        for r in sorted(row)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -17,19 +17,23 @@ of an order at once: bit t of the level bitset S_k is set exactly when t is a
 sum of k parts, so (h, r) is feasible exactly when bit T of S_r is set.  A
 sweep over orders takes each order's parts from ``order_parts``, one divisor
 sieve, in place of trial division per order.  Such a sweep needs the
-levels only up to 4(sigma - 1): above it only (0, 3) and (0, 4) are
-feasible, their largest parts are forced, and ``two_part_sum`` decides each
-by sums of two parts.  Above 12(sigma - 1) only (0, 3) is feasible, and
+levels only at composite orders up to 4(sigma - 1).  A prime order's only
+part is 1, so there T = r: its points are the lattice points of its cyclic
+line.  Above 4(sigma - 1) only (0, 3) and (0, 4) are feasible, their
+largest parts are forced, and ``two_part_sum`` decides each by sums of two
+parts.  Above 12(sigma - 1) only (0, 3) is feasible, and
 ``hurwitz_range_orders`` finds its orders there in closed form, from the
 divisors of at most six numbers.  A single point is searched only at the
 orders of its ``_order_window``, the one place where the triangle bounds
 r <= T <= rN/2 become an order range, and ``_first_feasible`` walks that
-window to the first period list.  The searches are exhaustive within
-provable bounds, so a negative answer is a certificate, not a timeout.
+window to the first period list, each order's divisors read from a cache.
+The searches are exhaustive within provable bounds, so a negative answer is
+a certificate, not a timeout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
@@ -149,11 +153,22 @@ def allowed_periods(order: int) -> list[int]:
 
     Element orders divide the group order, so this keeps feasibility a true
     superset of realizability while collapsing prime orders to a single period.
+    Each call returns a fresh list; the divisors behind it are cached.
     """
     _check_order(order)
+    return list(_divisors(order))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _divisors(order: int) -> tuple[int, ...]:
+    """The divisors >= 2 of ``order``, ascending, by trial division up to its square root.
+
+    The per-point order sweeps ask for the same few orders at every point of a
+    window; the cache is bounded, since a sweep of (0, 3) passes 84(sigma - 1) orders.
+    """
     small = [d for d in range(1, math.isqrt(order) + 1) if order % d == 0]
     large = [order // d for d in reversed(small) if d * d != order]
-    return small[1:] + large
+    return (*small[1:], *large)
 
 
 def is_prime(n: int) -> bool:
@@ -170,8 +185,8 @@ def order_parts(top: int) -> Iterator[tuple[int, list[int]]]:
     """
     parts: list[list[int]] = [[] for _ in range(top + 1)]
     for d in range(top // 2, 0, -1):
-        for m in range(2 * d, top + 1, d):
-            parts[m].append(d)
+        for divisible in parts[2 * d :: d]:
+            divisible.append(d)
     return zip(range(2, top + 1), parts[2:])
 
 
@@ -308,17 +323,20 @@ def part_sum_levels(parts: Sequence[int], count: int, top: int) -> list[int]:
     OR over the parts d of S_(k-1) << d.  The parts are positive, so a sum
     only grows as parts are added, and dropping the bits above ``top`` from
     S_(k-1) loses no sum of S_k at or below ``top``.  Its one caller,
-    ``kspace.admissible_map``, builds the levels only at orders up to
-    4(sigma - 1) (``two_part_sum`` decides the orders above) and cuts them at
-    the triangle's largest T, never negative since T >= r >= 0 there.
+    ``kspace.admissible_map``, builds the levels only at composite orders up
+    to 4(sigma - 1) and cuts them at the triangle's largest T, never negative
+    since T >= r >= 0 there.  ``two_part_sum`` decides the orders above, and
+    a prime order needs no levels: its only part is 1, so S_k holds k alone.
     """
     mask = (1 << (top + 1)) - 1
-    levels = [1]
+    level = 1
+    levels = [level]
     for _ in range(count):
-        prev, cur = levels[-1], 0
+        cur = 0
         for d in parts:
-            cur |= prev << d
-        levels.append(cur & mask)
+            cur |= level << d
+        level = cur & mask
+        levels.append(level)
     return levels
 
 

@@ -45,6 +45,8 @@ COMMANDS = [
     ["verify-gap", "--sigma", "48", "--n", "4"],
     ["verify-gap", "--sigma", "150", "--n", "4"],
     ["plot", "--sigma", "48", "--with-realized"],
+    *(["plot", "--sigma", str(s)] for s in (100, 500)),
+    ["kspace", "--sigma", "101", "--format", "csv"],
 ]
 
 

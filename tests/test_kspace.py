@@ -128,7 +128,8 @@ class TestAdmissible:
 
     def test_levels_stop_at_4_sigma_minus_1(self, monkeypatch):
         # a count guard, not a timing gate: above 4(sigma - 1) = 40 no order's
-        # triangle rows or level bitsets are built
+        # triangle rows or level bitsets are built, and a prime order's points
+        # are read off its cyclic line, with no levels
         expected = admissible_map(11)
         current, rows_at, levels_at = [0], [], []
         sieve, rows, levels = kspace.order_parts, kspace.triangle_rows, kspace.part_sum_levels
@@ -151,13 +152,26 @@ class TestAdmissible:
         monkeypatch.setattr(kspace, "part_sum_levels", counted_levels)
         assert admissible_map(11) == expected
         assert rows_at == list(range(2, 41))
-        # the counter is live: every triangle from order 11 on is non-empty
-        assert levels_at == sorted(set(levels_at)) and levels_at[-30:] == list(range(11, 41))
+        assert levels_at == [n for n in range(4, 41) if not rh.is_prime(n)]
+
+    def test_prime_orders_are_the_cyclic_line(self):
+        # at a prime order p <= 4(sigma - 1) the feasible points are exactly the
+        # lattice points with h, r >= 0 on 2p*h + (p - 1)*r = 2p - 2 + 2*sigma
+        for sigma in range(2, 151):
+            feas = admissible_map(sigma)
+            for p in range(2, 4 * (sigma - 1) + 1):
+                if not rh.is_prime(p):
+                    continue
+                a, b, c = p_group_line(sigma, p, 1)
+                on_line = {S(h, (c - a * h) // b) for h in range(c // a + 1) if (c - a * h) % b == 0}
+                assert {pt for pt, orders in feas.items() if p in orders} == on_line, (sigma, p)
 
     def test_matches_bitset_oracle(self):
-        # the two-part sums above 4(sigma - 1) against the level bitsets at every order
+        # the two-part sums above 4(sigma - 1) and the cyclic lines of prime orders against
+        # the level bitsets at every order; the keys come in the oracle's sorted order
         for sigma in [*range(2, 151), 300, 500]:
-            assert admissible_map(sigma) == bitset_admissible_map(sigma), sigma
+            got, expected = admissible_map(sigma), bitset_admissible_map(sigma)
+            assert got == expected and list(got) == list(expected), sigma
 
     def test_matches_walk_oracle(self):
         # the level bitsets against the period-list walk they replace, order list by order list

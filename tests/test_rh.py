@@ -107,6 +107,14 @@ class TestAllowedPeriods:
         for order in itertools.chain(range(2, 3001), (5040, 7560, 8316)):
             assert allowed_periods(order) == trial_division_allowed_periods(order), order
 
+    def test_each_call_returns_a_fresh_list(self):
+        # the divisors are cached: a caller that edits its list must not edit the cache's
+        first = allowed_periods(12)
+        first.append(99)
+        first[0] = 0
+        again = allowed_periods(12)
+        assert again == [2, 3, 4, 6, 12] and again is not allowed_periods(12)
+
 
 class TestIsPrime:
     def test_matches_a_sieve(self):

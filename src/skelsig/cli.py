@@ -92,11 +92,10 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
     ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool``, ``None``,
     ``genvec.Runs`` and ``genvec.JsonText`` are written, by exact type (a ``bool`` is not
     an ``int``, nor another ``str`` subclass text); anything else raises ``TypeError``.
-    A ``Runs`` is written a run at a time, its value rendered once (an all-``int`` tuple,
-    such as an ``aPairs`` pair, in one join) and repeated in pieces of at most 64 KiB.
-    A ``JsonText`` is indented by replacing each line break with ``pad``; a run of them in
-    a list, such as a gap's certified points, is joined 256 at a time and indented by one
-    ``str.replace`` per join.  A failure part-way (that, or a
+    A ``Runs`` is written a run at a time, its value rendered once and repeated in pieces
+    of at most 64 KiB.  A ``JsonText`` is indented by replacing each line break with
+    ``pad``; a run of them in a list, such as a gap's certified points, is joined 256 at
+    a time and indented by one ``str.replace`` per join.  A failure part-way (that, or a
     full disk) leaves a truncated file.
     """
     top = parts is None
@@ -148,9 +147,6 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
             scalar = _SCALARS.get(type(v))
             if scalar:
                 text = scalar(v)
-            elif type(v) is tuple and v and set(map(type, v)) == {int}:  # an aPairs pair
-                deeper = inner + "  "
-                text = "[" + deeper + ("," + deeper).join(map(int.__repr__, v)) + inner + "]"
             else:  # written whole into a list of its own, less the top level's "\n"
                 held: list = []
                 _write_json(v, held.append, None, inner)

@@ -165,6 +165,8 @@ def _divisors(order: int) -> tuple[int, ...]:
 
     The per-point order sweeps ask for the same few orders at every point of a
     window; the cache is bounded, since a sweep of (0, 3) passes 84(sigma - 1) orders.
+    A window longer than the cache, as (0, 3) has above sigma = 50, misses at every
+    order and pays the cache's bookkeeping on top of the trial division.
     """
     small = [d for d in range(1, math.isqrt(order) + 1) if order % d == 0]
     large = [order // d for d in reversed(small) if d * d != order]

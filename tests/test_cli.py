@@ -896,8 +896,6 @@ class TestIndentedJson:
     # a tree repeated past its piece of 1,456 items at depth 0
     @example(Runs((({"a": [1, "x"]}, 3000), (None, 1))), 0)
     @example(Runs(((Runs(((1, 2), ("b", 3))), 2), (Runs(((1, 1),)), 1))), 2)
-    # all-int tuples, as aPairs pairs are, joined at once; a bool or a str is not an int
-    @example(Runs((((0, 0), 2), ((1, -2, 3), 1), ((5,), 1), ((True, 1), 2), ((1, "a"), 1))), 1)
     def test_runs_match_json_dumps(self, node, depth):
         value, tree = node, expanded(node)
         for _ in range(depth):

@@ -100,7 +100,7 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
         if len(parts) == 1:
             # T = r on the cyclic line a*h + b*r = c, the triangle's lower line, so a row
             # holds at most one feasible point, at r_lo when the line meets the row
-            a, b, c = 2 * n, n - 1, 2 * n + shift
+            a, b, c = geometry._lower_coeffs(sigma, n)
             for h, _, _ in rows:
                 r, rest = divmod(c - a * h, b)
                 if not rest:

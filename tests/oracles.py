@@ -1,96 +1,59 @@
 """Slow reference implementations that the library's fast paths are checked against.
 
-``naive_search`` tests every tuple of G^(2h+r) against all three
-generating-vector conditions, with no pruning.  ``walk_tuples`` is the
-pruned walk with each candidate's product taken entry by entry, where the
-library takes the periods as runs, its first candidate as one power per run,
-and later ones from kept prefix products.  ``rh_admissible`` is the smallest
-feasible order of a point, with its lexicographically first period list.
-``period_multisets`` is the library's integer period-list walk behind a sort
-and a check of its period box, so a test may pass any iterable of divisors.  ``stack_period_lists`` is
-the slot-by-slot form of that walk, one part per slot with an explicit stack,
-where the library chooses one count per distinct part.
-``fraction_period_multisets`` is the branch-and-bound over exact reciprocal
-sums that the integer walk does over parts; unlike the integer walk it
-accepts periods that do not divide the order, such as the loose box
-``range(2, order + 1)``.  ``trial_division_allowed_periods``,
-``full_range_feasible_orders``, ``fraction_triangle_points`` and
-``fraction_gap_points`` are the straightforward forms of the divisor list, the
-per-point order sweep and the triangle and gap lattice enumerations that the
-library computes with integer shortcuts; ``full_range_feasible_orders``
-tries every order up to ``order_bound``, the per-point cap, where the
-library searches only the point's order window.  ``walk_admissible_map`` asks the
-period-list walk for a first list at every point of every order's triangle,
-where the library tests one bit of a level bitset.  ``bitset_admissible_map``
-tests that bit at every order up to 12(sigma - 1), where the library builds
-the levels only up to 4(sigma - 1) and decides (0, 3) and (0, 4) above it
-by one sum of two parts.  ``walk_hurwitz_range_orders``
-asks the same walk about (0, 3) at every order above 12(sigma - 1), where
-the library solves for those orders in closed form.  ``census`` sorts every
-point the admissible map leaves out into three places: above the order-3
-upper line, in a gap strip, or in the triangle of an order
-(``triangle_orders``) that admits no period list there.  ``intersect`` solves
-two lines as a 2x2 rational system, where the library writes each gap
-corner from its formula.  ``r_at``, ``slope``, ``evaluate`` and ``contains``
-read a line in exact rationals, and ``member_raw`` and ``member`` test a
-point against a gap's corner, boundary lines and exception line in
-Fractions, where the library decides a lattice point by the gap's row at
-its h (``GapRegion.integer_rows_raw``) and the integer exception test
-(``GapRegion.exception_r``).  ``integer_points_raw``, ``integer_points`` and
-``exception_points`` write a gap's rows out as points (all of them, those
-off the exception line, those on it), and ``report_points`` writes a
-``GapReport`` out as a report for every point, for the tests that read
-points.
-``all_groups_realizable_set`` tries every covering group of every order up to
-the cap at every admissible point, where the library tries only the groups
-whose order is feasible there.  ``close_order_2n`` settles the sporadic
-|G| = 2n case with its own group loop and filters, where the library runs
-``realizable`` over the same groups.  ``order_loop_analysis`` decides a point
-with a group loop inside each order's loop, reading ``cyclic-forced`` off the
-period list, where the library runs every point through one decider that
-tests the single r = 1 part for 1.
-``eager_realizable`` lists every period list, runs the product filter over all
-of them, and only then checks each with ``Fraction`` Riemann-Hurwitz and
-searches it, where the library does all of that in one pass that stops at the
-first witness.  ``naive_product_reachable`` and ``naive_commutator_products``
-rebuild the candidates of each period and the commutator products as sets
-of elements on every call, where the library walks class masks kept on the
-group (``mask_elements`` reads a mask back as elements); the two oracles
-above use these, not the library's filter.
-``naive_associative`` tests the associative law on all n^3 triples, where
-the library's table validator runs Light's test over a generating set.
-``looped_dihedral_rows`` and ``looped_quaternion_rows`` fill the dihedral and
-dicyclic tables entry by entry, each with its own case split, where the
-library writes both from one presentation rule.  ``nearest_int`` rounds a
-rational to the nearest integer, the reference for ``missing_points``, which
-rounds 2 sigma/3 in integers.
-``GeneratingVector`` is a vector written out in full, r branch entries and h
-pairs, the form ``naive_search``, ``walk_tuples`` and ``check_vector`` use, where
-the library keeps only the run-length ``Witness``; ``witness_of`` and
-``witness_vector`` convert between the two, and ``expanded`` writes out a
-verdict's witness.  ``check_vector`` evaluates all three generating-vector
-conditions in full, entry by entry, and reports each, where the library's
-``verify`` checks a witness run by run and stops at the first failure.
-``harvey_realizable`` decides a cyclic group by Harvey's arithmetic
-conditions on its period lists, where the library searches for a vector.
-``all_groups_unbranched_condition`` is a predicate no command reaches, and
-``unbranched_cyclic`` a witness no command builds, kept here with their tests
-rather than in the library, as are ``TriangleRegion``
-with ``triangle`` and ``triangle_points`` (the rational reference for
-``geometry.triangle_rows``), ``order_statistics`` (a fingerprint of a group)
-``save_cayley_file`` (the writer for the library's Cayley-file reader) and
-``manifest_groups`` (every group of a manifest, up to an order cap).
-``circle_render_figure`` draws a figure's points one circle at a time, each
-tested against the rational plot box and formatted from its own Fractions,
-where the library formats each grid column and row once.
-``pointwise_verify_gap`` verifies a gap point by point, over the points of
-``fraction_gap_points``, with a report for every lattice point, where the
-library walks the gap's rows and reports only the points that need it.  ``point_report_json`` builds the dict form
-of every point's report, where the library writes a certified off-line
-point from one text template, straight from its row.
-``witness_json`` and ``vector_json`` build a witness and a generating vector
-as dict trees, quaternion words included, where the library renders each as
-JSON text from one template, a run of equal entries at a time.
+One reference per library algorithm, the most naive one that runs in the
+suite's time; where a second one is kept, its line names what only it reaches.
+
+Riemann-Hurwitz (``rh``):
+- ``fraction_period_multisets``: ``_period_lists`` by exact reciprocal sums.  The
+  ``combinations_with_replacement`` lists in ``test_rh`` are the naive form, up to
+  order 12 and r = 5; only this one reaches orders up to 40 with r up to
+  2 sigma + 2, the catalog groups' lists at sigma 24 and 48, the 119 divisors
+  of 55440, and periods that do not divide the order.
+- ``trial_division_allowed_periods``: ``allowed_periods`` and ``order_parts``.
+- ``full_range_feasible_orders``: ``feasible_orders``, at every order up to ``order_bound``.
+- ``triangle_orders``: ``_order_window``, one order at a time.
+- ``walk_orders``: ``hurwitz_range_orders``, and ``two_part_sum`` in ``admissible_map``,
+  one point at a time.  ``walk_admissible_map`` covers the same orders at sigma
+  2..30 and 100; this one reaches sigma up to 150, and 300, 499 and 500.
+- ``rh_admissible``: a point's first feasible order and its first period list.
+
+Admissible map, gaps and decisions (``geometry``, ``kspace``):
+- ``walk_admissible_map``: ``admissible_map``, by the period-list walk at every
+  point of every order's triangle.
+- ``census``: where each point that ``admissible_map`` leaves out lies.
+- ``fraction_triangle_points``, ``fraction_gap_points``: ``triangle_rows`` and
+  ``GapRegion.integer_rows_raw`` in exact rationals; ``intersect``: the gap corners;
+  ``member_raw``, ``member``: the gap membership rows and ``GapRegion.exception_r``;
+  ``nearest_int``: the rounding in ``missing_points``.
+- ``all_groups_realizable_set``: ``realizable_set``, with every covering group at every point.
+- ``close_order_2n``: the |G| = 2n case of ``sporadic_analysis``, with its own group loop.
+- ``pointwise_verify_gap``: ``verify_gap``, with a report for every lattice point.
+- ``point_report_json``, ``point_analysis_json``, ``witness_json``, ``vector_json``:
+  the JSON of reports, analyses and witnesses, as dict trees.
+- ``circle_render_figure``: ``svg.render_figure``, one circle call per point.
+
+Groups and generating vectors (``groups``, ``genvec``):
+- ``naive_search``: ``search``, over every tuple of G^(2h+r).  ``walk_tuples``,
+  the pruned walk entry by entry, is kept for what only it reaches: the
+  candidate count behind each budget, and groups and signatures with
+  |G|^(2h+r) above 20,000.
+- ``eager_realizable``: ``realizable``, in three passes.
+- ``harvey_realizable``: ``realizable`` on cyclic groups, by Harvey's conditions.
+- ``naive_product_reachable``, ``naive_commutator_products``: ``product_reachable``
+  and ``GroupTable.commutator_mask``, as sets of elements.
+- ``check_vector``: ``verify``, every condition in full.
+- ``naive_associative``: the table validator's Light's test, on all n^3 triples.
+- ``looped_dihedral_rows``, ``looped_quaternion_rows``: ``build_dihedral`` and
+  ``build_generalized_quaternion``, entry by entry.
+- ``unbranched_cyclic``: criterion 10's witnesses, which no command builds.
+
+Helpers: ``GeneratingVector`` (a vector written out in full) with ``witness_of``,
+``witness_vector`` and ``expanded``; ``period_multisets`` (``_period_lists`` over
+any iterable of divisors); ``order_bound``; ``TriangleRegion``, ``triangle`` and
+``triangle_points``; ``r_at``, ``slope``, ``evaluate``, ``contains``;
+``integer_points_raw``, ``integer_points``, ``exception_points`` and ``report_points``
+(points of a gap or report); ``mask_elements``; ``manifest_groups``;
+``order_statistics``; ``save_cayley_file``.
 """
 
 from __future__ import annotations
@@ -143,10 +106,6 @@ from skelsig.rh import (
     _order_window,
     _period_lists,
     allowed_periods,
-    feasible_orders,
-    hurwitz_range_orders,
-    order_parts,
-    part_sum_levels,
     rh_holds,
 )
 
@@ -301,54 +260,6 @@ def period_multisets(
     return (_expand_runs(zip(allowed, c)) for c in _period_lists(sigma, h, r, order, allowed))
 
 
-def stack_period_lists(
-    sigma: int, h: int, r: int, order: int, allowed: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """Every non-decreasing period list over ``allowed`` satisfying Riemann-Hurwitz, lexicographically.
-
-    ``allowed`` holds distinct divisors >= 2 of ``order``, ascending.  With
-    d_j = N/n_j the formula becomes T = N(2h - 2 + r) - 2(sigma - 1) =
-    d_1 + ... + d_r, so the walk is a branch-and-bound over integer parts,
-    largest part (smallest period) first: a part too small to fill the open
-    slots ends the slot, a part that leaves nothing for the other slots is
-    skipped, and the last slot must equal a part exactly.  r = 0 yields ()
-    exactly when T = 0.  The walk keeps its path as a stack of part indices,
-    so r may exceed Python's recursion limit.
-    """
-    total = order * (2 * h - 2 + r) - 2 * (sigma - 1)
-    if r == 0:
-        if total == 0:
-            yield ()
-        return
-    if total <= 0 or not allowed:
-        return
-    parts = [order // n for n in allowed]  # descending, as the periods ascend
-    index = {d: i for i, d in enumerate(parts)}
-    smallest = parts[-1]
-    chosen: list[int] = []  # part indices of the filled slots, non-decreasing
-    t, i = total, 0  # what the open slots must sum to; the next part index for the first
-    while True:
-        slots = r - len(chosen)
-        if slots == 1:
-            # t never exceeds the part before it, so the list stays non-decreasing: r = 1
-            # starts at the largest part, and the slot before took d with 2d >= d + t
-            if t in index:
-                yield tuple(allowed[j] for j in chosen) + (allowed[index[t]],)
-        elif t >= slots * smallest:  # else even the smallest parts overshoot t
-            while i < len(parts) and parts[i] >= t:
-                i += 1  # the slots after this one need a positive share
-            # a part with d * slots < t ends the slot: the parts after it are smaller still
-            if i < len(parts) and parts[i] * slots >= t:
-                chosen.append(i)
-                t -= parts[i]
-                continue
-        if not chosen:
-            return
-        i = chosen.pop()  # reopen the slot before at its next part
-        t += parts[i]
-        i += 1
-
-
 def fraction_period_multisets(
     sigma: int, h: int, r: int, order: int, allowed: list[int]
 ) -> Iterator[tuple[int, ...]]:
@@ -435,43 +346,13 @@ def walk_admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
     return {pt: tuple(ns) for pt, ns in sorted(found.items())}
 
 
-def bitset_admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
-    """Every RH-feasible lattice point with its feasible orders, by level bitsets at every order.
-
-    Builds ``part_sum_levels`` for each order's whole triangle up to
-    12(sigma - 1) and tests bit T of S_r at every point; above that, the
-    orders of (0, 3) come from ``hurwitz_range_orders``.
-    """
-    _check_genus(sigma)
-    shift = 2 * (sigma - 1)
-    found: dict[tuple[int, int], list[int]] = {}
-    for n, parts in order_parts(12 * (sigma - 1)):
-        rows = list(triangle_rows(sigma, n))
-        if not rows:
-            continue
-        # the first row holds both the largest r and the largest T
-        h, _, r_hi = rows[0]
-        levels = part_sum_levels(parts, r_hi, n * (2 * h - 2 + r_hi) - shift)
-        for h, r_lo, r_hi in rows:
-            t = n * (2 * h - 2 + r_lo) - shift
-            for r in range(r_lo, r_hi + 1):
-                if levels[r] >> t & 1:
-                    found.setdefault((h, r), []).append(n)
-                t += n
-    found.setdefault((0, 3), []).extend(hurwitz_range_orders(sigma))
-    return {SkeletalSignature(*pt): tuple(ns) for pt, ns in sorted(found.items())}
-
-
-def walk_hurwitz_range_orders(sigma: int) -> list[int]:
-    """Orders N with 12(sigma - 1) < N <= 84(sigma - 1) at which (0, 3) has a period list.
-
-    Asks the period-list walk about (0, 3) over ``allowed_periods(N)`` at every
-    such order.
-    """
+def walk_orders(sigma: int, skel: SkeletalSignature, orders: Iterable[int]) -> list[int]:
+    """The orders among ``orders`` at which the point has a period list, by the period-list walk at each."""
+    h, r = skel
     return [
         n
-        for n in range(12 * (sigma - 1) + 1, 84 * (sigma - 1) + 1)
-        if next(_period_lists(sigma, 0, 3, n, allowed_periods(n)), None) is not None
+        for n in orders
+        if next(_period_lists(sigma, h, r, n, allowed_periods(n)), None) is not None
     ]
 
 
@@ -641,21 +522,16 @@ def manifest_groups(catalog: CatalogManifest, max_order: int | None = None) -> l
 
 
 def triangle_orders(sigma: int, skel: SkeletalSignature) -> tuple[int, ...]:
-    """Orders N whose closed triangle r <= T <= rN/2 holds the point.
+    """Orders N in 2..order_bound whose closed triangle r <= T <= rN/2 holds the point, tried one by one.
 
-    T = N(2h - 2 + r) - 2(sigma - 1), and the range is the closed form of
-    ``rh._order_window``, solved for N:
-    (2(sigma - 1) + r)/(2h - 2 + r) <= N <= 4(sigma - 1)/(4h - 4 + r), capped
-    by ``order_bound``.
+    T = N(2h - 2 + r) - 2(sigma - 1).
     """
     h, r = skel
-    slope = 2 * h - 2 + r
-    if slope <= 0:
-        return ()
-    hi = order_bound(sigma, skel)
-    if 4 * h - 4 + r > 0:
-        hi = min(hi, 4 * (sigma - 1) // (4 * h - 4 + r))
-    return tuple(range(max(2, -(-(2 * (sigma - 1) + r) // slope)), hi + 1))
+    return tuple(
+        n
+        for n in range(2, order_bound(sigma, skel) + 1)
+        if r <= (t := n * (2 * h - 2 + r) - 2 * (sigma - 1)) and 2 * t <= r * n
+    )
 
 
 def census(sigma: int) -> dict[SkeletalSignature, tuple[str, tuple[int, ...]] | None]:
@@ -775,48 +651,6 @@ def close_order_2n(
     return ("catalog-search", "; ".join(details), True, None)
 
 
-def order_loop_analysis(
-    sigma: int, skel: SkeletalSignature, catalog: CatalogManifest, budget: int
-) -> PointAnalysis:
-    """``analyze_point`` as one loop per order, each with its own group loop.
-
-    ``cyclic-forced`` is read off the order's period list, ``periods == (order,)``
-    at r = 1, where the library tests the single part T = N(2h - 1) - 2(sigma - 1)
-    for 1.
-    """
-    skel = SkeletalSignature(*skel)
-    feasible = tuple(feasible_orders(sigma, skel))
-    if not feasible:
-        why = f"no order admits a period list for {tuple(skel)} at genus {sigma}"
-        return PointAnalysis(skel, "excluded", (), (ExclusionReason("arithmetic", why),), None)
-    reasons = []
-    all_closed = True
-    for order, periods in feasible:
-        closed = skel.r == 1 and periods == (order,)
-        if closed:
-            reasons.append(
-                ExclusionReason(
-                    "cyclic-forced",
-                    f"order {order}: the branch entry would have order {order} = |G|, "
-                    f"forcing a cyclic (hence abelian) group, impossible with one branch point",
-                )
-            )
-        group_list, complete = catalog.covering(order)
-        budget_hit = False
-        for g in group_list:
-            report = realizable(g, sigma, skel, budget)
-            if report.verdict.is_exists:
-                witness = report.verdict.witness
-                return PointAnalysis(skel, "realized", feasible, tuple(reasons), witness)
-            if report.verdict.is_unknown:
-                budget_hit = True
-            else:
-                reasons.extend(report.exclusion_reasons)
-        all_closed = all_closed and (closed or (complete and not budget_hit))
-    status = "excluded" if all_closed else "partial"
-    return PointAnalysis(skel, status, feasible, tuple(reasons), None)
-
-
 def eager_realizable(
     group: GroupTable, sigma: int, skel: SkeletalSignature, budget: int
 ) -> RealizabilityReport:
@@ -925,36 +759,6 @@ def unbranched_cyclic(
     if not check_vector(group, vec, sig).ok:
         raise AssertionError(f"unbranched cyclic vector failed for sigma={sigma}, N={order}")
     return group, sig, vec
-
-
-def all_groups_unbranched_condition(sigma: int, order: int) -> bool:
-    """Sufficient condition for ((sigma-1)/N + 1, 0) to be a skeletal signature of every order-N group.
-
-    Evaluates (sigma-1)/N + 1 >= n + 1 where n is the largest exponent of any
-    prime power dividing N (generating sets of such groups have at most n + 1
-    elements).  Predicate only; no search.
-    """
-    _check_genus(sigma)
-    _check_order(order)
-    n = _max_prime_exponent(order)
-    return Fraction(sigma - 1, order) + 1 >= n + 1
-
-
-def _max_prime_exponent(n: int) -> int:
-    best = 0
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            best = max(best, k)
-        p += 1
-    if m > 1:
-        best = max(best, 1)
-    return best
 
 
 @dataclass(frozen=True)

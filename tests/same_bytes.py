@@ -38,7 +38,7 @@ GENVEC = [
     ("quaternion:2", "(2;2)", "--budget", "3"),
 ]
 COMMANDS = [
-    *(["kspace", "--sigma", str(s)] for s in (48, 150, 300, 500)),
+    *(["kspace", "--sigma", str(s)] for s in (48, 127, 142, 150, 300, 500)),
     ["kspace", "--sigma", "48", "--max-order", "40"],
     *(["sporadic", "--h", str(h), *SPORADIC] for h in (2, 3, 4, 5)),
     *(["genvec", "--group", group, "--sig", sig, *extra] for group, sig, *extra in GENVEC),

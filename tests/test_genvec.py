@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from oracles import (
     GeneratingVector,
-    all_groups_unbranched_condition,
     check_vector,
     eager_realizable,
     expanded,
@@ -676,17 +675,6 @@ class TestUnbranched:
         group, sig, vec = unbranched_cyclic(49, 6)
         assert sig.h == 9
         assert unbranched_cyclic(48, 5) is None
-
-    def test_condition_examples(self):
-        assert all_groups_unbranched_condition(49, 8)
-        assert not all_groups_unbranched_condition(17, 8)
-
-    def test_condition_prime_divisor_always_true(self):
-        for p in (2, 3, 5, 7):
-            for k in range(1, 6):
-                sigma = k * p + 1
-                if sigma >= 2:
-                    assert all_groups_unbranched_condition(sigma, p)
 
 
 class TestProductReachable:

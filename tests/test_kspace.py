@@ -35,7 +35,6 @@ from skelsig.rh import SearchVerdict, SkeletalSignature
 from oracles import (
     TriangleRegion,
     all_groups_realizable_set,
-    bitset_admissible_map,
     census,
     close_order_2n,
     contains,
@@ -45,14 +44,13 @@ from oracles import (
     integer_points,
     integer_points_raw,
     manifest_groups,
-    order_loop_analysis,
     period_multisets,
     report_points,
     rh_admissible,
     triangle,
     triangle_points,
     walk_admissible_map,
-    walk_hurwitz_range_orders,
+    walk_orders,
 )
 
 S = SkeletalSignature
@@ -166,13 +164,6 @@ class TestAdmissible:
                 on_line = {S(h, (c - a * h) // b) for h in range(c // a + 1) if (c - a * h) % b == 0}
                 assert {pt for pt, orders in feas.items() if p in orders} == on_line, (sigma, p)
 
-    def test_matches_bitset_oracle(self):
-        # the two-part sums above 4(sigma - 1) and the cyclic lines of prime orders against
-        # the level bitsets at every order; the keys come in the oracle's sorted order
-        for sigma in [*range(2, 151), 300, 500]:
-            got, expected = admissible_map(sigma), bitset_admissible_map(sigma)
-            assert got == expected and list(got) == list(expected), sigma
-
     def test_matches_walk_oracle(self):
         # the level bitsets against the period-list walk they replace, order list by order list
         for sigma in [*range(2, 31), 100]:
@@ -183,8 +174,21 @@ class TestAdmissible:
         # in (12(sigma - 1), 84(sigma - 1)]
         for sigma in [*range(2, 61), 100, 499]:
             got = rh.hurwitz_range_orders(sigma)
-            assert got == walk_hurwitz_range_orders(sigma), sigma
+            orders = range(12 * (sigma - 1) + 1, 84 * (sigma - 1) + 1)
+            assert got == walk_orders(sigma, S(0, 3), orders), sigma
             assert got[-1] == 84 * (sigma - 1)  # (0; 2, 3, 7) at Hurwitz's bound
+
+    def test_two_part_sums_match_walk(self):
+        # the orders of (0, 3) and (0, 4) in (4(sigma - 1), 12(sigma - 1)], where
+        # two_part_sum decides them, against the period-list walk at each such order;
+        # the keys come in sorted order, as realizable_set reads them
+        for sigma in [*range(2, 151), 300, 500]:
+            feas = admissible_map(sigma)
+            assert list(feas) == sorted(feas), sigma
+            orders = range(4 * (sigma - 1) + 1, 12 * (sigma - 1) + 1)
+            for pt in (S(0, 3), S(0, 4)):
+                got = [n for n in feas[pt] if n in orders]
+                assert got == walk_orders(sigma, pt, orders), (sigma, pt)
 
     def test_only_0_3_is_feasible_above_12_sigma_minus_1(self):
         # the walk oracle, not the closed form, finds no other point in the Hurwitz range
@@ -642,22 +646,6 @@ class TestAnalyzePoint:
         assert [r.rule for r in analysis.reasons] == [
             "arithmetic", "abelian-r1", "abelian-r1", "commutator-r1", "commutator-r1",
         ]
-
-    def test_matches_order_loop_oracle(self, catalog):
-        # every admissible point and every gap exception point; budget 20 leaves some
-        # points partial that budget 2000 decides
-        seen = Counter()
-        for sigma in [*range(2, 61), 150]:
-            points = set(admissible_map(sigma))
-            for region in (gap(sigma, 3), gap(sigma, 4)):
-                points.update(exception_points(region))
-            for pt in sorted(points):
-                for budget in (20, 2000):
-                    analysis = analyze_point(sigma, pt, catalog, budget)
-                    expected = order_loop_analysis(sigma, pt, catalog, budget)
-                    assert analysis == expected, (sigma, pt, budget)
-                    seen.update({analysis.status, *(r.rule for r in analysis.reasons)})
-        assert all(seen[k] for k in ("realized", "excluded", "partial", "cyclic-forced"))
 
     def test_cyclic_forced_is_the_r1_part_one(self):
         # at r = 1 the one period list is (N,) exactly when T = N(2h - 1) - 2(sigma - 1) is 1;

@@ -9,7 +9,10 @@ catches is a public function, class, method or property that nothing in the
 library and no criterion mentions at all: such code belongs in
 ``tests/oracles.py`` or nowhere.  In the same sources, every keyword-only
 parameter of a library function must be passed by name at some call of that
-function's name; one that never is only ever takes its default.
+function's name; one that never is only ever takes its default.  The same
+name check holds ``tests/oracles.py`` to the test files: each public
+definition there must be named by a ``tests/test_*.py`` file or by another
+oracle, so deleting a test cannot leave its reference behind.
 """
 
 from __future__ import annotations
@@ -80,6 +83,23 @@ def test_every_public_definition_is_named_by_the_library_or_a_criterion():
         if qualname.rpartition(".")[2] not in named | allowed
     ]
     assert unreached == []
+
+
+def test_every_oracle_is_named_by_a_test_or_another_oracle():
+    tests = ROOT / "tests"
+    named = set().union(
+        *(_named(ast.parse(path.read_text(encoding="utf-8"))) for path in tests.glob("test_*.py"))
+    )
+    body = ast.parse((tests / "oracles.py").read_text(encoding="utf-8")).body
+    per_node = [_named(node) for node in body]
+    orphans = [
+        qualname
+        for i, node in enumerate(body)
+        for qualname in _public_definitions(ast.Module([node], []))
+        if qualname.rpartition(".")[2]
+        not in named.union(*(names for j, names in enumerate(per_node) if j != i))
+    ]
+    assert orphans == []
 
 
 def _keywords_passed(trees: Iterable[ast.AST]) -> dict[str, set[str]]:

@@ -16,7 +16,6 @@ from oracles import (
     order_bound,
     period_multisets,
     rh_admissible,
-    stack_period_lists,
     trial_division_allowed_periods,
     triangle,
     triangle_orders,
@@ -266,16 +265,16 @@ class TestPeriodMultisets:
                             seen += len(got)
         assert seen > 1000
 
-    def test_count_walk_matches_stack_walk(self, catalog):
-        # the lists and their order, against the slot-by-slot walk the count walk
-        # replaced: each count vector has one count per allowed period, summing to r,
-        # and the vectors expand to the stack walk's lists in its order
+    def test_count_walk_matches_fraction_walk(self, catalog):
+        # the lists and their order, against the branch-and-bound over exact reciprocal
+        # sums: each count vector has one count per allowed period, summing to r, and
+        # the vectors expand to the Fraction walk's lists in its order
         def same(sigma, h, r, order, allowed):
             got = []
             for counts in rh._period_lists(sigma, h, r, order, allowed):
                 assert len(counts) == len(allowed) and sum(counts) == r, counts
                 got.append(rh._expand_runs(zip(allowed, counts)))
-            assert got == list(stack_period_lists(sigma, h, r, order, allowed)), (
+            assert got == list(fraction_period_multisets(sigma, h, r, order, allowed)), (
                 sigma, h, r, order, allowed,
             )
             return len(got)
@@ -298,7 +297,7 @@ class TestPeriodMultisets:
         assert seen > 4000
         # 55440 has 119 divisors >= 2, so the walk goes 119 periods deep
         args = (661, 0, 3, 55440, allowed_periods(55440))
-        assert same(*args) == 1 and list(stack_period_lists(*args)) == [(2, 3, 7)]
+        assert same(*args) == 1 and list(fraction_period_multisets(*args)) == [(2, 3, 7)]
 
     def test_unsorted_and_repeated_periods(self):
         assert list(period_multisets(7, 1, 3, 6, [6, 2, 3, 2])) == [(2, 3, 6), (3, 3, 3)]
@@ -382,28 +381,16 @@ class TestOrderBound:
 
 
 class TestOrderWindow:
-    def test_matches_triangle_orders_on_the_box(self):
+    def test_holds_the_orders_whose_triangle_holds_the_point(self):
+        # the definition, order by order: r <= T <= rN/2 up to order_bound
         for sigma in range(2, 41):
             for h in range(0, sigma + 2):
                 for r in range(0, 2 * sigma + 3):
-                    got = tuple(rh._order_window(sigma, h, r))
-                    assert got == triangle_orders(sigma, S(h, r)), (sigma, h, r)
-
-    def test_holds_the_orders_whose_triangle_holds_the_point(self):
-        # the definition, order by order: r <= T <= rN/2 up to order_bound
-        for sigma in range(2, 13):
-            for h in range(0, sigma + 2):
-                for r in range(0, 2 * sigma + 3):
-                    window = list(rh._order_window(sigma, h, r))
+                    window = tuple(rh._order_window(sigma, h, r))
                     if (h, r) in ((0, 0), (0, 1), (0, 2), (1, 0)):
-                        assert window == [], (sigma, h, r)
+                        assert window == (), (sigma, h, r)
                         continue
-                    holding = []
-                    for n in range(2, order_bound(sigma, S(h, r)) + 1):
-                        t = n * (2 * h - 2 + r) - 2 * (sigma - 1)
-                        if r <= t and 2 * t <= r * n:
-                            holding.append(n)
-                    assert window == holding, (sigma, h, r)
+                    assert window == triangle_orders(sigma, S(h, r)), (sigma, h, r)
 
 
 class TestRhAdmissible:

@@ -1,6 +1,6 @@
 """Admissible sets, realized subsets, gap reports, sporadic analysis, figure data."""
 
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -155,14 +155,17 @@ class TestAdmissible:
     def test_prime_orders_are_the_cyclic_line(self):
         # at a prime order p <= 4(sigma - 1) the feasible points are exactly the
         # lattice points with h, r >= 0 on 2p*h + (p - 1)*r = 2p - 2 + 2*sigma
-        for sigma in range(2, 151):
-            feas = admissible_map(sigma)
+        for sigma in [*range(2, 151), 300, 500]:
+            holding = defaultdict(set)
+            for pt, orders in admissible_map(sigma).items():
+                for n in orders:
+                    holding[n].add(pt)
             for p in range(2, 4 * (sigma - 1) + 1):
                 if not rh.is_prime(p):
                     continue
                 a, b, c = p_group_line(sigma, p, 1)
                 on_line = {S(h, (c - a * h) // b) for h in range(c // a + 1) if (c - a * h) % b == 0}
-                assert {pt for pt, orders in feas.items() if p in orders} == on_line, (sigma, p)
+                assert holding[p] == on_line, (sigma, p)
 
     def test_matches_walk_oracle(self):
         # the level bitsets against the period-list walk they replace, order list by order list

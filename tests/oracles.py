@@ -41,7 +41,7 @@ Groups and generating vectors (``groups``, ``genvec``):
 - ``harvey_realizable``: ``realizable`` on cyclic groups, by Harvey's conditions.
 - ``naive_product_reachable``, ``naive_commutator_products``: ``product_reachable``
   and ``GroupTable.commutator_mask``, as sets of elements.
-- ``check_vector``: ``verify``, every condition in full.
+- ``check_vector``: ``verify``, every condition in full, reported as a ``VectorCheck``.
 - ``naive_associative``: the table validator's Light's test, on all n^3 triples.
 - ``looped_dihedral_rows``, ``looped_quaternion_rows``: ``build_dihedral`` and
   ``build_generalized_quaternion``, entry by entry.

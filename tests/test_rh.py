@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     fraction_period_multisets,
+    fraction_triangle_points,
     full_range_feasible_orders,
     integer_points,
     integer_points_raw,
@@ -381,8 +382,7 @@ class TestOrderBound:
 
 
 class TestOrderWindow:
-    def test_holds_the_orders_whose_triangle_holds_the_point(self):
-        # the definition, order by order: r <= T <= rN/2 up to order_bound
+    def test_matches_triangle_orders_on_the_box(self):
         for sigma in range(2, 41):
             for h in range(0, sigma + 2):
                 for r in range(0, 2 * sigma + 3):
@@ -391,6 +391,26 @@ class TestOrderWindow:
                         assert window == (), (sigma, h, r)
                         continue
                     assert window == triangle_orders(sigma, S(h, r)), (sigma, h, r)
+
+    def test_holds_the_orders_whose_triangle_holds_the_point(self):
+        # the geometry, order by order: each order's closed triangle, built from its
+        # two lines, lists its lattice points, and a point's window holds the orders
+        # up to order_bound whose triangle lists it
+        for sigma in range(2, 13):
+            box = [
+                S(h, r)
+                for h in range(0, sigma + 2)
+                for r in range(0, 2 * sigma + 3)
+                if (h, r) not in ((0, 0), (0, 1), (0, 2), (1, 0))
+            ]
+            bounds = {pt: order_bound(sigma, pt) for pt in box}
+            holding = {pt: [] for pt in box}
+            for n in range(2, max(bounds.values()) + 1):
+                for pt in fraction_triangle_points(triangle(sigma, n)):
+                    if pt in holding and n <= bounds[pt]:
+                        holding[pt].append(n)
+            for pt in box:
+                assert list(rh._order_window(sigma, *pt)) == holding[pt], (sigma, pt)
 
 
 class TestRhAdmissible:

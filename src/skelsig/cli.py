@@ -17,7 +17,7 @@ import json
 import os
 import re
 import sys
-from itertools import groupby, islice
+from types import GeneratorType
 from typing import Iterable
 
 from . import kspace, svg
@@ -88,22 +88,23 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
     """Hand ``write`` exactly ``json.dumps(o, indent=2) + "\\n"``, 256 fragments at a time.
 
     One call per container (``pad``: a newline and the indent of its first line) writes
-    its scalars in its own loop and an all-``int`` list in one join.  Only ``dict`` with
-    ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool``, ``None``,
-    ``genvec.Runs`` and ``genvec.JsonText`` are written, by exact type (a ``bool`` is not
-    an ``int``, nor another ``str`` subclass text); anything else raises ``TypeError``.
-    A ``Runs`` is written a run at a time, its value rendered once and repeated in pieces
-    of at most 64 KiB.  A ``JsonText`` is indented by replacing each line break with
-    ``pad``; a run of them in a list, such as a gap's certified points, is joined 256 at
-    a time and indented by one ``str.replace`` per join.  A failure part-way (that, or a
-    full disk) leaves a truncated file.
+    its items in one loop, scalars in place and containers by a call of their own, and
+    ``{}`` or ``[]`` when the loop wrote none.  Only ``dict`` with ``str`` keys, ``list``,
+    ``tuple``, generators (written as lists), ``str``, ``int``, ``float``, ``bool``,
+    ``None``, ``genvec.Runs`` and ``genvec.JsonText`` are written, by exact type (a
+    ``bool`` is not an ``int``, nor another ``str`` subclass text); anything else raises
+    ``TypeError``.  A generator is drawn one item at a time as it is written.  A ``Runs``
+    is written a run at a time, its value rendered once and repeated in pieces of at
+    most 64 KiB.  A ``JsonText``, one or more list items as ``json.dumps`` writes them, is
+    indented by replacing each line break with ``pad`` and handed on at once.  A failure
+    part-way (that, or a full disk) leaves a truncated file.
     """
     top = parts is None
     if top:
         parts = []
     t, inner = type(o), pad + "  "
     comma = "," + inner
-    if t is dict and o:
+    if t is dict:
         sep = "{" + inner
         for k, v in o.items():
             scalar = _SCALARS.get(type(v))
@@ -116,31 +117,21 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
             if len(parts) >= 256:
                 write("".join(parts))
                 parts.clear()
-        parts.append(pad + "}")
-    elif (t is list or t is tuple) and o:
-        if type(o[0]) is int and set(map(type, o)) == {int}:
-            parts.append("[" + inner + comma.join(map(int.__repr__, o)) + pad + "]")
-        else:
-            sep = "[" + inner
-            for kind, group in groupby(o, type):
-                # a run of texts, 256 at a time, joined and indented at once
-                while kind is JsonText and (run := list(islice(group, 256))):
-                    parts.append(sep + ",\n".join(run).replace("\n", inner))
-                    sep = comma
-                    write("".join(parts))
-                    parts.clear()
-                for v in group:
-                    scalar = _SCALARS.get(type(v))
-                    if scalar:
-                        parts.append(sep + scalar(v))
-                    else:
-                        parts.append(sep)
-                        _write_json(v, write, parts, inner)
-                    sep = comma
-                    if len(parts) >= 256:
-                        write("".join(parts))
-                        parts.clear()
-            parts.append(pad + "]")
+        parts.append(pad + "}" if sep is comma else "{}")
+    elif t is list or t is tuple or t is GeneratorType:
+        sep = "[" + inner
+        for v in o:
+            scalar = _SCALARS.get(type(v))
+            if scalar:
+                parts.append(sep + scalar(v))
+            else:
+                parts.append(sep)
+                _write_json(v, write, parts, inner)
+            sep = comma
+            if len(parts) >= 256:
+                write("".join(parts))
+                parts.clear()
+        parts.append(pad + "]" if sep is comma else "[]")
     elif t is Runs:
         sep = "[" + inner
         for v, m in o:
@@ -165,13 +156,13 @@ def _write_json(o, write, parts: list | None = None, pad: str = "\n") -> None:
             if len(parts) >= 256:
                 write("".join(parts))
                 parts.clear()
-        parts.append(pad + "]" if o else "[]")
+        parts.append(pad + "]" if sep is comma else "[]")
     elif t in _SCALARS:
         parts.append(_SCALARS[t](o))
     elif t is JsonText:
         parts.append(o.replace("\n", pad))
-    elif t is dict or t is list or t is tuple:
-        parts.append("{}" if t is dict else "[]")
+        write("".join(parts))
+        parts.clear()
     else:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
     if top:
@@ -188,15 +179,14 @@ def _emit(args, payload: dict | str) -> None:
             _write_json(payload, f.write)
 
 
-def _config(args, command: str, **extra) -> dict:
+def _config(args) -> dict:
     # the output path is deliberately not echoed: results must be
     # byte-identical wherever they are written
-    cfg = {"command": command}
+    cfg = {"command": args.subcommand}
     for key in ("sigma", "n", "h", "primes", "witness_n", "order", "sig", "catalog",
                 "max_order", "budget", "format", "group"):
         if hasattr(args, key) and getattr(args, key) is not None:
             cfg[key.replace("_", "")] = getattr(args, key)
-    cfg.update(extra)
     return cfg
 
 
@@ -208,7 +198,7 @@ def cmd_rh(args) -> int:
     sig = parse_signature(args.sig)
     genus = rh_genus(args.order, sig)
     payload = {
-        "config": _config(args, "rh"),
+        "config": _config(args),
         "genus": frac_json(genus),
         "integral": genus.denominator == 1,
     }
@@ -236,14 +226,14 @@ def cmd_gaps(args) -> int:
             for r in range(r_lo, r_hi + 1):
                 raw.append([h, r])
                 (on_line if r == line_r else off_line).append([h, r])
-    _emit(args, {"config": _config(args, "gaps"), "gaps": gaps})
+    _emit(args, {"config": _config(args), "gaps": gaps})
     return EXIT_OK
 
 
 def cmd_verify_gap(args) -> int:
     catalog = _resolve_catalog(args)
     report = kspace.verify_gap(args.sigma, args.n, catalog, args.budget)
-    payload = {"config": _config(args, "verify-gap"), "report": report.to_json()}
+    payload = {"config": _config(args), "report": report.to_json()}
     _emit(args, payload)
     if report.conclusion == "refuted":
         return EXIT_REFUTED
@@ -255,7 +245,7 @@ def cmd_verify_gap(args) -> int:
 def cmd_missing(args) -> int:
     points = missing_points(args.sigma, args.h)
     payload = {
-        "config": _config(args, "missing"),
+        "config": _config(args),
         "points": [list(p) for p in points],
     }
     _emit(args, payload)
@@ -273,13 +263,14 @@ def cmd_kspace(args) -> int:
         )
         _emit(args, points_csv(rows))
     else:
+        # the lists are drawn as they are written: they only lay out what the search found
         payload = {
-            "config": _config(args, "kspace"),
+            "config": _config(args),
             "sigma": approx.sigma,
-            "admissible": [list(p) for p in approx.feasible_orders_by_point],
-            "realized": [
+            "admissible": (list(p) for p in approx.feasible_orders_by_point),
+            "realized": (
                 {"point": list(p), "witness": w.to_json()} for p, w in approx.realized.items()
-            ],
+            ),
             "scope": approx.scope.to_json(),
         }
         _emit(args, payload)
@@ -291,7 +282,7 @@ def cmd_kspace(args) -> int:
 def cmd_sporadic(args) -> int:
     catalog = _resolve_catalog(args)
     report = kspace.sporadic_analysis(args.h, args.primes, args.witness_n, catalog, args.budget)
-    payload = {"config": _config(args, "sporadic"), "report": report.to_json()}
+    payload = {"config": _config(args), "report": report.to_json()}
     _emit(args, payload)
     if any(g.verdict == "refuted" for g in report.nonexistence):
         return EXIT_REFUTED
@@ -305,7 +296,7 @@ def cmd_genvec(args) -> int:
     sig = parse_signature(args.sig)
     verdict = search(group, sig, args.budget)
     payload = {
-        "config": _config(args, "genvec"),
+        "config": _config(args),
         "group": {"name": group.name, "order": group.order, "spec": group.spec},
         "signature": {"h": sig.h, "periods": list(sig.periods)},
         "verdict": verdict.status,

@@ -61,10 +61,12 @@ DEFAULT_BUDGET = 10**8
 
 
 class JsonText(str):
-    """JSON text exactly as ``json.dumps(x, indent=2)`` writes ``x`` at the top level.
+    """One or more list items as ``json.dumps(x, indent=2)`` writes each ``x`` at the top
+    level, joined by ",\\n".
 
-    The library makes it only for a certified gap point, under 200 bytes.  ``cli._write_json``
-    indents it to any depth at its line breaks, which JSON text has only in its layout.
+    The library makes it only for a run of certified gap points in one row, under 200
+    bytes a point.  ``cli._write_json`` indents it to any depth at its line breaks, which
+    JSON text has only in its layout; a text of several items belongs in a list.
     """
 
     __slots__ = ()

@@ -14,7 +14,7 @@ one home of order-level rules such as ``cyclic-forced``.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import geometry
 from .genvec import (
@@ -75,14 +75,14 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
     bucket per row h, in ascending order as the sweep runs; the result is then
     read off row by row, h ascending and each row's r sorted, so its keys come
     out in sorted order with one ``SkeletalSignature`` built per point and no
-    sort over all of them.  The box is fixed at h <= sigma + 1,
-    r <= 2*sigma + 2, and every triangle lies inside it:
+    sort over all of them.  The box is fixed at h <= (sigma + 1)/2, the
+    order-2 apex, and r <= 2*sigma + 2, and every triangle lies inside it:
     h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
     """
     _check_genus(sigma)
     shift = 2 * (sigma - 1)
     # one r -> orders bucket per row h of the box; orders arrive ascending
-    found = [defaultdict(list) for _ in range(sigma + 2)]
+    found = [defaultdict(list) for _ in range((sigma + 3) // 2)]
     row_0 = found[0]
     for n, parts in order_parts(12 * (sigma - 1)):
         if n > 2 * shift:
@@ -207,9 +207,10 @@ def _decide(
 
     This is the one loop from orders to ``catalog.covering`` to ``realizable``,
     and the one home of order-level rules.  Returns the first witness (or
-    None), the name of the first group whose search hit the budget before it
-    (or None), each exclusion reason paired with the name of its group (None
-    for an order-level rule), and whether every order searched was closed.
+    None), the name of the first group whose search hit the budget (None when
+    there is a witness, or none hit it), each exclusion reason paired with the
+    name of its group (None for an order-level rule), and whether every order
+    searched was closed.
     An order is closed when an order-level rule closes it, or when its
     groups are all its groups and none hit the budget.
 
@@ -238,7 +239,7 @@ def _decide(
         for g in groups:
             report = realizable(g, sigma, skel, budget)
             if report.verdict.is_exists:
-                return report.verdict.witness, budget_hit or order_hit, excluded, False
+                return report.verdict.witness, None, excluded, False
             if report.verdict.is_unknown:
                 order_hit = order_hit or g.name
             else:
@@ -345,10 +346,11 @@ _CERTIFIED_TAIL = (
 )
 
 
-def _certified_points(h: int, rs: range) -> list[JsonText]:
-    """The texts of the certified points (h, r) for r in ``rs``: the head filled in once."""
+def _certified_points(h: int, rs: range) -> JsonText:
+    """The certified points (h, r) for r in ``rs``, not empty, as list items joined by
+    ",\\n": one text, the head filled in once."""
     head, tail = _CERTIFIED_HEAD % h, _CERTIFIED_TAIL
-    return [JsonText(f"{head}{r}{tail}") for r in rs]
+    return JsonText(",\n".join([f"{head}{r}{tail}" for r in rs]))
 
 
 class PointReport(NamedTuple):
@@ -387,20 +389,20 @@ class GapReport(NamedTuple):
     conclusion: str  # verified | refuted
     has_partial: bool
 
-    def points_json(self) -> list[dict | JsonText]:
-        """The points' JSON in lattice order: the certified points of a row from one text
-        template (``_certified_points``), a reported point by ``PointReport.to_json``."""
-        out: list[dict | JsonText] = []
+    def points_json(self) -> Iterator[dict | JsonText]:
+        """The points' JSON in lattice order: each run of certified points in a row as one
+        text (``_certified_points``), a reported point by ``PointReport.to_json``."""
         reports, i = self.reports, 0
         for h, r_lo, r_hi in self.rows:
             r = r_lo
             while i < len(reports) and reports[i].point.h == h:
                 stop = reports[i].point.r
-                out += _certified_points(h, range(r, stop))
-                out.append(reports[i].to_json())
+                if r < stop:
+                    yield _certified_points(h, range(r, stop))
+                yield reports[i].to_json()
                 r, i = stop + 1, i + 1
-            out += _certified_points(h, range(r, r_hi + 1))
-        return out
+            if r <= r_hi:
+                yield _certified_points(h, range(r, r_hi + 1))
 
     def to_json(self) -> dict:
         return {

@@ -44,6 +44,10 @@ COMMANDS = [
     *(["genvec", "--group", group, "--sig", sig, *extra] for group, sig, *extra in GENVEC),
     ["verify-gap", "--sigma", "48", "--n", "4"],
     ["verify-gap", "--sigma", "150", "--n", "4"],
+    ["verify-gap", "--sigma", "1000", "--n", "4"],
+    ["gaps", "--sigma", "48", "--n", "3", "4", "5"],
+    ["rh", "--order", "8", "--sig", "(0;2,4,8)", "--sigma", "2"],
+    ["missing", "--sigma", "48", "--h", "3"],
     ["plot", "--sigma", "48", "--with-realized"],
     *(["plot", "--sigma", str(s)] for s in (100, 500)),
     ["kspace", "--sigma", "101", "--format", "csv"],

@@ -705,10 +705,34 @@ class Run(NamedTuple):
 
 
 RUN_LENGTHS = (1, 255, 256, 257, 600)
-# lists mixing runs of texts, around a join's 256 items, with dicts, lists and scalars
+# lists mixing runs of texts, each handed on as it is written, with dicts, lists and scalars
 TEXT_RUN_LISTS = st.lists(
     st.builds(Run, st.sampled_from(RUN_LENGTHS), JSON_TREES) | JSON_TREES, max_size=5
 )
+
+
+class Joined(NamedTuple):
+    """List items written as one ``JsonText``: each as ``json.dumps`` writes it, joined by ",\\n"."""
+
+    items: list
+
+
+# lists mixing texts of one to four items with dicts, lists and scalars
+JOINED_LISTS = st.lists(
+    st.builds(Joined, st.lists(JSON_TREES, min_size=1, max_size=4)) | JSON_TREES, max_size=5
+)
+
+
+def generated(tree, flags):
+    """``tree`` with each list and tuple, taken in preorder, given as a generator while
+    the next of ``flags`` is true; once ``flags`` runs out none is."""
+    if type(tree) is dict:
+        return {k: generated(v, flags) for k, v in tree.items()}
+    if type(tree) in (list, tuple):
+        lazy = next(flags, False)
+        items = [generated(v, flags) for v in tree]
+        return (v for v in items) if lazy else type(tree)(items)
+    return tree
 
 
 def with_runs(pieces) -> tuple[list, list]:
@@ -837,7 +861,8 @@ class TestWitnessText:
     def test_kspace_run_memory_stays_bounded(self, catalog, tmp_path):
         # the genus-150 document (6.8 MB, witnesses with long runs of equal entries),
         # searched and written in one run, with the catalog's tables built beforehand:
-        # no witness is rendered to text before the writer lays it out
+        # no witness is rendered to text before the writer lays it out, and the
+        # admissible and realized lists are drawn as they are written
         realizable_set(150, catalog, 15)
         tracemalloc.start()
         try:
@@ -847,14 +872,14 @@ class TestWitnessText:
             tracemalloc.stop()
         assert code == EXIT_OK
         assert (tmp_path / "k.json").stat().st_size > 6_000_000
-        assert peak < 6_000_000
+        assert peak < 3_000_000
 
 
 class TestIndentedJson:
     @given(JSON_TREES)
     @example([[], {}, (), [[]], {"a": {}}, {"a": [[], {"b": ()}]}])
     @example({"nan": float("nan"), "inf": [float("inf"), float("-inf")], "z": -0.0})
-    # the one-join path for all-int lists: a bool, None or str anywhere turns it off
+    # ints beside a bool, None or str, which exact types keep apart
     @example([True, 1])
     @example([1, True])
     @example([1, None])
@@ -879,12 +904,33 @@ class TestIndentedJson:
     @given(TEXT_RUN_LISTS, st.integers(0, 2))
     @example([Run(256, {}), Run(1, [1]), "a", Run(600, None)], 0)
     @example([{"x": 1}, Run(257, {"a": [1, "x\ny"]}), [], Run(255, 2.5)], 2)
-    # texts of 180 KB each in one join, indented at depth 2, then a short one
+    # texts of 180 KB each, indented at depth 2, then a short one
     @example([Run(3, list(range(20000))), Run(1, 0)], 1)
     def test_text_runs_match_json_dumps(self, pieces, depth):
         value, tree = with_runs(pieces)
         for _ in range(depth):
             value, tree = {"a": [value, 1]}, {"a": [tree, 1]}
+        assert written(value) == json.dumps(tree, indent=2) + "\n"
+
+    @given(JOINED_LISTS, st.lists(st.booleans()), st.integers(0, 2))
+    @example([], [], 0)
+    @example([[], [[]], {"a": []}], [True, True, True, True], 1)
+    @example([Joined([{"a": [1, "x\ny"]}, [], 3]), 2, Joined([None])], [], 2)
+    def test_generators_match_json_dumps(self, pieces, flags, depth):
+        # the list itself and the lists ``flags`` picks are generators, a Joined piece is
+        # one text; each depth wraps it in a generator beside an empty one
+        flags, value, tree = iter(flags), [], []
+        for piece in pieces:
+            if type(piece) is Joined:
+                value.append(JsonText(",\n".join(json.dumps(x, indent=2) for x in piece.items)))
+                tree += piece.items
+            else:
+                value.append(generated(piece, flags))
+                tree.append(piece)
+        value = (v for v in value)
+        for _ in range(depth):
+            value = {"a": (v for v in [value, 1]), "e": (v for v in ())}
+            tree = {"a": [tree, 1], "e": []}
         assert written(value) == json.dumps(tree, indent=2) + "\n"
 
     @given(RUNS_NODES, st.integers(0, 2))
@@ -933,16 +979,17 @@ class TestIndentedJson:
     @pytest.mark.parametrize(
         "value",
         [{1: "a"}, {None: 1}, [{"ok": {(1, 2): 3}}], {1.5}, b"x", SearchVerdict.not_exists(),
-         NotJsonText("1"), {"a": NotJsonText("1")}, [NotJsonText("[]")]],
+         NotJsonText("1"), {"a": NotJsonText("1")}, [NotJsonText("[]")],
+         iter([1]), range(2), {"a": 1}.keys(), map(int, "1")],
     )
     def test_rejects_what_is_not_a_plain_tree(self, value):
         with pytest.raises(TypeError):
             written(value)
 
     def test_gap_points_match_their_dict_form(self, catalog):
-        # each certified off-line point is written from a template, straight from
-        # its row, every other point from its dict; the oracle builds the dict for
-        # all of them
+        # each run of certified off-line points in a row is written as one text from a
+        # template, straight from its row, every other point from its dict; the oracle
+        # builds the dict for all of them
         reports = [verify_gap(sigma, n, catalog) for sigma in range(9, 121) for n in (3, 4)]
         # the refuting point and the partial point that test_kspace plants at genus 48
         by_point = {p.point: p for p in report_points(verify_gap(48, 4, catalog))}
@@ -954,17 +1001,33 @@ class TestIndentedJson:
         # no run makes these: not-exists points with an analysis or on the line
         odd = (mid._replace(analysis=line.analysis),
                line._replace(rh=SearchVerdict.not_exists(), analysis=None))
-        templated = 0
-        cases = [(report_points(r), r.points_json()) for r in reports]
+
+        def certified(p):
+            return p.rh.is_not_exists and p.analysis is None and not p.on_exception_line
+
+        templated = texts = 0
+        cases = [(report_points(r), list(r.points_json())) for r in reports]
         cases.append(((planted, partial, *odd), [p.to_json() for p in (planted, partial, *odd)]))
         for points, values in cases:
             expected = [point_report_json(p) for p in points]
             assert written({"points": values}) == json.dumps({"points": expected}, indent=2) + "\n"
-            for p, value in zip(points, values):
-                certified = p.rh.is_not_exists and p.analysis is None and not p.on_exception_line
-                assert (type(value) is JsonText) == certified, p
-                templated += certified
-        assert templated == 37_226
+            # a text holds a whole run of certified points in one row: the value before
+            # it and the one after it are a reported point or in another row
+            points, text_row = iter(points), None
+            for value in values:
+                if type(value) is not JsonText:
+                    p = next(points)
+                    assert not certified(p), p
+                    text_row = None
+                    continue
+                run = [next(points) for _ in json.loads(f"[{value}]")]
+                rows = {p.point.h for p in run}
+                assert all(map(certified, run)) and len(rows) == 1 and rows != {text_row}, run
+                (text_row,) = rows
+                templated += len(run)
+                texts += 1
+            assert next(points, None) is None
+        assert (templated, texts) == (37_226, 4_154)
 
     def test_gap_rows_match_the_pointwise_loop(self, catalog):
         # each gap walked by rows against the per-point loop: every point's report,
@@ -1033,7 +1096,7 @@ class TestIndentedJson:
 
     def test_gap_memory_stays_bounded(self, monkeypatch):
         # the genus-1000 order-4 gap document (27,639 points, 6.3 MB of text) is
-        # written 256 points at a time, never held whole
+        # drawn and written a row's run of points at a time, never held whole
         payloads = []
         monkeypatch.setattr(cli, "_emit", lambda args, payload: payloads.append(payload))
         assert main(["verify-gap", "--sigma", "1000", "--n", "4"]) == EXIT_OK
@@ -1047,13 +1110,28 @@ class TestIndentedJson:
         assert sum(sizes) > 6_000_000
         assert peak < 250_000
 
+    def test_gap_run_memory_stays_bounded(self, catalog, tmp_path):
+        # the genus-1000 order-4 gap (6.3 MB of text) verified and written in one run,
+        # with the catalog's tables built beforehand: no point's text outlives its row
+        verify_gap(1000, 4, catalog)
+        out = tmp_path / "g.json"
+        tracemalloc.start()
+        try:
+            code = main(["verify-gap", "--sigma", "1000", "--n", "4", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert out.stat().st_size > 6_000_000
+        assert peak < 1_000_000
+
     def test_leaves_no_reference_cycle(self, monkeypatch):
         # garbage left by each write would add up over a run of many commands: a golden
         # document, and a kspace payload whose witnesses are written from their runs
         payloads = [json.loads((GOLDEN / "kspace_11.json").read_bytes())]
         monkeypatch.setattr(cli, "_emit", lambda args, payload: payloads.append(payload))
         assert main(["kspace", "--sigma", "11"]) == EXIT_OK
-        assert type(payloads[1]["realized"][0]["witness"]["vector"]["c"]) is Runs
+        assert type(next(payloads[1]["realized"])["witness"]["vector"]["c"]) is Runs
         for value in payloads:
             gc.disable()
             try:

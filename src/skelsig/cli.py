@@ -312,11 +312,14 @@ def cmd_genvec(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    sidecar = args.csv_sidecar
+    # one file for both would end holding the CSV alone, the SVG silently lost
+    if sidecar and args.out and os.path.realpath(sidecar) == os.path.realpath(args.out):
+        raise ValueError(f"--csv-sidecar and --out name the same file: {sidecar}")
     catalog = _resolve_catalog(args) if args.with_realized else None
     dataset = kspace.figure_dataset(args.sigma, catalog, args.max_order, args.budget)
     note = f"config: sigma={args.sigma} realized={bool(catalog)} max-order={args.max_order}"
     document = svg.render_figure(dataset, note)
-    sidecar = args.csv_sidecar
     if not sidecar:
         _emit(args, document)
         return EXIT_OK

@@ -14,8 +14,8 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from importlib.resources import files
+from itertools import groupby
 from pathlib import Path
-from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given
@@ -216,6 +216,22 @@ class TestExitCodes:
             assert not sidecar.exists()
         else:
             assert sidecar.read_bytes() == before.encode("utf-8")
+
+    @pytest.mark.parametrize("link", [False, True], ids=["path", "symlink"])
+    def test_sidecar_at_the_out_path_is_usage(self, tmp_path, capsys, monkeypatch, link):
+        # the CSV would replace the SVG in the one file: the run is refused before any
+        # work, and the file is left absent or as it was
+        monkeypatch.setattr(kspace, "figure_dataset", None)
+        sidecar = out = tmp_path / "plane.svg"
+        if link:
+            (out := tmp_path / "link.svg").symlink_to(sidecar)
+        argv = ["plot", "--sigma", "5", "--out", str(out), "--csv-sidecar", str(sidecar)]
+        for before in (None, b"<svg/>\n"):
+            if before:
+                sidecar.write_bytes(before)
+            assert main(argv) == EXIT_USAGE
+            assert re.fullmatch(r"error: [^\n]*\n", capsys.readouterr().err)
+            assert (sidecar.read_bytes() if sidecar.exists() else None) == before
 
     def test_sidecar_replaces_longer_text(self, tmp_path):
         # a sidecar that held more text than the run writes ends with the run's rows
@@ -509,11 +525,6 @@ class TestGoldenFiles:
             assert genvec.verify(group, witness) and check_vector(group, vec, sig).ok, w
         assert len(above) == 3
 
-    def test_kspace_150_pinned(self, tmp_path):
-        code, text = run(tmp_path, "kspace", "--sigma", "150")
-        assert code == EXIT_OK
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == KSPACE_150_SHA256
-
     def test_kspace_300_pinned(self, tmp_path):
         code, text = run(tmp_path, "kspace", "--sigma", "300")
         assert code == EXIT_OK
@@ -673,6 +684,29 @@ JSON_TREES = st.recursive(
     | st.dictionaries(st.text(), children),
     max_leaves=30,
 )
+# the form a node is given to the writer in, and how many times a "runs" list repeats it
+KINDS = ("as is", "text", "joined", "generator", "runs")
+AS_IS, TEXT, JOINED, GENERATOR, RUNS = ((kind, 1) for kind in KINDS)
+
+
+def nodes(tree) -> int:
+    """The nodes of ``tree``: itself, and those of its items or values."""
+    if type(tree) is dict:
+        tree = tree.values()
+    elif type(tree) not in (list, tuple):
+        return 1
+    return 1 + sum(map(nodes, tree))
+
+
+# a plain tree, a list so that most draws hold lists to give forms to, and a form for
+# each of its nodes in preorder
+FORMED_TREES = st.lists(JSON_TREES).flatmap(
+    lambda tree: st.tuples(
+        st.just(tree),
+        st.lists(st.tuples(st.sampled_from(KINDS), st.integers(1, 4)),
+                 min_size=nodes(tree), max_size=nodes(tree)),
+    )
+)
 
 
 def written(value) -> str:
@@ -681,73 +715,41 @@ def written(value) -> str:
     return "".join(chunks)
 
 
-def prerendered(tree, flags):
-    """``tree`` with each subtree, taken in preorder, replaced by its ``JsonText``
-    while the next of ``flags`` is true; once ``flags`` runs out nothing is."""
-    if next(flags, False):
-        return JsonText(json.dumps(tree, indent=2))
+def formed(tree, forms) -> tuple:
+    """``(value, expanded, form)``: ``tree`` with the next of ``forms`` taken for each of
+    its nodes in preorder, and the plain tree that value stands for.
+
+    A form is a kind and a count.  "text" gives a node as its own ``JsonText``, and a
+    run of "joined" items of a list or generator is one text of them all, each as it
+    expands ("joined" elsewhere is as is); "generator" gives a list as a generator, and
+    "runs" as ``Runs`` with each item repeated by its count.  Once ``forms`` runs out
+    every node is as is, count 1.
+    """
+    form = kind, _ = next(forms, AS_IS)
+    if kind == "text":
+        return JsonText(json.dumps(tree, indent=2)), tree, form
     if type(tree) is dict:
-        return {k: prerendered(v, flags) for k, v in tree.items()}
-    if type(tree) in (list, tuple):
-        return type(tree)(prerendered(v, flags) for v in tree)
-    return tree
+        items = {k: formed(v, forms) for k, v in tree.items()}
+        return ({k: v for k, (v, _, _) in items.items()},
+                {k: e for k, (_, e, _) in items.items()}, form)
+    if type(tree) not in (list, tuple):
+        return tree, tree, form
+    items = [formed(v, forms) for v in tree]
+    if kind == "runs":
+        return (Runs((v, m) for v, _, (_, m) in items),
+                [e for _, e, (_, m) in items for _ in range(m)], form)
+    values = []
+    for joined, group in groupby(items, lambda item: item[2][0] == "joined"):
+        if joined:
+            values.append(JsonText(",\n".join(json.dumps(e, indent=2) for _, e, _ in group)))
+        else:
+            values += [v for v, _, _ in group]
+    value = (v for v in values) if kind == "generator" else type(tree)(values)
+    return value, [e for _, e, _ in items], form
 
 
 class NotJsonText(str):
     __slots__ = ()
-
-
-class Run(NamedTuple):
-    """``length`` list items, each written as ``JsonText``: the k-th is k, or ``tree`` for odd k."""
-
-    length: int
-    tree: object
-
-
-RUN_LENGTHS = (1, 255, 256, 257, 600)
-# lists mixing runs of texts, each handed on as it is written, with dicts, lists and scalars
-TEXT_RUN_LISTS = st.lists(
-    st.builds(Run, st.sampled_from(RUN_LENGTHS), JSON_TREES) | JSON_TREES, max_size=5
-)
-
-
-class Joined(NamedTuple):
-    """List items written as one ``JsonText``: each as ``json.dumps`` writes it, joined by ",\\n"."""
-
-    items: list
-
-
-# lists mixing texts of one to four items with dicts, lists and scalars
-JOINED_LISTS = st.lists(
-    st.builds(Joined, st.lists(JSON_TREES, min_size=1, max_size=4)) | JSON_TREES, max_size=5
-)
-
-
-def generated(tree, flags):
-    """``tree`` with each list and tuple, taken in preorder, given as a generator while
-    the next of ``flags`` is true; once ``flags`` runs out none is."""
-    if type(tree) is dict:
-        return {k: generated(v, flags) for k, v in tree.items()}
-    if type(tree) in (list, tuple):
-        lazy = next(flags, False)
-        items = [generated(v, flags) for v in tree]
-        return (v for v in items) if lazy else type(tree)(items)
-    return tree
-
-
-def with_runs(pieces) -> tuple[list, list]:
-    """The list ``pieces`` describes, with its runs as ``JsonText`` and as trees."""
-    value, tree = [], []
-    for piece in pieces:
-        if type(piece) is not Run:
-            value.append(piece)
-            tree.append(piece)
-            continue
-        text = JsonText(json.dumps(piece.tree, indent=2))
-        for k in range(piece.length):
-            value.append(text if k % 2 else JsonText(str(k)))
-            tree.append(piece.tree if k % 2 else k)
-    return value, tree
 
 
 def runs_of(values):
@@ -755,33 +757,6 @@ def runs_of(values):
     return st.lists(st.tuples(values, st.integers(1, 4)), max_size=5).map(
         lambda runs: tuple(v for v, k in runs for _ in range(k))
     )
-
-
-def expanded(node):
-    """``node`` with every ``Runs`` in it expanded to the list it stands for."""
-    if type(node) is Runs:
-        return [expanded(v) for v, k in node for _ in range(k)]
-    if type(node) is dict:
-        return {k: expanded(v) for k, v in node.items()}
-    if type(node) in (list, tuple):
-        return [expanded(v) for v in node]
-    return node
-
-
-# ``Runs`` of scalars, trees and empty containers, themselves holding ``Runs``; a
-# scalar's count may pass the 13,107 items of ",\n  0" in one 64 KiB piece
-RUNS_TREES = st.recursive(
-    JSON_SCALARS | st.sampled_from([[], {}, (), Runs()]),
-    lambda children: st.lists(children)
-    | st.dictionaries(st.text(), children)
-    | st.lists(st.tuples(children, st.integers(1, 4)), max_size=3).map(Runs),
-    max_leaves=20,
-)
-RUNS_NODES = st.lists(
-    st.tuples(RUNS_TREES, st.integers(1, 4))
-    | st.tuples(JSON_SCALARS, st.sampled_from([13_106, 13_107, 13_108, 13_109])),
-    max_size=4,
-).map(Runs)
 
 
 ESCAPED_NAMES = st.text() | st.sampled_from(['"Q8"', "C\\2", "\x00\n\t", "é ☃ 𝄞", "%s %d"])
@@ -807,10 +782,9 @@ def assert_written_as_dict(witness: Witness) -> None:
 class TestWitnessText:
     """``Witness.to_json``, its lists as runs, is written as ``json.dumps`` writes its dict form."""
 
-    @pytest.mark.parametrize("max_order", [15, 40])
-    def test_realized_witnesses(self, catalog, max_order):
-        for sigma in [*range(2, 61), 150]:
-            for witness in realizable_set(sigma, catalog, max_order).realized.values():
+    def test_realized_witnesses(self, realized_at_40):
+        for realized in realized_at_40.values():
+            for witness in realized.values():
                 assert_written_as_dict(witness)
 
     def test_sporadic_witnesses_carry_words(self, catalog):
@@ -871,79 +845,60 @@ class TestWitnessText:
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK
-        assert (tmp_path / "k.json").stat().st_size > 6_000_000
+        assert hashlib.sha256((tmp_path / "k.json").read_bytes()).hexdigest() == KSPACE_150_SHA256
         assert peak < 3_000_000
 
 
 class TestIndentedJson:
-    @given(JSON_TREES)
-    @example([[], {}, (), [[]], {"a": {}}, {"a": [[], {"b": ()}]}])
-    @example({"nan": float("nan"), "inf": [float("inf"), float("-inf")], "z": -0.0})
+    @given(FORMED_TREES, st.integers(0, 2))
+    @example(([[], {}, (), [[]], {"a": {}}, {"a": [[], {"b": ()}]}], []), 0)
+    @example(({"nan": float("nan"), "inf": [float("inf"), float("-inf")], "z": -0.0}, []), 0)
     # ints beside a bool, None or str, which exact types keep apart
-    @example([True, 1])
-    @example([1, True])
-    @example([1, None])
-    @example([1, "a"])
-    @example((2, 3))
-    @example([10**40, -1])
-    @example([[0, 0], [0, 0]])
-    def test_matches_json_dumps(self, value):
-        assert written(value) == json.dumps(value, indent=2) + "\n"
-
-    @given(JSON_TREES, st.lists(st.booleans()))
-    @example({"a": [1, {"b": [2, "x\ny"]}]}, [True])
-    @example({"a": [1, {"b": [2, "x\ny"]}]}, [False, False, False, False, True])
-    @example({"a": [1, {"b": [2, "x\ny"]}]}, [False, False, True])
-    @example([{}, [], "line\nbreak", {"k": {"deep": [[[0]]]}}], [False, True, True, True, False])
+    @example(([True, 1], []), 0)
+    @example(([1, True], []), 0)
+    @example(([1, None], []), 0)
+    @example(([1, "a"], []), 0)
+    @example(((2, 3), []), 0)
+    @example(([10**40, -1], []), 0)
+    @example(([[0, 0], [0, 0]], []), 0)
+    @example(("x\ny", []), 0)
+    # subtrees as texts
+    @example(({"a": [1, {"b": [2, "x\ny"]}]}, [TEXT]), 0)
+    @example(({"a": [1, {"b": [2, "x\ny"]}]}, [AS_IS] * 4 + [TEXT]), 0)
+    @example(({"a": [1, {"b": [2, "x\ny"]}]}, [AS_IS, AS_IS, TEXT]), 0)
+    @example(([{}, [], "line\nbreak", {"k": {"deep": [[[0]]]}}], [AS_IS, TEXT, TEXT, TEXT]), 0)
     # a text of 180 KB indented at depth 3 among the fragments around it
-    @example({"a": [1, {"b": list(range(20000))}], "z": 2}, [False, False, False, False, True])
-    def test_prerendered_subtrees_match_json_dumps(self, tree, flags):
-        value = prerendered(tree, iter(flags))
-        assert written(value) == json.dumps(tree, indent=2) + "\n"
-
-    @given(TEXT_RUN_LISTS, st.integers(0, 2))
-    @example([Run(256, {}), Run(1, [1]), "a", Run(600, None)], 0)
-    @example([{"x": 1}, Run(257, {"a": [1, "x\ny"]}), [], Run(255, 2.5)], 2)
+    @example(({"a": [1, {"b": list(range(20000))}], "z": 2}, [AS_IS] * 4 + [TEXT]), 0)
+    # list items each a text of its own, beside dicts, lists and scalars
+    @example(([{} if k % 2 else k for k in range(256)] + [0, "a"]
+              + [None if k % 2 else k for k in range(600)],
+              [AS_IS] + [TEXT] * 257 + [AS_IS] + [TEXT] * 600), 0)
+    @example(([{"x": 1}, *({"a": [1, "x\ny"]} if k % 2 else k for k in range(257)), [],
+               *(2.5 if k % 2 else k for k in range(255))],
+              [AS_IS] * 3 + [TEXT] * 257 + [AS_IS] + [TEXT] * 255), 2)
     # texts of 180 KB each, indented at depth 2, then a short one
-    @example([Run(3, list(range(20000))), Run(1, 0)], 1)
-    def test_text_runs_match_json_dumps(self, pieces, depth):
-        value, tree = with_runs(pieces)
-        for _ in range(depth):
-            value, tree = {"a": [value, 1]}, {"a": [tree, 1]}
-        assert written(value) == json.dumps(tree, indent=2) + "\n"
-
-    @given(JOINED_LISTS, st.lists(st.booleans()), st.integers(0, 2))
-    @example([], [], 0)
-    @example([[], [[]], {"a": []}], [True, True, True, True], 1)
-    @example([Joined([{"a": [1, "x\ny"]}, [], 3]), 2, Joined([None])], [], 2)
-    def test_generators_match_json_dumps(self, pieces, flags, depth):
-        # the list itself and the lists ``flags`` picks are generators, a Joined piece is
-        # one text; each depth wraps it in a generator beside an empty one
-        flags, value, tree = iter(flags), [], []
-        for piece in pieces:
-            if type(piece) is Joined:
-                value.append(JsonText(",\n".join(json.dumps(x, indent=2) for x in piece.items)))
-                tree += piece.items
-            else:
-                value.append(generated(piece, flags))
-                tree.append(piece)
-        value = (v for v in value)
-        for _ in range(depth):
-            value = {"a": (v for v in [value, 1]), "e": (v for v in ())}
-            tree = {"a": [tree, 1], "e": []}
-        assert written(value) == json.dumps(tree, indent=2) + "\n"
-
-    @given(RUNS_NODES, st.integers(0, 2))
-    @example(Runs(), 0)
-    @example(Runs((([], 2), ({}, 1), ((), 3), (Runs(), 2))), 1)
-    # a first item and exactly one 64 KiB piece of 13,107 items of ",\n  0", then
-    # a first item, one piece and one item more
-    @example(Runs(((0, 13_108), (0, 13_109))), 0)
+    @example(([0, list(range(20000)), 2, 0], [AS_IS] + [TEXT] * 4), 1)
+    # generators, empty ones among them, and texts of several items in them
+    @example(([], [GENERATOR]), 0)
+    @example(({"a": [[[], [[]], {"a": []}], 1], "e": []},
+              [AS_IS] + [GENERATOR] * 5 + [AS_IS, GENERATOR, AS_IS, GENERATOR]), 0)
+    @example(({"a": [{"a": [[{"a": [1, "x\ny"]}, [], 3, 2, None], 1], "e": []}, 1], "e": []},
+              [AS_IS, GENERATOR, AS_IS, GENERATOR, GENERATOR, JOINED, AS_IS, AS_IS, AS_IS,
+               JOINED, JOINED, AS_IS, JOINED, AS_IS, GENERATOR, AS_IS, GENERATOR]), 0)
+    # runs, of empty containers, trees and runs
+    @example(([], [RUNS]), 0)
+    @example(([[], {}, (), []], [RUNS, ("as is", 2), AS_IS, ("as is", 3), ("runs", 2)]), 1)
+    @example(([0, 0], [RUNS, ("as is", 13_108), ("as is", 13_109)]), 0)
     # a tree repeated past its piece of 1,456 items at depth 0
-    @example(Runs((({"a": [1, "x"]}, 3000), (None, 1))), 0)
-    @example(Runs(((Runs(((1, 2), ("b", 3))), 2), (Runs(((1, 1),)), 1))), 2)
-    def test_runs_match_json_dumps(self, node, depth):
-        value, tree = node, expanded(node)
+    @example(([{"a": [1, "x"]}, None], [RUNS, ("as is", 3000)]), 0)
+    @example(([[1, "b"], [1]], [RUNS, ("runs", 2), ("as is", 2), ("as is", 3), RUNS]), 2)
+    # a 64 KiB piece of a run at depth 0 holds 13,107 items of ",\n  0" or 1,456 of a
+    # 45-byte text: runs from one item fewer than a piece to two more
+    @example(([0] * 5, [RUNS, *(("as is", m) for m in range(13_106, 13_110))]), 0)
+    @example(([{"a": [1, "x"]}] * 5, [RUNS, *(("text", m) for m in range(1_455, 1_459))]), 0)
+    def test_matches_json_dumps(self, formed_tree, depth):
+        tree, forms = formed_tree
+        value, tree, _ = formed(tree, iter(forms))
         for _ in range(depth):
             value, tree = {"a": [value, 1]}, {"a": [tree, 1]}
         assert written(value) == json.dumps(tree, indent=2) + "\n"
@@ -986,34 +941,18 @@ class TestIndentedJson:
         with pytest.raises(TypeError):
             written(value)
 
-    def test_gap_points_match_their_dict_form(self, catalog):
-        # each run of certified off-line points in a row is written as one text from a
-        # template, straight from its row, every other point from its dict; the oracle
-        # builds the dict for all of them
-        reports = [verify_gap(sigma, n, catalog) for sigma in range(9, 121) for n in (3, 4)]
-        # the refuting point and the partial point that test_kspace plants at genus 48
-        by_point = {p.point: p for p in report_points(verify_gap(48, 4, catalog))}
-        off_line = integer_points(gap(48, 4))
-        mid = by_point[off_line[len(off_line) // 2]]
-        planted = mid._replace(rh=SearchVerdict.exists((5, (5,) * mid.point.r)))
-        line = by_point[SkeletalSignature(8, 6)]
-        partial = line._replace(analysis=line.analysis._replace(status="partial"))
-        # no run makes these: not-exists points with an analysis or on the line
-        odd = (mid._replace(analysis=line.analysis),
-               line._replace(rh=SearchVerdict.not_exists(), analysis=None))
-
+    def test_gap_rows_match_the_pointwise_loop(self, catalog):
+        # each gap walked by rows against the per-point loop: every point's report, and
+        # the bytes written against json.dumps of the loop's dict form, each run of
+        # certified off-line points in a row written as one text from a template, straight
+        # from its row, and every other point from its dict
         def certified(p):
             return p.rh.is_not_exists and p.analysis is None and not p.on_exception_line
 
-        templated = texts = 0
-        cases = [(report_points(r), list(r.points_json())) for r in reports]
-        cases.append(((planted, partial, *odd), [p.to_json() for p in (planted, partial, *odd)]))
-        for points, values in cases:
-            expected = [point_report_json(p) for p in points]
-            assert written({"points": values}) == json.dumps({"points": expected}, indent=2) + "\n"
+        def runs_of_texts(points, values) -> Counter:
             # a text holds a whole run of certified points in one row: the value before
             # it and the one after it are a reported point or in another row
-            points, text_row = iter(points), None
+            points, text_row, seen = iter(points), None, Counter()
             for value in values:
                 if type(value) is not JsonText:
                     p = next(points)
@@ -1024,15 +963,12 @@ class TestIndentedJson:
                 rows = {p.point.h for p in run}
                 assert all(map(certified, run)) and len(rows) == 1 and rows != {text_row}, run
                 (text_row,) = rows
-                templated += len(run)
-                texts += 1
+                seen.update(templated=len(run), texts=1)
             assert next(points, None) is None
-        assert (templated, texts) == (37_226, 4_154)
+            return seen
 
-    def test_gap_rows_match_the_pointwise_loop(self, catalog):
-        # each gap walked by rows against the per-point loop: every point's report,
-        # and the bytes written against json.dumps of the loop's dict form
         points_seen = reported = 0
+        by_order = {n: Counter() for n in range(3, 7)}
         for sigma in range(9, 121):
             for n in range(3, 7):
                 report = verify_gap(sigma, n, catalog)
@@ -1047,10 +983,28 @@ class TestIndentedJson:
                 }
                 text = written(report.to_json())
                 assert text == json.dumps(expected, indent=2) + "\n", (sigma, n)
+                by_order[n] += runs_of_texts(points, report.points_json())
                 points_seen += len(points)
                 reported += len(report.reports)
         # the reports are the exception-line points: no gap point off the line is feasible
         assert (points_seen, reported) == (42_467, 424)
+        assert by_order[3] + by_order[4] == Counter(templated=37_226, texts=4_154)
+
+        # the refuting point and the partial point that test_kspace plants at genus 48
+        by_point = {p.point: p for p in report_points(verify_gap(48, 4, catalog))}
+        off_line = integer_points(gap(48, 4))
+        mid = by_point[off_line[len(off_line) // 2]]
+        planted = mid._replace(rh=SearchVerdict.exists((5, (5,) * mid.point.r)))
+        line = by_point[SkeletalSignature(8, 6)]
+        partial = line._replace(analysis=line.analysis._replace(status="partial"))
+        # no run makes these: not-exists points with an analysis or on the line
+        odd = (mid._replace(analysis=line.analysis),
+               line._replace(rh=SearchVerdict.not_exists(), analysis=None))
+        points = (planted, partial, *odd)
+        values = [p.to_json() for p in points]
+        expected = [point_report_json(p) for p in points]
+        assert written({"points": values}) == json.dumps({"points": expected}, indent=2) + "\n"
+        assert runs_of_texts(points, values) == Counter()
 
     def test_planted_gap_points_are_written_in_place(self, catalog, monkeypatch):
         # refuting points planted at both ends of a row, mid-row and beside an

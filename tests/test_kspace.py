@@ -420,6 +420,15 @@ class TestRealizableSet:
         assert realizable_set(7, catalog, 15, 20).scope.unknown_points == (S(1, 1),)
         assert realizable_set(7, catalog, 15).realized[S(1, 1)].group_name == "D7"
 
+    def test_raising_max_order_keeps_every_witness(self, catalog, realized_at_40):
+        # so the witness sweeps of test_cli and test_genvec read max order 40 alone
+        kept = 0
+        for sigma, realized in realized_at_40.items():
+            for point, witness in realizable_set(sigma, catalog, 15).realized.items():
+                assert realized.get(point) == witness, (sigma, point)
+                kept += 1
+        assert (kept, sum(map(len, realized_at_40.values()))) == (12_623, 12_702)
+
     def test_searches_only_groups_of_feasible_orders(self, catalog, monkeypatch):
         calls = []
         original = kspace.realizable

@@ -12,7 +12,11 @@ parameter of a library function must be passed by name at some call of that
 function's name; one that never is only ever takes its default.  The same
 name check holds ``tests/oracles.py`` to the test files: each public
 definition there must be named by a ``tests/test_*.py`` file or by another
-oracle, so deleting a test cannot leave its reference behind.
+oracle, so deleting a test cannot leave its reference behind.  Within each
+``tests/test_*.py`` module, every top-level helper (a function, class or
+assigned name that pytest does not collect) must be named by another
+top-level statement of that module, so no strategy or transform outlives
+the tests that used it.
 """
 
 from __future__ import annotations
@@ -85,19 +89,44 @@ def test_every_public_definition_is_named_by_the_library_or_a_criterion():
     assert unreached == []
 
 
+def _orphans(body: list[ast.stmt], defined, named: set[str]) -> list[str]:
+    """What ``defined`` finds in each statement of ``body`` that neither ``named`` nor
+    another statement of ``body`` names."""
+    per_node = [_named(node) for node in body]
+    return [
+        qualname
+        for i, node in enumerate(body)
+        for qualname in defined(node)
+        if qualname.rpartition(".")[2]
+        not in named.union(*(names for j, names in enumerate(per_node) if j != i))
+    ]
+
+
 def test_every_oracle_is_named_by_a_test_or_another_oracle():
     tests = ROOT / "tests"
     named = set().union(
         *(_named(ast.parse(path.read_text(encoding="utf-8"))) for path in tests.glob("test_*.py"))
     )
     body = ast.parse((tests / "oracles.py").read_text(encoding="utf-8")).body
-    per_node = [_named(node) for node in body]
+    orphans = _orphans(body, lambda node: _public_definitions(ast.Module([node], [])), named)
+    assert orphans == []
+
+
+def _helpers(node: ast.stmt) -> list[str]:
+    """The functions, classes and names a top-level statement defines, tests aside."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    else:
+        names = [n.id for n in ast.walk(node)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return [name for name in names if not name.startswith(("test_", "Test"))]
+
+
+def test_every_test_helper_is_named_by_another_statement_of_its_module():
     orphans = [
-        qualname
-        for i, node in enumerate(body)
-        for qualname in _public_definitions(ast.Module([node], []))
-        if qualname.rpartition(".")[2]
-        not in named.union(*(names for j, names in enumerate(per_node) if j != i))
+        f"{path.stem}.{name}"
+        for path in sorted((ROOT / "tests").glob("test_*.py"))
+        for name in _orphans(ast.parse(path.read_text(encoding="utf-8")).body, _helpers, set())
     ]
     assert orphans == []
 

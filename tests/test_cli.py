@@ -119,6 +119,21 @@ def run(tmp_path, *argv):
     return code, out.read_text(encoding="utf-8") if out.exists() else None
 
 
+@pytest.fixture(scope="module")
+def kspace_150_run(catalog, tmp_path_factory):
+    """``kspace --sigma 150`` run once, with the catalog's tables built beforehand: its
+    exit code, the document it wrote and the peak of memory traced while it ran."""
+    realizable_set(150, catalog, 15)
+    out = tmp_path_factory.mktemp("kspace_150") / "k.json"
+    tracemalloc.start()
+    try:
+        code = main(["kspace", "--sigma", "150", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, peak
+
+
 def validator_for(name: str) -> Draft202012Validator:
     root = files("skelsig").joinpath("schemas")
     common = Resource.from_contents(json.loads(root.joinpath("common.json").read_text()))
@@ -525,6 +540,11 @@ class TestGoldenFiles:
             assert genvec.verify(group, witness) and check_vector(group, vec, sig).ok, w
         assert len(above) == 3
 
+    def test_kspace_150_pinned(self, kspace_150_run):
+        code, out, _ = kspace_150_run
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == KSPACE_150_SHA256
+
     def test_kspace_300_pinned(self, tmp_path):
         code, text = run(tmp_path, "kspace", "--sigma", "300")
         assert code == EXIT_OK
@@ -748,6 +768,41 @@ def formed(tree, forms) -> tuple:
     return value, [e for _, e, _ in items], form
 
 
+def assert_formed_written(tree, forms, depth: int) -> None:
+    """``tree`` given in ``forms`` and wrapped ``depth`` times is written as ``json.dumps``
+    writes the plain tree it stands for."""
+    value, tree, _ = formed(tree, iter(forms))
+    for _ in range(depth):
+        value, tree = {"a": [value, 1]}, {"a": [tree, 1]}
+    assert written(value) == json.dumps(tree, indent=2) + "\n"
+
+
+def certified(p) -> bool:
+    """Whether gap point ``p`` is an off-line point that no group realizes, unreported."""
+    return p.rh.is_not_exists and p.analysis is None and not p.on_exception_line
+
+
+def runs_of_texts(points, values) -> Counter:
+    """The points of ``values`` written from a template, and the texts that hold them,
+    with each value checked against the next of ``points``: a text holds a whole run of
+    certified points in one row, the value before it and the one after it a reported
+    point or in another row; every other value is one point that is not certified."""
+    points, text_row, seen = iter(points), None, Counter()
+    for value in values:
+        if type(value) is not JsonText:
+            p = next(points)
+            assert not certified(p), p
+            text_row = None
+            continue
+        run = [next(points) for _ in json.loads(f"[{value}]")]
+        rows = {p.point.h for p in run}
+        assert all(map(certified, run)) and len(rows) == 1 and rows != {text_row}, run
+        (text_row,) = rows
+        seen.update(templated=len(run), texts=1)
+    assert next(points, None) is None
+    return seen
+
+
 class NotJsonText(str):
     __slots__ = ()
 
@@ -832,24 +887,20 @@ class TestWitnessText:
         assert peak < 1_000_000
         assert json.loads(out.read_bytes()) == {"witness": witness_json(huge)}
 
-    def test_kspace_run_memory_stays_bounded(self, catalog, tmp_path):
+    def test_kspace_run_memory_stays_bounded(self, kspace_150_run):
         # the genus-150 document (6.8 MB, witnesses with long runs of equal entries),
-        # searched and written in one run, with the catalog's tables built beforehand:
-        # no witness is rendered to text before the writer lays it out, and the
-        # admissible and realized lists are drawn as they are written
-        realizable_set(150, catalog, 15)
-        tracemalloc.start()
-        try:
-            code = main(["kspace", "--sigma", "150", "--out", str(tmp_path / "k.json")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # searched and written in one run: no witness is rendered to text before the
+        # writer lays it out, and the admissible and realized lists are drawn as they
+        # are written
+        code, out, peak = kspace_150_run
         assert code == EXIT_OK
-        assert hashlib.sha256((tmp_path / "k.json").read_bytes()).hexdigest() == KSPACE_150_SHA256
+        assert out.stat().st_size > 6_000_000
         assert peak < 3_000_000
 
 
 class TestIndentedJson:
+    # the property test draws every form at random; the tests after it hold the cases
+    # pinned for each form, written as it writes its draws
     @given(FORMED_TREES, st.integers(0, 2))
     @example(([[], {}, (), [[]], {"a": {}}, {"a": [[], {"b": ()}]}], []), 0)
     @example(({"nan": float("nan"), "inf": [float("inf"), float("-inf")], "z": -0.0}, []), 0)
@@ -862,46 +913,62 @@ class TestIndentedJson:
     @example(([10**40, -1], []), 0)
     @example(([[0, 0], [0, 0]], []), 0)
     @example(("x\ny", []), 0)
-    # subtrees as texts
-    @example(({"a": [1, {"b": [2, "x\ny"]}]}, [TEXT]), 0)
-    @example(({"a": [1, {"b": [2, "x\ny"]}]}, [AS_IS] * 4 + [TEXT]), 0)
-    @example(({"a": [1, {"b": [2, "x\ny"]}]}, [AS_IS, AS_IS, TEXT]), 0)
-    @example(([{}, [], "line\nbreak", {"k": {"deep": [[[0]]]}}], [AS_IS, TEXT, TEXT, TEXT]), 0)
-    # a text of 180 KB indented at depth 3 among the fragments around it
-    @example(({"a": [1, {"b": list(range(20000))}], "z": 2}, [AS_IS] * 4 + [TEXT]), 0)
-    # list items each a text of its own, beside dicts, lists and scalars
-    @example(([{} if k % 2 else k for k in range(256)] + [0, "a"]
-              + [None if k % 2 else k for k in range(600)],
-              [AS_IS] + [TEXT] * 257 + [AS_IS] + [TEXT] * 600), 0)
-    @example(([{"x": 1}, *({"a": [1, "x\ny"]} if k % 2 else k for k in range(257)), [],
-               *(2.5 if k % 2 else k for k in range(255))],
-              [AS_IS] * 3 + [TEXT] * 257 + [AS_IS] + [TEXT] * 255), 2)
-    # texts of 180 KB each, indented at depth 2, then a short one
-    @example(([0, list(range(20000)), 2, 0], [AS_IS] + [TEXT] * 4), 1)
-    # generators, empty ones among them, and texts of several items in them
-    @example(([], [GENERATOR]), 0)
-    @example(({"a": [[[], [[]], {"a": []}], 1], "e": []},
-              [AS_IS] + [GENERATOR] * 5 + [AS_IS, GENERATOR, AS_IS, GENERATOR]), 0)
-    @example(({"a": [{"a": [[{"a": [1, "x\ny"]}, [], 3, 2, None], 1], "e": []}, 1], "e": []},
-              [AS_IS, GENERATOR, AS_IS, GENERATOR, GENERATOR, JOINED, AS_IS, AS_IS, AS_IS,
-               JOINED, JOINED, AS_IS, JOINED, AS_IS, GENERATOR, AS_IS, GENERATOR]), 0)
-    # runs, of empty containers, trees and runs
-    @example(([], [RUNS]), 0)
-    @example(([[], {}, (), []], [RUNS, ("as is", 2), AS_IS, ("as is", 3), ("runs", 2)]), 1)
-    @example(([0, 0], [RUNS, ("as is", 13_108), ("as is", 13_109)]), 0)
-    # a tree repeated past its piece of 1,456 items at depth 0
-    @example(([{"a": [1, "x"]}, None], [RUNS, ("as is", 3000)]), 0)
-    @example(([[1, "b"], [1]], [RUNS, ("runs", 2), ("as is", 2), ("as is", 3), RUNS]), 2)
-    # a 64 KiB piece of a run at depth 0 holds 13,107 items of ",\n  0" or 1,456 of a
-    # 45-byte text: runs from one item fewer than a piece to two more
-    @example(([0] * 5, [RUNS, *(("as is", m) for m in range(13_106, 13_110))]), 0)
-    @example(([{"a": [1, "x"]}] * 5, [RUNS, *(("text", m) for m in range(1_455, 1_459))]), 0)
     def test_matches_json_dumps(self, formed_tree, depth):
-        tree, forms = formed_tree
-        value, tree, _ = formed(tree, iter(forms))
-        for _ in range(depth):
-            value, tree = {"a": [value, 1]}, {"a": [tree, 1]}
-        assert written(value) == json.dumps(tree, indent=2) + "\n"
+        assert_formed_written(*formed_tree, depth)
+
+    def test_prerendered_subtrees_match_json_dumps(self):
+        tree = {"a": [1, {"b": [2, "x\ny"]}]}
+        for case in [
+            (tree, [TEXT], 0),
+            (tree, [AS_IS] * 4 + [TEXT], 0),
+            (tree, [AS_IS, AS_IS, TEXT], 0),
+            ([{}, [], "line\nbreak", {"k": {"deep": [[[0]]]}}], [AS_IS, TEXT, TEXT, TEXT], 0),
+            # a text of 180 KB indented at depth 3 among the fragments around it
+            ({"a": [1, {"b": list(range(20000))}], "z": 2}, [AS_IS] * 4 + [TEXT], 0),
+        ]:
+            assert_formed_written(*case)
+
+    def test_text_runs_match_json_dumps(self):
+        # list items each a text of its own, beside dicts, lists and scalars
+        for case in [
+            ([{} if k % 2 else k for k in range(256)] + [0, "a"]
+             + [None if k % 2 else k for k in range(600)],
+             [AS_IS] + [TEXT] * 257 + [AS_IS] + [TEXT] * 600, 0),
+            ([{"x": 1}, *({"a": [1, "x\ny"]} if k % 2 else k for k in range(257)), [],
+              *(2.5 if k % 2 else k for k in range(255))],
+             [AS_IS] * 3 + [TEXT] * 257 + [AS_IS] + [TEXT] * 255, 2),
+            # texts of 180 KB each, indented at depth 2, then a short one
+            ([0, list(range(20000)), 2, 0], [AS_IS] + [TEXT] * 4, 1),
+        ]:
+            assert_formed_written(*case)
+
+    def test_generators_match_json_dumps(self):
+        # generators, empty ones among them, and texts of several items in them
+        for case in [
+            ([], [GENERATOR], 0),
+            ({"a": [[[], [[]], {"a": []}], 1], "e": []},
+             [AS_IS] + [GENERATOR] * 5 + [AS_IS, GENERATOR, AS_IS, GENERATOR], 0),
+            ({"a": [{"a": [[{"a": [1, "x\ny"]}, [], 3, 2, None], 1], "e": []}, 1], "e": []},
+             [AS_IS, GENERATOR, AS_IS, GENERATOR, GENERATOR, JOINED, AS_IS, AS_IS, AS_IS,
+              JOINED, JOINED, AS_IS, JOINED, AS_IS, GENERATOR, AS_IS, GENERATOR], 0),
+        ]:
+            assert_formed_written(*case)
+
+    def test_runs_match_json_dumps(self):
+        # runs, of empty containers, trees and runs
+        for case in [
+            ([], [RUNS], 0),
+            ([[], {}, (), []], [RUNS, ("as is", 2), AS_IS, ("as is", 3), ("runs", 2)], 1),
+            ([0, 0], [RUNS, ("as is", 13_108), ("as is", 13_109)], 0),
+            # a tree repeated past its piece of 1,456 items at depth 0
+            ([{"a": [1, "x"]}, None], [RUNS, ("as is", 3000)], 0),
+            ([[1, "b"], [1]], [RUNS, ("runs", 2), ("as is", 2), ("as is", 3), RUNS], 2),
+            # a 64 KiB piece of a run at depth 0 holds 13,107 items of ",\n  0" or 1,456
+            # of a 45-byte text: runs from one item fewer than a piece to two more
+            ([0] * 5, [RUNS, *(("as is", m) for m in range(13_106, 13_110))], 0),
+            ([{"a": [1, "x"]}] * 5, [RUNS, *(("text", m) for m in range(1_455, 1_459))], 0),
+        ]:
+            assert_formed_written(*case)
 
     def test_a_long_run_is_handed_on_in_pieces(self):
         # a run of a million ints goes to ``write`` in pieces of about 64 KiB, never whole
@@ -946,27 +1013,6 @@ class TestIndentedJson:
         # the bytes written against json.dumps of the loop's dict form, each run of
         # certified off-line points in a row written as one text from a template, straight
         # from its row, and every other point from its dict
-        def certified(p):
-            return p.rh.is_not_exists and p.analysis is None and not p.on_exception_line
-
-        def runs_of_texts(points, values) -> Counter:
-            # a text holds a whole run of certified points in one row: the value before
-            # it and the one after it are a reported point or in another row
-            points, text_row, seen = iter(points), None, Counter()
-            for value in values:
-                if type(value) is not JsonText:
-                    p = next(points)
-                    assert not certified(p), p
-                    text_row = None
-                    continue
-                run = [next(points) for _ in json.loads(f"[{value}]")]
-                rows = {p.point.h for p in run}
-                assert all(map(certified, run)) and len(rows) == 1 and rows != {text_row}, run
-                (text_row,) = rows
-                seen.update(templated=len(run), texts=1)
-            assert next(points, None) is None
-            return seen
-
         points_seen = reported = 0
         by_order = {n: Counter() for n in range(3, 7)}
         for sigma in range(9, 121):
@@ -990,7 +1036,9 @@ class TestIndentedJson:
         assert (points_seen, reported) == (42_467, 424)
         assert by_order[3] + by_order[4] == Counter(templated=37_226, texts=4_154)
 
-        # the refuting point and the partial point that test_kspace plants at genus 48
+    def test_gap_points_match_their_dict_form(self, catalog):
+        # points no run of verify-gap makes are each written from their dict: the
+        # refuting point and the partial point that test_kspace plants at genus 48
         by_point = {p.point: p for p in report_points(verify_gap(48, 4, catalog))}
         off_line = integer_points(gap(48, 4))
         mid = by_point[off_line[len(off_line) // 2]]

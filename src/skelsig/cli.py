@@ -71,12 +71,20 @@ def _resolve_catalog(args) -> CatalogManifest:
     return load_catalog(args.catalog) if args.catalog else bundled_catalog()
 
 
-def points_csv(rows: Iterable[tuple[int, int, str]]) -> str:
-    """CSV text of (h, r, status) rows under an ``h,r,status`` header.
+def runs_csv(rows: Iterable[Iterable[kspace.Run]]) -> str:
+    """CSV text of the points of ``rows`` under an ``h,r,status`` header, one line per point.
 
-    Lines end in CRLF, as ``csv.writer`` ends them; no status needs quoting.
+    Row h of ``rows`` holds its runs (r_lo, r_hi, status), r ascending; each run's
+    lines are one join over its r.  Lines end in CRLF, as ``csv.writer`` ends them;
+    no status needs quoting.
     """
-    return "".join(["h,r,status\r\n", *(f"{h},{r},{status}\r\n" for h, r, status in rows)])
+    parts = ["h,r,status\r\n"]
+    for h, runs in enumerate(rows):
+        head = f"{h},"
+        for lo, hi, status in runs:
+            tail = f",{status}\r\n"
+            parts.append(head + (tail + head).join(map(str, range(lo, hi + 1))) + tail)
+    return "".join(parts)
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -255,13 +263,8 @@ def cmd_missing(args) -> int:
 def cmd_kspace(args) -> int:
     catalog = _resolve_catalog(args)
     approx = kspace.realizable_set(args.sigma, catalog, args.max_order, args.budget)
-    # both maps are keyed in sorted point order
     if args.format == "csv":
-        rows = (
-            (pt.h, pt.r, "realized" if pt in approx.realized else "admissible")
-            for pt in approx.feasible_orders_by_point
-        )
-        _emit(args, points_csv(rows))
+        _emit(args, runs_csv(approx.rows()))
     else:
         # the lists are drawn as they are written: they only lay out what the search found
         payload = {
@@ -334,7 +337,7 @@ def cmd_plot(args) -> int:
                 os.remove(sidecar)
             raise
         f.truncate(0)
-        f.write(points_csv(dataset.to_csv_rows()))
+        f.write(runs_csv(dataset.rows))
     return EXIT_OK
 
 

@@ -14,6 +14,8 @@ one home of order-level rules such as ``cyclic-forced``.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import geometry
@@ -42,13 +44,17 @@ from .rh import (
     two_part_sum,
 )
 
+# a stretch (r_lo, r_hi, status) of consecutive r in one row with one status
+Run = tuple[int, int, str]
+
 
 # ---------------------------------------------------------------------------
 # admissible region
 
 
-def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
-    """Every RH-feasible lattice point with its full list of feasible orders.
+def plane_rows(sigma: int) -> list[dict[int, list[int]]]:
+    """Every RH-feasible lattice point with its full list of feasible orders, row by row:
+    for each h of the box, a dict from each feasible r to its orders, ascending.
 
     Sweeps orders from 2 up to 12(sigma - 1) and decides each order's whole
     triangle at once, so the union equals the per-point order sweep without
@@ -72,11 +78,9 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
     listing a period.  Triangle points have T >= r >= 0, so the levels are
     cut at the largest T, which is never negative.
     Each feasible order is appended to its point's list in one r -> orders
-    bucket per row h, in ascending order as the sweep runs; the result is then
-    read off row by row, h ascending and each row's r sorted, so its keys come
-    out in sorted order with one ``SkeletalSignature`` built per point and no
-    sort over all of them.  The box is fixed at h <= (sigma + 1)/2, the
-    order-2 apex, and r <= 2*sigma + 2, and every triangle lies inside it:
+    bucket per row h, in ascending order as the sweep runs; a row's r come in
+    no particular order.  The box is fixed at h <= (sigma + 1)/2, the order-2
+    apex, and r <= 2*sigma + 2, and every triangle lies inside it:
     h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
     """
     _check_genus(sigma)
@@ -118,10 +122,20 @@ def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
                     row[r].append(n)
                 t += n
     row_0[3].extend(hurwitz_range_orders(sigma))
+    return found
+
+
+def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
+    """Every RH-feasible lattice point with its full list of feasible orders.
+
+    ``plane_rows`` read off row by row, h ascending and each row's r sorted,
+    so the keys come out in sorted order with one ``SkeletalSignature`` built
+    per point and no sort over all of them.
+    """
     key = SkeletalSignature._make
     return {
         key((h, r)): tuple(row[r])
-        for h, row in enumerate(found)
+        for h, row in enumerate(plane_rows(sigma))
         for r in sorted(row)
     }
 
@@ -194,6 +208,16 @@ class KSpaceApproximation(_KSpaceApproximationFields):
         if not realized.keys() <= feasible_orders_by_point.keys():
             raise AssertionError("realized points must be admissible")
         return super().__new__(cls, sigma, feasible_orders_by_point, realized, scope)
+
+    def rows(self) -> list[list[Run]]:
+        """For each row h of the box, the maximal runs (r_lo, r_hi, status) of its
+        admissible points, realized or admissible, r ascending, read off the map's
+        sorted keys."""
+        realized = self.realized
+        rows: list[list[Run]] = [[] for _ in range((self.sigma + 3) // 2)]
+        for h, points in groupby(self.feasible_orders_by_point, itemgetter(0)):
+            rows[h] = _runs((pt.r, "realized" if pt in realized else "admissible") for pt in points)
+        return rows
 
 
 def _decide(
@@ -628,15 +652,58 @@ def sporadic_analysis(
 
 
 class FigureDataset(NamedTuple):
-    """Everything needed to draw the (h, r)-plane for one genus."""
+    """Everything needed to draw the (h, r)-plane for one genus.
+
+    ``rows[h]`` holds the maximal runs (r_lo, r_hi, status) of row h's drawn
+    and shaded points, r ascending: each run a stretch of consecutive r with
+    one status, the next run of the row starting past a hole or with another
+    status.
+    """
 
     sigma: int
     lines: tuple[tuple[str, geometry.RationalLine], ...]
     gaps: tuple[GapRegion, ...]
-    points: tuple[tuple[SkeletalSignature, str], ...]
+    rows: tuple[list[Run], ...]
 
-    def to_csv_rows(self) -> list[tuple[int, int, str]]:
-        return [(pt.h, pt.r, status) for pt, status in self.points]
+
+def _runs(points: Iterable[tuple[int, str]]) -> list[Run]:
+    """The maximal runs (r_lo, r_hi, status) of (r, status) pairs given in ascending r."""
+    runs: list[Run] = []
+    lo = hi = -2
+    status = None
+    for r, s in points:
+        if r != hi + 1 or s != status:
+            if status is not None:
+                runs.append((lo, hi, status))
+            lo, status = r, s
+        hi = r
+    if status is not None:
+        runs.append((lo, hi, status))
+    return runs
+
+
+def _overlay(base: list[Run], top: list[Run]) -> list[Run]:
+    """The runs of ``top`` laid over ``base``, sorted: a point that a run of ``top``
+    holds takes that run's status, any other point of ``base`` keeps its own.
+
+    Each list is sorted and disjoint.  No two runs are merged.
+    """
+    cut: list[Run] = []
+    for lo, hi, status in base:
+        for t_lo, t_hi, _ in top:
+            if t_hi < lo:
+                continue
+            if t_lo > hi:
+                break
+            if t_lo > lo:
+                cut.append((lo, t_lo - 1, status))
+            lo = t_hi + 1
+        if lo <= hi:
+            cut.append((lo, hi, status))
+    return sorted(cut + top)
+
+
+_EXCEPTION_STATUS = {"realized": "exception-realized", "excluded": "exception-excluded"}
 
 
 def figure_dataset(
@@ -656,6 +723,13 @@ def figure_dataset(
     analyzed at every feasible order, as ``verify-gap`` analyzes them.
     A ``catalog`` of None means: draw the plane without a search, so no point
     is realized and no exception point is analyzed.
+    The rows are built one at a time: the row's admissible runs, laid over
+    each gap's runs in the row (an admissible point is never drawn as gap),
+    then an analyzed exception point laid over those.  The runs stay maximal
+    with no merging, since no seam joins two runs of one status: the two
+    gaps' runs in row h lie on either side of r = sigma + 3 - 4h, the integer
+    point of the upper order-4 line, and only the order-4 gap has an
+    exception line, which meets a row once.
     """
     lines = (
         ("hyperelliptic", p_group_line(sigma, 2, 1)),
@@ -667,23 +741,21 @@ def figure_dataset(
     )
     gaps = (gap(sigma, 3), gap(sigma, 4))
     if catalog is not None:
-        approx = realizable_set(sigma, catalog, max_order, budget)
-        feas, realized = approx.feasible_orders_by_point, approx.realized
+        rows = realizable_set(sigma, catalog, max_order, budget).rows()
     else:
-        feas, realized = admissible_map(sigma), {}
-    status = {pt: "realized" if pt in realized else "admissible" for pt in feas}
+        rows = [_runs(zip(sorted(row), repeat("admissible"))) for row in plane_rows(sigma)]
+    # a gap row lies left of its lower line's foot, h < 1 + (sigma - 1)/3, inside the box
     for region in gaps:
         for h, r_lo, r_hi in region.integer_rows_raw():
             line_r = region.exception_r(h)
-            for r in range(r_lo, r_hi + 1):
-                pt = SkeletalSignature(h, r)
-                if r != line_r:
-                    status.setdefault(pt, "gap")
-                elif catalog is not None:
-                    analysis = analyze_point(sigma, pt, catalog, budget)
-                    if analysis.status == "realized":
-                        status[pt] = "exception-realized"
-                    elif analysis.status == "excluded":
-                        status[pt] = "exception-excluded"
-    points = tuple((pt, status[pt]) for pt in sorted(status))
-    return FigureDataset(sigma, lines, gaps, points)
+            if line_r is None or not r_lo <= line_r <= r_hi:
+                shaded, line_r = [(r_lo, r_hi)], None
+            else:
+                shaded = [(r_lo, line_r - 1), (line_r + 1, r_hi)]
+            rows[h] = _overlay([(lo, hi, "gap") for lo, hi in shaded if lo <= hi], rows[h])
+            if line_r is not None and catalog is not None:
+                analysis = analyze_point(sigma, SkeletalSignature(h, line_r), catalog, budget)
+                status = _EXCEPTION_STATUS.get(analysis.status)
+                if status is not None:
+                    rows[h] = _overlay(rows[h], [(line_r, line_r, status)])
+    return FigureDataset(sigma, lines, gaps, tuple(rows))

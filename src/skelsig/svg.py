@@ -4,7 +4,8 @@ No plotting dependency: identical inputs must produce byte-identical files,
 so every coordinate is formatted with fixed precision and elements are
 emitted in a fixed order (background, gap shading, lines, guide, points,
 axes, legend).  Points sit on the integer grid, so their coordinates are
-formatted once per grid column and row, not once per point.
+formatted once per grid column and row, not once per point, and each run of
+points in a row is drawn by one join.
 """
 
 from __future__ import annotations
@@ -132,17 +133,18 @@ def render_figure(dataset: FigureDataset, config_note: str) -> str:
 
     # points lie on the integer grid inside the box, 0 <= h <= h_max and
     # 0 <= r <= r_max, so each column's x, each row's y and each style's tail
-    # are formatted once
+    # are formatted once, and a run of points is one join over its rows' y
     xs = [_fmt(cv.sx(h)) for h in range((sigma + 4) // 2 + 1)]
     ys = [_fmt(cv.sy(r)) for r in range(2 * sigma + 3)]
-    tails = {s: f'r="{_fmt(3.0 if s == "admissible" else 4.0)}" fill="{PALETTE[s]}" />'
+    tails = {s: f'" r="{_fmt(3.0 if s == "admissible" else 4.0)}" fill="{PALETTE[s]}" />'
              for s in _POINT_STYLES}
-    cv.parts += [
-        f'<circle cx="{xs[h]}" cy="{ys[r]}" {tails[status]}'
-        for (h, r), status in dataset.points
-        # certified-empty points are not drawn, only shaded
-        if status != "gap"
-    ]
+    for h, runs in enumerate(dataset.rows):
+        head = f'<circle cx="{xs[h]}" cy="'
+        for lo, hi, status in runs:
+            # certified-empty points are not drawn, only shaded
+            if status != "gap":
+                tail = tails[status]
+                cv.add(head + (tail + "\n" + head).join(ys[lo:hi + 1]) + tail)
 
     # axes
     cv.line((Fraction(0), Fraction(0)), (h_max, Fraction(0)), "#000000", width=1.0)

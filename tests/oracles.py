@@ -30,6 +30,8 @@ Admissible map, gaps and decisions (``geometry``, ``kspace``):
 - ``pointwise_verify_gap``: ``verify_gap``, with a report for every lattice point.
 - ``point_report_json``, ``point_analysis_json``, ``witness_json``, ``vector_json``:
   the JSON of reports, analyses and witnesses, as dict trees.
+- ``pointwise_figure_points``: ``figure_dataset``'s rows, by one status dict over the
+  plane, point by point.
 - ``circle_render_figure``: ``svg.render_figure``, one circle call per point.
 
 Groups and generating vectors (``groups``, ``genvec``):
@@ -52,8 +54,8 @@ Helpers: ``GeneratingVector`` (a vector written out in full) with ``witness_of``
 any iterable of divisors); ``order_bound``; ``TriangleRegion``, ``triangle`` and
 ``triangle_points``; ``r_at``, ``slope``, ``evaluate``, ``contains``;
 ``integer_points_raw``, ``integer_points``, ``exception_points`` and ``report_points``
-(points of a gap or report); ``mask_elements``; ``manifest_groups``;
-``order_statistics``; ``save_cayley_file``.
+(points of a gap or report); ``figure_points`` (the points of a figure's rows);
+``mask_elements``; ``manifest_groups``; ``order_statistics``; ``save_cayley_file``.
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ from skelsig.kspace import (
     SearchScope,
     admissible_map,
     analyze_point,
+    realizable_set,
 )
 from skelsig.rh import (
     OrbifoldSignature,
@@ -864,6 +867,52 @@ def save_cayley_file(group: GroupTable, path: Path | str) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def figure_points(dataset: FigureDataset) -> list[tuple[SkeletalSignature, str]]:
+    """The points of a figure dataset's rows, each with its status, in (h, r) order."""
+    return [
+        (SkeletalSignature(h, r), status)
+        for h, runs in enumerate(dataset.rows)
+        for lo, hi, status in runs
+        for r in range(lo, hi + 1)
+    ]
+
+
+def pointwise_figure_points(
+    sigma: int,
+    catalog: CatalogManifest | None = None,
+    max_order: int = 15,
+    budget: int = DEFAULT_BUDGET,
+) -> list[tuple[SkeletalSignature, str]]:
+    """``figure_dataset``'s points with their statuses, by one status dict over the plane.
+
+    Every admissible point is realized or admissible; each gap lattice point
+    off its exception line is gap unless it already has a status; an
+    exception-line point settled by ``analyze_point`` takes its exception
+    status over any other.  The dict is then sorted.
+    """
+    if catalog is not None:
+        approx = realizable_set(sigma, catalog, max_order, budget)
+        feas, realized = approx.feasible_orders_by_point, approx.realized
+    else:
+        feas, realized = admissible_map(sigma), {}
+    status = {pt: "realized" if pt in realized else "admissible" for pt in feas}
+    for n in (3, 4):
+        region = gap(sigma, n)
+        for h, r_lo, r_hi in region.integer_rows_raw():
+            line_r = region.exception_r(h)
+            for r in range(r_lo, r_hi + 1):
+                pt = SkeletalSignature(h, r)
+                if r != line_r:
+                    status.setdefault(pt, "gap")
+                elif catalog is not None:
+                    analysis = analyze_point(sigma, pt, catalog, budget)
+                    if analysis.status == "realized":
+                        status[pt] = "exception-realized"
+                    elif analysis.status == "excluded":
+                        status[pt] = "exception-excluded"
+    return sorted(status.items())
+
+
 def circle_render_figure(dataset: FigureDataset, config_note: str) -> str:
     """``svg.render_figure`` with each point drawn by its own circle call."""
     sigma = dataset.sigma
@@ -875,11 +924,11 @@ def circle_render_figure(dataset: FigureDataset, config_note: str) -> str:
             f'r="{svg._fmt(radius)}" fill="{color}" />'
         )
 
-    for pt, status in dataset.points:
+    for pt, status in figure_points(dataset):
         if pt.h <= cv.h_max and pt.r <= cv.r_max and status != "gap":
             circle(pt.h, pt.r, svg.PALETTE[status], 3.0 if status == "admissible" else 4.0)
     # the points go right after the r = 1 guide, the one dashed line
-    bare = svg.render_figure(dataset._replace(points=()), config_note)
+    bare = svg.render_figure(dataset._replace(rows=()), config_note)
     head, guide, tail = bare.partition('stroke-dasharray="5,4" />\n')
     assert guide and tail.count("stroke-dasharray") == 0
     return head + guide + "".join(part + "\n" for part in cv.parts) + tail

@@ -4,11 +4,13 @@
 
 The script extracts ``git archive REV`` (default ``HEAD``) into a temporary
 directory and runs each command of ``COMMANDS`` as ``python3 -m skelsig.cli``
-under both source trees: this working tree's ``src`` and the extracted one.  It
-compares the standard output (by size and sha256, streamed to files), the
-standard error and the exit code of every command, prints each difference with
-the first byte offset where the outputs part, and exits 1 if there is any,
-else 0.  Only the standard library is used; pytest does not collect it.
+under both source trees: this working tree's ``src`` and the extracted one.  A
+command that ends in ``--csv-sidecar`` is given a sidecar path of its own under
+each tree.  It compares the standard output and any sidecar (by size and sha256,
+streamed to files), the standard error and the exit code of every command,
+prints each difference with the first byte offset where the files part, and
+exits 1 if there is any, else 0.  Only the standard library is used; pytest does
+not collect it.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ COMMANDS = [
     ["missing", "--sigma", "48", "--h", "3"],
     ["plot", "--sigma", "48", "--with-realized"],
     *(["plot", "--sigma", str(s)] for s in (100, 500)),
+    ["plot", "--sigma", "48", "--with-realized", "--csv-sidecar"],
+    ["plot", "--sigma", "2000", "--csv-sidecar"],
     ["kspace", "--sigma", "101", "--format", "csv"],
 ]
 
@@ -65,6 +69,8 @@ def start(src: Path, argv: list[str], out: Path) -> subprocess.Popen:
 
 
 def digest(path: Path) -> tuple[int, str]:
+    if not path.exists():
+        return -1, "absent"
     h = hashlib.sha256()
     with open(path, "rb") as f:
         while chunk := f.read(1 << 20):
@@ -90,19 +96,31 @@ def first_difference(a: Path, b: Path) -> int:
 def compare(argv: list[str], trees: dict[str, Path], work: Path) -> list[str]:
     """The differences between the runs of ``argv`` under each of the two ``trees``."""
     (a, b), outs = trees, [work / "a.out", work / "b.out"]
-    procs = [start(src, argv, out) for src, out in zip(trees.values(), outs)]
+    files = {"stdout": outs}
+    if argv[-1] == "--csv-sidecar":
+        files["sidecar"] = [work / "a.csv", work / "b.csv"]
+        for path in files["sidecar"]:
+            path.unlink(missing_ok=True)
+    sidecars = files.get("sidecar")
+    procs = [
+        start(src, argv + ([str(sidecars[i])] if sidecars else []), out)
+        for i, (src, out) in enumerate(zip(trees.values(), outs))
+    ]
     (_, err_a), (_, err_b) = [proc.communicate() for proc in procs]
-    dig_a, dig_b = map(digest, outs)
     diffs = []
     if procs[0].returncode != procs[1].returncode:
         diffs.append(f"exit code: {a} {procs[0].returncode}, {b} {procs[1].returncode}")
     if err_a != err_b:
         diffs.append(f"stderr: {a} {err_a!r}, {b} {err_b!r}")
-    if dig_a != dig_b:
-        diffs.append(
-            f"stdout: {a} {dig_a[0]} bytes sha256 {dig_a[1][:16]}, {b} {dig_b[0]} bytes "
-            f"sha256 {dig_b[1][:16]}, first difference at byte {first_difference(*outs)}"
-        )
+    for what, pair in files.items():
+        dig_a, dig_b = map(digest, pair)
+        if dig_a != dig_b:
+            where = f", first difference at byte {first_difference(*pair)}" if all(
+                path.exists() for path in pair) else ""
+            diffs.append(
+                f"{what}: {a} {dig_a[0]} bytes sha256 {dig_a[1][:16]}, {b} {dig_b[0]} bytes "
+                f"sha256 {dig_b[1][:16]}{where}"
+            )
     return diffs
 
 

@@ -54,6 +54,7 @@ from oracles import (
     GeneratingVector,
     check_vector,
     circle_render_figure,
+    figure_points,
     integer_points,
     point_report_json,
     pointwise_verify_gap,
@@ -255,8 +256,8 @@ class TestExitCodes:
         argv = ["plot", "--sigma", "2", "--out", str(tmp_path / "plane.svg"),
                 "--csv-sidecar", str(sidecar)]
         assert main(argv) == EXIT_OK
-        rows = figure_dataset(2).to_csv_rows()
-        assert sidecar.read_bytes() == cli.points_csv(rows).encode("utf-8")
+        rows = figure_dataset(2).rows
+        assert sidecar.read_bytes() == cli.runs_csv(rows).encode("utf-8")
 
     def test_missing_genus_8_h2_is_usage_without_traceback(self):
         # (2, 1) lies on the order-5 cyclic line at genus 8, so there is no missing point
@@ -683,8 +684,25 @@ class TestSvgPoints:
         for sigma in [*range(2, 25), 48]:
             ds = figure_dataset(sigma, catalog)
             assert svg.render_figure(ds, "") == circle_render_figure(ds, ""), sigma
-            drawn.update(status for _, status in ds.points)
+            drawn.update(status for _, status in figure_points(ds))
         assert drawn >= set(_POINT_STYLES)
+
+    def test_plot_run_memory_stays_bounded(self, tmp_path):
+        # the genus-500 figure (1.45 MB of SVG, 640 KB of CSV) drawn and written in one
+        # run, after a warm-up run: its points are held as runs, with no status dict or
+        # sort over the plane's 40,643 points
+        svg_out, csv_out = tmp_path / "plane.svg", tmp_path / "plane.csv"
+        argv = ["plot", "--out", str(svg_out), "--csv-sidecar", str(csv_out), "--sigma"]
+        assert main([*argv, "48"]) == EXIT_OK
+        tracemalloc.start()
+        try:
+            code = main([*argv, "500"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert svg_out.stat().st_size > 1_400_000 and csv_out.stat().st_size > 600_000
+        assert peak < 8_000_000
 
 
 JSON_SCALARS = (
@@ -969,6 +987,9 @@ class TestIndentedJson:
             ([{"a": [1, "x"]}] * 5, [RUNS, *(("text", m) for m in range(1_455, 1_459))], 0),
         ]:
             assert_formed_written(*case)
+        # an item whose text alone passes 64 KiB is repeated one item to a piece
+        value = Runs(((list(range(20000)), 2),))
+        assert written(value) == json.dumps([list(range(20000))] * 2, indent=2) + "\n"
 
     def test_a_long_run_is_handed_on_in_pieces(self):
         # a run of a million ints goes to ``write`` in pieces of about 64 KiB, never whole
@@ -977,6 +998,12 @@ class TestIndentedJson:
         _write_json(value, lambda chunk: sizes.append(len(chunk)))
         assert sum(sizes) == len(json.dumps({"c": [1] * (10**6 - 1) + [23]}, indent=2)) + 1
         assert len(sizes) > 100
+        assert max(sizes) <= 64 * 1024 + 64
+        # after each run's first item, the 13,107 items of ",\n  0" left fill one piece
+        # exactly, and each run's piece is handed on before the next run starts
+        sizes.clear()
+        _write_json(Runs(((0, 13108), (1, 13108))), lambda chunk: sizes.append(len(chunk)))
+        assert sum(sizes) == len(json.dumps([0] * 13108 + [1] * 13108, indent=2)) + 1
         assert max(sizes) <= 64 * 1024 + 64
 
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)

@@ -39,12 +39,14 @@ from oracles import (
     close_order_2n,
     contains,
     exception_points,
+    figure_points,
     fraction_gap_points,
     full_range_feasible_orders,
     integer_points,
     integer_points_raw,
     manifest_groups,
     period_multisets,
+    pointwise_figure_points,
     report_points,
     rh_admissible,
     triangle,
@@ -826,7 +828,7 @@ class TestFigureDataset:
                 for pt in fraction_gap_points(region):
                     on = exc is not None and contains(exc, RationalPoint(pt.h, pt.r))
                     (on_line if on else off_line).add(pt)
-            status = dict(ds.points)
+            status = dict(figure_points(ds))
             gap_points = {pt for pt, s in status.items() if s == "gap"}
             assert gap_points == off_line - adm.keys(), sigma
             assert {status[pt] for pt in on_line} <= {"admissible"}, sigma
@@ -838,7 +840,7 @@ class TestFigureDataset:
         # small budget: distant searches go unknown (left as admissible), the
         # exception-line analysis itself needs only a handful of tuples
         ds = figure_dataset(48, catalog, max_order=15, budget=2000)
-        by_point = dict(ds.points)
+        by_point = dict(figure_points(ds))
         assert by_point[S(8, 6)] == "exception-realized"
         assert by_point[S(10, 1)] == "exception-excluded"
         assert by_point[S(3, 40)] == "gap"
@@ -857,7 +859,7 @@ class TestFigureDataset:
         # the rows `plot --sigma 11 --with-realized --csv-sidecar` wrote when
         # the figure swept every order twice
         golden = (GOLDEN / "plot_11_realized.csv").read_text(encoding="utf-8").splitlines()
-        rows = [f"{h},{r},{status}" for h, r, status in ds.to_csv_rows()]
+        rows = [f"{h},{r},{status}" for (h, r), status in figure_points(ds)]
         assert ["h,r,status", *rows] == golden
 
     def test_with_catalog_walks_each_gap_once(self, catalog, monkeypatch):
@@ -905,16 +907,34 @@ class TestFigureDataset:
         # svg.render_figure indexes its grid columns 0..(sigma + 4)//2 and rows
         # 0..2*sigma + 2 by a point's h and r without a box test
         for sigma, cat in [*((sigma, None) for sigma in range(2, 201)), (48, catalog)]:
-            for (h, r), _ in figure_dataset(sigma, cat).points:
+            for (h, r), _ in figure_points(figure_dataset(sigma, cat)):
                 assert 0 <= 2 * h <= sigma + 4 and 0 <= r <= 2 * sigma + 2, (sigma, h, r)
 
     def test_degenerate_genus_2(self):
         ds = figure_dataset(2)
         assert ds.sigma == 2
-        statuses = {status for _, status in ds.points}
+        statuses = {status for _, status in figure_points(ds)}
         assert "admissible" in statuses
 
-    def test_csv_rows_sorted(self):
-        ds = figure_dataset(11)
-        rows = ds.to_csv_rows()
-        assert rows == sorted(rows, key=lambda t: (t[0], t[1]))
+    def test_csv_rows_sorted(self, catalog):
+        # each row's runs are sorted, disjoint and maximal: a run that starts right
+        # after another has another status
+        for ds in [*map(figure_dataset, range(2, 61)), figure_dataset(48, catalog, budget=2000)]:
+            for h, runs in enumerate(ds.rows):
+                for (_, hi, status), (lo, _, next_status) in zip(runs, runs[1:]):
+                    assert hi < lo and (hi + 1 < lo or status != next_status), (ds.sigma, h)
+                assert all(lo <= hi for lo, hi, _ in runs), (ds.sigma, h)
+
+    def test_rows_match_the_pointwise_reference(self):
+        for sigma in range(2, 151):
+            assert figure_points(figure_dataset(sigma)) == pointwise_figure_points(sigma), sigma
+
+    def test_rows_match_the_pointwise_reference_with_catalog(self, catalog):
+        drawn = set()
+        for sigma in range(2, 41):
+            expected = pointwise_figure_points(sigma, catalog, budget=500)
+            assert figure_points(figure_dataset(sigma, catalog, budget=500)) == expected, sigma
+            drawn.update(status for _, status in expected)
+        assert drawn == {
+            "admissible", "realized", "gap", "exception-realized", "exception-excluded",
+        }

@@ -95,16 +95,13 @@ def first_difference(a: Path, b: Path) -> int:
 
 def compare(argv: list[str], trees: dict[str, Path], work: Path) -> list[str]:
     """The differences between the runs of ``argv`` under each of the two ``trees``."""
-    (a, b), outs = trees, [work / "a.out", work / "b.out"]
-    files = {"stdout": outs}
-    if argv[-1] == "--csv-sidecar":
-        files["sidecar"] = [work / "a.csv", work / "b.csv"]
-        for path in files["sidecar"]:
-            path.unlink(missing_ok=True)
-    sidecars = files.get("sidecar")
+    (a, b), outs, sides = trees, [work / "a.out", work / "b.out"], [work / "a.csv", work / "b.csv"]
+    sidecar = argv[-1] == "--csv-sidecar"  # each tree's run then writes its own sidecar
+    for path in sides:
+        path.unlink(missing_ok=True)
     procs = [
-        start(src, argv + ([str(sidecars[i])] if sidecars else []), out)
-        for i, (src, out) in enumerate(zip(trees.values(), outs))
+        start(src, argv + [str(side)] * sidecar, out)
+        for src, out, side in zip(trees.values(), outs, sides)
     ]
     (_, err_a), (_, err_b) = [proc.communicate() for proc in procs]
     diffs = []
@@ -112,7 +109,7 @@ def compare(argv: list[str], trees: dict[str, Path], work: Path) -> list[str]:
         diffs.append(f"exit code: {a} {procs[0].returncode}, {b} {procs[1].returncode}")
     if err_a != err_b:
         diffs.append(f"stderr: {a} {err_a!r}, {b} {err_b!r}")
-    for what, pair in files.items():
+    for what, pair in [("stdout", outs), ("sidecar", sides)][: 1 + sidecar]:
         dig_a, dig_b = map(digest, pair)
         if dig_a != dig_b:
             where = f", first difference at byte {first_difference(*pair)}" if all(

@@ -270,7 +270,7 @@ def cmd_kspace(args) -> int:
         payload = {
             "config": _config(args),
             "sigma": approx.sigma,
-            "admissible": (list(p) for p in approx.feasible_orders_by_point),
+            "admissible": ([h, r] for h, row in enumerate(approx.plane) for r in row),
             "realized": (
                 {"point": list(p), "witness": w.to_json()} for p, w in approx.realized.items()
             ),
@@ -383,75 +383,57 @@ def _add_common(p: argparse.ArgumentParser, *, budget: bool = False, catalog: bo
                        help="catalog directory (default: the bundled catalog)")
 
 
-SUBCOMMANDS = ("rh", "gaps", "verify-gap", "missing", "kspace", "sporadic", "genvec", "plot")
+# each subcommand's function and the line of help the full parser lists it with
+SUBCOMMANDS = {
+    "rh": (cmd_rh, "evaluate the Riemann-Hurwitz genus of a signature"),
+    "gaps": (cmd_gaps, "describe gap regions and their lattice points"),
+    "verify-gap": (cmd_verify_gap, "certify gap emptiness, with exception-line analysis"),
+    "missing": (cmd_missing, "persistently-missing points at quotient genus 2 or 3"),
+    "kspace": (cmd_kspace, "admissible set and catalog-realized subset"),
+    "sporadic": (cmd_sporadic, "r = 1 sporadic-point analysis: exclusions and witnesses"),
+    "genvec": (cmd_genvec, "search one group for a generating vector"),
+    "plot": (cmd_plot, "deterministic SVG of the (h, r)-plane"),
+}
 
 
-@functools.cache
-def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
-    """The ``skelsig`` parser with every subcommand, or with ``subcommand`` alone.
-
-    A parser with one subcommand lists all of them as its choices' metavar, so
-    its usage line, printed with a top-level error, is the full parser's.
-    """
-    parser = argparse.ArgumentParser(
-        prog="skelsig",
-        description="Skeletal signatures of finite group actions: exact arithmetic, "
-        "gap verification, generating-vector search, figures.",
-    )
-    metavar = None if subcommand is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
-
-    def add(name: str, fn, help: str) -> argparse.ArgumentParser | None:
-        if subcommand not in (None, name):
-            return None
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(fn=fn)
-        return p
-
-    if p := add("rh", cmd_rh, "evaluate the Riemann-Hurwitz genus of a signature"):
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    """Give ``p`` the arguments and defaults of subcommand ``name``."""
+    p.set_defaults(fn=SUBCOMMANDS[name][0], subcommand=name)
+    if name == "rh":
         p.add_argument("--order", type=int, required=True)
         p.add_argument("--sig", type=str, required=True, help='signature literal "(h;n1,n2,...)"')
         p.add_argument("--sigma", type=int, default=None, help="also test equality with this genus")
         _add_common(p)
-
-    if p := add("gaps", cmd_gaps, "describe gap regions and their lattice points"):
+    elif name == "gaps":
         p.add_argument("--sigma", type=int, required=True)
         p.add_argument("--n", type=int, nargs="+", required=True, help="lower triangle order(s)")
         _add_common(p)
-
-    if p := add("verify-gap", cmd_verify_gap,
-                 "certify gap emptiness, with exception-line analysis"):
+    elif name == "verify-gap":
         p.add_argument("--sigma", type=int, required=True)
         p.add_argument("--n", type=int, required=True, help="lower triangle order of the gap")
         _add_common(p, budget=True, catalog=True)
-
-    if p := add("missing", cmd_missing, "persistently-missing points at quotient genus 2 or 3"):
+    elif name == "missing":
         p.add_argument("--sigma", type=int, required=True)
         p.add_argument("--h", type=int, required=True, choices=(2, 3))
         _add_common(p)
-
-    if p := add("kspace", cmd_kspace, "admissible set and catalog-realized subset"):
+    elif name == "kspace":
         p.add_argument("--sigma", type=int, required=True)
         p.add_argument("--max-order", type=parse_max_order, default=15)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         _add_common(p, budget=True, catalog=True)
-
-    if p := add("sporadic", cmd_sporadic,
-                 "r = 1 sporadic-point analysis: exclusions and witnesses"):
+    elif name == "sporadic":
         p.add_argument("--h", type=int, required=True)
         p.add_argument("--primes", type=parse_int_list, required=True,
                        help="comma-separated odd primes")
         p.add_argument("--witness-n", dest="witness_n", type=parse_int_list, default=(),
                        help="comma-separated quaternion parameters for existence witnesses")
         _add_common(p, budget=True, catalog=True)
-
-    if p := add("genvec", cmd_genvec, "search one group for a generating vector"):
+    elif name == "genvec":
         p.add_argument("--group", type=str, required=True,
                        help="group spec, e.g. quaternion:2 or cyclic:5")
         p.add_argument("--sig", type=str, required=True)
         _add_common(p, budget=True)
-
-    if p := add("plot", cmd_plot, "deterministic SVG of the (h, r)-plane"):
+    else:  # plot
         p.add_argument("--sigma", type=int, required=True)
         p.add_argument("--max-order", type=parse_max_order, default=15)
         p.add_argument("--with-realized", action="store_true",
@@ -460,15 +442,38 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
                        help="also write the point dataset as CSV to this path")
         _add_common(p, budget=True, catalog=True)
 
+
+@functools.cache
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The ``skelsig`` parser with every subcommand, or the parser of ``subcommand``
+    alone, ``skelsig NAME``: the parser that the full one hands that subcommand's
+    arguments to."""
+    if subcommand is not None:
+        parser = argparse.ArgumentParser(prog=f"skelsig {subcommand}")
+        _add_arguments(parser, subcommand)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="skelsig",
+        description="Skeletal signatures of finite group actions: exact arithmetic, "
+        "gap verification, generating-vector search, figures.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (_, text) in SUBCOMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # no arguments, -h or an unknown name get the full parser's help and errors
-    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in SUBCOMMANDS:
+            args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+            if extras:
+                # reported by the full parser, with its usage line, as it reports them
+                build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        else:
+            # no arguments, -h or an unknown name get the full parser's help and errors
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

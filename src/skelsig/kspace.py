@@ -14,8 +14,7 @@ one home of order-level rules such as ``cyclic-forced``.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import groupby, repeat
-from operator import itemgetter
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import geometry
@@ -125,21 +124,6 @@ def plane_rows(sigma: int) -> list[dict[int, list[int]]]:
     return found
 
 
-def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
-    """Every RH-feasible lattice point with its full list of feasible orders.
-
-    ``plane_rows`` read off row by row, h ascending and each row's r sorted,
-    so the keys come out in sorted order with one ``SkeletalSignature`` built
-    per point and no sort over all of them.
-    """
-    key = SkeletalSignature._make
-    return {
-        key((h, r)): tuple(row[r])
-        for h, row in enumerate(plane_rows(sigma))
-        for r in sorted(row)
-    }
-
-
 # ---------------------------------------------------------------------------
 # realized subset
 
@@ -188,36 +172,39 @@ class SearchScope(NamedTuple):
 
 class _KSpaceApproximationFields(NamedTuple):
     sigma: int
-    feasible_orders_by_point: dict[SkeletalSignature, tuple[int, ...]]
+    plane: list[dict[int, list[int]]]
     realized: dict[SkeletalSignature, Witness]
     scope: SearchScope
 
 
 class KSpaceApproximation(_KSpaceApproximationFields):
-    """Two-sided bracket on the space of skeletal signatures at one genus."""
+    """Two-sided bracket on the space of skeletal signatures at one genus.
+
+    ``plane[h]`` maps each admissible r of row h, ascending, to its feasible
+    orders, ascending: the rows of ``plane_rows`` with each row's r sorted.
+    """
 
     __slots__ = ()
 
     def __new__(
         cls,
         sigma: int,
-        feasible_orders_by_point: dict[SkeletalSignature, tuple[int, ...]],
+        plane: list[dict[int, list[int]]],
         realized: dict[SkeletalSignature, Witness],
         scope: SearchScope,
     ) -> "KSpaceApproximation":
-        if not realized.keys() <= feasible_orders_by_point.keys():
+        if any(h >= len(plane) or r not in plane[h] for h, r in realized):
             raise AssertionError("realized points must be admissible")
-        return super().__new__(cls, sigma, feasible_orders_by_point, realized, scope)
+        return super().__new__(cls, sigma, plane, realized, scope)
 
     def rows(self) -> list[list[Run]]:
         """For each row h of the box, the maximal runs (r_lo, r_hi, status) of its
-        admissible points, realized or admissible, r ascending, read off the map's
-        sorted keys."""
+        admissible points, realized or admissible, r ascending."""
         realized = self.realized
-        rows: list[list[Run]] = [[] for _ in range((self.sigma + 3) // 2)]
-        for h, points in groupby(self.feasible_orders_by_point, itemgetter(0)):
-            rows[h] = _runs((pt.r, "realized" if pt in realized else "admissible") for pt in points)
-        return rows
+        return [
+            _runs((r, "realized" if (h, r) in realized else "admissible") for r in row)
+            for h, row in enumerate(self.plane)
+        ]
 
 
 def _decide(
@@ -288,28 +275,31 @@ def realizable_set(
     ``max_order`` and covered completely.  The result is a certified subset
     of the true space; the scope records how far coverage lets it claim more.
     """
-    feas = admissible_map(sigma)
+    plane = plane_rows(sigma)
     realized: dict[SkeletalSignature, Witness] = {}
     unknown_pts: list[SkeletalSignature] = []
     covered = 0
-    # admissible_map yields points in sorted order, each with its orders ascending
-    for pt, orders in feas.items():
-        searched = [n for n in orders if n <= max_order]
-        witness, budget_hit, _, _ = _decide(sigma, pt, searched, catalog, budget)
-        if witness is not None:
-            realized[pt] = witness
-        elif budget_hit is not None:
-            unknown_pts.append(pt)
-        covered += len(searched) == len(orders) and all(catalog.covering(n)[1] for n in orders)
+    # points in sorted order, h ascending, then each row's r sorted; orders come ascending
+    for h, row in enumerate(plane):
+        plane[h] = row = {r: row[r] for r in sorted(row)}
+        for r, orders in row.items():
+            pt = SkeletalSignature(h, r)
+            searched = [n for n in orders if n <= max_order]
+            witness, budget_hit, _, _ = _decide(sigma, pt, searched, catalog, budget)
+            if witness is not None:
+                realized[pt] = witness
+            elif budget_hit is not None:
+                unknown_pts.append(pt)
+            covered += len(searched) == len(orders) and all(catalog.covering(n)[1] for n in orders)
     scope = SearchScope(
         max_order=max_order,
         budget=budget,
         complete_orders=tuple(sorted(o for o in catalog.complete_orders if 2 <= o <= max_order)),
-        total_points=len(feas),
+        total_points=sum(map(len, plane)),
         fully_covered_points=covered,
         unknown_points=tuple(unknown_pts),
     )
-    return KSpaceApproximation(sigma, feas, realized, scope)
+    return KSpaceApproximation(sigma, plane, realized, scope)
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ def part_sum_levels(parts: Sequence[int], count: int, top: int) -> list[int]:
     OR over the parts d of S_(k-1) << d.  The parts are positive, so a sum
     only grows as parts are added, and dropping the bits above ``top`` from
     S_(k-1) loses no sum of S_k at or below ``top``.  Its one caller,
-    ``kspace.admissible_map``, builds the levels only at composite orders up
+    ``kspace.plane_rows``, builds the levels only at composite orders up
     to 4(sigma - 1) and cuts them at the triangle's largest T, never negative
     since T >= r >= 0 there.  ``two_part_sum`` decides the orders above, and
     a prime order needs no levels: its only part is 1, so S_k holds k alone.

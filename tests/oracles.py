@@ -12,15 +12,15 @@ Riemann-Hurwitz (``rh``):
 - ``trial_division_allowed_periods``: ``allowed_periods`` and ``order_parts``.
 - ``full_range_feasible_orders``: ``feasible_orders``, at every order up to ``order_bound``.
 - ``triangle_orders``: ``_order_window``, one order at a time.
-- ``walk_orders``: ``hurwitz_range_orders``, and ``two_part_sum`` in ``admissible_map``,
+- ``walk_orders``: ``hurwitz_range_orders``, and ``two_part_sum`` in ``plane_rows``,
   one point at a time.  ``walk_admissible_map`` covers the same orders at sigma
   2..30 and 100; this one reaches sigma up to 150, and 300, 499 and 500.
 - ``rh_admissible``: a point's first feasible order and its first period list.
 
-Admissible map, gaps and decisions (``geometry``, ``kspace``):
-- ``walk_admissible_map``: ``admissible_map``, by the period-list walk at every
-  point of every order's triangle.
-- ``census``: where each point that ``admissible_map`` leaves out lies.
+Admissible plane, gaps and decisions (``geometry``, ``kspace``):
+- ``walk_admissible_map``: ``plane_rows`` in the dict view of ``admissible_map``, by
+  the period-list walk at every point of every order's triangle.
+- ``census``: where each point that ``plane_rows`` leaves out lies.
 - ``fraction_triangle_points``, ``fraction_gap_points``: ``triangle_rows`` and
   ``GapRegion.integer_rows_raw`` in exact rationals; ``intersect``: the gap corners;
   ``member_raw``, ``member``: the gap membership rows and ``GapRegion.exception_r``;
@@ -49,7 +49,8 @@ Groups and generating vectors (``groups``, ``genvec``):
   ``build_generalized_quaternion``, entry by entry.
 - ``unbranched_cyclic``: criterion 10's witnesses, which no command builds.
 
-Helpers: ``GeneratingVector`` (a vector written out in full) with ``witness_of``,
+Helpers: ``admissible_map`` (``plane_rows`` as one dict from each point, in sorted
+order, to its feasible orders); ``GeneratingVector`` (a vector written out in full) with ``witness_of``,
 ``witness_vector`` and ``expanded``; ``period_multisets`` (``_period_lists`` over
 any iterable of divisors); ``order_bound``; ``TriangleRegion``, ``triangle`` and
 ``triangle_points``; ``r_at``, ``slope``, ``evaluate``, ``contains``;
@@ -93,8 +94,8 @@ from skelsig.kspace import (
     PointAnalysis,
     PointReport,
     SearchScope,
-    admissible_map,
     analyze_point,
+    plane_rows,
     realizable_set,
 )
 from skelsig.rh import (
@@ -334,6 +335,16 @@ def full_range_feasible_orders(
             yield order, first
 
 
+def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
+    """Every RH-feasible lattice point with its feasible orders: ``plane_rows`` read off
+    row by row, h ascending and each row's r sorted, so the keys come in sorted order."""
+    return {
+        SkeletalSignature(h, r): tuple(row[r])
+        for h, row in enumerate(plane_rows(sigma))
+        for r in sorted(row)
+    }
+
+
 def walk_admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
     """Every RH-feasible lattice point with its feasible orders, by the period-list walk.
 
@@ -541,7 +552,7 @@ def census(sigma: int) -> dict[SkeletalSignature, tuple[str, tuple[int, ...]] | 
     """Every non-admissible point under the hyperelliptic line, mapped to where it lies.
 
     The points are the lattice points with h, r >= 0 and 4h + r <= 2sigma + 2
-    that ``admissible_map`` leaves out, less the four non-hyperbolic points
+    that ``plane_rows`` leaves out, less the four non-hyperbolic points
     (0, 0), (0, 1), (0, 2) and (1, 0).  Each takes the first class that holds
     it: ("a", ()) strictly above the order-3 upper line 12h + 3r = 4(sigma + 2);
     ("b", ns) among the raw lattice points of ``gap(sigma, n)`` for each n in
@@ -606,7 +617,10 @@ def all_groups_realizable_set(
         ),
         unknown_points=tuple(unknown_pts),
     )
-    return KSpaceApproximation(sigma, feas, realized, scope)
+    plane: list[dict[int, list[int]]] = [{} for _ in range((sigma + 3) // 2)]
+    for (h, r), orders in feas.items():
+        plane[h][r] = list(orders)
+    return KSpaceApproximation(sigma, plane, realized, scope)
 
 
 def close_order_2n(
@@ -890,12 +904,8 @@ def pointwise_figure_points(
     exception-line point settled by ``analyze_point`` takes its exception
     status over any other.  The dict is then sorted.
     """
-    if catalog is not None:
-        approx = realizable_set(sigma, catalog, max_order, budget)
-        feas, realized = approx.feasible_orders_by_point, approx.realized
-    else:
-        feas, realized = admissible_map(sigma), {}
-    status = {pt: "realized" if pt in realized else "admissible" for pt in feas}
+    realized = {} if catalog is None else realizable_set(sigma, catalog, max_order, budget).realized
+    status = {pt: "realized" if pt in realized else "admissible" for pt in admissible_map(sigma)}
     for n in (3, 4):
         region = gap(sigma, n)
         for h, r_lo, r_hi in region.integer_rows_raw():

@@ -40,7 +40,7 @@ GENVEC = [
     ("quaternion:2", "(2;2)", "--budget", "3"),
 ]
 COMMANDS = [
-    *(["kspace", "--sigma", str(s)] for s in (48, 127, 142, 150, 300, 500)),
+    *(["kspace", "--sigma", str(s)] for s in (48, 127, 142, 150, 300, 500, 999)),
     ["kspace", "--sigma", "48", "--max-order", "40"],
     *(["sporadic", "--h", str(h), *SPORADIC] for h in (2, 3, 4, 5)),
     *(["genvec", "--group", group, "--sig", sig, *extra] for group, sig, *extra in GENVEC),
@@ -52,9 +52,9 @@ COMMANDS = [
     ["missing", "--sigma", "48", "--h", "3"],
     ["plot", "--sigma", "48", "--with-realized"],
     *(["plot", "--sigma", str(s)] for s in (100, 500)),
-    ["plot", "--sigma", "48", "--with-realized", "--csv-sidecar"],
+    *(["plot", "--sigma", str(s), "--with-realized", "--csv-sidecar"] for s in (48, 150)),
     ["plot", "--sigma", "2000", "--csv-sidecar"],
-    ["kspace", "--sigma", "101", "--format", "csv"],
+    *(["kspace", "--sigma", str(s), "--format", "csv"] for s in (101, 150)),
 ]
 
 

@@ -40,7 +40,6 @@ from skelsig.geometry import gap
 from skelsig.genvec import JsonText, Runs, Witness
 from skelsig.groups import build_cyclic
 from skelsig.kspace import (
-    admissible_map,
     figure_dataset,
     realizable_set,
     sporadic_analysis,
@@ -52,6 +51,7 @@ from skelsig.svg import _POINT_STYLES, _ratio
 import oracles
 from oracles import (
     GeneratingVector,
+    admissible_map,
     check_vector,
     circle_render_figure,
     figure_points,
@@ -347,26 +347,43 @@ class TestExitCodes:
         assert build_parser("plot") is not build_parser()
 
     @pytest.mark.parametrize("name", cli.SUBCOMMANDS)
-    def test_restricted_usage_is_the_full_usage(self, name):
-        # a top-level error prints this line; it names all eight subcommands in order
-        assert build_parser(name).format_usage() == build_parser().format_usage()
+    def test_restricted_usage_is_the_full_usage(self, name, tmp_path, capsys):
+        # a run parses with its subcommand's parser alone, but an argument that parser
+        # leaves over is a top-level error: the full usage line, naming all eight
+        required = {
+            "rh": ["--order", "2", "--sig", "(0;2,2,2,2,2,2)"],
+            "gaps": ["--sigma", "5", "--n", "3"],
+            "verify-gap": ["--sigma", "5", "--n", "3"],
+            "missing": ["--sigma", "5", "--h", "2"],
+            "kspace": ["--sigma", "5"],
+            "sporadic": ["--h", "2", "--primes", "3"],
+            "genvec": ["--group", "cyclic:2", "--sig", "(0;2,2,2,2,2,2)"],
+            "plot": ["--sigma", "5"],
+        }
+        out = tmp_path / "out.dat"
+        argv = [name, *required[name], "--out", str(out), "--no-such-flag", "7"]
+        assert main(argv) == EXIT_USAGE
+        usage = build_parser().format_usage()
+        error = "skelsig: error: unrecognized arguments: --no-such-flag 7\n"
+        assert capsys.readouterr() == ("", usage + error)
+        assert not out.exists()
 
     def test_a_run_builds_one_subparser(self, tmp_path, monkeypatch):
-        # a count guard: the full parser holds eight subparsers, a plot run needs one
-        added = []
-        add_parser = argparse._SubParsersAction.add_parser
+        # a count guard: the full parser is nine parsers, a plot run builds its own alone
+        built = []
+        init = argparse.ArgumentParser.__init__
 
-        def counted(self, name, **kwargs):
-            added.append(name)
-            return add_parser(self, name, **kwargs)
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         build_parser.cache_clear()
         try:
             assert main(["plot", "--sigma", "2", "--out", str(tmp_path / "plane.svg")]) == EXIT_OK
         finally:
             build_parser.cache_clear()
-        assert added == ["plot"]
+        assert built == ["skelsig plot"]
 
     @pytest.mark.parametrize(
         "case", CLI_TEXTS, ids=lambda case: "_".join(case["argv"]) or "no-arguments"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     GeneratingVector,
+    admissible_map,
     check_vector,
     eager_realizable,
     expanded,
@@ -48,7 +49,7 @@ from skelsig.groups import (
     build_generalized_quaternion,
     bundled_catalog,
 )
-from skelsig.kspace import admissible_map, realizable_set, sporadic_analysis
+from skelsig.kspace import realizable_set, sporadic_analysis
 from skelsig.rh import (
     OrbifoldSignature,
     SearchVerdict,

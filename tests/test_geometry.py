@@ -114,7 +114,7 @@ class TestTriangle:
                 rows = list(triangle_rows(sigma, order))
                 assert [S(h, r) for h, lo, hi in rows for r in range(lo, hi + 1)] == expected
                 assert all(lo <= hi for _, lo, hi in rows), (sigma, order)
-                # admissible_map sizes each order's levels from the first row alone
+                # plane_rows sizes each order's levels from the first row alone
                 if rows:
                     assert rows[0][2] == max(pt.r for pt in expected), (sigma, order)
                     assert 2 * rows[0][0] + rows[0][2] == max(2 * pt.h + pt.r for pt in expected)

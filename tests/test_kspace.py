@@ -23,7 +23,6 @@ from skelsig.groups import (
     bundled_catalog,
 )
 from skelsig.kspace import (
-    admissible_map,
     analyze_point,
     figure_dataset,
     realizable_set,
@@ -34,6 +33,7 @@ from skelsig.rh import SearchVerdict, SkeletalSignature
 
 from oracles import (
     TriangleRegion,
+    admissible_map,
     all_groups_realizable_set,
     census,
     close_order_2n,
@@ -72,7 +72,7 @@ class TestAdmissible:
         assert S(0, 6) in admissible_map(2)
 
     def test_every_triangle_lies_in_the_fixed_box(self):
-        # admissible_map applies no box filter: h <= sigma + 1, r <= 2*sigma + 2 holds by itself
+        # plane_rows applies no box filter: h <= sigma + 1, r <= 2*sigma + 2 holds by itself
         for sigma in range(2, 41):
             for n in range(2, 84 * (sigma - 1) + 1):
                 for pt in triangle_points(sigma, n):
@@ -388,7 +388,7 @@ class TestRealizableSet:
     def test_realized_subset_of_admissible(self, catalog):
         for sigma in (2, 5, 11):
             approx = realizable_set(sigma, catalog, 15)
-            assert approx.realized.keys() <= approx.feasible_orders_by_point.keys()
+            assert all(r in approx.plane[h] for h, r in approx.realized), sigma
 
     def test_witness_order_lands_in_triangle(self, catalog):
         approx = realizable_set(5, catalog, 15)
@@ -402,7 +402,7 @@ class TestRealizableSet:
 
     def test_scope_reports_coverage(self, catalog):
         approx = realizable_set(11, catalog, 15)
-        assert approx.scope.total_points == len(approx.feasible_orders_by_point)
+        assert approx.scope.total_points == sum(map(len, approx.plane))
         assert 0 < approx.scope.fully_covered_points <= approx.scope.total_points
         assert "lower bound" in approx.scope.describe()
 
@@ -416,7 +416,7 @@ class TestRealizableSet:
                 ref = all_groups_realizable_set(sigma, catalog, max_order, 20)
                 assert approx.realized == ref.realized, (sigma, max_order)
                 assert approx.scope == ref.scope, (sigma, max_order)
-                assert approx.feasible_orders_by_point == ref.feasible_orders_by_point, sigma
+                assert approx.plane == ref.plane, sigma
                 unknown_seen = unknown_seen or bool(approx.scope.unknown_points)
             assert unknown_seen, max_order
         assert realizable_set(7, catalog, 15, 20).scope.unknown_points == (S(1, 1),)
@@ -457,8 +457,10 @@ class TestRealizableSet:
         # cmd_kspace writes both maps as they are, so its output relies on this order
         for sigma, max_order in ((11, 15), (48, 15), (48, 100)):
             approx = realizable_set(sigma, catalog, max_order, 2000)
-            for points in (list(approx.feasible_orders_by_point), list(approx.realized)):
-                assert points == sorted(points), (sigma, max_order)
+            assert len(approx.plane) == (sigma + 3) // 2
+            for row in approx.plane:
+                assert list(row) == sorted(row), (sigma, max_order)
+            assert list(approx.realized) == sorted(approx.realized), (sigma, max_order)
             assert approx.realized
 
 
@@ -847,13 +849,13 @@ class TestFigureDataset:
 
     def test_with_catalog_sweeps_orders_once(self, catalog, monkeypatch):
         calls = []
-        sweep = kspace.admissible_map
+        sweep = kspace.plane_rows
 
         def counted(*args, **kwargs):
             calls.append(args)
             return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(kspace, "admissible_map", counted)
+        monkeypatch.setattr(kspace, "plane_rows", counted)
         ds = figure_dataset(11, catalog)
         assert len(calls) == 1
         # the rows `plot --sigma 11 --with-realized --csv-sidecar` wrote when

@@ -79,9 +79,10 @@ def test_fields_cannot_be_set(record, field):
         (lambda: RationalPoint("x", 1), ValueError),
         (lambda: RationalLine(0, 0, 5), ValueError),
         (lambda: RealizabilityReport(SearchVerdict.not_exists(), ()), AssertionError),
-        (lambda: KSpaceApproximation(2, {S(0, 6): (2,)}, {S(0, 5): None}, _scope()), AssertionError),
+        (lambda: KSpaceApproximation(2, [{6: [2]}, {}], {S(0, 5): None}, _scope()), AssertionError),
+        (lambda: KSpaceApproximation(2, [{6: [2]}, {}], {S(2, 1): None}, _scope()), AssertionError),
     ],
-    ids=["genus", "period", "period-type", "point", "line", "report", "kspace"],
+    ids=["genus", "period", "period-type", "point", "line", "report", "kspace", "kspace-row"],
 )
 def test_validators_reject(build, error):
     with pytest.raises(error):
@@ -96,6 +97,4 @@ def test_validators_normalize():
     assert RationalLine(-6, -2, -100) == RationalLine(3, 1, 50) == (3, 1, 50)
     reason = ExclusionReason("arithmetic", "x")
     assert RealizabilityReport(SearchVerdict.not_exists(), (reason,)).exclusion_reasons == (reason,)
-    assert KSpaceApproximation(2, {S(0, 6): (2,)}, {}, _scope()).feasible_orders_by_point == {
-        S(0, 6): (2,)
-    }
+    assert KSpaceApproximation(2, [{6: [2]}, {}], {}, _scope()).plane == [{6: [2]}, {}]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    admissible_map,
     fraction_period_multisets,
     fraction_triangle_points,
     full_range_feasible_orders,
@@ -24,7 +25,6 @@ from oracles import (
 )
 from skelsig import rh
 from skelsig.geometry import RationalPoint, gap
-from skelsig.kspace import admissible_map
 from skelsig.rh import (
     HyperbolicityError,
     OrbifoldSignature,

@@ -172,7 +172,7 @@ class SearchScope(NamedTuple):
 
 class _KSpaceApproximationFields(NamedTuple):
     sigma: int
-    plane: list[dict[int, list[int]]]
+    plane: list[dict[int, tuple[int, ...]]]
     realized: dict[SkeletalSignature, Witness]
     scope: SearchScope
 
@@ -181,7 +181,8 @@ class KSpaceApproximation(_KSpaceApproximationFields):
     """Two-sided bracket on the space of skeletal signatures at one genus.
 
     ``plane[h]`` maps each admissible r of row h, ascending, to its feasible
-    orders, ascending: the rows of ``plane_rows`` with each row's r sorted.
+    orders, ascending: the rows of ``plane_rows``, each row's r sorted and
+    each list of orders a tuple.
     """
 
     __slots__ = ()
@@ -189,7 +190,7 @@ class KSpaceApproximation(_KSpaceApproximationFields):
     def __new__(
         cls,
         sigma: int,
-        plane: list[dict[int, list[int]]],
+        plane: list[dict[int, tuple[int, ...]]],
         realized: dict[SkeletalSignature, Witness],
         scope: SearchScope,
     ) -> "KSpaceApproximation":
@@ -281,7 +282,7 @@ def realizable_set(
     covered = 0
     # points in sorted order, h ascending, then each row's r sorted; orders come ascending
     for h, row in enumerate(plane):
-        plane[h] = row = {r: row[r] for r in sorted(row)}
+        plane[h] = row = {r: tuple(row[r]) for r in sorted(row)}
         for r, orders in row.items():
             pt = SkeletalSignature(h, r)
             searched = [n for n in orders if n <= max_order]

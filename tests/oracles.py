@@ -617,9 +617,9 @@ def all_groups_realizable_set(
         ),
         unknown_points=tuple(unknown_pts),
     )
-    plane: list[dict[int, list[int]]] = [{} for _ in range((sigma + 3) // 2)]
+    plane: list[dict[int, tuple[int, ...]]] = [{} for _ in range((sigma + 3) // 2)]
     for (h, r), orders in feas.items():
-        plane[h][r] = list(orders)
+        plane[h][r] = orders
     return KSpaceApproximation(sigma, plane, realized, scope)
 
 

@@ -79,8 +79,8 @@ def test_fields_cannot_be_set(record, field):
         (lambda: RationalPoint("x", 1), ValueError),
         (lambda: RationalLine(0, 0, 5), ValueError),
         (lambda: RealizabilityReport(SearchVerdict.not_exists(), ()), AssertionError),
-        (lambda: KSpaceApproximation(2, [{6: [2]}, {}], {S(0, 5): None}, _scope()), AssertionError),
-        (lambda: KSpaceApproximation(2, [{6: [2]}, {}], {S(2, 1): None}, _scope()), AssertionError),
+        (lambda: KSpaceApproximation(2, [{6: (2,)}, {}], {S(0, 5): None}, _scope()), AssertionError),
+        (lambda: KSpaceApproximation(2, [{6: (2,)}, {}], {S(2, 1): None}, _scope()), AssertionError),
     ],
     ids=["genus", "period", "period-type", "point", "line", "report", "kspace", "kspace-row"],
 )
@@ -97,4 +97,4 @@ def test_validators_normalize():
     assert RationalLine(-6, -2, -100) == RationalLine(3, 1, 50) == (3, 1, 50)
     reason = ExclusionReason("arithmetic", "x")
     assert RealizabilityReport(SearchVerdict.not_exists(), (reason,)).exclusion_reasons == (reason,)
-    assert KSpaceApproximation(2, [{6: [2]}, {}], {}, _scope()).plane == [{6: [2]}, {}]
+    assert KSpaceApproximation(2, [{6: (2,)}, {}], {}, _scope()).plane == [{6: (2,)}, {}]

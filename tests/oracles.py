@@ -50,13 +50,14 @@ Groups and generating vectors (``groups``, ``genvec``):
 - ``unbranched_cyclic``: criterion 10's witnesses, which no command builds.
 
 Helpers: ``admissible_map`` (``plane_rows`` as one dict from each point, in sorted
-order, to its feasible orders); ``GeneratingVector`` (a vector written out in full) with ``witness_of``,
-``witness_vector`` and ``expanded``; ``period_multisets`` (``_period_lists`` over
-any iterable of divisors); ``order_bound``; ``TriangleRegion``, ``triangle`` and
-``triangle_points``; ``r_at``, ``slope``, ``evaluate``, ``contains``;
-``integer_points_raw``, ``integer_points``, ``exception_points`` and ``report_points``
-(points of a gap or report); ``figure_points`` (the points of a figure's rows);
-``mask_elements``; ``manifest_groups``; ``order_statistics``; ``save_cayley_file``.
+order, to its feasible orders); ``GeneratingVector`` (a vector written out in full)
+with ``witness_of``, ``witness_vector`` and ``expanded``; ``period_multisets``
+(``_period_lists`` over any iterable of divisors); ``order_bound``;
+``TriangleRegion``, ``triangle`` and ``triangle_points``; ``r_at``, ``slope``,
+``evaluate``, ``contains``; ``integer_points_raw``, ``integer_points``,
+``exception_points`` and ``report_points`` (points of a gap or report);
+``figure_points`` (the points of a figure's rows); ``mask_elements``;
+``manifest_groups``; ``order_statistics``; ``save_cayley_file``.
 """
 
 from __future__ import annotations

@@ -418,7 +418,7 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
         _add_common(p)
     elif name == "kspace":
         p.add_argument("--sigma", type=int, required=True)
-        p.add_argument("--max-order", type=parse_max_order, default=15)
+        p.add_argument("--max-order", type=parse_max_order, default=kspace.DEFAULT_MAX_ORDER)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         _add_common(p, budget=True, catalog=True)
     elif name == "sporadic":
@@ -435,7 +435,7 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
         _add_common(p, budget=True)
     else:  # plot
         p.add_argument("--sigma", type=int, required=True)
-        p.add_argument("--max-order", type=parse_max_order, default=15)
+        p.add_argument("--max-order", type=parse_max_order, default=kspace.DEFAULT_MAX_ORDER)
         p.add_argument("--with-realized", action="store_true",
                        help="run catalog search and mark realized points")
         p.add_argument("--csv-sidecar", type=str, default=None,

@@ -29,11 +29,9 @@ from .genvec import (
 from .geometry import GapRegion, gap, p_group_line, triangle_rows
 from .groups import CatalogManifest
 from .rh import (
-    SearchVerdict,
     SkeletalSignature,
     _check_genus,
-    _first_feasible,
-    _order_window,
+    _window_lists,
     feasible_orders,
     hurwitz_range_orders,
     is_prime,
@@ -45,6 +43,9 @@ from .rh import (
 
 # a stretch (r_lo, r_hi, status) of consecutive r in one row with one status
 Run = tuple[int, int, str]
+
+# the largest catalog order that ``kspace`` and ``plot --with-realized`` search by default
+DEFAULT_MAX_ORDER = 15
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +370,19 @@ def _certified_points(h: int, rs: range) -> JsonText:
 
 
 class PointReport(NamedTuple):
+    """A gap point's report: ``rh`` is its first (order, periods) solution, or None."""
+
     point: SkeletalSignature
     on_exception_line: bool
-    rh: SearchVerdict
+    rh: tuple[int, tuple[int, ...]] | None
     analysis: PointAnalysis | None
 
     def to_json(self) -> dict:
-        status, witness = self.rh
-        rh_json = {"status": status}
-        if witness is not None:
-            order, periods = witness
-            rh_json["order"] = order
-            rh_json["periods"] = list(periods)
+        if self.rh is None:
+            rh_json = {"status": "not-exists"}
+        else:
+            order, periods = self.rh
+            rh_json = {"status": "exists", "order": order, "periods": list(periods)}
         return {
             "point": list(self.point),
             "onExceptionLine": self.on_exception_line,
@@ -437,7 +439,8 @@ def verify_gap(
     """Check that every non-exception lattice point of the gap is RH-infeasible.
 
     The gap is walked row by row.  Every off-line point runs the order-window
-    loop once; only one with a solution, which refutes the gap, gets a
+    loop once, taking the first (order, periods) that ``_window_lists``
+    yields, or None; only one with a solution, which refutes the gap, gets a
     ``PointReport``.  Exception-line points (present when the skipped middle
     order is prime, at most one per row) are additionally analyzed for
     realizability, since the gap guarantee does not apply to them, and each
@@ -448,24 +451,22 @@ def verify_gap(
     rows = tuple(region.integer_rows_raw())
     reports: list[PointReport] = []
     refuted = has_partial = False
-    first, window = _first_feasible, _order_window
     # ``gap`` checked sigma, and raw points are int pairs with h >= 2: none is checked again
     for h, r_lo, r_hi in rows:
         line_r = region.exception_r(h)
         for r in range(r_lo, r_hi + 1):
             if r != line_r:
-                verdict = first(sigma, h, r, window(sigma, h, r))
-                if verdict.is_exists:
+                found = next(_window_lists(sigma, h, r), None)
+                if found is not None:
                     refuted = True
-                    reports.append(PointReport(SkeletalSignature(h, r), False, verdict, None))
+                    reports.append(PointReport(SkeletalSignature(h, r), False, found, None))
                 continue
             # the analysis sweeps the point's orders; its first feasible order is the rh witness
             pt = SkeletalSignature(h, r)
             analysis = analyze_point(sigma, pt, catalog, budget)
-            feasible = analysis.feasible
-            verdict = SearchVerdict.exists(feasible[0]) if feasible else SearchVerdict.not_exists()
+            found = analysis.feasible[0] if analysis.feasible else None
             has_partial = has_partial or analysis.status == "partial"
-            reports.append(PointReport(pt, True, verdict, analysis))
+            reports.append(PointReport(pt, True, found, analysis))
     conclusion = "refuted" if refuted else "verified"
     return GapReport(region, rows, tuple(reports), conclusion, has_partial)
 
@@ -700,7 +701,7 @@ _EXCEPTION_STATUS = {"realized": "exception-realized", "excluded": "exception-ex
 def figure_dataset(
     sigma: int,
     catalog: CatalogManifest | None = None,
-    max_order: int = 15,
+    max_order: int = DEFAULT_MAX_ORDER,
     budget: int = DEFAULT_BUDGET,
 ) -> FigureDataset:
     """Point statuses plus the named line bundle for the genus-sigma plane.

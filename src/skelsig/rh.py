@@ -25,8 +25,9 @@ parts.  Above 12(sigma - 1) only (0, 3) is feasible, and
 ``hurwitz_range_orders`` finds its orders there in closed form, from the
 divisors of at most six numbers.  A single point is searched only at the
 orders of its ``_order_window``, the one place where the triangle bounds
-r <= T <= rN/2 become an order range, and ``_first_feasible`` walks that
-window to the first period list, each order's divisors read from a cache.
+r <= T <= rN/2 become an order range, and ``_window_lists`` walks that
+window, yielding each order that has a period list with the first such list,
+each order's divisors read from a cache.
 The searches are exhaustive within provable bounds, so a negative answer is
 a certificate, not a timeout.
 """
@@ -82,10 +83,11 @@ class OrbifoldSignature(_OrbifoldSignatureFields):
 
 
 class SearchVerdict(NamedTuple):
-    """Outcome of an exhaustive search.
+    """Outcome of the generating-vector search, which a budget can interrupt.
 
     ``not_exists`` is only ever produced after a provably complete enumeration;
-    an interrupted search must surface as ``unknown``.
+    an interrupted search must surface as ``unknown``.  A Riemann-Hurwitz
+    answer is never unknown, so it is a plain (order, periods) value or None.
     """
 
     status: str
@@ -387,21 +389,19 @@ def _order_window(sigma: int, h: int, r: int) -> range:
     return range(lo, 84 * (sigma - 1) + 1)
 
 
-_NOT_EXISTS = SearchVerdict.not_exists()
+def _window_lists(sigma: int, h: int, r: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(order, canonical periods) at each order of ``_order_window`` with a period list.
 
-
-def _first_feasible(sigma: int, h: int, r: int, orders: range) -> SearchVerdict:
-    """The first (order, canonical periods) witness over ``orders``, or the shared not-exists.
-
-    The canonical periods are the first list ``_period_lists`` yields over
-    the order's divisors, the lexicographically first.  The caller has
-    checked the point and takes ``orders`` from ``_order_window``.
+    The orders ascend.  The canonical periods are the first list
+    ``_period_lists`` yields over the order's divisors, the lexicographically
+    first.  The caller has checked the point; ``next(..., None)`` is its
+    first solution or None.
     """
-    for order in orders:
+    for order in _order_window(sigma, h, r):
         allowed = allowed_periods(order)
         for counts in _period_lists(sigma, h, r, order, allowed):
-            return SearchVerdict.exists((order, _expand_runs(zip(allowed, counts))))
-    return _NOT_EXISTS
+            yield order, _expand_runs(zip(allowed, counts))
+            break
 
 
 def feasible_orders(
@@ -409,15 +409,10 @@ def feasible_orders(
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """All (order, canonical periods) pairs feasible at this point, ascending in order.
 
-    The point is checked once; then ``_first_feasible`` walks the
-    ``_order_window``, resuming past each order it returns.  No order
-    outside the window has r parts in [1, N/2] summing to T, so skipping
-    those orders drops no solution and an empty sweep still certifies
-    ``not-exists`` at every order up to the cap.
+    The point is checked when this is called; then ``_window_lists`` walks
+    the ``_order_window`` once.  No order outside the window has r parts in
+    [1, N/2] summing to T, so skipping those orders drops no solution and an
+    empty sweep still certifies ``not-exists`` at every order up to the cap.
     """
     h, r = _check_point(sigma, skel)
-    orders = _order_window(sigma, h, r)
-    while (found := _first_feasible(sigma, h, r, orders)).is_exists:
-        yield found.witness
-        orders = range(found.witness[0] + 1, orders.stop)
-
+    return _window_lists(sigma, h, r)

@@ -15,7 +15,8 @@ Riemann-Hurwitz (``rh``):
 - ``walk_orders``: ``hurwitz_range_orders``, and ``two_part_sum`` in ``plane_rows``,
   one point at a time.  ``walk_admissible_map`` covers the same orders at sigma
   2..30 and 100; this one reaches sigma up to 150, and 300, 499 and 500.
-- ``rh_admissible``: a point's first feasible order and its first period list.
+- ``rh_admissible``: ``next(feasible_orders(...), None)``, a point's first feasible order
+  and its first period list, as the ``SearchVerdict`` the tests read.
 
 Admissible plane, gaps and decisions (``geometry``, ``kspace``):
 - ``walk_admissible_map``: ``plane_rows`` in the dict view of ``admissible_map``, by
@@ -107,10 +108,10 @@ from skelsig.rh import (
     _check_order,
     _check_point,
     _expand_runs,
-    _first_feasible,
-    _order_window,
     _period_lists,
+    _window_lists,
     allowed_periods,
+    feasible_orders,
     rh_holds,
 )
 
@@ -219,8 +220,8 @@ def rh_admissible(sigma: int, skel: SkeletalSignature) -> SearchVerdict:
     ``not_exists`` means no order up to the provable bound admits any period
     list, so the point lies outside the admissible region entirely.
     """
-    h, r = _check_point(sigma, skel)
-    return _first_feasible(sigma, h, r, _order_window(sigma, h, r))
+    first = next(feasible_orders(sigma, skel), None)
+    return SearchVerdict.not_exists() if first is None else SearchVerdict.exists(first)
 
 
 def naive_commutator_products(group: GroupTable, h: int) -> frozenset[int]:
@@ -961,15 +962,14 @@ def pointwise_verify_gap(
     refuted = has_partial = False
     for pt in fraction_gap_points(region):
         if e is None or e.a * pt.h + e.b * pt.r != e.c:
-            verdict = _first_feasible(sigma, pt.h, pt.r, _order_window(sigma, pt.h, pt.r))
-            refuted = refuted or verdict.is_exists
-            points.append(PointReport(pt, False, verdict, None))
+            found = next(_window_lists(sigma, pt.h, pt.r), None)
+            refuted = refuted or found is not None
+            points.append(PointReport(pt, False, found, None))
             continue
         analysis = analyze_point(sigma, pt, catalog, budget)
-        feasible = analysis.feasible
-        verdict = SearchVerdict.exists(feasible[0]) if feasible else SearchVerdict.not_exists()
+        found = analysis.feasible[0] if analysis.feasible else None
         has_partial = has_partial or analysis.status == "partial"
-        points.append(PointReport(pt, True, verdict, analysis))
+        points.append(PointReport(pt, True, found, analysis))
     return tuple(points), "refuted" if refuted else "verified", has_partial
 
 
@@ -977,9 +977,8 @@ def report_points(report: GapReport) -> tuple[PointReport, ...]:
     """A report for every lattice point of a gap report's rows, in lattice order: each
     certified off-line point, which the report holds only as part of a row, gets one."""
     reported = {p.point: p for p in report.reports}
-    certified = SearchVerdict.not_exists()
     return tuple(
-        reported.get((h, r)) or PointReport(SkeletalSignature(h, r), False, certified, None)
+        reported.get((h, r)) or PointReport(SkeletalSignature(h, r), False, None, None)
         for h, r_lo, r_hi in report.rows
         for r in range(r_lo, r_hi + 1)
     )
@@ -987,12 +986,11 @@ def report_points(report: GapReport) -> tuple[PointReport, ...]:
 
 def point_report_json(report: PointReport) -> dict:
     """``PointReport.to_json`` as a dict tree, the witness of its analysis included."""
-    status, witness = report.rh
-    rh_json = {"status": status}
-    if witness is not None:
-        order, periods = witness
-        rh_json["order"] = order
-        rh_json["periods"] = list(periods)
+    if report.rh is None:
+        rh_json = {"status": "not-exists"}
+    else:
+        order, periods = report.rh
+        rh_json = {"status": "exists", "order": order, "periods": list(periods)}
     return {
         "point": list(report.point),
         "onExceptionLine": report.on_exception_line,

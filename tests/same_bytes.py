@@ -43,9 +43,10 @@ COMMANDS = [
     *(["kspace", "--sigma", str(s)] for s in (48, 127, 142, 150, 300, 500, 999)),
     ["kspace", "--sigma", "48", "--max-order", "40"],
     *(["sporadic", "--h", str(h), *SPORADIC] for h in (2, 3, 4, 5)),
+    ["sporadic", "--h", "2", "--primes", "23,29,31"],
     *(["genvec", "--group", group, "--sig", sig, *extra] for group, sig, *extra in GENVEC),
     ["verify-gap", "--sigma", "48", "--n", "4"],
-    ["verify-gap", "--sigma", "150", "--n", "4"],
+    *(["verify-gap", "--sigma", "150", "--n", str(n)] for n in (3, 4, 6, 12)),
     ["verify-gap", "--sigma", "1000", "--n", "4"],
     ["gaps", "--sigma", "48", "--n", "3", "4", "5"],
     ["rh", "--order", "8", "--sig", "(0;2,4,8)", "--sigma", "2"],

@@ -814,7 +814,7 @@ def assert_formed_written(tree, forms, depth: int) -> None:
 
 def certified(p) -> bool:
     """Whether gap point ``p`` is an off-line point that no group realizes, unreported."""
-    return p.rh.is_not_exists and p.analysis is None and not p.on_exception_line
+    return p.rh is None and p.analysis is None and not p.on_exception_line
 
 
 def runs_of_texts(points, values) -> Counter:
@@ -1086,12 +1086,12 @@ class TestIndentedJson:
         by_point = {p.point: p for p in report_points(verify_gap(48, 4, catalog))}
         off_line = integer_points(gap(48, 4))
         mid = by_point[off_line[len(off_line) // 2]]
-        planted = mid._replace(rh=SearchVerdict.exists((5, (5,) * mid.point.r)))
+        planted = mid._replace(rh=(5, (5,) * mid.point.r))
         line = by_point[SkeletalSignature(8, 6)]
         partial = line._replace(analysis=line.analysis._replace(status="partial"))
         # no run makes these: not-exists points with an analysis or on the line
         odd = (mid._replace(analysis=line.analysis),
-               line._replace(rh=SearchVerdict.not_exists(), analysis=None))
+               line._replace(rh=None, analysis=None))
         points = (planted, partial, *odd)
         values = [p.to_json() for p in points]
         expected = [point_report_json(p) for p in points]
@@ -1109,14 +1109,14 @@ class TestIndentedJson:
         planted = {(h, r_lo), (h, r_lo + 1), (h, r_hi), (line_h, line_r - 1),
                    (line_h, line_r + 1), (rows[-1][0], rows[-1][2])}
         for module in (kspace, oracles):
-            loop = module._first_feasible
+            loop = module._window_lists
 
-            def planting(sigma, h, r, orders, loop=loop):
+            def planting(sigma, h, r, loop=loop):
                 if (h, r) in planted:
-                    return SearchVerdict.exists((5, (5,) * r))
-                return loop(sigma, h, r, orders)
+                    return iter([(5, (5,) * r)])
+                return loop(sigma, h, r)
 
-            monkeypatch.setattr(module, "_first_feasible", planting)
+            monkeypatch.setattr(module, "_window_lists", planting)
         report = verify_gap(48, 4, catalog)
         points, conclusion, has_partial = pointwise_verify_gap(48, 4, catalog)
         assert report.conclusion == conclusion == "refuted"

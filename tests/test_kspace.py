@@ -468,7 +468,7 @@ class TestVerifyGap:
     def test_genus_48_order_3(self, catalog):
         report = verify_gap(48, 3, catalog)
         assert report.conclusion == "verified"
-        assert S(3, 40) in {p.point for p in report_points(report) if p.rh.is_not_exists}
+        assert S(3, 40) in {p.point for p in report_points(report) if p.rh is None}
 
     def test_genus_48_order_4_exception_analysis(self, catalog):
         report = verify_gap(48, 4, catalog)
@@ -486,7 +486,7 @@ class TestVerifyGap:
     def test_genus_20_missing_points_appear(self, catalog):
         report = verify_gap(20, 4, catalog)
         assert report.conclusion == "verified"
-        not_exists = {p.point for p in report_points(report) if p.rh.is_not_exists}
+        not_exists = {p.point for p in report_points(report) if p.rh is None}
         for pt in (S(3, 6), S(3, 5), S(3, 7)):
             assert pt in not_exists
 
@@ -503,42 +503,42 @@ class TestVerifyGap:
         # only an exception point reaches feasible_orders, through its analysis,
         # which also gives its rh verdict
         loops, sweeps = [], []
-        loop, sweep = kspace._first_feasible, kspace.feasible_orders
+        loop, sweep = kspace._window_lists, kspace.feasible_orders
 
-        def counted_loop(sigma, h, r, orders):
+        def counted_loop(sigma, h, r):
             loops.append(S(h, r))
-            return loop(sigma, h, r, orders)
+            return loop(sigma, h, r)
 
         def counted_sweep(sigma, skel):
             sweeps.append(skel)
             return sweep(sigma, skel)
 
-        monkeypatch.setattr(kspace, "_first_feasible", counted_loop)
+        monkeypatch.setattr(kspace, "_window_lists", counted_loop)
         monkeypatch.setattr(kspace, "feasible_orders", counted_sweep)
         report = verify_gap(48, 4, catalog)
         region = gap(48, 4)
         assert loops == integer_points(region) and sweeps == exception_points(region)
         assert len(loops) > 20 and len(sweeps) >= 1
         by_point = {p.point: p for p in report_points(report)}
-        assert by_point[S(8, 6)].rh == rh_admissible(48, S(8, 6))
-        assert by_point[S(10, 1)].rh == rh_admissible(48, S(10, 1))
+        assert by_point[S(8, 6)].rh == rh_admissible(48, S(8, 6)).witness
+        assert by_point[S(10, 1)].rh == rh_admissible(48, S(10, 1)).witness
 
     def test_a_feasible_off_line_point_refutes(self, catalog, monkeypatch):
         # no gap point is feasible, so a planted witness stands in for one, mid-gap
         off_line = integer_points(gap(48, 4))
         planted = off_line[len(off_line) // 2]
-        loop = kspace._first_feasible
+        loop = kspace._window_lists
 
-        def planting(sigma, h, r, orders):
+        def planting(sigma, h, r):
             if S(h, r) == planted:
-                return SearchVerdict.exists((5, (5,) * r))
-            return loop(sigma, h, r, orders)
+                return iter([(5, (5,) * r)])
+            return loop(sigma, h, r)
 
-        monkeypatch.setattr(kspace, "_first_feasible", planting)
+        monkeypatch.setattr(kspace, "_window_lists", planting)
         report = verify_gap(48, 4, catalog)
         assert report.conclusion == "refuted"
         assert [
-            p.point for p in report_points(report) if p.rh.is_exists and not p.on_exception_line
+            p.point for p in report_points(report) if p.rh is not None and not p.on_exception_line
         ] == [planted]
 
     def test_a_partial_exception_point_marks_the_report(self, catalog, monkeypatch):
@@ -564,10 +564,7 @@ class TestVerifyGap:
                     if p.on_exception_line:
                         continue
                     first = next(full_range_feasible_orders(sigma, p.point), None)
-                    if first is None:
-                        assert p.rh.is_not_exists, (sigma, n, p.point)
-                    else:
-                        assert p.rh == SearchVerdict.exists(first), (sigma, n, p.point)
+                    assert p.rh == first, (sigma, n, p.point)
                     seen += 1
         assert seen == 9077
 

@@ -59,7 +59,7 @@ def _scope():
         (OrbifoldSignature(0, (2, 3, 7)), "periods"),
         (RationalLine(3, 1, 50), "c"),
         (gap(48, 4), "corner"),
-        (PointReport(S(3, 24), False, SearchVerdict.not_exists(), None), "analysis"),
+        (PointReport(S(3, 24), False, None, None), "analysis"),
         (build_cyclic(4), "name"),
     ],
     ids=["SearchVerdict", "OrbifoldSignature", "RationalLine", "GapRegion", "PointReport",

@@ -13,6 +13,7 @@ one home of order-level rules such as ``cyclic-forced``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -52,9 +53,11 @@ DEFAULT_MAX_ORDER = 15
 # admissible region
 
 
-def plane_rows(sigma: int) -> list[dict[int, list[int]]]:
-    """Every RH-feasible lattice point with its full list of feasible orders, row by row:
-    for each h of the box, a dict from each feasible r to its orders, ascending.
+def plane_rows(sigma: int, max_order: int) -> list[dict[int, list[int]]]:
+    """Every RH-feasible lattice point with its feasible orders up to ``max_order``, row by
+    row: for each h of the box, a dict from each feasible r to its orders up to
+    ``max_order``, ascending, then its least feasible order above ``max_order`` if it has
+    one.  A ``max_order`` of at least 84(sigma - 1), the h = 0 cap, gives every order.
 
     Sweeps orders from 2 up to 12(sigma - 1) and decides each order's whole
     triangle at once, so the union equals the per-point order sweep without
@@ -62,7 +65,7 @@ def plane_rows(sigma: int) -> list[dict[int, list[int]]]:
     orders there, up to the h = 0 cap 84(sigma - 1), come in closed form from
     ``hurwitz_range_orders``, which carries both proofs.  Each swept order N
     comes with its parts d = N/n over its periods n from ``order_parts``, one
-    divisor sieve over the whole sweep.
+    divisor sieve over each stretch of the sweep.
     A point is feasible at N exactly when T = N(2h - 2 + r) - 2(sigma - 1) is
     a sum of r parts.  Above 4(sigma - 1) only (0, 3) and (0, 4) are
     feasible, and ``two_part_sum``, which carries both proofs, decides each
@@ -72,11 +75,22 @@ def plane_rows(sigma: int) -> list[dict[int, list[int]]]:
     At a prime order the only part is 1, so a point is feasible exactly when
     T = r, which is the order's cyclic line 2Nh + (N - 1)r = 2N - 2 + 2 sigma,
     and each row gives its one candidate r by one ``divmod``.  At a composite
-    order, with m the largest r of the triangle, ``part_sum_levels`` builds
+    order, with m the largest r of the rows swept, ``part_sum_levels`` builds
     S_0..S_m, and each point is decided by one bit, bit T of S_r, T growing
     by N with r.  That is the test the period-list walk makes, without
     listing a period.  Triangle points have T >= r >= 0, so the levels are
     cut at the largest T, which is never negative.
+
+    The orders ascend, so above ``max_order`` an order can only give a point
+    its least order above ``max_order``, and only to a point that lacks one:
+    a point that has one keeps it, and every later order is larger.  Bit r of
+    one int per row marks (h, r) once it has one.  An order above
+    ``max_order`` sweeps only the triangle rows with an unmarked point, and
+    an order with no such row is skipped and builds no levels; within a row,
+    only unmarked points take the order.  Above 4(sigma - 1) the sieve and
+    the sweep run only while ``max_order`` reaches past 4(sigma - 1) or (0, 3)
+    or (0, 4) is unmarked, and the Hurwitz range is read only while (0, 3)
+    is.  A point left unmarked has no feasible order above ``max_order``.
     Each feasible order is appended to its point's list in one r -> orders
     bucket per row h, in ascending order as the sweep runs; a row's r come in
     no particular order.  The box is fixed at h <= (sigma + 1)/2, the order-2
@@ -84,44 +98,63 @@ def plane_rows(sigma: int) -> list[dict[int, list[int]]]:
     h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
     """
     _check_genus(sigma)
-    shift = 2 * (sigma - 1)
+    shift, cut, top = 2 * (sigma - 1), 4 * (sigma - 1), 12 * (sigma - 1)
     # one r -> orders bucket per row h of the box; orders arrive ascending
     found = [defaultdict(list) for _ in range((sigma + 3) // 2)]
     row_0 = found[0]
-    for n, parts in order_parts(12 * (sigma - 1)):
-        if n > 2 * shift:
+    # bit r of marked[h] is set once (h, r) has its least order above max_order
+    marked = [0] * len(found)
+
+    def sweep() -> Iterator[tuple[int, list[int]]]:
+        yield from order_parts(top if max_order > cut else cut)
+        if max_order <= cut and ~marked[0] >> 3 & 3:
+            yield from order_parts(top, cut + 1)
+
+    for n, parts in sweep():
+        above = n > max_order
+        if n > cut:
+            if marked[0] >> 3 & 3 == 3:
+                break
             t = n - shift
-            for d in parts[:4]:
-                if two_part_sum(n, parts, t - d):
-                    row_0[3].append(n)
-                    break
-            if n % 2 == 0 and two_part_sum(n, parts, t):
+            if not marked[0] >> 3 & 1 and any(two_part_sum(n, parts, t - d) for d in parts[:4]):
+                row_0[3].append(n)
+                marked[0] |= above << 3
+            if n % 2 == 0 and not marked[0] >> 4 & 1 and two_part_sum(n, parts, t):
                 row_0[4].append(n)
+                marked[0] |= above << 4
             continue
         rows = triangle_rows(sigma, n)
+        if above:
+            rows = [(h, lo, hi) for h, lo, hi in rows if ~marked[h] >> lo & (2 << (hi - lo)) - 1]
         if not rows:
             continue
         if len(parts) == 1:
             # T = r on the cyclic line a*h + b*r = c, the triangle's lower line, so a row
-            # holds at most one feasible point, at r_lo when the line meets the row
+            # holds at most one feasible point, at r_lo when the line meets the row; T grows
+            # with N and is at least r, so N is the point's least order and it is unmarked
             a, b, c = geometry._lower_coeffs(sigma, n)
             for h, _, _ in rows:
                 r, rest = divmod(c - a * h, b)
                 if not rest:
                     found[h][r].append(n)
+                    marked[h] |= above << r
             continue
         # r_hi = 4(1 - h) + floor(4(sigma - 1)/N), so 2h + r_hi falls as h grows:
-        # the first row holds both the largest r and the largest T
+        # the first row left holds both the largest r and the largest T
         h, _, r_hi = rows[0]
         levels = part_sum_levels(parts, r_hi, n * (2 * h - 2 + r_hi) - shift)
         for h, r_lo, r_hi in rows:
-            row = found[h]
+            row, row_marked = found[h], marked[h]
             t = n * (2 * h - 2 + r_lo) - shift
             for r in range(r_lo, r_hi + 1):
-                if levels[r] >> t & 1:
+                if levels[r] >> t & 1 and not row_marked >> r & 1:
                     row[r].append(n)
+                    row_marked |= above << r
                 t += n
-    row_0[3].extend(hurwitz_range_orders(sigma))
+            marked[h] = row_marked
+    if not marked[0] >> 3 & 1:
+        orders = hurwitz_range_orders(sigma)
+        row_0[3] += orders[: bisect_right(orders, max_order) + 1]
     return found
 
 
@@ -181,9 +214,10 @@ class _KSpaceApproximationFields(NamedTuple):
 class KSpaceApproximation(_KSpaceApproximationFields):
     """Two-sided bracket on the space of skeletal signatures at one genus.
 
-    ``plane[h]`` maps each admissible r of row h, ascending, to its feasible
-    orders, ascending: the rows of ``plane_rows``, each row's r sorted and
-    each list of orders a tuple.
+    ``plane[h]`` maps each admissible r of row h, ascending, to a tuple of
+    its feasible orders up to ``scope.max_order``, ascending, then its least
+    feasible order above ``scope.max_order`` if it has one: the rows of
+    ``plane_rows`` at that max order, each row's r sorted.
     """
 
     __slots__ = ()
@@ -277,7 +311,7 @@ def realizable_set(
     ``max_order`` and covered completely.  The result is a certified subset
     of the true space; the scope records how far coverage lets it claim more.
     """
-    plane = plane_rows(sigma)
+    plane = plane_rows(sigma, max_order)
     realized: dict[SkeletalSignature, Witness] = {}
     unknown_pts: list[SkeletalSignature] = []
     covered = 0
@@ -714,7 +748,8 @@ def figure_dataset(
     ``max_order`` caps only the realized map: exception-line points are
     analyzed at every feasible order, as ``verify-gap`` analyzes them.
     A ``catalog`` of None means: draw the plane without a search, so no point
-    is realized and no exception point is analyzed.
+    is realized and no exception point is analyzed; the plane is then swept
+    at the same ``max_order``, and only its rows' r are read.
     The rows are built one at a time: the row's admissible runs, laid over
     each gap's runs in the row (an admissible point is never drawn as gap),
     then an analyzed exception point laid over those.  The runs stay maximal
@@ -735,7 +770,8 @@ def figure_dataset(
     if catalog is not None:
         rows = realizable_set(sigma, catalog, max_order, budget).rows()
     else:
-        rows = [_runs(zip(sorted(row), repeat("admissible"))) for row in plane_rows(sigma)]
+        plane = plane_rows(sigma, max_order)
+        rows = [_runs(zip(sorted(row), repeat("admissible"))) for row in plane]
     # a gap row lies left of its lower line's foot, h < 1 + (sigma - 1)/3, inside the box
     for region in gaps:
         for h, r_lo, r_hi in region.integer_rows_raw():

@@ -180,18 +180,19 @@ def is_prime(n: int) -> bool:
     return n >= 2 and allowed_periods(n) == [n]
 
 
-def order_parts(top: int) -> Iterator[tuple[int, list[int]]]:
-    """Each order N in 2..top, ascending, with its parts: the divisors d <= N/2 of N, descending.
+def order_parts(top: int, lo: int = 2) -> Iterator[tuple[int, list[int]]]:
+    """Each order N in lo..top, ascending, with its parts: the divisors d <= N/2 of N, descending.
 
     The parts are N/n over ``allowed_periods(N)``, found by one divisor sieve in
     place of trial division: each d from top/2 down to 1 joins the list of each
-    of its multiples 2d, 3d, ... up to top, so each list comes out descending.
+    of its multiples 2d, 3d, ... from lo up to top, so each list comes out
+    descending.  ``lo`` is at least 2.
     """
-    parts: list[list[int]] = [[] for _ in range(top + 1)]
+    parts: list[list[int]] = [[] for _ in range(lo, top + 1)]
     for d in range(top // 2, 0, -1):
-        for divisible in parts[2 * d :: d]:
+        for divisible in parts[max(2 * d, -(-lo // d) * d) - lo :: d]:
             divisible.append(d)
-    return zip(range(2, top + 1), parts[2:])
+    return zip(range(lo, top + 1), parts)
 
 
 def hurwitz_range_orders(sigma: int) -> list[int]:
@@ -328,9 +329,11 @@ def part_sum_levels(parts: Sequence[int], count: int, top: int) -> list[int]:
     only grows as parts are added, and dropping the bits above ``top`` from
     S_(k-1) loses no sum of S_k at or below ``top``.  Its one caller,
     ``kspace.plane_rows``, builds the levels only at composite orders up
-    to 4(sigma - 1) and cuts them at the triangle's largest T, never negative
-    since T >= r >= 0 there.  ``two_part_sum`` decides the orders above, and
-    a prime order needs no levels: its only part is 1, so S_k holds k alone.
+    to 4(sigma - 1), and above its ``max_order`` only for the triangle rows
+    that still hold a point with no order above it.  It cuts them at the
+    largest T of those rows, never negative since T >= r >= 0 there.
+    ``two_part_sum`` decides the orders above 4(sigma - 1), and a prime
+    order needs no levels: its only part is 1, so S_k holds k alone.
     """
     mask = (1 << (top + 1)) - 1
     level = 1

@@ -51,7 +51,8 @@ Groups and generating vectors (``groups``, ``genvec``):
 - ``unbranched_cyclic``: criterion 10's witnesses, which no command builds.
 
 Helpers: ``admissible_map`` (``plane_rows`` as one dict from each point, in sorted
-order, to its feasible orders); ``GeneratingVector`` (a vector written out in full)
+order, to all its feasible orders); ``cut_orders`` (a point's orders as ``plane_rows``
+keeps them at a ``max_order``); ``GeneratingVector`` (a vector written out in full)
 with ``witness_of``, ``witness_vector`` and ``expanded``; ``period_multisets``
 (``_period_lists`` over any iterable of divisors); ``order_bound``;
 ``TriangleRegion``, ``triangle`` and ``triangle_points``; ``r_at``, ``slope``,
@@ -338,13 +339,22 @@ def full_range_feasible_orders(
 
 
 def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
-    """Every RH-feasible lattice point with its feasible orders: ``plane_rows`` read off
-    row by row, h ascending and each row's r sorted, so the keys come in sorted order."""
+    """Every RH-feasible lattice point with all its feasible orders: ``plane_rows`` cut at
+    the h = 0 cap, read off row by row, h ascending and each row's r sorted, so the keys
+    come in sorted order."""
     return {
         SkeletalSignature(h, r): tuple(row[r])
-        for h, row in enumerate(plane_rows(sigma))
+        for h, row in enumerate(plane_rows(sigma, 84 * (sigma - 1)))
         for r in sorted(row)
     }
+
+
+def cut_orders(orders: Iterable[int], max_order: int) -> tuple[int, ...]:
+    """The orders up to ``max_order``, then the least above it if there is one, as
+    ``plane_rows`` cut at ``max_order`` keeps a point's ascending orders."""
+    orders = list(orders)
+    below = [n for n in orders if n <= max_order]
+    return (*below, *orders[len(below) : len(below) + 1])
 
 
 def walk_admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
@@ -621,7 +631,7 @@ def all_groups_realizable_set(
     )
     plane: list[dict[int, tuple[int, ...]]] = [{} for _ in range((sigma + 3) // 2)]
     for (h, r), orders in feas.items():
-        plane[h][r] = orders
+        plane[h][r] = cut_orders(orders, max_order)
     return KSpaceApproximation(sigma, plane, realized, scope)
 
 

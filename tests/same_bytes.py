@@ -42,6 +42,10 @@ GENVEC = [
 COMMANDS = [
     *(["kspace", "--sigma", str(s)] for s in (48, 127, 142, 150, 300, 500, 999)),
     ["kspace", "--sigma", "48", "--max-order", "40"],
+    # max-order 15 reaches past 4(sigma - 1) at genus 2..4, and 200 does at genus 48
+    *(["kspace", "--sigma", str(s)] for s in (2, 3, 4)),
+    ["kspace", "--sigma", "20", "--max-order", "1"],
+    ["kspace", "--sigma", "48", "--max-order", "200"],
     *(["sporadic", "--h", str(h), *SPORADIC] for h in (2, 3, 4, 5)),
     ["sporadic", "--h", "2", "--primes", "23,29,31"],
     *(["genvec", "--group", group, "--sig", sig, *extra] for group, sig, *extra in GENVEC),
@@ -52,7 +56,8 @@ COMMANDS = [
     ["rh", "--order", "8", "--sig", "(0;2,4,8)", "--sigma", "2"],
     ["missing", "--sigma", "48", "--h", "3"],
     ["plot", "--sigma", "48", "--with-realized"],
-    *(["plot", "--sigma", str(s)] for s in (100, 500)),
+    *(["plot", "--sigma", str(s)] for s in (3, 100, 500)),
+    ["plot", "--sigma", "48", "--with-realized", "--max-order", "1"],
     *(["plot", "--sigma", str(s), "--with-realized", "--csv-sidecar"] for s in (48, 150)),
     ["plot", "--sigma", "2000", "--csv-sidecar"],
     *(["kspace", "--sigma", str(s), "--format", "csv"] for s in (101, 150)),

@@ -114,10 +114,13 @@ class TestTriangle:
                 rows = list(triangle_rows(sigma, order))
                 assert [S(h, r) for h, lo, hi in rows for r in range(lo, hi + 1)] == expected
                 assert all(lo <= hi for _, lo, hi in rows), (sigma, order)
-                # plane_rows sizes each order's levels from the first row alone
+                # plane_rows sizes each order's levels from the first row left: r_hi and
+                # 2h + r_hi never grow down the rows, so any row holds its followers' largest
                 if rows:
                     assert rows[0][2] == max(pt.r for pt in expected), (sigma, order)
                     assert 2 * rows[0][0] + rows[0][2] == max(2 * pt.h + pt.r for pt in expected)
+                for (h, _, hi), (h_next, _, hi_next) in zip(rows, rows[1:]):
+                    assert hi >= hi_next and 2 * h + hi >= 2 * h_next + hi_next, (sigma, order)
 
 
 class TestGap:

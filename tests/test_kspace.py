@@ -38,6 +38,7 @@ from oracles import (
     census,
     close_order_2n,
     contains,
+    cut_orders,
     exception_points,
     figure_points,
     fraction_gap_points,
@@ -153,6 +154,44 @@ class TestAdmissible:
         assert admissible_map(11) == expected
         assert rows_at == list(range(2, 41))
         assert levels_at == [n for n in range(4, 41) if not rh.is_prime(n)]
+
+    def test_max_order_cut_matches_full_sweep(self):
+        # the pruned sweep against the full one cut the same way, with max_order on
+        # each side of 4(sigma - 1) and 12(sigma - 1), where the sweep changes branch
+        for sigma in range(2, 151):
+            full = admissible_map(sigma)
+            cut, top = 4 * (sigma - 1), 12 * (sigma - 1)
+            for max_order in (1, 2, 3, 5, 15, cut, cut + 1, top, top + 1):
+                got = {
+                    S(h, r): tuple(orders)
+                    for h, row in enumerate(kspace.plane_rows(sigma, max_order))
+                    for r, orders in row.items()
+                }
+                want = {pt: cut_orders(orders, max_order) for pt, orders in full.items()}
+                assert got == want, (sigma, max_order)
+
+    def test_orders_above_max_order_build_levels_only_for_open_rows(self, monkeypatch):
+        # a count guard, not a timing gate: at genus 100 and max order 15 the full
+        # sweep built the levels at all 318 composite orders up to 4(sigma - 1) and
+        # swept (0, 3) and (0, 4) up to 12(sigma - 1); the pruned sweep builds them
+        # 31 times and stops at 4(sigma - 1), where (0, 3) and (0, 4) have their orders
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(kspace, name, wrapper)
+
+        for name in ("part_sum_levels", "hurwitz_range_orders", "two_part_sum"):
+            counted(name, getattr(kspace, name))
+        kspace.plane_rows(100, 15)
+        assert 0 < calls["part_sum_levels"] <= 40
+        assert calls["hurwitz_range_orders"] == calls["two_part_sum"] == 0
+        # the counters are live
+        kspace.plane_rows(2, 15)
+        assert calls["hurwitz_range_orders"] and calls["two_part_sum"]
 
     def test_prime_orders_are_the_cyclic_line(self):
         # at a prime order p <= 4(sigma - 1) the feasible points are exactly the

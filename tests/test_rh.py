@@ -150,6 +150,11 @@ class TestOrderParts:
     def test_empty_below_two(self, top):
         assert list(order_parts(top)) == []
 
+    @pytest.mark.parametrize("lo, top", [(2, 2), (3, 3), (5, 12), (37, 108), (397, 1188), (13, 12)])
+    def test_from_lo_is_the_tail(self, lo, top):
+        # (397, 1188) is the stretch (4(sigma - 1), 12(sigma - 1)] at genus 100
+        assert list(order_parts(top, lo)) == list(order_parts(top))[lo - 2 :]
+
 
 def first_list(sigma, h, r, order):
     """The first period list of the walk over the order's divisors, or None."""

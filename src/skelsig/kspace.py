@@ -39,7 +39,6 @@ from .rh import (
     order_parts,
     part_sum_levels,
     rh_genus,
-    two_part_sum,
 )
 
 # a stretch (r_lo, r_hi, status) of consecutive r in one row with one status
@@ -67,19 +66,20 @@ def plane_rows(sigma: int, max_order: int) -> list[dict[int, list[int]]]:
     comes with its parts d = N/n over its periods n from ``order_parts``, one
     divisor sieve over each stretch of the sweep.
     A point is feasible at N exactly when T = N(2h - 2 + r) - 2(sigma - 1) is
-    a sum of r parts.  Above 4(sigma - 1) only (0, 3) and (0, 4) are
-    feasible, and ``two_part_sum``, which carries both proofs, decides each
-    by sums of two parts: (0, 4) when N is even and N - 2(sigma - 1) is one,
-    (0, 3) when T - d is one for one of the first four parts d.  Up to
-    4(sigma - 1) the triangle is walked row by row from ``triangle_rows``.
-    At a prime order the only part is 1, so a point is feasible exactly when
-    T = r, which is the order's cyclic line 2Nh + (N - 1)r = 2N - 2 + 2 sigma,
-    and each row gives its one candidate r by one ``divmod``.  At a composite
-    order, with m the largest r of the rows swept, ``part_sum_levels`` builds
-    S_0..S_m, and each point is decided by one bit, bit T of S_r, T growing
-    by N with r.  That is the test the period-list walk makes, without
-    listing a period.  Triangle points have T >= r >= 0, so the levels are
-    cut at the largest T, which is never negative.
+    a sum of r parts, and each order's triangle is walked row by row from
+    ``triangle_rows``.  Above 4(sigma - 1) its only row is h = 0 with r in
+    3..4, by the rows' coefficients: the apex (N + sigma - 1)/N is below 2;
+    at h = 1, r_hi = floor(4(sigma - 1)/N) = 0 < r_lo; and at h = 0,
+    r_hi = 4 and r_lo = 3, since N - 1 >= 2 sigma.  So only (0, 3) and
+    (0, 4) can be feasible there.  At a prime order the only part is 1, so a
+    point is feasible exactly when T = r, which is the order's cyclic line
+    2Nh + (N - 1)r = 2N - 2 + 2 sigma, and each row gives its one candidate r
+    by one ``divmod``.  At a composite order, with m the largest r of the
+    rows swept, ``part_sum_levels`` builds S_0..S_m, and each point is
+    decided by one bit, bit T of S_r, T growing by N with r.  That is the
+    test the period-list walk makes, without listing a period.  Triangle
+    points have T >= r >= 0, so the levels are cut at the largest T, which
+    is never negative.
 
     The orders ascend, so above ``max_order`` an order can only give a point
     its least order above ``max_order``, and only to a point that lacks one:
@@ -87,21 +87,21 @@ def plane_rows(sigma: int, max_order: int) -> list[dict[int, list[int]]]:
     one int per row marks (h, r) once it has one.  An order above
     ``max_order`` sweeps only the triangle rows with an unmarked point, and
     an order with no such row is skipped and builds no levels; within a row,
-    only unmarked points take the order.  Above 4(sigma - 1) the sieve and
-    the sweep run only while ``max_order`` reaches past 4(sigma - 1) or (0, 3)
-    or (0, 4) is unmarked, and the Hurwitz range is read only while (0, 3)
-    is.  A point left unmarked has no feasible order above ``max_order``.
-    Each feasible order is appended to its point's list in one r -> orders
-    bucket per row h, in ascending order as the sweep runs; a row's r come in
-    no particular order.  The box is fixed at h <= (sigma + 1)/2, the order-2
-    apex, and r <= 2*sigma + 2, and every triangle lies inside it:
-    h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
+    only unmarked points take the order.  Since only (0, 3) and (0, 4) can
+    be feasible above 4(sigma - 1), the sieve and the sweep run there only
+    when ``max_order`` reaches past 4(sigma - 1) or one of the two is still
+    unmarked at 4(sigma - 1), and the Hurwitz range is read only while
+    (0, 3) is unmarked.  A point left unmarked has no feasible order above
+    ``max_order``.  Each feasible order is appended to its point's list in
+    one r -> orders bucket per row h, in ascending order as the sweep runs;
+    a row's r come in no particular order.  The box is fixed at
+    h <= (sigma + 1)/2, the order-2 apex, and r <= 2*sigma + 2, and every
+    triangle lies inside it: h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
     """
     _check_genus(sigma)
     shift, cut, top = 2 * (sigma - 1), 4 * (sigma - 1), 12 * (sigma - 1)
     # one r -> orders bucket per row h of the box; orders arrive ascending
     found = [defaultdict(list) for _ in range((sigma + 3) // 2)]
-    row_0 = found[0]
     # bit r of marked[h] is set once (h, r) has its least order above max_order
     marked = [0] * len(found)
 
@@ -112,17 +112,6 @@ def plane_rows(sigma: int, max_order: int) -> list[dict[int, list[int]]]:
 
     for n, parts in sweep():
         above = n > max_order
-        if n > cut:
-            if marked[0] >> 3 & 3 == 3:
-                break
-            t = n - shift
-            if not marked[0] >> 3 & 1 and any(two_part_sum(n, parts, t - d) for d in parts[:4]):
-                row_0[3].append(n)
-                marked[0] |= above << 3
-            if n % 2 == 0 and not marked[0] >> 4 & 1 and two_part_sum(n, parts, t):
-                row_0[4].append(n)
-                marked[0] |= above << 4
-            continue
         rows = triangle_rows(sigma, n)
         if above:
             rows = [(h, lo, hi) for h, lo, hi in rows if ~marked[h] >> lo & (2 << (hi - lo)) - 1]
@@ -154,7 +143,7 @@ def plane_rows(sigma: int, max_order: int) -> list[dict[int, list[int]]]:
             marked[h] = row_marked
     if not marked[0] >> 3 & 1:
         orders = hurwitz_range_orders(sigma)
-        row_0[3] += orders[: bisect_right(orders, max_order) + 1]
+        found[0][3] += orders[: bisect_right(orders, max_order) + 1]
     return found
 
 

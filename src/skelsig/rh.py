@@ -17,11 +17,9 @@ of an order at once: bit t of the level bitset S_k is set exactly when t is a
 sum of k parts, so (h, r) is feasible exactly when bit T of S_r is set.  A
 sweep over orders takes each order's parts from ``order_parts``, one divisor
 sieve, in place of trial division per order.  Such a sweep needs the
-levels only at composite orders up to 4(sigma - 1).  A prime order's only
-part is 1, so there T = r: its points are the lattice points of its cyclic
-line.  Above 4(sigma - 1) only (0, 3) and (0, 4) are feasible, their
-largest parts are forced, and ``two_part_sum`` decides each by sums of two
-parts.  Above 12(sigma - 1) only (0, 3) is feasible, and
+levels only at composite orders.  A prime order's only part is 1, so there
+T = r: its points are the lattice points of its cyclic line.  Above
+12(sigma - 1) only (0, 3) is feasible, and
 ``hurwitz_range_orders`` finds its orders there in closed form, from the
 divisors of at most six numbers.  A single point is searched only at the
 orders of its ``_order_window``, the one place where the triangle bounds
@@ -198,9 +196,9 @@ def order_parts(top: int, lo: int = 2) -> Iterator[tuple[int, list[int]]]:
 def hurwitz_range_orders(sigma: int) -> list[int]:
     """Orders N with 12(sigma - 1) < N <= 84(sigma - 1) at which (0, 3) is feasible, ascending.
 
-    No other point is feasible there; ``two_part_sum`` carries the lemma for
-    4(sigma - 1) < N <= 12(sigma - 1), where (0, 4) is feasible too.  A
-    period list at order N gives N * mu = 2(sigma - 1) with
+    No other point is feasible there; ``kspace.plane_rows`` shows from the
+    triangle rows that only (0, 3) and (0, 4) are feasible above
+    4(sigma - 1).  A period list at order N gives N * mu = 2(sigma - 1) with
     mu = 2h - 2 + sum(1 - 1/n_j), so N > 12(sigma - 1) means mu < 1/6.
     Every term 1 - 1/n_j is at least 1/2.  So h >= 2 gives mu >= 2, h = 1
     needs r >= 1 and gives mu >= 1/2, and h = 0 with r >= 5 gives
@@ -236,35 +234,6 @@ def hurwitz_range_orders(sigma: int) -> list[int]:
                 if not rest and c >= b and n % a == 0 and n % b == 0 and lo < n <= hi:
                     found.add(n)
     return sorted(found)
-
-
-def two_part_sum(order: int, parts: Sequence[int], m: int) -> bool:
-    """Whether m is a sum of two parts of ``order``.
-
-    ``parts`` are the divisors <= N/2 of N = ``order``, descending, as
-    ``order_parts`` yields them; any divisor b <= a of N is then a part too.
-    Between 4(sigma - 1) and 12(sigma - 1) this decides an order's whole
-    triangle.  N > 4(sigma - 1) means mu = 2(sigma - 1)/N < 1/2, and as in
-    ``hurwitz_range_orders`` every point but (0, 3) and (0, 4) has mu >= 1/2
-    or mu <= 0.  Each part is N/2 or at most N/3.
-
-    (0, 4): the parts sum to T = 2N - 2(sigma - 1) > 3N/2.  With at most one
-    part N/2 they sum to at most N/2 + 3 * N/3 = 3N/2, so two parts are N/2.
-    The point is feasible exactly when N is even and N - 2(sigma - 1) is a
-    sum of two parts.
-
-    (0, 3): the parts sum to T = N - 2(sigma - 1) > N/2, so the largest
-    part d has 3d >= T, so d > N/6.  Only N/2, N/3, N/4 and N/5 exceed N/6,
-    so d is among the first four parts.  The point is feasible exactly when
-    T - d is a sum of two parts for one of them; two parts that sum to
-    T - d make a list with d even when one of them exceeds d.
-    """
-    for a in parts:
-        if 2 * a < m:
-            return False  # b = m - a only grows as a falls
-        if a < m and order % (m - a) == 0:
-            return True
-    return False
 
 
 def _period_lists(
@@ -328,12 +297,11 @@ def part_sum_levels(parts: Sequence[int], count: int, top: int) -> list[int]:
     OR over the parts d of S_(k-1) << d.  The parts are positive, so a sum
     only grows as parts are added, and dropping the bits above ``top`` from
     S_(k-1) loses no sum of S_k at or below ``top``.  Its one caller,
-    ``kspace.plane_rows``, builds the levels only at composite orders up
-    to 4(sigma - 1), and above its ``max_order`` only for the triangle rows
-    that still hold a point with no order above it.  It cuts them at the
-    largest T of those rows, never negative since T >= r >= 0 there.
-    ``two_part_sum`` decides the orders above 4(sigma - 1), and a prime
-    order needs no levels: its only part is 1, so S_k holds k alone.
+    ``kspace.plane_rows``, builds the levels at every composite order it
+    sweeps, and above its ``max_order`` only for the triangle rows that
+    still hold a point with no order above it.  It cuts them at the largest
+    T of those rows, never negative since T >= r >= 0 there.  A prime order
+    needs no levels: its only part is 1, so S_k holds k alone.
     """
     mask = (1 << (top + 1)) - 1
     level = 1

@@ -12,9 +12,9 @@ Riemann-Hurwitz (``rh``):
 - ``trial_division_allowed_periods``: ``allowed_periods`` and ``order_parts``.
 - ``full_range_feasible_orders``: ``feasible_orders``, at every order up to ``order_bound``.
 - ``triangle_orders``: ``_order_window``, one order at a time.
-- ``walk_orders``: ``hurwitz_range_orders``, and ``two_part_sum`` in ``plane_rows``,
-  one point at a time.  ``walk_admissible_map`` covers the same orders at sigma
-  2..30 and 100; this one reaches sigma up to 150, and 300, 499 and 500.
+- ``walk_orders``: ``hurwitz_range_orders``, and the level bitsets of ``plane_rows``
+  above 4(sigma - 1), one point at a time.  ``walk_admissible_map`` covers the same
+  orders at sigma 2..30 and 100; this one reaches sigma up to 150, and 300, 499 and 500.
 - ``rh_admissible``: ``next(feasible_orders(...), None)``, a point's first feasible order
   and its first period list, as the ``SearchVerdict`` the tests read.
 

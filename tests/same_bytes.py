@@ -46,6 +46,10 @@ COMMANDS = [
     *(["kspace", "--sigma", str(s)] for s in (2, 3, 4)),
     ["kspace", "--sigma", "20", "--max-order", "1"],
     ["kspace", "--sigma", "48", "--max-order", "200"],
+    # max-order 17 is past 4(sigma - 1) = 16 at genus 5, and 1789 past 12(sigma - 1) at 150
+    ["kspace", "--sigma", "5", "--max-order", "17"],
+    ["plot", "--sigma", "5", "--max-order", "17", "--csv-sidecar"],
+    ["plot", "--sigma", "150", "--max-order", "1789", "--csv-sidecar"],
     *(["sporadic", "--h", str(h), *SPORADIC] for h in (2, 3, 4, 5)),
     ["sporadic", "--h", "2", "--primes", "23,29,31"],
     *(["genvec", "--group", group, "--sig", sig, *extra] for group, sig, *extra in GENVEC),

@@ -60,6 +60,17 @@ S = SkeletalSignature
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def count_sweep_calls(monkeypatch, calls):
+    """Append to ``calls[name]`` the arguments of each call ``kspace`` makes to ``name``."""
+    for name in ("triangle_rows", "part_sum_levels", "hurwitz_range_orders"):
+
+        def wrapper(*args, name=name, fn=getattr(kspace, name)):
+            calls[name].append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(kspace, name, wrapper)
+
+
 class TestAdmissible:
     def test_genus_48_markers(self):
         adm = admissible_map(48)
@@ -96,9 +107,9 @@ class TestAdmissible:
 
     def test_divisors_computed_once_per_order(self, monkeypatch):
         # a count guard, not a timing gate: the sweep stops at 12(sigma - 1) and reads
-        # every order's divisors from the one sieve, once per order, in ascending order,
-        # though the level bitsets stop at 4(sigma - 1); the Hurwitz range above it asks
-        # for the divisors of the six numbers 2ab(sigma - 1) and of no order
+        # every order's divisors from the one sieve, once per order, in ascending order;
+        # the Hurwitz range above it asks for the divisors of the six numbers
+        # 2ab(sigma - 1) and of no order
         expected = admissible_map(11)
         calls = []
         divisors = rh.allowed_periods
@@ -128,9 +139,10 @@ class TestAdmissible:
         assert calls
 
     def test_levels_stop_at_4_sigma_minus_1(self, monkeypatch):
-        # a count guard, not a timing gate: above 4(sigma - 1) = 40 no order's
-        # triangle rows or level bitsets are built, and a prime order's points
-        # are read off its cyclic line, with no levels
+        # a count guard, not a timing gate: the full sweep builds the triangle rows at
+        # every order up to 12(sigma - 1) = 120, above 4(sigma - 1) = 40 as below, and
+        # the level bitsets at every composite order; a prime order's points are read
+        # off its cyclic line, with no levels
         expected = admissible_map(11)
         current, rows_at, levels_at = [0], [], []
         sieve, rows, levels = kspace.order_parts, kspace.triangle_rows, kspace.part_sum_levels
@@ -152,12 +164,12 @@ class TestAdmissible:
         monkeypatch.setattr(kspace, "triangle_rows", counted_rows)
         monkeypatch.setattr(kspace, "part_sum_levels", counted_levels)
         assert admissible_map(11) == expected
-        assert rows_at == list(range(2, 41))
-        assert levels_at == [n for n in range(4, 41) if not rh.is_prime(n)]
+        assert rows_at == list(range(2, 121))
+        assert levels_at == [n for n in range(4, 121) if not rh.is_prime(n)]
 
     def test_max_order_cut_matches_full_sweep(self):
         # the pruned sweep against the full one cut the same way, with max_order on
-        # each side of 4(sigma - 1) and 12(sigma - 1), where the sweep changes branch
+        # each side of 4(sigma - 1) and 12(sigma - 1), where the sweep's stretches meet
         for sigma in range(2, 151):
             full = admissible_map(sigma)
             cut, top = 4 * (sigma - 1), 12 * (sigma - 1)
@@ -174,24 +186,32 @@ class TestAdmissible:
         # a count guard, not a timing gate: at genus 100 and max order 15 the full
         # sweep built the levels at all 318 composite orders up to 4(sigma - 1) and
         # swept (0, 3) and (0, 4) up to 12(sigma - 1); the pruned sweep builds them
-        # 31 times and stops at 4(sigma - 1), where (0, 3) and (0, 4) have their orders
-        calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            monkeypatch.setattr(kspace, name, wrapper)
-
-        for name in ("part_sum_levels", "hurwitz_range_orders", "two_part_sum"):
-            counted(name, getattr(kspace, name))
+        # 31 times and stops at 4(sigma - 1) = 396, where (0, 3) and (0, 4) have their
+        # orders
+        calls = defaultdict(list)
+        count_sweep_calls(monkeypatch, calls)
         kspace.plane_rows(100, 15)
-        assert 0 < calls["part_sum_levels"] <= 40
-        assert calls["hurwitz_range_orders"] == calls["two_part_sum"] == 0
+        assert 0 < len(calls["part_sum_levels"]) <= 40
+        assert max(n for _, n in calls["triangle_rows"]) <= 396
+        assert not calls["hurwitz_range_orders"]
         # the counters are live
+        calls.clear()
         kspace.plane_rows(2, 15)
-        assert calls["hurwitz_range_orders"] and calls["two_part_sum"]
+        assert max(n for _, n in calls["triangle_rows"]) > 4
+        assert calls["hurwitz_range_orders"]
+
+    def test_default_max_order_stops_at_4_sigma_minus_1(self, monkeypatch):
+        # a count guard, not a timing gate: at the default max order 15, every genus
+        # from 5 up gives (0, 3) and (0, 4) their least orders above 15 by 4(sigma - 1),
+        # so the sweep builds no triangle rows above it and never reads the Hurwitz
+        # range; only genus 2..4 sweep past 4(sigma - 1)
+        calls = defaultdict(list)
+        count_sweep_calls(monkeypatch, calls)
+        for sigma in range(5, 151):
+            calls.clear()
+            kspace.plane_rows(sigma, kspace.DEFAULT_MAX_ORDER)
+            assert max(n for _, n in calls["triangle_rows"]) <= 4 * (sigma - 1), sigma
+            assert not calls["hurwitz_range_orders"], sigma
 
     def test_prime_orders_are_the_cyclic_line(self):
         # at a prime order p <= 4(sigma - 1) the feasible points are exactly the
@@ -223,9 +243,9 @@ class TestAdmissible:
             assert got[-1] == 84 * (sigma - 1)  # (0; 2, 3, 7) at Hurwitz's bound
 
     def test_two_part_sums_match_walk(self):
-        # the orders of (0, 3) and (0, 4) in (4(sigma - 1), 12(sigma - 1)], where
-        # two_part_sum decides them, against the period-list walk at each such order;
-        # the keys come in sorted order, as realizable_set reads them
+        # the orders of (0, 3) and (0, 4) in (4(sigma - 1), 12(sigma - 1)], where the
+        # level bitsets of the row h = 0 alone decide them, against the period-list walk
+        # at each such order; the keys come in sorted order, as realizable_set reads them
         for sigma in [*range(2, 151), 300, 500]:
             feas = admissible_map(sigma)
             assert list(feas) == sorted(feas), sigma
@@ -242,7 +262,9 @@ class TestAdmissible:
                     assert max(orders) <= 12 * (sigma - 1), (sigma, pt, orders)
 
     def test_only_0_3_and_0_4_are_feasible_above_4_sigma_minus_1(self):
-        # the walk oracle, not the two-part sums, checks both lemmas of rh.two_part_sum
+        # the walk oracle, not the level bitsets, checks the lemma of plane_rows that only
+        # (0, 3) and (0, 4) are feasible above 4(sigma - 1), and that every list there
+        # starts with two periods 2 for (0, 4) and with a period of at most 5 for (0, 3)
         for sigma in range(2, 41):
             cut = 4 * (sigma - 1)
             for pt, orders in walk_admissible_map(sigma).items():

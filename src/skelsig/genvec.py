@@ -37,21 +37,20 @@ element of its order is one; in an abelian group that product is always e),
 The filter and the tuple walk take the periods as (period, count) runs; the
 walk's first candidate, the witness at 266 of 302 points at genus 48, costs
 one power per run.  Its ``Witness`` is the one form of a generating vector
-here, its lists kept as runs: ``search`` returns it, ``verify`` checks it run
-by run, and ``to_json`` gives it as a dict tree whose lists are ``Runs``, the
-runs themselves.  Reports embed that tree; ``cli._write_json`` alone lays it
-out, each run's value rendered once and repeated.
+here, its lists kept as runs: ``search`` returns it in a ``SearchVerdict``,
+``unknown`` once the budget runs out, ``verify`` checks it run by run, and
+``to_json`` gives it as a dict tree whose lists are ``Runs``.  Reports embed
+it; ``cli._write_json`` alone lays it out, each run's value rendered once.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from .groups import GroupTable, build_generalized_quaternion, quaternion_word
 from .rh import (
     OrbifoldSignature,
-    SearchVerdict,
     SkeletalSignature,
     _expand_runs,
     _period_lists,
@@ -128,6 +127,45 @@ class Witness(NamedTuple):
                 "c": Runs([(word(c), k) for c, k in self.entries]),
             }
         return out
+
+
+class SearchVerdict(NamedTuple):
+    """Outcome of the generating-vector search, which a budget can interrupt.
+
+    ``not_exists`` is only ever produced after a provably complete enumeration;
+    an interrupted search must surface as ``unknown``.
+    """
+
+    status: str
+    witness: Any = None
+
+    EXISTS = "exists"
+    NOT_EXISTS = "not-exists"
+    UNKNOWN = "unknown"
+
+    @classmethod
+    def exists(cls, witness: Any) -> "SearchVerdict":
+        return cls(cls.EXISTS, witness)
+
+    @classmethod
+    def not_exists(cls) -> "SearchVerdict":
+        return cls(cls.NOT_EXISTS)
+
+    @classmethod
+    def unknown(cls) -> "SearchVerdict":
+        return cls(cls.UNKNOWN)
+
+    @property
+    def is_exists(self) -> bool:
+        return self.status == self.EXISTS
+
+    @property
+    def is_not_exists(self) -> bool:
+        return self.status == self.NOT_EXISTS
+
+    @property
+    def is_unknown(self) -> bool:
+        return self.status == self.UNKNOWN
 
 
 def verify(group: GroupTable, witness: Witness) -> bool:

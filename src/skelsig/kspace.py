@@ -52,11 +52,11 @@ DEFAULT_MAX_ORDER = 15
 # admissible region
 
 
-def plane_rows(sigma: int, max_order: int) -> list[dict[int, list[int]]]:
+def plane_rows(sigma: int, max_order: int) -> list[dict[int, tuple[int, ...]]]:
     """Every RH-feasible lattice point with its feasible orders up to ``max_order``, row by
-    row: for each h of the box, a dict from each feasible r to its orders up to
-    ``max_order``, ascending, then its least feasible order above ``max_order`` if it has
-    one.  A ``max_order`` of at least 84(sigma - 1), the h = 0 cap, gives every order.
+    row: for each h of the box, a dict from each feasible r to one tuple of its orders up
+    to ``max_order``, ascending, then its least feasible order above ``max_order`` if it
+    has one.  A ``max_order`` of at least 84(sigma - 1), the h = 0 cap, gives every order.
 
     Sweeps orders from 2 up to 12(sigma - 1) and decides each order's whole
     triangle at once, so the union equals the per-point order sweep without
@@ -92,16 +92,16 @@ def plane_rows(sigma: int, max_order: int) -> list[dict[int, list[int]]]:
     when ``max_order`` reaches past 4(sigma - 1) or one of the two is still
     unmarked at 4(sigma - 1), and the Hurwitz range is read only while
     (0, 3) is unmarked.  A point left unmarked has no feasible order above
-    ``max_order``.  Each feasible order is appended to its point's list in
-    one r -> orders bucket per row h, in ascending order as the sweep runs;
-    a row's r come in no particular order.  The box is fixed at
+    ``max_order``.  Each point's orders are one tuple, built as the sweep
+    runs, each order joining it in ascending order, in one r -> orders dict
+    per row h; a row's r come in no particular order.  The box is fixed at
     h <= (sigma + 1)/2, the order-2 apex, and r <= 2*sigma + 2, and every
     triangle lies inside it: h <= (sigma-1)/N + 1 and r <= 4(sigma-1)/N + 4.
     """
     _check_genus(sigma)
     shift, cut, top = 2 * (sigma - 1), 4 * (sigma - 1), 12 * (sigma - 1)
-    # one r -> orders bucket per row h of the box; orders arrive ascending
-    found = [defaultdict(list) for _ in range((sigma + 3) // 2)]
+    # one r -> orders dict per row h of the box; orders arrive ascending
+    found = [defaultdict(tuple) for _ in range((sigma + 3) // 2)]
     # bit r of marked[h] is set once (h, r) has its least order above max_order
     marked = [0] * len(found)
 
@@ -125,7 +125,7 @@ def plane_rows(sigma: int, max_order: int) -> list[dict[int, list[int]]]:
             for h, _, _ in rows:
                 r, rest = divmod(c - a * h, b)
                 if not rest:
-                    found[h][r].append(n)
+                    found[h][r] += (n,)
                     marked[h] |= above << r
             continue
         # r_hi = 4(1 - h) + floor(4(sigma - 1)/N), so 2h + r_hi falls as h grows:
@@ -137,13 +137,13 @@ def plane_rows(sigma: int, max_order: int) -> list[dict[int, list[int]]]:
             t = n * (2 * h - 2 + r_lo) - shift
             for r in range(r_lo, r_hi + 1):
                 if levels[r] >> t & 1 and not row_marked >> r & 1:
-                    row[r].append(n)
+                    row[r] += (n,)
                     row_marked |= above << r
                 t += n
             marked[h] = row_marked
     if not marked[0] >> 3 & 1:
         orders = hurwitz_range_orders(sigma)
-        found[0][3] += orders[: bisect_right(orders, max_order) + 1]
+        found[0][3] += tuple(orders[: bisect_right(orders, max_order) + 1])
     return found
 
 
@@ -203,10 +203,10 @@ class _KSpaceApproximationFields(NamedTuple):
 class KSpaceApproximation(_KSpaceApproximationFields):
     """Two-sided bracket on the space of skeletal signatures at one genus.
 
-    ``plane[h]`` maps each admissible r of row h, ascending, to a tuple of
+    ``plane[h]`` maps each admissible r of row h, ascending, to the tuple of
     its feasible orders up to ``scope.max_order``, ascending, then its least
     feasible order above ``scope.max_order`` if it has one: the rows of
-    ``plane_rows`` at that max order, each row's r sorted.
+    ``plane_rows`` at that max order, each row's r sorted, its tuples kept.
     """
 
     __slots__ = ()
@@ -304,9 +304,9 @@ def realizable_set(
     realized: dict[SkeletalSignature, Witness] = {}
     unknown_pts: list[SkeletalSignature] = []
     covered = 0
-    # points in sorted order, h ascending, then each row's r sorted; orders come ascending
+    # points in sorted order, h ascending, then each row's r sorted; each tuple of orders ascends
     for h, row in enumerate(plane):
-        plane[h] = row = {r: tuple(row[r]) for r in sorted(row)}
+        plane[h] = row = {r: row[r] for r in sorted(row)}
         for r, orders in row.items():
             pt = SkeletalSignature(h, r)
             searched = [n for n in orders if n <= max_order]

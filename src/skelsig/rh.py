@@ -25,7 +25,7 @@ divisors of at most six numbers.  A single point is searched only at the
 orders of its ``_order_window``, the one place where the triangle bounds
 r <= T <= rN/2 become an order range, and ``_window_lists`` walks that
 window, yielding each order that has a period list with the first such list,
-each order's divisors read from a cache.
+over the order's divisors as the one cached tuple of ``allowed_periods``.
 The searches are exhaustive within provable bounds, so a negative answer is
 a certificate, not a timeout.
 """
@@ -80,46 +80,6 @@ class OrbifoldSignature(_OrbifoldSignatureFields):
         return f"({self.h};{','.join(str(n) for n in self.periods)})"
 
 
-class SearchVerdict(NamedTuple):
-    """Outcome of the generating-vector search, which a budget can interrupt.
-
-    ``not_exists`` is only ever produced after a provably complete enumeration;
-    an interrupted search must surface as ``unknown``.  A Riemann-Hurwitz
-    answer is never unknown, so it is a plain (order, periods) value or None.
-    """
-
-    status: str
-    witness: Any = None
-
-    EXISTS = "exists"
-    NOT_EXISTS = "not-exists"
-    UNKNOWN = "unknown"
-
-    @classmethod
-    def exists(cls, witness: Any) -> "SearchVerdict":
-        return cls(cls.EXISTS, witness)
-
-    @classmethod
-    def not_exists(cls) -> "SearchVerdict":
-        return cls(cls.NOT_EXISTS)
-
-    @classmethod
-    def unknown(cls) -> "SearchVerdict":
-        return cls(cls.UNKNOWN)
-
-    @property
-    def is_exists(self) -> bool:
-        return self.status == self.EXISTS
-
-    @property
-    def is_not_exists(self) -> bool:
-        return self.status == self.NOT_EXISTS
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.status == self.UNKNOWN
-
-
 def _check_genus(sigma: int) -> None:
     if sigma < 2:
         raise ValueError(f"genus must be >= 2, got {sigma}")
@@ -148,26 +108,20 @@ def rh_holds(sigma: int, order: int, sig: OrbifoldSignature) -> bool:
     return rh_genus(order, sig) == sigma
 
 
-def allowed_periods(order: int) -> list[int]:
+@functools.lru_cache(maxsize=1 << 12)
+def allowed_periods(order: int) -> tuple[int, ...]:
     """Candidate branching periods for a group of this order: its divisors >= 2, ascending.
 
     Element orders divide the group order, so this keeps feasibility a true
     superset of realizability while collapsing prime orders to a single period.
-    Each call returns a fresh list; the divisors behind it are cached.
+    The divisors come by trial division up to the square root, and each order's
+    tuple is cached, so every caller shares one that none can edit.  The per-point
+    order sweeps ask for the same few orders at every point of a window; the cache
+    is bounded, since a sweep of (0, 3) passes 84(sigma - 1) orders.  A window
+    longer than the cache, as (0, 3) has above sigma = 50, misses at every order
+    and pays the cache's bookkeeping on top of the trial division.
     """
     _check_order(order)
-    return list(_divisors(order))
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def _divisors(order: int) -> tuple[int, ...]:
-    """The divisors >= 2 of ``order``, ascending, by trial division up to its square root.
-
-    The per-point order sweeps ask for the same few orders at every point of a
-    window; the cache is bounded, since a sweep of (0, 3) passes 84(sigma - 1) orders.
-    A window longer than the cache, as (0, 3) has above sigma = 50, misses at every
-    order and pays the cache's bookkeeping on top of the trial division.
-    """
     small = [d for d in range(1, math.isqrt(order) + 1) if order % d == 0]
     large = [order // d for d in reversed(small) if d * d != order]
     return (*small[1:], *large)
@@ -175,7 +129,7 @@ def _divisors(order: int) -> tuple[int, ...]:
 
 def is_prime(n: int) -> bool:
     """Whether ``n`` is prime: n >= 2, and its only divisor >= 2 is n."""
-    return n >= 2 and allowed_periods(n) == [n]
+    return n >= 2 and allowed_periods(n) == (n,)
 
 
 def order_parts(top: int, lo: int = 2) -> Iterator[tuple[int, list[int]]]:

@@ -16,7 +16,7 @@ Riemann-Hurwitz (``rh``):
   above 4(sigma - 1), one point at a time.  ``walk_admissible_map`` covers the same
   orders at sigma 2..30 and 100; this one reaches sigma up to 150, and 300, 499 and 500.
 - ``rh_admissible``: ``next(feasible_orders(...), None)``, a point's first feasible order
-  and its first period list, as the ``SearchVerdict`` the tests read.
+  and its first period list, or None, as the library gives it.
 
 Admissible plane, gaps and decisions (``geometry``, ``kspace``):
 - ``walk_admissible_map``: ``plane_rows`` in the dict view of ``admissible_map``, by
@@ -75,6 +75,7 @@ from skelsig.genvec import (
     DEFAULT_BUDGET,
     ExclusionReason,
     RealizabilityReport,
+    SearchVerdict,
     Witness,
     realizable,
 )
@@ -103,7 +104,6 @@ from skelsig.kspace import (
 )
 from skelsig.rh import (
     OrbifoldSignature,
-    SearchVerdict,
     SkeletalSignature,
     _check_genus,
     _check_order,
@@ -215,14 +215,12 @@ def walk_tuples(
     return SearchVerdict.not_exists(), examined
 
 
-def rh_admissible(sigma: int, skel: SkeletalSignature) -> SearchVerdict:
-    """Smallest-order Riemann-Hurwitz witness for a skeletal signature, or a certified no.
-
-    ``not_exists`` means no order up to the provable bound admits any period
-    list, so the point lies outside the admissible region entirely.
+def rh_admissible(sigma: int, skel: SkeletalSignature) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest-order Riemann-Hurwitz witness (order, periods) for a skeletal signature,
+    or None, a certified no: no order up to the provable bound admits any period list,
+    so the point lies outside the admissible region entirely.
     """
-    first = next(feasible_orders(sigma, skel), None)
-    return SearchVerdict.not_exists() if first is None else SearchVerdict.exists(first)
+    return next(feasible_orders(sigma, skel), None)
 
 
 def naive_commutator_products(group: GroupTable, h: int) -> frozenset[int]:
@@ -339,11 +337,11 @@ def full_range_feasible_orders(
 
 
 def admissible_map(sigma: int) -> dict[SkeletalSignature, tuple[int, ...]]:
-    """Every RH-feasible lattice point with all its feasible orders: ``plane_rows`` cut at
-    the h = 0 cap, read off row by row, h ascending and each row's r sorted, so the keys
-    come in sorted order."""
+    """Every RH-feasible lattice point with the tuple of all its feasible orders:
+    ``plane_rows`` cut at the h = 0 cap, read off row by row, h ascending and each row's r
+    sorted, so the keys come in sorted order."""
     return {
-        SkeletalSignature(h, r): tuple(row[r])
+        SkeletalSignature(h, r): row[r]
         for h, row in enumerate(plane_rows(sigma, 84 * (sigma - 1)))
         for r in sorted(row)
     }

@@ -50,6 +50,9 @@ COMMANDS = [
     ["kspace", "--sigma", "5", "--max-order", "17"],
     ["plot", "--sigma", "5", "--max-order", "17", "--csv-sidecar"],
     ["plot", "--sigma", "150", "--max-order", "1789", "--csv-sidecar"],
+    # max-order 76 = 4(sigma - 1) at genus 20 sieves to 76, then again from 77 to 228
+    ["kspace", "--sigma", "20", "--max-order", "76"],
+    ["plot", "--sigma", "20", "--max-order", "76", "--csv-sidecar"],
     *(["sporadic", "--h", str(h), *SPORADIC] for h in (2, 3, 4, 5)),
     ["sporadic", "--h", "2", "--primes", "23,29,31"],
     *(["genvec", "--group", group, "--sig", sig, *extra] for group, sig, *extra in GENVEC),

@@ -60,7 +60,7 @@ def test_criterion_01_gap_3_4_empty():
         region = gap(sigma, 3)
         assert region.exception_line is None
         for pt in integer_points_raw(region):
-            if not rh_admissible(sigma, pt).is_not_exists:
+            if rh_admissible(sigma, pt) is not None:
                 failures.append((sigma, tuple(pt)))
     report(1, "order-3/4 gap emptiness for genus 9..60", failures, t0)
 
@@ -81,7 +81,7 @@ def test_criterion_02_h2_missing_point():
         pt = S(2, nearest_int(Fraction(2 * sigma, 3) - 4))
         region = gap(sigma, 4)
         in_gap = member(region, P(pt.h, pt.r))
-        excluded = rh_admissible(sigma, pt).is_not_exists
+        excluded = rh_admissible(sigma, pt) is None
         if not (in_gap and excluded):
             failures.append((sigma, tuple(pt), f"in_gap={in_gap}", f"rh_excluded={excluded}"))
     report(2, "h = 2 missing point in-gap and RH-infeasible for genus 7..120", failures, t0)
@@ -97,7 +97,7 @@ def test_criterion_03_h3_missing_points():
         for k in offsets:
             pt = S(3, nearest_int(Fraction(2 * sigma, 3) + k))
             in_gap = member(region, P(pt.h, pt.r))
-            excluded = rh_admissible(sigma, pt).is_not_exists
+            excluded = rh_admissible(sigma, pt) is None
             if not (in_gap and excluded):
                 failures.append((sigma, tuple(pt)))
     report(3, "h = 3 missing points in-gap and RH-infeasible for genus 18..120", failures, t0)

@@ -37,7 +37,7 @@ from skelsig.cli import (
     parse_signature,
 )
 from skelsig.geometry import gap
-from skelsig.genvec import JsonText, Runs, Witness
+from skelsig.genvec import JsonText, Runs, SearchVerdict, Witness
 from skelsig.groups import build_cyclic
 from skelsig.kspace import (
     figure_dataset,
@@ -45,7 +45,7 @@ from skelsig.kspace import (
     sporadic_analysis,
     verify_gap,
 )
-from skelsig.rh import OrbifoldSignature, SearchVerdict, SkeletalSignature
+from skelsig.rh import OrbifoldSignature, SkeletalSignature
 from skelsig.svg import _POINT_STYLES, _ratio
 
 import oracles

@@ -34,6 +34,7 @@ from oracles import (
 from skelsig import genvec
 from skelsig.genvec import (
     DEFAULT_BUDGET,
+    SearchVerdict,
     Witness,
     product_reachable,
     quaternion_vector,
@@ -52,7 +53,6 @@ from skelsig.groups import (
 from skelsig.kspace import realizable_set, sporadic_analysis
 from skelsig.rh import (
     OrbifoldSignature,
-    SearchVerdict,
     SkeletalSignature,
     _period_lists,
     rh_genus,

@@ -334,8 +334,7 @@ class TestMissingPoints:
         assert member_raw(region, candidate)
         assert contains(region.exception_line, candidate)
         assert not member(region, candidate)
-        v = rh_admissible(8, S(2, 1))
-        assert v.is_exists and v.witness == (5, (5,))
+        assert rh_admissible(8, S(2, 1)) == (5, (5,))
         with pytest.raises(ValueError, match=r"\(2, 1\) lies on the order-5 cyclic line 5h \+ 2r = 12"):
             missing_points(8, 2)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from skelsig import genvec, groups, kspace, rh
-from skelsig.genvec import DEFAULT_BUDGET, RealizabilityReport
+from skelsig.genvec import DEFAULT_BUDGET, RealizabilityReport, SearchVerdict
 from skelsig.geometry import (
     GapRegion,
     RationalLine,
@@ -29,7 +29,7 @@ from skelsig.kspace import (
     sporadic_analysis,
     verify_gap,
 )
-from skelsig.rh import SearchVerdict, SkeletalSignature
+from skelsig.rh import SkeletalSignature
 
 from oracles import (
     TriangleRegion,
@@ -101,9 +101,9 @@ class TestAdmissible:
             ]
             for pt in box:
                 direct = rh_admissible(sigma, pt)
-                assert direct.is_exists == (pt in feas), (sigma, pt)
-                if direct.is_exists:
-                    assert direct.witness[0] == feas[pt][0]
+                assert (direct is not None) == (pt in feas), (sigma, pt)
+                if direct is not None:
+                    assert direct[0] == feas[pt][0]
 
     def test_divisors_computed_once_per_order(self, monkeypatch):
         # a count guard, not a timing gate: the sweep stops at 12(sigma - 1) and reads
@@ -175,12 +175,20 @@ class TestAdmissible:
             cut, top = 4 * (sigma - 1), 12 * (sigma - 1)
             for max_order in (1, 2, 3, 5, 15, cut, cut + 1, top, top + 1):
                 got = {
-                    S(h, r): tuple(orders)
+                    S(h, r): orders
                     for h, row in enumerate(kspace.plane_rows(sigma, max_order))
                     for r, orders in row.items()
                 }
                 want = {pt: cut_orders(orders, max_order) for pt, orders in full.items()}
                 assert got == want, (sigma, max_order)
+
+    def test_each_point_orders_are_one_tuple(self):
+        # the sweep builds each point's orders as a tuple in every stretch it runs: below
+        # and above max_order, past 4(sigma - 1) and in the Hurwitz range
+        for sigma in (2, 3, 11, 20, 48):
+            for max_order in (1, 15, 4 * (sigma - 1), 84 * (sigma - 1)):
+                for row in kspace.plane_rows(sigma, max_order):
+                    assert all(type(orders) is tuple for orders in row.values()), sigma
 
     def test_orders_above_max_order_build_levels_only_for_open_rows(self, monkeypatch):
         # a count guard, not a timing gate: at genus 100 and max order 15 the full
@@ -524,6 +532,12 @@ class TestRealizableSet:
             assert list(approx.realized) == sorted(approx.realized), (sigma, max_order)
             assert approx.realized
 
+    def test_plane_is_plane_rows_with_each_row_sorted(self, catalog):
+        # only each row's r is sorted; every point keeps the sweep's tuple of its orders
+        for sigma, max_order in ((2, 15), (11, 15), (20, 76)):
+            want = [{r: row[r] for r in sorted(row)} for row in kspace.plane_rows(sigma, max_order)]
+            assert realizable_set(sigma, catalog, max_order, 20).plane == want, sigma
+
 
 class TestVerifyGap:
     def test_genus_48_order_3(self, catalog):
@@ -581,8 +595,8 @@ class TestVerifyGap:
         assert loops == integer_points(region) and sweeps == exception_points(region)
         assert len(loops) > 20 and len(sweeps) >= 1
         by_point = {p.point: p for p in report_points(report)}
-        assert by_point[S(8, 6)].rh == rh_admissible(48, S(8, 6)).witness
-        assert by_point[S(10, 1)].rh == rh_admissible(48, S(10, 1)).witness
+        assert by_point[S(8, 6)].rh == rh_admissible(48, S(8, 6))
+        assert by_point[S(10, 1)].rh == rh_admissible(48, S(10, 1))
 
     def test_a_feasible_off_line_point_refutes(self, catalog, monkeypatch):
         # no gap point is feasible, so a planted witness stands in for one, mid-gap
@@ -663,7 +677,7 @@ class TestAnalyzePoint:
         # (2, 1) at genus 8 lies on the order-5 cyclic line and satisfies
         # Riemann-Hurwitz via (2; 5), but the order-5 group is cyclic, hence
         # abelian, and cannot carry a single branch point
-        assert rh_admissible(8, S(2, 1)).is_exists
+        assert rh_admissible(8, S(2, 1)) is not None
         analysis = analyze_point(8, S(2, 1), catalog)
         assert analysis.status == "excluded"
         assert {r.rule for r in analysis.reasons} == {"abelian-r1", "cyclic-forced"}

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from skelsig.geometry import RationalLine, RationalPoint, gap
-from skelsig.genvec import ExclusionReason, RealizabilityReport
+from skelsig.genvec import ExclusionReason, RealizabilityReport, SearchVerdict
 from skelsig.groups import build_cyclic
 from skelsig.kspace import KSpaceApproximation, PointReport, SearchScope
-from skelsig.rh import OrbifoldSignature, SearchVerdict, SkeletalSignature
+from skelsig.rh import OrbifoldSignature, SkeletalSignature
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 S = SkeletalSignature

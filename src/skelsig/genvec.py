@@ -283,8 +283,6 @@ def quaternion_vector(n: int, h: int) -> tuple[GroupTable, Witness]:
     (h; n)-generating vector and the group acts on a surface of genus
     2n(2(h-1)+1) - 1.
     """
-    if n < 2:
-        raise ValueError(f"quaternion parameter must be >= 2, got {n}")
     if h < 1:
         raise ValueError(f"quotient genus must be >= 1, got {h}")
     group = build_generalized_quaternion(n)

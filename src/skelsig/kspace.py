@@ -18,7 +18,6 @@ from collections import defaultdict
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from . import geometry
 from .genvec import (
     DEFAULT_BUDGET,
     ExclusionReason,
@@ -27,7 +26,7 @@ from .genvec import (
     quaternion_vector,
     realizable,
 )
-from .geometry import GapRegion, gap, p_group_line, triangle_rows
+from .geometry import GapRegion, RationalLine, gap, p_group_line, triangle_rows
 from .groups import CatalogManifest
 from .rh import (
     SkeletalSignature,
@@ -71,15 +70,14 @@ def plane_rows(sigma: int, max_order: int) -> list[dict[int, tuple[int, ...]]]:
     3..4, by the rows' coefficients: the apex (N + sigma - 1)/N is below 2;
     at h = 1, r_hi = floor(4(sigma - 1)/N) = 0 < r_lo; and at h = 0,
     r_hi = 4 and r_lo = 3, since N - 1 >= 2 sigma.  So only (0, 3) and
-    (0, 4) can be feasible there.  At a prime order the only part is 1, so a
-    point is feasible exactly when T = r, which is the order's cyclic line
-    2Nh + (N - 1)r = 2N - 2 + 2 sigma, and each row gives its one candidate r
-    by one ``divmod``.  At a composite order, with m the largest r of the
-    rows swept, ``part_sum_levels`` builds S_0..S_m, and each point is
+    (0, 4) can be feasible there.  At every order, with m the largest r of
+    the rows swept, ``part_sum_levels`` builds S_0..S_m, and each point is
     decided by one bit, bit T of S_r, T growing by N with r.  That is the
     test the period-list walk makes, without listing a period.  Triangle
     points have T >= r >= 0, so the levels are cut at the largest T, which
-    is never negative.
+    is never negative.  At a prime order the only part is 1, so a point is
+    feasible exactly when T = r, on the order's cyclic line, the triangle's
+    lower line; T - r grows with r, so each row is first cut to its r_lo.
 
     The orders ascend, so above ``max_order`` an order can only give a point
     its least order above ``max_order``, and only to a point that lacks one:
@@ -113,22 +111,16 @@ def plane_rows(sigma: int, max_order: int) -> list[dict[int, tuple[int, ...]]]:
     for n, parts in sweep():
         above = n > max_order
         rows = triangle_rows(sigma, n)
+        if len(parts) == 1:
+            # the only part is 1, so N is feasible at (h, r) exactly when T = r; T - r grows
+            # with r and is >= 0 from r_lo, on the lower line, so only r_lo can meet it
+            rows = [(h, lo, lo) for h, lo, _ in rows]
         if above:
             rows = [(h, lo, hi) for h, lo, hi in rows if ~marked[h] >> lo & (2 << (hi - lo)) - 1]
         if not rows:
             continue
-        if len(parts) == 1:
-            # T = r on the cyclic line a*h + b*r = c, the triangle's lower line, so a row
-            # holds at most one feasible point, at r_lo when the line meets the row; T grows
-            # with N and is at least r, so N is the point's least order and it is unmarked
-            a, b, c = geometry._lower_coeffs(sigma, n)
-            for h, _, _ in rows:
-                r, rest = divmod(c - a * h, b)
-                if not rest:
-                    found[h][r] += (n,)
-                    marked[h] |= above << r
-            continue
-        # r_hi = 4(1 - h) + floor(4(sigma - 1)/N), so 2h + r_hi falls as h grows:
+        # r_hi = 4(1 - h) + floor(4(sigma - 1)/N), or at a prime order r_lo, the ceil of
+        # (2(sigma - 1) + 2N(1 - h))/(N - 1), so 2h + r_hi falls as h grows either way:
         # the first row left holds both the largest r and the largest T
         h, _, r_hi = rows[0]
         levels = part_sum_levels(parts, r_hi, n * (2 * h - 2 + r_hi) - shift)
@@ -676,7 +668,7 @@ class FigureDataset(NamedTuple):
     """
 
     sigma: int
-    lines: tuple[tuple[str, geometry.RationalLine], ...]
+    lines: tuple[tuple[str, RationalLine], ...]
     gaps: tuple[GapRegion, ...]
     rows: tuple[list[Run], ...]
 
@@ -731,7 +723,7 @@ def figure_dataset(
 
     Lines: the order-2 (hyperelliptic) locus, the two boundaries of each of the
     order-3/4 and order-4/6 gaps, and the order-5 cyclic line that pierces the
-    latter.  Statuses: realized / admissible for points of the feasible set,
+    latter, each read off its gap.  Statuses: realized / admissible for points of the feasible set,
     gap for certified-empty gap lattice points, exception-realized /
     exception-excluded for exception-line points settled by group search.
     ``max_order`` caps only the realized map: exception-line points are
@@ -747,15 +739,15 @@ def figure_dataset(
     point of the upper order-4 line, and only the order-4 gap has an
     exception line, which meets a row once.
     """
+    gaps = three, four = gap(sigma, 3), gap(sigma, 4)
     lines = (
         ("hyperelliptic", p_group_line(sigma, 2, 1)),
-        ("lower-3", geometry.lower_line(sigma, 3)),
-        ("upper-4", geometry.upper_line(sigma, 4)),
-        ("lower-4", geometry.lower_line(sigma, 4)),
-        ("upper-6", geometry.upper_line(sigma, 6)),
-        ("cyclic-5", p_group_line(sigma, 5, 1)),
+        ("lower-3", three.boundary_lower),
+        ("upper-4", three.boundary_upper),
+        ("lower-4", four.boundary_lower),
+        ("upper-6", four.boundary_upper),
+        ("cyclic-5", four.exception_line),
     )
-    gaps = (gap(sigma, 3), gap(sigma, 4))
     if catalog is not None:
         rows = realizable_set(sigma, catalog, max_order, budget).rows()
     else:

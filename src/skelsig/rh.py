@@ -16,10 +16,10 @@ periods, not r.  ``part_sum_levels`` answers only yes or no, for every point
 of an order at once: bit t of the level bitset S_k is set exactly when t is a
 sum of k parts, so (h, r) is feasible exactly when bit T of S_r is set.  A
 sweep over orders takes each order's parts from ``order_parts``, one divisor
-sieve, in place of trial division per order.  Such a sweep needs the
-levels only at composite orders.  A prime order's only part is 1, so there
-T = r: its points are the lattice points of its cyclic line.  Above
-12(sigma - 1) only (0, 3) is feasible, and
+sieve, in place of trial division per order.  Such a sweep builds the
+levels at every order it sweeps.  A prime order's only part is 1, so there
+T = r: its points lie on its cyclic line, and each triangle row is cut to
+its r_lo.  Above 12(sigma - 1) only (0, 3) is feasible, and
 ``hurwitz_range_orders`` finds its orders there in closed form, from the
 divisors of at most six numbers.  A single point is searched only at the
 orders of its ``_order_window``, the one place where the triangle bounds
@@ -251,11 +251,11 @@ def part_sum_levels(parts: Sequence[int], count: int, top: int) -> list[int]:
     OR over the parts d of S_(k-1) << d.  The parts are positive, so a sum
     only grows as parts are added, and dropping the bits above ``top`` from
     S_(k-1) loses no sum of S_k at or below ``top``.  Its one caller,
-    ``kspace.plane_rows``, builds the levels at every composite order it
-    sweeps, and above its ``max_order`` only for the triangle rows that
-    still hold a point with no order above it.  It cuts them at the largest
-    T of those rows, never negative since T >= r >= 0 there.  A prime order
-    needs no levels: its only part is 1, so S_k holds k alone.
+    ``kspace.plane_rows``, builds the levels at every order it sweeps, and
+    above its ``max_order`` only for the triangle rows that still hold a
+    point with no order above it.  It cuts them at the largest T of those
+    rows, never negative since T >= r >= 0 there.  At a prime order the only
+    part is 1, so S_k holds k alone, and each row is cut to its r_lo.
     """
     mask = (1 << (top + 1)) - 1
     level = 1

@@ -67,6 +67,11 @@ COMMANDS = [
     ["plot", "--sigma", "48", "--with-realized", "--max-order", "1"],
     *(["plot", "--sigma", str(s), "--with-realized", "--csv-sidecar"] for s in (48, 150)),
     ["plot", "--sigma", "2000", "--csv-sidecar"],
+    # prime orders cut to their rows' first r: 2..11 at genus 2; 3, 5, 7, 11 and 23 above
+    # max-order 2 at genus 11; a prime max-order 5 with 7 and 13 above it at genus 7
+    ["plot", "--sigma", "2", "--csv-sidecar"],
+    ["kspace", "--sigma", "11", "--max-order", "2"],
+    ["plot", "--sigma", "7", "--with-realized", "--max-order", "5", "--csv-sidecar"],
     *(["kspace", "--sigma", str(s), "--format", "csv"] for s in (101, 150)),
 ]
 

@@ -141,8 +141,7 @@ class TestAdmissible:
     def test_levels_stop_at_4_sigma_minus_1(self, monkeypatch):
         # a count guard, not a timing gate: the full sweep builds the triangle rows at
         # every order up to 12(sigma - 1) = 120, above 4(sigma - 1) = 40 as below, and
-        # the level bitsets at every composite order; a prime order's points are read
-        # off its cyclic line, with no levels
+        # the level bitsets at every order
         expected = admissible_map(11)
         current, rows_at, levels_at = [0], [], []
         sieve, rows, levels = kspace.order_parts, kspace.triangle_rows, kspace.part_sum_levels
@@ -165,7 +164,7 @@ class TestAdmissible:
         monkeypatch.setattr(kspace, "part_sum_levels", counted_levels)
         assert admissible_map(11) == expected
         assert rows_at == list(range(2, 121))
-        assert levels_at == [n for n in range(4, 121) if not rh.is_prime(n)]
+        assert levels_at == list(range(2, 121))
 
     def test_max_order_cut_matches_full_sweep(self):
         # the pruned sweep against the full one cut the same way, with max_order on
@@ -192,14 +191,14 @@ class TestAdmissible:
 
     def test_orders_above_max_order_build_levels_only_for_open_rows(self, monkeypatch):
         # a count guard, not a timing gate: at genus 100 and max order 15 the full
-        # sweep built the levels at all 318 composite orders up to 4(sigma - 1) and
-        # swept (0, 3) and (0, 4) up to 12(sigma - 1); the pruned sweep builds them
-        # 31 times and stops at 4(sigma - 1) = 396, where (0, 3) and (0, 4) have their
-        # orders
+        # sweep built the levels at all 395 orders up to 4(sigma - 1) and swept
+        # (0, 3) and (0, 4) up to 12(sigma - 1); the pruned sweep builds them 46
+        # times, at 31 composite orders and 15 primes, and stops at 4(sigma - 1) =
+        # 396, where (0, 3) and (0, 4) have their orders
         calls = defaultdict(list)
         count_sweep_calls(monkeypatch, calls)
         kspace.plane_rows(100, 15)
-        assert 0 < len(calls["part_sum_levels"]) <= 40
+        assert len(calls["part_sum_levels"]) == 46
         assert max(n for _, n in calls["triangle_rows"]) <= 396
         assert not calls["hurwitz_range_orders"]
         # the counters are live
@@ -886,6 +885,19 @@ class TestFigureDataset:
     def test_gap_regions(self):
         ds = figure_dataset(48)
         assert [g.lower_index for g in ds.gaps] == [3, 4]
+
+    def test_gap_lines_are_the_gaps_own(self):
+        # the five gap lines are the very lines the two gaps hold, so the gaps alone
+        # decide that the order-4 gap runs down to the order-6 upper line
+        for sigma in [*range(2, 61), 150]:
+            ds = figure_dataset(sigma)
+            three, four = ds.gaps
+            lines = [line for _, line in ds.lines[1:]]
+            expected = [
+                three.boundary_lower, three.boundary_upper,
+                four.boundary_lower, four.boundary_upper, four.exception_line,
+            ]
+            assert all(a is b for a, b in zip(lines, expected, strict=True)), sigma
 
     def test_gap_statuses_match_the_fraction_walk(self):
         # with no catalog, a point is drawn as gap exactly when the Fraction walk puts it
